@@ -411,7 +411,7 @@ def _fidelity_reference_cell(fidelity=None):
     from .serving.scheduler import BatchPolicy
 
     return ServingCell(
-        platform="2.5D-CrossLight-SiPh", model="LeNet5",
+        platform="2.5D-CrossLight-SiPh", models=(("LeNet5", 1.0, None, 0),),
         controller="resipi", policy=BatchPolicy.fifo(),
         arrival_kind="poisson", rate_rps=100e3, duration_s=2e-3,
         seed=7, config=DEFAULT_PLATFORM, fidelity=fidelity,
@@ -468,23 +468,15 @@ def make_warm_fork_sweep() -> Callable[[], int]:
     """
     from dataclasses import replace
 
-    from .config import DEFAULT_PLATFORM
     from .experiments.fidelity import (
         FidelityPolicy,
         clear_warm_store,
         simulate_fidelity_cell,
     )
-    from .experiments.serving_study import ScenarioCell
-    from .serving.scheduler import BatchPolicy
     from .studies.spec import FaultSpec
 
-    base = ScenarioCell(
-        platform="2.5D-CrossLight-SiPh",
-        models=(("LeNet5", 1.0, None, 0),),
-        controller="resipi", policy=BatchPolicy.fifo(),
-        arrival_kind="poisson", rate_rps=100e3, duration_s=2e-3,
-        seed=7, config=DEFAULT_PLATFORM,
-        fidelity=FidelityPolicy(mode="fluid", error_budget=0.25),
+    base = _fidelity_reference_cell(
+        FidelityPolicy(mode="fluid", error_budget=0.25)
     )
     variants = [
         replace(base, faults=FaultSpec.from_dict({"events": [{
@@ -517,10 +509,10 @@ def make_continuous_decode_throughput() -> Callable[[], int]:
     management, width-aware remap lookups, and token bookkeeping.
     """
     from .config import DEFAULT_PLATFORM
-    from .experiments.serving_study import ScenarioCell
+    from .experiments.serving_study import ServingCell
     from .serving.scheduler import BatchPolicy
 
-    cell = ScenarioCell(
+    cell = ServingCell(
         platform="2.5D-CrossLight-SiPh",
         models=(("TransformerTiny", 1.0, None, 0),),
         controller="resipi",
@@ -531,9 +523,9 @@ def make_continuous_decode_throughput() -> Callable[[], int]:
     )
 
     def run() -> int:
-        from .experiments.serving_study import simulate_scenario_cell
+        from .experiments.serving_study import simulate_serving_cell
 
-        result = simulate_scenario_cell(cell)
+        result = simulate_serving_cell(cell)
         return result.tokens_generated
 
     return run
@@ -551,10 +543,10 @@ def make_sequence_fluid_path() -> Callable[[], int]:
     """
     from .config import DEFAULT_PLATFORM
     from .experiments.fidelity import FidelityPolicy, simulate_fidelity_cell
-    from .experiments.serving_study import ScenarioCell
+    from .experiments.serving_study import ServingCell
     from .serving.scheduler import BatchPolicy
 
-    cell = ScenarioCell(
+    cell = ServingCell(
         platform="2.5D-CrossLight-SiPh",
         models=(("TransformerTiny", 1.0, None, 0),),
         controller="resipi",

@@ -6,18 +6,10 @@ platform replicas — each its own
 all inside **one** shared :class:`~repro.sim.core.Environment` — behind
 a :class:`~repro.cluster.router.ClusterRouter` that dispatches the
 traffic-mix arrival stream via pluggable routing policies and survives
-node-level hazards (:mod:`repro.cluster.hazards`).  The declarative
-study layer lowers :class:`~repro.studies.spec.ClusterSpec` sections
-onto :class:`~repro.cluster.study.ClusterCell`s through the same
-parallel/cached cell machinery as every other study.
-
-The study module loads lazily (PEP 562): it resolves names against
-:mod:`repro.studies.registry`, which itself imports this package for
-the ``ROUTERS`` backing dict — eager package-level imports would make
-that a cycle.
+node-level hazards (:mod:`repro.cluster.hazards`).  The serving cell
+(:class:`~repro.experiments.serving_study.ServingCell`) builds the
+fleet whenever its ``replicas``/node fields call for one.
 """
-
-from importlib import import_module
 
 from .hazards import (
     NODE_HAZARD_KINDS,
@@ -35,34 +27,6 @@ from .router import (
     RoutingPolicy,
 )
 
-_LAZY_EXPORTS = {
-    ".study": (
-        "CLUSTER_STUDY_VERSION",
-        "ClusterCell",
-        "render_cluster_study",
-        "render_node_table",
-        "simulate_cluster_cell",
-    ),
-}
-
-_LAZY_HOMES = {
-    name: module
-    for module, names in _LAZY_EXPORTS.items()
-    for name in names
-}
-
-
-def __getattr__(name: str):
-    home = _LAZY_HOMES.get(name)
-    if home is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    value = getattr(import_module(home, __name__), name)
-    globals()[name] = value  # cache: __getattr__ runs once per name
-    return value
-
-
 __all__ = [
     "ClusterNode",
     "ClusterRouter",
@@ -75,5 +39,4 @@ __all__ = [
     "RoutingPolicy",
     "node_hazard_timeline",
     "validate_node_timeline",
-    *_LAZY_HOMES,
 ]

@@ -53,16 +53,10 @@ from .sensitivity import (
     sensitivity_study,
 )
 from .serving_study import (
-    ScenarioCell,
     ServingCell,
-    latency_throughput_curve,
     render_serving_study,
     render_slo_summary,
-    serving_study,
-    simulate_scenario_cell,
     simulate_serving_cell,
-    simulate_serving_cells,
-    simulate_study_cells,
 )
 from .table3 import PAPER_TABLE3, Table3, build_table3, render_table3
 from .tables import render_table1, render_table2
@@ -94,16 +88,10 @@ __all__ = [
     "SensitivityPoint",
     "render_sensitivity",
     "sensitivity_study",
-    "ScenarioCell",
     "ServingCell",
-    "latency_throughput_curve",
     "render_serving_study",
     "render_slo_summary",
-    "serving_study",
-    "simulate_scenario_cell",
     "simulate_serving_cell",
-    "simulate_serving_cells",
-    "simulate_study_cells",
     "serving_result_to_dict",
     "serving_results_to_csv",
     "serving_results_to_json",

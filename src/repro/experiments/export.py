@@ -183,9 +183,8 @@ def _fidelity_csv_tail(result) -> list:
 
 def _telemetry_dict(result) -> "dict | None":
     """The telemetry block: counters, histograms and the gauge time
-    series (``None`` on untelemetered results; read with ``getattr``
-    so pre-telemetry pickles export unchanged)."""
-    summary = getattr(result, "telemetry", None)
+    series (``None`` on untelemetered results)."""
+    summary = result.telemetry
     if summary is None:
         return None
     return {

@@ -32,7 +32,7 @@ module trades that time for a bounded, *measured* fidelity loss:
    reported, never assumed.
 
 The entry point is :func:`simulate_fidelity_cell`, dispatched to by
-:func:`~repro.experiments.serving_study.simulate_any_serving_cell`
+:func:`~repro.experiments.serving_study.simulate_serving_cell`
 whenever a cell carries an armed :class:`FidelityPolicy`.
 """
 
@@ -49,7 +49,6 @@ from ..cluster.hazards import (
     event_nodes,
     node_hazard_timeline,
 )
-from ..cluster.study import ClusterCell, simulate_cluster_cell
 from ..core.analytic import (
     FluidWindow,
     analytic_estimate,
@@ -70,16 +69,14 @@ from ..serving.metrics import (
     mean_time_to_repair,
 )
 from ..sim.core import Environment
-from ..studies.registry import ARRIVALS, MODELS
+from ..studies.registry import MODELS
 from .runner import build_platform, config_digest
 from .serving_study import (
-    ScenarioCell,
     ServingCell,
     _compute_degraded_s,
     _sequence_stream,
     compute_hazard_records,
     platform_timelines,
-    simulate_scenario_cell,
     simulate_serving_cell,
 )
 
@@ -184,8 +181,9 @@ class _CalibrationState:
     """Per-width sorted gap samples — width-dependent token service."""
 
 
-_WARM_STORE: dict[str, _CalibrationState] = {}
-"""Per-process warm-state store, keyed by calibration-cell cache key.
+_WARM_STORE: dict[ServingCell, _CalibrationState] = {}
+"""Per-process warm-state store, keyed by the calibration cell itself
+(cells are frozen, and equal exactly when their cache keys are).
 Worker processes each hold their own copy; within one worker a sweep
 forks every scenario variant of a (platform, workload, policy, rate)
 point from a single calibration run."""
@@ -209,50 +207,32 @@ def _calibration_window(cell, policy: FidelityPolicy) -> float:
     return min(cell.duration_s, max(cell.duration_s / 10.0, thirty_gaps))
 
 
-def _calibration_cell(cell, calibration_s: float):
+def _calibration_cell(cell: ServingCell,
+                      calibration_s: float) -> ServingCell:
     """The short fault-free DES twin of ``cell``.
 
-    Faults are stripped so the checkpoint measures *nominal* service —
-    that is what makes it shareable across every hazard-scenario
-    variant of the same serving point (the warm-state fork).  The
-    study-spec ``digest`` is blanked for the same reason: it covers the
-    fault timeline (and the fidelity section itself), so keeping it
-    would give every sweep variant a private warm-store key.  The
-    remaining behavioral fields — platform, config, mix, policy,
-    arrivals, seed — are exactly the (platform, workload) identity the
-    checkpoint measures.
+    Platform and node faults are stripped so the checkpoint measures
+    *nominal* service — that is what makes it shareable across every
+    hazard-scenario variant of the same serving point (the warm-state
+    fork).  The remaining fields — platform, config, mix, policy,
+    arrivals, seed, fleet shape — are exactly the (platform, workload)
+    identity the checkpoint measures.
     """
-    if isinstance(cell, ClusterCell):
-        return replace(cell, duration_s=calibration_s, fidelity=None,
-                       platform_faults=None, node_faults=None,
-                       digest="")
-    if isinstance(cell, ScenarioCell):
-        return replace(cell, duration_s=calibration_s, fidelity=None,
-                       faults=None, digest="")
-    return replace(cell, duration_s=calibration_s, fidelity=None)
+    return replace(cell, duration_s=calibration_s, fidelity=None,
+                   faults=None, node_faults=None)
 
 
-def _run_des(cell, record_sink: list | None = None):
-    """Full-fidelity worker dispatch for a (fidelity-stripped) cell."""
-    if isinstance(cell, ClusterCell):
-        return simulate_cluster_cell(cell, record_sink=record_sink)
-    if isinstance(cell, ScenarioCell):
-        return simulate_scenario_cell(cell, record_sink=record_sink)
-    return simulate_serving_cell(cell, record_sink=record_sink)
-
-
-def _calibrate(cell, policy: FidelityPolicy
+def _calibrate(cell: ServingCell, policy: FidelityPolicy
                ) -> tuple[_CalibrationState, bool, float]:
     """(checkpoint, warm_forked, calibration_s) for one fluid cell."""
     calibration_s = _calibration_window(cell, policy)
     calib_cell = _calibration_cell(cell, calibration_s)
-    key = calib_cell.key()
-    state = _WARM_STORE.get(key)
+    state = _WARM_STORE.get(calib_cell)
     if state is not None:
         return state, True, calibration_s
 
     sink: list = []
-    result = _run_des(calib_cell, record_sink=sink)
+    result = simulate_serving_cell(calib_cell, record_sink=sink)
     served = [record for record in sink if not record.dropped]
     service = np.sort(np.array(
         [record.service_s for record in served], dtype=float
@@ -288,7 +268,7 @@ def _calibrate(cell, policy: FidelityPolicy
         width_per_token=width_per_token,
         width_gaps=width_gaps,
     )
-    _WARM_STORE[key] = state
+    _WARM_STORE[calib_cell] = state
     return state, False, calibration_s
 
 
@@ -345,16 +325,6 @@ def _sequence_calibration(served):
 # ---------------------------------------------------------------------------
 
 
-def _arrival_process(cell):
-    """Instantiate the cell's arrival process (registry-validated)."""
-    return ARRIVALS.get(cell.arrival_kind)(
-        cell.rate_rps, cell.seed,
-        burstiness=getattr(cell, "burstiness", 4.0),
-        dwell_s=getattr(cell, "dwell_s", 20e-6),
-        think_time_s=getattr(cell, "think_time_s", 10e-6),
-    )
-
-
 def _arrival_scv(cell, times: np.ndarray) -> float:
     """Squared coefficient of variation of the inter-arrival gaps."""
     if cell.arrival_kind == "poisson" or times.size < 3:
@@ -366,13 +336,6 @@ def _arrival_scv(cell, times: np.ndarray) -> float:
     return float(gaps.var() / mean ** 2)
 
 
-def _cell_models(cell) -> tuple[tuple[str, float, float | None, int], ...]:
-    models = getattr(cell, "models", None)
-    if models is None:
-        return ((cell.model, 1.0, None, 0),)
-    return models
-
-
 def _model_assignment(cell, n: int) -> np.ndarray:
     """Per-arrival tenant index — bit-identical to ``_mix_stream``.
 
@@ -381,7 +344,7 @@ def _model_assignment(cell, n: int) -> np.ndarray:
     from the same generator yields the identical double stream, so the
     fluid cohort targets exactly the models DES would have.
     """
-    models = _cell_models(cell)
+    models = cell.models
     if len(models) == 1:
         return np.zeros(n, dtype=np.intp)
     fractions = np.cumsum([fraction for _, fraction, _, _ in models])
@@ -404,7 +367,7 @@ def _service_inflation(cell, mac_fraction: float) -> float:
     """
     if mac_fraction >= 1.0:
         return 1.0
-    primary = _cell_models(cell)[0][0]
+    primary = cell.models[0][0]
     memo_key = (cell.platform, cell.controller, config_digest(cell.config),
                 primary, round(mac_fraction, 12))
     cached = _INFLATION_MEMO.get(memo_key)
@@ -458,7 +421,7 @@ _NODE_STATE = {
 }
 
 
-def _replica_walk(cell: ClusterCell):
+def _replica_walk(cell: ServingCell):
     """Replay the node-hazard timeline analytically.
 
     Returns ``(segments, final_states, uptime, incidents, records)``:
@@ -553,8 +516,8 @@ def _build_windows(cell, state: _CalibrationState, policy_slots: int,
         float(state.service_sorted.mean())
         if state.service_sorted.size else 0.0
     )
-    if isinstance(cell, ClusterCell):
-        _, compute_events = platform_timelines(cell.platform_faults)
+    _, compute_events = platform_timelines(cell.faults)
+    if cell.is_fleet:
         walk = _replica_walk(cell)
         mac = _mac_segments(compute_events, cell.duration_s)
         windows = []
@@ -577,8 +540,6 @@ def _build_windows(cell, state: _CalibrationState, policy_slots: int,
                 service_scv=state.service_scv, arrival_scv=arrival_scv,
             ))
         return windows, walk
-    faults = getattr(cell, "faults", None)
-    _, compute_events = platform_timelines(faults)
     windows = [
         FluidWindow(
             start_s=start, end_s=end, servers=policy_slots,
@@ -604,7 +565,7 @@ def _sample_services(cell, state: _CalibrationState,
     n = len(model_indices)
     uniforms = _weyl(n, _PHI)
     services = np.empty(n, dtype=float)
-    models = _cell_models(cell)
+    models = cell.models
     overall = state.service_sorted
     for index, (name, _, _, _) in enumerate(models):
         mask = model_indices == index
@@ -660,7 +621,7 @@ def _sequence_lengths(cell, n: int,
     prompts = np.empty(n, dtype=np.intp)
     outputs = np.empty(n, dtype=np.intp)
     stream = _sequence_stream(
-        _cell_models(cell), sequences, cell.length_distribution, cell.seed
+        cell.models, sequences, cell.length_distribution, cell.seed
     )
     for index, (_, prompt, output) in enumerate(islice(stream, n)):
         prompts[index] = prompt
@@ -745,7 +706,7 @@ def _decode_cohort(cell, state: _CalibrationState, times: np.ndarray,
 def _evaluate_fluid(cell, state: _CalibrationState, duration_s: float,
                     windows) -> _FluidTrace:
     """Run the fluid model over the cell's exact arrival cohort."""
-    times = _arrival_process(cell).arrival_times(duration_s)
+    times = cell.arrival_process().arrival_times(duration_s)
     n = len(times)
     if n == 0:
         empty = np.empty(0, dtype=float)
@@ -772,7 +733,7 @@ def _evaluate_fluid(cell, state: _CalibrationState, duration_s: float,
     waits = fluid_queue_delays(times, windows, _weyl(n, _SQRT2M1))
     latency = waits + services
     ttft = token_gaps = outputs = None
-    if (getattr(cell, "sequences", ())
+    if (cell.sequences
             and state.prefill_sorted is not None
             and state.prefill_sorted.size):
         ttft, token_gaps, outputs, latency = _decode_cohort(
@@ -807,11 +768,9 @@ def _validate(cell, state: _CalibrationState, warm: bool,
             warm_forked=warm,
         )
     calib_cell = _calibration_cell(cell, state.calibration_s)
-    times = _arrival_process(calib_cell).arrival_times(state.calibration_s)
+    times = calib_cell.arrival_process().arrival_times(state.calibration_s)
     arrival_scv = _arrival_scv(calib_cell, times)
-    servers = _policy_slots(cell) * (
-        cell.replicas if isinstance(cell, ClusterCell) else 1
-    )
+    servers = _policy_slots(cell) * cell.replicas
     window = FluidWindow(
         start_s=0.0, end_s=state.calibration_s, servers=servers,
         service_mean_s=float(state.service_sorted.mean()),
@@ -831,18 +790,19 @@ def _validate(cell, state: _CalibrationState, warm: bool,
         predicted_p50 = predicted_p99 = predicted_goodput = 0.0
     ttft_err = token_err = None
     if trace.ttft_s is not None and trace.ttft_s.size:
-        measured_ttft = getattr(measured, "ttft", None)
-        if measured_ttft is not None:
+        # Only single-node cells serve sequences, so the measurement is
+        # a ServingResult carrying token metrics.
+        if measured.ttft is not None:
             ttft_err = _rel_err(
                 _nearest_rank(np.sort(trace.ttft_s), 99.0),
-                measured_ttft.p99_s,
+                measured.ttft.p99_s,
             )
-        measured_token = getattr(measured, "token_latency", None)
-        if (measured_token is not None and trace.token_gap_s is not None
+        if (measured.token_latency is not None
+                and trace.token_gap_s is not None
                 and trace.token_gap_s.size):
             token_err = _rel_err(
                 _nearest_rank(np.sort(trace.token_gap_s), 99.0),
-                measured_token.p99_s,
+                measured.token_latency.p99_s,
             )
     return FidelityReport(
         mode_requested=policy.mode, mode_used="fluid",
@@ -860,9 +820,8 @@ def _validate(cell, state: _CalibrationState, warm: bool,
 
 def _per_model(cell, trace: _FluidTrace, elapsed: float
                ) -> tuple[ModelServingStats, ...]:
-    models = _cell_models(cell)
     stats = []
-    for index, (name, _, slo_s, _) in enumerate(models):
+    for index, (name, _, slo_s, _) in enumerate(cell.models):
         mask = trace.model_indices == index
         latencies = trace.latency_s[mask]
         violations = (
@@ -887,7 +846,7 @@ def _window_stats(cell, trace: _FluidTrace, span, elapsed: float
     fault_start, fault_end = span
     slos = {
         index: slo_s
-        for index, (_, _, slo_s, _) in enumerate(_cell_models(cell))
+        for index, (_, _, slo_s, _) in enumerate(cell.models)
     }
     phases = (
         ("before", 0.0, fault_start),
@@ -944,7 +903,7 @@ def _fluid_serving_result(cell, state: _CalibrationState,
                           report: FidelityReport) -> ServingResult:
     trace_windows = _build_windows(
         cell, state, _policy_slots(cell),
-        _arrival_scv(cell, _arrival_process(cell)
+        _arrival_scv(cell, cell.arrival_process()
                      .arrival_times(cell.duration_s)),
     )[0]
     trace = _evaluate_fluid(cell, state, cell.duration_s, trace_windows)
@@ -954,9 +913,8 @@ def _fluid_serving_result(cell, state: _CalibrationState,
         if completed else cell.duration_s
     )
     calibration: ServingResult = state.result
-    _, compute_events = platform_timelines(getattr(cell, "faults", None))
+    _, compute_events = platform_timelines(cell.faults)
     span = _fault_span(compute_events, elapsed)
-    mix_label = getattr(cell, "mix_label", getattr(cell, "model", ""))
     ttft_profile = token_profile = None
     tokens = 0
     tokens_per_s = 0.0
@@ -978,7 +936,7 @@ def _fluid_serving_result(cell, state: _CalibrationState,
         decode_remaps = calibration.decode_remaps
     return ServingResult(
         platform=calibration.platform,
-        model=mix_label,
+        model=cell.mix_label,
         controller=cell.controller,
         policy=cell.policy.label,
         arrival_kind=cell.arrival_kind,
@@ -1021,10 +979,10 @@ def _fluid_serving_result(cell, state: _CalibrationState,
     )
 
 
-def _fluid_cluster_result(cell: ClusterCell, state: _CalibrationState,
+def _fluid_cluster_result(cell: ServingCell, state: _CalibrationState,
                           report: FidelityReport) -> ClusterResult:
     arrival_scv = _arrival_scv(
-        cell, _arrival_process(cell).arrival_times(cell.duration_s)
+        cell, cell.arrival_process().arrival_times(cell.duration_s)
     )
     windows, walk = _build_windows(
         cell, state, _policy_slots(cell), arrival_scv
@@ -1036,7 +994,15 @@ def _fluid_cluster_result(cell: ClusterCell, state: _CalibrationState,
         max(cell.duration_s, float(trace.finish_s.max()))
         if completed else cell.duration_s
     )
-    calibration: ClusterResult = state.result
+    calibration = state.result
+    # Stripping node faults can leave a one-replica fleet's calibration
+    # cell a single node, which measures a ServingResult.
+    calib_utilization = (
+        {stats.node: stats.mean_compute_utilization
+         for stats in calibration.per_node}
+        if isinstance(calibration, ClusterResult)
+        else {"node0": calibration.mean_compute_utilization}
+    )
 
     # Completed requests distribute across replicas in proportion to
     # routable up-time x routing weight — the fluid model does not track
@@ -1054,13 +1020,9 @@ def _fluid_cluster_result(cell: ClusterCell, state: _CalibrationState,
     ).astype(int)
     node_completed[int(np.argmax(shares))] += completed - node_completed.sum()
     overall_profile = _profile(trace.latency_s)
-    calib_by_node = {
-        stats.node: stats for stats in calibration.per_node
-    }
     per_node = []
     for index in range(cell.replicas):
         name = f"node{index}"
-        calib_node = calib_by_node.get(name)
         per_node.append(NodeStats(
             node=name,
             state=final_states[index],
@@ -1072,10 +1034,7 @@ def _fluid_cluster_result(cell: ClusterCell, state: _CalibrationState,
                 int(node_completed[index]) / elapsed if elapsed > 0
                 else 0.0
             ),
-            mean_compute_utilization=(
-                calib_node.mean_compute_utilization if calib_node
-                else 0.0
-            ),
+            mean_compute_utilization=calib_utilization.get(name, 0.0),
         ))
 
     availability = (
@@ -1091,7 +1050,7 @@ def _fluid_cluster_result(cell: ClusterCell, state: _CalibrationState,
                 for incident in incidents
             ),
         )
-    _, compute_events = platform_timelines(cell.platform_faults)
+    _, compute_events = platform_timelines(cell.faults)
     if span is None:
         span = _fault_span(compute_events, elapsed)
     return ClusterResult(
@@ -1145,8 +1104,8 @@ def simulate_fidelity_cell(cell):
     )
     if fallback:
         report = replace(report, mode_used="des-fallback")
-        full = _run_des(replace(cell, fidelity=None))
+        full = simulate_serving_cell(replace(cell, fidelity=None))
         return replace(full, fidelity=report)
-    if isinstance(cell, ClusterCell):
+    if cell.is_fleet:
         return _fluid_cluster_result(cell, state, report)
     return _fluid_serving_result(cell, state, report)

@@ -1,34 +1,32 @@
 """Latency-under-load studies: serving simulations as cacheable cells.
 
-Two cell shapes cover every serving scenario:
+One cell shape covers every serving scenario: a :class:`ServingCell`
+is a traffic mix (per-model SLOs, priorities, quotas, optional
+autoregressive lengths) under one batch policy, served by a fleet of
+``replicas`` platform nodes — one by default.  A real fleet (several
+replicas, node hazards or per-node overrides) gets a
+:class:`~repro.cluster.router.ClusterRouter` in front; a single node
+serves the arrival stream directly.  The declarative study layer
+(:mod:`repro.studies`) lowers every serving point of a
+:class:`~repro.studies.spec.StudySpec` onto one of these.
 
-* :class:`ServingCell` — the classic latency–throughput point: one
-  model, one arrival process, one batch policy.  ``serve-study`` sweeps
-  arrival rate × policy × controller × platform over these.
-* :class:`ScenarioCell` — the spec-driven generalisation: a
-  multi-tenant traffic mix with per-model SLOs/priorities, deadline-
-  aware policies (``edf``/``priority``/shedding), shared
-  weight-residency budgets and tunable arrival-process knobs.  The
-  declarative study layer (:mod:`repro.studies`) lowers
-  :class:`~repro.studies.spec.StudySpec` points onto these, keying the
-  cache by the spec digest.
-
-Both reuse the parallel fan-out and the persistent on-disk result cache
-of the experiment runner, extending ``cell_key`` with the serving
-parameters so serving points never collide with single-inference
-results.
+Cells reuse the parallel fan-out and the persistent on-disk result
+cache of the experiment runner, extending ``cell_key`` with every cell
+field so serving points never collide with each other or with
+single-inference results.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from collections import Counter
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..cluster.hazards import NODE_HAZARD_KINDS
-from ..config import DEFAULT_PLATFORM, PlatformConfig
+from ..cluster.hazards import NODE_HAZARD_KINDS, node_hazard_timeline
+from ..cluster.router import ClusterNode, ClusterRouter, HealthPolicy
+from ..config import PlatformConfig
 from ..core.engine import ExecutionTrace
 from ..errors import ConfigurationError
 from ..dnn.workload import extract_workload
@@ -41,53 +39,65 @@ from ..interposer.photonic.faults import (
 from ..mapping.residency import WeightResidency
 from ..serving.lifecycle import LifecycleDriver, ResiliencePolicy
 from ..serving.metrics import (
+    ClusterResult,
+    LatencyProfile,
+    NodeStats,
     ServingResult,
     aggregate,
+    mean_time_to_repair,
     per_model_stats,
     sequence_stats,
     windowed_stats,
 )
 from ..serving.scheduler import BatchPolicy, RequestScheduler
 from ..sim.core import Environment
-from ..studies.registry import ARRIVALS, HAZARDS, MODELS
+from ..studies.registry import ARRIVALS, HAZARDS, MODELS, ROUTERS
 from ..studies.spec import FaultSpec
-from .runner import build_platform, cell_key, run_cached
+from .runner import build_platform, cell_key
 
-SERVING_STUDY_VERSION = 3
+SERVING_STUDY_VERSION = 4
 """Bump (with ``CACHE_SCHEMA_VERSION`` semantics) when the serving
 simulation changes meaning, so cached curves are never stale.
 
-Version 2: ``BatchPolicy`` grew ``shed_expired`` (in ``asdict`` and
-therefore in every serving key) — results are unchanged, but the
-explicit bump records that serving keys moved.
+Version 2: ``BatchPolicy`` grew ``shed_expired``.  Version 3:
+``ServingResult`` grew the hazard fields.  Version 4: the classic,
+scenario and cluster cells became one :class:`ServingCell` whose key
+hashes every field, so every serving key moved once."""
 
-Version 3: ``ServingResult`` grew the hazard fields
-(``windows``/``hazard_events``/``time_degraded_s``) and scenario cells
-a ``faults`` timeline — fault-free results are unchanged, but the
-record layout and key contents moved together."""
-
-DEFAULT_RATES_RPS = (20e3, 50e3, 100e3, 200e3)
-"""Default arrival-rate sweep (requests/s): subsaturation through the
-knee of the LeNet5-class latency–throughput curve."""
-
-DEFAULT_DURATION_S = 2e-3
-"""Default injection window per point (simulated seconds)."""
+NodeOverride = tuple[int, "str | None", "int | None", "int | None"]
+"""Picklable per-node override: (node, controller, n_wavelengths,
+gateways_per_chiplet) with ``None`` meaning inherit."""
 
 
 @dataclass(frozen=True)
 class ServingCell:
-    """One latency-under-load simulation point.
+    """One serving simulation point: a traffic mix on a fleet of nodes.
 
-    ``fidelity`` is the hybrid-fidelity policy
-    (:class:`~repro.experiments.fidelity.FidelityPolicy`): ``None`` —
-    the default, and the only value the classic constructors produce —
-    runs full DES with the exact pre-fidelity cache key.  ``telemetry``
-    (a :class:`~repro.obs.policy.TelemetryPolicy`) likewise defaults to
-    ``None`` — the untelemetered classic run with the legacy key.
+    ``models`` is the mix as ``(name, fraction, slo_s, priority)``
+    tuples; the first entry is each scheduler's primary model.
+    ``faults`` is the platform hazard timeline applied to every node.
+    ``sequences`` marks an autoregressive scenario: one
+    ``(prompt_tokens, output_tokens)`` pair per mix entry, ``(0, 0)``
+    for single-step tenants, with ``length_distribution`` naming the
+    per-request sampler.  ``quotas`` caps each tenant's outstanding
+    requests per node (``None`` per entry = uncapped) and
+    ``starvation_age_s`` arms the priority policy's aging guard.
+
+    The fleet fields default to one node: ``replicas`` platform copies
+    behind the ``router`` policy (``weights`` parameterise the weighted
+    one), per-node ``node_overrides`` (:data:`NodeOverride` tuples),
+    the node-level ``node_faults`` timeline, ``reroute_on_fail`` and the
+    router's ``health`` signal path.  ``fidelity`` (a
+    :class:`~repro.experiments.fidelity.FidelityPolicy`) and
+    ``telemetry`` (a :class:`~repro.obs.policy.TelemetryPolicy`) arm the
+    fluid fast path and the recording session.
+
+    The worker reads nothing but these fields, so they are the cell's
+    complete identity: :meth:`key` hashes all of them.
     """
 
     platform: str
-    model: str
+    models: tuple[tuple[str, float, "float | None", int], ...]
     controller: str
     policy: BatchPolicy
     arrival_kind: str
@@ -95,190 +105,89 @@ class ServingCell:
     duration_s: float
     seed: int
     config: PlatformConfig
+    burstiness: float = 4.0
+    dwell_s: float = 20e-6
+    think_time_s: float = 10e-6
+    residency_capacity_bits: float | None = None
+    faults: FaultSpec | None = None
+    resilience: ResiliencePolicy | None = None
     fidelity: "object | None" = None
+    sequences: tuple[tuple[int, int], ...] = ()
+    length_distribution: str = "fixed"
+    quotas: tuple[int | None, ...] = ()
+    starvation_age_s: float | None = None
     telemetry: "object | None" = None
+    replicas: int = 1
+    router: str = "round-robin"
+    weights: tuple[float, ...] = ()
+    reroute_on_fail: bool = True
+    node_overrides: tuple[NodeOverride, ...] = ()
+    node_faults: FaultSpec | None = None
+    health: HealthPolicy | None = None
+
+    @property
+    def mix_label(self) -> str:
+        """Readable mix name: ``70%LeNet5+30%ResNet50`` (or the model)."""
+        if len(self.models) == 1:
+            return self.models[0][0]
+        return "+".join(
+            f"{fraction * 100:.0f}%{name}"
+            for name, fraction, _, _ in self.models
+        )
+
+    @property
+    def is_fleet(self) -> bool:
+        """Whether a router fronts the nodes.
+
+        Only several replicas, node hazards or per-node overrides need
+        one.  Otherwise the single node serves the arrival stream
+        directly — the 1-replica identity, which adds no kernel events.
+        """
+        return (
+            self.replicas > 1
+            or bool(self.node_faults)
+            or bool(self.node_overrides)
+        )
+
+    @property
+    def grid_label(self) -> str:
+        """Dry-run label: the mix, plus the fleet shape for fleets."""
+        if self.is_fleet:
+            return f"{self.replicas}x[{self.router}] {self.mix_label}"
+        return self.mix_label
 
     def arrival_process(self):
         """Instantiate the cell's arrival process (via the registry)."""
-        return ARRIVALS.get(self.arrival_kind)(self.rate_rps, self.seed)
+        return ARRIVALS.get(self.arrival_kind)(
+            self.rate_rps, self.seed, burstiness=self.burstiness,
+            dwell_s=self.dwell_s, think_time_s=self.think_time_s,
+        )
 
     def key(self) -> str:
-        """Disk-cache key: the inference cell key + serving extras.
-
-        ``fidelity`` and ``telemetry`` enter the extras only when
-        armed, so classic DES cells keep their legacy keys byte for
-        byte.
-        """
-        extra = {
-            "study": "serving",
-            "version": SERVING_STUDY_VERSION,
-            "policy": asdict(self.policy),
-            "arrival_kind": self.arrival_kind,
-            "rate_rps": self.rate_rps,
-            "duration_s": self.duration_s,
-            "seed": self.seed,
+        """Disk-cache key: the inference cell key plus every other field
+        (``cell_key`` hashes the config itself)."""
+        cell = {
+            field.name: _key_value(getattr(self, field.name))
+            for field in fields(self)
+            if field.name != "config"
         }
-        if self.fidelity is not None:
-            extra["fidelity"] = asdict(self.fidelity)
-        if self.telemetry is not None:
-            extra["telemetry"] = asdict(self.telemetry)
         return cell_key(
-            self.platform, self.model, self.controller, self.config,
-            extra=extra,
+            self.platform, self.mix_label, self.controller, self.config,
+            extra={
+                "study": "serving",
+                "version": SERVING_STUDY_VERSION,
+                "cell": cell,
+            },
         )
 
 
-def start_telemetry(telemetry, env, scheduler, sim, duration_s: float,
-                    driver=None):
-    """Build, attach and start one cell's telemetry session.
-
-    Returns ``None`` when the cell carries no policy — the classic
-    untelemetered path.  When armed, the recorder (if tracing) hooks
-    into the scheduler, its residency store and the optional lifecycle
-    driver, the standard serving gauges are registered, and the sim-time
-    sampler process starts.  The sampler only *reads* simulation state
-    and its extra timeout events never reorder existing same-time
-    events, so armed runs produce bit-identical request records.
-    """
-    if telemetry is None:
-        return None
-    # Deferred: the obs package is only needed on the armed path.
-    from ..obs.session import TelemetrySession
-
-    session = TelemetrySession(env, telemetry)
-    recorder = session.recorder
-    if recorder is not None:
-        scheduler.obs_trace = recorder
-        scheduler.residency.obs_trace = recorder
-        if driver is not None:
-            driver.obs_trace = recorder
-    metrics = session.metrics
-    scheduler.obs_metrics = metrics
-    metrics.gauge("queue_depth", lambda: float(scheduler.queue_length))
-    metrics.gauge("inflight", lambda: float(scheduler.outstanding))
-    metrics.gauge(
-        "decode_pool_width",
-        lambda: float(sum(len(p) for p in scheduler._pools.values())),
-    )
-    metrics.gauge("weight_resident_bits",
-                  lambda: scheduler.residency.resident_bits)
-    metrics.gauge(
-        "kv_reserved_bits",
-        lambda: (
-            scheduler.kv.reserved_bits
-            if scheduler.kv is not None else 0.0
-        ),
-    )
-    metrics.gauge("mac_utilization", scheduler.compute.mean_utilization)
-    fabric = sim.fabric
-    metrics.gauge("fabric_inflight",
-                  lambda: float(fabric.inflight_requests.value))
-    metrics.gauge(
-        "channel_utilization",
-        lambda: (
-            sum(c.utilization() for c in fabric.iter_channels())
-            / max(1, sum(1 for _ in fabric.iter_channels()))
-        ),
-    )
-    session.start(duration_s)
-    return session
-
-
-def finish_telemetry(session, scheduler, injected: int, completed: int,
-                     shed: int):
-    """Fold the scheduler's final counters in and freeze the session.
-
-    Returns the picklable summary (``None`` passes through), so worker
-    bodies can attach it to the result unconditionally.
-    """
-    if session is None:
-        return None
-    metrics = session.metrics
-    metrics.inc("requests_injected", injected)
-    metrics.inc("requests_completed", completed)
-    metrics.inc("requests_shed", shed)
-    metrics.inc("batches_dispatched", scheduler.batches_dispatched)
-    metrics.inc("starvation_promotions", scheduler.starvation_promotions)
-    metrics.inc("decode_remaps", scheduler.decode_remaps)
-    residency = scheduler.residency
-    metrics.inc("weight_fetches", residency.fetches_issued)
-    metrics.inc("weight_fetch_hits", residency.fetch_hits)
-    metrics.inc("weight_evictions", residency.evictions)
-    if scheduler.kv is not None:
-        metrics.inc("kv_refusals", scheduler.kv.refusals)
-    return session.summary(total_requests=injected)
-
-
-def simulate_serving_cell(cell: ServingCell,
-                          record_sink: list | None = None) -> ServingResult:
-    """Worker body: one full request-serving simulation of one cell.
-
-    ``record_sink``, when given, receives every per-request record —
-    the hybrid-fidelity calibration uses this to extract service-time
-    quantiles that the aggregated result does not carry.
-    """
-    platform = build_platform(cell.platform, cell.config, cell.controller)
-    workload = extract_workload(MODELS.get(cell.model)())
-
-    env = Environment()
-    sim = platform.build_simulation(env)
-    mapping = sim.map_workload(workload)
-    trace = ExecutionTrace()
-    scheduler = RequestScheduler(
-        sim, mapping, cell.model, policy=cell.policy,
-        residency=WeightResidency(env), trace=trace,
-    )
-    session = start_telemetry(cell.telemetry, env, scheduler, sim,
-                              cell.duration_s)
-    scheduler.serve(cell.arrival_process(), cell.duration_s,
-                    vectorized=record_sink is not None)
-
-    elapsed = env.now
-    if record_sink is not None:
-        record_sink.extend(scheduler.records)
-    latency, queue_delay, mean_batch = aggregate(scheduler.records)
-    network = sim.fabric.energy_report()
-    trace.record_channel_stats(sim.fabric)
-    telemetry = finish_telemetry(
-        session, scheduler, scheduler.requests_injected,
-        scheduler.requests_completed, scheduler.requests_shed,
-    )
-    return ServingResult(
-        platform=platform.name,
-        model=cell.model,
-        controller=cell.controller,
-        policy=cell.policy.label,
-        arrival_kind=cell.arrival_kind,
-        offered_rps=cell.rate_rps,
-        duration_s=cell.duration_s,
-        elapsed_s=elapsed,
-        requests_injected=scheduler.requests_injected,
-        requests_completed=scheduler.requests_completed,
-        latency=latency,
-        queue_delay=queue_delay,
-        mean_batch_size=mean_batch,
-        mean_inflight=sim.fabric.mean_inflight_requests,
-        mean_compute_utilization=scheduler.compute.mean_utilization(),
-        reconfigurations=sim.reconfigurations,
-        network_energy_j=network.total_energy_j,
-        compute_energy_j=platform.trace_compute_energy_j(trace, elapsed),
-        channel_stats=trace.channel_stats,
-        telemetry=telemetry,
-    )
-
-
-def simulate_serving_cells(cells: Sequence[ServingCell], jobs: int = 1,
-                           cache_dir: str | Path | None = None
-                           ) -> list[ServingResult]:
-    """Run serving cells with the runner's cache + process fan-out."""
-    return run_cached(
-        list(cells), lambda cell: cell.key(), simulate_serving_cell,
-        jobs=jobs, cache_dir=cache_dir,
-    )
+def _key_value(value):
+    """A cell field as JSON-able data (nested policies and specs too)."""
+    return asdict(value) if is_dataclass(value) else value
 
 
 # ---------------------------------------------------------------------------
-# Spec-driven scenario cells: traffic mixes, SLOs, deadline policies.
+# Hazard lowering.
 # ---------------------------------------------------------------------------
 
 
@@ -350,7 +259,7 @@ def _drive_mac_degrade(env, compute, event: ChipletMacDegrade):
 def start_compute_hazards(env, computes,
                           events: tuple[ChipletMacDegrade, ...]) -> None:
     """Launch the driver processes applying ``events`` to every
-    occupancy in ``computes`` (one per node for fleets)."""
+    occupancy in ``computes`` (one per node)."""
     for compute in computes:
         for event in events:
             env.process(_drive_mac_degrade(env, compute, event))
@@ -423,111 +332,17 @@ def _merge_window(window: "tuple[float, float] | None",
     return min(s for s, _ in spans), max(e for _, e in spans)
 
 
-@dataclass(frozen=True)
-class ScenarioCell:
-    """One spec-driven serving point: a traffic mix under one policy.
-
-    ``models`` is the mix as ``(name, fraction, slo_s, priority)``
-    tuples; the first entry is the scheduler's primary model.
-    ``digest`` is the resolved study-spec digest — it already covers
-    every field, so it (plus the platform config, belt-and-braces) is
-    the cache identity.
-
-    ``sequences`` marks an autoregressive scenario: one
-    ``(prompt_tokens, output_tokens)`` pair per mix entry, ``(0, 0)``
-    for single-step (CNN) tenants, with ``length_distribution`` naming
-    the per-request sampler.  ``quotas`` caps each tenant's outstanding
-    requests (``None`` per entry = uncapped) and ``starvation_age_s``
-    arms the priority policy's aging guard.  All of these enter the
-    cache key only when set, so pre-transformer cells keep their keys
-    byte for byte.
-    """
-
-    platform: str
-    models: tuple[tuple[str, float, float | None, int], ...]
-    controller: str
-    policy: BatchPolicy
-    arrival_kind: str
-    rate_rps: float
-    duration_s: float
-    seed: int
-    config: PlatformConfig
-    burstiness: float = 4.0
-    dwell_s: float = 20e-6
-    think_time_s: float = 10e-6
-    residency_capacity_bits: float | None = None
-    faults: FaultSpec | None = None
-    digest: str = ""
-    resilience: ResiliencePolicy | None = None
-    fidelity: "object | None" = None
-    sequences: tuple[tuple[int, int], ...] = ()
-    length_distribution: str = "fixed"
-    quotas: tuple[int | None, ...] = ()
-    starvation_age_s: float | None = None
-    telemetry: "object | None" = None
-
-    @property
-    def mix_label(self) -> str:
-        """Readable mix name: ``70%LeNet5+30%ResNet50`` (or the model)."""
-        if len(self.models) == 1:
-            return self.models[0][0]
-        return "+".join(
-            f"{fraction * 100:.0f}%{name}"
-            for name, fraction, _, _ in self.models
-        )
-
-    def key(self) -> str:
-        """Disk-cache key: every behavioral field plus the spec digest.
-
-        The digest alone would suffice for compiler-built cells, but it
-        is defaultable — directly constructed cells must still never
-        collide, so the full cell identity goes into the hash.
-        ``resilience`` and ``fidelity`` enter the extras only when set,
-        so cells without them keep their legacy keys byte for byte.
-        """
-        extra = {
-            "study": "scenario",
-            "version": SERVING_STUDY_VERSION,
-            "models": list(self.models),
-            "policy": asdict(self.policy),
-            "arrival_kind": self.arrival_kind,
-            "rate_rps": self.rate_rps,
-            "duration_s": self.duration_s,
-            "seed": self.seed,
-            "burstiness": self.burstiness,
-            "dwell_s": self.dwell_s,
-            "think_time_s": self.think_time_s,
-            "residency_capacity_bits": self.residency_capacity_bits,
-            "faults": (
-                self.faults.to_dict() if self.faults else None
-            ),
-            "spec": self.digest,
-        }
-        if self.resilience is not None:
-            extra["resilience"] = asdict(self.resilience)
-        if self.fidelity is not None:
-            extra["fidelity"] = asdict(self.fidelity)
-        if self.sequences:
-            extra["sequences"] = [list(pair) for pair in self.sequences]
-            extra["length_distribution"] = self.length_distribution
-        if self.quotas:
-            extra["quotas"] = list(self.quotas)
-        if self.starvation_age_s is not None:
-            extra["starvation_age_s"] = self.starvation_age_s
-        if self.telemetry is not None:
-            extra["telemetry"] = asdict(self.telemetry)
-        return cell_key(
-            self.platform, self.mix_label, self.controller, self.config,
-            extra=extra,
-        )
+# ---------------------------------------------------------------------------
+# Traffic-mix streams.
+# ---------------------------------------------------------------------------
 
 
 def _mix_stream(models: tuple[tuple[str, float, float | None, int], ...],
                 seed: int) -> Iterator[str] | None:
     """Seeded infinite stream assigning each arrival to a tenant.
 
-    Single-tenant mixes skip the RNG entirely so a one-model scenario
-    replays the exact event sequence of the classic serving cell.
+    Single-tenant mixes skip the RNG entirely: every request targets
+    the primary model.
     """
     if len(models) == 1:
         return None
@@ -587,60 +402,215 @@ def _sequence_stream(
     return stream()
 
 
-def simulate_scenario_cell(cell: ScenarioCell,
-                           record_sink: list | None = None) -> ServingResult:
-    """Worker body: one full multi-tenant serving simulation.
+# ---------------------------------------------------------------------------
+# Telemetry: one start/finish pair for every node count.
+# ---------------------------------------------------------------------------
 
-    ``record_sink`` exposes the per-request records to hybrid-fidelity
-    calibration, same as :func:`simulate_serving_cell`.
+
+def _register_node_gauges(metrics, prefix: str, scheduler, fabric) -> None:
+    """The standard serving gauges of one node, names ``prefix``-ed."""
+    gauges = {
+        "queue_depth": lambda: float(scheduler.queue_length),
+        "inflight": lambda: float(scheduler.outstanding),
+        "decode_pool_width": lambda: float(
+            sum(len(pool) for pool in scheduler._pools.values())
+        ),
+        "weight_resident_bits": lambda: scheduler.residency.resident_bits,
+        "kv_reserved_bits": lambda: (
+            scheduler.kv.reserved_bits if scheduler.kv is not None else 0.0
+        ),
+        "mac_utilization": scheduler.compute.mean_utilization,
+        "fabric_inflight": lambda: float(fabric.inflight_requests.value),
+        "channel_utilization": lambda: (
+            sum(c.utilization() for c in fabric.iter_channels())
+            / max(1, sum(1 for _ in fabric.iter_channels()))
+        ),
+    }
+    for name, fn in gauges.items():
+        metrics.gauge(prefix + name, fn)
+
+
+def start_telemetry(telemetry, env, nodes: Sequence[ClusterNode],
+                    router: ClusterRouter | None, driver,
+                    duration_s: float):
+    """Build, attach and start one cell's telemetry session.
+
+    Returns ``None`` when the cell carries no policy.  When armed, the
+    recorder (if tracing) hooks into every scheduler, residency store,
+    the router and the lifecycle driver; every node registers the
+    standard gauge set (``nodeK.``-prefixed behind a router, with
+    ``nodeK/`` trace tracks), the router adds its routable-node gauge,
+    and the sim-time sampler process starts.  The sampler only *reads*
+    simulation state and its extra timeout events never reorder
+    existing same-time events, so armed runs produce bit-identical
+    request records.
     """
-    fabric_faults, compute_events = platform_timelines(cell.faults)
+    if telemetry is None:
+        return None
+    # Deferred: the obs package is only needed on the armed path.
+    from ..obs.session import TelemetrySession
+
+    session = TelemetrySession(env, telemetry)
+    recorder = session.recorder
+    metrics = session.metrics
+    for node in nodes:
+        scheduler = node.scheduler
+        prefix = f"{node.name}." if router is not None else ""
+        if recorder is not None:
+            scheduler.obs_trace = recorder
+            node.residency.obs_trace = recorder
+            if router is not None:
+                scheduler.obs_prefix = f"{node.name}/"
+        scheduler.obs_metrics = metrics
+        _register_node_gauges(metrics, prefix, scheduler, node.sim.fabric)
+    if router is not None:
+        router.obs_trace = recorder
+        metrics.gauge("routable_nodes",
+                      lambda: float(len(router.routable_nodes())))
+    if driver is not None:
+        driver.obs_trace = recorder
+    session.start(duration_s)
+    return session
+
+
+def finish_telemetry(session, nodes: Sequence[ClusterNode],
+                     router: ClusterRouter | None, injected: int,
+                     completed: int, shed: int):
+    """Fold the final counters in (summed over nodes) and freeze the
+    session; ``None`` passes through."""
+    if session is None:
+        return None
+    metrics = session.metrics
+    metrics.inc("requests_injected", injected)
+    metrics.inc("requests_completed", completed)
+    metrics.inc("requests_shed", shed)
+    if router is not None:
+        metrics.inc("requests_rerouted", router.requests_rerouted)
+    for node in nodes:
+        scheduler = node.scheduler
+        metrics.inc("batches_dispatched", scheduler.batches_dispatched)
+        metrics.inc("starvation_promotions",
+                    scheduler.starvation_promotions)
+        metrics.inc("decode_remaps", scheduler.decode_remaps)
+        metrics.inc("weight_fetches", node.residency.fetches_issued)
+        metrics.inc("weight_fetch_hits", node.residency.fetch_hits)
+        metrics.inc("weight_evictions", node.residency.evictions)
+        if scheduler.kv is not None:
+            metrics.inc("kv_refusals", scheduler.kv.refusals)
+    return session.summary(total_requests=injected)
+
+
+# ---------------------------------------------------------------------------
+# The worker.
+# ---------------------------------------------------------------------------
+
+
+def _build_node(cell: ServingCell, env: Environment, index: int,
+                override: "NodeOverride | None", fabric_faults,
+                workloads: dict) -> ClusterNode:
+    """One platform replica: simulation, residency and a scheduler
+    serving every tenant with its SLO, priority and quota."""
+    config, controller = cell.config, cell.controller
+    if override is not None:
+        _, node_controller, n_wavelengths, gateways = override
+        if node_controller is not None:
+            controller = node_controller
+        if n_wavelengths is not None:
+            config = config.with_wavelengths(n_wavelengths)
+        if gateways is not None:
+            config = config.with_gateways_per_chiplet(gateways)
     platform = build_platform(
-        cell.platform, cell.config, cell.controller,
-        faults=fabric_faults,
+        cell.platform, config, controller, faults=fabric_faults
     )
-    env = Environment()
     sim = platform.build_simulation(env)
-    trace = ExecutionTrace()
     residency = WeightResidency(
         env, capacity_bits=cell.residency_capacity_bits
     )
-
     quotas = cell.quotas or (None,) * len(cell.models)
-    (primary, fraction, slo_s, priority), *tenants = cell.models
+    (primary, _, slo_s, priority), *tenants = cell.models
     scheduler = RequestScheduler(
-        sim, sim.map_workload(extract_workload(MODELS.get(primary)())),
-        primary, policy=cell.policy, residency=residency, trace=trace,
+        sim, sim.map_workload(workloads[primary]), primary,
+        policy=cell.policy, residency=residency, trace=ExecutionTrace(),
         slo_s=slo_s, priority=priority, quota=quotas[0],
         starvation_age_s=cell.starvation_age_s,
     )
-    for index, (name, _, tenant_slo, tenant_priority) in enumerate(
+    for tenant, (name, _, tenant_slo, tenant_priority) in enumerate(
         tenants, start=1
     ):
         scheduler.add_model(
-            name, sim.map_workload(extract_workload(MODELS.get(name)())),
+            name, sim.map_workload(workloads[name]),
             slo_s=tenant_slo, priority=tenant_priority,
-            quota=quotas[index],
+            quota=quotas[tenant],
         )
-    if compute_events:
-        start_compute_hazards(env, (scheduler.compute,), compute_events)
-
-    arrivals = ARRIVALS.get(cell.arrival_kind)(
-        cell.rate_rps, cell.seed, burstiness=cell.burstiness,
-        dwell_s=cell.dwell_s, think_time_s=cell.think_time_s,
+    return ClusterNode(
+        index=index, platform=platform, sim=sim, scheduler=scheduler,
+        residency=residency,
+        weight=cell.weights[index] if cell.weights else 1.0,
     )
+
+
+def simulate_serving_cell(cell: ServingCell,
+                          record_sink: list | None = None
+                          ) -> "ServingResult | ClusterResult":
+    """Worker body: one full serving simulation of one cell.
+
+    Every node stands up in one shared environment (their controllers,
+    hazard engines and schedulers interleave on the same event queue).
+    A fleet streams the arrivals through a router and returns a
+    :class:`ClusterResult`; a single node serves them directly and
+    returns a :class:`ServingResult`.  Cells with an armed fidelity
+    policy run through the fluid engine instead.
+
+    ``record_sink``, when given, receives every per-request record —
+    the hybrid-fidelity calibration uses this to extract service-time
+    quantiles that the aggregated result does not carry.
+    """
+    if cell.fidelity is not None:
+        # Deferred: the fidelity engine calls back into this worker.
+        from .fidelity import simulate_fidelity_cell
+
+        return simulate_fidelity_cell(cell)
+    fabric_faults, compute_events = platform_timelines(cell.faults)
+    workloads = {
+        name: extract_workload(MODELS.get(name)())
+        for name, _, _, _ in cell.models
+    }
+    overrides = {entry[0]: entry for entry in cell.node_overrides}
+    env = Environment()
+    nodes = [
+        _build_node(cell, env, index, overrides.get(index), fabric_faults,
+                    workloads)
+        for index in range(cell.replicas)
+    ]
+    if compute_events:
+        start_compute_hazards(
+            env, [node.scheduler.compute for node in nodes],
+            compute_events,
+        )
+    router = None
+    if cell.is_fleet:
+        router = ClusterRouter(
+            nodes, ROUTERS.get(cell.router)(cell.replicas, cell.weights),
+            node_events=node_hazard_timeline(cell.node_faults),
+            reroute_on_fail=cell.reroute_on_fail,
+            health=cell.health or None,
+        )
+    front = router if router is not None else nodes[0].scheduler
     if cell.sequences:
         mix = _sequence_stream(cell.models, cell.sequences,
                                cell.length_distribution, cell.seed)
     else:
         mix = _mix_stream(cell.models, cell.seed)
     driver = None
-    if cell.resilience is not None and cell.resilience:
-        driver = LifecycleDriver(scheduler, cell.resilience,
-                                 seed=cell.seed)
-        session = start_telemetry(cell.telemetry, env, scheduler, sim,
-                                  cell.duration_s, driver=driver)
-        driver.serve(arrivals, cell.duration_s, models=mix)
+    if cell.resilience:
+        driver = LifecycleDriver(front, cell.resilience, seed=cell.seed)
+    session = start_telemetry(cell.telemetry, env, nodes, router, driver,
+                              cell.duration_s)
+    entry = front if driver is None else driver
+    entry.serve(cell.arrival_process(), cell.duration_s, models=mix)
+
+    elapsed = env.now
+    if driver is not None:
         # Client-visible accounting: logical requests, with retries and
         # hedges folded into each one's latency.
         records = driver.records
@@ -649,22 +619,53 @@ def simulate_scenario_cell(cell: ScenarioCell,
         shed = driver.requests_gave_up
         resilience_stats = driver.stats()
     else:
-        session = start_telemetry(cell.telemetry, env, scheduler, sim,
-                                  cell.duration_s)
-        scheduler.serve(arrivals, cell.duration_s, models=mix)
-        records = scheduler.records
-        injected = scheduler.requests_injected
-        completed = scheduler.requests_completed
-        shed = scheduler.requests_shed
+        records = [
+            record for node in nodes for record in node.scheduler.records
+        ]
+        injected = (
+            router.requests_routed if router is not None
+            else nodes[0].scheduler.requests_injected
+        )
+        completed = sum(node.scheduler.requests_completed for node in nodes)
+        shed = sum(node.scheduler.requests_shed for node in nodes)
         resilience_stats = None
-
-    elapsed = env.now
     if record_sink is not None:
         record_sink.extend(records)
+    quota_denied = sum(
+        (Counter(node.scheduler.quota_denied) for node in nodes), Counter()
+    )
+    common = dict(
+        model=cell.mix_label,
+        controller=cell.controller,
+        policy=cell.policy.label,
+        arrival_kind=cell.arrival_kind,
+        offered_rps=cell.rate_rps,
+        duration_s=cell.duration_s,
+        elapsed_s=elapsed,
+        requests_injected=injected,
+        requests_completed=completed,
+        requests_shed=shed,
+        per_model=per_model_stats(records, elapsed,
+                                  nodes[0].scheduler.slos(),
+                                  quota_denied=quota_denied),
+        resilience=resilience_stats,
+        telemetry=finish_telemetry(session, nodes, router, injected,
+                                   completed, shed),
+    )
+    if router is None:
+        return _node_result(cell, nodes[0], records, compute_events,
+                            common)
+    return _fleet_result(cell, nodes, router, records, common)
+
+
+def _node_result(cell: ServingCell, node: ClusterNode, records,
+                 compute_events, common: dict) -> ServingResult:
+    """The single-node result: fabric, hazard and token metrics."""
+    elapsed = common["elapsed_s"]
+    sim, scheduler = node.sim, node.scheduler
     latency, queue_delay, mean_batch = aggregate(records)
     network = sim.fabric.energy_report()
-    trace.record_channel_stats(sim.fabric)
-    windows = ()
+    scheduler.trace.record_channel_stats(sim.fabric)
     hazard_events: tuple = ()
     time_degraded_s = 0.0
     window = None
@@ -678,6 +679,7 @@ def simulate_scenario_cell(cell: ScenarioCell,
             compute_events, elapsed
         )
         time_degraded_s += _compute_degraded_s(compute_events, elapsed)
+    windows = ()
     if window is not None:
         windows = windowed_stats(records, window[0], window[1], elapsed)
     seq_ttft = seq_token = None
@@ -687,17 +689,9 @@ def simulate_scenario_cell(cell: ScenarioCell,
         seq_ttft, seq_token, tokens, tokens_per_s = sequence_stats(
             records, elapsed
         )
+    kv = scheduler.kv
     return ServingResult(
-        platform=platform.name,
-        model=cell.mix_label,
-        controller=cell.controller,
-        policy=cell.policy.label,
-        arrival_kind=cell.arrival_kind,
-        offered_rps=cell.rate_rps,
-        duration_s=cell.duration_s,
-        elapsed_s=elapsed,
-        requests_injected=injected,
-        requests_completed=completed,
+        platform=node.platform.name,
         latency=latency,
         queue_delay=queue_delay,
         mean_batch_size=mean_batch,
@@ -705,103 +699,88 @@ def simulate_scenario_cell(cell: ScenarioCell,
         mean_compute_utilization=scheduler.compute.mean_utilization(),
         reconfigurations=sim.reconfigurations,
         network_energy_j=network.total_energy_j,
-        compute_energy_j=platform.trace_compute_energy_j(trace, elapsed),
-        channel_stats=trace.channel_stats,
-        requests_shed=shed,
-        per_model=per_model_stats(records, elapsed, scheduler.slos(),
-                                  quota_denied=scheduler.quota_denied),
+        compute_energy_j=node.platform.trace_compute_energy_j(
+            scheduler.trace, elapsed
+        ),
+        channel_stats=scheduler.trace.channel_stats,
         windows=windows,
         hazard_events=hazard_events,
         time_degraded_s=time_degraded_s,
-        resilience=resilience_stats,
         ttft=seq_ttft,
         token_latency=seq_token,
         tokens_generated=tokens,
         tokens_per_s=tokens_per_s,
-        kv_refusals=scheduler.kv.refusals if scheduler.kv else 0,
-        kv_peak_bits=(
-            scheduler.kv.peak_reserved_bits if scheduler.kv else 0.0
-        ),
+        kv_refusals=kv.refusals if kv else 0,
+        kv_peak_bits=kv.peak_reserved_bits if kv else 0.0,
         decode_remaps=scheduler.decode_remaps,
-        telemetry=finish_telemetry(session, scheduler, injected,
-                                   completed, shed),
+        **common,
     )
 
 
-def simulate_any_serving_cell(cell) -> ServingResult:
-    """Dispatch worker shared by mixed classic/scenario/cluster lists."""
-    if getattr(cell, "fidelity", None) is not None:
-        # Deferred: the fidelity engine orchestrates the cell workers
-        # below, so importing it eagerly would cycle.
-        from .fidelity import simulate_fidelity_cell
-
-        return simulate_fidelity_cell(cell)
-    if isinstance(cell, ScenarioCell):
-        return simulate_scenario_cell(cell)
-    # Deferred: the cluster study module resolves names against the
-    # registries this module's importers construct.
-    from ..cluster.study import ClusterCell, simulate_cluster_cell
-
-    if isinstance(cell, ClusterCell):
-        return simulate_cluster_cell(cell)
-    return simulate_serving_cell(cell)
-
-
-def simulate_study_cells(cells: Sequence, jobs: int = 1,
-                         cache_dir: str | Path | None = None,
-                         stats=None) -> list[ServingResult]:
-    """Run a mixed list of classic, scenario and cluster serving cells."""
-    return run_cached(
-        list(cells), lambda cell: cell.key(), simulate_any_serving_cell,
-        jobs=jobs, cache_dir=cache_dir, stats=stats,
-    )
-
-
-def serving_study(
-    model_name: str = "LeNet5",
-    platforms: tuple[str, ...] = ("2.5D-CrossLight-SiPh",),
-    controllers: tuple[str, ...] = ("resipi",),
-    policies: tuple[BatchPolicy, ...] = (BatchPolicy.fifo(),),
-    rates_rps: tuple[float, ...] = DEFAULT_RATES_RPS,
-    arrival_kind: str = "poisson",
-    duration_s: float = DEFAULT_DURATION_S,
-    seed: int = 7,
-    config: PlatformConfig | None = None,
-    jobs: int = 1,
-    cache_dir: str | Path | None = None,
-) -> list[ServingResult]:
-    """The full sweep: rate × policy × controller × platform.
-
-    Controllers only differentiate the photonic platform; electrical
-    and monolithic baselines run once per (rate, policy) under the
-    first controller label to avoid duplicate cells.
-    """
-    config = config or DEFAULT_PLATFORM
-    cells = []
-    for platform in platforms:
-        platform_controllers = (
-            controllers if platform == "2.5D-CrossLight-SiPh"
-            else controllers[:1]
+def _fleet_result(cell: ServingCell, nodes: Sequence[ClusterNode],
+                  router: ClusterRouter, records,
+                  common: dict) -> ClusterResult:
+    """The fleet result: per-node stats, incidents and availability."""
+    elapsed = common["elapsed_s"]
+    latency, queue_delay, _ = aggregate(records)
+    per_node = []
+    network_energy_j = 0.0
+    compute_energy_j = 0.0
+    for node in nodes:
+        scheduler = node.scheduler
+        served = [r for r in scheduler.records if not r.dropped]
+        per_node.append(NodeStats(
+            node=node.name,
+            state=node.state,
+            requests_completed=scheduler.requests_completed,
+            requests_shed=scheduler.requests_shed,
+            rerouted_away=node.rerouted_away,
+            latency=LatencyProfile.from_samples(
+                [r.latency_s for r in served]
+            ),
+            goodput_rps=(
+                scheduler.requests_completed / elapsed
+                if elapsed > 0 else 0.0
+            ),
+            mean_compute_utilization=(
+                scheduler.compute.mean_utilization()
+            ),
+        ))
+        network_energy_j += node.sim.fabric.energy_report().total_energy_j
+        compute_energy_j += node.platform.trace_compute_energy_j(
+            scheduler.trace, elapsed
         )
-        for controller in platform_controllers:
-            for policy in policies:
-                for rate in rates_rps:
-                    cells.append(ServingCell(
-                        platform=platform, model=model_name,
-                        controller=controller, policy=policy,
-                        arrival_kind=arrival_kind, rate_rps=rate,
-                        duration_s=duration_s, seed=seed, config=config,
-                    ))
-    return simulate_serving_cells(cells, jobs=jobs, cache_dir=cache_dir)
-
-
-def latency_throughput_curve(
-    results: Sequence[ServingResult],
-) -> list[tuple[float, float, float]]:
-    """(offered rps, goodput rps, p99 latency s) points, rate-sorted."""
-    return sorted(
-        (r.offered_rps, r.goodput_rps, r.latency.p99_s) for r in results
+    incidents = router.incidents()
+    windows: tuple = ()
+    if incidents:
+        start = min(incident.start_s for incident in incidents)
+        end = max(
+            incident.end_s if incident.end_s is not None else elapsed
+            for incident in incidents
+        )
+        windows = windowed_stats(records, start, end, elapsed)
+    return ClusterResult(
+        platform=nodes[0].platform.name,
+        router=cell.router,
+        n_nodes=cell.replicas,
+        latency=latency,
+        queue_delay=queue_delay,
+        per_node=tuple(per_node),
+        requests_rerouted=router.requests_rerouted,
+        node_events=tuple(router.records),
+        network_energy_j=network_energy_j,
+        compute_energy_j=compute_energy_j,
+        windows=windows,
+        availability=router.availability(elapsed),
+        mttr_s=mean_time_to_repair(incidents),
+        incidents=incidents,
+        **common,
     )
+
+
+# ---------------------------------------------------------------------------
+# Text reports.
+# ---------------------------------------------------------------------------
 
 
 def render_slo_summary(results: Sequence[ServingResult]) -> str:
@@ -920,4 +899,41 @@ def render_serving_study(results: Sequence[ServingResult]) -> str:
     )
     for result in ordered:
         lines.append(result.summary_row())
+    return "\n".join(lines)
+
+
+def render_cluster_study(results: Sequence[ClusterResult]) -> str:
+    """Fleet latency–throughput table, one row per simulated point."""
+    header = (
+        f"{'platform':<28}{'router':<18}{'nodes':>6}{'offered/s':>12}"
+        f"{'goodput/s':>12}{'p50(us)':>11}{'p99(us)':>11}{'imbal':>10}"
+        f"{'rerouted':>9}"
+    )
+    lines = [header, "-" * len(header)]
+    ordered = sorted(
+        results,
+        key=lambda r: (r.platform, r.router, r.n_nodes, r.offered_rps),
+    )
+    for result in ordered:
+        lines.append(result.summary_row())
+    return "\n".join(lines)
+
+
+def render_node_table(results: Sequence[ClusterResult]) -> str:
+    """Per-node breakdown: one row per (point, node)."""
+    header = (
+        f"{'router':<18}{'offered/s':>12}  {'node':<8}{'state':<10}"
+        f"{'done':>7}{'shed':>6}{'away':>6}{'p99(us)':>10}{'util':>8}"
+    )
+    lines = [header, "-" * len(header)]
+    for result in results:
+        for stats in result.per_node:
+            lines.append(
+                f"{result.router:<18}{result.offered_rps:>12.0f}  "
+                f"{stats.node:<8}{stats.state:<10}"
+                f"{stats.requests_completed:>7}{stats.requests_shed:>6}"
+                f"{stats.rerouted_away:>6}"
+                f"{stats.latency.p99_s * 1e6:>10.1f}"
+                f"{stats.mean_compute_utilization:>8.2f}"
+            )
     return "\n".join(lines)

@@ -356,8 +356,8 @@ class PhotonicInterposerFabric(InterposerFabric):
         ``chiplets`` holds one ``(n_write, n_read)`` pair per compute
         chiplet, in :attr:`inventories` order.  The effect is exactly
         ``set_active_memory_gateways(n_memory)`` followed by
-        ``set_active_chiplet_gateways`` for every chiplet, but only banks
-        whose count changes take that path.  The rest — most banks, most
+        ``set_active_chiplet_gateways`` for every chiplet, but only
+        chiplet banks whose count changes take that path.  The rest — most banks, most
         epochs — close their power-signal segment and, if the comb share
         moved, retune their channels.
         """
@@ -366,16 +366,7 @@ class PhotonicInterposerFabric(InterposerFabric):
                 f"configuration names {len(chiplets)} chiplet(s); the "
                 f"fabric has {len(self._chiplets)}"
             )
-        signal = self.active_memory_gateways
-        if n_memory == signal.value:
-            signal.set(signal.value)
-            self._apply_bandwidth(
-                self.memory_write_channel,
-                n_memory * self._gateway_bw * self._wavelength_fraction,
-                increase=False,
-            )
-        else:
-            self.set_active_memory_gateways(n_memory)
+        self.set_active_memory_gateways(n_memory)
         close_segments(self._chiplet_signals, self.env.now)
         scale = self._gateway_bw * self._wavelength_fraction
         for bank, (n_write, n_read) in zip(self._chiplets.values(), chiplets):
@@ -440,6 +431,15 @@ class PhotonicInterposerFabric(InterposerFabric):
         channels back up on its next decision.
         """
         self._shift_caps(1, memory, chiplets)
+
+    def surviving_memory_gateways(self) -> int:
+        """Memory writer gateways still alive."""
+        return self._memory_cap
+
+    def surviving_chiplet_gateways(self, chiplet_id: str) -> tuple[int, int]:
+        """(write, read) gateways of one chiplet still alive."""
+        bank = self._chiplets[chiplet_id]
+        return bank.cap_write, bank.cap_read
 
     def _shift_caps(self, sign: int, memory: int,
                     chiplets: Iterable[tuple[str, int, int]]) -> None:

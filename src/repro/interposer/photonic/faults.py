@@ -508,10 +508,6 @@ class HazardEngine:
         self.env = fabric.env
         self.timeline = timeline
         self.records: list[HazardRecord] = []
-        self._failed_memory = 0
-        self._failed_chiplets: dict[str, list[int]] = {
-            chiplet_id: [0, 0] for chiplet_id in fabric.inventories
-        }
         self._active_fractions: dict[int, float] = {}
         self._degraded_since: float | None = None
         self._degraded_intervals: list[tuple[float, float]] = []
@@ -616,17 +612,10 @@ class HazardEngine:
     # -- surviving capacity -------------------------------------------------------
 
     def surviving_memory_gateways(self) -> int:
-        return (
-            self.fabric.config.n_memory_write_gateways - self._failed_memory
-        )
+        return self.fabric.surviving_memory_gateways()
 
     def surviving_chiplet_gateways(self, chiplet_id: str) -> tuple[int, int]:
-        inventory = self.fabric.inventories[chiplet_id]
-        failed_w, failed_r = self._failed_chiplets[chiplet_id]
-        return (
-            inventory.n_write_gateways - failed_w,
-            inventory.n_read_gateways - failed_r,
-        )
+        return self.fabric.surviving_chiplet_gateways(chiplet_id)
 
     @property
     def hazard_wavelength_fraction(self) -> float:
@@ -639,9 +628,15 @@ class HazardEngine:
     # -- event application --------------------------------------------------------
 
     def _update_degraded(self) -> None:
+        inventories = self.fabric.inventories
         degraded = (
-            self._failed_memory > 0
-            or any(w or r for w, r in self._failed_chiplets.values())
+            self.surviving_memory_gateways()
+            < self.fabric.config.n_memory_write_gateways
+            or any(
+                self.surviving_chiplet_gateways(chiplet_id)
+                != (inventory.n_write_gateways, inventory.n_read_gateways)
+                for chiplet_id, inventory in inventories.items()
+            )
             or self.hazard_wavelength_fraction < 1.0
         )
         now = self.env.now
@@ -652,10 +647,6 @@ class HazardEngine:
             self._degraded_since = None
 
     def _apply_gateway_fail(self, event: GatewayFail) -> None:
-        self._failed_memory += event.memory_gateways
-        for chiplet_id, n_write, n_read in event.chiplet_gateways:
-            self._failed_chiplets[chiplet_id][0] += n_write
-            self._failed_chiplets[chiplet_id][1] += n_read
         self.fabric.fail_gateways(event.memory_gateways,
                                   event.chiplet_gateways)
         self.records.append(HazardRecord(
@@ -670,10 +661,6 @@ class HazardEngine:
         self._update_degraded()
 
     def _apply_gateway_repair(self, event: GatewayRepair) -> None:
-        self._failed_memory -= event.memory_gateways
-        for chiplet_id, n_write, n_read in event.chiplet_gateways:
-            self._failed_chiplets[chiplet_id][0] -= n_write
-            self._failed_chiplets[chiplet_id][1] -= n_read
         self.fabric.repair_gateways(event.memory_gateways,
                                     event.chiplet_gateways)
         self.records.append(HazardRecord(

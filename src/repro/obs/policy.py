@@ -4,8 +4,7 @@ The spec layer's :class:`~repro.studies.spec.TelemetrySpec` lowers onto
 this frozen twin (:func:`repro.studies.compile.build_telemetry`), the
 same pattern as ``ResiliencePolicy`` / ``FidelityPolicy``: cells cross
 process-pool boundaries, so the policy must be plain picklable data,
-and a degenerate policy is represented as ``None`` on the cell so the
-legacy cache keys stay byte-identical.
+and a degenerate policy is represented as ``None`` on the cell.
 """
 
 from __future__ import annotations

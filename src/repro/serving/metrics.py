@@ -489,8 +489,7 @@ class ServingResult:
     decode_remaps: int = 0
     telemetry: "object | None" = None
     """Frozen :class:`~repro.obs.session.TelemetrySummary` when the
-    cell ran with telemetry armed; appended last (and read with
-    ``getattr``) so pre-telemetry pickles keep loading."""
+    cell ran with telemetry armed."""
 
     @property
     def is_sequence_run(self) -> bool:
@@ -627,8 +626,8 @@ class NodeStats:
 class ClusterResult:
     """Complete outcome of one fleet-serving simulation.
 
-    Plain picklable data, like :class:`ServingResult`: cluster cells
-    cache these through the same on-disk result cache, and the export
+    Plain picklable data, like :class:`ServingResult`: fleet serving
+    cells cache these through the same on-disk result cache, and the export
     layer serialises them to JSON/CSV.  ``latency``/``queue_delay`` and
     the request counters aggregate over every node; ``per_node`` splits
     them per replica, and ``load_imbalance`` (max/mean node compute

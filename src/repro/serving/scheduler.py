@@ -1098,37 +1098,9 @@ class RequestScheduler:
         self._injection_done = True
         self._check_drained()
 
-    def _inject_cohort(self, arrivals, duration_s: float,
-                       models: Iterator | None) -> None:
-        """Vectorized open-loop injection: the whole arrival cohort is
-        precomputed (batched RNG draws) and bulk-scheduled as plain
-        callbacks — no generator frame or per-gap timeout per request.
-        Arrival times and submission order match the event-driven
-        injector exactly (same seeded stream, same times)."""
-        times = arrivals.arrival_times(duration_s)
-
-        def _submit_one(_at_s: float) -> None:
-            model, prompt, output = self._next_submission(models)
-            self.submit(model=model, prompt_tokens=prompt,
-                        output_tokens=output)
-
-        def _mark_done(_at_s: float) -> None:
-            self._injection_done = True
-            self._check_drained()
-
-        if len(times) == 0:
-            self._injection_done = True
-            self._check_drained()
-            return
-        self.env.schedule_calls(times, _submit_one)
-        # Scheduled after the cohort at the final arrival time, so its
-        # larger sequence number fires it after the last submission.
-        self.env.schedule_calls((float(times[-1]),), _mark_done)
-
     def serve(self, arrivals, duration_s: float,
               drain_limit_s: float = DEFAULT_DRAIN_LIMIT_S,
-              models: Iterator | None = None,
-              vectorized: bool = False) -> None:
+              models: Iterator | None = None) -> None:
         """Run the full serving window: inject, dispatch, drain.
 
         ``arrivals`` is any open-loop process exposing ``gaps()`` (e.g.
@@ -1138,12 +1110,8 @@ class RequestScheduler:
         ``models`` optionally names the target model of each injected
         request (an infinite iterator, e.g. a seeded traffic-mix
         sampler); by default everything targets the primary model.
-        ``vectorized`` precomputes the whole open-loop arrival cohort
-        and bulk-schedules it (same times, same order, fewer kernel
-        events); arrival processes without a vectorized sampler fall
-        back to the event-driven injector.  Returns once every injected
-        request completed (or was shed); per-request records are on
-        :attr:`records` and the shared trace.
+        Returns once every injected request completed (or was shed);
+        per-request records are on :attr:`records` and the shared trace.
         """
         if duration_s <= 0:
             raise ConfigurationError(
@@ -1157,13 +1125,7 @@ class RequestScheduler:
                 "scheduler for another serving window"
             )
         self._served = True
-        if (
-            vectorized
-            and not isinstance(arrivals, ClosedLoopClients)
-            and hasattr(arrivals, "arrival_times")
-        ):
-            self._inject_cohort(arrivals, duration_s, models)
-        elif isinstance(arrivals, ClosedLoopClients):
+        if isinstance(arrivals, ClosedLoopClients):
             injectors = [
                 self.env.process(
                     self._closed_loop_client(arrivals, index, duration_s,

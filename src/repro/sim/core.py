@@ -250,37 +250,6 @@ class AnyOf(Event):
             self.succeed(event._value)
 
 
-def _call_trampoline(event: "_Call") -> None:
-    """Heap-path dispatch for :class:`_Call` (stored as its callback)."""
-    event.fn(event._value)
-
-
-class _Call:
-    """Scheduler token that invokes a plain callback when fired.
-
-    The bulk-scheduling path (:meth:`Environment.schedule_calls`) uses
-    one of these per scheduled invocation instead of a generator
-    process: no coroutine frame, no resume token, no StopIteration
-    unwinding — just ``fn(value)`` at the scheduled time.  Speaks both
-    firing protocols: the immediate queue calls ``_fire()``, the heap
-    loop marks ``_processed`` and invokes ``callbacks`` (primed with
-    the module-level trampoline).
-    """
-
-    __slots__ = ("fn", "_value", "callbacks", "_processed")
-
-    def __init__(self, fn: Callable[[Any], None], value: Any):
-        self.fn = fn
-        self._value = value
-        self.callbacks = _call_trampoline
-        self._processed = False
-
-    def _fire(self) -> None:
-        self._processed = True
-        self.callbacks = None
-        self.fn(self._value)
-
-
 class Environment:
     """Event queue and simulated clock.
 
@@ -346,41 +315,6 @@ class Environment:
     def process(self, generator: Generator[Event, Any, Any]) -> Process:
         """Start a process from a generator coroutine."""
         return Process(self, generator)
-
-    def schedule_calls(self, fire_times: Iterable[float],
-                       fn: Callable[[Any], None]) -> int:
-        """Bulk-schedule ``fn(t)`` invocations at absolute times.
-
-        The vectorized-injection primitive: a precomputed (usually
-        numpy-generated) arrival cohort lands on the heap in one pass —
-        one :class:`_Call` token per invocation instead of a generator
-        process yielding one timeout per gap.  Follows the kernel's
-        scheduling discipline (bump ``_sequence``, then immediate FIFO
-        for zero delay or heap-push ``(fire_time, seq, event)``), so
-        firing order against every other event is exactly the (time,
-        insertion-order) contract.  Returns the number scheduled.
-        """
-        queue = self._queue
-        immediate = self._immediate
-        now = self._now
-        seq = self._sequence
-        count = 0
-        for fire_time in fire_times:
-            fire_time = float(fire_time)
-            if fire_time < now:
-                raise SimulationError(
-                    f"cannot schedule a call at t={fire_time} in the "
-                    f"past (now={now})"
-                )
-            seq += 1
-            call = _Call(fn, fire_time)
-            if fire_time == now:
-                immediate.append((seq, call))
-            else:
-                _heappush(queue, (fire_time, seq, call))
-            count += 1
-        self._sequence = seq
-        return count
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Barrier event over several events."""

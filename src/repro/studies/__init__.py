@@ -65,9 +65,7 @@ _LAZY_EXPORTS = {
         "expand_points",
         "build_fidelity",
         "build_telemetry",
-        "is_degenerate_cluster",
         "load_spec",
-        "lower_cluster_point",
         "lower_study",
         "render_dry_run",
         "render_study",

@@ -95,9 +95,9 @@ def serve_study_spec(
 ) -> StudySpec:
     """``repro serve-study``: rate x policy x controller x platform.
 
-    Axis order (platform, controller, rate) reproduces the legacy cell
-    order; the compiler pins the controller axis off the SiPh platform
-    exactly like the legacy study avoided duplicate baseline cells.
+    Axis order is (platform, controller, rate); the compiler pins the
+    controller axis off the SiPh platform so baseline platforms never
+    run duplicate cells.
     """
     return StudySpec(
         name=f"serve-{model}",

@@ -5,35 +5,26 @@ goes through — the legacy CLI verbs build specs and call it, the
 ``repro study`` verb feeds it JSON files, and library users hand it
 spec objects.  It expands the sweep grid, resolves every name against
 the registries (typed did-you-mean errors), lowers each grid point onto
-the cheapest cell shape that expresses it, and runs the cells through
-the runner's parallel/cached machinery:
+cells, and runs the cells through the runner's parallel/cached
+machinery:
 
 * ``inference`` points with ``batch_size == 1`` lower to the plain
   matrix cells — **the exact cache keys and simulations of the legacy
   paths**, so spec-driven and legacy invocations share warm caches and
   produce bit-identical results;
-* ``serving`` points that a classic :class:`ServingCell` can express
-  lower to one — bit-identical results through the same simulation,
-  with keys shared with legacy invocations at the current
-  ``SERVING_STUDY_VERSION``;
-* everything else — traffic mixes, SLOs, deadline policies, residency
-  budgets, tuned arrival knobs — lowers to a
-  :class:`~repro.experiments.serving_study.ScenarioCell` keyed by the
-  point's spec digest via ``cell_key(..., extra=...)``.
+* every ``serving`` point — one node or a fleet, with any traffic mix,
+  policy, hazard, lifecycle, fidelity or telemetry section — lowers to
+  one :class:`~repro.experiments.serving_study.ServingCell`, keyed by
+  every one of its fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..cluster.hazards import node_hazard_timeline, validate_node_timeline
 from ..cluster.router import HealthPolicy
-from ..cluster.study import (
-    ClusterCell,
-    render_cluster_study,
-    render_node_table,
-)
 from ..config import DEFAULT_PLATFORM, PlatformConfig
 from ..core.metrics import InferenceResult
 from ..dnn.workload import extract_workload
@@ -48,15 +39,16 @@ from ..experiments.runner import (
     run_cached,
 )
 from ..experiments.serving_study import (
-    ScenarioCell,
     ServingCell,
     hazard_timeline,
     platform_timelines,
+    render_cluster_study,
     render_fault_windows,
+    render_node_table,
     render_sequence_summary,
     render_serving_study,
     render_slo_summary,
-    simulate_study_cells,
+    simulate_serving_cell,
 )
 from ..serving.lifecycle import ResiliencePolicy
 from ..serving.metrics import ClusterResult, ServingResult
@@ -69,7 +61,7 @@ from .registry import (
     PLATFORMS,
     ROUTERS,
 )
-from .spec import FaultSpec, SchedulerSpec, StudySpec, WorkloadSpec
+from .spec import ClusterSpec, FaultSpec, SchedulerSpec, StudySpec
 
 SIPH_PLATFORM = "2.5D-CrossLight-SiPh"
 """The one platform whose fabric takes a reconfiguration controller."""
@@ -91,21 +83,26 @@ class InferenceCell:
     batch_size: int = 1
     faults: FaultSpec | None = None
 
+    @property
+    def grid_label(self) -> str:
+        """Dry-run label: the model."""
+        return self.model
+
     def key(self) -> str:
         """Plain matrix-cell key at batch 1 (cache-compatible with the
         legacy runner); batched and fault-injected cells get their own
         key space."""
-        faulted = self.faults is not None and bool(self.faults.events)
-        if self.batch_size == 1 and not faulted:
+        if self.batch_size == 1 and not self.faults:
             return cell_key(
                 self.platform, self.model, self.controller, self.config
             )
-        extra = {"study": "inference", "batch_size": self.batch_size}
-        if faulted:
-            extra["faults"] = self.faults.to_dict()
         return cell_key(
             self.platform, self.model, self.controller, self.config,
-            extra=extra,
+            extra={
+                "study": "inference",
+                "batch_size": self.batch_size,
+                "faults": self.faults.to_dict() if self.faults else None,
+            },
         )
 
 
@@ -136,8 +133,7 @@ def build_resilience(spec: StudySpec) -> ResiliencePolicy | None:
     """The point's request-lifecycle policy; ``None`` when degenerate.
 
     A spec with no timeout, no retries and no hedging lowers to the
-    classic submit-once path — the cell carries no policy, keeps its
-    pre-resilience cache key and simulates bit-identically.
+    submit-once path: the cell carries no policy.
     """
     section = spec.resilience
     policy = ResiliencePolicy(
@@ -154,10 +150,9 @@ def build_resilience(spec: StudySpec) -> ResiliencePolicy | None:
 def build_fidelity(spec: StudySpec):
     """The point's hybrid-fidelity policy; ``None`` when degenerate.
 
-    A ``fidelity`` section in ``des`` mode (the default) lowers to the
-    classic full-DES path — the cell carries no policy, keeps its
-    pre-fidelity cache key and simulates bit-identically.  The armed
-    modes compile to a picklable
+    A ``fidelity`` section in ``des`` mode (the default) lowers to
+    full DES: the cell carries no policy.  The armed modes compile to
+    a picklable
     :class:`~repro.experiments.fidelity.FidelityPolicy` the cell
     workers dispatch on.
     """
@@ -178,9 +173,8 @@ def build_fidelity(spec: StudySpec):
 def build_telemetry(spec: StudySpec):
     """The point's telemetry policy; ``None`` when degenerate.
 
-    The default (empty) telemetry section lowers to the untelemetered
-    classic path — the cell carries no policy, keeps its pre-telemetry
-    cache key and simulates bit-identically.  An armed section compiles
+    The default (empty) telemetry section lowers to an untelemetered
+    run: the cell carries no policy.  An armed section compiles
     to a picklable :class:`~repro.obs.policy.TelemetryPolicy` the cell
     workers build a recording session from.
     """
@@ -226,8 +220,7 @@ def _validate_fidelity(point: StudySpec) -> None:
 
 def build_health(spec: StudySpec) -> HealthPolicy | None:
     """The point's router signal path; ``None`` means omniscient —
-    zero staleness and no probes lower to the legacy instant-view
-    router (unchanged cache key, bit-identical results)."""
+    zero staleness and no probes lower to the instant-view router."""
     section = spec.resilience
     if not section.health_checked:
         return None
@@ -338,8 +331,7 @@ def expand_points(spec: StudySpec) -> list[StudySpec]:
 
     Controllers only differentiate the photonic platform: grid points
     on other platforms collapse onto the controller axis's first value
-    and deduplicate, exactly like the legacy serving study avoided
-    duplicate baseline cells.
+    and deduplicate, so baseline platforms never run duplicate cells.
     """
     points = spec.expand()
     controller_axis = next(
@@ -363,78 +355,15 @@ def expand_points(spec: StudySpec) -> list[StudySpec]:
     return pinned
 
 
-def _workload_defaults() -> dict[str, float]:
-    return {
-        name: WorkloadSpec.__dataclass_fields__[name].default
-        for name in ("burstiness", "dwell_s", "think_time_s")
-    }
+def lower_serving_point(point: StudySpec,
+                        config: PlatformConfig) -> ServingCell:
+    """One resolved serving point to its serving cell.
 
-
-def is_degenerate_resilience(point: StudySpec) -> bool:
-    """Whether the point's resilience section is the no-op identity.
-
-    The default section (no timeouts, no retries, no hedging,
-    omniscient signals) adds nothing to the simulation; the compiler
-    then lowers onto the pre-resilience cell shapes so cache keys and
-    results match the legacy paths exactly.
+    A point without a ``cluster`` section is the one-node fleet.
     """
-    return not point.resilience
-
-
-def is_classic_serving(point: StudySpec) -> bool:
-    """Whether a classic :class:`ServingCell` expresses this point.
-
-    Classic cells keep legacy cache keys and bit-identical legacy
-    results, so the compiler prefers them whenever the point uses none
-    of the scenario-only features.
-    """
-    workload, scheduler = point.workload, point.scheduler
-    defaults = _workload_defaults()
-    return (
-        len(workload.models) == 1
-        and workload.models[0].fraction == 1.0
-        and workload.models[0].slo_s is None
-        and workload.models[0].priority == 0
-        and not workload.has_sequences
-        and not workload.has_quotas
-        and scheduler.policy in ("fifo", "max-batch")
-        and scheduler.starvation_age_s is None
-        and not scheduler.shed_expired
-        and point.residency_capacity_bits is None
-        and not point.platform.faults.events
-        and workload.burstiness == defaults["burstiness"]
-        and workload.dwell_s == defaults["dwell_s"]
-        and workload.think_time_s == defaults["think_time_s"]
-        and is_degenerate_resilience(point)
-    )
-
-
-def is_degenerate_cluster(point: StudySpec) -> bool:
-    """Whether the point's cluster section is the single-node identity.
-
-    A 1-replica cluster with no node-level hazards and no per-node
-    overrides routes every request to its only node — the simulation
-    is exactly the single-node serving path, so the compiler strips the
-    section and lowers onto the existing cells (legacy cache keys,
-    bit-identical results).  The router name cannot matter with one
-    node; it is still validated.
-    """
-    cluster = point.cluster
-    return (
-        cluster is None
-        or (
-            cluster.replicas == 1
-            and not cluster.faults.events
-            and not cluster.nodes
-        )
-    )
-
-
-def lower_cluster_point(point: StudySpec,
-                        config: PlatformConfig) -> ClusterCell:
-    """One resolved fleet point to its cluster cell."""
-    workload, cluster = point.workload, point.cluster
-    return ClusterCell(
+    workload = point.workload
+    cluster = point.cluster or ClusterSpec()
+    return ServingCell(
         platform=point.platform.name,
         models=tuple(
             (entry.model, entry.fraction, entry.slo_s, entry.priority)
@@ -447,78 +376,11 @@ def lower_cluster_point(point: StudySpec,
         duration_s=workload.duration_s,
         seed=workload.seed,
         config=config,
-        replicas=cluster.replicas,
-        router=cluster.router,
-        weights=cluster.weights,
-        reroute_on_fail=cluster.reroute_on_fail,
-        node_overrides=tuple(
-            (override.node, override.controller, override.n_wavelengths,
-             override.gateways_per_chiplet)
-            for override in cluster.nodes
-        ),
-        node_faults=cluster.faults if cluster.faults.events else None,
-        platform_faults=(
-            point.platform.faults if point.platform.faults.events else None
-        ),
         burstiness=workload.burstiness,
         dwell_s=workload.dwell_s,
         think_time_s=workload.think_time_s,
         residency_capacity_bits=point.residency_capacity_bits,
-        digest=point.digest,
-        resilience=build_resilience(point),
-        health=build_health(point),
-        fidelity=build_fidelity(point),
-        telemetry=build_telemetry(point),
-    )
-
-
-def lower_serving_point(point: StudySpec,
-                        config: PlatformConfig
-                        ) -> "ServingCell | ScenarioCell | ClusterCell":
-    """One resolved serving point to its cheapest cell shape."""
-    if not is_degenerate_cluster(point):
-        return lower_cluster_point(point, config)
-    if point.cluster is not None:
-        # The 1-replica identity: strip the section so the point keys
-        # and simulates exactly like the single-node serving path.
-        point = replace(point, cluster=None)
-    workload = point.workload
-    policy = build_policy(point.scheduler)
-    if is_classic_serving(point):
-        return ServingCell(
-            platform=point.platform.name,
-            model=workload.models[0].model,
-            controller=point.platform.controller,
-            policy=policy,
-            arrival_kind=workload.arrival,
-            rate_rps=workload.rate_rps,
-            duration_s=workload.duration_s,
-            seed=workload.seed,
-            config=config,
-            fidelity=build_fidelity(point),
-            telemetry=build_telemetry(point),
-        )
-    return ScenarioCell(
-        platform=point.platform.name,
-        models=tuple(
-            (entry.model, entry.fraction, entry.slo_s, entry.priority)
-            for entry in workload.models
-        ),
-        controller=point.platform.controller,
-        policy=policy,
-        arrival_kind=workload.arrival,
-        rate_rps=workload.rate_rps,
-        duration_s=workload.duration_s,
-        seed=workload.seed,
-        config=config,
-        burstiness=workload.burstiness,
-        dwell_s=workload.dwell_s,
-        think_time_s=workload.think_time_s,
-        residency_capacity_bits=point.residency_capacity_bits,
-        faults=(
-            point.platform.faults if point.platform.faults.events else None
-        ),
-        digest=point.digest,
+        faults=point.platform.faults or None,
         resilience=build_resilience(point),
         fidelity=build_fidelity(point),
         sequences=(
@@ -535,6 +397,17 @@ def lower_serving_point(point: StudySpec,
         ),
         starvation_age_s=point.scheduler.starvation_age_s,
         telemetry=build_telemetry(point),
+        replicas=cluster.replicas,
+        router=cluster.router,
+        weights=cluster.weights,
+        reroute_on_fail=cluster.reroute_on_fail,
+        node_overrides=tuple(
+            (override.node, override.controller, override.n_wavelengths,
+             override.gateways_per_chiplet)
+            for override in cluster.nodes
+        ),
+        node_faults=cluster.faults or None,
+        health=build_health(point),
     )
 
 
@@ -640,15 +513,14 @@ def run_study(spec: StudySpec, jobs: int = 1,
     if stats is None:
         stats = CacheStats()
 
-    if spec.kind == "inference":
-        results = run_cached(
-            cells, lambda cell: cell.key(), simulate_inference_cell,
-            jobs=jobs, cache_dir=cache_dir, stats=stats,
-        )
-    else:
-        results = simulate_study_cells(
-            cells, jobs=jobs, cache_dir=cache_dir, stats=stats,
-        )
+    simulate = (
+        simulate_inference_cell if spec.kind == "inference"
+        else simulate_serving_cell
+    )
+    results = run_cached(
+        cells, lambda cell: cell.key(), simulate,
+        jobs=jobs, cache_dir=cache_dir, stats=stats,
+    )
 
     grouped = []
     cursor = 0
@@ -726,8 +598,8 @@ def render_dry_run(spec: StudySpec,
     everything ``run_study`` would do short of simulating.
 
     Cheap spec debugging: verifies names resolve, shows how each point
-    lowers (classic vs scenario cells share or fork cache keys here)
-    and prints the exact on-disk keys a ``--cache-dir`` run would use.
+    lowers (one node or a fleet) and prints the exact on-disk keys a
+    ``--cache-dir`` run would use.
     With ``cache_dir``, each cell is annotated ``cached``/``cold``
     against the store's current contents and the header counts how many
     cells a real run would actually simulate.
@@ -778,12 +650,7 @@ def render_dry_run(spec: StudySpec,
             lines.append(f"  telemetry: {telemetry.label}")
         for cell in group:
             label = type(cell).__name__
-            model = (
-                getattr(cell, "grid_label", None)
-                or getattr(cell, "model", None)
-                or cell.mix_label
-            )
-            line = f"  {label:<14}{model:<32} key {cell.key()}"
+            line = f"  {label:<14}{cell.grid_label:<32} key {cell.key()}"
             if cache is not None:
                 state = (
                     "cached" if cache._path(cell.key()).exists()

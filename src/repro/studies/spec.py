@@ -745,9 +745,9 @@ class ResilienceSpec:
 
     The default instance is the **degenerate** resilience spec: no
     timeouts, no retries, no hedging, and an omniscient zero-staleness
-    router — the study lowers onto the exact pre-resilience cells (and
-    cache keys).  Any non-default knob routes the study through the
-    request-lifecycle layer (:mod:`repro.serving.lifecycle`).
+    router — cells carry no lifecycle policy.  Any non-default knob
+    routes the study through the request-lifecycle layer
+    (:mod:`repro.serving.lifecycle`).
 
     ``timeout_s`` bounds each *attempt*; a timed-out attempt is
     cancelled (if still queued) and retried up to ``max_retries`` times
@@ -879,8 +879,8 @@ class FidelitySpec:
     """How faithfully each serving cell is simulated.
 
     The default instance is the **degenerate** fidelity spec: every
-    cell runs the full discrete-event simulation, and the study lowers
-    onto the exact pre-fidelity cells (and cache keys).
+    cell runs the full discrete-event simulation and carries no
+    fidelity policy.
 
     ``mode`` selects the engine per cell: ``"fluid"`` runs the M/G/k
     fluid approximation calibrated against a short DES window of the
@@ -957,8 +957,7 @@ class TelemetrySpec:
     """What the simulation observes about itself while it runs.
 
     The default instance is the **degenerate** telemetry spec: nothing
-    is recorded, and the study lowers onto the exact pre-telemetry
-    cells (and cache keys).
+    is recorded, and cells carry no telemetry policy.
 
     ``trace`` arms request span tracing: the lifecycle of each sampled
     request — queue wait, batch gather, KV/weight admission and fetch,
@@ -1102,15 +1101,15 @@ class StudySpec:
     ``residency_capacity_bits`` bounds the (per-node) weight store of
     serving runs (LRU eviction between tenants).  ``cluster`` scales a
     serving study out to a routed fleet of platform replicas
-    (``None`` = the classic single-node path).  ``resilience`` adds the
-    request lifecycle (timeouts / retries / hedging) and the modeled
-    router signal path; its default instance is degenerate and lowers
-    to the classic cells.  ``fidelity`` selects the simulation engine
+    (``None`` = one node).  ``resilience`` adds the request lifecycle
+    (timeouts / retries / hedging) and the modeled router signal path;
+    its default instance is degenerate (submit once, omniscient
+    router).  ``fidelity`` selects the simulation engine
     per cell (full DES, fluid fast path, or fluid with auto-fallback
     when the calibration error exceeds budget); its default instance
     is likewise degenerate.  ``telemetry`` arms span tracing and
     sampled gauge metrics over each serving cell (degenerate by
-    default: nothing recorded, classic cells and cache keys).
+    default: nothing recorded).
     """
 
     name: str
@@ -1403,8 +1402,8 @@ def spec_digest(spec: StudySpec) -> str:
     """Stable content hash of a spec (schema version included).
 
     Two specs with equal contents share a digest across processes and
-    machines; any field change — however deep — moves it.  The study
-    compiler folds this into every scenario cell's cache key.
+    machines; any field change — however deep — moves it.  Dry runs
+    print it per grid point.
     """
     payload = json.dumps(spec.to_dict(), sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

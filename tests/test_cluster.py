@@ -13,7 +13,6 @@ from repro.cluster.hazards import (
     validate_node_timeline,
 )
 from repro.cluster.router import ClusterNode, ClusterRouter
-from repro.cluster.study import ClusterCell
 from repro.core.accelerator import MonolithicCrossLight
 from repro.core.engine import ExecutionTrace
 from repro.dnn import zoo
@@ -29,7 +28,10 @@ from repro.experiments.export import (
     cluster_results_to_json,
     study_results_to_json,
 )
-from repro.experiments.serving_study import ServingCell, hazard_timeline
+from repro.experiments.serving_study import (
+    hazard_timeline,
+    simulate_serving_cell,
+)
 from repro.mapping.residency import WeightResidency
 from repro.serving.metrics import ClusterResult, LatencyProfile, NodeStats
 from repro.serving.scheduler import BatchPolicy, RequestScheduler
@@ -50,7 +52,6 @@ from repro.studies import (
     WorkloadSpec,
 )
 from repro.studies.compile import (
-    is_degenerate_cluster,
     lower_serving_point,
     render_dry_run,
     render_study,
@@ -454,23 +455,25 @@ class TestClusterSpec:
             spec.with_override("cluster.replicas", 2)
 
     def test_one_replica_cluster_is_degenerate(self):
+        def lowered(spec):
+            return lower_serving_point(spec, resolve_config(spec))
+
         plain = cluster_spec(cluster=None, rate_rps=150e3)
         one = cluster_spec(
             cluster=ClusterSpec(replicas=1, router="least-outstanding"),
             rate_rps=150e3,
         )
-        assert is_degenerate_cluster(one)
-        assert not is_degenerate_cluster(cluster_spec(replicas=2))
-        assert not is_degenerate_cluster(cluster_spec(
+        assert not lowered(plain).is_fleet
+        assert not lowered(one).is_fleet
+        assert lowered(cluster_spec(replicas=2)).is_fleet
+        assert lowered(cluster_spec(
             replicas=1, events=(
                 FaultEventSpec(kind="node-drain", at_s=0.0, node=0),
             ),
-        ))
-        cell_plain = lower_serving_point(plain, resolve_config(plain))
-        cell_one = lower_serving_point(one, resolve_config(one))
-        assert isinstance(cell_plain, ServingCell)
-        assert isinstance(cell_one, ServingCell)
-        assert cell_plain.key() == cell_one.key()
+        )).is_fleet
+        assert lowered(cluster_spec(cluster=ClusterSpec(
+            replicas=1, nodes=(NodeOverrideSpec(node=0, n_wavelengths=8),),
+        ))).is_fleet
 
     def test_one_replica_cluster_matches_single_node_bit_identical(self):
         plain = cluster_spec(cluster=None, rate_rps=150e3,
@@ -481,6 +484,25 @@ class TestClusterSpec:
         assert (
             run_study(plain).flat_results()
             == run_study(one).flat_results()
+        )
+
+    def test_one_replica_section_replays_single_node_records(self):
+        plain = cluster_spec(cluster=None, rate_rps=150e3,
+                             duration_s=0.4e-3, max_inflight=4)
+        one = cluster_spec(
+            cluster=ClusterSpec(replicas=1, router="least-outstanding"),
+            rate_rps=150e3, duration_s=0.4e-3, max_inflight=4,
+        )
+        records = []
+        for spec in (plain, one):
+            sink = []
+            simulate_serving_cell(
+                lower_serving_point(spec, resolve_config(spec)),
+                record_sink=sink,
+            )
+            records.append(sink)
+        assert records[0] and pickle.dumps(records[0]) == pickle.dumps(
+            records[1]
         )
 
 
@@ -563,6 +585,17 @@ class TestClusterStudy:
         }
         assert result.model == "70%LeNet5+30%MobileNetV2"
 
+    def test_fleet_enforces_tenant_quotas_per_node(self):
+        workload = WorkloadSpec(
+            models=(ModelTraffic(model="LeNet5", quota=1),),
+            rate_rps=2e6, duration_s=0.1e-3,
+        )
+        spec = cluster_spec(replicas=2, max_inflight=4, workload=workload)
+        (result,) = run_study(spec).cluster_results()
+        (stats,) = result.per_model
+        assert stats.quota_denied > 0
+        assert result.requests_shed >= stats.quota_denied
+
     def test_render_study_includes_fleet_tables(self):
         study = run_study(cluster_spec(events=FAIL_REPAIR))
         text = render_study(study)
@@ -582,7 +615,7 @@ class TestClusterStudy:
         )
         text = render_dry_run(spec)
         assert "grid: 4 point(s), 4 cell(s)" in text
-        assert text.count("ClusterCell") == 4
+        assert text.count("ServingCell") == 4
         assert "2x[least-outstanding] LeNet5" in text
         assert "cluster.router=round-robin" in text
         assert text.count(" key ") == 4
@@ -701,7 +734,8 @@ class TestClusterCli:
         assert main(["study", "examples/cluster_spec.json",
                      "--dry-run"]) == 0
         out = capsys.readouterr().out
-        assert "ClusterCell" in out
+        assert "ServingCell" in out
+        assert "4x[" in out
         assert "cluster.router=" in out
 
     def test_study_verb_runs_cluster_spec_with_exports(

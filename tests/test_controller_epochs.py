@@ -21,8 +21,8 @@ from repro.dnn import zoo
 from repro.dnn.workload import extract_workload
 from repro.errors import ConfigurationError
 from repro.experiments.serving_study import (
-    ScenarioCell,
-    simulate_scenario_cell,
+    ServingCell,
+    simulate_serving_cell,
 )
 from repro.interposer.photonic.controllers import (
     CONTROLLER_FACTORIES,
@@ -189,7 +189,7 @@ class TestBitIdentical:
     @pytest.mark.parametrize("controller", ["resipi", "prowaves"])
     def test_serving_records_match_every_bank_reference(self, controller,
                                                         monkeypatch):
-        cell = ScenarioCell(
+        cell = ServingCell(
             platform="2.5D-CrossLight-SiPh",
             models=(("LeNet5", 0.7, None, 0), ("MobileNetV2", 0.3, None, 0)),
             controller=controller, policy=BatchPolicy.fifo(),
@@ -205,14 +205,14 @@ class TestBitIdentical:
             ]}),
         )
         shipped_records: list = []
-        shipped = simulate_scenario_cell(cell, record_sink=shipped_records)
+        shipped = simulate_serving_cell(cell, record_sink=shipped_records)
         monkeypatch.setattr(accelerator, "PhotonicInterposerFabric",
                             EveryBankFabric)
         monkeypatch.setitem(CONTROLLER_FACTORIES, controller,
                             REFERENCE[controller])
         reference_records: list = []
-        reference = simulate_scenario_cell(cell,
-                                           record_sink=reference_records)
+        reference = simulate_serving_cell(cell,
+                                          record_sink=reference_records)
         assert shipped_records == reference_records
         assert pickle.dumps(shipped) == pickle.dumps(reference)
         assert shipped.requests_completed > 0

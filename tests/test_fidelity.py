@@ -1,12 +1,12 @@
 """Hybrid-fidelity engine: fluid fast path, calibration, warm-state
-fork, vectorized injection, spec lowering, cache counters and export."""
+fork, vectorized arrival cohorts, spec lowering, cache counters and
+export."""
 
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from repro.cluster.study import ClusterCell
 from repro.config import DEFAULT_PLATFORM
 from repro.core.analytic import (
     FluidWindow,
@@ -15,8 +15,6 @@ from repro.core.analytic import (
     fluid_queue_delays,
     mgk_queue_delay,
 )
-from repro.core.accelerator import MonolithicCrossLight
-from repro.core.engine import ExecutionTrace
 from repro.dnn import zoo
 from repro.dnn.workload import extract_workload
 from repro.errors import ConfigurationError, SpecError
@@ -33,15 +31,11 @@ from repro.experiments.fidelity import (
 )
 from repro.experiments.runner import CacheStats, ResultCache, run_cached
 from repro.experiments.serving_study import (
-    ScenarioCell,
     ServingCell,
-    simulate_scenario_cell,
     simulate_serving_cell,
 )
-from repro.mapping.residency import WeightResidency
-from repro.serving.scheduler import BatchPolicy, RequestScheduler
-from repro.sim.core import Environment
-from repro.sim.traffic import MMPPArrivals, PoissonArrivals
+from repro.serving.scheduler import BatchPolicy
+from repro.sim.traffic import PoissonArrivals
 from repro.studies import (
     FaultEventSpec,
     FaultSpec,
@@ -97,7 +91,7 @@ def fluid_spec(mode="auto", error_budget=0.25, calibration_s=None,
 
 def classic_cell(**overrides) -> ServingCell:
     kwargs = dict(
-        platform="2.5D-CrossLight-SiPh", model="LeNet5",
+        platform="2.5D-CrossLight-SiPh", models=(("LeNet5", 1.0, None, 0),),
         controller="resipi", policy=BatchPolicy.fifo(),
         arrival_kind="poisson", rate_rps=60e3, duration_s=1.5e-3,
         seed=7, config=DEFAULT_PLATFORM,
@@ -313,40 +307,11 @@ class TestAnalyticMacDegrade:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized injection: bulk-scheduled cohorts == event-driven injector.
+# Vectorized arrival cohorts: the fluid model's arrivals == the gap stream.
 # ---------------------------------------------------------------------------
 
 
 class TestVectorizedInjection:
-    def _serve(self, arrivals, vectorized):
-        platform = MonolithicCrossLight()
-        env = Environment()
-        sim = platform.build_simulation(env)
-        scheduler = RequestScheduler(
-            sim, sim.map_workload(WORKLOAD), "LeNet5",
-            policy=BatchPolicy.fifo(), residency=WeightResidency(env),
-            trace=ExecutionTrace(),
-        )
-        scheduler.serve(arrivals, 1e-3, vectorized=vectorized)
-        return scheduler.records, env.now
-
-    @pytest.mark.parametrize("arrivals_factory", [
-        lambda: PoissonArrivals(rate_rps=80e3, seed=11),
-        lambda: MMPPArrivals(rate_rps=80e3, seed=11),
-    ])
-    def test_cohort_injection_replays_event_driven_run(
-        self, arrivals_factory
-    ):
-        records, elapsed = self._serve(arrivals_factory(), False)
-        cohort, cohort_elapsed = self._serve(arrivals_factory(), True)
-        # Every request record — arrival, dispatch, batch, finish — is
-        # bit-identical; only the final clock differs (the event-driven
-        # injector overshoots the horizon by the one gap it draws past
-        # the end, the cohort stops exactly at it).
-        assert cohort == records
-        assert abs(cohort_elapsed - elapsed) < 2e-4
-        assert len(records) > 10
-
     def test_arrival_times_match_gap_stream(self):
         arrivals = PoissonArrivals(rate_rps=80e3, seed=3)
         times = arrivals.arrival_times(1e-3)
@@ -357,14 +322,6 @@ class TestVectorizedInjection:
                 break
             expected.append(now)
         assert times == pytest.approx(expected)
-
-    def test_schedule_calls_rejects_past_times(self):
-        env = Environment()
-        env._now = 1.0
-        from repro.errors import SimulationError
-
-        with pytest.raises(SimulationError):
-            env.schedule_calls([0.5], lambda at: None)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +393,7 @@ class TestFluidPath:
 
     def test_scenario_variants_fork_from_one_checkpoint(self):
         policy = FidelityPolicy(mode="fluid", error_budget=0.25)
-        base = ScenarioCell(
+        base = ServingCell(
             platform="2.5D-CrossLight-SiPh",
             models=(("LeNet5", 1.0, 200e-6, 0),),
             controller="resipi", policy=BatchPolicy.fifo(),
@@ -461,7 +418,7 @@ class TestFluidPath:
         assert labels == ["before", "during", "after"]
 
     def test_fluid_cluster_cell_with_node_outage(self):
-        cell = ClusterCell(
+        cell = ServingCell(
             platform="CrossLight",
             models=(("LeNet5", 1.0, None, 0),),
             controller="resipi", policy=BatchPolicy.fifo(),
@@ -496,9 +453,41 @@ class TestFluidPath:
         assert "fidelity_mode" in lines[0]
         assert any("fluid" in line for line in lines[1:])
 
+    def test_one_replica_fleet_calibrates_on_a_single_node(self):
+        # Without its node faults the calibration twin is no fleet, so
+        # the checkpoint holds a ServingResult, not a ClusterResult.
+        cell = ServingCell(
+            platform="CrossLight",
+            models=(("LeNet5", 1.0, None, 0),),
+            controller="resipi", policy=BatchPolicy.fifo(max_inflight=4),
+            arrival_kind="poisson", rate_rps=150e3, duration_s=0.4e-3,
+            seed=7, config=DEFAULT_PLATFORM, replicas=1,
+            node_faults=FaultSpec(events=(
+                FaultEventSpec(kind="node-drain", at_s=0.1e-3, node=0),
+                FaultEventSpec(kind="node-repair", at_s=0.2e-3, node=0),
+            )),
+            fidelity=FidelityPolicy(mode="fluid", calibration_s=0.2e-3),
+        )
+        assert cell.is_fleet
+        calibration = simulate_serving_cell(replace(
+            cell, duration_s=0.2e-3, fidelity=None, node_faults=None,
+        ))
+        assert not hasattr(calibration, "per_node")
+        result = simulate_serving_cell(cell)
+        assert result.fidelity.mode_used == "fluid"
+        assert result.n_nodes == 1
+        (node,) = result.per_node
+        assert node.requests_completed == result.requests_completed > 0
+        assert node.mean_compute_utilization == (
+            calibration.mean_compute_utilization
+        ) > 0
+        assert [event.kind for event in result.node_events] == [
+            "node-drain", "node-repair",
+        ]
+
     def test_multi_tenant_mix_assignment_matches_stream(self):
         policy = FidelityPolicy(mode="fluid", error_budget=0.3)
-        cell = ScenarioCell(
+        cell = ServingCell(
             platform="CrossLight",
             models=(("LeNet5", 0.7, None, 0),
                     ("MobileNetV2", 0.3, None, 1)),
@@ -523,7 +512,7 @@ class TestFluidPath:
 
 def sequence_cell(mode="fluid", error_budget=0.25, rate_rps=60e3,
                   duration_s=2e-3, length_distribution="fixed"
-                  ) -> ScenarioCell:
+                  ) -> ServingCell:
     spec = StudySpec(
         name="seq-fluid",
         kind="serving",
@@ -543,7 +532,7 @@ def sequence_cell(mode="fluid", error_budget=0.25, rate_rps=60e3,
 class TestSequenceFluidPath:
     def test_sequence_cell_agrees_with_des_within_budget(self):
         cell = sequence_cell()
-        des = simulate_scenario_cell(replace(cell, fidelity=None))
+        des = simulate_serving_cell(replace(cell, fidelity=None))
         fluid = simulate_fidelity_cell(cell)
         report = fluid.fidelity
         assert report.mode_used == "fluid"
@@ -577,7 +566,7 @@ class TestSequenceFluidPath:
 
     def test_sequence_auto_fallback_is_exact_des(self):
         cell = sequence_cell(mode="auto", error_budget=1e-9)
-        des = simulate_scenario_cell(replace(cell, fidelity=None))
+        des = simulate_serving_cell(replace(cell, fidelity=None))
         fluid = simulate_fidelity_cell(cell)
         assert fluid.fidelity.mode_used == "des-fallback"
         assert replace(fluid, fidelity=None) == des

@@ -38,7 +38,6 @@ from repro.studies import (
     WorkloadSpec,
 )
 from repro.studies.compile import (
-    is_classic_serving,
     lower_serving_point,
     render_dry_run,
     resolve_config,
@@ -390,7 +389,8 @@ class TestSpecIntegration:
                                        memory_gateways=1),),
             )),
         )
-        assert not is_classic_serving(single)
+        cell = lower_serving_point(single, resolve_config(single))
+        assert cell.faults == single.platform.faults
 
     def test_faults_rejected_off_siph(self):
         spec = fault_spec(
@@ -511,7 +511,7 @@ class TestDryRun:
         assert main(["study", str(path), "--dry-run"]) == 0
         out = capsys.readouterr().out
         assert "dry run, nothing simulated" in out
-        assert "ScenarioCell" in out
+        assert "ServingCell" in out
 
     def test_dry_run_cli_reports_bad_spec(self, capsys, tmp_path):
         from repro.cli import main

@@ -9,7 +9,6 @@ import pytest
 
 from repro.cluster.hazards import RackFail, RackRepair, event_nodes
 from repro.cluster.router import ClusterNode, ClusterRouter, HealthPolicy
-from repro.cluster.study import ClusterCell
 from repro.core.accelerator import MonolithicCrossLight
 from repro.core.engine import ExecutionTrace
 from repro.dnn import zoo
@@ -23,7 +22,6 @@ from repro.experiments.export import (
     study_results_to_json,
 )
 from repro.experiments.serving_study import (
-    ScenarioCell,
     hazard_timeline,
     platform_timelines,
 )
@@ -52,9 +50,6 @@ from repro.studies.compile import (
     build_health,
     build_resilience,
     expand_points,
-    is_classic_serving,
-    is_degenerate_resilience,
-    lower_cluster_point,
     lower_serving_point,
     resolve_config,
     render_dry_run,
@@ -271,26 +266,24 @@ class TestDegenerateLowering:
             platform=PlatformSpec(name="CrossLight"),
             scheduler=SchedulerSpec(policy="fifo"),
         )
-        with_default = base  # resilience defaults to ResilienceSpec()
-        assert is_degenerate_resilience(with_default)
-        assert is_classic_serving(with_default)
-        legacy = lower_serving_point(base, resolve_config(base))
-        lowered = lower_serving_point(with_default, resolve_config(with_default))
-        assert type(lowered) is type(legacy)
-        assert lowered.key() == legacy.key()
+        # resilience defaults to ResilienceSpec(): the submit-once path.
+        lowered = lower_serving_point(base, resolve_config(base))
+        assert lowered.resilience is None
+        assert lowered.health is None
+        assert not lowered.is_fleet
 
     def test_degenerate_cluster_keeps_legacy_cache_key(self):
         base = resilient_spec(ResilienceSpec(), events=())
-        cell = lower_cluster_point(base, resolve_config(base))
-        assert isinstance(cell, ClusterCell)
+        cell = lower_serving_point(base, resolve_config(base))
+        assert cell.is_fleet
         assert cell.resilience is None
         assert cell.health is None
 
     def test_active_resilience_moves_the_cache_key(self):
         off_spec = resilient_spec(ResilienceSpec())
-        off = lower_cluster_point(off_spec, resolve_config(off_spec))
+        off = lower_serving_point(off_spec, resolve_config(off_spec))
         on_spec = resilient_spec(ResilienceSpec(timeout_s=150e-6))
-        on = lower_cluster_point(on_spec, resolve_config(on_spec))
+        on = lower_serving_point(on_spec, resolve_config(on_spec))
         assert off.key() != on.key()
         # A spec that never mentions resilience and one spelling out the
         # degenerate default are the same study: same digest, same key.
@@ -300,7 +293,7 @@ class TestDegenerateLowering:
             for f in fields(StudySpec) if f.name != "resilience"
         })
         assert spec_digest(implicit) == spec_digest(omitted)
-        assert lower_cluster_point(
+        assert lower_serving_point(
             implicit, resolve_config(implicit)
         ).key() == off.key()
 

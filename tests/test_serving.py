@@ -1,5 +1,6 @@
 """Request-serving layer: scheduler, metrics, residency, load curves."""
 
+import dataclasses
 import json
 
 import pytest
@@ -15,14 +16,16 @@ from repro.experiments.export import (
     serving_results_to_csv,
     serving_results_to_json,
 )
+from repro.cluster.router import HealthPolicy
+from repro.experiments.fidelity import FidelityPolicy
 from repro.experiments.serving_study import (
     ServingCell,
-    latency_throughput_curve,
     render_serving_study,
-    serving_study,
     simulate_serving_cell,
 )
 from repro.mapping.residency import WeightResidency
+from repro.obs.policy import TelemetryPolicy
+from repro.serving.lifecycle import ResiliencePolicy
 from repro.serving.metrics import (
     LatencyProfile,
     RequestRecord,
@@ -36,6 +39,9 @@ from repro.sim.traffic import (
     MMPPArrivals,
     PoissonArrivals,
 )
+from repro.studies import FaultSpec, SchedulerSpec
+from repro.studies.builders import serve_study_spec
+from repro.studies.compile import run_study
 
 WORKLOAD = extract_workload(zoo.build("LeNet5"))
 
@@ -412,16 +418,93 @@ class TestControllersUnderLoad:
         assert log[-1] < max(log)
 
 
+def serve_study(rates_rps, duration_s, cache_dir=None):
+    """``repro serve-study``'s sweep: LeNet5 on CrossLight, FIFO."""
+    spec = serve_study_spec(
+        model="LeNet5", platforms=("CrossLight",), controllers=("resipi",),
+        scheduler=SchedulerSpec(), rates_rps=rates_rps,
+        duration_s=duration_s,
+    )
+    return run_study(spec, cache_dir=cache_dir).serving_results()
+
+
+def base_cell(**overrides) -> ServingCell:
+    kwargs = dict(
+        platform="CrossLight", models=(("LeNet5", 1.0, None, 0),),
+        controller="resipi", policy=BatchPolicy.fifo(),
+        arrival_kind="poisson", rate_rps=1e5, duration_s=1e-3, seed=7,
+        config=DEFAULT_PLATFORM,
+    )
+    kwargs.update(overrides)
+    return ServingCell(**kwargs)
+
+
+KEY_VARIANTS = {
+    "platform": "2.5D-CrossLight-SiPh",
+    "models": (("LeNet5", 0.5, None, 0), ("ResNet50", 0.5, None, 0)),
+    "controller": "prowaves",
+    "policy": BatchPolicy.max_batch_with_timeout(),
+    "arrival_kind": "mmpp",
+    "rate_rps": 2e5,
+    "duration_s": 2e-3,
+    "seed": 8,
+    "config": DEFAULT_PLATFORM.with_wavelengths(8),
+    "burstiness": 2.0,
+    "dwell_s": 40e-6,
+    "think_time_s": 20e-6,
+    "residency_capacity_bits": 1e9,
+    "faults": FaultSpec.from_dict({"events": [{
+        "kind": "chiplet-mac-degrade", "at_s": 1e-4, "mac_fraction": 0.5,
+    }]}),
+    "resilience": ResiliencePolicy(timeout_s=1e-4),
+    "fidelity": FidelityPolicy(mode="fluid"),
+    "sequences": ((16, 8),),
+    "length_distribution": "geometric",
+    "quotas": (4,),
+    "starvation_age_s": 1e-4,
+    "telemetry": TelemetryPolicy(),
+    "replicas": 2,
+    "router": "least-outstanding",
+    "weights": (1.0,),
+    "reroute_on_fail": False,
+    "node_overrides": ((0, "static", None, None),),
+    "node_faults": FaultSpec.from_dict({"events": [{
+        "kind": "node-drain", "at_s": 1e-4, "node": 0,
+    }]}),
+    "health": HealthPolicy(signal_staleness_s=1e-5),
+}
+
+
 class TestServingStudy:
+    @pytest.mark.parametrize(
+        "name", [field.name for field in dataclasses.fields(ServingCell)]
+    )
+    def test_every_field_moves_the_key(self, name):
+        base = base_cell()
+        moved = dataclasses.replace(base, **{name: KEY_VARIANTS[name]})
+        assert getattr(moved, name) != getattr(base, name)
+        assert moved.key() != base.key()
+
+    def test_cells_do_not_collide_across_parameters(self):
+        base = base_cell()
+        variants = [
+            base_cell(rate_rps=2e5),
+            base_cell(arrival_kind="mmpp"),
+            base_cell(seed=8),
+            base_cell(policy=BatchPolicy.max_batch_with_timeout()),
+        ]
+        keys = {base.key()} | {cell.key() for cell in variants}
+        assert len(keys) == 5
+
     def test_p99_monotone_and_curve_export(self, tmp_path):
         """Acceptance: Poisson at two rates -> non-decreasing p99, and
         the latency-throughput curve survives the JSON export layer."""
-        results = serving_study(
-            model_name="LeNet5", platforms=("CrossLight",),
-            rates_rps=(100e3, 700e3), duration_s=2e-3,
-            cache_dir=tmp_path / "cache",
+        results = serve_study((100e3, 700e3), 2e-3,
+                              cache_dir=tmp_path / "cache")
+        curve = sorted(
+            (r.offered_rps, r.goodput_rps, r.latency.p99_s)
+            for r in results
         )
-        curve = latency_throughput_curve(results)
         assert len(curve) == 2
         (rate_lo, good_lo, p99_lo), (rate_hi, good_hi, p99_hi) = curve
         assert rate_lo < rate_hi
@@ -434,42 +517,16 @@ class TestServingStudy:
 
     def test_study_is_cacheable_and_deterministic(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        kwargs = dict(
-            model_name="LeNet5", platforms=("CrossLight",),
-            rates_rps=(150e3,), duration_s=0.5e-3, cache_dir=cache_dir,
-        )
-        cold = serving_study(**kwargs)
-        warm = serving_study(**kwargs)
+        cold = serve_study((150e3,), 0.5e-3, cache_dir=cache_dir)
+        warm = serve_study((150e3,), 0.5e-3, cache_dir=cache_dir)
         assert cold == warm
-        fresh = serving_study(
-            model_name="LeNet5", platforms=("CrossLight",),
-            rates_rps=(150e3,), duration_s=0.5e-3,
-        )
+        fresh = serve_study((150e3,), 0.5e-3)
         assert fresh == cold
 
-    def test_cells_do_not_collide_across_parameters(self):
-        base = ServingCell(
-            platform="CrossLight", model="LeNet5", controller="resipi",
-            policy=BatchPolicy.fifo(), arrival_kind="poisson",
-            rate_rps=1e5, duration_s=1e-3, seed=7,
-            config=DEFAULT_PLATFORM,
-        )
-        variants = [
-            ServingCell(**{**base.__dict__, "rate_rps": 2e5}),
-            ServingCell(**{**base.__dict__, "arrival_kind": "mmpp"}),
-            ServingCell(**{**base.__dict__, "seed": 8}),
-            ServingCell(**{**base.__dict__,
-                           "policy": BatchPolicy.max_batch_with_timeout()}),
-        ]
-        keys = {base.key()} | {cell.key() for cell in variants}
-        assert len(keys) == 5
-
     def test_mmpp_study_runs(self):
-        cell = ServingCell(
-            platform="CrossLight", model="LeNet5", controller="resipi",
+        cell = base_cell(
             policy=BatchPolicy.max_batch_with_timeout(max_batch=4),
-            arrival_kind="mmpp", rate_rps=2e5, duration_s=0.5e-3,
-            seed=3, config=DEFAULT_PLATFORM,
+            arrival_kind="mmpp", rate_rps=2e5, duration_s=0.5e-3, seed=3,
         )
         result = simulate_serving_cell(cell)
         assert result.requests_completed == result.requests_injected
@@ -477,10 +534,7 @@ class TestServingStudy:
         assert result.total_energy_j > 0.0
 
     def test_render_and_csv(self):
-        results = serving_study(
-            model_name="LeNet5", platforms=("CrossLight",),
-            rates_rps=(100e3,), duration_s=0.3e-3,
-        )
+        results = serve_study((100e3,), 0.3e-3)
         text = render_serving_study(results)
         assert "goodput/s" in text
         assert "CrossLight" in text

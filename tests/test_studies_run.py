@@ -10,12 +10,11 @@ from repro.core.accelerator import MonolithicCrossLight
 from repro.dnn import zoo
 from repro.dnn.workload import extract_workload
 from repro.errors import ConfigurationError, UnknownNameError
+from repro.experiments.runner import run_cached
 from repro.experiments.serving_study import (
-    ScenarioCell,
     ServingCell,
     render_slo_summary,
-    serving_study,
-    simulate_scenario_cell,
+    simulate_serving_cell,
 )
 from repro.serving.scheduler import (
     BatchPolicy,
@@ -40,7 +39,6 @@ from repro.studies.builders import (
 )
 from repro.studies.compile import (
     expand_points,
-    is_classic_serving,
     lower_serving_point,
     render_study,
     resolve_config,
@@ -88,19 +86,23 @@ def mix_spec(policy="edf", rate_rps=60e3, shed=False,
 class TestLowering:
     def test_classic_point_lowers_to_serving_cell(self):
         point = classic_spec()
-        assert is_classic_serving(point)
         cell = lower_serving_point(point, resolve_config(point))
-        assert isinstance(cell, ServingCell)
-        # Same cache identity as a directly-built classic cell.
-        legacy = ServingCell(
-            platform="CrossLight", model="LeNet5", controller="resipi",
-            policy=BatchPolicy.fifo(), arrival_kind="poisson",
-            rate_rps=150e3, duration_s=0.5e-3, seed=7,
-            config=DEFAULT_PLATFORM,
+        # Same cache identity as a directly-built one-node cell: every
+        # scenario and fleet field at its default.
+        direct = ServingCell(
+            platform="CrossLight", models=(("LeNet5", 1.0, None, 0),),
+            controller="resipi", policy=BatchPolicy.fifo(),
+            arrival_kind="poisson", rate_rps=150e3, duration_s=0.5e-3,
+            seed=7, config=DEFAULT_PLATFORM,
         )
-        assert cell.key() == legacy.key()
+        assert cell == direct
+        assert cell.key() == direct.key()
 
     def test_scenario_features_lower_to_scenario_cell(self):
+        """Every scenario feature reaches the one-node cell: none lowers
+        to the classic point's cell."""
+        classic = lower_serving_point(classic_spec(),
+                                      resolve_config(classic_spec()))
         for point in (
             mix_spec(),  # multi-tenant
             classic_spec(scheduler=SchedulerSpec(policy="edf")),
@@ -116,7 +118,8 @@ class TestLowering:
             )),
         ):
             cell = lower_serving_point(point, resolve_config(point))
-            assert isinstance(cell, ScenarioCell), point
+            assert not cell.is_fleet
+            assert cell.key() != classic.key(), point
 
     def test_scenario_key_tracks_spec_digest(self):
         base = mix_spec()
@@ -128,7 +131,7 @@ class TestLowering:
         assert cell.key() != other.key()
 
     def test_scenario_cells_never_collide_without_digest(self):
-        """Directly-built cells (default digest) still key uniquely."""
+        """Directly-built cells key uniquely: no spec digest needed."""
         base = dict(
             platform="CrossLight",
             models=(("LeNet5", 1.0, None, 0),),
@@ -137,15 +140,15 @@ class TestLowering:
             seed=1, config=DEFAULT_PLATFORM,
         )
         cells = [
-            ScenarioCell(**base),
-            ScenarioCell(**{**base, "rate_rps": 2e5}),
-            ScenarioCell(**{**base, "seed": 9}),
-            ScenarioCell(**{**base, "arrival_kind": "mmpp"}),
-            ScenarioCell(**{**base, "policy": BatchPolicy.fifo()}),
-            ScenarioCell(**{**base, "burstiness": 2.0}),
-            ScenarioCell(**{**base, "residency_capacity_bits": 1e9}),
-            ScenarioCell(**{**base,
-                            "models": (("LeNet5", 1.0, 1e-4, 0),)}),
+            ServingCell(**base),
+            ServingCell(**{**base, "rate_rps": 2e5}),
+            ServingCell(**{**base, "seed": 9}),
+            ServingCell(**{**base, "arrival_kind": "mmpp"}),
+            ServingCell(**{**base, "policy": BatchPolicy.fifo()}),
+            ServingCell(**{**base, "burstiness": 2.0}),
+            ServingCell(**{**base, "residency_capacity_bits": 1e9}),
+            ServingCell(**{**base,
+                           "models": (("LeNet5", 1.0, 1e-4, 0),)}),
         ]
         assert len({cell.key() for cell in cells}) == len(cells)
 
@@ -224,17 +227,26 @@ class TestLowering:
 
 class TestClassicEquivalence:
     def test_spec_path_matches_legacy_serving_study(self, tmp_path):
+        """The spec path equals a hand-built rate sweep of one-node
+        cells."""
         spec = serve_study_spec(
             "LeNet5", ("CrossLight",), ("resipi",), SchedulerSpec(),
             (100e3, 250e3), duration_s=0.5e-3,
         )
         study = run_study(spec, cache_dir=tmp_path / "a")
-        legacy = serving_study(
-            model_name="LeNet5", platforms=("CrossLight",),
-            rates_rps=(100e3, 250e3), duration_s=0.5e-3,
-            cache_dir=tmp_path / "b",
-        )
-        assert study.serving_results() == legacy
+        cells = [
+            ServingCell(
+                platform="CrossLight", models=(("LeNet5", 1.0, None, 0),),
+                controller="resipi", policy=BatchPolicy.fifo(),
+                arrival_kind="poisson", rate_rps=rate, duration_s=0.5e-3,
+                seed=7, config=DEFAULT_PLATFORM,
+            )
+            for rate in (100e3, 250e3)
+        ]
+        direct = run_cached(cells, lambda cell: cell.key(),
+                            simulate_serving_cell,
+                            cache_dir=tmp_path / "b")
+        assert study.serving_results() == direct
 
     def test_inference_spec_matches_run_model(self):
         spec = run_spec("LeNet5", "CrossLight", batch_size=2)

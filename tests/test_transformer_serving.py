@@ -4,9 +4,9 @@ Covers the autoregressive serving subsystem end to end: attention /
 MLP-block layer accounting and the pinned transformer zoo, the
 decode-step and width-aware workload derivations, KV-cache admission
 edges (refusal, pressure eviction, the never-fits ``AdmissionError``),
-decode determinism across serial / parallel / cached execution, the
-byte-identical legacy cache keys of degenerate (single-step) specs,
-typed rejection of transformer-incompatible features, and the quota /
+decode determinism across serial / parallel / cached execution,
+degenerate (single-step) specs lowering to the plain cell, typed
+rejection of transformer-incompatible features, and the quota /
 starvation-guard satellites.
 """
 
@@ -34,12 +34,11 @@ from repro.experiments.export import (
     serving_results_to_csv,
     serving_results_to_json,
 )
-from repro.experiments.serving_study import ScenarioCell, ServingCell
+from repro.experiments.serving_study import ServingCell
 from repro.mapping.residency import KVCacheResidency, WeightResidency
 from repro.serving.scheduler import BatchPolicy
 from repro.sim.core import Environment
 from repro.studies.compile import (
-    is_classic_serving,
     lower_study,
     render_study,
     resolve_config,
@@ -227,41 +226,11 @@ class TestDecodeDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# Cache identity: degenerate specs keep pre-transformer keys.
+# Cache identity: degenerate specs lower to the plain cell.
 # ---------------------------------------------------------------------------
 
 
-# Pinned against the pre-transformer build (PR 7 HEAD): these literal
-# digests must never move for single-step cells.
-LEGACY_SERVING_KEY = (
-    "bf49d6d94dd2b0b91118ec2bbddbba54dee01a50be501d95463f151e27874a78"
-)
-LEGACY_SCENARIO_KEY = (
-    "17b297fe8fcf116f547cbdd5fbc0cc342ca46e6e0b7e8adfda348c7c34187250"
-)
-
-
 class TestLegacyKeys:
-    def test_classic_serving_key_byte_identical(self):
-        cell = ServingCell(
-            platform="2.5D-CrossLight-SiPh", model="LeNet5",
-            controller="resipi",
-            policy=BatchPolicy.max_batch_with_timeout(max_batch=4),
-            arrival_kind="poisson", rate_rps=50e3, duration_s=2e-3,
-            seed=7, config=DEFAULT_PLATFORM,
-        )
-        assert cell.key() == LEGACY_SERVING_KEY
-
-    def test_single_step_scenario_key_byte_identical(self):
-        cell = ScenarioCell(
-            platform="2.5D-CrossLight-SiPh",
-            models=(("LeNet5", 0.7, 50e-6, 1), ("ResNet50", 0.3, None, 0)),
-            controller="resipi", policy=BatchPolicy.fifo(),
-            arrival_kind="mmpp", rate_rps=40e3, duration_s=1e-3, seed=7,
-            config=DEFAULT_PLATFORM, residency_capacity_bits=1e9,
-        )
-        assert cell.key() == LEGACY_SCENARIO_KEY
-
     def test_degenerate_spec_lowers_to_classic_cell(self):
         spec = StudySpec(
             name="cnn", kind="serving",
@@ -271,14 +240,22 @@ class TestLegacyKeys:
             ),
             scheduler=SchedulerSpec(policy="max-batch", max_batch=4),
         )
-        assert is_classic_serving(spec)
         (cell,) = lower_study(spec)[1][0]
-        assert isinstance(cell, ServingCell)
-        assert cell.key() == LEGACY_SERVING_KEY
+        # Every scenario and fleet field stays at its default.
+        classic = ServingCell(
+            platform="2.5D-CrossLight-SiPh",
+            models=(("LeNet5", 1.0, None, 0),),
+            controller="resipi",
+            policy=BatchPolicy.max_batch_with_timeout(max_batch=4),
+            arrival_kind="poisson", rate_rps=50e3, duration_s=2e-3,
+            seed=7, config=DEFAULT_PLATFORM,
+        )
+        assert cell == classic
+        assert cell.key() == classic.key()
 
     def test_degenerate_fidelity_keeps_sequence_keys(self):
         # A `mode: "des"` fidelity block is inert: the sequence cell it
-        # lowers to must reuse the exact pre-fidelity cache key.
+        # lowers to must share the plain spec's cache key.
         from repro.studies.spec import FidelitySpec
         (plain,) = lower_study(sequence_spec())[1][0]
         (degenerate,) = lower_study(
@@ -288,7 +265,7 @@ class TestLegacyKeys:
         assert degenerate.key() == plain.key()
 
     def test_sequence_fields_fork_scenario_keys(self):
-        base = ScenarioCell(
+        base = ServingCell(
             platform="2.5D-CrossLight-SiPh",
             models=(("TransformerTiny", 1.0, None, 0),),
             controller="resipi", policy=BatchPolicy.fifo(),
@@ -314,7 +291,7 @@ class TestSpecRejections:
         from repro.studies.spec import FidelitySpec
         spec = sequence_spec(fidelity=FidelitySpec(mode="fluid"))
         (cell,) = lower_study(spec)[1][0]
-        assert isinstance(cell, ScenarioCell)
+        assert not cell.is_fleet
         assert cell.sequences
         assert cell.fidelity is not None
 
