@@ -40,14 +40,14 @@ resilience layer (:mod:`repro.serving.lifecycle`) is there to absorb.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from ..core.accelerator import PlatformSimulation
 from ..errors import ConfigurationError, SimulationError
 from ..mapping.residency import WeightResidency
 from ..serving.metrics import IncidentRecord
-from ..serving.scheduler import DEFAULT_DRAIN_LIMIT_S, RequestScheduler
-from ..sim.traffic import ClosedLoopClients
+from ..serving.scheduler import RequestScheduler
+from ..serving.window import ServingWindow
 from .hazards import (
     NodeDrain,
     NodeFail,
@@ -310,7 +310,7 @@ so externally registered routers are buildable from JSON specs."""
 # ---------------------------------------------------------------------------
 
 
-class ClusterRouter:
+class ClusterRouter(ServingWindow):
     """Streams one arrival process across a fleet of nodes.
 
     Build one per cluster simulation: it owns the routing policy, the
@@ -326,7 +326,7 @@ class ClusterRouter:
                  health: HealthPolicy | None = None):
         if not nodes:
             raise ConfigurationError("a cluster needs at least one node")
-        self.env = nodes[0].sim.env
+        super().__init__(nodes[0].sim.env)
         for node in nodes:
             if node.sim.env is not self.env:
                 raise ConfigurationError(
@@ -349,9 +349,6 @@ class ClusterRouter:
         self.requests_routed = 0
         self.requests_rerouted = 0
         self._closed = 0
-        self._injection_done = False
-        self._drained = self.env.event()
-        self._served = False
         self._open_incidents: dict[int, dict] = {}
         self._incidents: list[IncidentRecord] = []
         self._down_since: float | None = None
@@ -454,10 +451,6 @@ class ClusterRouter:
                 args={"node": node.index, "request": handle.request_id},
             )
         return handle
-
-    def route(self, model: str | None = None, done=None):
-        """Assign one arriving request to a node and enqueue it there."""
-        return self.submit(done=done, model=model)
 
     def cancel(self, handle) -> bool:
         """Withdraw a queued request wherever it currently waits.
@@ -650,90 +643,8 @@ class ClusterRouter:
         self._closed += 1
         self._check_drained()
 
-    def _check_drained(self) -> None:
-        if (
-            self._injection_done
-            and self._closed == self.requests_routed
-            and not self._drained.triggered
-        ):
-            self._drained.succeed()
-
-    # -- injection ----------------------------------------------------------------
-
-    def _next_model(self, models: Iterator[str] | None) -> str | None:
-        return None if models is None else next(models)
-
-    def _open_loop_injector(self, arrivals, duration_s: float,
-                            models: Iterator[str] | None = None):
-        for gap in arrivals.gaps():
-            yield self.env.timeout(gap)
-            if self.env.now > duration_s:
-                return
-            self.route(model=self._next_model(models))
-
-    def _closed_loop_client(self, clients: ClosedLoopClients, index: int,
-                            duration_s: float,
-                            models: Iterator[str] | None = None):
-        for gap in clients.think_gaps(index):
-            yield self.env.timeout(gap)
-            if self.env.now > duration_s:
-                return
-            handle = self.route(done=self.env.event(),
-                                model=self._next_model(models))
-            yield handle.done
-
-    def _watch_injection(self, injectors):
-        yield self.env.all_of(injectors)
-        self._injection_done = True
-        self._check_drained()
-
-    def serve(self, arrivals, duration_s: float,
-              drain_limit_s: float = DEFAULT_DRAIN_LIMIT_S,
-              models: Iterator[str] | None = None) -> None:
-        """Run the full fleet-serving window: inject, route, drain.
-
-        The same contract as
-        :meth:`~repro.serving.scheduler.RequestScheduler.serve`, lifted
-        to the fleet: the drain barrier is router-level (every routed
-        request completed or was shed *somewhere*), so requests
-        re-enqueued after a mid-drain node failure are still waited on.
-        """
-        if duration_s <= 0:
-            raise ConfigurationError(
-                f"serving duration must be positive, got {duration_s}"
-            )
-        if self._served:
-            raise SimulationError(
-                "ClusterRouter.serve() is single-shot; build a new "
-                "router for another serving window"
-            )
-        self._served = True
-        if isinstance(arrivals, ClosedLoopClients):
-            injectors = [
-                self.env.process(
-                    self._closed_loop_client(arrivals, index, duration_s,
-                                             models)
-                )
-                for index in range(arrivals.n_clients)
-            ]
-        elif hasattr(arrivals, "gaps"):
-            injectors = [
-                self.env.process(
-                    self._open_loop_injector(arrivals, duration_s, models)
-                )
-            ]
-        else:
-            raise ConfigurationError(
-                f"unsupported arrival process {arrivals!r}"
-            )
-        self.env.process(self._watch_injection(injectors))
-        try:
-            self.env.run_until_event(
-                self._drained, limit=duration_s + drain_limit_s
-            )
-        except SimulationError as error:
-            raise SimulationError(
-                f"cluster run did not drain: {self._closed}/"
-                f"{self.requests_routed} requests closed within "
-                f"{duration_s + drain_limit_s} s — {error}"
-            ) from error
+    def _drain_counts(self) -> tuple[int, int]:
+        """Fleet-level tally: a routed request counts once it closes on
+        *any* node, so requests re-enqueued after a mid-drain node
+        failure are still waited on."""
+        return self._closed, self.requests_routed

@@ -45,7 +45,6 @@ from .runner import (
     config_digest,
     parallel_map,
     run_cached,
-    simulate_cells,
 )
 from .sensitivity import (
     SensitivityPoint,
@@ -107,7 +106,6 @@ __all__ = [
     "config_digest",
     "parallel_map",
     "run_cached",
-    "simulate_cells",
     "PAPER_TABLE3",
     "Table3",
     "build_table3",

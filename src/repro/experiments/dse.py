@@ -6,11 +6,10 @@ implement that study as declarative specs lowered through the study
 compiler (:mod:`repro.studies`), plus an ablation of the interposer
 reconfiguration policy (ReSiPI vs PROWAVES vs static).
 
-Every sweep takes ``jobs``/``cache_dir``: design points are independent
-simulations, so they fan out over worker processes and share the
-persistent result cache (see :mod:`repro.experiments.runner`) — the
-spec path lowers to the exact same cells and cache keys as the
-pre-spec implementation.
+Every spec sweep takes ``jobs``/``cache_dir``: design points are
+independent inference cells, so they fan out over worker processes and
+share the persistent result cache with every other inference path (see
+:mod:`repro.experiments.runner`).
 """
 
 from __future__ import annotations
@@ -20,7 +19,9 @@ from pathlib import Path
 
 from ..config import DEFAULT_PLATFORM, PlatformConfig
 from ..core.metrics import InferenceResult
-from .runner import CacheStats, ExperimentRunner
+from ..dnn.workload import extract_workload
+from ..studies.registry import MODELS
+from .runner import CacheStats
 
 
 def _study_api():
@@ -123,7 +124,9 @@ def mapping_ablation(
 
     base = base_config or DEFAULT_PLATFORM
     floorplan = build_floorplan(base)
-    runner = ExperimentRunner(config=base)
+    workloads = {
+        name: extract_workload(MODELS.get(name)()) for name in model_names
+    }
     results = {}
     for strict in (False, True):
         label = "strict" if strict else "spillover"
@@ -132,7 +135,7 @@ def mapping_ablation(
         platform = CrossLight25DSiPh(base, mapper=mapper)
         for model_name in model_names:
             results[(label, model_name)] = platform.run_workload(
-                runner.workload(model_name)
+                workloads[model_name]
             )
     return results
 

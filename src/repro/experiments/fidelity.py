@@ -74,6 +74,7 @@ from .runner import build_platform, config_digest
 from .serving_study import (
     ServingCell,
     _compute_degraded_s,
+    _merge_window,
     _sequence_stream,
     compute_hazard_records,
     platform_timelines,
@@ -874,24 +875,6 @@ def _window_stats(cell, trace: _FluidTrace, span, elapsed: float
     return tuple(stats)
 
 
-def _fault_span(compute_events, elapsed: float):
-    spans = [
-        (
-            event.at_s,
-            min(
-                elapsed,
-                event.at_s + event.duration_s
-                if event.duration_s is not None else elapsed,
-            ),
-        )
-        for event in compute_events
-        if event.at_s < elapsed
-    ]
-    if not spans:
-        return None
-    return min(s for s, _ in spans), max(e for _, e in spans)
-
-
 def _scale(value: float, completed: int, reference: int) -> float:
     """Extrapolate a calibration-window extensive quantity."""
     if reference <= 0:
@@ -914,7 +897,7 @@ def _fluid_serving_result(cell, state: _CalibrationState,
     )
     calibration: ServingResult = state.result
     _, compute_events = platform_timelines(cell.faults)
-    span = _fault_span(compute_events, elapsed)
+    span = _merge_window(None, compute_events, elapsed)
     ttft_profile = token_profile = None
     tokens = 0
     tokens_per_s = 0.0
@@ -1052,7 +1035,7 @@ def _fluid_cluster_result(cell: ServingCell, state: _CalibrationState,
         )
     _, compute_events = platform_timelines(cell.faults)
     if span is None:
-        span = _fault_span(compute_events, elapsed)
+        span = _merge_window(None, compute_events, elapsed)
     return ClusterResult(
         platform=calibration.platform,
         model=cell.mix_label,

@@ -10,16 +10,20 @@ device level.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..config import DEFAULT_PLATFORM, PlatformConfig
-from ..core.accelerator import CrossLight25DSiPh
 from ..core.metrics import InferenceResult
 from ..dnn import zoo
 from ..dnn.quantization import QuantizationConfig
 from ..dnn.workload import extract_workload
-from .runner import CacheStats, ResultCache, cell_key, parallel_map
+from .runner import (
+    CacheStats,
+    InferenceCell,
+    run_cached,
+    simulate_inference_cell,
+)
 
 
 @dataclass(frozen=True)
@@ -44,25 +48,6 @@ def quantization_schemes(n_layers: int) -> dict[str, QuantizationConfig]:
     }
 
 
-def _simulate_quant_point(model_name: str, quant: QuantizationConfig,
-                          config: PlatformConfig
-                          ) -> tuple[float, InferenceResult]:
-    """Worker body: one precision point; returns (traffic, result)."""
-    workload = extract_workload(zoo.build(model_name), quant)
-    result = CrossLight25DSiPh(config).run_workload(workload)
-    return workload.total_traffic_bits, result
-
-
-def _quant_cell_key(model_name: str, quant: QuantizationConfig,
-                    config: PlatformConfig) -> str:
-    """Cache key extended with the quantisation scheme — points with the
-    same platform config but different precisions must not collide."""
-    return cell_key(
-        "2.5D-CrossLight-SiPh", model_name, "resipi", config,
-        extra={"quantization": asdict(quant)},
-    )
-
-
 def quantization_study(
     model_name: str = "ResNet50",
     config: PlatformConfig | None = None,
@@ -72,61 +57,35 @@ def quantization_study(
 ) -> list[QuantizationPoint]:
     """Run the precision ladder on the 2.5D SiPh platform.
 
-    Precision points are independent simulations: they fan out over
-    worker processes and cache under keys that include the quantisation
-    scheme.
+    Each precision point is one :class:`InferenceCell` whose
+    ``quantization`` field carries the scheme, so points fan out over
+    worker processes and cache under keys that include it.
     """
     config = config or DEFAULT_PLATFORM
     model = zoo.build(model_name)
-    n_layers = len(model.compute_nodes())
-    schemes = quantization_schemes(n_layers)
-    cache = ResultCache(cache_dir) if cache_dir else None
-
-    outcomes: dict[str, tuple[float, InferenceResult]] = {}
-    pending: list[tuple[str, QuantizationConfig]] = []
-    for scheme, quant in schemes.items():
-        hit = (
-            cache.get(_quant_cell_key(model_name, quant, config))
-            if cache is not None else None
-        )
-        if hit is not None:
-            # Traffic is recomputed from the workload on a hit: it is
-            # cheap and not part of the pickled result.
-            workload = extract_workload(model, quant)
-            outcomes[scheme] = (workload.total_traffic_bits, hit)
-        else:
-            pending.append((scheme, quant))
-
-    fresh = parallel_map(
-        _simulate_quant_point,
-        [(model_name, quant, config) for _, quant in pending],
-        jobs,
+    schemes = quantization_schemes(len(model.compute_nodes()))
+    cells = [
+        InferenceCell("2.5D-CrossLight-SiPh", model_name, "resipi", config,
+                      quantization=quant)
+        for quant in schemes.values()
+    ]
+    results = run_cached(
+        cells, simulate_inference_cell, jobs=jobs, cache_dir=cache_dir,
+        stats=stats,
     )
-    for (scheme, quant), outcome in zip(pending, fresh):
-        outcomes[scheme] = outcome
-        if cache is not None:
-            cache.put(_quant_cell_key(model_name, quant, config), outcome[1])
-    if stats is not None:
-        if cache is not None:
-            stats.merge(cache, simulated=len(pending))
-        else:
-            stats.simulated += len(pending)
-
-    points = []
-    for scheme, quant in schemes.items():
-        traffic_bits, result = outcomes[scheme]
-        points.append(
-            QuantizationPoint(
-                scheme=scheme,
-                weight_bits_description=(
-                    f"{quant.weight_bits}b weights / "
-                    f"{quant.activation_bits}b activations"
-                ),
-                traffic_bits=traffic_bits,
-                result=result,
-            )
+    return [
+        QuantizationPoint(
+            scheme=scheme,
+            weight_bits_description=(
+                f"{quant.weight_bits}b weights / "
+                f"{quant.activation_bits}b activations"
+            ),
+            # Cheap, and not part of the cached result.
+            traffic_bits=extract_workload(model, quant).total_traffic_bits,
+            result=result,
         )
-    return points
+        for (scheme, quant), result in zip(schemes.items(), results)
+    ]
 
 
 def render_quantization_study(points: list[QuantizationPoint]) -> str:

@@ -1,16 +1,21 @@
-"""Experiment orchestration: run model suites across platforms.
+"""Experiment orchestration: every simulation is a cell run by one driver.
 
-Three layers of reuse keep repeated invocations cheap:
+An :class:`InferenceCell` (one isolated inference) or a
+:class:`~repro.experiments.serving_study.ServingCell` (one serving
+window) is a frozen description of a whole simulation, and
+:func:`run_cached` is the one driver every study runs its cells
+through:
 
-* an **in-memory cache** per runner instance — Fig. 7 and Table 3 share
-  runs within one process, as before;
-* an optional **persistent on-disk result cache** (``cache_dir``) keyed
-  by a content hash of ``(platform, model, controller, PlatformConfig)``
-  — repeated benchmark/figure invocations across processes never
+* a **persistent on-disk result cache** (``cache_dir``) keyed by
+  :func:`fields_key` — a content hash of every field of the cell —
+  so repeated benchmark/figure invocations across processes never
   re-simulate identical cells;
 * a **process-pool fan-out** (``jobs=N``) for cold cells — every cell is
   an independent simulation in a fresh :class:`Environment`, so parallel
   results are bit-identical to serial ones.
+
+:class:`ExperimentRunner` adds an in-memory memo on top, so Fig. 7 and
+Table 3 share runs within one process.
 """
 
 from __future__ import annotations
@@ -22,16 +27,18 @@ import pickle
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from ..config import DEFAULT_PLATFORM, PlatformConfig
 from ..core.metrics import InferenceResult
 from ..dnn import zoo
+from ..dnn.quantization import QuantizationConfig
 from ..dnn.workload import InferenceWorkload, extract_workload
 from ..errors import UnknownNameError
 from ..studies.registry import MODELS, PLATFORMS
+from ..studies.spec import FaultSpec
 
 MODEL_NAMES = tuple(zoo.MODEL_BUILDERS)
 """Table 2 model names in paper order."""
@@ -43,9 +50,12 @@ PLATFORM_ORDER = (
 )
 """The three simulated platforms, Table 3 order."""
 
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 """Bump whenever simulation semantics change so stale cached results
-are never served for new code."""
+are never served for new code.
+
+Version 2: every cell kind keys by :func:`fields_key`, so every cached
+result re-simulates once."""
 
 
 # ---------------------------------------------------------------------------
@@ -67,10 +77,10 @@ def config_digest(config: PlatformConfig) -> str:
 def cell_key(platform_name: str, model_name: str, controller: str,
              config: PlatformConfig,
              extra: dict[str, Any] | None = None) -> str:
-    """Content hash identifying one simulation cell.
+    """Content hash of a platform, model, controller and config.
 
-    ``extra`` lets studies that vary more than the platform config
-    (e.g. quantisation schemes) extend the key instead of colliding.
+    ``extra`` extends the hash with everything else that identifies a
+    simulation; :func:`fields_key` passes every other cell field.
     """
     payload = json.dumps(
         {
@@ -85,6 +95,31 @@ def cell_key(platform_name: str, model_name: str, controller: str,
         default=repr,
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _key_value(value):
+    """A cell field as JSON-able data (nested policies and specs too)."""
+    return asdict(value) if is_dataclass(value) else value
+
+
+def fields_key(cell) -> str:
+    """The one disk-cache key rule every cell kind shares.
+
+    :func:`cell_key` hashes the config itself; every other field of the
+    frozen cell goes into its ``extra`` under the cell's type name, so
+    two cells share a key only when they are the same kind and every
+    field matches.
+    """
+    return cell_key(
+        cell.platform, cell.grid_label, cell.controller, cell.config,
+        extra={
+            type(cell).__name__: {
+                entry.name: _key_value(getattr(cell, entry.name))
+                for entry in fields(cell)
+                if entry.name != "config"
+            },
+        },
+    )
 
 
 class ResultCache:
@@ -182,16 +217,46 @@ def build_platform(platform_name: str, config: PlatformConfig,
     return factory(config, controller, faults=faults)
 
 
-def _simulate_cell(platform_name: str, model_name: str, controller: str,
-                   config: PlatformConfig) -> InferenceResult:
-    """Worker body: one full simulation of one matrix cell."""
-    platform = build_platform(platform_name, config, controller)
-    workload = extract_workload(MODELS.get(model_name)())
-    return platform.run_workload(workload)
+@dataclass(frozen=True)
+class InferenceCell:
+    """One isolated (batched) inference of one model on one platform.
+
+    ``faults`` is a fabric fault section (SiPh only) and
+    ``quantization`` the model's precision (the default 8-bit scheme
+    when ``None``).  The worker reads nothing but these fields, so they
+    are the cell's complete identity: :meth:`key` hashes all of them.
+    """
+
+    platform: str
+    model: str
+    controller: str
+    config: PlatformConfig
+    batch_size: int = 1
+    faults: FaultSpec | None = None
+    quantization: QuantizationConfig | None = None
+
+    @property
+    def grid_label(self) -> str:
+        """Dry-run label: the model."""
+        return self.model
+
+    def key(self) -> str:
+        """Disk-cache key: :func:`fields_key`."""
+        return fields_key(self)
 
 
-Cell = tuple[str, str, str, PlatformConfig]
-"""(platform, model, controller, config) — one simulation to run."""
+def simulate_inference_cell(cell: InferenceCell) -> InferenceResult:
+    """Worker body: one full simulation of one inference cell."""
+    # Deferred: the serving module (home of the hazard lowering)
+    # imports this one.
+    from .serving_study import hazard_timeline
+
+    platform = build_platform(
+        cell.platform, cell.config, cell.controller,
+        faults=hazard_timeline(cell.faults),
+    )
+    workload = extract_workload(MODELS.get(cell.model)(), cell.quantization)
+    return platform.run_workload(workload, batch_size=cell.batch_size)
 
 
 def parallel_map(fn: Callable, argument_tuples: Sequence[tuple],
@@ -210,13 +275,6 @@ def parallel_map(fn: Callable, argument_tuples: Sequence[tuple],
             futures = [pool.submit(fn, *args) for args in tasks]
             return [future.result() for future in futures]
     return [fn(*args) for args in tasks]
-
-
-def _simulate_many(cells: Sequence[Cell], jobs: int
-                   ) -> list[InferenceResult]:
-    """Simulate cells; each runs in a fresh environment, so the output
-    is bit-identical to a serial loop."""
-    return parallel_map(_simulate_cell, cells, jobs)
 
 
 @dataclass
@@ -283,12 +341,9 @@ class CacheStats:
 def cell_label(cell) -> str:
     """Short human-readable identity of one simulation cell.
 
-    Works across every cell flavour (matrix tuples, inference/serving/
-    scenario/cluster dataclasses) without those types having to agree
+    Works across every cell kind without those types having to agree
     on a field set — this only feeds observability output.
     """
-    if isinstance(cell, tuple):
-        return "/".join(str(part) for part in cell[:3])
     parts = []
     for name in ("platform", "mix_label", "model", "controller"):
         value = getattr(cell, name, "")
@@ -319,14 +374,13 @@ def _timed_simulate(simulate_fn: Callable, cell) -> tuple[Any, float]:
     return result, time.perf_counter() - start
 
 
-def run_cached(cells: Sequence, key_fn: Callable[[Any], str],
-               simulate_fn: Callable, jobs: int = 1,
+def run_cached(cells: Sequence, simulate_fn: Callable, jobs: int = 1,
                cache_dir: str | Path | None = None,
                stats: CacheStats | None = None) -> list:
     """``[simulate_fn(cell) for cell in cells]``, cached and parallel.
 
     The one cache-then-fan-out driver every study shares: resolves the
-    disk cache first (by ``key_fn(cell)``), simulates only the misses —
+    disk cache first (by each cell's ``key()``), simulates only the misses —
     over worker processes when ``jobs > 1`` — then back-fills the
     cache.  ``simulate_fn`` and the cells must be picklable
     module-level objects; results come back in input order.  ``stats``,
@@ -337,7 +391,7 @@ def run_cached(cells: Sequence, key_fn: Callable[[Any], str],
     pending: list[int] = []
     for index, cell in enumerate(cells):
         lookup_start = time.perf_counter()
-        hit = cache.get(key_fn(cell)) if cache is not None else None
+        hit = cache.get(cell.key()) if cache is not None else None
         if hit is not None:
             results[index] = hit
             if stats is not None:
@@ -355,32 +409,13 @@ def run_cached(cells: Sequence, key_fn: Callable[[Any], str],
         if stats is not None:
             stats.record_cell(cell_label(cells[index]), seconds, hit=False)
         if cache is not None:
-            cache.put(key_fn(cells[index]), result)
+            cache.put(cells[index].key(), result)
     if stats is not None:
         if cache is not None:
             stats.merge(cache, simulated=len(pending))
         else:
             stats.simulated += len(pending)
     return results
-
-
-def _simulate_cell_tuple(cell: Cell) -> InferenceResult:
-    """Adapter: one-argument worker for :func:`run_cached`."""
-    return _simulate_cell(*cell)
-
-
-def simulate_cells(cells: Sequence[Cell], jobs: int = 1,
-                   cache_dir: str | Path | None = None
-                   ) -> list[InferenceResult]:
-    """Run arbitrary simulation cells with optional cache and fan-out.
-
-    The shared building block for the DSE sweeps, on top of
-    :func:`run_cached` with the plain matrix-cell key.
-    """
-    return run_cached(
-        list(cells), lambda cell: cell_key(*cell), _simulate_cell_tuple,
-        jobs=jobs, cache_dir=cache_dir,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -392,17 +427,19 @@ def simulate_cells(cells: Sequence[Cell], jobs: int = 1,
 class ExperimentRunner:
     """Runs and caches inferences across the evaluation matrix.
 
-    ``jobs`` sets the default process fan-out of :meth:`run_matrix`;
-    ``cache_dir`` enables the persistent on-disk result cache.  The
-    counters ``simulations_executed`` / ``disk_cache_hits`` expose how
-    much work a call actually did (tests assert a warm cache re-run
-    simulates nothing).
+    Every (platform, model) pair is an :class:`InferenceCell` run
+    through :func:`run_cached`, memoised in memory for the runner's
+    lifetime.  ``jobs`` sets the default process fan-out of
+    :meth:`run_matrix`; ``cache_dir`` enables the persistent on-disk
+    result cache.  :attr:`stats` tallies how much work the runner
+    actually did (tests assert a warm cache re-run simulates nothing).
     """
 
     config: PlatformConfig = field(default_factory=lambda: DEFAULT_PLATFORM)
     controller: str = "resipi"
     jobs: int = 1
     cache_dir: str | Path | None = None
+    stats: CacheStats = field(default_factory=CacheStats, init=False)
     _workloads: dict[str, InferenceWorkload] = field(default_factory=dict)
     _results: dict[tuple[str, str], InferenceResult] = field(
         default_factory=dict
@@ -411,9 +448,6 @@ class ExperimentRunner:
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        self._cache = ResultCache(self.cache_dir) if self.cache_dir else None
-        self.simulations_executed = 0
-        self.disk_cache_hits = 0
 
     def workload(self, model_name: str) -> InferenceWorkload:
         """Extract (and cache) the inference workload of a zoo model."""
@@ -423,33 +457,28 @@ class ExperimentRunner:
             )
         return self._workloads[model_name]
 
-    def _platform(self, platform_name: str):
-        return build_platform(platform_name, self.config, self.controller)
-
-    def _key(self, platform_name: str, model_name: str) -> str:
-        return cell_key(platform_name, model_name, self.controller,
-                        self.config)
+    def _fill(self, pairs: Sequence[tuple[str, str]], jobs: int) -> None:
+        """Simulate (or load) every pair the memo does not hold yet."""
+        pending = [
+            pair for pair in dict.fromkeys(pairs) if pair not in self._results
+        ]
+        if not pending:
+            return
+        cells = [
+            InferenceCell(platform, model, self.controller, self.config)
+            for platform, model in pending
+        ]
+        results = run_cached(
+            cells, simulate_inference_cell, jobs=jobs,
+            cache_dir=self.cache_dir, stats=self.stats,
+        )
+        self._results.update(zip(pending, results))
 
     def run(self, platform_name: str, model_name: str) -> InferenceResult:
         """Run one (platform, model) cell, cached (memory, then disk)."""
         key = (platform_name, model_name)
-        if key in self._results:
-            return self._results[key]
-        result = None
-        if self._cache is not None:
-            result = self._cache.get(self._key(platform_name, model_name))
-            if result is not None:
-                self.disk_cache_hits += 1
-        if result is None:
-            platform = self._platform(platform_name)
-            result = platform.run_workload(self.workload(model_name))
-            self.simulations_executed += 1
-            if self._cache is not None:
-                self._cache.put(
-                    self._key(platform_name, model_name), result
-                )
-        self._results[key] = result
-        return result
+        self._fill([key], jobs=1)
+        return self._results[key]
 
     def run_matrix(
         self,
@@ -463,43 +492,18 @@ class ExperimentRunner:
         fan out over worker processes; every platform still validates
         eagerly (a bad name fails fast, as in serial mode).
         """
-        jobs = self.jobs if jobs is None else jobs
         for platform_name in platforms:
             if platform_name not in PLATFORM_ORDER:
                 raise UnknownNameError(
                     "matrix platform", platform_name, PLATFORM_ORDER
                 )
-        pending: list[tuple[str, str]] = []
-        for platform_name in platforms:
-            for model_name in models:
-                key = (platform_name, model_name)
-                if key in self._results:
-                    continue
-                hit = (
-                    self._cache.get(self._key(platform_name, model_name))
-                    if self._cache is not None else None
-                )
-                if hit is not None:
-                    self._results[key] = hit
-                    self.disk_cache_hits += 1
-                else:
-                    pending.append(key)
-        fresh = _simulate_many(
-            [(p, m, self.controller, self.config) for p, m in pending],
-            jobs,
-        )
-        for key, result in zip(pending, fresh):
-            self._results[key] = result
-            self.simulations_executed += 1
-            if self._cache is not None:
-                self._cache.put(self._key(*key), result)
-        return {
-            (platform_name, model_name): self._results[
-                (platform_name, model_name)
-            ]
+        pairs = [
+            (platform_name, model_name)
             for platform_name in platforms
             for model_name in models
-        }
+        ]
+        self._fill(pairs, self.jobs if jobs is None else jobs)
+        return {pair: self._results[pair] for pair in pairs}
 
     def average(self, platform_name: str, metric: str,
                 models: tuple[str, ...] = MODEL_NAMES) -> float:

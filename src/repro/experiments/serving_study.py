@@ -11,15 +11,15 @@ serves the arrival stream directly.  The declarative study layer
 :class:`~repro.studies.spec.StudySpec` onto one of these.
 
 Cells reuse the parallel fan-out and the persistent on-disk result
-cache of the experiment runner, extending ``cell_key`` with every cell
-field so serving points never collide with each other or with
-single-inference results.
+cache of the experiment runner, keyed like every other cell by
+:func:`~repro.experiments.runner.fields_key`, so serving points never
+collide with each other or with single-inference results.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -53,16 +53,7 @@ from ..serving.scheduler import BatchPolicy, RequestScheduler
 from ..sim.core import Environment
 from ..studies.registry import ARRIVALS, HAZARDS, MODELS, ROUTERS
 from ..studies.spec import FaultSpec
-from .runner import build_platform, cell_key
-
-SERVING_STUDY_VERSION = 4
-"""Bump (with ``CACHE_SCHEMA_VERSION`` semantics) when the serving
-simulation changes meaning, so cached curves are never stale.
-
-Version 2: ``BatchPolicy`` grew ``shed_expired``.  Version 3:
-``ServingResult`` grew the hazard fields.  Version 4: the classic,
-scenario and cluster cells became one :class:`ServingCell` whose key
-hashes every field, so every serving key moved once."""
+from .runner import build_platform, fields_key
 
 NodeOverride = tuple[int, "str | None", "int | None", "int | None"]
 """Picklable per-node override: (node, controller, n_wavelengths,
@@ -164,26 +155,8 @@ class ServingCell:
         )
 
     def key(self) -> str:
-        """Disk-cache key: the inference cell key plus every other field
-        (``cell_key`` hashes the config itself)."""
-        cell = {
-            field.name: _key_value(getattr(self, field.name))
-            for field in fields(self)
-            if field.name != "config"
-        }
-        return cell_key(
-            self.platform, self.mix_label, self.controller, self.config,
-            extra={
-                "study": "serving",
-                "version": SERVING_STUDY_VERSION,
-                "cell": cell,
-            },
-        )
-
-
-def _key_value(value):
-    """A cell field as JSON-able data (nested policies and specs too)."""
-    return asdict(value) if is_dataclass(value) else value
+        """Disk-cache key: :func:`~repro.experiments.runner.fields_key`."""
+        return fields_key(self)
 
 
 # ---------------------------------------------------------------------------

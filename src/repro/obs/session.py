@@ -23,9 +23,10 @@ from .trace import Instant, Span, TraceRecorder
 class TelemetrySummary:
     """Frozen telemetry outcome of one simulation cell.
 
-    Everything is tuples so results with telemetry attached compare and
-    pickle exactly like legacy results — the determinism tests rely on
-    summary equality across serial / fanned-out / cached runs.
+    Everything is tuples, so results with telemetry attached compare by
+    value and survive a pickle round trip unchanged — the determinism
+    tests rely on summary equality across serial / fanned-out / cached
+    runs.
     """
 
     policy_label: str

@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import numpy as np
 from dataclasses import dataclass
-from typing import Iterator
 
-from ..errors import ConfigurationError, SimulationError
-from ..sim.traffic import ClosedLoopClients
+from ..errors import ConfigurationError
 from .metrics import RequestRecord, ResilienceStats
-from .scheduler import DEFAULT_DRAIN_LIMIT_S, RequestHandle
+from .scheduler import RequestHandle
+from .window import ServingWindow
 
 _JITTER_STREAM = 613
 """Seed-tuple tag for the retry-jitter RNG (decorrelates it from the
@@ -110,7 +109,7 @@ class ResiliencePolicy:
         return "+".join(parts) if parts else "passthrough"
 
 
-class LifecycleDriver:
+class LifecycleDriver(ServingWindow):
     """Runs a serving window with every request wrapped in a lifecycle.
 
     ``target`` is duck-typed: anything exposing ``submit(done=, model=,
@@ -123,9 +122,9 @@ class LifecycleDriver:
     """
 
     def __init__(self, target, policy: ResiliencePolicy, seed: int = 0):
+        super().__init__(target.env)
         self.target = target
         self.policy = policy
-        self.env = target.env
         # The router routes across nodes (hedges need `exclude`); the
         # single-node scheduler has no node concept.
         self._is_router = hasattr(target, "routable_nodes")
@@ -144,9 +143,6 @@ class LifecycleDriver:
         self.obs_trace = None
         self._next_logical_id = 0
         self._requests_open = 0
-        self._injection_done = False
-        self._drained = self.env.event()
-        self._served = False
 
     # -- accounting ---------------------------------------------------------------
 
@@ -171,7 +167,7 @@ class LifecycleDriver:
 
     # -- the lifecycle ------------------------------------------------------------
 
-    def _submit(self, model: str | None, done, arrival_s: float,
+    def _submit_attempt(self, model: str | None, done, arrival_s: float,
                 exclude: tuple[int, ...]) -> RequestHandle:
         if self._is_router:
             return self.target.submit(
@@ -197,7 +193,7 @@ class LifecycleDriver:
 
         def submit(exclude: tuple[int, ...] = ()) -> RequestHandle:
             done = env.event()
-            handle = self._submit(model, done, arrival_s, exclude)
+            handle = self._submit_attempt(model, done, arrival_s, exclude)
             attempts.append(handle)
             self._counts["attempts"] += 1
             return handle
@@ -338,99 +334,18 @@ class LifecycleDriver:
         self._requests_open -= 1
         self._check_drained()
 
-    def _spawn(self, model: str | None = None, client_done=None):
-        # Count synchronously at spawn so the drain barrier can never
-        # observe injection-done with an uncounted request in flight.
+    def submit(self, done=None, model: str | None = None):
+        """Start one logical request arriving now; ``done`` fires when
+        it completes or is given up on."""
+        # Count synchronously at submission so the drain barrier can
+        # never observe injection-done with an uncounted request in
+        # flight.
         self._counts["requests"] += 1
         self._requests_open += 1
-        return self.env.process(self._request_proc(model, client_done))
+        self.env.process(self._request_proc(model, done))
 
-    # -- injection and the drain barrier ------------------------------------------
-
-    def _check_drained(self) -> None:
-        if (
-            self._injection_done
-            and self._requests_open == 0
-            and not self._drained.triggered
-        ):
-            self._drained.succeed()
-
-    def _next_model(self, models: Iterator[str] | None) -> str | None:
-        return None if models is None else next(models)
-
-    def _open_loop_injector(self, arrivals, duration_s: float,
-                            models: Iterator[str] | None = None):
-        for gap in arrivals.gaps():
-            yield self.env.timeout(gap)
-            if self.env.now > duration_s:
-                return
-            self._spawn(model=self._next_model(models))
-
-    def _closed_loop_client(self, clients: ClosedLoopClients, index: int,
-                            duration_s: float,
-                            models: Iterator[str] | None = None):
-        for gap in clients.think_gaps(index):
-            yield self.env.timeout(gap)
-            if self.env.now > duration_s:
-                return
-            client_done = self.env.event()
-            self._spawn(model=self._next_model(models),
-                        client_done=client_done)
-            yield client_done
-
-    def _watch_injection(self, injectors):
-        yield self.env.all_of(injectors)
-        self._injection_done = True
-        self._check_drained()
-
-    def serve(self, arrivals, duration_s: float,
-              drain_limit_s: float = DEFAULT_DRAIN_LIMIT_S,
-              models: Iterator[str] | None = None) -> None:
-        """Run the full resilient serving window: inject, race, drain.
-
-        The same contract as
-        :meth:`~repro.serving.scheduler.RequestScheduler.serve`, with
-        the drain barrier lifted to logical requests: the run ends when
-        every injected request completed or was given up on — however
-        many attempts that took.
-        """
-        if duration_s <= 0:
-            raise ConfigurationError(
-                f"serving duration must be positive, got {duration_s}"
-            )
-        if self._served:
-            raise SimulationError(
-                "LifecycleDriver.serve() is single-shot; build a new "
-                "driver for another serving window"
-            )
-        self._served = True
-        if isinstance(arrivals, ClosedLoopClients):
-            injectors = [
-                self.env.process(
-                    self._closed_loop_client(arrivals, index, duration_s,
-                                             models)
-                )
-                for index in range(arrivals.n_clients)
-            ]
-        elif hasattr(arrivals, "gaps"):
-            injectors = [
-                self.env.process(
-                    self._open_loop_injector(arrivals, duration_s, models)
-                )
-            ]
-        else:
-            raise ConfigurationError(
-                f"unsupported arrival process {arrivals!r}"
-            )
-        self.env.process(self._watch_injection(injectors))
-        try:
-            self.env.run_until_event(
-                self._drained, limit=duration_s + drain_limit_s
-            )
-        except SimulationError as error:
-            raise SimulationError(
-                f"resilient serving run did not drain: "
-                f"{self.requests_completed}/{self.requests_injected} "
-                f"logical requests closed within "
-                f"{duration_s + drain_limit_s} s — {error}"
-            ) from error
+    def _drain_counts(self) -> tuple[int, int]:
+        """Logical-request tally: a request closes once it completes or
+        is given up on, however many attempts that took."""
+        return (self.requests_injected - self._requests_open,
+                self.requests_injected)

@@ -56,22 +56,18 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 from ..core.accelerator import PlatformSimulation
 from ..core.engine import ComputeOccupancy, ExecutionTrace, RequestExecution
 from ..dnn.workload import decode_workload, widened_workload
-from ..errors import ConfigurationError, SimulationError, UnknownNameError
+from ..errors import ConfigurationError, UnknownNameError
 from ..mapping.mapper import ModelMapping
 from ..mapping.residency import KVCacheResidency, WeightResidency
 from ..sim.core import Event
 from ..sim.resources import Resource
-from ..sim.traffic import ClosedLoopClients
 from .metrics import RequestRecord
-
-DEFAULT_DRAIN_LIMIT_S = 1.0
-"""Simulated-time hang guard for draining in-flight requests after
-injection stops (generous: serving windows are µs–ms scale)."""
+from .window import ServingWindow
 
 POLICY_NAMES = ("fifo", "max-batch", "edf", "priority", "continuous")
 """Every dispatch policy the scheduler implements."""
@@ -226,7 +222,7 @@ class _ModelEntry:
     quota: int | None = None
 
 
-class RequestScheduler:
+class RequestScheduler(ServingWindow):
     """Streams requests from an arrival process through a platform.
 
     Build one per serving simulation: it owns the queue, the dispatcher
@@ -243,14 +239,13 @@ class RequestScheduler:
         policy: BatchPolicy | None = None,
         residency: WeightResidency | None = None,
         trace: ExecutionTrace | None = None,
-        record_timings: bool = False,
         slo_s: float | None = None,
         priority: int = 0,
         quota: int | None = None,
         starvation_age_s: float | None = None,
     ):
+        super().__init__(sim.env)
         self.sim = sim
-        self.env = sim.env
         self.mapping = mapping
         self.model_name = model_name
         self.policy = policy or BatchPolicy.fifo()
@@ -259,7 +254,6 @@ class RequestScheduler:
             else WeightResidency(sim.env)
         )
         self.trace = trace or ExecutionTrace()
-        self.record_timings = record_timings
         self.compute = ComputeOccupancy(sim.env)
         if starvation_age_s is not None:
             if self.policy.name != "priority":
@@ -308,10 +302,7 @@ class RequestScheduler:
         self.obs_prefix = ""
         """Track-name prefix (``node3/`` on fleets) keeping per-request
         tracks distinct when several schedulers share one recorder."""
-        self._injection_done = False
-        self._drained = sim.env.event()
         self._next_id = 0
-        self._served = False
         self._paused = False
         self._resume_signal: Event | None = None
         self.env.process(self._dispatch_loop())
@@ -722,7 +713,7 @@ class RequestScheduler:
             self.trace, mac_rate_hz=self.sim.mac_rate_hz,
             batch_size=len(batch), residency=self.residency,
             compute=self.compute, model_name=entry.name,
-            record_timings=self.record_timings,
+            record_timings=False,
             obs=obs if head_track is not None else None,
             obs_track=head_track or "",
         )
@@ -809,7 +800,7 @@ class RequestScheduler:
             self.trace, mac_rate_hz=self.sim.mac_rate_hz,
             batch_size=batch_size, residency=self.residency,
             compute=self.compute, model_name=entry.name,
-            record_timings=self.record_timings,
+            record_timings=False,
             obs=self.obs_trace if obs_track is not None else None,
             obs_track=obs_track or "",
         )
@@ -1041,117 +1032,7 @@ class RequestScheduler:
             active = survivors
         self._admission.release()
 
-    def _check_drained(self) -> None:
-        if (
-            self._injection_done
-            and self.requests_completed + self.requests_shed
-            == self.requests_injected
-            and not self._drained.triggered
-        ):
-            self._drained.succeed()
-
-    # -- injection -------------------------------------------------------------------
-
-    def _next_submission(
-        self, models: Iterator | None
-    ) -> tuple[str | None, int, int]:
-        """(model, prompt_tokens, output_tokens) of the next injection.
-
-        The ``models`` iterator may yield bare model names (single-shot
-        requests, the classic contract) or ``(model, prompt_tokens,
-        output_tokens)`` tuples for sequence requests.
-        """
-        if models is None:
-            return None, 0, 0
-        item = next(models)
-        if isinstance(item, tuple):
-            return item
-        return item, 0, 0
-
-    def _open_loop_injector(self, arrivals, duration_s: float,
-                            models: Iterator | None = None):
-        """Inject an open-loop gap stream for the duration window."""
-        for gap in arrivals.gaps():
-            yield self.env.timeout(gap)
-            if self.env.now > duration_s:
-                return
-            model, prompt, output = self._next_submission(models)
-            self.submit(model=model, prompt_tokens=prompt,
-                        output_tokens=output)
-
-    def _closed_loop_client(self, clients: ClosedLoopClients, index: int,
-                            duration_s: float,
-                            models: Iterator | None = None):
-        """One closed-loop client: think, request, await completion."""
-        for gap in clients.think_gaps(index):
-            yield self.env.timeout(gap)
-            if self.env.now > duration_s:
-                return
-            model, prompt, output = self._next_submission(models)
-            request = self.submit(done=self.env.event(), model=model,
-                                  prompt_tokens=prompt,
-                                  output_tokens=output)
-            yield request.done
-
-    def _watch_injection(self, injectors):
-        yield self.env.all_of(injectors)
-        self._injection_done = True
-        self._check_drained()
-
-    def serve(self, arrivals, duration_s: float,
-              drain_limit_s: float = DEFAULT_DRAIN_LIMIT_S,
-              models: Iterator | None = None) -> None:
-        """Run the full serving window: inject, dispatch, drain.
-
-        ``arrivals`` is any open-loop process exposing ``gaps()`` (e.g.
-        :class:`~repro.sim.traffic.PoissonArrivals`,
-        :class:`~repro.sim.traffic.MMPPArrivals`) or a
-        :class:`~repro.sim.traffic.ClosedLoopClients` population.
-        ``models`` optionally names the target model of each injected
-        request (an infinite iterator, e.g. a seeded traffic-mix
-        sampler); by default everything targets the primary model.
-        Returns once every injected request completed (or was shed);
-        per-request records are on :attr:`records` and the shared trace.
-        """
-        if duration_s <= 0:
-            raise ConfigurationError(
-                f"serving duration must be positive, got {duration_s}"
-            )
-        if self._served:
-            # The drained barrier and injection flags are one-shot;
-            # reuse would silently simulate nothing.
-            raise SimulationError(
-                "RequestScheduler.serve() is single-shot; build a new "
-                "scheduler for another serving window"
-            )
-        self._served = True
-        if isinstance(arrivals, ClosedLoopClients):
-            injectors = [
-                self.env.process(
-                    self._closed_loop_client(arrivals, index, duration_s,
-                                             models)
-                )
-                for index in range(arrivals.n_clients)
-            ]
-            self.env.process(self._watch_injection(injectors))
-        elif hasattr(arrivals, "gaps"):
-            injectors = [
-                self.env.process(
-                    self._open_loop_injector(arrivals, duration_s, models)
-                )
-            ]
-            self.env.process(self._watch_injection(injectors))
-        else:
-            raise ConfigurationError(
-                f"unsupported arrival process {arrivals!r}"
-            )
-        try:
-            self.env.run_until_event(
-                self._drained, limit=duration_s + drain_limit_s
-            )
-        except SimulationError as error:
-            raise SimulationError(
-                f"serving run did not drain: {self.requests_completed}/"
-                f"{self.requests_injected} requests completed within "
-                f"{duration_s + drain_limit_s} s — {error}"
-            ) from error
+    def _drain_counts(self) -> tuple[int, int]:
+        """Node tally: a request closes once it completes or is shed."""
+        return (self.requests_completed + self.requests_shed,
+                self.requests_injected)

@@ -1,21 +1,23 @@
 """The study compiler: lower a :class:`StudySpec` onto simulation cells.
 
 ``run_study`` is the single entry point every experiment-facing surface
-goes through — the legacy CLI verbs build specs and call it, the
-``repro study`` verb feeds it JSON files, and library users hand it
-spec objects.  It expands the sweep grid, resolves every name against
-the registries (typed did-you-mean errors), lowers each grid point onto
+goes through — the CLI verbs build specs and call it, the ``repro
+study`` verb feeds it JSON files, and library users hand it spec
+objects.  It expands the sweep grid, resolves every name against the
+registries (typed did-you-mean errors), lowers each grid point onto
 cells, and runs the cells through the runner's parallel/cached
 machinery:
 
-* ``inference`` points with ``batch_size == 1`` lower to the plain
-  matrix cells — **the exact cache keys and simulations of the legacy
-  paths**, so spec-driven and legacy invocations share warm caches and
-  produce bit-identical results;
+* every ``inference`` point lowers to one
+  :class:`~repro.experiments.runner.InferenceCell` per model of its
+  workload — the cells :class:`~repro.experiments.runner.ExperimentRunner`
+  runs too, so both paths share warm caches;
 * every ``serving`` point — one node or a fleet, with any traffic mix,
   policy, hazard, lifecycle, fidelity or telemetry section — lowers to
-  one :class:`~repro.experiments.serving_study.ServingCell`, keyed by
-  every one of its fields.
+  one :class:`~repro.experiments.serving_study.ServingCell`.
+
+Both cell kinds key by every one of their fields
+(:func:`~repro.experiments.runner.fields_key`).
 """
 
 from __future__ import annotations
@@ -26,17 +28,15 @@ from pathlib import Path
 from ..cluster.hazards import node_hazard_timeline, validate_node_timeline
 from ..cluster.router import HealthPolicy
 from ..config import DEFAULT_PLATFORM, PlatformConfig
-from ..core.metrics import InferenceResult
-from ..dnn.workload import extract_workload
 from ..dnn.zoo import TRANSFORMER_BUILDERS
 from ..errors import SpecError
 from ..interposer.photonic.controllers import EPOCH_CONTROLLERS
 from ..experiments.runner import (
     CacheStats,
+    InferenceCell,
     ResultCache,
-    build_platform,
-    cell_key,
     run_cached,
+    simulate_inference_cell,
 )
 from ..experiments.serving_study import (
     ServingCell,
@@ -61,59 +61,10 @@ from .registry import (
     PLATFORMS,
     ROUTERS,
 )
-from .spec import ClusterSpec, FaultSpec, SchedulerSpec, StudySpec
+from .spec import ClusterSpec, SchedulerSpec, StudySpec
 
 SIPH_PLATFORM = "2.5D-CrossLight-SiPh"
 """The one platform whose fabric takes a reconfiguration controller."""
-
-
-# ---------------------------------------------------------------------------
-# Inference cells (spec-driven batched variant of the matrix cell).
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InferenceCell:
-    """One isolated (batched) inference of one model on one platform."""
-
-    platform: str
-    model: str
-    controller: str
-    config: PlatformConfig
-    batch_size: int = 1
-    faults: FaultSpec | None = None
-
-    @property
-    def grid_label(self) -> str:
-        """Dry-run label: the model."""
-        return self.model
-
-    def key(self) -> str:
-        """Plain matrix-cell key at batch 1 (cache-compatible with the
-        legacy runner); batched and fault-injected cells get their own
-        key space."""
-        if self.batch_size == 1 and not self.faults:
-            return cell_key(
-                self.platform, self.model, self.controller, self.config
-            )
-        return cell_key(
-            self.platform, self.model, self.controller, self.config,
-            extra={
-                "study": "inference",
-                "batch_size": self.batch_size,
-                "faults": self.faults.to_dict() if self.faults else None,
-            },
-        )
-
-
-def simulate_inference_cell(cell: InferenceCell) -> InferenceResult:
-    """Worker body: identical to the runner's matrix cell at batch 1."""
-    platform = build_platform(
-        cell.platform, cell.config, cell.controller,
-        faults=hazard_timeline(cell.faults),
-    )
-    workload = extract_workload(MODELS.get(cell.model)())
-    return platform.run_workload(workload, batch_size=cell.batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +469,7 @@ def run_study(spec: StudySpec, jobs: int = 1,
         else simulate_serving_cell
     )
     results = run_cached(
-        cells, lambda cell: cell.key(), simulate,
-        jobs=jobs, cache_dir=cache_dir, stats=stats,
+        cells, simulate, jobs=jobs, cache_dir=cache_dir, stats=stats,
     )
 
     grouped = []

@@ -7,8 +7,10 @@ arrival process), *where* (:class:`PlatformSpec`), *how*
 (:class:`SchedulerSpec`) and *across which grid*
 (:class:`SweepSpec`).  Specs validate on construction, reject unknown
 JSON fields (typos never silently no-op) and hash to a stable
-:func:`spec_digest` that the study compiler folds into the on-disk
-cache key of every simulation cell.
+:func:`spec_digest` (``--dry-run`` prints it per grid point).  The
+digest identifies a spec, not a simulation: cache keys hash the cells
+a spec lowers onto, so two specs that lower to equal cells share
+cached results.
 
 The spec layer deliberately knows nothing about simulators: lowering a
 spec onto the cell machinery lives in :mod:`repro.studies.compile`, and
@@ -26,18 +28,18 @@ from typing import Any, Mapping
 from ..errors import SpecError
 
 SPEC_SCHEMA_VERSION = 7
-"""Bump when the spec schema changes meaning: digests (and therefore
-every scenario cache key) move with it.
+"""Bump when the spec schema changes meaning: digests move with it.
+
+Cache keys do not embed the digest — they hash the lowered cells (see
+:func:`repro.experiments.runner.fields_key`) — so a schema bump alone
+invalidates no cached result.
 
 Version 2: :class:`PlatformSpec` grew a ``faults`` section
-(:class:`FaultSpec`), so every digest — and with it every scenario
-cache key — moved; a pre-hazard cache can never satisfy a fault-aware
-spec.
+(:class:`FaultSpec`).
 
 Version 3: :class:`StudySpec` grew a ``cluster`` section
 (:class:`ClusterSpec`: replicas, router, per-node overrides, node-level
-hazards) and :class:`FaultEventSpec` a ``node`` field, so every digest
-moved again.
+hazards) and :class:`FaultEventSpec` a ``node`` field.
 
 Version 4: :class:`StudySpec` grew a ``resilience`` section
 (:class:`ResilienceSpec`: per-request timeouts, retries with backoff
@@ -48,9 +50,7 @@ outage groups) and ``mac_fraction`` (compute-side MAC degradation).
 Version 5: :class:`StudySpec` grew a ``fidelity`` section
 (:class:`FidelitySpec`: the hybrid-fidelity engine — fluid fast path,
 calibration error budget, automatic DES fallback).  The degenerate
-``des`` default lowers onto the exact pre-fidelity cells: classic cell
-keys do not embed the spec digest, so a legacy cache still satisfies
-a degenerate spec.
+``des`` default lowers to a cell with no fidelity policy.
 
 Version 6: autoregressive (transformer) serving.
 :class:`WorkloadSpec` grew sequence-length knobs (``prompt_tokens`` /
@@ -58,16 +58,12 @@ Version 6: autoregressive (transformer) serving.
 per-tenant length overrides plus an admission ``quota``,
 :class:`SchedulerSpec` a ``starvation_age_s`` guard for the priority
 policy, and :class:`PlatformSpec` a sweepable ``controller_epoch_s``.
-Degenerate single-step (CNN) specs still lower onto the classic cells,
-whose keys do not embed the spec digest — only digest-bearing scenario
-keys move.
+Single-step (CNN) specs lower to cells with no sequence lengths.
 
 Version 7: :class:`StudySpec` grew a ``telemetry`` section
 (:class:`TelemetrySpec`: request span tracing with a configurable
 sample rate, and sim-time-sampled gauge metrics).  The degenerate
-default lowers onto the exact pre-telemetry cells: telemetry enters a
-cell's cache key only when armed, so legacy caches still satisfy
-telemetry-free specs."""
+default lowers to a cell with no telemetry policy."""
 
 LENGTH_DISTRIBUTIONS = ("fixed", "geometric")
 """Sequence-length samplers: every request uses the configured token

@@ -289,7 +289,7 @@ class TestClusterRouter:
     def test_route_distributes_and_counts(self):
         env, nodes, router = make_fleet(n=3)
         for _ in range(6):
-            router.route()
+            router.submit()
         assert [node.routed for node in nodes] == [2, 2, 2]
         assert router.requests_routed == 6
 

@@ -646,13 +646,13 @@ class TestCacheCounters:
     def test_run_cached_tallies_hits_misses(self, tmp_path):
         cells = [classic_cell(), classic_cell(rate_rps=80e3)]
         cold = CacheStats()
-        run_cached(cells, lambda c: c.key(), simulate_serving_cell,
+        run_cached(cells, simulate_serving_cell,
                    cache_dir=tmp_path, stats=cold)
         assert cold.hits == 0
         assert cold.misses == 2
         assert cold.simulated == 2
         warm = CacheStats()
-        run_cached(cells, lambda c: c.key(), simulate_serving_cell,
+        run_cached(cells, simulate_serving_cell,
                    cache_dir=tmp_path, stats=warm)
         assert warm.hits == 2
         assert warm.misses == 0
@@ -664,7 +664,7 @@ class TestCacheCounters:
         cache = ResultCache(tmp_path)
         cache._path(cell.key()).write_bytes(b"garbage")
         stats = CacheStats()
-        run_cached([cell], lambda c: c.key(), simulate_serving_cell,
+        run_cached([cell], simulate_serving_cell,
                    cache_dir=tmp_path, stats=stats)
         assert stats.evictions == 1
         assert stats.misses == 1
@@ -673,8 +673,7 @@ class TestCacheCounters:
 
     def test_no_cache_dir_counts_simulated_only(self):
         stats = CacheStats()
-        run_cached([classic_cell()], lambda c: c.key(),
-                   simulate_serving_cell, stats=stats)
+        run_cached([classic_cell()], simulate_serving_cell, stats=stats)
         assert stats.simulated == 1
         assert stats.hits == 0 and stats.misses == 0
 

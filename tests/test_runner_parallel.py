@@ -3,24 +3,34 @@
 The determinism contract: ``run_matrix`` must produce bit-identical
 ``InferenceResult`` fields no matter whether cells were simulated
 serially, across ``jobs=4`` worker processes, or restored from a cold
-or warm on-disk cache.
+or warm on-disk cache.  Every inference path — the runner, the study
+compiler and the quantisation study — runs inference cells through
+:func:`run_cached`, so they share one cache.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.config import DEFAULT_PLATFORM
+from repro.dnn.quantization import QuantizationConfig
+from repro.experiments.quantization_study import quantization_study
 from repro.experiments.runner import (
     PLATFORM_ORDER,
     CacheStats,
     ExperimentRunner,
+    InferenceCell,
     ResultCache,
     build_platform,
     cell_key,
     cell_label,
     config_digest,
     run_cached,
-    simulate_cells,
+    simulate_inference_cell,
 )
+from repro.studies import FaultSpec
+from repro.studies.builders import run_spec
+from repro.studies.compile import run_study
 
 MODELS = ("LeNet5", "MobileNetV2")
 """Small-model subset: full platform coverage, tractable runtime."""
@@ -54,9 +64,7 @@ class TestParallelDeterminism:
         runner = ExperimentRunner()
         parallel = runner.run_matrix(models=MODELS, jobs=4)
         assert _fingerprint(parallel) == serial_matrix
-        assert runner.simulations_executed == len(PLATFORM_ORDER) * len(
-            MODELS
-        )
+        assert runner.stats.simulated == len(PLATFORM_ORDER) * len(MODELS)
 
     def test_cold_then_warm_cache_bit_identical(self, serial_matrix,
                                                 tmp_path):
@@ -64,26 +72,24 @@ class TestParallelDeterminism:
         cold = ExperimentRunner(cache_dir=cache_dir)
         cold_results = cold.run_matrix(models=MODELS, jobs=4)
         assert _fingerprint(cold_results) == serial_matrix
-        assert cold.simulations_executed == len(PLATFORM_ORDER) * len(
-            MODELS
-        )
+        assert cold.stats.simulated == len(PLATFORM_ORDER) * len(MODELS)
 
         warm = ExperimentRunner(cache_dir=cache_dir)
         warm_results = warm.run_matrix(models=MODELS, jobs=4)
         assert _fingerprint(warm_results) == serial_matrix
-        assert warm.simulations_executed == 0
-        assert warm.disk_cache_hits == len(PLATFORM_ORDER) * len(MODELS)
+        assert warm.stats.simulated == 0
+        assert warm.stats.hits == len(PLATFORM_ORDER) * len(MODELS)
 
     def test_single_cell_run_uses_disk_cache(self, tmp_path):
         cache_dir = tmp_path / "cache"
         first = ExperimentRunner(cache_dir=cache_dir)
         a = first.run("CrossLight", "LeNet5")
-        assert first.simulations_executed == 1
+        assert first.stats.simulated == 1
 
         second = ExperimentRunner(cache_dir=cache_dir)
         b = second.run("CrossLight", "LeNet5")
-        assert second.simulations_executed == 0
-        assert second.disk_cache_hits == 1
+        assert second.stats.simulated == 0
+        assert second.stats.hits == 1
         assert a.latency_s == b.latency_s
         assert a.channel_stats == b.channel_stats
 
@@ -207,30 +213,94 @@ class TestCacheSchemaVersion:
 class TestSimulateCells:
     def test_results_in_cell_order(self):
         cells = [
-            ("CrossLight", "LeNet5", "resipi", DEFAULT_PLATFORM),
-            ("2.5D-CrossLight-SiPh", "LeNet5", "resipi", DEFAULT_PLATFORM),
+            InferenceCell("CrossLight", "LeNet5", "resipi", DEFAULT_PLATFORM),
+            InferenceCell("2.5D-CrossLight-SiPh", "LeNet5", "resipi",
+                          DEFAULT_PLATFORM),
         ]
-        results = simulate_cells(cells, jobs=2)
+        results = run_cached(cells, simulate_inference_cell, jobs=2)
         assert results[0].platform == "CrossLight"
         assert results[1].platform == "2.5D-CrossLight-SiPh"
 
     def test_cache_backfill_and_reuse(self, tmp_path):
-        cells = [("CrossLight", "LeNet5", "resipi", DEFAULT_PLATFORM)]
+        cells = [
+            InferenceCell("CrossLight", "LeNet5", "resipi", DEFAULT_PLATFORM)
+        ]
         cache_dir = tmp_path / "cache"
-        first = simulate_cells(cells, cache_dir=cache_dir)
+        first = run_cached(cells, simulate_inference_cell,
+                           cache_dir=cache_dir)
         assert len(ResultCache(cache_dir)) == 1
-        second = simulate_cells(cells, cache_dir=cache_dir)
+        stats = CacheStats()
+        second = run_cached(cells, simulate_inference_cell,
+                            cache_dir=cache_dir, stats=stats)
+        assert stats.simulated == 0
         assert first[0].latency_s == second[0].latency_s
+
+
+class TestOneInferencePath:
+    """The runner, the study compiler and the quantisation study share
+    one cell type, one key rule and therefore one cache."""
+
+    VARIANTS = {
+        "platform": "CrossLight",
+        "model": "VGG16",
+        "controller": "static",
+        "config": DEFAULT_PLATFORM.with_wavelengths(32),
+        "batch_size": 4,
+        "faults": FaultSpec.from_dict({"events": [{
+            "kind": "gateway-fail", "at_s": 0.0, "memory_gateways": 1,
+        }]}),
+        "quantization": QuantizationConfig.binary(),
+    }
+
+    @pytest.mark.parametrize(
+        "name", [field.name for field in dataclasses.fields(InferenceCell)]
+    )
+    def test_every_field_moves_the_key(self, name):
+        base = InferenceCell("2.5D-CrossLight-SiPh", "LeNet5", "resipi",
+                             DEFAULT_PLATFORM)
+        moved = dataclasses.replace(base, **{name: self.VARIANTS[name]})
+        assert getattr(moved, name) != getattr(base, name)
+        assert moved.key() != base.key()
+
+    def test_runner_cache_serves_the_study_spec(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        runner = ExperimentRunner(cache_dir=cache_dir)
+        expected = runner.run("2.5D-CrossLight-SiPh", "LeNet5")
+        assert runner.stats.simulated == 1
+        stats = CacheStats()
+        study = run_study(run_spec("LeNet5", "2.5D-CrossLight-SiPh"),
+                          cache_dir=cache_dir, stats=stats)
+        assert (stats.hits, stats.simulated) == (1, 0)
+        (result,) = study.points[0].results
+        assert result.latency_s == expected.latency_s
+        assert result.total_energy_j == expected.total_energy_j
+
+    def test_quantization_rerun_on_warm_cache(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        cold_stats, warm_stats = CacheStats(), CacheStats()
+        cold = quantization_study("LeNet5", cache_dir=cache_dir,
+                                  stats=cold_stats)
+        warm = quantization_study("LeNet5", cache_dir=cache_dir,
+                                  stats=warm_stats)
+        assert cold_stats.simulated == len(cold) == 4
+        assert (warm_stats.hits, warm_stats.simulated) == (4, 0)
+        assert [
+            (point.scheme, point.traffic_bits, point.result.latency_s,
+             point.result.total_energy_j) for point in warm
+        ] == [
+            (point.scheme, point.traffic_bits, point.result.latency_s,
+             point.result.total_energy_j) for point in cold
+        ]
 
 
 class TestCellTiming:
     def test_run_cached_records_wall_time_per_cell(self, tmp_path):
-        from repro.experiments.runner import _simulate_cell_tuple
-
-        cells = [("CrossLight", "LeNet5", "resipi", DEFAULT_PLATFORM)]
+        cells = [
+            InferenceCell("CrossLight", "LeNet5", "resipi", DEFAULT_PLATFORM)
+        ]
         cold = CacheStats()
         run_cached(
-            cells, lambda c: cell_key(*c), _simulate_cell_tuple,
+            cells, simulate_inference_cell,
             cache_dir=tmp_path / "cache", stats=cold,
         )
         assert len(cold.cell_times) == 1
@@ -240,7 +310,7 @@ class TestCellTiming:
 
         warm = CacheStats()
         run_cached(
-            cells, lambda c: cell_key(*c), _simulate_cell_tuple,
+            cells, simulate_inference_cell,
             cache_dir=tmp_path / "cache", stats=warm,
         )
         (_, _, warm_hit), = warm.cell_times
@@ -265,7 +335,7 @@ class TestCellTiming:
 
     def test_cell_label_flavours(self):
         assert cell_label(
-            ("CrossLight", "LeNet5", "resipi", DEFAULT_PLATFORM)
+            InferenceCell("CrossLight", "LeNet5", "resipi", DEFAULT_PLATFORM)
         ) == "CrossLight/LeNet5/resipi"
         assert cell_label(object()) == "object"
 

@@ -243,8 +243,7 @@ class TestClassicEquivalence:
             )
             for rate in (100e3, 250e3)
         ]
-        direct = run_cached(cells, lambda cell: cell.key(),
-                            simulate_serving_cell,
+        direct = run_cached(cells, simulate_serving_cell,
                             cache_dir=tmp_path / "b")
         assert study.serving_results() == direct
 
