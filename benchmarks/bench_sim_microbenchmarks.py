@@ -17,6 +17,7 @@ from repro.bench import (
     make_functional_mac_matvec,
     make_hazard_timeline_reads,
     make_kernel_event_throughput,
+    make_mesh_fabric_reads,
     make_photonic_fabric_reads,
     make_resilience_retry_hedge,
     make_sequence_fluid_path,
@@ -41,6 +42,12 @@ def test_bench_channel_contention(benchmark):
 def test_bench_photonic_fabric_reads(benchmark):
     """100 reads across the full interposer pipeline."""
     bits = benchmark(make_photonic_fabric_reads())
+    assert bits > 0
+
+
+def test_bench_mesh_fabric_reads(benchmark):
+    """The same 100 reads over the electrical mesh's XY routes."""
+    bits = benchmark(make_mesh_fabric_reads())
     assert bits > 0
 
 

@@ -59,25 +59,23 @@ def make_channel_contention() -> Callable[[], int]:
     from .sim.core import Environment
     from .sim.resources import BandwidthChannel
 
+    def delivered() -> None:
+        pass
+
     def run() -> int:
         env = Environment()
         channel = BandwidthChannel(env, bandwidth_bps=1e9)
-
-        def sender():
-            yield env.process(channel.transfer(1e3))
-
         for _ in range(1000):
-            env.process(sender())
+            channel.request_transfer(1e3, delivered)
         env.run()
         return channel.transfer_count
 
     return run
 
 
-def make_photonic_fabric_reads() -> Callable[[], float]:
-    """100 reads across the full interposer pipeline."""
+def _fabric_reads(fabric_cls) -> Callable[[], float]:
+    """12 reads to every compute chiplet, all issued at t = 0."""
     from .config import DEFAULT_PLATFORM
-    from .interposer.photonic.fabric import PhotonicInterposerFabric
     from .interposer.topology import build_floorplan
     from .sim.core import Environment
 
@@ -85,7 +83,7 @@ def make_photonic_fabric_reads() -> Callable[[], float]:
 
     def run() -> float:
         env = Environment()
-        fabric = PhotonicInterposerFabric(env, DEFAULT_PLATFORM, floorplan)
+        fabric = fabric_cls(env, DEFAULT_PLATFORM, floorplan)
         for site in floorplan.compute_sites:
             for _ in range(12):
                 fabric.read(site.chiplet_id, 1e6)
@@ -93,6 +91,20 @@ def make_photonic_fabric_reads() -> Callable[[], float]:
         return fabric.bits_read
 
     return run
+
+
+def make_photonic_fabric_reads() -> Callable[[], float]:
+    """100 reads across the full interposer pipeline."""
+    from .interposer.photonic.fabric import PhotonicInterposerFabric
+
+    return _fabric_reads(PhotonicInterposerFabric)
+
+
+def make_mesh_fabric_reads() -> Callable[[], float]:
+    """The same 100 reads over the electrical mesh's XY routes."""
+    from .interposer.electrical.mesh import ElectricalMeshFabric
+
+    return _fabric_reads(ElectricalMeshFabric)
 
 
 def make_functional_mac_matvec() -> Callable[[], object]:
@@ -568,6 +580,7 @@ MICROBENCHMARKS: dict[str, Callable[[], Callable[[], object]]] = {
     KERNEL_BENCHMARK: make_kernel_event_throughput,
     "test_bench_channel_contention": make_channel_contention,
     "test_bench_photonic_fabric_reads": make_photonic_fabric_reads,
+    "test_bench_mesh_fabric_reads": make_mesh_fabric_reads,
     "test_bench_functional_mac_matvec": make_functional_mac_matvec,
     "test_bench_serving_request_throughput": make_serving_request_throughput,
     "test_bench_telemetry_null_recorder": make_telemetry_null_recorder,

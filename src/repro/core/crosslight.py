@@ -29,7 +29,7 @@ from ..mapping.mapper import Allocation, LayerMapping, ModelMapping
 from ..mapping.tiling import tile_layer
 from ..power import params as ep
 from ..sim.core import Environment, Event
-from ..sim.resources import BandwidthChannel
+from ..sim.resources import BandwidthChannel, relay_payload
 
 MONO_CHIPLET_ID = "mono-0"
 ONCHIP_AVG_WIRE_MM = 10.0
@@ -51,37 +51,31 @@ class MonolithicFabric(InterposerFabric):
             env, config.mono_dram_bandwidth_bps, name="mono-dram"
         )
         self.weight_bits_moved = 0.0
+        # Single-stage routes with no tail: a transfer ends as its last
+        # chunk clears the channel.
+        self._noc_route = (((self.noc_channel,), None),)
+        self._dram_route = (((self.dram_channel,), None),)
 
     def iter_channels(self):
         yield self.noc_channel
         yield self.dram_channel
 
-    def _chunks(self, bits: float) -> list[float]:
-        if bits <= 0:
-            return []
-        full, remainder = divmod(bits, self.chunk_bits)
-        chunks = [self.chunk_bits] * int(full)
-        if remainder > 0:
-            chunks.append(remainder)
-        return chunks
-
-    def _stream(self, channel: BandwidthChannel, bits: float):
-        for chunk in self._chunks(bits):
-            yield self.env.process(channel.transfer(chunk))
-
     def read(self, dst_chiplet: str, bits: float,
              multicast: tuple[str, ...] | None = None) -> Event:
         # On-die broadcast is native: multicast costs one stream.
         self.bits_read += bits
-        return self.env.process(self._stream(self.noc_channel, bits))
+        return relay_payload(self.env, bits, self.chunk_bits,
+                             self._noc_route)
 
     def write(self, src_chiplet: str, bits: float) -> Event:
         self.bits_written += bits
-        return self.env.process(self._stream(self.noc_channel, bits))
+        return relay_payload(self.env, bits, self.chunk_bits,
+                             self._noc_route)
 
     def read_weights(self, dst_chiplet: str, bits: float) -> Event:
         self.weight_bits_moved += bits
-        return self.env.process(self._stream(self.dram_channel, bits))
+        return relay_payload(self.env, bits, self.chunk_bits,
+                             self._dram_route)
 
     @property
     def total_bits_moved(self) -> float:

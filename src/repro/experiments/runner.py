@@ -50,12 +50,17 @@ PLATFORM_ORDER = (
 )
 """The three simulated platforms, Table 3 order."""
 
-CACHE_SCHEMA_VERSION = 2
+CACHE_SCHEMA_VERSION = 3
 """Bump whenever simulation semantics change so stale cached results
 are never served for new code.
 
 Version 2: every cell kind keys by :func:`fields_key`, so every cached
-result re-simulates once."""
+result re-simulates once.
+
+Version 3: the electrical mesh moves chunks through relay stages that
+request their channel the instant a chunk arrives, so requests tied at
+one instant queue in a new order and mesh results move (by at most
+2e-6 relative on the model zoo)."""
 
 
 # ---------------------------------------------------------------------------

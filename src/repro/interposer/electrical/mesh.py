@@ -4,7 +4,10 @@ A 2-D mesh of routers on the interposer, one router per chiplet site,
 XY (dimension-ordered) routing.  Transfers are chunked and forwarded
 store-and-forward per hop; every link and every chiplet
 injection/ejection port is a FIFO bandwidth resource, so hot spots around
-the memory chiplet queue realistically.
+the memory chiplet queue realistically.  Each route stage is one
+:class:`~repro.sim.resources.ChunkRelay`, which requests its channel at
+the instant a chunk reaches it: requests that tie at one instant queue
+in kernel firing order.
 
 Two modelling notes (see DESIGN.md, calibration):
 
@@ -21,7 +24,7 @@ from __future__ import annotations
 from ...config import PlatformConfig
 from ...power import params as ep
 from ...sim.core import Environment, Event
-from ...sim.resources import BandwidthChannel, Store
+from ...sim.resources import BandwidthChannel, relay_payload
 from ..base import DEFAULT_CHUNK_BITS, InterposerFabric, NetworkEnergyReport
 from ..topology import Floorplan
 
@@ -103,57 +106,24 @@ class ElectricalMeshFabric(InterposerFabric):
             * self.config.chiplet_pitch_mm
         )
 
-    def _chunks(self, bits: float) -> list[float]:
-        if bits <= 0:
-            return []
-        full, remainder = divmod(bits, self.chunk_bits)
-        chunks = [self.chunk_bits] * int(full)
-        if remainder > 0:
-            chunks.append(remainder)
-        return chunks
+    def _route(self, src: str, dst: str, bits: float, reading: bool
+               ) -> tuple[list[BandwidthChannel], float]:
+        """One destination's relay route and its per-hop latency tail.
 
-    def _route_proc(self, src: str, dst: str, bits: float,
-                    through_hbm_first: bool):
-        """Store-and-forward pipeline of chunks along the XY route."""
-        chunks = self._chunks(bits)
-        if not chunks:
-            return
+        The HBM port is the first stage of a read and the last of a
+        write.  Charges the payload's router hops and wire millimetres.
+        """
         route = self._xy_route(src, dst)
-        if through_hbm_first:
+        if reading:
             route = [self.hbm_channel] + route
         else:
             route = route + [self.hbm_channel]
-        hops = len(route) - (2 if through_hbm_first else 2)
-        self.hop_bits += bits * max(1, hops)
+        self.hop_bits += bits * max(1, len(route) - 2)
         self.mm_bits += bits * self.floorplan.manhattan_distance_mm(src, dst)
-
-        # Chain of stores between stages lets chunks pipeline hop-to-hop.
-        stores = [Store(self.env) for _ in range(len(route) - 1)]
-        done = self.env.event()
-
-        def stage(index: int, channel: BandwidthChannel):
-            source = stores[index - 1] if index > 0 else None
-            sink = stores[index] if index < len(stores) else None
-            def run():
-                for position in range(len(chunks)):
-                    if source is None:
-                        chunk = chunks[position]
-                    else:
-                        chunk = yield source.get()
-                    yield self.env.process(channel.transfer(chunk))
-                    if sink is not None:
-                        sink.put(chunk)
-                if index == len(route) - 1:
-                    done.succeed()
-            return run()
-
-        for index, channel in enumerate(route):
-            self.env.process(stage(index, channel))
-        yield done
-        yield self.env.timeout(
-            self._per_hop_latency_s()
-            * max(1, self.floorplan.manhattan_hops(src, dst))
+        tail_s = self._per_hop_latency_s() * max(
+            1, self.floorplan.manhattan_hops(src, dst)
         )
+        return route, tail_s
 
     # -- fabric interface -------------------------------------------------------------
 
@@ -161,25 +131,17 @@ class ElectricalMeshFabric(InterposerFabric):
              multicast: tuple[str, ...] | None = None) -> Event:
         """Memory -> chiplet(s): replicated unicasts (no native broadcast)."""
         destinations = multicast if multicast else (dst_chiplet,)
-        return self.env.process(self._read_all(destinations, bits))
-
-    def _read_all(self, destinations: tuple[str, ...], bits: float):
         self.bits_read += bits * len(destinations)
-        transfers = [
-            self.env.process(
-                self._route_proc("mem-0", destination, bits,
-                                 through_hbm_first=True)
-            )
+        return relay_payload(self.env, bits, self.chunk_bits, [
+            self._route("mem-0", destination, bits, reading=True)
             for destination in destinations
-        ]
-        yield self.env.all_of(transfers)
+        ])
 
     def write(self, src_chiplet: str, bits: float) -> Event:
         self.bits_written += bits
-        return self.env.process(
-            self._route_proc(src_chiplet, "mem-0", bits,
-                             through_hbm_first=False)
-        )
+        return relay_payload(self.env, bits, self.chunk_bits, [
+            self._route(src_chiplet, "mem-0", bits, reading=False)
+        ])
 
     # -- energy -----------------------------------------------------------------------
 

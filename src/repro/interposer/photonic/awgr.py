@@ -25,7 +25,7 @@ from ...photonics.link_budget import LinkBudget
 from ...photonics.photodetector import Photodetector
 from ...power import params as ep
 from ...sim.core import Environment, Event
-from ...sim.resources import BandwidthChannel, Store
+from ...sim.resources import BandwidthChannel, relay_payload
 from ..base import DEFAULT_CHUNK_BITS, InterposerFabric, NetworkEnergyReport
 from ..topology import Floorplan
 from .fabric import PHOTONIC_DYNAMIC_J_PER_BIT
@@ -83,6 +83,10 @@ class AWGRInterposerFabric(InterposerFabric):
         self.hbm_channel = BandwidthChannel(
             env, config.hbm_internal_bandwidth_bps, name="hbm"
         )
+        self._transfer_tail_s = (
+            config.gateway_conversion_latency_s
+            + config.gateway_protocol_overhead_s
+        )
 
     def _channel(self, src: str, dst: str) -> BandwidthChannel:
         key = (src, dst)
@@ -97,64 +101,30 @@ class AWGRInterposerFabric(InterposerFabric):
         yield self.hbm_channel
         yield from self.channels.values()
 
-    def _chunks(self, bits: float) -> list[float]:
-        if bits <= 0:
-            return []
-        full, remainder = divmod(bits, self.chunk_bits)
-        chunks = [self.chunk_bits] * int(full)
-        if remainder > 0:
-            chunks.append(remainder)
-        return chunks
-
-    def _piped(self, first: BandwidthChannel, second: BandwidthChannel,
-               bits: float):
-        """Two-stage pipeline (HBM <-> AWGR pair channel)."""
-        chunks = self._chunks(bits)
-        if not chunks:
-            return
-        buffer: Store = Store(self.env)
-        done = self.env.event()
-
-        def stage_one():
-            for chunk in chunks:
-                yield self.env.process(first.transfer(chunk))
-                buffer.put(chunk)
-
-        def stage_two():
-            for _ in range(len(chunks)):
-                chunk = yield buffer.get()
-                yield self.env.process(second.transfer(chunk))
-            done.succeed()
-
-        self.env.process(stage_one())
-        self.env.process(stage_two())
-        yield done
-        yield self.env.timeout(
-            self.config.gateway_conversion_latency_s
-            + self.config.gateway_protocol_overhead_s
-        )
-
     def read(self, dst_chiplet: str, bits: float,
              multicast: tuple[str, ...] | None = None) -> Event:
         """Memory -> chiplet(s); each destination uses its own fixed
-        wavelength slice (no shared broadcast medium)."""
+        wavelength slice (no shared broadcast medium).
+
+        Every destination is its own two-stage pipeline, HBM port ->
+        pair channel, then conversion + protocol tail; the read
+        completes once the last destination's tail has passed.
+        """
         destinations = multicast if multicast else (dst_chiplet,)
         self.bits_read += bits * len(destinations)
-        transfers = [
-            self.env.process(
-                self._piped(self.hbm_channel,
-                            self._channel("mem-0", destination), bits)
-            )
+        return relay_payload(self.env, bits, self.chunk_bits, [
+            ((self.hbm_channel, self._channel("mem-0", destination)),
+             self._transfer_tail_s)
             for destination in destinations
-        ]
-        return self.env.all_of(transfers)
+        ])
 
     def write(self, src_chiplet: str, bits: float) -> Event:
+        """Chiplet -> memory: pair channel -> HBM port, then the tail."""
         self.bits_written += bits
-        return self.env.process(
-            self._piped(self._channel(src_chiplet, "mem-0"),
-                        self.hbm_channel, bits)
-        )
+        return relay_payload(self.env, bits, self.chunk_bits, [
+            ((self._channel(src_chiplet, "mem-0"), self.hbm_channel),
+             self._transfer_tail_s)
+        ])
 
     def energy_report(self) -> NetworkEnergyReport:
         """Always-on energy: a passive AWGR cannot gate anything."""

@@ -20,7 +20,6 @@ decision to them.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -31,7 +30,7 @@ from ...photonics.laser import LaserSource
 from ...photonics.photodetector import Photodetector
 from ...power import params as ep
 from ...sim.core import Environment, Event
-from ...sim.resources import BandwidthChannel
+from ...sim.resources import BandwidthChannel, ChunkRelay, split_chunks
 from ...sim.stats import (
     EpochTrafficMonitor,
     TimeWeightedValue,
@@ -90,61 +89,6 @@ class _ChipletGateways:
         self.write_signal = TimeWeightedValue(env, float(self.n_write))
         self.read_signal = TimeWeightedValue(env, float(self.n_read))
         self.settled_scale: float | None = None
-
-
-class _ChunkRelay:
-    """One pipeline stage: chunks through a channel, handed downstream.
-
-    The callback replacement for the seed's pump/drain processes: each
-    completed chunk is recorded against the epoch monitor, delivered to
-    the next stage, and only then is the *next* queued chunk requested —
-    one chunk in flight at a time, so the private queue here never
-    occupies the channel and concurrent messages still interleave
-    chunk-by-chunk in strict channel FIFO exactly as the process
-    pipeline did.
-    """
-
-    __slots__ = ("channel", "monitor", "key", "deliver", "remaining",
-                 "on_complete", "_queue", "_busy", "_current", "_advance_cb")
-
-    def __init__(self, channel: BandwidthChannel, monitor, key, deliver,
-                 remaining: int, on_complete):
-        self.channel = channel
-        self.monitor = monitor
-        self.key = key
-        self.deliver = deliver
-        self.remaining = remaining
-        self.on_complete = on_complete
-        self._queue: deque = deque()
-        self._busy = False
-        self._current = 0.0
-        self._advance_cb = self._advance  # bind once, reuse per chunk
-
-    def feed(self, chunk: float) -> None:
-        if self._busy:
-            self._queue.append(chunk)
-            return
-        self._busy = True
-        self._current = chunk
-        self.channel.request_transfer(chunk, self._advance_cb)
-
-    def _advance(self) -> None:
-        chunk = self._current
-        # Re-request before delivering: the channel has already granted
-        # its next waiter, so this queues fairly behind other messages.
-        if self._queue:
-            nxt = self._queue.popleft()
-            self._current = nxt
-            self.channel.request_transfer(nxt, self._advance_cb)
-        else:
-            self._busy = False
-        if self.key is not None:
-            self.monitor.record(self.key, chunk)
-        if self.deliver is not None:
-            self.deliver(chunk)
-        self.remaining -= 1
-        if self.remaining == 0 and self.on_complete is not None:
-            self.on_complete()
 
 
 class PhotonicInterposerFabric(InterposerFabric):
@@ -478,16 +422,6 @@ class PhotonicInterposerFabric(InterposerFabric):
 
     # -- transfers -------------------------------------------------------------------
 
-    def _chunks(self, bits: float) -> list[float]:
-        """Split a payload into channel-granularity chunks."""
-        if bits <= 0:
-            return []
-        full, remainder = divmod(bits, self.chunk_bits)
-        chunks = [self.chunk_bits] * int(full)
-        if remainder > 0:
-            chunks.append(remainder)
-        return chunks
-
     def read(self, dst_chiplet: str, bits: float,
              multicast: tuple[str, ...] | None = None) -> Event:
         """Memory -> chiplet(s) transfer; multicast shares the SWMR stage.
@@ -502,7 +436,7 @@ class PhotonicInterposerFabric(InterposerFabric):
         destinations = multicast if multicast else (dst_chiplet,)
         self.bits_read += bits  # shared-medium payload charged once
         done = Event(self.env)
-        chunks = self._chunks(bits)
+        chunks = split_chunks(bits, self.chunk_bits)
         if not chunks:
             done.succeed()
             return done
@@ -519,7 +453,7 @@ class PhotonicInterposerFabric(InterposerFabric):
                 tail.callbacks = finish
 
         readers = [
-            _ChunkRelay(
+            ChunkRelay(
                 self.chiplet_read_channels[destination], self.monitor,
                 f"read:{destination}", None, n, destination_done,
             )
@@ -531,11 +465,11 @@ class PhotonicInterposerFabric(InterposerFabric):
             def fanout(chunk):
                 for relay in readers:
                     relay.feed(chunk)
-        writer = _ChunkRelay(
+        writer = ChunkRelay(
             self.memory_write_channel, self.monitor, "mem_read", fanout,
             n, None,
         )
-        hbm = _ChunkRelay(self.hbm_channel, None, None, writer.feed, n, None)
+        hbm = ChunkRelay(self.hbm_channel, None, None, writer.feed, n, None)
         for chunk in chunks:
             hbm.feed(chunk)
         return done
@@ -544,7 +478,7 @@ class PhotonicInterposerFabric(InterposerFabric):
         """Chiplet -> memory transfer over the chiplet's SWSR channels."""
         self.bits_written += bits
         done = Event(self.env)
-        chunks = self._chunks(bits)
+        chunks = split_chunks(bits, self.chunk_bits)
         if not chunks:
             done.succeed()
             return done
@@ -556,10 +490,10 @@ class PhotonicInterposerFabric(InterposerFabric):
             tail = self.env.timeout(self._transfer_tail_s)
             tail.callbacks = finish
 
-        hbm = _ChunkRelay(
+        hbm = ChunkRelay(
             self.hbm_channel, None, None, None, len(chunks), drained
         )
-        source = _ChunkRelay(
+        source = ChunkRelay(
             self.chiplet_write_channels[src_chiplet], self.monitor,
             f"write:{src_chiplet}", hbm.feed, len(chunks), None,
         )

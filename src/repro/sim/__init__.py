@@ -1,7 +1,7 @@
 """Discrete-event simulation kernel and shared-resource primitives."""
 
 from .core import AllOf, Environment, Event, Process, Timeout
-from .resources import BandwidthChannel, ChannelStat, Resource, Store
+from .resources import BandwidthChannel, ChannelStat, Resource
 from .stats import EpochTrafficMonitor, LatencyRecorder, TimeWeightedValue
 
 __all__ = [
@@ -13,7 +13,6 @@ __all__ = [
     "BandwidthChannel",
     "ChannelStat",
     "Resource",
-    "Store",
     "EpochTrafficMonitor",
     "LatencyRecorder",
     "TimeWeightedValue",

@@ -113,8 +113,9 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
+        # Written so that NaN fails too: it compares false to anything.
+        if not delay >= 0:
+            raise SimulationError(f"invalid timeout delay {delay!r}")
         self.env = env
         self.callbacks = None
         self._triggered = True
@@ -228,7 +229,8 @@ class AnyOf(Event):
     The value is the winning child's value.  Children that fire later
     are simply ignored — events are one-shot, so no cancellation is
     needed (but a pending child keeps its callback; never race a
-    stateful wait, e.g. a ``Store.get``, that must not stay registered).
+    stateful wait, e.g. a ``Resource.request``, that must not stay
+    registered).
     """
 
     __slots__ = ()
@@ -297,8 +299,8 @@ class Environment:
         """An event that fires ``delay`` seconds from now."""
         # Builds the Timeout inline (no __init__ frame): this factory is
         # the single hottest allocation site in every simulation.
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
+        if not delay >= 0:
+            raise SimulationError(f"invalid timeout delay {delay!r}")
         event = _timeout_new(Timeout)
         event.env = self
         event.callbacks = None

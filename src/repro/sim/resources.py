@@ -2,20 +2,23 @@
 
 * :class:`Resource` — counted semaphore with FIFO queueing; models
   routers, gateway front-ends, memory ports.
-* :class:`Store` — unbounded FIFO message queue; models buffers.
 * :class:`BandwidthChannel` — a serial transmission medium: each transfer
   occupies the channel for ``bits / bandwidth`` seconds, FIFO.  Models a
   waveguide (with its wavelength comb aggregated into one bandwidth
   figure) or an electrical link.  Bandwidth may be changed at runtime —
   that is exactly what the reconfiguration controllers do — and in-flight
   transfers are unaffected (they were admitted at the old rate).
+* :class:`ChunkRelay` — one store-and-forward pipeline stage over a
+  channel, driven by callbacks; :func:`relay_payload` chains relays
+  along routes of channels.  Every interposer fabric moves its chunks
+  this way: a chunk costs one kernel event per channel it crosses.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Generator
+from typing import Any, Deque, Sequence
 
 from ..errors import SimulationError
 from .core import Environment, Event
@@ -116,36 +119,6 @@ class Resource:
         )
 
 
-class Store:
-    """Unbounded FIFO queue of items with blocking ``get``."""
-
-    __slots__ = ("env", "_items", "_getters")
-
-    def __init__(self, env: Environment):
-        self.env = env
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Deposit an item; wakes the oldest waiting getter."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Take the oldest item; the event fires with the item as value."""
-        event = Event(self.env)
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
-
-
 class BandwidthChannel:
     """A serial channel: transfers occupy it for ``bits / bandwidth``.
 
@@ -155,9 +128,8 @@ class BandwidthChannel:
     queued transfers pick up rate changes and in-flight ones do not),
     then invokes ``fn``.  FIFO among all transfers.  This is the
     hottest path of every fabric simulation: one heap event per chunk,
-    no coroutine frame, no per-chunk resource events.  The generator
-    :meth:`transfer` API is kept for process-style callers and shares
-    the same FIFO.
+    no coroutine frame, no per-chunk resource events.  Fabrics drive it
+    through :class:`ChunkRelay` stages.
     """
 
     __slots__ = ("env", "name", "_bandwidth_bps", "_waiting", "_busy",
@@ -166,7 +138,8 @@ class BandwidthChannel:
 
     def __init__(self, env: Environment, bandwidth_bps: float,
                  name: str = "channel"):
-        if bandwidth_bps <= 0:
+        # Written so that NaN fails too: it compares false to anything.
+        if not bandwidth_bps > 0:
             raise SimulationError(
                 f"channel {name!r} bandwidth must be positive"
             )
@@ -190,7 +163,7 @@ class BandwidthChannel:
 
     def set_bandwidth(self, bandwidth_bps: float) -> None:
         """Reconfigure the channel rate (controllers call this per epoch)."""
-        if bandwidth_bps <= 0:
+        if not bandwidth_bps > 0:
             raise SimulationError(
                 f"channel {self.name!r} bandwidth must be positive"
             )
@@ -205,9 +178,8 @@ class BandwidthChannel:
     def request_transfer(self, bits: float, fn) -> None:
         """Queue one transfer; ``fn()`` runs when it completes.
 
-        The fast path for chunk pipelines: grants immediately on an
-        idle channel, otherwise queues FIFO behind every earlier
-        transfer (including :meth:`transfer`-issued ones).
+        Grants immediately on an idle channel, otherwise queues FIFO
+        behind every earlier transfer.
         """
         if bits < 0:
             raise SimulationError("cannot transfer negative bits")
@@ -241,19 +213,6 @@ class BandwidthChannel:
             self._active_fn = None
         fn()
 
-    def transfer(self, bits: float,
-                 extra_latency_s: float = 0.0) -> Generator[Event, Any, None]:
-        """Process: occupy the channel for the serialization time.
-
-        ``extra_latency_s`` (propagation, conversion) is added *after* the
-        channel is released — it is pipeline latency, not occupancy.
-        """
-        done = Event(self.env)
-        self.request_transfer(bits, done.succeed)
-        yield done
-        if extra_latency_s > 0.0:
-            yield self.env.timeout(extra_latency_s)
-
     def busy_time(self) -> float:
         """Total time the channel carried a transfer (s)."""
         total = self._busy_time
@@ -282,3 +241,118 @@ class BandwidthChannel:
             transfer_count=self.transfer_count,
             queue_length=self.queue_length,
         )
+
+
+class ChunkRelay:
+    """One pipeline stage: chunks through a channel, handed downstream.
+
+    Chunks fed to the stage cross ``channel`` one at a time, in feed
+    order.  As each completes, the stage requests its next queued chunk,
+    records the finished one against ``monitor`` under ``key`` (when a
+    key is given), hands it to ``deliver`` (when set), and calls
+    ``on_complete()`` after the last of ``remaining`` chunks.  With one
+    chunk in flight at a time, the private queue never occupies the
+    channel, and concurrent messages interleave chunk-by-chunk in strict
+    channel FIFO.  A chunk costs one kernel event: the channel's hold
+    timeout.
+    """
+
+    __slots__ = ("channel", "monitor", "key", "deliver", "remaining",
+                 "on_complete", "_queue", "_busy", "_current", "_advance_cb")
+
+    def __init__(self, channel: BandwidthChannel, monitor, key, deliver,
+                 remaining: int, on_complete):
+        self.channel = channel
+        self.monitor = monitor
+        self.key = key
+        self.deliver = deliver
+        self.remaining = remaining
+        self.on_complete = on_complete
+        self._queue: deque = deque()
+        self._busy = False
+        self._current = 0.0
+        self._advance_cb = self._advance  # bind once, reuse per chunk
+
+    def feed(self, chunk: float) -> None:
+        if self._busy:
+            self._queue.append(chunk)
+            return
+        self._busy = True
+        self._current = chunk
+        self.channel.request_transfer(chunk, self._advance_cb)
+
+    def _advance(self) -> None:
+        chunk = self._current
+        # Re-request before delivering: the channel has already granted
+        # its next waiter, so this queues fairly behind other messages.
+        if self._queue:
+            nxt = self._queue.popleft()
+            self._current = nxt
+            self.channel.request_transfer(nxt, self._advance_cb)
+        else:
+            self._busy = False
+        if self.key is not None:
+            self.monitor.record(self.key, chunk)
+        if self.deliver is not None:
+            self.deliver(chunk)
+        self.remaining -= 1
+        if self.remaining == 0 and self.on_complete is not None:
+            self.on_complete()
+
+
+def split_chunks(bits: float, chunk_bits: float) -> list[float]:
+    """Split a payload into ``chunk_bits`` chunks, the last one partial."""
+    if bits <= 0:
+        return []
+    full, remainder = divmod(bits, chunk_bits)
+    chunks = [chunk_bits] * int(full)
+    if remainder > 0:
+        chunks.append(remainder)
+    return chunks
+
+
+def relay_payload(
+    env: Environment, bits: float, chunk_bits: float,
+    routes: Sequence[tuple[Sequence[BandwidthChannel], float | None]],
+) -> Event:
+    """Carry one payload store-and-forward along every route at once.
+
+    Each route is ``(channels, tail_s)``.  The payload, split into
+    ``chunk_bits`` chunks, crosses the channels in order through one
+    :class:`ChunkRelay` per channel; once the last channel has carried
+    every chunk, the route waits ``tail_s`` more (propagation,
+    conversion) unless it is ``None``.  The returned event fires when
+    every route has finished — at once, with no tail, for an empty
+    payload.
+    """
+    done = Event(env)
+    chunks = split_chunks(bits, chunk_bits)
+    if not chunks:
+        done.succeed()
+        return done
+    n = len(chunks)
+    if len(routes) == 1:
+        arrived = done.succeed
+    else:
+        pending = [len(routes)]
+
+        def arrived():
+            pending[0] -= 1
+            if pending[0] == 0:
+                done.succeed()
+
+    def fire(_event: Event) -> None:
+        arrived()
+
+    for channels, tail_s in routes:
+        if tail_s is None:
+            drained = arrived
+        else:
+            def drained(tail_s=tail_s):
+                env.timeout(tail_s).callbacks = fire
+        stage = ChunkRelay(channels[-1], None, None, None, n, drained)
+        for channel in reversed(channels[:-1]):
+            stage = ChunkRelay(channel, None, None, stage.feed, n, None)
+        for chunk in chunks:
+            stage.feed(chunk)
+    return done

@@ -94,6 +94,14 @@ def _check_fields(cls: type, data: Mapping[str, Any], where: str) -> None:
         )
 
 
+def _reject_constant(literal: str) -> None:
+    """``json.loads`` hook for the non-standard ``NaN``/``Infinity``
+    literals: every ``<= 0`` guard in the specs would let NaN through."""
+    raise SpecError(
+        f"spec JSON contains {literal}; every number must be finite"
+    )
+
+
 def _build(cls: type, kwargs: dict[str, Any], where: str):
     """Construct a spec dataclass, translating failures to SpecError."""
     try:
@@ -1313,7 +1321,7 @@ class StudySpec:
     @classmethod
     def from_json(cls, text: str) -> "StudySpec":
         try:
-            data = json.loads(text)
+            data = json.loads(text, parse_constant=_reject_constant)
         except json.JSONDecodeError as error:
             raise SpecError(f"spec is not valid JSON: {error}") from None
         return cls.from_dict(data)

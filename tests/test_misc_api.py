@@ -130,7 +130,7 @@ class TestMiscContracts:
     def test_channel_queue_length(self):
         env = Environment()
         channel = BandwidthChannel(env, 1.0)
-        env.process(channel.transfer(10.0))
-        env.process(channel.transfer(10.0))
+        channel.request_transfer(10.0, lambda: None)
+        channel.request_transfer(10.0, lambda: None)
         env.run(until=1.0)
         assert channel.queue_length >= 1

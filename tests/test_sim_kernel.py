@@ -5,8 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.core import Environment, Event
-from repro.sim.resources import BandwidthChannel, Resource, Store
+from repro.sim.core import Environment, Event, Timeout
+from repro.sim.resources import BandwidthChannel, Resource
 from repro.sim.stats import (
     EpochTrafficMonitor,
     LatencyRecorder,
@@ -56,6 +56,15 @@ class TestEnvironment:
         env = Environment()
         with pytest.raises(SimulationError):
             env.timeout(-1.0)
+
+    def test_nan_timeout_rejected(self):
+        # NaN would otherwise land in the heap and set the clock to NaN.
+        env = Environment()
+        with pytest.raises(SimulationError):
+            env.timeout(float("nan"))
+        with pytest.raises(SimulationError):
+            Timeout(env, float("nan"))
+        assert env.run() == 0.0
 
     def test_process_return_value(self):
         env = Environment()
@@ -412,54 +421,6 @@ class TestResource:
             Resource(Environment(), capacity=0)
 
 
-class TestStore:
-    def test_put_then_get(self):
-        env = Environment()
-        store = Store(env)
-        store.put("x")
-
-        def getter():
-            item = yield store.get()
-            return item
-
-        proc = env.process(getter())
-        env.run()
-        assert proc.value == "x"
-
-    def test_get_blocks_until_put(self):
-        env = Environment()
-        store = Store(env)
-
-        def getter():
-            item = yield store.get()
-            return (env.now, item)
-
-        def putter():
-            yield env.timeout(2.0)
-            store.put("late")
-
-        proc = env.process(getter())
-        env.process(putter())
-        env.run()
-        assert proc.value == (2.0, "late")
-
-    def test_fifo_ordering(self):
-        env = Environment()
-        store = Store(env)
-        store.put(1)
-        store.put(2)
-        got = []
-
-        def getter():
-            got.append((yield store.get()))
-            got.append((yield store.get()))
-
-        env.process(getter())
-        env.run()
-        assert got == [1, 2]
-        assert len(store) == 0
-
-
 class TestBandwidthChannel:
     def test_serialization_time(self):
         env = Environment()
@@ -469,30 +430,13 @@ class TestBandwidthChannel:
     def test_transfer_occupies_channel(self):
         env = Environment()
         channel = BandwidthChannel(env, bandwidth_bps=100.0)
-
-        def sender(bits):
-            yield env.process(channel.transfer(bits))
-            return env.now
-
-        first = env.process(sender(100.0))   # 1 s
-        second = env.process(sender(200.0))  # then 2 s more
+        finished = []
+        channel.request_transfer(100.0, lambda: finished.append(env.now))
+        channel.request_transfer(200.0, lambda: finished.append(env.now))
         env.run()
-        assert first.value == pytest.approx(1.0)
-        assert second.value == pytest.approx(3.0)
+        assert finished == pytest.approx([1.0, 3.0])  # 1 s, then 2 s more
         assert channel.bits_transferred == pytest.approx(300.0)
         assert channel.transfer_count == 2
-
-    def test_extra_latency_after_release(self):
-        env = Environment()
-        channel = BandwidthChannel(env, bandwidth_bps=100.0)
-
-        def sender():
-            yield env.process(channel.transfer(100.0, extra_latency_s=0.5))
-            return env.now
-
-        proc = env.process(sender())
-        env.run()
-        assert proc.value == pytest.approx(1.5)
 
     def test_bandwidth_reconfiguration(self):
         env = Environment()
@@ -508,6 +452,15 @@ class TestBandwidthChannel:
         with pytest.raises(SimulationError):
             channel.set_bandwidth(-1.0)
 
+    def test_nan_bandwidth_rejected(self):
+        env = Environment()
+        with pytest.raises(SimulationError):
+            BandwidthChannel(env, bandwidth_bps=float("nan"))
+        channel = BandwidthChannel(env, 1.0)
+        with pytest.raises(SimulationError):
+            channel.set_bandwidth(float("nan"))
+        assert channel.bandwidth_bps == 1.0
+
     def test_negative_bits_rejected(self):
         env = Environment()
         channel = BandwidthChannel(env, 1.0)
@@ -519,12 +472,8 @@ class TestBandwidthChannel:
     def test_total_time_is_sum_of_serializations(self, sizes):
         env = Environment()
         channel = BandwidthChannel(env, bandwidth_bps=1e3)
-
-        def sender(bits):
-            yield env.process(channel.transfer(bits))
-
         for bits in sizes:
-            env.process(sender(bits))
+            channel.request_transfer(bits, lambda: None)
         env.run()
         assert env.now == pytest.approx(sum(sizes) / 1e3)
 

@@ -192,6 +192,20 @@ class TestValidation:
         with pytest.raises(SpecError, match="JSON"):
             StudySpec.from_json("{not json")
 
+    @pytest.mark.parametrize("section, name, literal", [
+        ("workload", "rate_rps", "NaN"),
+        ("platform", "controller_epoch_s", "NaN"),
+        ("workload", "duration_s", "Infinity"),
+    ])
+    def test_non_finite_json_literals_rejected(self, section, name,
+                                               literal):
+        data = rich_spec().to_dict()
+        data[section][name] = "@"
+        text = json.dumps(data)
+        StudySpec.from_json(text.replace('"@"', "1e-3"))  # finite: fine
+        with pytest.raises(SpecError, match=literal):
+            StudySpec.from_json(text.replace('"@"', literal))
+
 
 class TestOverridesAndExpansion:
     def test_override_nested_field(self):
