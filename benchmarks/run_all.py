@@ -4,7 +4,7 @@
 Runs the pytest-benchmark suite when pytest-benchmark is installed
 (statistically robust medians), falling back to the inline
 :mod:`repro.bench` runner otherwise, and writes a machine-readable
-baseline of median ns/op per microbenchmark::
+baseline of median ns/op and kernel insertions per microbenchmark::
 
     python benchmarks/run_all.py                 # writes ./BENCH_sim.json
     python benchmarks/run_all.py --output out.json --repeats 9
@@ -29,6 +29,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.bench import (  # noqa: E402
     BASELINE_FILENAME,
     MICROBENCHMARKS,
+    count_insertions,
     render_suite,
     run_suite,
     write_baseline,
@@ -86,12 +87,17 @@ def main(argv: list[str] | None = None) -> int:
 
     medians = None if args.inline else _pytest_benchmark_medians()
     source = "pytest-benchmark"
+    insertions: dict[str, int] = {}
     if medians is None:
-        medians = run_suite(repeats=args.repeats)
+        medians = run_suite(repeats=args.repeats, insertions=insertions)
         source = "repro.bench"
+    else:
+        for name in medians:
+            insertions[name] = count_insertions(MICROBENCHMARKS[name]())
 
-    write_baseline(medians, args.output, source=source)
-    print(render_suite(medians))
+    write_baseline(medians, args.output, source=source,
+                   insertions=insertions)
+    print(render_suite(medians, insertions=insertions))
     print(f"\nwrote {args.output} ({source}, {len(medians)} benchmarks)")
     return 0
 

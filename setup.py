@@ -1,8 +1,8 @@
 """Package definition for the DATE 2023 chiplet-photonics reproduction.
 
-The core simulator is pure stdlib; numpy is only needed for the
-functional (analog) MAC-unit models and the microbenchmark that
-exercises them, so it ships as an extra alongside the test/bench
+numpy is a hard dependency: the arrival processes, the analytic and
+fluid-fidelity models, the resilience layer and the hazard engine
+import it at module top.  The extras add the test and benchmark
 tooling.
 """
 
@@ -21,11 +21,10 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=[],
+    install_requires=["numpy"],
     extras_require={
-        "functional": ["numpy"],
-        "bench": ["pytest", "pytest-benchmark", "numpy"],
-        "test": ["pytest", "hypothesis", "numpy"],
+        "bench": ["pytest", "pytest-benchmark"],
+        "test": ["pytest", "hypothesis"],
     },
     entry_points={
         "console_scripts": [

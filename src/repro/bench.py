@@ -8,14 +8,20 @@ needed.  ``python -m repro bench --check`` compares the inline medians
 against the committed ``BENCH_sim.json`` baseline and fails when a
 benchmark has regressed more than :data:`REGRESSION_FACTOR`, so the
 perf trajectory of the DES kernel is guarded across PRs.
+
+The baseline also holds each body's kernel insertions: the sum of
+``Environment._sequence`` over every environment one call of the body
+creates.  That count is exact and the same on every run, so ``--check``
+fails on any body whose count rises above its committed value.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 BASELINE_FILENAME = "BENCH_sim.json"
 """Committed baseline written by ``benchmarks/run_all.py``."""
@@ -619,6 +625,33 @@ def measure_ns(run: Callable[[], object], repeats: int = 5,
     return samples[len(samples) // 2] * 1e9
 
 
+@contextmanager
+def _tracking_environments() -> Iterator[list]:
+    """Collect every :class:`Environment` created inside the block."""
+    from .sim.core import Environment
+
+    created = []
+    original = Environment.__init__
+
+    def tracking_init(env, *args, **kwargs):
+        original(env, *args, **kwargs)
+        created.append(env)
+
+    Environment.__init__ = tracking_init
+    try:
+        yield created
+    finally:
+        Environment.__init__ = original
+
+
+def count_insertions(run: Callable[[], object]) -> int:
+    """Kernel insertions of one ``run()`` call, over every environment
+    it creates."""
+    with _tracking_environments() as created:
+        run()
+    return sum(env._sequence for env in created)
+
+
 def select_benchmarks(substring: str) -> tuple[str, ...]:
     """Benchmark names containing ``substring`` (the ``--only`` filter).
 
@@ -640,13 +673,21 @@ def select_benchmarks(substring: str) -> tuple[str, ...]:
     return names
 
 
-def run_suite(names: tuple[str, ...] | None = None,
-              repeats: int = 5) -> dict[str, float]:
-    """Time the microbenchmarks inline; returns name -> median ns/op."""
+def run_suite(names: tuple[str, ...] | None = None, repeats: int = 5,
+              insertions: dict[str, int] | None = None) -> dict[str, float]:
+    """Time the microbenchmarks inline; returns name -> median ns/op.
+
+    Each body's warm-up call counts its kernel insertions, stored into
+    ``insertions`` when one is given.
+    """
     selected = names or tuple(MICROBENCHMARKS)
     medians = {}
     for name in selected:
-        medians[name] = measure_ns(MICROBENCHMARKS[name](), repeats=repeats)
+        run = MICROBENCHMARKS[name]()
+        count = count_insertions(run)
+        if insertions is not None:
+            insertions[name] = count
+        medians[name] = measure_ns(run, repeats=repeats, warmup=0)
     return medians
 
 
@@ -656,27 +697,44 @@ def run_suite(names: tuple[str, ...] | None = None,
 
 
 def write_baseline(medians: dict[str, float], path: str | Path,
-                   source: str = "repro.bench") -> None:
-    """Write a BENCH_sim.json baseline."""
+                   source: str = "repro.bench",
+                   insertions: dict[str, int] | None = None) -> None:
+    """Write a BENCH_sim.json baseline (insertions beside the medians)."""
+    insertions = insertions or {}
+    benchmarks = {}
+    for name, median in sorted(medians.items()):
+        benchmarks[name] = {"median_ns": median}
+        if name in insertions:
+            benchmarks[name]["insertions"] = insertions[name]
     payload = {
         "schema": BASELINE_SCHEMA_VERSION,
         "source": source,
         "unit": "ns/op (median)",
-        "benchmarks": {
-            name: {"median_ns": median}
-            for name, median in sorted(medians.items())
-        },
+        "benchmarks": benchmarks,
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n",
                           encoding="utf-8")
 
 
+def _baseline_entries(path: str | Path) -> dict[str, dict]:
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    return payload.get("benchmarks", {})
+
+
 def load_baseline(path: str | Path) -> dict[str, float]:
     """Read a baseline; returns name -> median ns/op."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
     return {
         name: float(entry["median_ns"])
-        for name, entry in payload.get("benchmarks", {}).items()
+        for name, entry in _baseline_entries(path).items()
+    }
+
+
+def load_insertions(path: str | Path) -> dict[str, int]:
+    """Read a baseline's kernel insertion counts; returns name -> count."""
+    return {
+        name: int(entry["insertions"])
+        for name, entry in _baseline_entries(path).items()
+        if "insertions" in entry
     }
 
 
@@ -704,17 +762,35 @@ def check_against_baseline(
     return failures
 
 
+def check_insertions(counts: dict[str, int],
+                     baseline: dict[str, int]) -> list[str]:
+    """Report lines for bodies whose kernel insertions exceed the
+    baseline's; names missing from either mapping are skipped."""
+    return [
+        f"{name}: {count} kernel insertions vs baseline "
+        f"{baseline[name]} (+{count - baseline[name]})"
+        for name, count in counts.items()
+        if name in baseline and count > baseline[name]
+    ]
+
+
 def render_suite(medians: dict[str, float],
-                 baseline: dict[str, float] | None = None) -> str:
-    """Text table of measured medians (and ratios when given a baseline)."""
+                 baseline: dict[str, float] | None = None,
+                 insertions: dict[str, int] | None = None) -> str:
+    """Text table of measured medians (and ratios when given a baseline,
+    and kernel insertions when given counts)."""
     lines = [
         f"{'benchmark':<42}{'median':>12}"
-        + ("{:>12}".format("vs base") if baseline else ""),
-        "-" * (54 + (12 if baseline else 0)),
+        + ("{:>12}".format("vs base") if baseline else "")
+        + ("{:>12}".format("insertions") if insertions else ""),
+        "-" * (54 + (12 if baseline else 0) + (12 if insertions else 0)),
     ]
     for name, median in medians.items():
         row = f"{name:<42}{median / 1e6:>10.2f}ms"
-        if baseline and baseline.get(name):
-            row += f"{median / baseline[name]:>11.2f}x"
+        if baseline:
+            row += (f"{median / baseline[name]:>11.2f}x"
+                    if baseline.get(name) else " " * 12)
+        if insertions and name in insertions:
+            row += f"{insertions[name]:>12}"
         lines.append(row)
     return "\n".join(lines)

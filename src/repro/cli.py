@@ -372,12 +372,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         except ReproError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
-    medians = bench.run_suite(names=names, repeats=args.repeats)
+    insertions: dict[str, int] = {}
+    medians = bench.run_suite(names=names, repeats=args.repeats,
+                              insertions=insertions)
     baseline = None
     baseline_path = Path(args.baseline)
     if baseline_path.exists():
         baseline = bench.load_baseline(baseline_path)
-    print(bench.render_suite(medians, baseline))
+    print(bench.render_suite(medians, baseline, insertions))
     if not args.check:
         return 0
     if baseline is None:
@@ -388,6 +390,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
         return 2
     failures = bench.check_against_baseline(medians, baseline)
+    failures += bench.check_insertions(
+        insertions, bench.load_insertions(baseline_path)
+    )
     if failures:
         print("\nPERF REGRESSION:")
         for line in failures:
@@ -395,7 +400,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 1
     print(
         f"\nperf check OK: all benchmarks within "
-        f"{bench.REGRESSION_FACTOR:.1f}x of baseline"
+        f"{bench.REGRESSION_FACTOR:.1f}x of baseline, no kernel "
+        "insertion count above it"
     )
     return 0
 
@@ -534,7 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--check", action="store_true",
-        help="fail (exit 1) if any benchmark regressed >2x vs baseline",
+        help="fail (exit 1) if any benchmark regressed >2x vs baseline "
+             "or makes more kernel insertions than it records",
     )
     bench.add_argument(
         "--baseline", default="BENCH_sim.json", metavar="PATH",

@@ -12,11 +12,11 @@ layer, with the dataflow of Section V:
    writes land and its weights are present.
 
 Execution is **request-scoped**: a :class:`RequestExecution` drives one
-(batched) inference as an ordinary simulation process, so any number of
-requests can be in flight concurrently over one shared fabric — that is
-what the serving layer (:mod:`repro.serving`) does.  The classic
-single-inference :class:`InferenceEngine` is the trivial one-request
-case and produces bit-identical results to the pre-serving engine.
+(batched) inference as a chain of kernel callbacks — no process, no
+barrier events — so any number of requests can be in flight
+concurrently over one shared fabric, which is what the serving layer
+(:mod:`repro.serving`) does.  The classic single-inference
+:class:`InferenceEngine` is the trivial one-request case.
 
 Each execution records per-layer timings and the lane-operation counts
 the energy model needs into an :class:`ExecutionTrace`; concurrent
@@ -26,18 +26,16 @@ requests may share one trace (operation counters simply accumulate).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from ..config import PlatformConfig
 from ..errors import SimulationError
 from ..interposer.base import InterposerFabric
-from ..mapping.mapper import LayerMapping, ModelMapping
-from ..sim.core import Environment, Event, Process
+from ..mapping.mapper import Allocation, LayerMapping, ModelMapping
+from ..mapping.residency import WeightResidency, fetch_layer_weights
+from ..sim.core import Environment, Event
 from ..sim.resources import ChannelStat, Resource
 from .metrics import LayerTiming
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from ..mapping.residency import WeightResidency
 
 
 @dataclass
@@ -127,6 +125,61 @@ class ComputeOccupancy:
         ) / len(self._resources)
 
 
+class _Share:
+    """One chiplet's work share of the current layer, as a callback chain.
+
+    MAC grant -> compute timeout -> input arrival -> output write; each
+    step is the callback of the one before, and the last one ticks the
+    execution's layer countdown.
+    """
+
+    __slots__ = ("execution", "alloc", "occupancy", "compute_s")
+
+    def __init__(self, execution: "RequestExecution", alloc: Allocation,
+                 occupancy: Resource | None, compute_s: float):
+        self.execution = execution
+        self.alloc = alloc
+        self.occupancy = occupancy
+        self.compute_s = compute_s
+
+    def granted(self) -> None:
+        self.execution.env.timeout(self.compute_s).callbacks = self.computed
+
+    def computed(self, _event: Event) -> None:
+        # Streaming: compute completes when both its own duration has
+        # elapsed and the input stream has fully arrived.
+        input_done = self.execution._input_done
+        if input_done._processed:
+            self.arrived(input_done)
+        else:
+            input_done._add_callback(self.arrived)
+
+    def arrived(self, _event: Event) -> None:
+        execution = self.execution
+        alloc = self.alloc
+        if self.occupancy is not None:
+            self.occupancy.release()
+        now = execution.env.now
+        if now > execution._compute_done_s:
+            execution._compute_done_s = now
+        batch_size = execution.batch_size
+        trace = execution.trace
+        kind = alloc.kind
+        trace.lane_ops_by_kind[kind] = (
+            trace.lane_ops_by_kind.get(kind, 0) + alloc.lane_ops * batch_size
+        )
+        trace.vector_ops_by_kind[kind] = (
+            trace.vector_ops_by_kind.get(kind, 0)
+            + alloc.vector_ops * batch_size
+        )
+        if alloc.output_bits > 0:
+            execution.fabric.write(
+                alloc.chiplet_id, alloc.output_bits * batch_size
+            )._add_callback(execution._share_done)
+        else:
+            execution._share_done()
+
+
 class RequestExecution:
     """One in-flight (batched) inference request over a shared fabric.
 
@@ -134,6 +187,12 @@ class RequestExecution:
     on the instance, so any number of executions can run concurrently in
     a single :class:`Environment` over one :class:`InterposerFabric` —
     contention between them emerges from the fabric's shared channels.
+
+    The execution is a callback state machine with no process of its
+    own: a layer starts once its weights are present, runs one
+    :class:`_Share` per allocation, and ends when a countdown of those
+    shares reaches zero; the event :meth:`start` returns fires after
+    the last layer.
 
     ``residency`` (optional) makes weights **model-resident**: the first
     request for a model fetches each layer's weights once and every
@@ -152,7 +211,7 @@ class RequestExecution:
         trace: ExecutionTrace,
         mac_rate_hz: float | None = None,
         batch_size: int = 1,
-        residency: "WeightResidency | None" = None,
+        residency: WeightResidency | None = None,
         compute: ComputeOccupancy | None = None,
         model_name: str = "",
         record_timings: bool = True,
@@ -177,10 +236,27 @@ class RequestExecution:
         # telemetry policy); ``None`` costs one comparison per layer.
         self.obs = obs
         self.obs_track = obs_track
+        # Run state: the current layer, the weight barrier of the layer
+        # opening next, the current input read, the shares still
+        # running and the current layer's timeline marks.
+        self._layers = mapping.layers
+        self._index = 0
+        self._weights: Event | None = None
+        self._input_done: Event | None = None
+        self._pending = 0
+        self._start_s = 0.0
+        self._compute_done_s = 0.0
+        self._done: Event | None = None
 
-    def start(self) -> Process:
-        """Launch the execution; the returned process fires on completion."""
-        return self.env.process(self._run_proc())
+    def start(self) -> Event:
+        """Launch the execution; the returned event fires on completion."""
+        done = self._done = Event(self.env)
+        layers = self._layers
+        if not layers:
+            return done.succeed()
+        self._weights = self._fetch_weights(layers[0])
+        self._await_weights()
+        return done
 
     # -- internals ------------------------------------------------------------------
 
@@ -188,138 +264,115 @@ class RequestExecution:
         """Weight-transfer barrier for one layer.
 
         Resident mode delegates to the residency store (fetch once per
-        model, share the barrier); otherwise unicast transfers for every
-        allocation are issued directly.
+        model, share the barrier); otherwise the execution fetches the
+        layer's weights itself.
         """
         if self.residency is not None:
             return self.residency.acquire(
                 self.model_name, layer_mapping, self.fabric
             )
-        transfers = [
-            self.fabric.read_weights(alloc.chiplet_id, alloc.weight_bits)
-            for alloc in layer_mapping.allocations
-            if alloc.weight_bits > 0
-        ]
-        return self.env.all_of(transfers)
+        return fetch_layer_weights(self.fabric, layer_mapping)
 
-    def _run_proc(self):
-        layers = list(self.mapping)
-        if not layers:
-            return
-        weights_ready: list[Event | None] = [None] * len(layers)
-        weights_ready[0] = self._fetch_weights(layers[0])
-
-        for index, layer_mapping in enumerate(layers):
-            start = self.env.now
-            if self.obs is not None:
-                self.obs.begin(
-                    self.obs_track,
-                    f"weights:{layer_mapping.layer.name}",
-                )
-            yield weights_ready[index]
-            if self.obs is not None:
-                self.obs.end(self.obs_track)
-            # Prefetch the next layer's weights concurrently.
-            if index + 1 < len(layers):
-                weights_ready[index + 1] = self._fetch_weights(
-                    layers[index + 1]
-                )
-
-            # Input activations: one multicast read to all host chiplets.
-            # Layer-major batching: the whole batch's activations stream
-            # while the layer's weights stay resident (fetched once).
-            input_done = self.fabric.read(
-                layer_mapping.chiplet_ids[0],
-                layer_mapping.layer.input_bits * self.batch_size,
-                multicast=layer_mapping.chiplet_ids,
+    def _await_weights(self) -> None:
+        """Open the current layer: wait for its weights, then run it."""
+        self._start_s = self.env.now
+        if self.obs is not None:
+            self.obs.begin(
+                self.obs_track,
+                f"weights:{self._layers[self._index].layer.name}",
             )
+        ready = self._weights
+        if ready._processed:
+            self._run_layer(ready)
+        else:
+            ready._add_callback(self._run_layer)
 
-            input_ready_holder = [0.0]
-            compute_done_holder = [0.0]
-            chiplet_events = [
-                self.env.process(
-                    self._chiplet_proc(
-                        alloc, input_done, input_ready_holder,
-                        compute_done_holder
-                    )
-                )
-                for alloc in layer_mapping.allocations
-            ]
-            if self.obs is not None:
-                self.obs.begin(
-                    self.obs_track,
-                    f"layer:{layer_mapping.layer.name}",
-                    args={"chiplets": len(layer_mapping.allocations)},
-                )
-            yield self.env.all_of(chiplet_events)
-            if self.obs is not None:
-                self.obs.end(self.obs_track)
+    def _run_layer(self, _event: Event) -> None:
+        if self.obs is not None:
+            self.obs.end(self.obs_track)
+        index = self._index
+        layers = self._layers
+        layer_mapping = layers[index]
+        # Prefetch the next layer's weights concurrently.
+        if index + 1 < len(layers):
+            self._weights = self._fetch_weights(layers[index + 1])
 
-            if self.record_timings:
-                self.trace.layer_timings.append(
-                    LayerTiming(
-                        name=layer_mapping.layer.name,
-                        start_s=start,
-                        input_ready_s=input_ready_holder[0],
-                        compute_done_s=compute_done_holder[0],
-                        end_s=self.env.now,
-                        chiplets=layer_mapping.chiplet_ids,
-                        vector_ops=layer_mapping.total_vector_ops,
-                    )
-                )
-
-    def _chiplet_proc(self, alloc, input_done: Event, input_ready_holder,
-                      compute_done_holder):
-        """One chiplet's share: wait for data, compute, write back."""
-        compute_s = (
-            alloc.vector_ops * self.batch_size
-            / (alloc.n_macs * self.mac_rate_hz)
+        # Input activations: one multicast read to all host chiplets.
+        # Layer-major batching: the whole batch's activations stream
+        # while the layer's weights stay resident (fetched once).
+        chiplet_ids = layer_mapping.chiplet_ids
+        self._input_done = self.fabric.read(
+            chiplet_ids[0],
+            layer_mapping.layer.input_bits * self.batch_size,
+            multicast=chiplet_ids,
         )
-        if self.compute is not None and self.compute.mac_fraction < 1.0:
-            # Compute-side hazard: the MAC arrays sustain only a
-            # fraction of nominal throughput while degraded.
-            compute_s /= self.compute.mac_fraction
-        if self.compute is not None:
+        self._compute_done_s = 0.0
+        allocations = layer_mapping.allocations
+        self._pending = len(allocations)
+        compute = self.compute
+        for alloc in allocations:
+            compute_s = (
+                alloc.vector_ops * self.batch_size
+                / (alloc.n_macs * self.mac_rate_hz)
+            )
+            if compute is None:
+                _Share(self, alloc, None, compute_s).granted()
+                continue
+            if compute.mac_fraction < 1.0:
+                # Compute-side hazard: the MAC arrays sustain only a
+                # fraction of nominal throughput while degraded.
+                compute_s /= compute.mac_fraction
             # Concurrent-request mode: the chiplet's MAC array works on
             # one request's layer share at a time.  The occupancy spans
             # the streaming window (max of input arrival and compute),
             # the same interval the one-request timeline attributes to
             # the chiplet.
-            occupancy = self.compute.resource(alloc.chiplet_id)
-            yield occupancy.request()
-            yield self.env.timeout(compute_s)
-            if not input_done.processed:
-                yield input_done
-            occupancy.release()
-        else:
-            # Streaming: compute completes when both its own duration
-            # has elapsed and the input stream has fully arrived.
-            yield self.env.timeout(compute_s)
-            if not input_done.processed:
-                yield input_done
-        input_ready_holder[0] = max(input_ready_holder[0], self.env.now)
-        compute_done_holder[0] = max(compute_done_holder[0], self.env.now)
-        kind = alloc.kind
-        self.trace.lane_ops_by_kind[kind] = (
-            self.trace.lane_ops_by_kind.get(kind, 0)
-            + alloc.lane_ops * self.batch_size
-        )
-        self.trace.vector_ops_by_kind[kind] = (
-            self.trace.vector_ops_by_kind.get(kind, 0)
-            + alloc.vector_ops * self.batch_size
-        )
-        if alloc.output_bits > 0:
-            yield self.fabric.write(
-                alloc.chiplet_id, alloc.output_bits * self.batch_size
+            occupancy = compute.resource(alloc.chiplet_id)
+            share = _Share(self, alloc, occupancy, compute_s)
+            occupancy.acquire(share.granted)
+        if self.obs is not None:
+            self.obs.begin(
+                self.obs_track,
+                f"layer:{layer_mapping.layer.name}",
+                args={"chiplets": len(allocations)},
             )
+
+    def _share_done(self, _event: Event | None = None) -> None:
+        """Count one share out; the last one closes the layer."""
+        self._pending -= 1
+        if self._pending:
+            return
+        if self.obs is not None:
+            self.obs.end(self.obs_track)
+        index = self._index
+        if self.record_timings:
+            layer_mapping = self._layers[index]
+            self.trace.layer_timings.append(
+                # A share's compute ends only once its input has
+                # arrived, so the layer's two marks coincide.
+                LayerTiming(
+                    name=layer_mapping.layer.name,
+                    start_s=self._start_s,
+                    input_ready_s=self._compute_done_s,
+                    compute_done_s=self._compute_done_s,
+                    end_s=self.env.now,
+                    chiplets=layer_mapping.chiplet_ids,
+                    vector_ops=layer_mapping.total_vector_ops,
+                )
+            )
+        if index + 1 == len(self._layers):
+            self._done.succeed()
+            return
+        self._index = index + 1
+        self._await_weights()
 
 
 class InferenceEngine:
     """Drives one inference through the fabric: the one-request case.
 
     Thin wrapper over :class:`RequestExecution` kept for the classic
-    single-inference experiments; results are bit-identical to running
-    the execution directly (it is the same process body).
+    single-inference experiments: one execution with no residency
+    store and no compute arbitration, run until it completes.
     """
 
     def __init__(

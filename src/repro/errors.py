@@ -19,8 +19,11 @@ class ConfigurationError(ReproError):
     """An architecture or device configuration is invalid or inconsistent."""
 
 
-def did_you_mean(name: str, known: Iterable[str]) -> tuple[str, ...]:
-    """Close matches for a mistyped name among the registered ones."""
+def did_you_mean(name: object, known: Iterable[str]) -> tuple[str, ...]:
+    """Close matches for a mistyped name among the registered ones
+    (none when the name is not a string at all, e.g. a JSON number)."""
+    if not isinstance(name, str):
+        return ()
     return tuple(
         difflib.get_close_matches(name, list(known), n=3, cutoff=0.4)
     )
@@ -37,7 +40,7 @@ class UnknownNameError(ConfigurationError, KeyError):
     name) and a did-you-mean suggestion list for error messages.
     """
 
-    def __init__(self, kind: str, name: str, known: Sequence[str],
+    def __init__(self, kind: str, name: object, known: Sequence[str],
                  registry: str | None = None):
         self.kind = kind
         self.name = name

@@ -443,14 +443,10 @@ class PhotonicInterposerFabric(InterposerFabric):
         n = len(chunks)
         pending = [len(destinations)]
 
-        def finish(_event):
-            done.succeed()
-
         def destination_done():
             pending[0] -= 1
             if pending[0] == 0:
-                tail = self.env.timeout(self._transfer_tail_s)
-                tail.callbacks = finish
+                done.succeed_after(self._transfer_tail_s)
 
         readers = [
             ChunkRelay(
@@ -483,12 +479,8 @@ class PhotonicInterposerFabric(InterposerFabric):
             done.succeed()
             return done
 
-        def finish(_event):
-            done.succeed()
-
         def drained():
-            tail = self.env.timeout(self._transfer_tail_s)
-            tail.callbacks = finish
+            done.succeed_after(self._transfer_tail_s)
 
         hbm = ChunkRelay(
             self.hbm_channel, None, None, None, len(chunks), drained

@@ -35,6 +35,17 @@ from ..sim.core import Environment, Event
 from .mapper import LayerMapping
 
 
+def fetch_layer_weights(fabric: InterposerFabric,
+                        layer_mapping: LayerMapping) -> Event:
+    """Stream one layer's weights to its chiplets; the returned barrier
+    fires once every allocation's transfer has landed."""
+    return fabric.env.all_of([
+        fabric.read_weights(alloc.chiplet_id, alloc.weight_bits)
+        for alloc in layer_mapping.allocations
+        if alloc.weight_bits > 0
+    ])
+
+
 class WeightResidency:
     """Per-model resident-weight store shared by in-flight requests."""
 
@@ -136,12 +147,7 @@ class WeightResidency:
             alloc.weight_bits for alloc in layer_mapping.allocations
         ))
         self._make_room(model_name, layer_bits)
-        transfers = [
-            fabric.read_weights(alloc.chiplet_id, alloc.weight_bits)
-            for alloc in layer_mapping.allocations
-            if alloc.weight_bits > 0
-        ]
-        barrier = fabric.env.all_of(transfers)
+        barrier = fetch_layer_weights(fabric, layer_mapping)
         self._barriers[key] = barrier
         self._bits[model_name] = (
             self._bits.get(model_name, 0.0) + layer_bits

@@ -84,6 +84,28 @@ class Event:
         env._immediate.append((env._sequence, self))
         return self
 
+    def succeed_after(self, delay: float, value: Any = None) -> "Event":
+        """Trigger the event to fire ``delay`` seconds from now.
+
+        One kernel insertion where a timeout whose callback calls
+        :meth:`succeed` costs two; the event counts as triggered at
+        once.  A zero delay queues it exactly like :meth:`succeed`.
+        """
+        if self._triggered:
+            raise SimulationError("event already triggered")
+        # Written so that NaN fails too: it compares false to anything.
+        if not delay >= 0:
+            raise SimulationError(f"invalid delay {delay!r}")
+        self._value = value
+        self._triggered = True
+        env = self.env
+        seq = env._sequence = env._sequence + 1
+        if delay == 0.0:
+            env._immediate.append((seq, self))
+        else:
+            _heappush(env._queue, (env._now + delay, seq, self))
+        return self
+
     def _fire(self) -> None:
         """Run callbacks; called by the environment at the scheduled time."""
         self._processed = True
@@ -228,9 +250,9 @@ class AnyOf(Event):
 
     The value is the winning child's value.  Children that fire later
     are simply ignored — events are one-shot, so no cancellation is
-    needed (but a pending child keeps its callback; never race a
-    stateful wait, e.g. a ``Resource.request``, that must not stay
-    registered).
+    needed.  A losing child keeps its callback, so never race a wait
+    that takes something when it fires: a ``Resource.request`` that
+    loses still holds its slot once granted, and nothing releases it.
     """
 
     __slots__ = ()
@@ -283,11 +305,11 @@ class Environment:
         return self._now
 
     # NOTE: there is deliberately no generic _schedule() helper — the
-    # three scheduling sites (succeed, Timeout, timeout()) inline the
-    # immediate-vs-heap dispatch because the call overhead is measurable
-    # at event rates.  New scheduling paths must follow the same
-    # pattern: bump _sequence, then append to _immediate for zero delay
-    # or heap-push (fire_time, seq, event) otherwise.
+    # four scheduling sites (succeed, succeed_after, Timeout, timeout())
+    # inline the immediate-vs-heap dispatch because the call overhead
+    # is measurable at event rates.  New scheduling paths must follow
+    # the same pattern: bump _sequence, then append to _immediate for
+    # zero delay or heap-push (fire_time, seq, event) otherwise.
 
     # -- factories ------------------------------------------------------------
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Sequence
+from typing import Any, Callable, Deque, Sequence
 
 from ..errors import SimulationError
 from .core import Environment, Event
@@ -44,7 +44,13 @@ class ChannelStat:
 
 
 class Resource:
-    """A counted resource with FIFO request queueing."""
+    """A counted resource with FIFO queueing.
+
+    A waiter is a callable: :meth:`acquire` calls it the moment the
+    slot is taken — at once when one is free, otherwise from the
+    :meth:`release` that hands a slot over.  :meth:`request` is the
+    event form for processes, and both kinds share one FIFO.
+    """
 
     __slots__ = ("env", "capacity", "_in_use", "_waiting", "_busy_since",
                  "_busy_time")
@@ -55,7 +61,7 @@ class Resource:
         self.env = env
         self.capacity = capacity
         self._in_use = 0
-        self._waiting: Deque[Event] = deque()
+        self._waiting: Deque[Callable[[], Any]] = deque()
         # Busy-time integration for utilization reporting.
         self._busy_since: float | None = None
         self._busy_time = 0.0
@@ -67,23 +73,27 @@ class Resource:
 
     @property
     def queue_length(self) -> int:
-        """Number of requests waiting."""
+        """Number of waiters queued for a slot."""
         return len(self._waiting)
+
+    def acquire(self, fn: Callable[[], Any]) -> None:
+        """Take a slot, then call ``fn()`` holding it."""
+        if self._in_use < self.capacity:
+            self._grant(fn)
+        else:
+            self._waiting.append(fn)
 
     def request(self) -> Event:
         """Acquire a slot; the returned event fires when granted."""
         event = Event(self.env)
-        if self._in_use < self.capacity:
-            self._grant(event)
-        else:
-            self._waiting.append(event)
+        self.acquire(event.succeed)
         return event
 
-    def _grant(self, event: Event) -> None:
+    def _grant(self, fn: Callable[[], Any]) -> None:
         if self._in_use == 0:
             self._busy_since = self.env.now
         self._in_use += 1
-        event.succeed()
+        fn()
 
     def release(self) -> None:
         """Release one held slot; grants the oldest waiter if any."""
@@ -323,7 +333,7 @@ def relay_payload(
     every chunk, the route waits ``tail_s`` more (propagation,
     conversion) unless it is ``None``.  The returned event fires when
     every route has finished — at once, with no tail, for an empty
-    payload.
+    payload.  A lone route's tail fires the event itself.
     """
     done = Event(env)
     chunks = split_chunks(bits, chunk_bits)
@@ -333,6 +343,9 @@ def relay_payload(
     n = len(chunks)
     if len(routes) == 1:
         arrived = done.succeed
+
+        def after(tail_s):
+            return lambda: done.succeed_after(tail_s)
     else:
         pending = [len(routes)]
 
@@ -341,15 +354,16 @@ def relay_payload(
             if pending[0] == 0:
                 done.succeed()
 
-    def fire(_event: Event) -> None:
-        arrived()
+        def fire(_event: Event) -> None:
+            arrived()
+
+        def after(tail_s):
+            def drained():
+                env.timeout(tail_s).callbacks = fire
+            return drained
 
     for channels, tail_s in routes:
-        if tail_s is None:
-            drained = arrived
-        else:
-            def drained(tail_s=tail_s):
-                env.timeout(tail_s).callbacks = fire
+        drained = arrived if tail_s is None else after(tail_s)
         stage = ChunkRelay(channels[-1], None, None, None, n, drained)
         for channel in reversed(channels[:-1]):
             stage = ChunkRelay(channel, None, None, stage.feed, n, None)

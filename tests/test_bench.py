@@ -27,6 +27,34 @@ class TestMeasure:
         for name, factory in bench.MICROBENCHMARKS.items():
             assert factory()() is not None, name
 
+    def test_run_suite_counts_insertions_on_the_warmup_call(self):
+        counts = {}
+        medians = bench.run_suite(
+            names=(bench.KERNEL_BENCHMARK,), repeats=1, insertions=counts
+        )
+        assert set(counts) == set(medians) == {bench.KERNEL_BENCHMARK}
+        # 10k timeouts, the ticker's bootstrap and its finish.
+        assert counts[bench.KERNEL_BENCHMARK] == 10_002
+
+    def test_count_insertions_sums_every_environment_created(self):
+        from repro.sim.core import Environment
+
+        original_init = Environment.__init__
+        outside = Environment()
+        outside.timeout(1.0)
+
+        def run():
+            for delays in ((1.0, 2.0), (3.0,)):
+                env = Environment()
+                for delay in delays:
+                    env.timeout(delay)
+                env.run()
+            outside.timeout(2.0)
+
+        assert bench.count_insertions(run) == 3
+        assert Environment.__init__ is original_init
+        assert bench.count_insertions(lambda: None) == 0
+
 
 class TestBaseline:
     def test_write_load_roundtrip(self, tmp_path):
@@ -64,10 +92,32 @@ class TestBaseline:
         # benchmark without an entry would never be gated.
         for name in bench.MICROBENCHMARKS:
             assert baseline.get(name, 0.0) > 0, name
+        # The same holds for check_insertions.
+        assert set(bench.load_insertions(baseline_path)) == set(
+            bench.MICROBENCHMARKS
+        )
 
     def test_render_suite_with_baseline(self):
         text = bench.render_suite({"a": 2e6}, {"a": 1e6})
         assert "2.00x" in text
+
+    def test_insertions_roundtrip_beside_medians(self, tmp_path):
+        path = tmp_path / "BENCH_sim.json"
+        bench.write_baseline({"a": 1.0, "b": 2.0}, path,
+                             insertions={"a": 7})
+        entries = json.loads(path.read_text())["benchmarks"]
+        assert entries["a"] == {"median_ns": 1.0, "insertions": 7}
+        assert entries["b"] == {"median_ns": 2.0}
+        assert bench.load_insertions(path) == {"a": 7}
+        assert bench.load_baseline(path) == {"a": 1.0, "b": 2.0}
+
+    def test_insertion_count_one_above_baseline_fails(self):
+        assert bench.check_insertions({"a": 100}, {"a": 100}) == []
+        assert bench.check_insertions({"a": 99}, {"a": 100}) == []
+        failures = bench.check_insertions({"a": 101}, {"a": 100})
+        assert len(failures) == 1
+        assert "101" in failures[0] and "+1" in failures[0]
+        assert bench.check_insertions({"new": 5}, {"a": 1}) == []
 
 
 class TestBenchCli:
@@ -93,6 +143,23 @@ class TestBenchCli:
             "--baseline", str(baseline),
         ]) == 1
         assert "PERF REGRESSION" in capsys.readouterr().out
+
+    def test_bench_check_fails_one_insertion_over(self, capsys, tmp_path):
+        counts = {}
+        bench.run_suite(names=(bench.KERNEL_BENCHMARK,), repeats=1,
+                        insertions=counts)
+        baseline = tmp_path / "BENCH_sim.json"
+        generous = {name: 1e15 for name in bench.MICROBENCHMARKS}
+        argv = ["bench", "--check", "--repeats", "1",
+                "--only", "kernel_event", "--baseline", str(baseline)]
+        bench.write_baseline(generous, baseline, insertions=counts)
+        assert main(argv) == 0
+        bench.write_baseline(generous, baseline, insertions={
+            name: count - 1 for name, count in counts.items()
+        })
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "kernel insertions" in out and "(+1)" in out
 
     def test_bench_check_passes_on_generous_baseline(self, capsys,
                                                      tmp_path):

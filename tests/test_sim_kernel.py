@@ -364,7 +364,100 @@ class TestSameTimeSequencing:
         assert order == ["heap-1", "heap-2", "immediate"]
 
 
+class TestSucceedAfter:
+    """``Event.succeed_after``: one insertion that fires the event itself
+    after a delay, under the same ordering contract as a timeout."""
+
+    def test_fires_at_now_plus_delay_with_value(self):
+        env = Environment()
+        env.run(until=1.5)
+        fired = []
+        event = env.event()
+        event.callbacks = lambda ev: fired.append((env.now, ev.value))
+        assert event.succeed_after(2.0, "v") is event
+        assert event.triggered and not event.processed
+        env.run()
+        assert fired == [(3.5, "v")]
+        assert env._sequence == 1
+
+    def test_zero_delay_keeps_sequence_order_with_immediates(self):
+        env = Environment()
+        order = []
+        events = [env.event() for _ in range(4)]
+        for tag, event in zip("abcd", events):
+            event.callbacks = lambda _ev, tag=tag: order.append(tag)
+        events[0].succeed()
+        events[1].succeed_after(0.0)
+        env.timeout(0.0).callbacks = lambda _ev: order.append("t")
+        events[2].succeed()
+        events[3].succeed_after(0.0)
+        env.run()
+        assert order == ["a", "b", "t", "c", "d"]
+        assert env.now == 0.0
+
+    def test_heap_order_against_timeouts_at_the_same_instant(self):
+        env = Environment()
+        order = []
+        env.timeout(1.0).callbacks = lambda _ev: order.append("t1")
+        event = env.event()
+        event.callbacks = lambda _ev: order.append("e")
+        event.succeed_after(1.0)
+        env.timeout(1.0).callbacks = lambda _ev: order.append("t2")
+        env.run()
+        assert order == ["t1", "e", "t2"]
+
+    @pytest.mark.parametrize("first", ["succeed", "succeed_after"])
+    def test_double_trigger_raises(self, first):
+        env = Environment()
+        event = env.event()
+        if first == "succeed":
+            event.succeed()
+        else:
+            event.succeed_after(1.0)
+        with pytest.raises(SimulationError):
+            event.succeed_after(1.0)
+        with pytest.raises(SimulationError):
+            event.succeed()
+
+    @pytest.mark.parametrize("delay", [-1e-9, float("nan")])
+    def test_invalid_delay_raises_and_leaves_event_untriggered(self, delay):
+        env = Environment()
+        event = env.event()
+        with pytest.raises(SimulationError):
+            event.succeed_after(delay)
+        assert not event.triggered
+        assert env._sequence == 0
+
+
 class TestResource:
+    def test_acquire_calls_back_at_once_when_free(self):
+        env = Environment()
+        resource = Resource(env, capacity=1)
+        granted = []
+        resource.acquire(lambda: granted.append(env.now))
+        assert granted == [0.0]
+        assert resource.in_use == 1
+        assert env._sequence == 0
+
+    def test_acquire_and_request_share_one_fifo(self):
+        env = Environment()
+        resource = Resource(env, capacity=1)
+        order = []
+        resource.acquire(lambda: order.append("a"))
+        requested = resource.request()
+        requested.callbacks = lambda _ev: order.append("b")
+        resource.acquire(lambda: order.append("c"))
+        assert resource.queue_length == 2
+        resource.release()  # hands the slot to the request
+        env.run()
+        assert order == ["a", "b"]
+        resource.release()  # hands the slot to the second acquire
+        assert order == ["a", "b", "c"]
+        assert resource.queue_length == 0
+        resource.release()
+        with pytest.raises(SimulationError):
+            resource.release()
+
     def test_grants_up_to_capacity(self):
         env = Environment()
         resource = Resource(env, capacity=2)

@@ -1,7 +1,9 @@
 """Study compiler: lowering, cache identity, scenarios, CLI verb."""
 
+import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +42,7 @@ from repro.studies.builders import (
 from repro.studies.compile import (
     expand_points,
     lower_serving_point,
+    lower_study,
     render_study,
     resolve_config,
     run_study,
@@ -223,6 +226,31 @@ class TestLowering:
         )
         with pytest.raises(UnknownNameError, match="CrossLight"):
             run_study(bad_platform)
+
+
+    @pytest.mark.parametrize("path, value", [
+        ("platform.name", 5),
+        ("platform.controller", 5),
+        ("platform.controller", None),
+        ("scheduler.policy", None),
+        ("workload.arrival", 3),
+    ])
+    def test_non_string_names_raise_the_typed_error(self, path, value):
+        """A JSON number or null where a registry name belongs passes
+        the spec schema; lowering must still raise ``UnknownNameError``
+        (rendering the value), not a bare ``TypeError``."""
+        raw = json.loads(
+            (Path(__file__).resolve().parent.parent
+             / "examples" / "fidelity_spec.json").read_text()
+        )
+        section, field = path.split(".")
+        raw[section][field] = value
+        spec = StudySpec.from_json(json.dumps(raw))
+        with pytest.raises(UnknownNameError) as excinfo:
+            lower_study(spec)
+        assert excinfo.value.name == value
+        assert excinfo.value.suggestions == ()
+        assert repr(value) in str(excinfo.value)
 
 
 class TestClassicEquivalence:
