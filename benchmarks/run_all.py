@@ -29,6 +29,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.bench import (  # noqa: E402
     BASELINE_FILENAME,
     MICROBENCHMARKS,
+    benchmark_id,
     count_insertions,
     render_suite,
     run_suite,
@@ -61,10 +62,13 @@ def _pytest_benchmark_medians() -> dict[str, float] | None:
             print(result.stderr, file=sys.stderr)
             return None
         payload = json.loads(report.read_text(encoding="utf-8"))
+    # pytest-benchmark names each run by its parameter id; the baseline
+    # keeps the registry names.
+    names = {benchmark_id(name): name for name in MICROBENCHMARKS}
     medians = {}
     for entry in payload.get("benchmarks", []):
-        name = entry["name"]
-        if name in MICROBENCHMARKS:
+        name = names.get(entry.get("param"))
+        if name is not None:
             medians[name] = entry["stats"]["median"] * 1e9
     return medians or None
 

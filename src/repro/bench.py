@@ -1,10 +1,12 @@
 """Simulator microbenchmarks and the perf-regression smoke check.
 
 The canonical definition of the kernel/fabric microbenchmark bodies
-lives here; ``benchmarks/bench_sim_microbenchmarks.py`` wraps the same
-bodies in pytest-benchmark fixtures, and ``python -m repro bench``
-times them inline with :func:`time.perf_counter` — no test framework
-needed.  ``python -m repro bench --check`` compares the inline medians
+lives here, one factory per body in :data:`MICROBENCHMARKS`, each with
+its sanity check beside it (``@expects``).
+``benchmarks/bench_sim_microbenchmarks.py`` runs every registered body
+under pytest-benchmark, and ``python -m repro bench`` times them inline
+with :func:`time.perf_counter` — no test framework needed.
+``python -m repro bench --check`` compares the inline medians
 against the committed ``BENCH_sim.json`` baseline and fails when a
 benchmark has regressed more than :data:`REGRESSION_FACTOR`, so the
 perf trajectory of the DES kernel is guarded across PRs.
@@ -21,7 +23,7 @@ import json
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 BASELINE_FILENAME = "BENCH_sim.json"
 """Committed baseline written by ``benchmarks/run_all.py``."""
@@ -42,6 +44,23 @@ KERNEL_BENCHMARK = "test_bench_kernel_event_throughput"
 # ---------------------------------------------------------------------------
 
 
+def expects(check: Callable[[Any], bool]):
+    """Attach a body's sanity check to its factory: ``factory.expects(
+    result)`` is true for a correct run of the body it builds."""
+
+    def attach(factory):
+        factory.expects = check
+        return factory
+
+    return attach
+
+
+def benchmark_id(name: str) -> str:
+    """The pytest parameter id of a registered benchmark."""
+    return name.removeprefix("test_bench_")
+
+
+@expects(lambda now: now > 0)
 def make_kernel_event_throughput() -> Callable[[], float]:
     """Schedule and fire 10k timeout events."""
     from .sim.core import Environment
@@ -60,6 +79,7 @@ def make_kernel_event_throughput() -> Callable[[], float]:
     return run
 
 
+@expects(lambda count: count == 1000)
 def make_channel_contention() -> Callable[[], int]:
     """1000 contended transfers through one channel."""
     from .sim.core import Environment
@@ -99,6 +119,7 @@ def _fabric_reads(fabric_cls) -> Callable[[], float]:
     return run
 
 
+@expects(lambda bits: bits > 0)
 def make_photonic_fabric_reads() -> Callable[[], float]:
     """100 reads across the full interposer pipeline."""
     from .interposer.photonic.fabric import PhotonicInterposerFabric
@@ -106,6 +127,7 @@ def make_photonic_fabric_reads() -> Callable[[], float]:
     return _fabric_reads(PhotonicInterposerFabric)
 
 
+@expects(lambda bits: bits > 0)
 def make_mesh_fabric_reads() -> Callable[[], float]:
     """The same 100 reads over the electrical mesh's XY routes."""
     from .interposer.electrical.mesh import ElectricalMeshFabric
@@ -113,6 +135,70 @@ def make_mesh_fabric_reads() -> Callable[[], float]:
     return _fabric_reads(ElectricalMeshFabric)
 
 
+ONE_CHUNK_STEPS = 1000
+"""Layer steps of ``one_chunk_transfers``: each is one (multicast) read
+and one write per destination — 3,000 transfers in all."""
+
+
+@expects(lambda completed: completed == 3 * ONE_CHUNK_STEPS)
+def make_one_chunk_transfers() -> Callable[[], int]:
+    """One-chunk SiPh reads and writes shaped like serving traffic.
+
+    Every 150 ns a layer step reads its input to one, two or three
+    chiplets (a multicast read for more than one); as the input lands,
+    each of them writes its output back.  Every payload fits one chunk,
+    as nearly all serving transfers do, and the HBM port runs about 80%
+    busy, so channels queue a little as they do under load.  Tracks the
+    one-chunk path: one chain per transfer, one more per extra
+    destination, and the reused channel hold.
+    """
+    import random
+
+    from .config import DEFAULT_PLATFORM
+    from .interposer.photonic.fabric import PhotonicInterposerFabric
+    from .interposer.topology import build_floorplan
+    from .sim.core import Environment
+
+    floorplan = build_floorplan(DEFAULT_PLATFORM)
+    chiplets = [site.chiplet_id for site in floorplan.compute_sites]
+    rng = random.Random(17)
+    steps = [
+        (tuple(rng.sample(chiplets, (1, 2, 3, 2)[index % 4])),
+         rng.uniform(2e4, 2.5e5), rng.uniform(2e4, 1.2e5))
+        for index in range(ONE_CHUNK_STEPS)
+    ]
+
+    def run() -> int:
+        env = Environment()
+        fabric = PhotonicInterposerFabric(env, DEFAULT_PLATFORM, floorplan)
+        completed = 0
+
+        def count(_event) -> None:
+            nonlocal completed
+            completed += 1
+
+        def step(group, out_bits):
+            def landed(_event) -> None:
+                count(_event)
+                for chiplet in group:
+                    fabric.write(chiplet, out_bits)._add_callback(count)
+            return landed
+
+        def layer_steps():
+            for group, in_bits, out_bits in steps:
+                fabric.read(group[0], in_bits, multicast=group)._add_callback(
+                    step(group, out_bits)
+                )
+                yield env.timeout(150e-9)
+
+        env.process(layer_steps())
+        env.run()
+        return completed
+
+    return run
+
+
+@expects(lambda result: result.shape == (8,))
 def make_functional_mac_matvec() -> Callable[[], object]:
     """Analog matvec through the device transfer functions."""
     import numpy as np
@@ -130,6 +216,7 @@ def make_functional_mac_matvec() -> Callable[[], object]:
     return run
 
 
+@expects(lambda completed: completed > 0)
 def make_serving_request_throughput() -> Callable[[], int]:
     """Steady-state request stream through the serving scheduler.
 
@@ -166,6 +253,7 @@ def make_serving_request_throughput() -> Callable[[], int]:
     return run
 
 
+@expects(lambda completed: completed > 0)
 def make_telemetry_null_recorder() -> Callable[[], int]:
     """The serving benchmark under a metrics-only telemetry session.
 
@@ -214,6 +302,7 @@ def make_telemetry_null_recorder() -> Callable[[], int]:
     return run
 
 
+@expects(lambda bits: bits > 0)
 def make_hazard_timeline_reads() -> Callable[[], float]:
     """Fabric reads while a hazard timeline mutates capacities.
 
@@ -266,6 +355,7 @@ def make_hazard_timeline_reads() -> Callable[[], float]:
     return run
 
 
+@expects(lambda epochs: epochs > 0)
 def make_controller_epochs() -> Callable[[], int]:
     """ReSiPI and PROWAVES epochs over bursty fabric traffic.
 
@@ -323,6 +413,7 @@ def make_controller_epochs() -> Callable[[], int]:
     return run
 
 
+@expects(lambda routed: routed > 0)
 def make_cluster_dispatch_throughput() -> Callable[[], int]:
     """Routed request stream across an 8-node fleet.
 
@@ -369,6 +460,7 @@ def make_cluster_dispatch_throughput() -> Callable[[], int]:
     return run
 
 
+@expects(lambda completed: completed > 0)
 def make_resilience_retry_hedge() -> Callable[[], int]:
     """Retry/hedge lifecycle over a 2-node fleet with tight timers.
 
@@ -436,6 +528,7 @@ def _fidelity_reference_cell(fidelity=None):
     )
 
 
+@expects(lambda completed: completed > 0)
 def make_fidelity_des_reference() -> Callable[[], int]:
     """Full-DES baseline of the hybrid-fidelity reference cell.
 
@@ -453,6 +546,7 @@ def make_fidelity_des_reference() -> Callable[[], int]:
     return run
 
 
+@expects(lambda completed: completed > 0)
 def make_fidelity_fluid_path() -> Callable[[], int]:
     """Warm-forked fluid evaluation of the reference cell.
 
@@ -475,6 +569,7 @@ def make_fidelity_fluid_path() -> Callable[[], int]:
     return run
 
 
+@expects(lambda completed: completed > 0)
 def make_warm_fork_sweep() -> Callable[[], int]:
     """A 6-variant hazard sweep forked from one cold calibration.
 
@@ -516,6 +611,7 @@ def make_warm_fork_sweep() -> Callable[[], int]:
     return run
 
 
+@expects(lambda tokens: tokens > 0)
 def make_continuous_decode_throughput() -> Callable[[], int]:
     """Continuous-batching decode steps over a transformer mix.
 
@@ -549,6 +645,7 @@ def make_continuous_decode_throughput() -> Callable[[], int]:
     return run
 
 
+@expects(lambda tokens: tokens > 0)
 def make_sequence_fluid_path() -> Callable[[], int]:
     """Warm-forked fluid evaluation of the decode benchmark cell.
 
@@ -587,6 +684,7 @@ MICROBENCHMARKS: dict[str, Callable[[], Callable[[], object]]] = {
     "test_bench_channel_contention": make_channel_contention,
     "test_bench_photonic_fabric_reads": make_photonic_fabric_reads,
     "test_bench_mesh_fabric_reads": make_mesh_fabric_reads,
+    "test_bench_one_chunk_transfers": make_one_chunk_transfers,
     "test_bench_functional_mac_matvec": make_functional_mac_matvec,
     "test_bench_serving_request_throughput": make_serving_request_throughput,
     "test_bench_telemetry_null_recorder": make_telemetry_null_recorder,
@@ -601,7 +699,8 @@ MICROBENCHMARKS: dict[str, Callable[[], Callable[[], object]]] = {
         make_continuous_decode_throughput,
     "test_bench_sequence_fluid_path": make_sequence_fluid_path,
 }
-"""Benchmark name (matching the pytest test name) -> body factory."""
+"""Benchmark name (the ``BENCH_sim.json`` key) -> body factory; the
+pytest parameter id is :func:`benchmark_id` of the name."""
 
 
 # ---------------------------------------------------------------------------

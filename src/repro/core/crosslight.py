@@ -29,7 +29,7 @@ from ..mapping.mapper import Allocation, LayerMapping, ModelMapping
 from ..mapping.tiling import tile_layer
 from ..power import params as ep
 from ..sim.core import Environment, Event
-from ..sim.resources import BandwidthChannel, relay_payload
+from ..sim.resources import BandwidthChannel, check_payload, relay_payload
 
 MONO_CHIPLET_ID = "mono-0"
 ONCHIP_AVG_WIRE_MM = 10.0
@@ -63,16 +63,19 @@ class MonolithicFabric(InterposerFabric):
     def read(self, dst_chiplet: str, bits: float,
              multicast: tuple[str, ...] | None = None) -> Event:
         # On-die broadcast is native: multicast costs one stream.
+        check_payload(bits)
         self.bits_read += bits
         return relay_payload(self.env, bits, self.chunk_bits,
                              self._noc_route)
 
     def write(self, src_chiplet: str, bits: float) -> Event:
+        check_payload(bits)
         self.bits_written += bits
         return relay_payload(self.env, bits, self.chunk_bits,
                              self._noc_route)
 
     def read_weights(self, dst_chiplet: str, bits: float) -> Event:
+        check_payload(bits)
         self.weight_bits_moved += bits
         return relay_payload(self.env, bits, self.chunk_bits,
                              self._dram_route)

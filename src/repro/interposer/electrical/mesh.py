@@ -4,10 +4,10 @@ A 2-D mesh of routers on the interposer, one router per chiplet site,
 XY (dimension-ordered) routing.  Transfers are chunked and forwarded
 store-and-forward per hop; every link and every chiplet
 injection/ejection port is a FIFO bandwidth resource, so hot spots around
-the memory chiplet queue realistically.  Each route stage is one
-:class:`~repro.sim.resources.ChunkRelay`, which requests its channel at
-the instant a chunk reaches it: requests that tie at one instant queue
-in kernel firing order.
+the memory chiplet queue realistically.  Routes go through
+:func:`~repro.sim.resources.relay_payload`: a chunk requests each
+channel at the instant it reaches it, so requests that tie at one
+instant queue in kernel firing order.
 
 Two modelling notes (see DESIGN.md, calibration):
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 from ...config import PlatformConfig
 from ...power import params as ep
 from ...sim.core import Environment, Event
-from ...sim.resources import BandwidthChannel, relay_payload
+from ...sim.resources import BandwidthChannel, check_payload, relay_payload
 from ..base import DEFAULT_CHUNK_BITS, InterposerFabric, NetworkEnergyReport
 from ..topology import Floorplan
 
@@ -130,6 +130,7 @@ class ElectricalMeshFabric(InterposerFabric):
     def read(self, dst_chiplet: str, bits: float,
              multicast: tuple[str, ...] | None = None) -> Event:
         """Memory -> chiplet(s): replicated unicasts (no native broadcast)."""
+        check_payload(bits)
         destinations = multicast if multicast else (dst_chiplet,)
         self.bits_read += bits * len(destinations)
         return relay_payload(self.env, bits, self.chunk_bits, [
@@ -138,6 +139,7 @@ class ElectricalMeshFabric(InterposerFabric):
         ])
 
     def write(self, src_chiplet: str, bits: float) -> Event:
+        check_payload(bits)
         self.bits_written += bits
         return relay_payload(self.env, bits, self.chunk_bits, [
             self._route(src_chiplet, "mem-0", bits, reading=False)

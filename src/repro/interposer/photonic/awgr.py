@@ -25,7 +25,7 @@ from ...photonics.link_budget import LinkBudget
 from ...photonics.photodetector import Photodetector
 from ...power import params as ep
 from ...sim.core import Environment, Event
-from ...sim.resources import BandwidthChannel, relay_payload
+from ...sim.resources import BandwidthChannel, check_payload, relay_payload
 from ..base import DEFAULT_CHUNK_BITS, InterposerFabric, NetworkEnergyReport
 from ..topology import Floorplan
 from .fabric import PHOTONIC_DYNAMIC_J_PER_BIT
@@ -110,6 +110,7 @@ class AWGRInterposerFabric(InterposerFabric):
         pair channel, then conversion + protocol tail; the read
         completes once the last destination's tail has passed.
         """
+        check_payload(bits)
         destinations = multicast if multicast else (dst_chiplet,)
         self.bits_read += bits * len(destinations)
         return relay_payload(self.env, bits, self.chunk_bits, [
@@ -120,6 +121,7 @@ class AWGRInterposerFabric(InterposerFabric):
 
     def write(self, src_chiplet: str, bits: float) -> Event:
         """Chiplet -> memory: pair channel -> HBM port, then the tail."""
+        check_payload(bits)
         self.bits_written += bits
         return relay_payload(self.env, bits, self.chunk_bits, [
             ((self._channel(src_chiplet, "mem-0"), self.hbm_channel),

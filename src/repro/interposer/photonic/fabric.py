@@ -30,7 +30,12 @@ from ...photonics.laser import LaserSource
 from ...photonics.photodetector import Photodetector
 from ...power import params as ep
 from ...sim.core import Environment, Event
-from ...sim.resources import BandwidthChannel, ChunkRelay, split_chunks
+from ...sim.resources import (
+    BandwidthChannel,
+    Transfer,
+    check_payload,
+    send_payload,
+)
 from ...sim.stats import (
     EpochTrafficMonitor,
     TimeWeightedValue,
@@ -196,6 +201,28 @@ class PhotonicInterposerFabric(InterposerFabric):
             + config.gateway_conversion_latency_s
             + config.gateway_protocol_overhead_s
         )
+
+        # Routes as (channels, epoch-monitor key per channel): a read
+        # crosses the HBM port, the SWMR writer stage and the reader
+        # gateways; a multicast read shares the first two and fans out
+        # over one reader leg per destination.
+        self._read_head = (
+            (self.hbm_channel, self.memory_write_channel), (None, "mem_read")
+        )
+        self._read_routes: dict[str, tuple] = {}
+        self._reader_legs: dict[str, tuple] = {}
+        self._write_routes: dict[str, tuple] = {}
+        for chiplet_id, reader in self.chiplet_read_channels.items():
+            read_key = f"read:{chiplet_id}"
+            self._read_routes[chiplet_id] = (
+                self._read_head[0] + (reader,),
+                self._read_head[1] + (read_key,),
+            )
+            self._reader_legs[chiplet_id] = ((reader,), (read_key,))
+            self._write_routes[chiplet_id] = (
+                (self.chiplet_write_channels[chiplet_id], self.hbm_channel),
+                (f"write:{chiplet_id}", None),
+            )
 
     # -- controller hooks ---------------------------------------------------------
 
@@ -426,71 +453,44 @@ class PhotonicInterposerFabric(InterposerFabric):
              multicast: tuple[str, ...] | None = None) -> Event:
         """Memory -> chiplet(s) transfer; multicast shares the SWMR stage.
 
-        Built as a relay chain — HBM port -> SWMR writer stage (records
-        ``mem_read``, fans out) -> per-destination reader gateways —
-        then one propagation/conversion tail once every destination has
+        The payload crosses the HBM port, then the SWMR writer stage
+        (recorded as ``mem_read``), which fans out to each destination's
+        reader gateways (recorded as ``read:<chiplet>``); one
+        propagation/conversion tail follows once every destination has
         drained.  Traffic is recorded per chunk as it is served, so the
         epoch monitor sees *sustained* load while a long message drains
         — the signal the reconfiguration controllers ramp on.
         """
+        check_payload(bits)
         destinations = multicast if multicast else (dst_chiplet,)
         self.bits_read += bits  # shared-medium payload charged once
-        done = Event(self.env)
-        chunks = split_chunks(bits, self.chunk_bits)
-        if not chunks:
+        done = Transfer(self.env, len(destinations), self._transfer_tail_s)
+        if bits == 0:
             done.succeed()
-            return done
-        n = len(chunks)
-        pending = [len(destinations)]
-
-        def destination_done():
-            pending[0] -= 1
-            if pending[0] == 0:
-                done.succeed_after(self._transfer_tail_s)
-
-        readers = [
-            ChunkRelay(
-                self.chiplet_read_channels[destination], self.monitor,
-                f"read:{destination}", None, n, destination_done,
-            )
-            for destination in destinations
-        ]
-        if len(readers) == 1:
-            fanout = readers[0].feed
+        elif len(destinations) == 1:
+            route, keys = self._read_routes[destinations[0]]
+            send_payload(done, bits, self.chunk_bits, route, keys,
+                         self.monitor)
         else:
-            def fanout(chunk):
-                for relay in readers:
-                    relay.feed(chunk)
-        writer = ChunkRelay(
-            self.memory_write_channel, self.monitor, "mem_read", fanout,
-            n, None,
-        )
-        hbm = ChunkRelay(self.hbm_channel, None, None, writer.feed, n, None)
-        for chunk in chunks:
-            hbm.feed(chunk)
+            route, keys = self._read_head
+            send_payload(
+                done, bits, self.chunk_bits, route, keys, self.monitor,
+                branches=tuple(self._reader_legs[destination]
+                               for destination in destinations),
+            )
         return done
 
     def write(self, src_chiplet: str, bits: float) -> Event:
         """Chiplet -> memory transfer over the chiplet's SWSR channels."""
+        check_payload(bits)
         self.bits_written += bits
-        done = Event(self.env)
-        chunks = split_chunks(bits, self.chunk_bits)
-        if not chunks:
+        done = Transfer(self.env, 1, self._transfer_tail_s)
+        if bits == 0:
             done.succeed()
-            return done
-
-        def drained():
-            done.succeed_after(self._transfer_tail_s)
-
-        hbm = ChunkRelay(
-            self.hbm_channel, None, None, None, len(chunks), drained
-        )
-        source = ChunkRelay(
-            self.chiplet_write_channels[src_chiplet], self.monitor,
-            f"write:{src_chiplet}", hbm.feed, len(chunks), None,
-        )
-        for chunk in chunks:
-            source.feed(chunk)
+        else:
+            route, keys = self._write_routes[src_chiplet]
+            send_payload(done, bits, self.chunk_bits, route, keys,
+                         self.monitor)
         return done
 
     # -- energy ------------------------------------------------------------------------

@@ -305,11 +305,16 @@ class Environment:
         return self._now
 
     # NOTE: there is deliberately no generic _schedule() helper — the
-    # four scheduling sites (succeed, succeed_after, Timeout, timeout())
+    # five scheduling sites (succeed, succeed_after, Timeout, timeout()
+    # and the channel hold, BandwidthChannel._hold in sim/resources.py)
     # inline the immediate-vs-heap dispatch because the call overhead
     # is measurable at event rates.  New scheduling paths must follow
     # the same pattern: bump _sequence, then append to _immediate for
-    # zero delay or heap-push (fire_time, seq, event) otherwise.
+    # zero delay or heap-push (fire_time, seq, event) otherwise.  A
+    # queued entry needs only what the run loops touch: ``_fire()``
+    # for the immediate path, ``_processed`` and ``callbacks`` for the
+    # heap path (a channel is its own entry and re-arms ``callbacks``
+    # for every hold).
 
     # -- factories ------------------------------------------------------------
 

@@ -8,20 +8,28 @@
   figure) or an electrical link.  Bandwidth may be changed at runtime —
   that is exactly what the reconfiguration controllers do — and in-flight
   transfers are unaffected (they were admitted at the old rate).
-* :class:`ChunkRelay` — one store-and-forward pipeline stage over a
-  channel, driven by callbacks; :func:`relay_payload` chains relays
-  along routes of channels.  Every interposer fabric moves its chunks
-  this way: a chunk costs one kernel event per channel it crosses.
+* :class:`Transfer` — a payload's completion event, joining its legs.
+* :class:`ChunkChain` — a one-chunk payload crossing its route as one
+  object; :class:`ChunkRelay` — one store-and-forward stage of a
+  multi-chunk payload.  :func:`send_payload` picks between them by
+  chunk count and :func:`relay_payload` carries a payload along routes
+  of channels.  Every interposer fabric moves its chunks this way: a
+  chunk costs one kernel event per channel it crosses, and a hop
+  allocates nothing.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Sequence
 
 from ..errors import SimulationError
 from .core import Environment, Event
+
+_INFINITY = float("inf")
+_heappush = heapq.heappush
 
 
 @dataclass(frozen=True)
@@ -132,19 +140,25 @@ class Resource:
 class BandwidthChannel:
     """A serial channel: transfers occupy it for ``bits / bandwidth``.
 
-    The channel is callback-driven rather than process-driven: a
-    transfer is ``(bits, fn)`` — the channel holds for the
-    serialization time (computed when the transfer is *granted*, so
-    queued transfers pick up rate changes and in-flight ones do not),
-    then invokes ``fn``.  FIFO among all transfers.  This is the
-    hottest path of every fabric simulation: one heap event per chunk,
-    no coroutine frame, no per-chunk resource events.  Fabrics drive it
-    through :class:`ChunkRelay` stages.
+    The channel is callback-driven rather than process-driven.  A
+    transfer is a *waiter*: any object with a ``chunk`` attribute (its
+    bits) and a ``cleared()`` method.  :meth:`carry` queues it FIFO
+    behind every earlier waiter; once granted, the channel holds for the
+    serialization time (computed at the grant, so queued transfers pick
+    up rate changes and in-flight ones do not), then calls
+    ``waiter.cleared()``.  :meth:`request_transfer` is the same for a
+    plain ``(bits, fn)`` pair.
+
+    This is the hottest path of every fabric simulation.  A channel
+    holds at most one transfer at a time, so it is its own kernel
+    entry: a hold is one kernel insertion of the channel itself, with
+    no :class:`~repro.sim.core.Timeout`, coroutine frame or per-chunk
+    resource event.
     """
 
-    __slots__ = ("env", "name", "_bandwidth_bps", "_waiting", "_busy",
-                 "_busy_since", "_busy_time", "_active_bits", "_active_fn",
-                 "_complete_cb", "bits_transferred", "transfer_count")
+    __slots__ = ("env", "name", "_bandwidth_bps", "_waiting", "_active",
+                 "_busy_since", "_busy_time", "callbacks", "_processed",
+                 "bits_transferred", "transfer_count")
 
     def __init__(self, env: Environment, bandwidth_bps: float,
                  name: str = "channel"):
@@ -156,13 +170,16 @@ class BandwidthChannel:
         self.env = env
         self.name = name
         self._bandwidth_bps = bandwidth_bps
-        self._waiting: Deque[tuple[float, Any]] = deque()
-        self._busy = False
+        self._waiting: Deque[Any] = deque()
+        self._active: Any = None
         self._busy_since: float | None = None
         self._busy_time = 0.0
-        self._active_bits = 0.0
-        self._active_fn: Any = None
-        self._complete_cb = self._complete  # bind once, reuse per chunk
+        # The kernel-entry fields: the run loop marks the entry processed
+        # and clears ``callbacks`` before calling ``callbacks(entry)``,
+        # so every hold re-arms it with the plain function — no bound
+        # method, so the channel holds no reference cycle to itself.
+        self.callbacks: Any = None
+        self._processed = False
         self.bits_transferred = 0.0
         self.transfer_count = 0
 
@@ -185,43 +202,55 @@ class BandwidthChannel:
             raise SimulationError("cannot transfer negative bits")
         return bits / self._bandwidth_bps
 
-    def request_transfer(self, bits: float, fn) -> None:
+    def request_transfer(self, bits: float, fn: Callable[[], Any]) -> None:
         """Queue one transfer; ``fn()`` runs when it completes.
 
         Grants immediately on an idle channel, otherwise queues FIFO
         behind every earlier transfer.
         """
-        if bits < 0:
-            raise SimulationError("cannot transfer negative bits")
-        if self._busy:
-            self._waiting.append((bits, fn))
+        # Written so that NaN fails too: it compares false to anything.
+        if not bits >= 0:
+            raise SimulationError(f"cannot transfer {bits!r} bits")
+        self.carry(_Callback(bits, fn))
+
+    def carry(self, waiter: Any) -> None:
+        """Queue ``waiter.chunk`` bits; ``waiter.cleared()`` runs once
+        they have crossed.  The caller vouches for the bit count."""
+        if self._active is not None:
+            self._waiting.append(waiter)
             return
-        self._busy = True
-        self._busy_since = self.env.now
-        self._start(bits, fn)
+        self._busy_since = self.env._now
+        self._hold(waiter)
 
-    def _start(self, bits: float, fn) -> None:
-        # Hold time is locked in at grant time: later rate changes only
-        # affect transfers still waiting.
-        self._active_bits = bits
-        self._active_fn = fn
-        timeout = self.env.timeout(bits / self._bandwidth_bps)
-        timeout.callbacks = self._complete_cb
+    def _hold(self, waiter: Any) -> None:
+        # A scheduling site of its own (see the note in sim/core.py):
+        # bump the sequence, then queue the channel itself.  The hold
+        # time is locked in here, at the grant.
+        self._active = waiter
+        self.callbacks = _complete_hold
+        env = self.env
+        seq = env._sequence = env._sequence + 1
+        delay = waiter.chunk / self._bandwidth_bps
+        if delay == 0.0:
+            env._immediate.append((seq, self))
+        else:
+            _heappush(env._queue, (env._now + delay, seq, self))
 
-    def _complete(self, _event: Event) -> None:
-        bits = self._active_bits
-        fn = self._active_fn
-        self.bits_transferred += bits
+    def _fire(self) -> None:
+        """Kernel entry point for a zero-length hold (immediate queue)."""
+        self._complete()
+
+    def _complete(self) -> None:
+        waiter = self._active
+        self.bits_transferred += waiter.chunk
         self.transfer_count += 1
         if self._waiting:
-            next_bits, next_fn = self._waiting.popleft()
-            self._start(next_bits, next_fn)
+            self._hold(self._waiting.popleft())
         else:
-            self._busy = False
-            self._busy_time += self.env.now - self._busy_since
+            self._active = None
+            self._busy_time += self.env._now - self._busy_since
             self._busy_since = None
-            self._active_fn = None
-        fn()
+        waiter.cleared()
 
     def busy_time(self) -> float:
         """Total time the channel carried a transfer (s)."""
@@ -253,72 +282,224 @@ class BandwidthChannel:
         )
 
 
-class ChunkRelay:
-    """One pipeline stage: chunks through a channel, handed downstream.
+_complete_hold = BandwidthChannel._complete
 
-    Chunks fed to the stage cross ``channel`` one at a time, in feed
-    order.  As each completes, the stage requests its next queued chunk,
-    records the finished one against ``monitor`` under ``key`` (when a
-    key is given), hands it to ``deliver`` (when set), and calls
-    ``on_complete()`` after the last of ``remaining`` chunks.  With one
-    chunk in flight at a time, the private queue never occupies the
-    channel, and concurrent messages interleave chunk-by-chunk in strict
-    channel FIFO.  A chunk costs one kernel event: the channel's hold
-    timeout.
+
+class _Callback:
+    """The waiter behind :meth:`BandwidthChannel.request_transfer`."""
+
+    __slots__ = ("chunk", "fn")
+
+    def __init__(self, chunk: float, fn: Callable[[], Any]):
+        self.chunk = chunk
+        self.fn = fn
+
+    def cleared(self) -> None:
+        self.fn()
+
+
+class Transfer(Event):
+    """A payload in flight; fires once every leg has delivered it.
+
+    A leg is one route, or one destination after a fan-out.  When the
+    last of ``pending`` legs arrives the event fires ``tail_s`` later
+    (propagation, conversion), or at once for a zero tail.
     """
 
-    __slots__ = ("channel", "monitor", "key", "deliver", "remaining",
-                 "on_complete", "_queue", "_busy", "_current", "_advance_cb")
+    __slots__ = ("pending", "tail_s")
 
-    def __init__(self, channel: BandwidthChannel, monitor, key, deliver,
-                 remaining: int, on_complete):
-        self.channel = channel
+    def __init__(self, env: Environment, pending: int, tail_s: float):
+        self.env = env
+        self.callbacks = None
+        self._triggered = False
+        self._processed = False
+        self._value = None
+        self.pending = pending
+        self.tail_s = tail_s
+
+    def leg_done(self, tail_s: float | None) -> None:
+        """One leg has cleared its last channel; it arrives now, or
+        after a ``tail_s`` timeout of its own."""
+        if tail_s is None:
+            self.pending -= 1
+            if self.pending == 0:
+                self.succeed_after(self.tail_s)
+        else:
+            self.env.timeout(tail_s).callbacks = self._tail_passed
+
+    def _tail_passed(self, _event: Event) -> None:
+        self.leg_done(None)
+
+
+class ChunkChain:
+    """A one-chunk payload crossing its route as one object.
+
+    ``route`` holds the channels in order.  ``keys``, when given, holds
+    one epoch-monitor key (or ``None``) per channel.  As the chunk clears
+    a channel it is recorded under that channel's key, then requests the
+    next channel.  After the last channel it either fans out over
+    ``branches``, one ``(route, keys)`` leg per destination in order (this
+    object goes on as the first leg), or reports to ``transfer`` with
+    ``tail_s``.
+    """
+
+    __slots__ = ("chunk", "route", "keys", "monitor", "stage", "transfer",
+                 "tail_s", "branches")
+
+    def __init__(self, chunk: float, route: Sequence[BandwidthChannel],
+                 keys, monitor, transfer: Transfer,
+                 tail_s: float | None, branches):
+        self.chunk = chunk
+        self.route = route
+        self.keys = keys
         self.monitor = monitor
-        self.key = key
-        self.deliver = deliver
-        self.remaining = remaining
-        self.on_complete = on_complete
-        self._queue: deque = deque()
-        self._busy = False
-        self._current = 0.0
-        self._advance_cb = self._advance  # bind once, reuse per chunk
+        self.stage = 0
+        self.transfer = transfer
+        self.tail_s = tail_s
+        self.branches = branches
 
-    def feed(self, chunk: float) -> None:
-        if self._busy:
-            self._queue.append(chunk)
+    def cleared(self) -> None:
+        stage = self.stage
+        keys = self.keys
+        if keys is not None:
+            key = keys[stage]
+            if key is not None:
+                self.monitor.record(key, self.chunk)
+        stage += 1
+        route = self.route
+        if stage < len(route):
+            self.stage = stage
+            route[stage].carry(self)
             return
-        self._busy = True
-        self._current = chunk
-        self.channel.request_transfer(chunk, self._advance_cb)
+        branches = self.branches
+        if branches is None:
+            self.transfer.leg_done(self.tail_s)
+            return
+        self.branches = None
+        for index, (route, keys) in enumerate(branches):
+            if index:
+                leg = ChunkChain(self.chunk, route, keys, self.monitor,
+                                 self.transfer, self.tail_s, None)
+            else:
+                leg = self
+                self.route = route
+                self.keys = keys
+                self.stage = 0
+            route[0].carry(leg)
 
-    def _advance(self) -> None:
-        chunk = self._current
+
+class ChunkRelay:
+    """One store-and-forward stage of a multi-chunk payload.
+
+    The payload is ``n`` chunks of ``chunk_bits``, the last one
+    ``last`` bits.  Chunks handed to the stage cross ``channel`` one at
+    a time; the stage counts them rather than queueing them.  As each
+    clears, the stage requests its next chunk if one is waiting, records
+    the finished one under ``key`` (when given), and feeds it to every
+    ``downstream`` stage in order.  A stage with no downstream reports
+    to ``transfer`` with ``tail_s`` after its last chunk.  With one
+    chunk in flight per stage, concurrent messages interleave
+    chunk-by-chunk in strict channel FIFO.
+    """
+
+    __slots__ = ("chunk", "channel", "key", "monitor", "downstream",
+                 "transfer", "tail_s", "n", "chunk_bits", "last",
+                 "received", "sent")
+
+    def __init__(self, channel: BandwidthChannel, key, monitor,
+                 downstream: tuple, transfer: Transfer,
+                 tail_s: float | None, n: int, chunk_bits: float,
+                 last: float):
+        self.chunk = chunk_bits
+        self.channel = channel
+        self.key = key
+        self.monitor = monitor
+        self.downstream = downstream
+        self.transfer = transfer
+        self.tail_s = tail_s
+        self.n = n
+        self.chunk_bits = chunk_bits
+        self.last = last
+        self.received = 0
+        self.sent = 0
+
+    def feed(self, count: int = 1) -> None:
+        """``count`` more chunks reach the stage."""
+        idle = self.received == self.sent
+        self.received += count
+        if idle:
+            self.chunk = (self.chunk_bits if self.sent < self.n - 1
+                          else self.last)
+            self.channel.carry(self)
+
+    def cleared(self) -> None:
+        chunk = self.chunk
+        sent = self.sent = self.sent + 1
         # Re-request before delivering: the channel has already granted
         # its next waiter, so this queues fairly behind other messages.
-        if self._queue:
-            nxt = self._queue.popleft()
-            self._current = nxt
-            self.channel.request_transfer(nxt, self._advance_cb)
-        else:
-            self._busy = False
+        if sent < self.received:
+            self.chunk = self.chunk_bits if sent < self.n - 1 else self.last
+            self.channel.carry(self)
         if self.key is not None:
             self.monitor.record(self.key, chunk)
-        if self.deliver is not None:
-            self.deliver(chunk)
-        self.remaining -= 1
-        if self.remaining == 0 and self.on_complete is not None:
-            self.on_complete()
+        if self.downstream:
+            for stage in self.downstream:
+                stage.feed()
+        elif sent == self.n:
+            self.transfer.leg_done(self.tail_s)
 
 
-def split_chunks(bits: float, chunk_bits: float) -> list[float]:
-    """Split a payload into ``chunk_bits`` chunks, the last one partial."""
-    if bits <= 0:
-        return []
-    full, remainder = divmod(bits, chunk_bits)
-    chunks = [chunk_bits] * int(full)
-    if remainder > 0:
-        chunks.append(remainder)
-    return chunks
+def check_payload(bits: float) -> None:
+    """Reject a payload no transfer can carry: negative, NaN or
+    infinite.  Fabrics call it before any counter moves."""
+    # Written so that NaN fails too: it compares false to anything.
+    if not 0.0 <= bits < _INFINITY:
+        raise SimulationError(
+            f"payload must be a finite, non-negative bit count, got {bits!r}"
+        )
+
+
+def send_payload(transfer: Transfer, bits: float, chunk_bits: float,
+                 route: Sequence[BandwidthChannel], keys=None, monitor=None,
+                 tail_s: float | None = None, branches=None) -> None:
+    """Start ``bits`` (positive, checked) along ``route``.
+
+    One chunk crosses as a :class:`ChunkChain`; a larger payload as
+    ``chunk_bits`` chunks through one :class:`ChunkRelay` per channel.
+    ``keys``, ``tail_s`` and ``branches`` are as for :class:`ChunkChain`.
+    """
+    if bits <= chunk_bits:
+        route[0].carry(ChunkChain(bits, route, keys, monitor, transfer,
+                                  tail_s, branches))
+        return
+    full, last = divmod(bits, chunk_bits)
+    n = int(full)
+    if last > 0:
+        n += 1
+    else:
+        last = chunk_bits
+    downstream = ()
+    if branches is not None:
+        downstream = tuple(
+            _relays(leg, leg_keys, monitor, (), transfer, tail_s, n,
+                    chunk_bits, last)
+            for leg, leg_keys in branches
+        )
+    _relays(route, keys, monitor, downstream, transfer, tail_s, n,
+            chunk_bits, last).feed(n)
+
+
+def _relays(route, keys, monitor, downstream: tuple, transfer: Transfer,
+            tail_s: float | None, n: int, chunk_bits: float,
+            last: float) -> ChunkRelay:
+    """The first of one :class:`ChunkRelay` per channel of ``route``,
+    the last of them feeding ``downstream``."""
+    for index in range(len(route) - 1, -1, -1):
+        key = None if keys is None else keys[index]
+        relay = ChunkRelay(route[index], key, monitor, downstream, transfer,
+                           tail_s, n, chunk_bits, last)
+        downstream = (relay,)
+    return relay
 
 
 def relay_payload(
@@ -327,46 +508,25 @@ def relay_payload(
 ) -> Event:
     """Carry one payload store-and-forward along every route at once.
 
-    Each route is ``(channels, tail_s)``.  The payload, split into
-    ``chunk_bits`` chunks, crosses the channels in order through one
-    :class:`ChunkRelay` per channel; once the last channel has carried
-    every chunk, the route waits ``tail_s`` more (propagation,
-    conversion) unless it is ``None``.  The returned event fires when
-    every route has finished — at once, with no tail, for an empty
-    payload.  A lone route's tail fires the event itself.
+    Each route is ``(channels, tail_s)``.  The payload (checked by the
+    caller with :func:`check_payload`) crosses the channels in order,
+    as one :class:`ChunkChain` when it fits one ``chunk_bits`` chunk and
+    through one :class:`ChunkRelay` per channel otherwise; once the last
+    channel has carried every chunk, the route waits ``tail_s`` more
+    (propagation, conversion) unless it is ``None``.  The returned event
+    fires when every route has finished — at once, with no tail, for an
+    empty payload.  A lone route's tail fires the event itself.
     """
-    done = Event(env)
-    chunks = split_chunks(bits, chunk_bits)
-    if not chunks:
+    single = len(routes) == 1
+    if single:
+        tail_s = routes[0][1]
+        done = Transfer(env, 1, 0.0 if tail_s is None else tail_s)
+    else:
+        done = Transfer(env, len(routes), 0.0)
+    if bits == 0:
         done.succeed()
         return done
-    n = len(chunks)
-    if len(routes) == 1:
-        arrived = done.succeed
-
-        def after(tail_s):
-            return lambda: done.succeed_after(tail_s)
-    else:
-        pending = [len(routes)]
-
-        def arrived():
-            pending[0] -= 1
-            if pending[0] == 0:
-                done.succeed()
-
-        def fire(_event: Event) -> None:
-            arrived()
-
-        def after(tail_s):
-            def drained():
-                env.timeout(tail_s).callbacks = fire
-            return drained
-
     for channels, tail_s in routes:
-        drained = arrived if tail_s is None else after(tail_s)
-        stage = ChunkRelay(channels[-1], None, None, None, n, drained)
-        for channel in reversed(channels[:-1]):
-            stage = ChunkRelay(channel, None, None, stage.feed, n, None)
-        for chunk in chunks:
-            stage.feed(chunk)
+        send_payload(done, bits, chunk_bits, channels,
+                     tail_s=None if single else tail_s)
     return done

@@ -25,7 +25,13 @@ class TestMeasure:
 
     def test_all_benchmark_bodies_run(self):
         for name, factory in bench.MICROBENCHMARKS.items():
-            assert factory()() is not None, name
+            assert factory.expects(factory()()), name
+
+    def test_benchmark_ids_map_back_to_registry_names(self):
+        ids = [bench.benchmark_id(name) for name in bench.MICROBENCHMARKS]
+        assert len(set(ids)) == len(ids)
+        for name, benchmark_id in zip(bench.MICROBENCHMARKS, ids):
+            assert "test_bench_" + benchmark_id == name
 
     def test_run_suite_counts_insertions_on_the_warmup_call(self):
         counts = {}

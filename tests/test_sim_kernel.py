@@ -1,5 +1,7 @@
 """Discrete-event simulation kernel."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -569,6 +571,81 @@ class TestBandwidthChannel:
             channel.request_transfer(bits, lambda: None)
         env.run()
         assert env.now == pytest.approx(sum(sizes) / 1e3)
+
+
+class TestChannelHoldEntry:
+    """A channel is its own kernel entry for every hold it makes."""
+
+    @pytest.mark.parametrize(
+        "order", list(itertools.permutations(("timeout", "hold", "event")))
+    )
+    def test_hold_tied_with_timeout_and_succeed_after_fires_in_insertion_order(
+            self, order):
+        env = Environment()
+        channel = BandwidthChannel(env, bandwidth_bps=4.0)
+        fired = []
+        for tag in order:
+            if tag == "timeout":
+                env.timeout(1.0)._add_callback(
+                    lambda _event: fired.append("timeout"))
+            elif tag == "hold":
+                channel.request_transfer(4.0, lambda: fired.append("hold"))
+            else:
+                event = env.event()
+                event.succeed_after(1.0)
+                event._add_callback(lambda _event: fired.append("event"))
+        env.run()
+        assert fired == list(order)
+        assert env.now == 1.0
+
+    def test_zero_bit_hold_goes_through_the_immediate_queue(self):
+        env = Environment()
+        channel = BandwidthChannel(env, bandwidth_bps=1.0)
+        fired = []
+        env.timeout(0.5)  # a later heap entry the hold must not join
+        before = env.event()
+        before._add_callback(lambda _event: fired.append("before"))
+        before.succeed()
+        channel.request_transfer(0.0, lambda: fired.append("hold"))
+        after = env.event()
+        after._add_callback(lambda _event: fired.append("after"))
+        after.succeed()
+        assert [entry for _, entry in env._immediate] == [
+            before, channel, after]
+        assert len(env._queue) == 1
+        env.run(until=0.0)
+        assert fired == ["before", "hold", "after"]
+        assert channel.transfer_count == 1
+        assert channel.busy_time() == 0.0
+
+    def test_back_to_back_holds_each_complete_exactly_once(self):
+        env = Environment()
+        channel = BandwidthChannel(env, bandwidth_bps=2.0)
+        completed = []
+
+        def finish(index):
+            completed.append((index, env.now))
+            if index == 0:  # re-request from inside a completion
+                channel.request_transfer(
+                    2.0, lambda: completed.append((4, env.now)))
+
+        for index, bits in enumerate((2.0, 0.0, 4.0, 2.0)):
+            channel.request_transfer(bits, lambda index=index: finish(index))
+        assert env._queue[0][2] is channel
+        env.run()
+        assert completed == [(0, 1.0), (1, 1.0), (2, 3.0), (3, 4.0),
+                             (4, 5.0)]
+        assert env._sequence == 5  # one kernel insertion per hold
+        assert channel.transfer_count == 5
+        assert channel.bits_transferred == 10.0
+        assert channel.busy_time() == 5.0
+
+    def test_nan_bits_rejected_before_queueing(self):
+        env = Environment()
+        channel = BandwidthChannel(env, bandwidth_bps=1.0)
+        with pytest.raises(SimulationError):
+            channel.request_transfer(float("nan"), lambda: None)
+        assert env._sequence == 0 and channel.queue_length == 0
 
 
 class TestStats:
