@@ -4,7 +4,8 @@
 Runs the pytest-benchmark suite when pytest-benchmark is installed
 (statistically robust medians), falling back to the inline
 :mod:`repro.bench` runner otherwise, and writes a machine-readable
-baseline of median ns/op and kernel insertions per microbenchmark::
+baseline of median ns/op, kernel insertions and processes started per
+microbenchmark::
 
     python benchmarks/run_all.py                 # writes ./BENCH_sim.json
     python benchmarks/run_all.py --output out.json --repeats 9
@@ -30,7 +31,7 @@ from repro.bench import (  # noqa: E402
     BASELINE_FILENAME,
     MICROBENCHMARKS,
     benchmark_id,
-    count_insertions,
+    count_kernel_work,
     render_suite,
     run_suite,
     write_baseline,
@@ -91,17 +92,16 @@ def main(argv: list[str] | None = None) -> int:
 
     medians = None if args.inline else _pytest_benchmark_medians()
     source = "pytest-benchmark"
-    insertions: dict[str, int] = {}
+    counts: dict[str, dict[str, int]] = {}
     if medians is None:
-        medians = run_suite(repeats=args.repeats, insertions=insertions)
+        medians = run_suite(repeats=args.repeats, counts=counts)
         source = "repro.bench"
     else:
         for name in medians:
-            insertions[name] = count_insertions(MICROBENCHMARKS[name]())
+            counts[name] = count_kernel_work(MICROBENCHMARKS[name]())
 
-    write_baseline(medians, args.output, source=source,
-                   insertions=insertions)
-    print(render_suite(medians, insertions=insertions))
+    write_baseline(medians, args.output, source=source, counts=counts)
+    print(render_suite(medians, counts=counts))
     print(f"\nwrote {args.output} ({source}, {len(medians)} benchmarks)")
     return 0
 

@@ -1,9 +1,10 @@
 """Package definition for the DATE 2023 chiplet-photonics reproduction.
 
 numpy is a hard dependency: the arrival processes, the analytic and
-fluid-fidelity models, the resilience layer and the hazard engine
-import it at module top.  The extras add the test and benchmark
-tooling.
+fluid-fidelity models and the resilience layer import it at module
+top, and the hazard engine, the functional MAC model and the variation
+model import it when they use it.  The extras add the test and
+benchmark tooling.
 """
 
 from setuptools import find_packages, setup

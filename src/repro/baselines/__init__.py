@@ -1,25 +1,17 @@
 """Analytic models of Table 3's literature comparison platforms."""
 
-from .platforms import (
-    AMD_3970,
-    DEAP_CNN,
-    EDGE_TPU,
-    HOLYLIGHT,
-    INTEL_9282,
-    LITERATURE_PLATFORMS,
-    NULLHOP,
-    NVIDIA_P100,
-    BaselinePlatform,
-)
+from .. import _lazy_package
 
-__all__ = [
-    "AMD_3970",
-    "DEAP_CNN",
-    "EDGE_TPU",
-    "HOLYLIGHT",
-    "INTEL_9282",
-    "LITERATURE_PLATFORMS",
-    "NULLHOP",
-    "NVIDIA_P100",
-    "BaselinePlatform",
-]
+__getattr__, __dir__, __all__ = _lazy_package(__name__, {
+    ".platforms": (
+        "AMD_3970",
+        "DEAP_CNN",
+        "EDGE_TPU",
+        "HOLYLIGHT",
+        "INTEL_9282",
+        "LITERATURE_PLATFORMS",
+        "NULLHOP",
+        "NVIDIA_P100",
+        "BaselinePlatform",
+    ),
+})

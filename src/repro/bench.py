@@ -11,19 +11,20 @@ against the committed ``BENCH_sim.json`` baseline and fails when a
 benchmark has regressed more than :data:`REGRESSION_FACTOR`, so the
 perf trajectory of the DES kernel is guarded across PRs.
 
-The baseline also holds each body's kernel insertions: the sum of
-``Environment._sequence`` over every environment one call of the body
-creates.  That count is exact and the same on every run, so ``--check``
-fails on any body whose count rises above its committed value.
+The baseline also holds two exact counts per body (:data:`COUNTERS`):
+its kernel insertions — the sum of ``Environment._sequence`` over every
+environment one call of the body creates — and the
+:class:`~repro.sim.core.Process` objects that call starts.  Both are the
+same on every run, so ``--check`` fails on any body whose count rises
+above its committed value.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 BASELINE_FILENAME = "BENCH_sim.json"
 """Committed baseline written by ``benchmarks/run_all.py``."""
@@ -35,6 +36,13 @@ REGRESSION_FACTOR = 2.0
 
 KERNEL_BENCHMARK = "test_bench_kernel_event_throughput"
 """The headline kernel benchmark the acceptance criteria track."""
+
+COUNTERS = {
+    "insertions": "kernel insertions",
+    "processes": "processes started",
+}
+"""Exact per-body counts the baseline records beside each median
+(:func:`count_kernel_work`), with their report labels."""
 
 
 # ---------------------------------------------------------------------------
@@ -724,31 +732,37 @@ def measure_ns(run: Callable[[], object], repeats: int = 5,
     return samples[len(samples) // 2] * 1e9
 
 
-@contextmanager
-def _tracking_environments() -> Iterator[list]:
-    """Collect every :class:`Environment` created inside the block."""
-    from .sim.core import Environment
+def count_kernel_work(run: Callable[[], object]) -> dict[str, int]:
+    """The :data:`COUNTERS` of one ``run()`` call: kernel insertions
+    summed over every environment it creates, and the processes it
+    starts."""
+    from .sim.core import Environment, Process
 
     created = []
-    original = Environment.__init__
+    started = 0
+    env_init = Environment.__init__
+    process_init = Process.__init__
 
-    def tracking_init(env, *args, **kwargs):
-        original(env, *args, **kwargs)
+    def tracking_env_init(env, *args, **kwargs):
+        env_init(env, *args, **kwargs)
         created.append(env)
 
-    Environment.__init__ = tracking_init
+    def counting_process_init(process, *args, **kwargs):
+        nonlocal started
+        started += 1
+        process_init(process, *args, **kwargs)
+
+    Environment.__init__ = tracking_env_init
+    Process.__init__ = counting_process_init
     try:
-        yield created
-    finally:
-        Environment.__init__ = original
-
-
-def count_insertions(run: Callable[[], object]) -> int:
-    """Kernel insertions of one ``run()`` call, over every environment
-    it creates."""
-    with _tracking_environments() as created:
         run()
-    return sum(env._sequence for env in created)
+    finally:
+        Environment.__init__ = env_init
+        Process.__init__ = process_init
+    return {
+        "insertions": sum(env._sequence for env in created),
+        "processes": started,
+    }
 
 
 def select_benchmarks(substring: str) -> tuple[str, ...]:
@@ -773,19 +787,21 @@ def select_benchmarks(substring: str) -> tuple[str, ...]:
 
 
 def run_suite(names: tuple[str, ...] | None = None, repeats: int = 5,
-              insertions: dict[str, int] | None = None) -> dict[str, float]:
+              counts: dict[str, dict[str, int]] | None = None
+              ) -> dict[str, float]:
     """Time the microbenchmarks inline; returns name -> median ns/op.
 
-    Each body's warm-up call counts its kernel insertions, stored into
-    ``insertions`` when one is given.
+    Each body's warm-up call counts its kernel work
+    (:func:`count_kernel_work`), stored into ``counts`` under the body's
+    name when one is given.
     """
     selected = names or tuple(MICROBENCHMARKS)
     medians = {}
     for name in selected:
         run = MICROBENCHMARKS[name]()
-        count = count_insertions(run)
-        if insertions is not None:
-            insertions[name] = count
+        work = count_kernel_work(run)
+        if counts is not None:
+            counts[name] = work
         medians[name] = measure_ns(run, repeats=repeats, warmup=0)
     return medians
 
@@ -797,14 +813,13 @@ def run_suite(names: tuple[str, ...] | None = None, repeats: int = 5,
 
 def write_baseline(medians: dict[str, float], path: str | Path,
                    source: str = "repro.bench",
-                   insertions: dict[str, int] | None = None) -> None:
-    """Write a BENCH_sim.json baseline (insertions beside the medians)."""
-    insertions = insertions or {}
-    benchmarks = {}
-    for name, median in sorted(medians.items()):
-        benchmarks[name] = {"median_ns": median}
-        if name in insertions:
-            benchmarks[name]["insertions"] = insertions[name]
+                   counts: dict[str, dict[str, int]] | None = None) -> None:
+    """Write a BENCH_sim.json baseline (counts beside the medians)."""
+    counts = counts or {}
+    benchmarks = {
+        name: {"median_ns": median, **counts.get(name, {})}
+        for name, median in sorted(medians.items())
+    }
     payload = {
         "schema": BASELINE_SCHEMA_VERSION,
         "source": source,
@@ -828,12 +843,14 @@ def load_baseline(path: str | Path) -> dict[str, float]:
     }
 
 
-def load_insertions(path: str | Path) -> dict[str, int]:
-    """Read a baseline's kernel insertion counts; returns name -> count."""
+def load_counts(path: str | Path) -> dict[str, dict[str, int]]:
+    """Read a baseline's exact counts; returns name -> counter -> count."""
     return {
-        name: int(entry["insertions"])
+        name: {
+            counter: int(entry[counter])
+            for counter in COUNTERS if counter in entry
+        }
         for name, entry in _baseline_entries(path).items()
-        if "insertions" in entry
     }
 
 
@@ -861,35 +878,43 @@ def check_against_baseline(
     return failures
 
 
-def check_insertions(counts: dict[str, int],
-                     baseline: dict[str, int]) -> list[str]:
-    """Report lines for bodies whose kernel insertions exceed the
-    baseline's; names missing from either mapping are skipped."""
-    return [
-        f"{name}: {count} kernel insertions vs baseline "
-        f"{baseline[name]} (+{count - baseline[name]})"
-        for name, count in counts.items()
-        if name in baseline and count > baseline[name]
-    ]
+def check_counts(counts: dict[str, dict[str, int]],
+                 baseline: dict[str, dict[str, int]]) -> list[str]:
+    """Report lines for every count above the baseline's; names and
+    counters missing from either mapping are skipped."""
+    failures = []
+    for name, work in counts.items():
+        reference = baseline.get(name, {})
+        for counter, count in work.items():
+            if counter in reference and count > reference[counter]:
+                failures.append(
+                    f"{name}: {count} {COUNTERS[counter]} vs baseline "
+                    f"{reference[counter]} (+{count - reference[counter]})"
+                )
+    return failures
 
 
 def render_suite(medians: dict[str, float],
                  baseline: dict[str, float] | None = None,
-                 insertions: dict[str, int] | None = None) -> str:
+                 counts: dict[str, dict[str, int]] | None = None) -> str:
     """Text table of measured medians (and ratios when given a baseline,
-    and kernel insertions when given counts)."""
+    and the :data:`COUNTERS` when given counts)."""
+    counters = tuple(COUNTERS) if counts else ()
     lines = [
         f"{'benchmark':<42}{'median':>12}"
         + ("{:>12}".format("vs base") if baseline else "")
-        + ("{:>12}".format("insertions") if insertions else ""),
-        "-" * (54 + (12 if baseline else 0) + (12 if insertions else 0)),
+        + "".join(f"{counter:>12}" for counter in counters),
+        "-" * (54 + (12 if baseline else 0) + 12 * len(counters)),
     ]
     for name, median in medians.items():
         row = f"{name:<42}{median / 1e6:>10.2f}ms"
         if baseline:
             row += (f"{median / baseline[name]:>11.2f}x"
                     if baseline.get(name) else " " * 12)
-        if insertions and name in insertions:
-            row += f"{insertions[name]:>12}"
+        work = counts.get(name, {}) if counts else {}
+        row += "".join(
+            f"{work[counter]:>12}" if counter in work else " " * 12
+            for counter in counters
+        )
         lines.append(row)
     return "\n".join(lines)

@@ -372,14 +372,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         except ReproError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
-    insertions: dict[str, int] = {}
+    counts: dict[str, dict[str, int]] = {}
     medians = bench.run_suite(names=names, repeats=args.repeats,
-                              insertions=insertions)
+                              counts=counts)
     baseline = None
     baseline_path = Path(args.baseline)
     if baseline_path.exists():
         baseline = bench.load_baseline(baseline_path)
-    print(bench.render_suite(medians, baseline, insertions))
+    print(bench.render_suite(medians, baseline, counts))
     if not args.check:
         return 0
     if baseline is None:
@@ -390,9 +390,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
         return 2
     failures = bench.check_against_baseline(medians, baseline)
-    failures += bench.check_insertions(
-        insertions, bench.load_insertions(baseline_path)
-    )
+    failures += bench.check_counts(counts, bench.load_counts(baseline_path))
     if failures:
         print("\nPERF REGRESSION:")
         for line in failures:
@@ -401,7 +399,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(
         f"\nperf check OK: all benchmarks within "
         f"{bench.REGRESSION_FACTOR:.1f}x of baseline, no kernel "
-        "insertion count above it"
+        "insertion or process count above it"
     )
     return 0
 

@@ -11,32 +11,22 @@ node-level hazards (:mod:`repro.cluster.hazards`).  The serving cell
 fleet whenever its ``replicas``/node fields call for one.
 """
 
-from .hazards import (
-    NODE_HAZARD_KINDS,
-    NodeDrain,
-    NodeFail,
-    NodeHazardRecord,
-    NodeRepair,
-    node_hazard_timeline,
-    validate_node_timeline,
-)
-from .router import (
-    ROUTER_FACTORIES,
-    ClusterNode,
-    ClusterRouter,
-    RoutingPolicy,
-)
+from .. import _lazy_package
 
-__all__ = [
-    "ClusterNode",
-    "ClusterRouter",
-    "NODE_HAZARD_KINDS",
-    "NodeDrain",
-    "NodeFail",
-    "NodeHazardRecord",
-    "NodeRepair",
-    "ROUTER_FACTORIES",
-    "RoutingPolicy",
-    "node_hazard_timeline",
-    "validate_node_timeline",
-]
+__getattr__, __dir__, __all__ = _lazy_package(__name__, {
+    ".hazards": (
+        "NODE_HAZARD_KINDS",
+        "NodeDrain",
+        "NodeFail",
+        "NodeHazardRecord",
+        "NodeRepair",
+        "node_hazard_timeline",
+        "validate_node_timeline",
+    ),
+    ".router": (
+        "ROUTER_FACTORIES",
+        "ClusterNode",
+        "ClusterRouter",
+        "RoutingPolicy",
+    ),
+})

@@ -1,52 +1,30 @@
 """The paper's primary contribution: 2.5D chiplet photonic DNN
 accelerator platforms and the monolithic baseline."""
 
-from .accelerator import (
-    ALL_PLATFORMS,
-    CrossLight25DAWGR,
-    CrossLight25DElec,
-    CrossLight25DSiPh,
-    MonolithicCrossLight,
-)
-from .crosslight import MonolithicFabric, monolithic_mapping
-from .analytic import (
-    AnalyticEstimate,
-    analytic_estimate,
-    compute_bound_fraction,
-)
-from .accuracy import (
-    dot_product_snr,
-    min_dac_bits_for_effective_bits,
-    model_accuracy_report,
-    worst_layer,
-)
-from .engine import ExecutionTrace, InferenceEngine
-from .gantt import render_gantt, utilization_summary
-from .mac_unit import MacUnitSpec, PhotonicMacUnit
-from .metrics import EnergyBreakdown, InferenceResult, LayerTiming
+from .. import _lazy_package
 
-__all__ = [
-    "ALL_PLATFORMS",
-    "CrossLight25DAWGR",
-    "CrossLight25DElec",
-    "CrossLight25DSiPh",
-    "MonolithicCrossLight",
-    "MonolithicFabric",
-    "monolithic_mapping",
-    "AnalyticEstimate",
-    "analytic_estimate",
-    "compute_bound_fraction",
-    "dot_product_snr",
-    "min_dac_bits_for_effective_bits",
-    "model_accuracy_report",
-    "worst_layer",
-    "render_gantt",
-    "utilization_summary",
-    "ExecutionTrace",
-    "InferenceEngine",
-    "MacUnitSpec",
-    "PhotonicMacUnit",
-    "EnergyBreakdown",
-    "InferenceResult",
-    "LayerTiming",
-]
+__getattr__, __dir__, __all__ = _lazy_package(__name__, {
+    ".accelerator": (
+        "ALL_PLATFORMS",
+        "CrossLight25DAWGR",
+        "CrossLight25DElec",
+        "CrossLight25DSiPh",
+        "MonolithicCrossLight",
+    ),
+    ".crosslight": ("MonolithicFabric", "monolithic_mapping"),
+    ".analytic": (
+        "AnalyticEstimate",
+        "analytic_estimate",
+        "compute_bound_fraction",
+    ),
+    ".accuracy": (
+        "dot_product_snr",
+        "min_dac_bits_for_effective_bits",
+        "model_accuracy_report",
+        "worst_layer",
+    ),
+    ".gantt": ("render_gantt", "utilization_summary"),
+    ".engine": ("ExecutionTrace", "InferenceEngine"),
+    ".mac_unit": ("MacUnitSpec", "PhotonicMacUnit"),
+    ".metrics": ("EnergyBreakdown", "InferenceResult", "LayerTiming"),
+})

@@ -27,6 +27,7 @@ from ..dnn.workload import InferenceWorkload, extract_workload
 from ..errors import UnknownNameError
 from ..interposer.base import InterposerFabric
 from ..interposer.electrical.mesh import ElectricalMeshFabric
+from ..interposer.photonic.awgr import AWGRInterposerFabric
 from ..interposer.photonic.controllers import CONTROLLER_FACTORIES
 from ..interposer.photonic.fabric import PhotonicInterposerFabric
 from ..interposer.photonic.faults import HazardEngine, HazardTimeline
@@ -287,8 +288,6 @@ class CrossLight25DAWGR(_CrossLight25DBase):
         self.name = "2.5D-CrossLight-AWGR"
 
     def build_simulation(self, env: Environment) -> PlatformSimulation:
-        from ..interposer.photonic.awgr import AWGRInterposerFabric
-
         fabric = AWGRInterposerFabric(env, self.config, self.floorplan)
         return PlatformSimulation(
             platform=self, env=env, fabric=fabric, controller=None,

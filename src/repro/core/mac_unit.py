@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from ..errors import ConfigurationError
 from ..photonics import constants as ph
 from ..photonics.microring import MicroringResonator
 from ..photonics.photodetector import Photodetector
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,8 @@ class MacUnitSpec:
 
 def _quantize_unit_interval(values: np.ndarray, bits: int) -> np.ndarray:
     """Quantise values in [0, 1] to a ``bits``-deep uniform grid."""
+    import numpy as np
+
     levels = (1 << bits) - 1
     return np.round(np.clip(values, 0.0, 1.0) * levels) / levels
 
@@ -81,6 +84,8 @@ class PhotonicMacUnit:
         back through the Lorentzian — this round trip is where analog
         non-ideality enters.
         """
+        import numpy as np
+
         quantised = _quantize_unit_interval(weights, self.spec.dac_bits)
         transmissions = np.empty_like(quantised)
         for index, weight in enumerate(quantised):
@@ -97,6 +102,8 @@ class PhotonicMacUnit:
 
         Returns the normalised dot product as recovered by the ADC.
         """
+        import numpy as np
+
         act = np.asarray(activations, dtype=float)
         wgt = np.asarray(weights, dtype=float)
         if act.shape != wgt.shape:
@@ -137,6 +144,8 @@ class PhotonicMacUnit:
         Splits both operands into positive/negative parts and combines
         four magnitude dot products:  (a+ - a-) . (w+ - w-).
         """
+        import numpy as np
+
         act = np.asarray(activations, dtype=float)
         wgt = np.asarray(weights, dtype=float)
         if np.any(np.abs(act) > 1) or np.any(np.abs(wgt) > 1):
@@ -156,6 +165,8 @@ class PhotonicMacUnit:
         Long rows are processed in vector-length chunks with electronic
         partial-sum accumulation, exactly the execution the tiler counts.
         """
+        import numpy as np
+
         matrix = np.asarray(matrix, dtype=float)
         vector = np.asarray(vector, dtype=float)
         if matrix.ndim != 2 or matrix.shape[1] != vector.shape[0]:

@@ -1,49 +1,28 @@
 """DNN workload substrate: layer algebra, model graphs, the Table 2 zoo,
 quantisation, and inference-workload extraction."""
 
-from .layers import (
-    Activation,
-    Add,
-    AveragePooling2D,
-    BatchNormalization,
-    Concatenate,
-    Conv2D,
-    Dense,
-    DepthwiseConv2D,
-    Flatten,
-    GlobalAveragePooling2D,
-    Input,
-    Layer,
-    LayerStats,
-    MaxPooling2D,
-    Shape,
-    ZeroPadding2D,
-)
-from .model import Model, Node
-from .quantization import QuantizationConfig
-from .workload import InferenceWorkload, LayerWorkload, extract_workload
+from .. import _lazy_package
 
-__all__ = [
-    "Activation",
-    "Add",
-    "AveragePooling2D",
-    "BatchNormalization",
-    "Concatenate",
-    "Conv2D",
-    "Dense",
-    "DepthwiseConv2D",
-    "Flatten",
-    "GlobalAveragePooling2D",
-    "Input",
-    "Layer",
-    "LayerStats",
-    "MaxPooling2D",
-    "Shape",
-    "ZeroPadding2D",
-    "Model",
-    "Node",
-    "QuantizationConfig",
-    "InferenceWorkload",
-    "LayerWorkload",
-    "extract_workload",
-]
+__getattr__, __dir__, __all__ = _lazy_package(__name__, {
+    ".layers": (
+        "Activation",
+        "Add",
+        "AveragePooling2D",
+        "BatchNormalization",
+        "Concatenate",
+        "Conv2D",
+        "Dense",
+        "DepthwiseConv2D",
+        "Flatten",
+        "GlobalAveragePooling2D",
+        "Input",
+        "Layer",
+        "LayerStats",
+        "MaxPooling2D",
+        "Shape",
+        "ZeroPadding2D",
+    ),
+    ".model": ("Model", "Node"),
+    ".quantization": ("QuantizationConfig",),
+    ".workload": ("InferenceWorkload", "LayerWorkload", "extract_workload"),
+})

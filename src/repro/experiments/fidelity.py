@@ -43,6 +43,9 @@ from dataclasses import dataclass, replace
 from itertools import islice
 
 import numpy as np
+# ``np.unique`` reaches ``numpy.ma``, which numpy loads on first use:
+# load it here, at lowering, so the fluid run imports nothing.
+import numpy.ma  # noqa: F401
 
 from ..cluster.hazards import (
     NodeHazardRecord,
@@ -69,6 +72,7 @@ from ..serving.metrics import (
     mean_time_to_repair,
 )
 from ..sim.core import Environment
+from ..studies.faults import platform_timelines
 from ..studies.registry import MODELS
 from .runner import build_platform, config_digest
 from .serving_study import (
@@ -77,7 +81,6 @@ from .serving_study import (
     _merge_window,
     _sequence_stream,
     compute_hazard_records,
-    platform_timelines,
     simulate_serving_cell,
 )
 

@@ -37,6 +37,7 @@ from ..dnn import zoo
 from ..dnn.quantization import QuantizationConfig
 from ..dnn.workload import InferenceWorkload, extract_workload
 from ..errors import UnknownNameError
+from ..studies.faults import hazard_timeline
 from ..studies.registry import MODELS, PLATFORMS
 from ..studies.spec import FaultSpec
 
@@ -252,10 +253,6 @@ class InferenceCell:
 
 def simulate_inference_cell(cell: InferenceCell) -> InferenceResult:
     """Worker body: one full simulation of one inference cell."""
-    # Deferred: the serving module (home of the hazard lowering)
-    # imports this one.
-    from .serving_study import hazard_timeline
-
     platform = build_platform(
         cell.platform, cell.config, cell.controller,
         faults=hazard_timeline(cell.faults),

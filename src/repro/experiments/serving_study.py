@@ -24,18 +24,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..cluster.hazards import NODE_HAZARD_KINDS, node_hazard_timeline
+from ..cluster.hazards import node_hazard_timeline
 from ..cluster.router import ClusterNode, ClusterRouter, HealthPolicy
 from ..config import PlatformConfig
 from ..core.engine import ExecutionTrace
-from ..errors import ConfigurationError
 from ..dnn.workload import extract_workload
-from ..interposer.photonic.faults import (
-    COMPUTE_HAZARD_KINDS,
-    ChipletMacDegrade,
-    HazardRecord,
-    HazardTimeline,
-)
+from ..interposer.photonic.faults import ChipletMacDegrade, HazardRecord
 from ..mapping.residency import WeightResidency
 from ..serving.lifecycle import LifecycleDriver, ResiliencePolicy
 from ..serving.metrics import (
@@ -51,7 +45,8 @@ from ..serving.metrics import (
 )
 from ..serving.scheduler import BatchPolicy, RequestScheduler
 from ..sim.core import Environment
-from ..studies.registry import ARRIVALS, HAZARDS, MODELS, ROUTERS
+from ..studies.faults import platform_timelines
+from ..studies.registry import ARRIVALS, MODELS, ROUTERS
 from ..studies.spec import FaultSpec
 from .runner import build_platform, fields_key
 
@@ -160,62 +155,8 @@ class ServingCell:
 
 
 # ---------------------------------------------------------------------------
-# Hazard lowering.
+# Compute hazards.
 # ---------------------------------------------------------------------------
-
-
-def platform_timelines(
-    faults: "FaultSpec | None",
-) -> tuple[HazardTimeline | None, tuple[ChipletMacDegrade, ...]]:
-    """Lower a platform fault section onto its two hazard timelines.
-
-    Resolves every event kind against the ``HAZARDS`` registry (typed
-    did-you-mean errors) and runs the per-kind factory validation, so a
-    malformed fault section fails at compile time — before any
-    simulation.  Fabric events become a :class:`HazardTimeline` for the
-    photonic hazard engine; compute events (``chiplet-mac-degrade``)
-    are returned separately for the serving layer to drive through the
-    schedulers' :class:`~repro.core.engine.ComputeOccupancy`.
-    ``None``/empty lowers to ``(None, ())``.
-    """
-    if faults is None or not faults.events:
-        return None, ()
-    fabric = []
-    compute = []
-    for entry in faults.events:
-        fields = entry.to_dict()
-        kind = fields.pop("kind")
-        if kind in NODE_HAZARD_KINDS:
-            raise ConfigurationError(
-                f"hazard kind {kind!r} applies to cluster nodes; put it "
-                "in cluster.faults (platform.faults takes fabric-level "
-                "kinds)"
-            )
-        event = HAZARDS.get(kind)(**fields)
-        if kind in COMPUTE_HAZARD_KINDS:
-            compute.append(event)
-        else:
-            fabric.append(event)
-    timeline = HazardTimeline(tuple(fabric)) if fabric else None
-    return timeline, tuple(compute)
-
-
-def hazard_timeline(faults: "FaultSpec | None") -> HazardTimeline | None:
-    """Lower a fault section for a study with no serving layer.
-
-    Same validation as :func:`platform_timelines`, but compute-side
-    kinds are rejected: without a serving layer nothing drives the
-    chiplet occupancy they degrade, so accepting one would silently
-    no-op (and still move the cache digest).
-    """
-    timeline, compute = platform_timelines(faults)
-    if compute:
-        raise ConfigurationError(
-            f"hazard kind {compute[0].kind!r} applies to the serving "
-            "compute path; it needs a serving study (nothing drives the "
-            "chiplet MAC occupancy in a single-inference run)"
-        )
-    return timeline
 
 
 def _drive_mac_degrade(env, compute, event: ChipletMacDegrade):

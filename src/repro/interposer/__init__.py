@@ -1,13 +1,8 @@
 """Interposer networks: floorplan, photonic fabric, electrical mesh."""
 
-from .base import DEFAULT_CHUNK_BITS, InterposerFabric, NetworkEnergyReport
-from .topology import ChipletSite, Floorplan, build_floorplan
+from .. import _lazy_package
 
-__all__ = [
-    "DEFAULT_CHUNK_BITS",
-    "InterposerFabric",
-    "NetworkEnergyReport",
-    "ChipletSite",
-    "Floorplan",
-    "build_floorplan",
-]
+__getattr__, __dir__, __all__ = _lazy_package(__name__, {
+    ".base": ("DEFAULT_CHUNK_BITS", "InterposerFabric", "NetworkEnergyReport"),
+    ".topology": ("ChipletSite", "Floorplan", "build_floorplan"),
+})

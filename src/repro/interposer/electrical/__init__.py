@@ -1,5 +1,7 @@
 """Electrical mesh interposer baseline."""
 
-from .mesh import ElectricalMeshFabric
+from ... import _lazy_package
 
-__all__ = ["ElectricalMeshFabric"]
+__getattr__, __dir__, __all__ = _lazy_package(__name__, {
+    ".mesh": ("ElectricalMeshFabric",),
+})

@@ -1,55 +1,33 @@
 """Silicon-photonic interposer network: fabric, link budgets, controllers."""
 
-from .controllers import (
-    CONTROLLER_FACTORIES,
-    ProwavesController,
-    ReSiPIController,
-    StaticController,
-)
-from .awgr import AWGRInterposerFabric, awgr_link_budget
-from .fabric import PHOTONIC_DYNAMIC_J_PER_BIT, PhotonicInterposerFabric
-from .faults import (
-    HAZARD_FACTORIES,
-    FaultInjector,
-    FaultPlan,
-    GatewayFail,
-    GatewayRepair,
-    HazardEngine,
-    HazardRecord,
-    HazardTimeline,
-    LaserDegradation,
-    RingDriftBurst,
-    uniform_fault_plan,
-)
-from .links import (
-    INTERPOSER_WAVEGUIDE_LOSS_DB_PER_CM,
-    swmr_read_budget,
-    swsr_write_budget,
-    worst_case_write_budget,
-)
+from ... import _lazy_package
 
-__all__ = [
-    "CONTROLLER_FACTORIES",
-    "ProwavesController",
-    "ReSiPIController",
-    "StaticController",
-    "AWGRInterposerFabric",
-    "awgr_link_budget",
-    "FaultInjector",
-    "FaultPlan",
-    "GatewayFail",
-    "GatewayRepair",
-    "HAZARD_FACTORIES",
-    "HazardEngine",
-    "HazardRecord",
-    "HazardTimeline",
-    "LaserDegradation",
-    "RingDriftBurst",
-    "uniform_fault_plan",
-    "PHOTONIC_DYNAMIC_J_PER_BIT",
-    "PhotonicInterposerFabric",
-    "INTERPOSER_WAVEGUIDE_LOSS_DB_PER_CM",
-    "swmr_read_budget",
-    "swsr_write_budget",
-    "worst_case_write_budget",
-]
+__getattr__, __dir__, __all__ = _lazy_package(__name__, {
+    ".controllers": (
+        "CONTROLLER_FACTORIES",
+        "ProwavesController",
+        "ReSiPIController",
+        "StaticController",
+    ),
+    ".awgr": ("AWGRInterposerFabric", "awgr_link_budget"),
+    ".faults": (
+        "FaultInjector",
+        "FaultPlan",
+        "GatewayFail",
+        "GatewayRepair",
+        "HAZARD_FACTORIES",
+        "HazardEngine",
+        "HazardRecord",
+        "HazardTimeline",
+        "LaserDegradation",
+        "RingDriftBurst",
+        "uniform_fault_plan",
+    ),
+    ".fabric": ("PHOTONIC_DYNAMIC_J_PER_BIT", "PhotonicInterposerFabric"),
+    ".links": (
+        "INTERPOSER_WAVEGUIDE_LOSS_DB_PER_CM",
+        "swmr_read_budget",
+        "swsr_write_budget",
+        "worst_case_write_budget",
+    ),
+})

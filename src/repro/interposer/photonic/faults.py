@@ -40,8 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Union
 
-import numpy as np
-
 from ...errors import ConfigurationError, UnknownNameError
 from ...photonics.laser import LaserSource
 from ...photonics.thermal import RING_DRIFT_NM_PER_K
@@ -146,6 +144,8 @@ class RingDriftBurst:
 
     def usable_fraction(self, n_wavelengths: int) -> float:
         """Share of comb lines still locked during the burst."""
+        import numpy as np
+
         drift_nm = self.temperature_rise_k * RING_DRIFT_NM_PER_K
         deviations = VariationModel(seed=self.seed).sample_deviations_nm(
             n_wavelengths
@@ -322,6 +322,10 @@ def make_ring_drift(at_s: float, duration_s: float | None = None,
             f"ring-drift needs a positive temperature_rise_k, got "
             f"{temperature_rise_k}"
         )
+    # The burst samples ring deviations with numpy when it fires: a spec
+    # with one loads numpy here, at lowering, not inside its run.
+    import numpy.random  # noqa: F401
+
     return RingDriftBurst(
         at_s=at_s, duration_s=duration_s,
         temperature_rise_k=temperature_rise_k, seed=seed,

@@ -1,15 +1,10 @@
 """Layer-to-chiplet mapping, MAC-unit tiling, and weight residency."""
 
-from .mapper import Allocation, KernelMatchMapper, LayerMapping, ModelMapping
-from .residency import WeightResidency
-from .tiling import TilingResult, tile_layer
+from .. import _lazy_package
 
-__all__ = [
-    "Allocation",
-    "KernelMatchMapper",
-    "LayerMapping",
-    "ModelMapping",
-    "TilingResult",
-    "WeightResidency",
-    "tile_layer",
-]
+__getattr__, __dir__, __all__ = _lazy_package(__name__, {
+    ".mapper": ("Allocation", "KernelMatchMapper", "LayerMapping",
+                "ModelMapping"),
+    ".residency": ("WeightResidency",),
+    ".tiling": ("TilingResult", "tile_layer"),
+})

@@ -23,32 +23,19 @@ policy — costs nothing beyond a handful of ``is not None`` guards,
 which the ``telemetry_null_recorder`` microbenchmark pins.
 """
 
-from .metrics import MetricsRegistry, render_sparklines, sparkline
-from .policy import TelemetryPolicy
-from .session import TelemetrySession, TelemetrySummary
-from .trace import (
-    Instant,
-    Span,
-    TraceRecorder,
-    chrome_trace_events,
-    chrome_trace_json,
-    validate_chrome_trace,
-)
+from .. import _lazy_package
 
-__all__ = [
-    "Instant",
-    "MetricsRegistry",
-    "Span",
-    "TelemetryPolicy",
-    "TelemetrySession",
-    "TelemetrySummary",
-    "TraceRecorder",
-    "chrome_trace_events",
-    "chrome_trace_json",
-    "render_sparklines",
-    "sparkline",
-    "telemetry_series_to_csv",
-    "validate_chrome_trace",
-]
-
-from .session import telemetry_series_to_csv  # noqa: E402  (re-export)
+__getattr__, __dir__, __all__ = _lazy_package(__name__, {
+    ".metrics": ("MetricsRegistry", "render_sparklines", "sparkline"),
+    ".policy": ("TelemetryPolicy",),
+    ".session": ("TelemetrySession", "TelemetrySummary",
+                 "telemetry_series_to_csv"),
+    ".trace": (
+        "Instant",
+        "Span",
+        "TraceRecorder",
+        "chrome_trace_events",
+        "chrome_trace_json",
+        "validate_chrome_trace",
+    ),
+})

@@ -7,82 +7,45 @@ fiber couplers, power splitters, phase-change-material couplers, WDM
 grids, and an end-to-end link-budget solver.
 """
 
-from .coupler import CouplerKind, FiberCoupler, PowerSplitter
-from .laser import LaserSource
-from .link_budget import DEFAULT_SYSTEM_MARGIN_DB, LinkBudget, LossElement
-from .microdisk import MicrodiskResonator
-from .microring import MicroringResonator, TuningMechanism
-from .mzi import MachZehnderInterferometer
-from .modulation import (
-    OOK,
-    PAM4,
-    ModulationScheme,
-    ModulationSpec,
-    Pam4Tradeoff,
-    operating_point,
-    pam4_tradeoff,
-    required_q_factor,
-)
-from .pcmc import PCMCoupler, PCMCState, coupling_length_ratio_for_fraction
-from .photodetector import Photodetector
-from .signal_integrity import (
-    SignalReport,
-    interposer_filter_ring,
-    interposer_grid,
-    link_signal_report,
-    max_wavelengths_for_ber,
-)
-from .thermal import (
-    ThermalOperatingPoint,
-    thermal_operating_point,
-    thermal_runaway_limit_w,
-)
-from .variations import (
-    TrimmingReport,
-    VariationModel,
-    platform_trimming_power_w,
-    trimming_report,
-)
-from .waveguide import Waveguide
-from .wdm import WDMGrid, max_channels_for_crosstalk
+from .. import _lazy_package
 
-__all__ = [
-    "CouplerKind",
-    "FiberCoupler",
-    "PowerSplitter",
-    "LaserSource",
-    "DEFAULT_SYSTEM_MARGIN_DB",
-    "LinkBudget",
-    "LossElement",
-    "MicrodiskResonator",
-    "MicroringResonator",
-    "TuningMechanism",
-    "MachZehnderInterferometer",
-    "OOK",
-    "PAM4",
-    "ModulationScheme",
-    "ModulationSpec",
-    "Pam4Tradeoff",
-    "operating_point",
-    "pam4_tradeoff",
-    "required_q_factor",
-    "ThermalOperatingPoint",
-    "thermal_operating_point",
-    "thermal_runaway_limit_w",
-    "PCMCoupler",
-    "PCMCState",
-    "coupling_length_ratio_for_fraction",
-    "Photodetector",
-    "SignalReport",
-    "interposer_filter_ring",
-    "interposer_grid",
-    "link_signal_report",
-    "max_wavelengths_for_ber",
-    "TrimmingReport",
-    "VariationModel",
-    "platform_trimming_power_w",
-    "trimming_report",
-    "Waveguide",
-    "WDMGrid",
-    "max_channels_for_crosstalk",
-]
+__getattr__, __dir__, __all__ = _lazy_package(__name__, {
+    ".coupler": ("CouplerKind", "FiberCoupler", "PowerSplitter"),
+    ".laser": ("LaserSource",),
+    ".link_budget": ("DEFAULT_SYSTEM_MARGIN_DB", "LinkBudget", "LossElement"),
+    ".microdisk": ("MicrodiskResonator",),
+    ".microring": ("MicroringResonator", "TuningMechanism"),
+    ".mzi": ("MachZehnderInterferometer",),
+    ".modulation": (
+        "OOK",
+        "PAM4",
+        "ModulationScheme",
+        "ModulationSpec",
+        "Pam4Tradeoff",
+        "operating_point",
+        "pam4_tradeoff",
+        "required_q_factor",
+    ),
+    ".thermal": (
+        "ThermalOperatingPoint",
+        "thermal_operating_point",
+        "thermal_runaway_limit_w",
+    ),
+    ".pcmc": ("PCMCoupler", "PCMCState", "coupling_length_ratio_for_fraction"),
+    ".photodetector": ("Photodetector",),
+    ".signal_integrity": (
+        "SignalReport",
+        "interposer_filter_ring",
+        "interposer_grid",
+        "link_signal_report",
+        "max_wavelengths_for_ber",
+    ),
+    ".variations": (
+        "TrimmingReport",
+        "VariationModel",
+        "platform_trimming_power_w",
+        "trimming_report",
+    ),
+    ".waveguide": ("Waveguide",),
+    ".wdm": ("WDMGrid", "max_channels_for_crosstalk"),
+})

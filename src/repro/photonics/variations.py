@@ -21,12 +21,14 @@ reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..errors import ConfigurationError
 from . import constants
 from .microring import MicroringResonator, TuningMechanism
+
+if TYPE_CHECKING:
+    import numpy as np
 
 WITHIN_DIE_SIGMA_NM = 0.25
 """Random within-die resonance deviation (1-sigma, nm); typical foundry
@@ -55,6 +57,8 @@ class VariationModel:
         Deterministic per ``(seed, die_index)``; the die offset is shared
         by all rings of the die, the within-die part is per ring.
         """
+        import numpy as np
+
         if n_rings < 1:
             raise ConfigurationError("need at least one ring")
         rng = np.random.default_rng((self.seed, die_index))
@@ -95,6 +99,8 @@ def trimming_report(
     to the next FSR instead (counted in ``fsr_hop_fraction``; their trim
     cost is the residual after the hop).
     """
+    import numpy as np
+
     if trim_range_nm <= 0:
         raise ConfigurationError("trim range must be positive")
     model = model or VariationModel()

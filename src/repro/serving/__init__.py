@@ -9,43 +9,25 @@ latency/goodput/utilization results — per tenant model when several
 share the fabric.
 """
 
-from .lifecycle import LifecycleDriver, ResiliencePolicy
-from .metrics import (
-    ClusterResult,
-    IncidentRecord,
-    LatencyProfile,
-    ModelServingStats,
-    NodeStats,
-    RequestRecord,
-    ResilienceStats,
-    ServingResult,
-    WindowStats,
-    aggregate,
-    mean_time_to_repair,
-    per_model_stats,
-    percentile,
-    windowed_stats,
-)
-from .scheduler import BatchPolicy, RequestHandle, RequestScheduler
+from .. import _lazy_package
 
-__all__ = [
-    "BatchPolicy",
-    "ClusterResult",
-    "IncidentRecord",
-    "LatencyProfile",
-    "LifecycleDriver",
-    "ModelServingStats",
-    "NodeStats",
-    "RequestHandle",
-    "RequestRecord",
-    "RequestScheduler",
-    "ResiliencePolicy",
-    "ResilienceStats",
-    "ServingResult",
-    "WindowStats",
-    "aggregate",
-    "mean_time_to_repair",
-    "per_model_stats",
-    "percentile",
-    "windowed_stats",
-]
+__getattr__, __dir__, __all__ = _lazy_package(__name__, {
+    ".lifecycle": ("LifecycleDriver", "ResiliencePolicy"),
+    ".metrics": (
+        "ClusterResult",
+        "IncidentRecord",
+        "LatencyProfile",
+        "ModelServingStats",
+        "NodeStats",
+        "RequestRecord",
+        "ResilienceStats",
+        "ServingResult",
+        "WindowStats",
+        "aggregate",
+        "mean_time_to_repair",
+        "per_model_stats",
+        "percentile",
+        "windowed_stats",
+    ),
+    ".scheduler": ("BatchPolicy", "RequestHandle", "RequestScheduler"),
+})

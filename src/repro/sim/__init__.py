@@ -1,19 +1,9 @@
 """Discrete-event simulation kernel and shared-resource primitives."""
 
-from .core import AllOf, Environment, Event, Process, Timeout
-from .resources import BandwidthChannel, ChannelStat, Resource
-from .stats import EpochTrafficMonitor, LatencyRecorder, TimeWeightedValue
+from .. import _lazy_package
 
-__all__ = [
-    "AllOf",
-    "Environment",
-    "Event",
-    "Process",
-    "Timeout",
-    "BandwidthChannel",
-    "ChannelStat",
-    "Resource",
-    "EpochTrafficMonitor",
-    "LatencyRecorder",
-    "TimeWeightedValue",
-]
+__getattr__, __dir__, __all__ = _lazy_package(__name__, {
+    ".core": ("AllOf", "Environment", "Event", "Process", "Timeout"),
+    ".resources": ("BandwidthChannel", "ChannelStat", "Resource"),
+    ".stats": ("EpochTrafficMonitor", "LatencyRecorder", "TimeWeightedValue"),
+})

@@ -33,6 +33,9 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
+# numpy loads its submodules on first attribute access; load the RNG
+# here, so a serving study pays for it at lowering, not in its run.
+import numpy.random  # noqa: F401
 
 from ..errors import ConfigurationError
 from ..interposer.base import InterposerFabric

@@ -18,45 +18,43 @@ Typical use::
     for point in study.points:
         print(point.spec.digest[:12], point.results)
 
-The compiler and spec builders load lazily (PEP 562): the experiment
-layer imports :mod:`.registry`/:mod:`.spec` from here, and the
-compiler imports the experiment layer — eager package-level imports
-would make that a cycle.
+Every name loads its submodule on first access (PEP 562), so reading
+a spec never imports the compiler, and the compiler loads the serving
+layers only for serving studies.
 """
 
-from importlib import import_module
+from .. import _lazy_package
 
-from .registry import (
-    ARRIVALS,
-    BATCH_POLICIES,
-    CONTROLLERS,
-    HAZARDS,
-    MODELS,
-    PLATFORMS,
-    ROUTERS,
-    Registry,
-)
-from .spec import (
-    FIDELITY_MODES,
-    SPEC_SCHEMA_VERSION,
-    ClusterSpec,
-    FaultEventSpec,
-    FaultSpec,
-    FidelitySpec,
-    ModelTraffic,
-    NodeOverrideSpec,
-    PlatformSpec,
-    ResilienceSpec,
-    SchedulerSpec,
-    StudySpec,
-    SweepAxis,
-    SweepSpec,
-    TelemetrySpec,
-    WorkloadSpec,
-    spec_digest,
-)
-
-_LAZY_EXPORTS = {
+__getattr__, __dir__, __all__ = _lazy_package(__name__, {
+    ".registry": (
+        "ARRIVALS",
+        "BATCH_POLICIES",
+        "CONTROLLERS",
+        "HAZARDS",
+        "MODELS",
+        "PLATFORMS",
+        "ROUTERS",
+        "Registry",
+    ),
+    ".spec": (
+        "FIDELITY_MODES",
+        "SPEC_SCHEMA_VERSION",
+        "ClusterSpec",
+        "FaultEventSpec",
+        "FaultSpec",
+        "FidelitySpec",
+        "ModelTraffic",
+        "NodeOverrideSpec",
+        "PlatformSpec",
+        "ResilienceSpec",
+        "SchedulerSpec",
+        "StudySpec",
+        "SweepAxis",
+        "SweepSpec",
+        "TelemetrySpec",
+        "WorkloadSpec",
+        "spec_digest",
+    ),
     ".compile": (
         "InferenceCell",
         "StudyPoint",
@@ -82,51 +80,4 @@ _LAZY_EXPORTS = {
         "slo_attainment_sweep_spec",
         "wavelength_sweep_spec",
     ),
-}
-
-_LAZY_HOMES = {
-    name: module
-    for module, names in _LAZY_EXPORTS.items()
-    for name in names
-}
-
-
-def __getattr__(name: str):
-    home = _LAZY_HOMES.get(name)
-    if home is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    value = getattr(import_module(home, __name__), name)
-    globals()[name] = value  # cache: __getattr__ runs once per name
-    return value
-
-
-__all__ = [
-    "ARRIVALS",
-    "BATCH_POLICIES",
-    "CONTROLLERS",
-    "ClusterSpec",
-    "FIDELITY_MODES",
-    "FaultEventSpec",
-    "FaultSpec",
-    "FidelitySpec",
-    "HAZARDS",
-    "MODELS",
-    "ModelTraffic",
-    "NodeOverrideSpec",
-    "PLATFORMS",
-    "PlatformSpec",
-    "ROUTERS",
-    "ResilienceSpec",
-    "Registry",
-    "SPEC_SCHEMA_VERSION",
-    "SchedulerSpec",
-    "StudySpec",
-    "SweepAxis",
-    "SweepSpec",
-    "TelemetrySpec",
-    "WorkloadSpec",
-    "spec_digest",
-    *_LAZY_HOMES,
-]
+})

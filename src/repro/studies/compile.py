@@ -18,15 +18,20 @@ machinery:
 
 Both cell kinds key by every one of their fields
 (:func:`~repro.experiments.runner.fields_key`).
+
+The serving layers (the scheduler, the cluster router, the lifecycle
+driver, numpy-backed arrivals) load inside the serving lowering, the
+way fidelity and telemetry always have: an inference study never
+imports them, and a serving study's lowering imports everything its
+run needs, so ``run_study`` spends no time importing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from ..cluster.hazards import node_hazard_timeline, validate_node_timeline
-from ..cluster.router import HealthPolicy
 from ..config import DEFAULT_PLATFORM, PlatformConfig
 from ..dnn.zoo import TRANSFORMER_BUILDERS
 from ..errors import SpecError
@@ -38,21 +43,7 @@ from ..experiments.runner import (
     run_cached,
     simulate_inference_cell,
 )
-from ..experiments.serving_study import (
-    ServingCell,
-    hazard_timeline,
-    platform_timelines,
-    render_cluster_study,
-    render_fault_windows,
-    render_node_table,
-    render_sequence_summary,
-    render_serving_study,
-    render_slo_summary,
-    simulate_serving_cell,
-)
-from ..serving.lifecycle import ResiliencePolicy
-from ..serving.metrics import ClusterResult, ServingResult
-from ..serving.scheduler import BatchPolicy
+from .faults import hazard_timeline, platform_timelines
 from .registry import (
     ARRIVALS,
     BATCH_POLICIES,
@@ -62,6 +53,13 @@ from .registry import (
     ROUTERS,
 )
 from .spec import ClusterSpec, SchedulerSpec, StudySpec
+
+if TYPE_CHECKING:
+    from ..cluster.router import HealthPolicy
+    from ..experiments.serving_study import ServingCell
+    from ..serving.lifecycle import ResiliencePolicy
+    from ..serving.metrics import ClusterResult, ServingResult
+    from ..serving.scheduler import BatchPolicy
 
 SIPH_PLATFORM = "2.5D-CrossLight-SiPh"
 """The one platform whose fabric takes a reconfiguration controller."""
@@ -87,6 +85,10 @@ def build_resilience(spec: StudySpec) -> ResiliencePolicy | None:
     submit-once path: the cell carries no policy.
     """
     section = spec.resilience
+    if not section:
+        return None
+    from ..serving.lifecycle import ResiliencePolicy
+
     policy = ResiliencePolicy(
         timeout_s=section.timeout_s,
         max_retries=section.max_retries,
@@ -133,6 +135,9 @@ def build_telemetry(spec: StudySpec):
     if not section:
         return None
     from ..obs.policy import TelemetryPolicy
+    # The armed run records through a session: load it here, at
+    # lowering, so the run imports nothing.
+    from ..obs.session import TelemetrySession  # noqa: F401
 
     return TelemetryPolicy(
         trace=section.trace,
@@ -175,6 +180,8 @@ def build_health(spec: StudySpec) -> HealthPolicy | None:
     section = spec.resilience
     if not section.health_checked:
         return None
+    from ..cluster.router import HealthPolicy
+
     return HealthPolicy(
         signal_staleness_s=section.signal_staleness_s,
         probe_interval_s=section.probe_interval_s,
@@ -260,6 +267,8 @@ def _validate_names(spec: StudySpec) -> None:
 
 def _validate_cluster(spec: StudySpec) -> None:
     """Resolve and sanity-check one point's cluster section."""
+    from ..cluster.hazards import node_hazard_timeline, validate_node_timeline
+
     cluster = spec.cluster
     # Building the policy also validates the weights against the
     # replica count (the weighted router demands one per node).
@@ -312,6 +321,8 @@ def lower_serving_point(point: StudySpec,
 
     A point without a ``cluster`` section is the one-node fleet.
     """
+    from ..experiments.serving_study import ServingCell
+
     workload = point.workload
     cluster = point.cluster or ClusterSpec()
     return ServingCell(
@@ -398,10 +409,14 @@ class StudyResult:
         return [result for point in self.points for result in point.results]
 
     def serving_results(self) -> list[ServingResult]:
+        from ..serving.metrics import ServingResult
+
         return [r for r in self.flat_results()
                 if isinstance(r, ServingResult)]
 
     def cluster_results(self) -> list[ClusterResult]:
+        from ..serving.metrics import ClusterResult
+
         return [r for r in self.flat_results()
                 if isinstance(r, ClusterResult)]
 
@@ -464,10 +479,13 @@ def run_study(spec: StudySpec, jobs: int = 1,
     if stats is None:
         stats = CacheStats()
 
-    simulate = (
-        simulate_inference_cell if spec.kind == "inference"
-        else simulate_serving_cell
-    )
+    if spec.kind == "inference":
+        simulate = simulate_inference_cell
+    else:
+        # Loaded by the serving lowering above: no import cost here.
+        from ..experiments.serving_study import simulate_serving_cell
+
+        simulate = simulate_serving_cell
     results = run_cached(
         cells, simulate, jobs=jobs, cache_dir=cache_dir, stats=stats,
     )
@@ -500,6 +518,15 @@ def render_study(study: StudyResult) -> str:
         lines += [header, "-" * len(header)]
         lines += [result.summary_row() for result in study.flat_results()]
     else:
+        from ..experiments.serving_study import (
+            render_cluster_study,
+            render_fault_windows,
+            render_node_table,
+            render_sequence_summary,
+            render_serving_study,
+            render_slo_summary,
+        )
+
         results = study.serving_results()
         if results:
             lines.append(render_serving_study(results))

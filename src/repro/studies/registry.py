@@ -8,6 +8,11 @@ the name→builder dictionaries that used to be scattered across
 :class:`~repro.errors.UnknownNameError` with a did-you-mean suggestion
 instead of a bare ``KeyError``, and downstream code (including external
 plugins) can ``register`` new entries without touching any other layer.
+
+Registries whose factories live in another layer bind on first use
+(``CONTROLLERS``, ``HAZARDS``, ``ARRIVALS``, ``BATCH_POLICIES``,
+``ROUTERS``): importing this module loads only the platform and model
+layers an inference study runs.
 """
 
 from __future__ import annotations
@@ -27,52 +32,56 @@ from ..dnn.zoo import (
     TRANSFORMER_BUILDERS,
 )
 from ..errors import ConfigurationError, UnknownNameError
-from ..interposer.photonic.controllers import CONTROLLER_FACTORIES
-from ..interposer.photonic.faults import HAZARD_FACTORIES
-from ..serving.scheduler import POLICY_NAMES, BatchPolicy
-from ..sim.traffic import ClosedLoopClients, MMPPArrivals, PoissonArrivals
 
 
 class Registry:
     """Ordered name→factory map with typed lookup errors.
 
-    ``backing`` shares a pre-existing mutable dict instead of copying
-    it: registrations through the registry become visible to legacy
-    code still reading that dict directly (and vice versa).  ``label``
+    ``entries`` are copied.  ``bind`` instead returns a mutable dict
+    the registry shares, so registrations through the registry become
+    visible to code reading that dict directly (and vice versa); it is
+    called on the registry's first use, so the module defining a
+    registry need not import the layer that owns the dict.  ``label``
     is the registry's own name (``"ROUTERS"``): lookup errors carry it
     so multi-registry specs say *which* table rejected a name.
     """
 
     def __init__(self, kind: str,
                  entries: Mapping[str, Callable] | None = None,
-                 backing: dict[str, Callable] | None = None,
-                 label: str | None = None):
+                 label: str | None = None,
+                 bind: Callable[[], dict[str, Callable]] | None = None):
         self.kind = kind
         self.label = label
-        if backing is not None:
-            if entries is not None:
-                raise ConfigurationError(
-                    "pass either entries (copied) or backing (shared)"
-                )
-            self._entries = backing
-        else:
-            self._entries = dict(entries or {})
+        if entries is not None and bind is not None:
+            raise ConfigurationError(
+                "pass either entries (copied) or bind (shared, resolved "
+                "on first use)"
+            )
+        self._bind = bind
+        self._entries = None if bind is not None else dict(entries or {})
+
+    def _table(self) -> dict[str, Callable]:
+        """The name→factory dict, bound on first use."""
+        if self._entries is None:
+            self._entries = self._bind()
+        return self._entries
 
     def register(self, name: str, factory: Callable,
                  overwrite: bool = False) -> Callable:
         """Add an entry; refuses silent shadowing unless ``overwrite``."""
-        if name in self._entries and not overwrite:
+        table = self._table()
+        if name in table and not overwrite:
             raise ConfigurationError(
                 f"{self.kind} {name!r} is already registered; "
                 "pass overwrite=True to replace it"
             )
-        self._entries[name] = factory
+        table[name] = factory
         return factory
 
     def get(self, name: str) -> Callable:
         """The factory under ``name``; typed error with suggestions."""
         try:
-            return self._entries[name]
+            return self._table()[name]
         except KeyError:
             raise UnknownNameError(
                 self.kind, name, self.names(), registry=self.label
@@ -80,16 +89,16 @@ class Registry:
 
     def names(self) -> tuple[str, ...]:
         """Registered names, in registration order."""
-        return tuple(self._entries)
+        return tuple(self._table())
 
     def __contains__(self, name: object) -> bool:
-        return name in self._entries
+        return name in self._table()
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._entries)
+        return iter(self._table())
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._table())
 
 
 # ---------------------------------------------------------------------------
@@ -142,22 +151,36 @@ MODELS = Registry("model", label="MODELS",
 transformer zoo for autoregressive serving)."""
 
 
+def _controller_factories() -> dict[str, Callable]:
+    from ..interposer.photonic.controllers import CONTROLLER_FACTORIES
+
+    return CONTROLLER_FACTORIES
+
+
 CONTROLLERS = Registry("controller", label="CONTROLLERS",
-                       backing=CONTROLLER_FACTORIES)
+                       bind=_controller_factories)
 """Interposer reconfiguration controllers (SiPh platform).
 
 Shares the factory dict the SiPh platform constructs from, so a
 controller registered here is buildable — not just spec-valid."""
 
 
-HAZARDS = Registry("hazard", label="HAZARDS", backing=HAZARD_FACTORIES)
+def _hazard_factories() -> dict[str, Callable]:
+    from ..cluster import hazards  # noqa: F401  (registers the node-* kinds)
+    from ..interposer.photonic.faults import HAZARD_FACTORIES
+
+    return HAZARD_FACTORIES
+
+
+HAZARDS = Registry("hazard", label="HAZARDS", bind=_hazard_factories)
 """Hazard-event factories for the platform fault timeline.
 
 Each factory takes the full :class:`~repro.studies.spec.FaultEventSpec`
 field set (minus ``kind``) and returns a typed hazard event, rejecting
 knobs that do not apply to its kind.  Shares the factory dict the
 hazard engine's spec lowering reads, so externally registered hazard
-kinds are buildable from JSON specs."""
+kinds are buildable from JSON specs; binding it also registers the
+cluster layer's node-level kinds in that dict."""
 
 
 # ---------------------------------------------------------------------------
@@ -165,30 +188,30 @@ kinds are buildable from JSON specs."""
 # ---------------------------------------------------------------------------
 
 
-def _poisson(rate_rps: float, seed: int, **_: Any) -> PoissonArrivals:
-    return PoissonArrivals(rate_rps=rate_rps, seed=seed)
+def _arrival_factories() -> dict[str, Callable]:
+    from ..sim.traffic import ClosedLoopClients, MMPPArrivals, PoissonArrivals
+
+    def poisson(rate_rps: float, seed: int, **_: Any) -> PoissonArrivals:
+        return PoissonArrivals(rate_rps=rate_rps, seed=seed)
+
+    def mmpp(rate_rps: float, seed: int, burstiness: float = 4.0,
+             dwell_s: float = 20e-6, **_: Any) -> MMPPArrivals:
+        return MMPPArrivals(rate_rps=rate_rps, burstiness=burstiness,
+                            dwell_s=dwell_s, seed=seed)
+
+    def closed(rate_rps: float, seed: int, think_time_s: float = 10e-6,
+               **_: Any) -> ClosedLoopClients:
+        # Closed loop: the rate sets the client population via the
+        # zero-service-time bound n = rate * think.
+        n_clients = max(1, round(rate_rps * think_time_s))
+        return ClosedLoopClients(n_clients=n_clients,
+                                 think_time_s=think_time_s, seed=seed)
+
+    return {"poisson": poisson, "mmpp": mmpp, "closed": closed}
 
 
-def _mmpp(rate_rps: float, seed: int, burstiness: float = 4.0,
-          dwell_s: float = 20e-6, **_: Any) -> MMPPArrivals:
-    return MMPPArrivals(rate_rps=rate_rps, burstiness=burstiness,
-                        dwell_s=dwell_s, seed=seed)
-
-
-def _closed(rate_rps: float, seed: int, think_time_s: float = 10e-6,
-            **_: Any) -> ClosedLoopClients:
-    # Closed loop: the rate sets the client population via the
-    # zero-service-time bound n = rate * think.
-    n_clients = max(1, round(rate_rps * think_time_s))
-    return ClosedLoopClients(n_clients=n_clients,
-                             think_time_s=think_time_s, seed=seed)
-
-
-ARRIVALS = Registry("arrival process", label="ARRIVALS", entries={
-    "poisson": _poisson,
-    "mmpp": _mmpp,
-    "closed": _closed,
-})
+ARRIVALS = Registry("arrival process", label="ARRIVALS",
+                    bind=_arrival_factories)
 """Arrival-process factories ``(rate_rps, seed, **knobs) -> process``."""
 
 
@@ -197,43 +220,47 @@ ARRIVALS = Registry("arrival process", label="ARRIVALS", entries={
 # ---------------------------------------------------------------------------
 
 
-def _policy_factory(name: str) -> Callable[..., BatchPolicy]:
+def _policy_factories() -> dict[str, Callable]:
     """One factory per policy name, forwarding every spec field.
 
     Forwarding (rather than cherry-picking) keeps
-    :class:`BatchPolicy`'s own validation in force: e.g.
-    ``max_batch > 1`` with a single-dispatch policy raises instead of
-    silently no-oping.
+    :class:`~repro.serving.scheduler.BatchPolicy`'s own validation in
+    force: e.g. ``max_batch > 1`` with a single-dispatch policy raises
+    instead of silently no-oping.
     """
-    def build(max_batch: int, batch_timeout_s: float, max_inflight: int,
-              shed_expired: bool) -> BatchPolicy:
-        return BatchPolicy(
-            name=name, max_batch=max_batch,
-            batch_timeout_s=batch_timeout_s, max_inflight=max_inflight,
-            shed_expired=shed_expired,
-        )
-    return build
+    from ..serving.scheduler import POLICY_NAMES, BatchPolicy
+
+    def factory(name: str) -> Callable[..., BatchPolicy]:
+        def build(max_batch: int, batch_timeout_s: float,
+                  max_inflight: int, shed_expired: bool) -> BatchPolicy:
+            return BatchPolicy(
+                name=name, max_batch=max_batch,
+                batch_timeout_s=batch_timeout_s, max_inflight=max_inflight,
+                shed_expired=shed_expired,
+            )
+        return build
+
+    return {name: factory(name) for name in POLICY_NAMES}
 
 
-BATCH_POLICIES = Registry("batch policy", label="BATCH_POLICIES", entries={
-    name: _policy_factory(name) for name in POLICY_NAMES
-})
+BATCH_POLICIES = Registry("batch policy", label="BATCH_POLICIES",
+                          bind=_policy_factories)
 """Dispatch-policy factories
 ``(max_batch, batch_timeout_s, max_inflight, shed_expired) -> policy``."""
 
 
 # ---------------------------------------------------------------------------
 # Cluster routing policies.
-#
-# Imported last: ``repro.cluster`` depends on the serving layer (and its
-# study module resolves names against the registries above), so pulling
-# it in before those registries exist would be a cycle.
 # ---------------------------------------------------------------------------
 
-from ..cluster.hazards import NODE_HAZARD_KINDS  # noqa: E402,F401  (registers the node-* hazard kinds in HAZARD_FACTORIES)
-from ..cluster.router import ROUTER_FACTORIES  # noqa: E402
 
-ROUTERS = Registry("router", label="ROUTERS", backing=ROUTER_FACTORIES)
+def _router_factories() -> dict[str, Callable]:
+    from ..cluster.router import ROUTER_FACTORIES
+
+    return ROUTER_FACTORIES
+
+
+ROUTERS = Registry("router", label="ROUTERS", bind=_router_factories)
 """Cluster routing-policy factories ``(n_nodes, weights) -> policy``.
 
 Shares the factory dict the cluster router builds from, so a router

@@ -23,7 +23,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields, replace
-from typing import Any, Mapping
+from functools import cache
+from typing import Any, ClassVar, Mapping, get_args, get_type_hints
 
 from ..errors import SpecError
 
@@ -102,8 +103,60 @@ def _reject_constant(literal: str) -> None:
     )
 
 
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number"}
+
+
+@cache
+def _scalar_fields(cls: type) -> dict[str, tuple[type, bool]]:
+    """``field -> (type, optional)`` for every bool/int/float field of a
+    spec dataclass, read from its annotations (``int | None`` is an
+    optional int)."""
+    hints = get_type_hints(cls)
+    scalars = {}
+    for field in fields(cls):
+        options = set(get_args(hints[field.name])) or {hints[field.name]}
+        optional = type(None) in options
+        options.discard(type(None))
+        if len(options) == 1 and (kind := options.pop()) in _TYPE_NAMES:
+            scalars[field.name] = (kind, optional)
+    return scalars
+
+
+def _check_types(cls: type, values: Mapping[str, Any]) -> None:
+    """Reject a scalar of the wrong JSON type for its annotated field.
+
+    An int field rejects booleans and floats, a float field takes
+    integers but not booleans, a bool field takes only booleans, and an
+    optional field also takes ``None``.  String fields are not checked:
+    names resolve against the registries at compile time, which raise
+    :class:`~repro.errors.UnknownNameError` for any bad one.  Both JSON
+    loading (:func:`_build`) and sweep values
+    (:meth:`StudySpec.with_override`) pass through here.
+    """
+    scalars = _scalar_fields(cls)
+    for name, value in values.items():
+        if name not in scalars:
+            continue
+        kind, optional = scalars[name]
+        if value is None and optional:
+            continue
+        if kind is bool:
+            valid = isinstance(value, bool)
+        else:
+            number = (int, float) if kind is float else int
+            valid = (isinstance(value, number)
+                     and not isinstance(value, bool))
+        if not valid:
+            path = f"{cls._path}.{name}" if cls._path else name
+            raise SpecError(
+                f"{path} must be {_TYPE_NAMES[kind]}"
+                f"{' or null' if optional else ''}, got {value!r}"
+            )
+
+
 def _build(cls: type, kwargs: dict[str, Any], where: str):
     """Construct a spec dataclass, translating failures to SpecError."""
+    _check_types(cls, kwargs)
     try:
         return cls(**kwargs)
     except TypeError as error:  # missing required fields
@@ -156,6 +209,8 @@ class ModelTraffic:
     prompt_tokens: int | None = None
     output_tokens: int | None = None
     quota: int | None = None
+
+    _path: ClassVar[str] = "workload.models[]"
 
     def __post_init__(self) -> None:
         if not self.model:
@@ -218,6 +273,8 @@ class WorkloadSpec:
     prompt_tokens: int = 0
     output_tokens: int = 0
     length_distribution: str = "fixed"
+
+    _path: ClassVar[str] = "workload"
 
     def __post_init__(self) -> None:
         if not self.models:
@@ -357,6 +414,8 @@ class FaultEventSpec:
     node: int | None = None
     nodes: tuple[int, ...] = ()
     mac_fraction: float = 1.0
+
+    _path: ClassVar[str] = "faults.events[]"
 
     def __post_init__(self) -> None:
         if not self.kind:
@@ -503,6 +562,8 @@ class PlatformSpec:
     controller_epoch_s: float | None = None
     faults: FaultSpec = FaultSpec()
 
+    _path: ClassVar[str] = "platform"
+
     def __post_init__(self) -> None:
         if self.n_wavelengths is not None and self.n_wavelengths < 1:
             raise SpecError(
@@ -554,6 +615,8 @@ class SchedulerSpec:
     max_inflight: int = 4
     shed_expired: bool = False
     starvation_age_s: float | None = None
+
+    _path: ClassVar[str] = "scheduler"
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -626,6 +689,8 @@ class NodeOverrideSpec:
     n_wavelengths: int | None = None
     gateways_per_chiplet: int | None = None
 
+    _path: ClassVar[str] = "cluster.nodes[]"
+
     def __post_init__(self) -> None:
         if self.node < 0:
             raise SpecError(
@@ -673,6 +738,8 @@ class ClusterSpec:
     reroute_on_fail: bool = True
     nodes: tuple[NodeOverrideSpec, ...] = ()
     faults: FaultSpec = FaultSpec()
+
+    _path: ClassVar[str] = "cluster"
 
     def __post_init__(self) -> None:
         if self.replicas < 1:
@@ -781,6 +848,8 @@ class ResilienceSpec:
     signal_staleness_s: float = 0.0
     probe_interval_s: float | None = None
     probe_misses: int = 3
+
+    _path: ClassVar[str] = "resilience"
 
     def __post_init__(self) -> None:
         if self.timeout_s is not None and self.timeout_s <= 0:
@@ -905,6 +974,8 @@ class FidelitySpec:
     error_budget: float = 0.15
     calibration_s: float | None = None
 
+    _path: ClassVar[str] = "fidelity"
+
     def __post_init__(self) -> None:
         if self.mode not in FIDELITY_MODES:
             raise SpecError(
@@ -985,6 +1056,8 @@ class TelemetrySpec:
     sample_rate: float = 1.0
     metrics_interval_s: float | None = None
 
+    _path: ClassVar[str] = "telemetry"
+
     def __post_init__(self) -> None:
         if not 0.0 < self.sample_rate <= 1.0:
             raise SpecError(
@@ -1037,6 +1110,8 @@ class SweepAxis:
 
     field: str
     values: tuple[Any, ...]
+
+    _path: ClassVar[str] = "sweep.axes[]"
 
     def __post_init__(self) -> None:
         if not self.field:
@@ -1127,6 +1202,8 @@ class StudySpec:
     resilience: ResilienceSpec = ResilienceSpec()
     fidelity: FidelitySpec = FidelitySpec()
     telemetry: TelemetrySpec = TelemetrySpec()
+
+    _path: ClassVar[str] = ""
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -1347,6 +1424,7 @@ class StudySpec:
                     "sections: workload, platform, scheduler, cluster, "
                     "resilience, fidelity, telemetry"
                 )
+            _check_types(type(self), {section_name: value})
             return replace(self, **{section_name: value})
         if section_name not in self._SECTIONS:
             raise SpecError(
@@ -1377,6 +1455,7 @@ class StudySpec:
             value = FaultSpec.from_dict(value)
         if field_name == "weights" and isinstance(value, (list, tuple)):
             value = tuple(value)
+        _check_types(type(section), {field_name: value})
         return replace(
             self, **{section_name: replace(section, **{field_name: value})}
         )

@@ -36,18 +36,25 @@ class TestMeasure:
     def test_run_suite_counts_insertions_on_the_warmup_call(self):
         counts = {}
         medians = bench.run_suite(
-            names=(bench.KERNEL_BENCHMARK,), repeats=1, insertions=counts
+            names=(bench.KERNEL_BENCHMARK,), repeats=1, counts=counts
         )
         assert set(counts) == set(medians) == {bench.KERNEL_BENCHMARK}
-        # 10k timeouts, the ticker's bootstrap and its finish.
-        assert counts[bench.KERNEL_BENCHMARK] == 10_002
+        # 10k timeouts, the ticker's bootstrap and its finish; one
+        # process, the ticker.
+        assert counts[bench.KERNEL_BENCHMARK] == {
+            "insertions": 10_002, "processes": 1,
+        }
 
     def test_count_insertions_sums_every_environment_created(self):
-        from repro.sim.core import Environment
+        from repro.sim.core import Environment, Process
 
         original_init = Environment.__init__
+        original_process_init = Process.__init__
         outside = Environment()
         outside.timeout(1.0)
+
+        def wait(env, delay):
+            yield env.timeout(delay)
 
         def run():
             for delays in ((1.0, 2.0), (3.0,)):
@@ -56,10 +63,21 @@ class TestMeasure:
                     env.timeout(delay)
                 env.run()
             outside.timeout(2.0)
+            env = Environment()
+            env.process(wait(env, 1.0))
+            env.process(wait(env, 2.0))
+            env.run()
 
-        assert bench.count_insertions(run) == 3
+        # 3 timeouts; each process adds its bootstrap, its timeout and
+        # its finish.
+        assert bench.count_kernel_work(run) == {
+            "insertions": 3 + 2 * 3, "processes": 2,
+        }
         assert Environment.__init__ is original_init
-        assert bench.count_insertions(lambda: None) == 0
+        assert Process.__init__ is original_process_init
+        assert bench.count_kernel_work(lambda: None) == {
+            "insertions": 0, "processes": 0,
+        }
 
 
 class TestBaseline:
@@ -98,10 +116,11 @@ class TestBaseline:
         # benchmark without an entry would never be gated.
         for name in bench.MICROBENCHMARKS:
             assert baseline.get(name, 0.0) > 0, name
-        # The same holds for check_insertions.
-        assert set(bench.load_insertions(baseline_path)) == set(
-            bench.MICROBENCHMARKS
-        )
+        # The same holds for check_counts, for every counter.
+        counts = bench.load_counts(baseline_path)
+        assert set(counts) == set(bench.MICROBENCHMARKS)
+        for name, work in counts.items():
+            assert set(work) == set(bench.COUNTERS), name
 
     def test_render_suite_with_baseline(self):
         text = bench.render_suite({"a": 2e6}, {"a": 1e6})
@@ -109,21 +128,41 @@ class TestBaseline:
 
     def test_insertions_roundtrip_beside_medians(self, tmp_path):
         path = tmp_path / "BENCH_sim.json"
-        bench.write_baseline({"a": 1.0, "b": 2.0}, path,
-                             insertions={"a": 7})
+        bench.write_baseline({"a": 1.0, "b": 2.0}, path, counts={
+            "a": {"insertions": 7, "processes": 2},
+        })
         entries = json.loads(path.read_text())["benchmarks"]
-        assert entries["a"] == {"median_ns": 1.0, "insertions": 7}
+        assert entries["a"] == {
+            "median_ns": 1.0, "insertions": 7, "processes": 2,
+        }
         assert entries["b"] == {"median_ns": 2.0}
-        assert bench.load_insertions(path) == {"a": 7}
+        assert bench.load_counts(path) == {
+            "a": {"insertions": 7, "processes": 2}, "b": {},
+        }
         assert bench.load_baseline(path) == {"a": 1.0, "b": 2.0}
 
     def test_insertion_count_one_above_baseline_fails(self):
-        assert bench.check_insertions({"a": 100}, {"a": 100}) == []
-        assert bench.check_insertions({"a": 99}, {"a": 100}) == []
-        failures = bench.check_insertions({"a": 101}, {"a": 100})
+        self.check_one_over("insertions")
+
+    def test_process_count_one_above_baseline_fails(self):
+        self.check_one_over("processes")
+
+    @staticmethod
+    def check_one_over(counter):
+        def check(count, reference):
+            return bench.check_counts({"a": {counter: count}},
+                                      {"a": {counter: reference}})
+
+        assert check(100, 100) == []
+        assert check(99, 100) == []
+        failures = check(101, 100)
         assert len(failures) == 1
         assert "101" in failures[0] and "+1" in failures[0]
-        assert bench.check_insertions({"new": 5}, {"a": 1}) == []
+        assert bench.COUNTERS[counter] in failures[0]
+        assert bench.check_counts({"new": {counter: 5}},
+                                  {"a": {counter: 1}}) == []
+        # A counter the baseline lacks is not gated.
+        assert bench.check_counts({"a": {counter: 5}}, {"a": {}}) == []
 
 
 class TestBenchCli:
@@ -151,21 +190,29 @@ class TestBenchCli:
         assert "PERF REGRESSION" in capsys.readouterr().out
 
     def test_bench_check_fails_one_insertion_over(self, capsys, tmp_path):
+        self.check_fails_one_over(capsys, tmp_path, "insertions")
+
+    def test_bench_check_fails_one_process_over(self, capsys, tmp_path):
+        self.check_fails_one_over(capsys, tmp_path, "processes")
+
+    @staticmethod
+    def check_fails_one_over(capsys, tmp_path, counter):
         counts = {}
         bench.run_suite(names=(bench.KERNEL_BENCHMARK,), repeats=1,
-                        insertions=counts)
+                        counts=counts)
         baseline = tmp_path / "BENCH_sim.json"
         generous = {name: 1e15 for name in bench.MICROBENCHMARKS}
         argv = ["bench", "--check", "--repeats", "1",
                 "--only", "kernel_event", "--baseline", str(baseline)]
-        bench.write_baseline(generous, baseline, insertions=counts)
+        bench.write_baseline(generous, baseline, counts=counts)
         assert main(argv) == 0
-        bench.write_baseline(generous, baseline, insertions={
-            name: count - 1 for name, count in counts.items()
+        bench.write_baseline(generous, baseline, counts={
+            name: {**work, counter: work[counter] - 1}
+            for name, work in counts.items()
         })
         assert main(argv) == 1
         out = capsys.readouterr().out
-        assert "kernel insertions" in out and "(+1)" in out
+        assert bench.COUNTERS[counter] in out and "(+1)" in out
 
     def test_bench_check_passes_on_generous_baseline(self, capsys,
                                                      tmp_path):

@@ -28,10 +28,7 @@ from repro.experiments.export import (
     cluster_results_to_json,
     study_results_to_json,
 )
-from repro.experiments.serving_study import (
-    hazard_timeline,
-    simulate_serving_cell,
-)
+from repro.experiments.serving_study import simulate_serving_cell
 from repro.mapping.residency import WeightResidency
 from repro.serving.metrics import ClusterResult, LatencyProfile, NodeStats
 from repro.serving.scheduler import BatchPolicy, RequestScheduler
@@ -58,6 +55,7 @@ from repro.studies.compile import (
     resolve_config,
     run_study,
 )
+from repro.studies.faults import hazard_timeline
 
 WORKLOAD = extract_workload(zoo.build("LeNet5"))
 

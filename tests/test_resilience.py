@@ -21,10 +21,6 @@ from repro.experiments.export import (
     study_results_to_csv,
     study_results_to_json,
 )
-from repro.experiments.serving_study import (
-    hazard_timeline,
-    platform_timelines,
-)
 from repro.mapping.residency import WeightResidency
 from repro.serving.lifecycle import LifecycleDriver, ResiliencePolicy
 from repro.serving.metrics import IncidentRecord, mean_time_to_repair
@@ -55,6 +51,7 @@ from repro.studies.compile import (
     render_dry_run,
     run_study,
 )
+from repro.studies.faults import hazard_timeline, platform_timelines
 
 WORKLOAD = extract_workload(zoo.build("LeNet5"))
 

@@ -1,8 +1,11 @@
 """Declarative spec layer: round trips, validation, digests, registries."""
 
 import json
+import re
 import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +26,7 @@ from repro.studies import (
     WorkloadSpec,
     spec_digest,
 )
+from repro.studies.compile import lower_study
 from repro.studies.builders import (
     multi_tenant_mix_spec,
     run_spec,
@@ -207,6 +211,70 @@ class TestValidation:
             StudySpec.from_json(text.replace('"@"', literal))
 
 
+FIDELITY_EXAMPLE = (
+    Path(__file__).resolve().parent.parent / "examples" / "fidelity_spec.json"
+)
+
+
+class TestScalarTypes:
+    """JSON scalars must match their field's annotation, at load time
+    and as sweep values (the base point of ``fidelity_spec.json``)."""
+
+    @staticmethod
+    def example() -> dict:
+        return json.loads(FIDELITY_EXAMPLE.read_text())
+
+    @pytest.mark.parametrize("section, name, value", [
+        ("scheduler", "max_inflight", 2.5),
+        ("scheduler", "max_inflight", True),
+        ("workload", "rate_rps", True),
+        ("workload", "duration_s", True),
+        ("workload", "seed", 1.5),
+        ("workload", "seed", "x"),
+        ("scheduler", "shed_expired", 1),
+        ("platform", "n_wavelengths", 16.0),
+    ])
+    def test_wrong_scalar_type_rejected(self, section, name, value):
+        path = re.escape(f"{section}.{name}") + " must be"
+        data = self.example()
+        data.setdefault(section, {})[name] = value
+        with pytest.raises(SpecError, match=path):
+            StudySpec.from_dict(data)
+        base = StudySpec.from_dict(self.example())
+        with pytest.raises(SpecError, match=path):
+            base.with_override(f"{section}.{name}", value)
+
+    @pytest.mark.parametrize("section, name, value", [
+        ("workload", "rate_rps", 100000),
+        ("workload", "seed", 3),
+        ("scheduler", "shed_expired", False),
+        ("platform", "n_wavelengths", None),
+    ])
+    def test_matching_scalar_type_accepted(self, section, name, value):
+        data = self.example()
+        data.setdefault(section, {})[name] = value
+        loaded = StudySpec.from_dict(data)
+        assert getattr(getattr(loaded, section), name) == value
+        base = StudySpec.from_dict(self.example())
+        assert base.with_override(f"{section}.{name}", value) == replace(
+            base, **{section: getattr(loaded, section)}
+        )
+
+    def test_nested_entry_names_its_path(self):
+        data = self.example()
+        data["workload"]["models"][0]["priority"] = 0.5
+        path = re.escape("workload.models[].priority must be")
+        with pytest.raises(SpecError, match=path):
+            StudySpec.from_dict(data)
+
+    def test_name_fields_keep_typed_lookup_errors(self):
+        data = self.example()
+        data["scheduler"]["policy"] = 5
+        spec = StudySpec.from_dict(data)
+        with pytest.raises(UnknownNameError):
+            lower_study(spec)
+
+
 class TestOverridesAndExpansion:
     def test_override_nested_field(self):
         spec = rich_spec()
@@ -332,3 +400,27 @@ class TestRegistries:
         assert registry.get("a") is str
         assert len(registry) == 2
         assert list(registry) == ["a", "b"]
+
+    def test_bound_registry_resolves_on_first_use(self):
+        shared = {"a": int}
+        calls = []
+
+        def bind():
+            calls.append(1)
+            return shared
+
+        registry = Registry("demo", bind=bind)
+        assert calls == []
+        registry.register("b", float)
+        assert calls == [1]
+        assert shared == {"a": int, "b": float}  # shared, not copied
+        assert registry.get("a") is int and len(registry) == 2
+        assert calls == [1]
+        with pytest.raises(ConfigurationError, match="either"):
+            Registry("demo", {"a": int}, bind=bind)
+
+    def test_hazards_registry_carries_node_kinds(self):
+        from repro.studies import HAZARDS
+
+        assert {"gateway-fail", "chiplet-mac-degrade", "node-fail",
+                "rack-repair"} <= set(HAZARDS.names())
