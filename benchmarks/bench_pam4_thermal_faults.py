@@ -11,7 +11,11 @@ from repro.dnn import zoo
 from repro.dnn.workload import extract_workload
 from repro.interposer.photonic.controllers import ReSiPIController
 from repro.interposer.photonic.fabric import PhotonicInterposerFabric
-from repro.interposer.photonic.faults import FaultInjector, FaultPlan
+from repro.interposer.photonic.faults import (
+    GatewayFail,
+    HazardEngine,
+    HazardTimeline,
+)
 from repro.interposer.photonic.links import swmr_read_budget
 from repro.interposer.topology import build_floorplan
 from repro.mapping.mapper import KernelMatchMapper
@@ -91,28 +95,31 @@ def test_bench_fault_tolerance(benchmark):
     floorplan = build_floorplan(config)
     mapping = KernelMatchMapper(config, floorplan).map_workload(workload)
 
-    def plan_for(failures: int) -> FaultPlan | None:
+    def failure_at_start(failures: int) -> HazardTimeline | None:
         if failures == 0:
             return None
         if failures <= 6:
-            return FaultPlan(memory_gateways_failed=failures)
-        # Beyond the memory side: also kill 3 of 4 gateways per chiplet.
-        return FaultPlan(
-            memory_gateways_failed=6,
-            chiplet_gateways_failed={
-                site.chiplet_id: (3, 3)
-                for site in floorplan.compute_sites
-            },
-        )
+            event = GatewayFail(at_s=0.0, memory_gateways=failures)
+        else:
+            # Beyond the memory side: also kill 3 of 4 gateways per
+            # chiplet.
+            event = GatewayFail(
+                at_s=0.0, memory_gateways=6,
+                chiplet_gateways=tuple(
+                    (site.chiplet_id, 3, 3)
+                    for site in floorplan.compute_sites
+                ),
+            )
+        return HazardTimeline((event,))
 
     def run():
         latencies = {}
         for failures in (0, 2, 6, 54):
             env = Environment()
             fabric = PhotonicInterposerFabric(env, config, floorplan)
-            plan = plan_for(failures)
-            if plan is not None:
-                FaultInjector(fabric, plan)
+            timeline = failure_at_start(failures)
+            if timeline is not None:
+                HazardEngine(fabric, timeline)
             ReSiPIController(env, fabric, config)
             engine = InferenceEngine(env, config, fabric)
             latencies[failures] = engine.run(mapping)

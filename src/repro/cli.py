@@ -209,7 +209,7 @@ def _parse_rates(text: str) -> tuple[float, ...]:
 
 
 def _cmd_serve_study(args: argparse.Namespace) -> int:
-    from .experiments.export import serving_results_to_json, write_text
+    from .experiments.export import study_results_to_json, write_text
     from .experiments.serving_study import (
         render_serving_study,
         render_slo_summary,
@@ -260,35 +260,27 @@ def _cmd_serve_study(args: argparse.Namespace) -> int:
         if slowest:
             print(f"\n{slowest}")
     if args.json:
-        write_text(args.json, serving_results_to_json(results))
+        write_text(args.json, study_results_to_json(results))
         print(f"\nwrote {args.json}")
     return 0
 
 
 def _telemetry_cell_label(result) -> str:
     """One-line trace-process label for a telemetered cell result."""
-    parts = [
-        getattr(result, "model", "?"),
-        getattr(result, "platform", "?"),
-        getattr(result, "policy", "?"),
-    ]
-    router = getattr(result, "router", None)
-    if router is not None:
-        parts.append(f"{router}x{getattr(result, 'n_nodes', '?')}")
-    rate = getattr(result, "offered_rps", None)
-    if rate is not None:
-        parts.append(f"{rate:g}rps")
-    return "/".join(str(part) for part in parts)
+    parts = [result.model, result.platform, result.policy]
+    if result.router != "-":
+        parts.append(f"{result.router}x{result.n_nodes}")
+    parts.append(f"{result.offered_rps:g}rps")
+    return "/".join(parts)
 
 
 def _telemetry_summaries(results) -> "list[tuple[str, object]]":
     """``(label, TelemetrySummary)`` pairs from telemetered results."""
-    summaries = []
-    for result in results:
-        summary = getattr(result, "telemetry", None)
-        if summary is not None:
-            summaries.append((_telemetry_cell_label(result), summary))
-    return summaries
+    return [
+        (_telemetry_cell_label(result), result.telemetry)
+        for result in results
+        if result.telemetry is not None
+    ]
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
@@ -323,7 +315,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
         if slowest:
             print(f"\n{slowest}")
     flat = study.flat_results()
-    telemetry = _telemetry_summaries(flat)
+    telemetry = _telemetry_summaries(study.serving_results())
     for label, summary in telemetry:
         block = summary.render_sparklines()
         if block:

@@ -242,8 +242,8 @@ class CrossLight25DSiPh(_CrossLight25DBase):
     def build_simulation(self, env: Environment) -> PlatformSimulation:
         fabric = PhotonicInterposerFabric(env, self.config, self.floorplan)
         # Hazards attach before the controller boots: the ``t=0`` events
-        # of a static fault plan constrain the controller's very first
-        # decision, exactly like the historical FaultInjector did.
+        # of a static fault set constrain the controller's very first
+        # decision.
         hazards = (
             HazardEngine(fabric, self.faults) if self.faults else None
         )

@@ -17,8 +17,8 @@ __getattr__, __dir__, __all__ = _lazy_package(__name__, {
         "results_to_csv",
         "results_to_json",
         "serving_result_to_dict",
-        "serving_results_to_csv",
-        "serving_results_to_json",
+        "study_results_to_csv",
+        "study_results_to_json",
         "table3_to_csv",
     ),
     ".network_characterization": (

@@ -12,7 +12,7 @@ import json
 from typing import Iterable
 
 from ..core.metrics import InferenceResult
-from ..serving.metrics import ClusterResult, ServingResult
+from ..serving.metrics import ServingResult
 from .table3 import Table3
 
 RESULT_FIELDS = (
@@ -82,8 +82,10 @@ SERVING_FIELDS = (
     "platform",
     "model",
     "controller",
+    "router",
     "policy",
     "arrival_kind",
+    "n_nodes",
     "offered_rps",
     "goodput_rps",
     "requests_injected",
@@ -96,6 +98,8 @@ SERVING_FIELDS = (
     "peak_channel_utilization",
     "saturated",
     "requests_shed",
+    "requests_rerouted",
+    "load_imbalance",
     "slo_violations",
     "slo_attainment",
     "time_degraded_s",
@@ -109,7 +113,7 @@ SERVING_FIELDS = (
     "kv_refusals",
     "decode_remaps",
 )
-"""Scalar columns exported for every serving result."""
+"""Scalar columns exported for every serving result, one node or many."""
 
 
 def _latency_dict(profile) -> dict:
@@ -227,7 +231,7 @@ def _incidents_list(incidents) -> list[dict]:
 
 
 def _fault_windows_list(windows) -> list[dict]:
-    """Windowed before/during/after stats, shared by both exports."""
+    """Windowed before/during/after stats."""
     return [
         {
             "label": window.label,
@@ -247,7 +251,7 @@ def _fault_windows_list(windows) -> list[dict]:
 def _sequence_dict(result) -> "dict | None":
     """The autoregressive token-metric block (``None`` on single-step
     serving results)."""
-    if not getattr(result, "is_sequence_run", False):
+    if not result.is_sequence_run:
         return None
     return {
         "ttft_s": _latency_dict(result.ttft) if result.ttft else None,
@@ -266,7 +270,7 @@ def _sequence_dict(result) -> "dict | None":
 def _sequence_csv_tail(result) -> list:
     """(ttft_p50_s, ttft_p99_s, token_p99_s) columns; blank when the
     run produced no tokens."""
-    if not getattr(result, "is_sequence_run", False):
+    if not result.is_sequence_run:
         return ["", "", ""]
     ttft = result.ttft
     token = result.token_latency
@@ -278,7 +282,7 @@ def _sequence_csv_tail(result) -> list:
 
 
 def _per_model_list(per_model) -> list[dict]:
-    """Per-tenant stat records, shared by serving and cluster exports."""
+    """Per-tenant stat records."""
     return [
         {
             "model": stats.model,
@@ -301,6 +305,19 @@ def serving_result_to_dict(result: ServingResult) -> dict:
     record["per_model"] = _per_model_list(result.per_model)
     record["latency_s"] = _latency_dict(result.latency)
     record["queue_delay_s"] = _latency_dict(result.queue_delay)
+    record["per_node"] = [
+        {
+            "node": stats.node,
+            "state": stats.state,
+            "requests_completed": stats.requests_completed,
+            "requests_shed": stats.requests_shed,
+            "rerouted_away": stats.rerouted_away,
+            "goodput_rps": stats.goodput_rps,
+            "mean_compute_utilization": stats.mean_compute_utilization,
+            "latency_s": _latency_dict(stats.latency),
+        }
+        for stats in result.per_node
+    ]
     record["channel_utilization"] = [
         {
             "name": stat.name,
@@ -320,90 +337,6 @@ def serving_result_to_dict(result: ServingResult) -> dict:
         }
         for event in result.hazard_events
     ]
-    record["fault_windows"] = _fault_windows_list(result.windows)
-    record["resilience"] = _resilience_dict(result.resilience)
-    record["incidents"] = _incidents_list(result.incidents)
-    record["fidelity"] = _fidelity_dict(result.fidelity)
-    record["sequence"] = _sequence_dict(result)
-    record["telemetry"] = _telemetry_dict(result)
-    return record
-
-
-def serving_results_to_json(results: Iterable[ServingResult],
-                            indent: int = 2) -> str:
-    """Serialise a latency–throughput sweep to a JSON array."""
-    return json.dumps(
-        [serving_result_to_dict(r) for r in results], indent=indent
-    )
-
-
-def serving_results_to_csv(results: Iterable[ServingResult]) -> str:
-    """Serialise the scalar serving columns plus tail latencies to CSV."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(SERVING_FIELDS + ("p50_s", "p95_s", "p99_s",
-                                      "fidelity_mode", "fidelity_p99_err",
-                                      "fidelity_ttft_err",
-                                      "fidelity_token_p99_err",
-                                      "ttft_p50_s", "ttft_p99_s",
-                                      "token_p99_s"))
-    for result in results:
-        writer.writerow(
-            [getattr(result, field) for field in SERVING_FIELDS]
-            + [result.latency.p50_s, result.latency.p95_s,
-               result.latency.p99_s]
-            + _fidelity_csv_tail(result)
-            + _sequence_csv_tail(result)
-        )
-    return buffer.getvalue()
-
-
-CLUSTER_FIELDS = (
-    "platform",
-    "model",
-    "controller",
-    "router",
-    "policy",
-    "arrival_kind",
-    "n_nodes",
-    "offered_rps",
-    "goodput_rps",
-    "requests_injected",
-    "requests_completed",
-    "requests_shed",
-    "requests_rerouted",
-    "load_imbalance",
-    "energy_per_request_j",
-    "slo_violations",
-    "slo_attainment",
-    "availability",
-    "mttr_s",
-    "retry_amplification",
-    "hedge_win_rate",
-    "wasted_attempts",
-)
-"""Scalar columns exported for every cluster (fleet) result."""
-
-
-def cluster_result_to_dict(result: ClusterResult) -> dict:
-    """Flatten one fleet result to a JSON-safe dictionary."""
-    record = {field: getattr(result, field) for field in CLUSTER_FIELDS}
-    record["latency_s"] = _latency_dict(result.latency)
-    record["queue_delay_s"] = _latency_dict(result.queue_delay)
-    record["per_node"] = [
-        {
-            "node": stats.node,
-            "state": stats.state,
-            "requests_completed": stats.requests_completed,
-            "requests_shed": stats.requests_shed,
-            "rerouted_away": stats.rerouted_away,
-            "goodput_rps": stats.goodput_rps,
-            "mean_compute_utilization": stats.mean_compute_utilization,
-            "latency_s": _latency_dict(stats.latency),
-        }
-        for stats in result.per_node
-    ]
-    record["per_model"] = _per_model_list(result.per_model)
     record["node_events"] = [
         {
             "kind": event.kind,
@@ -417,102 +350,65 @@ def cluster_result_to_dict(result: ClusterResult) -> dict:
     record["resilience"] = _resilience_dict(result.resilience)
     record["incidents"] = _incidents_list(result.incidents)
     record["fidelity"] = _fidelity_dict(result.fidelity)
+    record["sequence"] = _sequence_dict(result)
     record["telemetry"] = _telemetry_dict(result)
     return record
 
 
-def cluster_results_to_json(results: Iterable[ClusterResult],
-                            indent: int = 2) -> str:
-    """Serialise a fleet sweep to a JSON array."""
+def study_results_to_json(results: Iterable[ServingResult],
+                          indent: int = 2) -> str:
+    """Serialise a serving sweep to a JSON array."""
     return json.dumps(
-        [cluster_result_to_dict(r) for r in results], indent=indent
+        [serving_result_to_dict(r) for r in results], indent=indent
     )
 
 
-_CLUSTER_CSV_HEADER = (
-    CLUSTER_FIELDS
+_NODE_COLUMNS = (
+    "node", "node_state", "node_completed", "node_shed",
+    "node_rerouted_away", "node_goodput_rps", "node_utilization",
+    "node_p99_s",
+)
+
+_CSV_HEADER = (
+    SERVING_FIELDS
     + ("p50_s", "p95_s", "p99_s",
        "fidelity_mode", "fidelity_p99_err",
        "fidelity_ttft_err", "fidelity_token_p99_err",
-       "node", "node_state", "node_completed", "node_shed",
-       "node_rerouted_away", "node_goodput_rps", "node_utilization",
-       "node_p99_s")
+       "ttft_p50_s", "ttft_p99_s", "token_p99_s")
+    + _NODE_COLUMNS
 )
 
 
-def _write_cluster_rows(writer, result: "ClusterResult | ServingResult"
-                        ) -> None:
-    """Cluster-schema rows for one result: aggregate, then per node.
+def study_results_to_csv(results: Iterable[ServingResult]) -> str:
+    """Serialise a serving sweep to CSV: scalars plus tail latencies.
 
-    A :class:`ServingResult` exports as the degenerate single-node
-    fleet (``n_nodes`` 1, router ``-``, nothing rerouted), so a sweep
-    mixing 1-replica and multi-replica points stays one schema.
+    Long format: a point a router served adds one row per node after
+    its aggregate row (the ``node`` columns are empty on aggregate
+    rows), so a single-node point stays one row.
     """
-    if isinstance(result, ClusterResult):
-        scalars = [getattr(result, field) for field in CLUSTER_FIELDS]
-        per_node = result.per_node
-    else:
-        single = {
-            "router": "-",
-            "n_nodes": 1,
-            "requests_rerouted": 0,
-            "load_imbalance": 1.0,
-        }
-        scalars = [
-            single.get(field, getattr(result, field, ""))
-            for field in CLUSTER_FIELDS
-        ]
-        per_node = ()
-    tails = (
-        [result.latency.p50_s, result.latency.p95_s, result.latency.p99_s]
-        + _fidelity_csv_tail(result)
-    )
-    writer.writerow(scalars + tails + [""] * 8)
-    for stats in per_node:
-        writer.writerow(
-            scalars + tails
-            + [stats.node, stats.state, stats.requests_completed,
-               stats.requests_shed, stats.rerouted_away,
-               stats.goodput_rps, stats.mean_compute_utilization,
-               stats.latency.p99_s]
-        )
-
-
-def cluster_results_to_csv(results: Iterable[ClusterResult]) -> str:
-    """Fleet CSV: aggregate scalars + tail latencies, then one row per
-    node (long format — the ``node`` column is empty on aggregate
-    rows)."""
     buffer = io.StringIO()
     writer = csv.writer(buffer)
-    writer.writerow(_CLUSTER_CSV_HEADER)
+    writer.writerow(_CSV_HEADER)
     for result in results:
-        _write_cluster_rows(writer, result)
+        row = (
+            [getattr(result, field) for field in SERVING_FIELDS]
+            + [result.latency.p50_s, result.latency.p95_s,
+               result.latency.p99_s]
+            + _fidelity_csv_tail(result)
+            + _sequence_csv_tail(result)
+        )
+        writer.writerow(row + [""] * len(_NODE_COLUMNS))
+        if result.router == "-":
+            continue
+        for stats in result.per_node:
+            writer.writerow(
+                row
+                + [stats.node, stats.state, stats.requests_completed,
+                   stats.requests_shed, stats.rerouted_away,
+                   stats.goodput_rps, stats.mean_compute_utilization,
+                   stats.latency.p99_s]
+            )
     return buffer.getvalue()
-
-
-def study_results_to_json(results: Iterable, indent: int = 2) -> str:
-    """Serialise a mixed serving/cluster result list to a JSON array."""
-    records = []
-    for result in results:
-        if isinstance(result, ClusterResult):
-            records.append(cluster_result_to_dict(result))
-        else:
-            records.append(serving_result_to_dict(result))
-    return json.dumps(records, indent=indent)
-
-
-def study_results_to_csv(results: Iterable) -> str:
-    """Serialise a mixed serving/cluster result list to CSV.
-
-    Homogeneous lists use the matching schema; as soon as any fleet
-    result is present every row exports in the cluster schema (serving
-    results become degenerate single-node fleets), so one file is
-    always one parseable table.
-    """
-    materialised = list(results)
-    if not any(isinstance(r, ClusterResult) for r in materialised):
-        return serving_results_to_csv(materialised)
-    return cluster_results_to_csv(materialised)
 
 
 def table3_to_csv(table: Table3) -> str:

@@ -78,7 +78,7 @@ from .runner import build_platform, config_digest
 from .serving_study import (
     ServingCell,
     _compute_degraded_s,
-    _merge_window,
+    _fault_span,
     _sequence_stream,
     compute_hazard_records,
     simulate_serving_cell,
@@ -166,7 +166,8 @@ class _CalibrationState:
     """One warm-state checkpoint: the measured truth the fluid model is
     built from (and validated against)."""
 
-    result: object  # ServingResult | ClusterResult of the short window
+    result: ServingResult
+    """The DES result of the short window."""
     calibration_s: float
     served: int
     service_sorted: np.ndarray
@@ -513,49 +514,35 @@ def _build_windows(cell, state: _CalibrationState, policy_slots: int,
                    arrival_scv: float):
     """The piecewise capacity model for one cell's full window.
 
-    Returns ``(windows, cluster_walk)`` where ``cluster_walk`` is the
-    :func:`_replica_walk` tuple for fleets (``None`` otherwise).
+    Returns ``(windows, walk)`` where ``walk`` is the
+    :func:`_replica_walk` tuple (every node stays up throughout when no
+    node hazard strikes).
     """
     service_mean = (
         float(state.service_sorted.mean())
         if state.service_sorted.size else 0.0
     )
     _, compute_events = platform_timelines(cell.faults)
-    if cell.is_fleet:
-        walk = _replica_walk(cell)
-        mac = _mac_segments(compute_events, cell.duration_s)
-        windows = []
-        for start, end, fraction, active in _overlay_segments(
-            mac, walk[0]
-        ):
-            inflation = _service_inflation(cell, fraction)
-            if active:
-                servers = active * policy_slots
-                mean_s = service_mean * inflation
-            else:
-                # Zero replicas up: no drain at all.  A server count of
-                # one with an (effectively) infinite service time gives
-                # the fluid model zero capacity without dividing by it.
-                servers = 1
-                mean_s = max(service_mean, 1e-9) * 1e12
-            windows.append(FluidWindow(
-                start_s=start, end_s=end, servers=servers,
-                service_mean_s=mean_s, mean_batch=state.mean_batch,
-                service_scv=state.service_scv, arrival_scv=arrival_scv,
-            ))
-        return windows, walk
-    windows = [
-        FluidWindow(
-            start_s=start, end_s=end, servers=policy_slots,
-            service_mean_s=service_mean * _service_inflation(cell, fraction),
-            mean_batch=state.mean_batch,
+    walk = _replica_walk(cell)
+    mac = _mac_segments(compute_events, cell.duration_s)
+    windows = []
+    for start, end, fraction, active in _overlay_segments(mac, walk[0]):
+        inflation = _service_inflation(cell, fraction)
+        if active:
+            servers = active * policy_slots
+            mean_s = service_mean * inflation
+        else:
+            # Zero replicas up: no drain at all.  A server count of
+            # one with an (effectively) infinite service time gives
+            # the fluid model zero capacity without dividing by it.
+            servers = 1
+            mean_s = max(service_mean, 1e-9) * 1e12
+        windows.append(FluidWindow(
+            start_s=start, end_s=end, servers=servers,
+            service_mean_s=mean_s, mean_batch=state.mean_batch,
             service_scv=state.service_scv, arrival_scv=arrival_scv,
-        )
-        for start, end, fraction in _mac_segments(
-            compute_events, cell.duration_s
-        )
-    ]
-    return windows, None
+        ))
+    return windows, walk
 
 
 def _sample_services(cell, state: _CalibrationState,
@@ -794,8 +781,6 @@ def _validate(cell, state: _CalibrationState, warm: bool,
         predicted_p50 = predicted_p99 = predicted_goodput = 0.0
     ttft_err = token_err = None
     if trace.ttft_s is not None and trace.ttft_s.size:
-        # Only single-node cells serve sequences, so the measurement is
-        # a ServingResult carrying token metrics.
         if measured.ttft is not None:
             ttft_err = _rel_err(
                 _nearest_rank(np.sort(trace.ttft_s), 99.0),
@@ -885,14 +870,22 @@ def _scale(value: float, completed: int, reference: int) -> float:
     return value * (completed / reference)
 
 
-def _fluid_serving_result(cell, state: _CalibrationState,
-                          report: FidelityReport) -> ServingResult:
-    trace_windows = _build_windows(
-        cell, state, _policy_slots(cell),
-        _arrival_scv(cell, cell.arrival_process()
-                     .arrival_times(cell.duration_s)),
-    )[0]
-    trace = _evaluate_fluid(cell, state, cell.duration_s, trace_windows)
+def _fluid_result(cell: ServingCell, state: _CalibrationState,
+                  report: FidelityReport) -> ServingResult:
+    """The fluid twin of the DES assembler, one node or many.
+
+    Each node's MAC utilization, the in-flight mean and the channel
+    stats stand in from the calibration window; energies,
+    reconfigurations and KV refusals scale with the completed count.
+    """
+    arrival_scv = _arrival_scv(
+        cell, cell.arrival_process().arrival_times(cell.duration_s)
+    )
+    windows, walk = _build_windows(
+        cell, state, _policy_slots(cell), arrival_scv
+    )
+    _, final_states, uptime, incidents, node_records = walk
+    trace = _evaluate_fluid(cell, state, cell.duration_s, windows)
     completed = int(trace.latency_s.size)
     elapsed = (
         max(cell.duration_s, float(trace.finish_s.max()))
@@ -900,7 +893,6 @@ def _fluid_serving_result(cell, state: _CalibrationState,
     )
     calibration: ServingResult = state.result
     _, compute_events = platform_timelines(cell.faults)
-    span = _merge_window(None, compute_events, elapsed)
     ttft_profile = token_profile = None
     tokens = 0
     tokens_per_s = 0.0
@@ -920,75 +912,6 @@ def _fluid_serving_result(cell, state: _CalibrationState,
         # pool-width census stand for the full window.
         kv_peak_bits = calibration.kv_peak_bits
         decode_remaps = calibration.decode_remaps
-    return ServingResult(
-        platform=calibration.platform,
-        model=cell.mix_label,
-        controller=cell.controller,
-        policy=cell.policy.label,
-        arrival_kind=cell.arrival_kind,
-        offered_rps=cell.rate_rps,
-        duration_s=cell.duration_s,
-        elapsed_s=elapsed,
-        requests_injected=completed,
-        requests_completed=completed,
-        latency=_profile(trace.latency_s),
-        queue_delay=_profile(trace.queue_delay_s),
-        mean_batch_size=state.mean_batch if completed else 0.0,
-        mean_inflight=calibration.mean_inflight,
-        mean_compute_utilization=calibration.mean_compute_utilization,
-        reconfigurations=int(round(_scale(
-            calibration.reconfigurations, completed,
-            calibration.requests_completed,
-        ))),
-        network_energy_j=_scale(
-            calibration.network_energy_j, completed,
-            calibration.requests_completed,
-        ),
-        compute_energy_j=_scale(
-            calibration.compute_energy_j, completed,
-            calibration.requests_completed,
-        ),
-        channel_stats=calibration.channel_stats,
-        requests_shed=0,
-        per_model=_per_model(cell, trace, elapsed),
-        windows=_window_stats(cell, trace, span, elapsed),
-        hazard_events=compute_hazard_records(compute_events, elapsed),
-        time_degraded_s=_compute_degraded_s(compute_events, elapsed),
-        ttft=ttft_profile,
-        token_latency=token_profile,
-        tokens_generated=tokens,
-        tokens_per_s=tokens_per_s,
-        kv_refusals=kv_refusals,
-        kv_peak_bits=kv_peak_bits,
-        decode_remaps=decode_remaps,
-        fidelity=report,
-    )
-
-
-def _fluid_cluster_result(cell: ServingCell, state: _CalibrationState,
-                          report: FidelityReport) -> ClusterResult:
-    arrival_scv = _arrival_scv(
-        cell, cell.arrival_process().arrival_times(cell.duration_s)
-    )
-    windows, walk = _build_windows(
-        cell, state, _policy_slots(cell), arrival_scv
-    )
-    segments, final_states, uptime, incidents, node_records = walk
-    trace = _evaluate_fluid(cell, state, cell.duration_s, windows)
-    completed = int(trace.latency_s.size)
-    elapsed = (
-        max(cell.duration_s, float(trace.finish_s.max()))
-        if completed else cell.duration_s
-    )
-    calibration = state.result
-    # Stripping node faults can leave a one-replica fleet's calibration
-    # cell a single node, which measures a ServingResult.
-    calib_utilization = (
-        {stats.node: stats.mean_compute_utilization
-         for stats in calibration.per_node}
-        if isinstance(calibration, ClusterResult)
-        else {"node0": calibration.mean_compute_utilization}
-    )
 
     # Completed requests distribute across replicas in proportion to
     # routable up-time x routing weight — the fluid model does not track
@@ -1006,11 +929,9 @@ def _fluid_cluster_result(cell: ServingCell, state: _CalibrationState,
     ).astype(int)
     node_completed[int(np.argmax(shares))] += completed - node_completed.sum()
     overall_profile = _profile(trace.latency_s)
-    per_node = []
-    for index in range(cell.replicas):
-        name = f"node{index}"
-        per_node.append(NodeStats(
-            node=name,
+    per_node = tuple(
+        NodeStats(
+            node=measured.node,
             state=final_states[index],
             requests_completed=int(node_completed[index]),
             requests_shed=0,
@@ -1020,30 +941,21 @@ def _fluid_cluster_result(cell: ServingCell, state: _CalibrationState,
                 int(node_completed[index]) / elapsed if elapsed > 0
                 else 0.0
             ),
-            mean_compute_utilization=calib_utilization.get(name, 0.0),
-        ))
-
+            mean_compute_utilization=measured.mean_compute_utilization,
+        )
+        for index, measured in enumerate(calibration.per_node)
+    )
     availability = (
         sum(uptime.values()) / (cell.replicas * cell.duration_s)
         if cell.duration_s > 0 else 1.0
     )
-    span = None
-    if incidents:
-        span = (
-            min(incident.start_s for incident in incidents),
-            max(
-                incident.end_s if incident.end_s is not None else elapsed
-                for incident in incidents
-            ),
-        )
-    _, compute_events = platform_timelines(cell.faults)
-    if span is None:
-        span = _merge_window(None, compute_events, elapsed)
-    return ClusterResult(
+    span = _fault_span(None, compute_events, incidents, elapsed)
+    result_type = ClusterResult if cell.is_fleet else ServingResult
+    return result_type(
         platform=calibration.platform,
         model=cell.mix_label,
         controller=cell.controller,
-        router=cell.router,
+        router=cell.router if cell.is_fleet else "-",
         policy=cell.policy.label,
         arrival_kind=cell.arrival_kind,
         n_nodes=cell.replicas,
@@ -1054,11 +966,14 @@ def _fluid_cluster_result(cell: ServingCell, state: _CalibrationState,
         requests_completed=completed,
         latency=overall_profile,
         queue_delay=_profile(trace.queue_delay_s),
-        per_node=tuple(per_node),
-        requests_shed=0,
-        requests_rerouted=0,
-        per_model=_per_model(cell, trace, elapsed),
-        node_events=node_records,
+        per_node=per_node,
+        mean_batch_size=state.mean_batch if completed else 0.0,
+        mean_inflight=calibration.mean_inflight,
+        mean_compute_utilization=calibration.mean_compute_utilization,
+        reconfigurations=int(round(_scale(
+            calibration.reconfigurations, completed,
+            calibration.requests_completed,
+        ))),
         network_energy_j=_scale(
             calibration.network_energy_j, completed,
             calibration.requests_completed,
@@ -1067,10 +982,24 @@ def _fluid_cluster_result(cell: ServingCell, state: _CalibrationState,
             calibration.compute_energy_j, completed,
             calibration.requests_completed,
         ),
+        channel_stats=calibration.channel_stats,
+        requests_shed=0,
+        requests_rerouted=0,
+        per_model=_per_model(cell, trace, elapsed),
+        node_events=node_records,
         windows=_window_stats(cell, trace, span, elapsed),
+        hazard_events=compute_hazard_records(compute_events, elapsed),
+        time_degraded_s=_compute_degraded_s(compute_events, elapsed),
         availability=availability,
         mttr_s=mean_time_to_repair(incidents),
         incidents=incidents,
+        ttft=ttft_profile,
+        token_latency=token_profile,
+        tokens_generated=tokens,
+        tokens_per_s=tokens_per_s,
+        kv_refusals=kv_refusals,
+        kv_peak_bits=kv_peak_bits,
+        decode_remaps=decode_remaps,
         fidelity=report,
     )
 
@@ -1092,6 +1021,4 @@ def simulate_fidelity_cell(cell):
         report = replace(report, mode_used="des-fallback")
         full = simulate_serving_cell(replace(cell, fidelity=None))
         return replace(full, fidelity=report)
-    if cell.is_fleet:
-        return _fluid_cluster_result(cell, state, report)
-    return _fluid_serving_result(cell, state, report)
+    return _fluid_result(cell, state, report)

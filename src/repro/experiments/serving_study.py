@@ -197,10 +197,11 @@ def compute_hazard_records(
     )
 
 
-def _compute_degraded_s(events: tuple[ChipletMacDegrade, ...],
-                        elapsed: float) -> float:
-    """Wall-clock with MAC throughput below nominal (interval union)."""
-    intervals = sorted(
+def _compute_spans(events: tuple[ChipletMacDegrade, ...],
+                   elapsed: float) -> list[tuple[float, float]]:
+    """(start, end) of every compute hazard that struck within the run,
+    open-ended ones lasting to ``elapsed``."""
+    return [
         (
             event.at_s,
             min(
@@ -211,10 +212,15 @@ def _compute_degraded_s(events: tuple[ChipletMacDegrade, ...],
         )
         for event in events
         if event.at_s < elapsed
-    )
+    ]
+
+
+def _compute_degraded_s(events: tuple[ChipletMacDegrade, ...],
+                        elapsed: float) -> float:
+    """Wall-clock with MAC throughput below nominal (interval union)."""
     total = 0.0
     cursor = 0.0
-    for start, end in intervals:
+    for start, end in sorted(_compute_spans(events, elapsed)):
         start = max(start, cursor)
         if end > start:
             total += end - start
@@ -223,21 +229,17 @@ def _compute_degraded_s(events: tuple[ChipletMacDegrade, ...],
     return total
 
 
-def _merge_window(window: "tuple[float, float] | None",
-                  events: tuple[ChipletMacDegrade, ...],
-                  elapsed: float) -> "tuple[float, float] | None":
-    """Fold compute-hazard spans into the engine's fault window."""
-    spans = [
-        (
-            event.at_s,
-            min(
-                elapsed,
-                event.at_s + event.duration_s
-                if event.duration_s is not None else elapsed,
-            ),
-        )
-        for event in events
-        if event.at_s < elapsed
+def _fault_span(window: "tuple[float, float] | None",
+                compute_events: tuple[ChipletMacDegrade, ...],
+                incidents: tuple, elapsed: float
+                ) -> "tuple[float, float] | None":
+    """(first onset, last recovery) over the platform hazard engine's
+    fault ``window``, the compute hazards and the node ``incidents``
+    (open ones last to ``elapsed``); ``None`` for a clean run."""
+    spans = _compute_spans(compute_events, elapsed) + [
+        (incident.start_s,
+         incident.end_s if incident.end_s is not None else elapsed)
+        for incident in incidents
     ]
     if window is not None:
         spans.append(window)
@@ -465,15 +467,14 @@ def _build_node(cell: ServingCell, env: Environment, index: int,
 
 def simulate_serving_cell(cell: ServingCell,
                           record_sink: list | None = None
-                          ) -> "ServingResult | ClusterResult":
+                          ) -> ServingResult:
     """Worker body: one full serving simulation of one cell.
 
     Every node stands up in one shared environment (their controllers,
     hazard engines and schedulers interleave on the same event queue).
-    A fleet streams the arrivals through a router and returns a
-    :class:`ClusterResult`; a single node serves them directly and
-    returns a :class:`ServingResult`.  Cells with an armed fidelity
-    policy run through the fluid engine instead.
+    A fleet streams the arrivals through a router; a single node serves
+    them directly.  Cells with an armed fidelity policy run through the
+    fluid engine instead.
 
     ``record_sink``, when given, receives every per-request record —
     the hybrid-fidelity calibration uses this to extract service-time
@@ -566,82 +567,32 @@ def simulate_serving_cell(cell: ServingCell,
         telemetry=finish_telemetry(session, nodes, router, injected,
                                    completed, shed),
     )
-    if router is None:
-        return _node_result(cell, nodes[0], records, compute_events,
-                            common)
-    return _fleet_result(cell, nodes, router, records, common)
+    return _serving_result(cell, nodes, router, records, compute_events,
+                           common)
 
 
-def _node_result(cell: ServingCell, node: ClusterNode, records,
-                 compute_events, common: dict) -> ServingResult:
-    """The single-node result: fabric, hazard and token metrics."""
+def _serving_result(cell: ServingCell, nodes: Sequence[ClusterNode],
+                    router: ClusterRouter | None, records,
+                    compute_events, common: dict) -> ServingResult:
+    """The result of one run, one node or many.
+
+    Energies, reconfigurations, in-flight means and KV/remap counters
+    sum over the nodes, ``mean_compute_utilization`` is the mean over
+    them, and ``channel_stats`` lists every node's channels in node
+    order.  Every node runs the same platform hazard timeline, so the
+    hazard records and ``time_degraded_s`` come from node 0's engine.
+    The fault window spans platform hazards, compute hazards and node
+    incidents together.
+    """
     elapsed = common["elapsed_s"]
-    sim, scheduler = node.sim, node.scheduler
     latency, queue_delay, mean_batch = aggregate(records)
-    network = sim.fabric.energy_report()
-    scheduler.trace.record_channel_stats(sim.fabric)
-    hazard_events: tuple = ()
-    time_degraded_s = 0.0
-    window = None
-    if sim.hazards is not None:
-        window = sim.hazards.fault_window(elapsed)
-        hazard_events = tuple(sim.hazards.records)
-        time_degraded_s = sim.hazards.time_degraded_s(elapsed)
-    if compute_events:
-        window = _merge_window(window, compute_events, elapsed)
-        hazard_events = hazard_events + compute_hazard_records(
-            compute_events, elapsed
-        )
-        time_degraded_s += _compute_degraded_s(compute_events, elapsed)
-    windows = ()
-    if window is not None:
-        windows = windowed_stats(records, window[0], window[1], elapsed)
-    seq_ttft = seq_token = None
-    tokens = 0
-    tokens_per_s = 0.0
-    if cell.sequences:
-        seq_ttft, seq_token, tokens, tokens_per_s = sequence_stats(
-            records, elapsed
-        )
-    kv = scheduler.kv
-    return ServingResult(
-        platform=node.platform.name,
-        latency=latency,
-        queue_delay=queue_delay,
-        mean_batch_size=mean_batch,
-        mean_inflight=sim.fabric.mean_inflight_requests,
-        mean_compute_utilization=scheduler.compute.mean_utilization(),
-        reconfigurations=sim.reconfigurations,
-        network_energy_j=network.total_energy_j,
-        compute_energy_j=node.platform.trace_compute_energy_j(
-            scheduler.trace, elapsed
-        ),
-        channel_stats=scheduler.trace.channel_stats,
-        windows=windows,
-        hazard_events=hazard_events,
-        time_degraded_s=time_degraded_s,
-        ttft=seq_ttft,
-        token_latency=seq_token,
-        tokens_generated=tokens,
-        tokens_per_s=tokens_per_s,
-        kv_refusals=kv.refusals if kv else 0,
-        kv_peak_bits=kv.peak_reserved_bits if kv else 0.0,
-        decode_remaps=scheduler.decode_remaps,
-        **common,
-    )
-
-
-def _fleet_result(cell: ServingCell, nodes: Sequence[ClusterNode],
-                  router: ClusterRouter, records,
-                  common: dict) -> ClusterResult:
-    """The fleet result: per-node stats, incidents and availability."""
-    elapsed = common["elapsed_s"]
-    latency, queue_delay, _ = aggregate(records)
     per_node = []
-    network_energy_j = 0.0
-    compute_energy_j = 0.0
+    channel_stats: list = []
+    network_energy_j = compute_energy_j = mean_inflight = 0.0
+    kv_peak_bits = 0.0
+    reconfigurations = kv_refusals = decode_remaps = 0
     for node in nodes:
-        scheduler = node.scheduler
+        sim, scheduler = node.sim, node.scheduler
         served = [r for r in scheduler.records if not r.dropped]
         per_node.append(NodeStats(
             node=node.name,
@@ -656,38 +607,80 @@ def _fleet_result(cell: ServingCell, nodes: Sequence[ClusterNode],
                 scheduler.requests_completed / elapsed
                 if elapsed > 0 else 0.0
             ),
-            mean_compute_utilization=(
-                scheduler.compute.mean_utilization()
-            ),
+            mean_compute_utilization=scheduler.compute.mean_utilization(),
         ))
-        network_energy_j += node.sim.fabric.energy_report().total_energy_j
+        network_energy_j += sim.fabric.energy_report().total_energy_j
         compute_energy_j += node.platform.trace_compute_energy_j(
             scheduler.trace, elapsed
         )
-    incidents = router.incidents()
-    windows: tuple = ()
-    if incidents:
-        start = min(incident.start_s for incident in incidents)
-        end = max(
-            incident.end_s if incident.end_s is not None else elapsed
-            for incident in incidents
+        scheduler.trace.record_channel_stats(sim.fabric)
+        channel_stats += scheduler.trace.channel_stats
+        mean_inflight += sim.fabric.mean_inflight_requests
+        reconfigurations += sim.reconfigurations
+        if scheduler.kv is not None:
+            kv_refusals += scheduler.kv.refusals
+            kv_peak_bits += scheduler.kv.peak_reserved_bits
+        decode_remaps += scheduler.decode_remaps
+    hazards = nodes[0].sim.hazards
+    hazard_events: tuple = ()
+    time_degraded_s = 0.0
+    window = None
+    if hazards is not None:
+        window = hazards.fault_window(elapsed)
+        hazard_events = tuple(hazards.records)
+        time_degraded_s = hazards.time_degraded_s(elapsed)
+    if compute_events:
+        hazard_events += compute_hazard_records(compute_events, elapsed)
+        time_degraded_s += _compute_degraded_s(compute_events, elapsed)
+    incidents = router.incidents() if router is not None else ()
+    window = _fault_span(window, compute_events, incidents, elapsed)
+    windows = ()
+    if window is not None:
+        windows = windowed_stats(records, window[0], window[1], elapsed)
+    seq_ttft = seq_token = None
+    tokens = 0
+    tokens_per_s = 0.0
+    if cell.sequences:
+        seq_ttft, seq_token, tokens, tokens_per_s = sequence_stats(
+            records, elapsed
         )
-        windows = windowed_stats(records, start, end, elapsed)
-    return ClusterResult(
+    fleet = {}
+    if router is not None:
+        fleet = dict(
+            router=cell.router,
+            requests_rerouted=router.requests_rerouted,
+            node_events=tuple(router.records),
+            availability=router.availability(elapsed),
+            mttr_s=mean_time_to_repair(incidents),
+            incidents=incidents,
+        )
+    result_type = ServingResult if router is None else ClusterResult
+    return result_type(
         platform=nodes[0].platform.name,
-        router=cell.router,
-        n_nodes=cell.replicas,
         latency=latency,
         queue_delay=queue_delay,
-        per_node=tuple(per_node),
-        requests_rerouted=router.requests_rerouted,
-        node_events=tuple(router.records),
+        mean_batch_size=mean_batch,
+        mean_inflight=mean_inflight,
+        mean_compute_utilization=sum(
+            stats.mean_compute_utilization for stats in per_node
+        ) / len(per_node),
+        reconfigurations=reconfigurations,
         network_energy_j=network_energy_j,
         compute_energy_j=compute_energy_j,
+        channel_stats=tuple(channel_stats),
         windows=windows,
-        availability=router.availability(elapsed),
-        mttr_s=mean_time_to_repair(incidents),
-        incidents=incidents,
+        hazard_events=hazard_events,
+        time_degraded_s=time_degraded_s,
+        ttft=seq_ttft,
+        token_latency=seq_token,
+        tokens_generated=tokens,
+        tokens_per_s=tokens_per_s,
+        kv_refusals=kv_refusals,
+        kv_peak_bits=kv_peak_bits,
+        decode_remaps=decode_remaps,
+        n_nodes=cell.replicas,
+        per_node=tuple(per_node),
+        **fleet,
         **common,
     )
 
@@ -801,53 +794,39 @@ def render_fault_windows(results: Sequence[ServingResult]) -> str:
 
 
 def render_serving_study(results: Sequence[ServingResult]) -> str:
-    """Text latency–throughput table, one row per simulated point."""
+    """Text latency–throughput table, one row per simulated point.
+
+    Points a router served add one row per node beneath their own:
+    final state, completed and shed counts, goodput, latency, MAC
+    utilization and the requests rerouted away from it.
+    """
     header = (
-        f"{'platform':<28}{'policy':<12}{'offered/s':>12}{'goodput/s':>12}"
+        f"{'platform':<28}{'policy':<12}{'router':<18}{'nodes':>6}"
+        f"{'offered/s':>12}{'goodput/s':>12}"
         f"{'p50(us)':>11}{'p95(us)':>11}{'p99(us)':>11}{'util':>8}"
+        f"{'mac':>7}{'imbal':>7}{'rerouted':>9}"
     )
     lines = [header, "-" * len(header)]
     ordered = sorted(
         results,
-        key=lambda r: (r.platform, r.controller, r.policy, r.offered_rps),
+        key=lambda r: (r.platform, r.controller, r.policy, r.router,
+                       r.n_nodes, r.offered_rps),
     )
     for result in ordered:
         lines.append(result.summary_row())
-    return "\n".join(lines)
-
-
-def render_cluster_study(results: Sequence[ClusterResult]) -> str:
-    """Fleet latency–throughput table, one row per simulated point."""
-    header = (
-        f"{'platform':<28}{'router':<18}{'nodes':>6}{'offered/s':>12}"
-        f"{'goodput/s':>12}{'p50(us)':>11}{'p99(us)':>11}{'imbal':>10}"
-        f"{'rerouted':>9}"
-    )
-    lines = [header, "-" * len(header)]
-    ordered = sorted(
-        results,
-        key=lambda r: (r.platform, r.router, r.n_nodes, r.offered_rps),
-    )
-    for result in ordered:
-        lines.append(result.summary_row())
-    return "\n".join(lines)
-
-
-def render_node_table(results: Sequence[ClusterResult]) -> str:
-    """Per-node breakdown: one row per (point, node)."""
-    header = (
-        f"{'router':<18}{'offered/s':>12}  {'node':<8}{'state':<10}"
-        f"{'done':>7}{'shed':>6}{'away':>6}{'p99(us)':>10}{'util':>8}"
-    )
-    lines = [header, "-" * len(header)]
-    for result in results:
+        if result.router == "-":
+            continue
         for stats in result.per_node:
+            label = (f"  {stats.node} {stats.state}: "
+                     f"{stats.requests_completed} done, "
+                     f"{stats.requests_shed} shed")
+            # The label spans the platform..offered/s columns (76).
             lines.append(
-                f"{result.router:<18}{result.offered_rps:>12.0f}  "
-                f"{stats.node:<8}{stats.state:<10}"
-                f"{stats.requests_completed:>7}{stats.requests_shed:>6}"
-                f"{stats.rerouted_away:>6}"
-                f"{stats.latency.p99_s * 1e6:>10.1f}"
-                f"{stats.mean_compute_utilization:>8.2f}"
+                f"{label:<76}{stats.goodput_rps:>12.0f}"
+                f"{stats.latency.p50_s * 1e6:>11.1f}"
+                f"{stats.latency.p95_s * 1e6:>11.1f}"
+                f"{stats.latency.p99_s * 1e6:>11.1f}{'':>8}"
+                f"{stats.mean_compute_utilization:>7.2f}{'':>7}"
+                f"{stats.rerouted_away:>9}"
             )
     return "\n".join(lines)

@@ -11,8 +11,6 @@ __getattr__, __dir__, __all__ = _lazy_package(__name__, {
     ),
     ".awgr": ("AWGRInterposerFabric", "awgr_link_budget"),
     ".faults": (
-        "FaultInjector",
-        "FaultPlan",
         "GatewayFail",
         "GatewayRepair",
         "HAZARD_FACTORIES",
@@ -21,7 +19,6 @@ __getattr__, __dir__, __all__ = _lazy_package(__name__, {
         "HazardTimeline",
         "LaserDegradation",
         "RingDriftBurst",
-        "uniform_fault_plan",
     ),
     ".fabric": ("PHOTONIC_DYNAMIC_J_PER_BIT", "PhotonicInterposerFabric"),
     ".links": (

@@ -28,16 +28,14 @@ runs as an ordinary process inside the shared simulation
 fabric **mid-simulation**, through the fabric's hazard hooks (gateway
 failures and repairs, usable comb share) — so ReSiPI/PROWAVES
 controllers re-adapt on their next epoch instead of being configured
-around a frozen fault plan.  The legacy static :class:`FaultPlan` is
-the degenerate all-events-at-``t=0`` case
-(:meth:`HazardTimeline.from_plan`), applied synchronously at
-construction and therefore bit-identical to the historical
-:class:`FaultInjector`, which survives as a thin wrapper.
+around a frozen fault plan.  A static fault set is the timeline whose
+events all fire at ``t=0``: the engine applies those synchronously at
+construction, before the controllers make their first decision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, ClassVar, Union
 
 from ...errors import ConfigurationError, UnknownNameError
@@ -50,33 +48,6 @@ RING_LOCK_RANGE_NM = 1.0
 """Resonance excursion beyond which a ring cannot be trimmed back onto
 its comb line mid-operation (matches the trimming range assumed by
 :func:`repro.photonics.variations.trimming_report`)."""
-
-
-# ---------------------------------------------------------------------------
-# The legacy static plan (still the API for one-shot studies).
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FaultPlan:
-    """Which gateway resources are dead from the start of the run.
-
-    ``memory_gateways_failed`` removes memory-side writer gateways;
-    ``chiplet_gateways_failed`` maps chiplet id -> (write, read) failed
-    counts.  A plan is the degenerate hazard timeline whose every event
-    fires at ``t=0`` — see :meth:`HazardTimeline.from_plan`.
-    """
-
-    memory_gateways_failed: int = 0
-    chiplet_gateways_failed: dict[str, tuple[int, int]] = field(
-        default_factory=dict
-    )
-
-    @property
-    def total_failed(self) -> int:
-        return self.memory_gateways_failed + sum(
-            w + r for w, r in self.chiplet_gateways_failed.values()
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -442,26 +413,6 @@ class HazardTimeline:
     def __bool__(self) -> bool:
         return bool(self.events)
 
-    @classmethod
-    def from_plan(cls, plan: FaultPlan) -> "HazardTimeline":
-        """The static plan as a timeline: one fail event at ``t=0``."""
-        if plan.memory_gateways_failed < 0:
-            raise ConfigurationError(
-                "memory gateway failures must be >= 0, got "
-                f"{plan.memory_gateways_failed}"
-            )
-        if plan.total_failed == 0:
-            return cls()
-        return cls((GatewayFail(
-            at_s=0.0,
-            memory_gateways=plan.memory_gateways_failed,
-            chiplet_gateways=tuple(
-                (chiplet_id, write, read)
-                for chiplet_id, (write, read)
-                in plan.chiplet_gateways_failed.items()
-            ),
-        ),))
-
 
 # ---------------------------------------------------------------------------
 # Degradation accounting.
@@ -498,12 +449,10 @@ class HazardEngine:
     The engine reports gateway failures and repairs to the fabric, which
     clamps every controller decision to the *currently* surviving
     gateways, and sets the usable share of the comb.  It applies every
-    ``t=0`` event synchronously at construction (the static-plan case
-    therefore reduces exactly to the historical
-    :class:`FaultInjector` behaviour), and schedules later events as an
-    ordinary process in the fabric's environment — capacities change
-    while requests are in flight, and the reconfiguration controllers
-    re-adapt on their next epoch.
+    ``t=0`` event synchronously at construction (a static fault set),
+    and schedules later events as an ordinary process in the fabric's
+    environment — capacities change while requests are in flight, and
+    the reconfiguration controllers re-adapt on their next epoch.
     """
 
     def __init__(self, fabric: PhotonicInterposerFabric,
@@ -615,12 +564,6 @@ class HazardEngine:
 
     # -- surviving capacity -------------------------------------------------------
 
-    def surviving_memory_gateways(self) -> int:
-        return self.fabric.surviving_memory_gateways()
-
-    def surviving_chiplet_gateways(self, chiplet_id: str) -> tuple[int, int]:
-        return self.fabric.surviving_chiplet_gateways(chiplet_id)
-
     @property
     def hazard_wavelength_fraction(self) -> float:
         """Product of every active transient's comb multiplier."""
@@ -632,12 +575,13 @@ class HazardEngine:
     # -- event application --------------------------------------------------------
 
     def _update_degraded(self) -> None:
-        inventories = self.fabric.inventories
+        fabric = self.fabric
+        inventories = fabric.inventories
         degraded = (
-            self.surviving_memory_gateways()
-            < self.fabric.config.n_memory_write_gateways
+            fabric.surviving_memory_gateways()
+            < fabric.config.n_memory_write_gateways
             or any(
-                self.surviving_chiplet_gateways(chiplet_id)
+                fabric.surviving_chiplet_gateways(chiplet_id)
                 != (inventory.n_write_gateways, inventory.n_read_gateways)
                 for chiplet_id, inventory in inventories.items()
             )
@@ -756,60 +700,3 @@ class HazardEngine:
         if not intervals:
             return None
         return intervals[0][0], intervals[-1][1]
-
-
-class FaultInjector:
-    """Static fault injection: the degenerate hazard timeline.
-
-    Kept as the one-shot API — applies a :class:`FaultPlan` by running a
-    :class:`HazardEngine` over :meth:`HazardTimeline.from_plan`, which
-    fires everything synchronously at construction: bit-identical to the
-    pre-hazard-engine injector this class used to implement directly.
-    """
-
-    def __init__(self, fabric: PhotonicInterposerFabric, plan: FaultPlan):
-        self.fabric = fabric
-        self.plan = plan
-        self.engine = HazardEngine(fabric, HazardTimeline.from_plan(plan))
-
-    def surviving_memory_gateways(self) -> int:
-        return self.engine.surviving_memory_gateways()
-
-    def surviving_chiplet_gateways(self, chiplet_id: str) -> tuple[int, int]:
-        return self.engine.surviving_chiplet_gateways(chiplet_id)
-
-
-def uniform_fault_plan(fabric: PhotonicInterposerFabric,
-                       n_failures: int) -> FaultPlan:
-    """Spread ``n_failures`` dead gateways round-robin over the system.
-
-    Deterministic: memory gateways fail first (they are the shared
-    resource, i.e. the worst case), then one write gateway per chiplet
-    in floorplan order.
-    """
-    if n_failures < 0:
-        raise ConfigurationError("failure count must be >= 0")
-    config = fabric.config
-    memory_failures = min(n_failures,
-                          config.n_memory_write_gateways - 1)
-    remaining = n_failures - memory_failures
-    chiplet_failures: dict[str, tuple[int, int]] = {}
-    chiplet_ids = sorted(fabric.inventories)
-    index = 0
-    while remaining > 0 and chiplet_ids:
-        chiplet_id = chiplet_ids[index % len(chiplet_ids)]
-        inventory = fabric.inventories[chiplet_id]
-        write, read = chiplet_failures.get(chiplet_id, (0, 0))
-        if write < inventory.n_write_gateways - 1:
-            chiplet_failures[chiplet_id] = (write + 1, read)
-            remaining -= 1
-        index += 1
-        if index > 10 * len(chiplet_ids):
-            raise ConfigurationError(
-                f"cannot place {n_failures} failures with one survivor "
-                "per resource"
-            )
-    return FaultPlan(
-        memory_gateways_failed=memory_failures,
-        chiplet_gateways_failed=chiplet_failures,
-    )

@@ -5,8 +5,8 @@ when a cell carries an armed :class:`~repro.obs.policy.TelemetryPolicy`:
 it owns the (optional) :class:`~repro.obs.trace.TraceRecorder` and the
 :class:`~repro.obs.metrics.MetricsRegistry`, and at the end of the run
 freezes both into a :class:`TelemetrySummary` — plain immutable data
-that rides on the ``ServingResult`` / ``ClusterResult`` through the
-on-disk cache and the export layer.
+that rides on the ``ServingResult`` through the on-disk cache and the
+export layer.
 """
 
 from __future__ import annotations

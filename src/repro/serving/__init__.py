@@ -14,7 +14,6 @@ from .. import _lazy_package
 __getattr__, __dir__, __all__ = _lazy_package(__name__, {
     ".lifecycle": ("LifecycleDriver", "ResiliencePolicy"),
     ".metrics": (
-        "ClusterResult",
         "IncidentRecord",
         "LatencyProfile",
         "ModelServingStats",

@@ -443,8 +443,40 @@ class FidelityReport:
 
 
 @dataclass(frozen=True)
+class NodeStats:
+    """Serving outcome of one node of a serving run.
+
+    ``state`` is the node's final router-visible state (``up`` /
+    ``draining`` / ``failed``; a node no router fronts stays ``up``);
+    ``rerouted_away`` counts requests the router withdrew from this
+    node's queue after a failure and re-enqueued elsewhere.
+    """
+
+    node: str
+    state: str
+    requests_completed: int
+    requests_shed: int
+    rerouted_away: int
+    latency: LatencyProfile
+    goodput_rps: float
+    mean_compute_utilization: float
+
+    @property
+    def submitted(self) -> int:
+        return self.requests_completed + self.requests_shed
+
+
+@dataclass(frozen=True)
 class ServingResult:
     """Complete outcome of one request-serving simulation.
+
+    One node and a fleet share this shape.  ``latency``/``queue_delay``
+    and the request, energy and token counters aggregate over every
+    node; ``per_node`` splits them per replica, and ``load_imbalance``
+    (max/mean node compute utilization) is the headline routing-quality
+    figure.  A single node is the one-entry case: ``router`` is ``-``,
+    ``n_nodes`` 1, ``per_node`` holds one :class:`NodeStats`, and
+    nothing is rerouted.
 
     Picklable plain data: serving studies cache these through the same
     on-disk :class:`~repro.experiments.runner.ResultCache` as inference
@@ -490,6 +522,13 @@ class ServingResult:
     telemetry: "object | None" = None
     """Frozen :class:`~repro.obs.session.TelemetrySummary` when the
     cell ran with telemetry armed."""
+    router: str = "-"
+    """Routing policy that fronted the nodes (``-`` when none did)."""
+    n_nodes: int = 1
+    per_node: tuple[NodeStats, ...] = ()
+    requests_rerouted: int = 0
+    node_events: tuple = ()
+    """Applied node-hazard records, with per-event reroute counts."""
 
     @property
     def is_sequence_run(self) -> bool:
@@ -541,6 +580,21 @@ class ServingResult:
         return self.goodput_rps < 0.9 * self.achieved_rps
 
     @property
+    def load_imbalance(self) -> float:
+        """Max/mean node compute utilization (1.0 = perfectly even).
+
+        0.0 when no node did any compute — an idle fleet is not
+        imbalanced.
+        """
+        utilizations = [
+            stats.mean_compute_utilization for stats in self.per_node
+        ]
+        mean = sum(utilizations) / len(utilizations) if utilizations else 0.0
+        if mean <= 0.0:
+            return 0.0
+        return max(utilizations) / mean
+
+    @property
     def total_energy_j(self) -> float:
         return self.network_energy_j + self.compute_energy_j
 
@@ -580,164 +634,33 @@ class ServingResult:
         )
 
     def summary_row(self) -> str:
-        """One formatted latency–throughput line."""
+        """One formatted latency–throughput line: peak channel (``util``)
+        and mean MAC (``mac``) utilization, load imbalance and reroutes
+        beside the tail latencies."""
         return (
-            f"{self.platform:<28}{self.policy:<12}"
+            f"{self.platform:<28}{self.policy:<12}{self.router:<18}"
+            f"{self.n_nodes:>6}"
             f"{self.offered_rps:>12.0f}"
             f"{self.goodput_rps:>12.0f}"
             f"{self.latency.p50_s * 1e6:>11.1f}"
             f"{self.latency.p95_s * 1e6:>11.1f}"
             f"{self.latency.p99_s * 1e6:>11.1f}"
             f"{self.peak_channel_utilization:>8.2f}"
+            f"{self.mean_compute_utilization:>7.2f}"
+            f"{self.load_imbalance:>7.2f}"
+            f"{self.requests_rerouted:>9}"
             f"{'  SAT' if self.saturated else ''}"
         )
 
 
-# ---------------------------------------------------------------------------
-# Fleet-level results: one router, many nodes, one shared environment.
-# ---------------------------------------------------------------------------
+class ClusterResult(ServingResult):
+    """A :class:`ServingResult` whose nodes a router served.
 
-
-@dataclass(frozen=True)
-class NodeStats:
-    """Serving outcome of one node of a cluster run.
-
-    ``state`` is the node's final router-visible state (``up`` /
-    ``draining`` / ``failed``); ``rerouted_away`` counts requests the
-    router withdrew from this node's queue after a failure and
-    re-enqueued elsewhere.
+    Adds no field.  The serving assemblers build it for router-served
+    cells only so that the benchmark harness, which branches on it to
+    skip per-channel checks on fleets, keeps checking the same cells.
+    Nothing in this package reads it.
     """
-
-    node: str
-    state: str
-    requests_completed: int
-    requests_shed: int
-    rerouted_away: int
-    latency: LatencyProfile
-    goodput_rps: float
-    mean_compute_utilization: float
-
-    @property
-    def submitted(self) -> int:
-        return self.requests_completed + self.requests_shed
-
-
-@dataclass(frozen=True)
-class ClusterResult:
-    """Complete outcome of one fleet-serving simulation.
-
-    Plain picklable data, like :class:`ServingResult`: fleet serving
-    cells cache these through the same on-disk result cache, and the export
-    layer serialises them to JSON/CSV.  ``latency``/``queue_delay`` and
-    the request counters aggregate over every node; ``per_node`` splits
-    them per replica, and ``load_imbalance`` (max/mean node compute
-    utilization) is the headline routing-quality figure.
-    """
-
-    platform: str
-    model: str
-    controller: str
-    router: str
-    policy: str
-    arrival_kind: str
-    n_nodes: int
-    offered_rps: float
-    duration_s: float
-    elapsed_s: float
-    requests_injected: int
-    requests_completed: int
-    latency: LatencyProfile
-    queue_delay: LatencyProfile
-    per_node: tuple[NodeStats, ...]
-    requests_shed: int = 0
-    requests_rerouted: int = 0
-    per_model: tuple[ModelServingStats, ...] = ()
-    node_events: tuple = ()
-    network_energy_j: float = 0.0
-    compute_energy_j: float = 0.0
-    windows: tuple[WindowStats, ...] = ()
-    resilience: ResilienceStats | None = None
-    availability: float = 1.0
-    mttr_s: float = 0.0
-    incidents: tuple[IncidentRecord, ...] = ()
-    fidelity: FidelityReport | None = None
-    telemetry: "object | None" = None
-    """Frozen telemetry summary when armed; see
-    :attr:`ServingResult.telemetry`."""
-
-    @property
-    def retry_amplification(self) -> float:
-        """Attempts per logical request (1.0 on the classic path)."""
-        if self.resilience is None:
-            return 1.0
-        return self.resilience.retry_amplification
-
-    @property
-    def hedge_win_rate(self) -> float:
-        if self.resilience is None:
-            return 0.0
-        return self.resilience.hedge_win_rate
-
-    @property
-    def wasted_attempts(self) -> int:
-        if self.resilience is None:
-            return 0
-        return self.resilience.wasted_attempts
-
-    @property
-    def goodput_rps(self) -> float:
-        """Completed requests per second of simulated time, fleet-wide."""
-        if self.elapsed_s <= 0:
-            return 0.0
-        return self.requests_completed / self.elapsed_s
-
-    @property
-    def load_imbalance(self) -> float:
-        """Max/mean node compute utilization (1.0 = perfectly even).
-
-        0.0 when no node did any compute — an idle fleet is not
-        imbalanced.
-        """
-        utilizations = [
-            stats.mean_compute_utilization for stats in self.per_node
-        ]
-        mean = sum(utilizations) / len(utilizations) if utilizations else 0.0
-        if mean <= 0.0:
-            return 0.0
-        return max(utilizations) / mean
-
-    @property
-    def total_energy_j(self) -> float:
-        return self.network_energy_j + self.compute_energy_j
-
-    @property
-    def energy_per_request_j(self) -> float:
-        if self.requests_completed <= 0:
-            return 0.0
-        return self.total_energy_j / self.requests_completed
-
-    @property
-    def slo_violations(self) -> int:
-        return sum(stats.slo_violations for stats in self.per_model)
-
-    @property
-    def slo_attainment(self) -> float:
-        submitted = sum(stats.submitted for stats in self.per_model)
-        if submitted == 0:
-            return 1.0
-        return 1.0 - self.slo_violations / submitted
-
-    def summary_row(self) -> str:
-        """One formatted fleet latency–throughput line."""
-        return (
-            f"{self.platform:<28}{self.router:<18}{self.n_nodes:>6}"
-            f"{self.offered_rps:>12.0f}"
-            f"{self.goodput_rps:>12.0f}"
-            f"{self.latency.p50_s * 1e6:>11.1f}"
-            f"{self.latency.p99_s * 1e6:>11.1f}"
-            f"{self.load_imbalance:>10.2f}"
-            f"{self.requests_rerouted:>9}"
-        )
 
 
 def aggregate(records: list[RequestRecord]) -> tuple[LatencyProfile,

@@ -58,7 +58,7 @@ if TYPE_CHECKING:
     from ..cluster.router import HealthPolicy
     from ..experiments.serving_study import ServingCell
     from ..serving.lifecycle import ResiliencePolicy
-    from ..serving.metrics import ClusterResult, ServingResult
+    from ..serving.metrics import ServingResult
     from ..serving.scheduler import BatchPolicy
 
 SIPH_PLATFORM = "2.5D-CrossLight-SiPh"
@@ -409,16 +409,10 @@ class StudyResult:
         return [result for point in self.points for result in point.results]
 
     def serving_results(self) -> list[ServingResult]:
-        from ..serving.metrics import ServingResult
-
-        return [r for r in self.flat_results()
-                if isinstance(r, ServingResult)]
-
-    def cluster_results(self) -> list[ClusterResult]:
-        from ..serving.metrics import ClusterResult
-
-        return [r for r in self.flat_results()
-                if isinstance(r, ClusterResult)]
+        """Every serving result across the grid (none for inference)."""
+        if self.spec.kind == "inference":
+            return []
+        return self.flat_results()
 
 
 def lower_study(
@@ -519,37 +513,25 @@ def render_study(study: StudyResult) -> str:
         lines += [result.summary_row() for result in study.flat_results()]
     else:
         from ..experiments.serving_study import (
-            render_cluster_study,
             render_fault_windows,
-            render_node_table,
             render_sequence_summary,
             render_serving_study,
             render_slo_summary,
         )
 
         results = study.serving_results()
-        if results:
-            lines.append(render_serving_study(results))
-            sequence_table = render_sequence_summary(results)
-            if sequence_table:
-                lines += ["", "transformer serving (token metrics):",
-                          sequence_table]
-            slo_table = render_slo_summary(results)
-            if slo_table:
-                lines += ["", "per-model SLO attainment:", slo_table]
-            fault_table = render_fault_windows(results)
-            if fault_table:
-                lines += ["", "fault windows (before/during/after):",
-                          fault_table]
-        fleet = study.cluster_results()
-        if fleet:
-            if results:
-                lines.append("")
-            lines.append(render_cluster_study(fleet))
-            lines += ["", "per-node breakdown:", render_node_table(fleet)]
-            slo_table = render_slo_summary(fleet)
-            if slo_table:
-                lines += ["", "per-model SLO attainment:", slo_table]
+        lines.append(render_serving_study(results))
+        sequence_table = render_sequence_summary(results)
+        if sequence_table:
+            lines += ["", "transformer serving (token metrics):",
+                      sequence_table]
+        slo_table = render_slo_summary(results)
+        if slo_table:
+            lines += ["", "per-model SLO attainment:", slo_table]
+        fault_table = render_fault_windows(results)
+        if fault_table:
+            lines += ["", "fault windows (before/during/after):",
+                      fault_table]
     return "\n".join(lines)
 
 

@@ -1,6 +1,10 @@
 """Cluster serving: router policies, node hazards, fleet studies, CLI."""
 
+import csv
+import json
 import pickle
+from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -24,13 +28,12 @@ from repro.errors import (
     UnknownNameError,
 )
 from repro.experiments.export import (
-    cluster_results_to_csv,
-    cluster_results_to_json,
+    study_results_to_csv,
     study_results_to_json,
 )
 from repro.experiments.serving_study import simulate_serving_cell
 from repro.mapping.residency import WeightResidency
-from repro.serving.metrics import ClusterResult, LatencyProfile, NodeStats
+from repro.serving.metrics import LatencyProfile, NodeStats, ServingResult
 from repro.serving.scheduler import BatchPolicy, RequestScheduler
 from repro.sim.core import Environment
 from repro.sim.traffic import PoissonArrivals
@@ -39,6 +42,7 @@ from repro.studies import (
     ClusterSpec,
     FaultEventSpec,
     FaultSpec,
+    FidelitySpec,
     ModelTraffic,
     NodeOverrideSpec,
     PlatformSpec,
@@ -49,6 +53,7 @@ from repro.studies import (
     WorkloadSpec,
 )
 from repro.studies.compile import (
+    load_spec,
     lower_serving_point,
     render_dry_run,
     render_study,
@@ -512,8 +517,8 @@ class TestClusterSpec:
 class TestClusterStudy:
     def test_fleet_with_fail_and_repair(self):
         study = run_study(cluster_spec(events=FAIL_REPAIR))
-        (result,) = study.cluster_results()
-        assert isinstance(result, ClusterResult)
+        (result,) = study.serving_results()
+        assert result.router == "round-robin"
         assert result.n_nodes == 4
         assert result.requests_rerouted > 0
         assert result.requests_completed + result.requests_shed == (
@@ -551,7 +556,7 @@ class TestClusterStudy:
             cluster=ClusterSpec(replicas=2, router="weighted",
                                 weights=(3.0, 1.0)),
         )
-        (result,) = run_study(spec).cluster_results()
+        (result,) = run_study(spec).serving_results()
         node0, node1 = result.per_node
         assert node0.requests_completed > 2 * node1.requests_completed
 
@@ -565,7 +570,7 @@ class TestClusterStudy:
                                         controller="static"),),
             ),
         )
-        (result,) = run_study(spec).cluster_results()
+        (result,) = run_study(spec).serving_results()
         assert result.requests_completed == result.requests_injected > 0
 
     def test_fleet_per_model_stats_cover_mix(self):
@@ -577,7 +582,7 @@ class TestClusterStudy:
                 ModelTraffic(model="MobileNetV2", fraction=0.3),
             ), rate_rps=40e3, duration_s=0.5e-3),
         )
-        (result,) = run_study(spec).cluster_results()
+        (result,) = run_study(spec).serving_results()
         assert {stats.model for stats in result.per_model} == {
             "LeNet5", "MobileNetV2",
         }
@@ -589,7 +594,7 @@ class TestClusterStudy:
             rate_rps=2e6, duration_s=0.1e-3,
         )
         spec = cluster_spec(replicas=2, max_inflight=4, workload=workload)
-        (result,) = run_study(spec).cluster_results()
+        (result,) = run_study(spec).serving_results()
         (stats,) = result.per_model
         assert stats.quota_denied > 0
         assert result.requests_shed >= stats.quota_denied
@@ -598,8 +603,7 @@ class TestClusterStudy:
         study = run_study(cluster_spec(events=FAIL_REPAIR))
         text = render_study(study)
         assert "router" in text and "imbal" in text
-        assert "per-node breakdown" in text
-        assert "node1" in text
+        assert "  node1 up:" in text
 
     def test_dry_run_renders_cluster_grid_with_keys(self):
         spec = cluster_spec(
@@ -655,14 +659,16 @@ class TestClusterStudy:
 # ---------------------------------------------------------------------------
 
 
-def tiny_cluster_result() -> ClusterResult:
+def tiny_cluster_result() -> ServingResult:
     profile = LatencyProfile.from_samples([1e-6, 2e-6])
-    return ClusterResult(
+    return ServingResult(
         platform="CrossLight", model="LeNet5", controller="resipi",
         router="round-robin", policy="fifo", arrival_kind="poisson",
         n_nodes=2, offered_rps=1e5, duration_s=1e-3, elapsed_s=1e-3,
         requests_injected=2, requests_completed=2, latency=profile,
-        queue_delay=profile,
+        queue_delay=profile, mean_batch_size=1.0, mean_inflight=0.5,
+        mean_compute_utilization=0.25, reconfigurations=0,
+        network_energy_j=0.0, compute_energy_j=0.0,
         per_node=(
             NodeStats(node="node0", state="up", requests_completed=2,
                       requests_shed=0, rerouted_away=0, latency=profile,
@@ -678,10 +684,8 @@ def tiny_cluster_result() -> ClusterResult:
 
 class TestExport:
     def test_cluster_json_carries_fleet_fields(self):
-        import json
-
         (record,) = json.loads(
-            cluster_results_to_json([tiny_cluster_result()])
+            study_results_to_json([tiny_cluster_result()])
         )
         assert record["router"] == "round-robin"
         assert record["requests_rerouted"] == 2
@@ -693,15 +697,13 @@ class TestExport:
         assert record["latency_s"]["p99"] == pytest.approx(2e-6)
 
     def test_cluster_csv_has_aggregate_and_node_rows(self):
-        text = cluster_results_to_csv([tiny_cluster_result()])
+        text = study_results_to_csv([tiny_cluster_result()])
         lines = text.strip().splitlines()
         assert len(lines) == 1 + 1 + 2  # header + aggregate + 2 nodes
         assert "load_imbalance" in lines[0]
         assert "node1" in lines[3]
 
     def test_mixed_study_export_dispatches_by_type(self):
-        import json
-
         study = run_study(cluster_spec(
             replicas=2, rate_rps=100e3, duration_s=0.2e-3,
         ))
@@ -713,7 +715,7 @@ class TestExport:
     def test_imbalance_edge_cases(self):
         result = tiny_cluster_result()
         assert result.load_imbalance == 2.0
-        idle = ClusterResult(
+        idle = ServingResult(
             **{**result.__dict__,
                "per_node": tuple(
                    NodeStats(**{**stats.__dict__,
@@ -723,6 +725,81 @@ class TestExport:
         )
         assert idle.load_imbalance == 0.0
         assert idle.slo_attainment == 1.0  # no per-model stats
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+
+TWO_NODES = ClusterSpec(replicas=2, router="round-robin")
+
+
+def example_point(name: str, sweep_value: int = 0) -> StudySpec:
+    """One grid point of a shipped example spec."""
+    return load_spec(EXAMPLES / name).expand()[sweep_value]
+
+
+def window_shape(result) -> list:
+    """Window labels and spans; the after window ends with each run."""
+    return [
+        (window.label, window.start_s,
+         None if window.label == "after" else window.end_s)
+        for window in result.windows
+    ]
+
+
+class TestOneResultShape:
+    def test_fleet_reports_platform_hazards_like_one_node(self):
+        point = example_point("fault_serving_spec.json", 1)
+        (single,) = run_study(point).flat_results()
+        (fleet,) = run_study(
+            replace(point, cluster=TWO_NODES)
+        ).flat_results()
+        assert fleet.n_nodes == 2
+        assert [event.kind for event in fleet.hazard_events] == [
+            event.kind for event in single.hazard_events
+        ] == ["gateway-fail", "ring-drift", "gateway-repair"]
+        assert fleet.time_degraded_s == single.time_degraded_s > 0
+        assert [window.label for window in fleet.windows] == [
+            window.label for window in single.windows
+        ] == ["before", "during", "after"]
+
+    def test_des_and_fluid_fleets_share_mac_degrade_windows(self):
+        point = replace(
+            example_point("fidelity_spec.json", 1), cluster=TWO_NODES,
+        )
+        (des,) = run_study(
+            replace(point, fidelity=FidelitySpec())
+        ).flat_results()
+        (fluid,) = run_study(
+            replace(point, fidelity=FidelitySpec(mode="fluid",
+                                                 error_budget=1.0))
+        ).flat_results()
+        assert des.fidelity is None
+        assert fluid.fidelity.mode_used == "fluid"
+        assert window_shape(des) == window_shape(fluid)
+        assert [label for label, _, _ in window_shape(des)] == [
+            "before", "during", "after",
+        ]
+
+    def test_one_node_and_fleet_export_one_schema(self):
+        point = replace(
+            example_point("study_spec.json"),
+            cluster=ClusterSpec(),
+            sweep=SweepSpec(axes=(
+                SweepAxis(field="cluster.replicas", values=(1, 3)),
+            )),
+        )
+        results = run_study(point).flat_results()
+        one, fleet = json.loads(study_results_to_json(results))
+        assert set(one) == set(fleet)
+        assert [result.n_nodes for result in results] == [1, 3]
+        assert len(one["per_node"]) == 1 and len(fleet["per_node"]) == 3
+        rows = list(csv.reader(study_results_to_csv(results).splitlines()))
+        assert {"time_degraded_s", "mean_batch_size"} <= set(rows[0])
+        assert len(rows) == 1 + 1 + 1 + 3  # header, two points, 3 nodes
+        alone = run_study(replace(point, cluster=None, sweep=SweepSpec()))
+        assert study_results_to_csv(
+            alone.serving_results()
+        ).splitlines()[1] == study_results_to_csv(results).splitlines()[1]
 
 
 class TestClusterCli:
@@ -753,6 +830,6 @@ class TestClusterCli:
         assert main(["study", str(path), "--json", str(json_out),
                      "--csv", str(csv_out)]) == 0
         out = capsys.readouterr().out
-        assert "per-node breakdown" in out
+        assert "  node1 failed:" in out
         assert json_out.exists() and csv_out.exists()
         assert "node_rerouted_away" in csv_out.read_text()

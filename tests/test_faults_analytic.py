@@ -14,22 +14,30 @@ from repro.errors import ConfigurationError
 from repro.interposer.photonic.controllers import ReSiPIController
 from repro.interposer.photonic.fabric import PhotonicInterposerFabric
 from repro.interposer.photonic.faults import (
-    FaultInjector,
-    FaultPlan,
-    uniform_fault_plan,
+    GatewayFail,
+    HazardEngine,
+    HazardTimeline,
 )
 from repro.interposer.topology import build_floorplan
 from repro.mapping.mapper import KernelMatchMapper
 from repro.sim.core import Environment
 
 
-def run_with_faults(model_name: str, plan: FaultPlan | None):
+def static_failure(memory: int = 0,
+                   chiplets: tuple = ()) -> HazardTimeline:
+    """Gateways dead from the start: one ``t=0`` fail event."""
+    return HazardTimeline((GatewayFail(
+        at_s=0.0, memory_gateways=memory, chiplet_gateways=chiplets,
+    ),))
+
+
+def run_with_faults(model_name: str, timeline: HazardTimeline | None):
     config = DEFAULT_PLATFORM
     env = Environment()
     floorplan = build_floorplan(config)
     fabric = PhotonicInterposerFabric(env, config, floorplan)
-    if plan is not None:
-        FaultInjector(fabric, plan)
+    if timeline is not None:
+        HazardEngine(fabric, timeline)
     ReSiPIController(env, fabric, config)
     workload = extract_workload(zoo.build(model_name))
     mapping = KernelMatchMapper(config, floorplan).map_workload(workload)
@@ -40,13 +48,13 @@ def run_with_faults(model_name: str, plan: FaultPlan | None):
 class TestFaultInjection:
     def test_no_faults_is_baseline(self):
         healthy, _ = run_with_faults("MobileNetV2", None)
-        empty_plan, _ = run_with_faults("MobileNetV2", FaultPlan())
+        empty_plan, _ = run_with_faults("MobileNetV2", HazardTimeline())
         assert empty_plan == pytest.approx(healthy, rel=1e-6)
 
     def test_memory_gateway_failures_degrade_gracefully(self):
         healthy, _ = run_with_faults("MobileNetV2", None)
         degraded, fabric = run_with_faults(
-            "MobileNetV2", FaultPlan(memory_gateways_failed=6)
+            "MobileNetV2", static_failure(memory=6)
         )
         # Still completes (graceful), but slower (degraded).
         assert degraded > healthy
@@ -56,16 +64,14 @@ class TestFaultInjection:
         latencies = []
         for failures in (0, 4, 6):
             latency, _ = run_with_faults(
-                "MobileNetV2", FaultPlan(memory_gateways_failed=failures)
+                "MobileNetV2", static_failure(memory=failures)
             )
             latencies.append(latency)
         assert latencies == sorted(latencies)
 
     def test_chiplet_gateway_failures(self):
-        plan = FaultPlan(
-            chiplet_gateways_failed={"3x3 conv-0": (3, 3)}
-        )
-        latency, fabric = run_with_faults("MobileNetV2", plan)
+        timeline = static_failure(chiplets=(("3x3 conv-0", 3, 3),))
+        latency, fabric = run_with_faults("MobileNetV2", timeline)
         assert latency > 0
         assert fabric.active_write_gateways["3x3 conv-0"].value <= 1
 
@@ -74,36 +80,18 @@ class TestFaultInjection:
         floorplan = build_floorplan(DEFAULT_PLATFORM)
         fabric = PhotonicInterposerFabric(env, DEFAULT_PLATFORM, floorplan)
         with pytest.raises(ConfigurationError):
-            FaultInjector(fabric, FaultPlan(memory_gateways_failed=8))
+            HazardEngine(fabric, static_failure(memory=8))
 
     def test_unknown_chiplet_rejected(self):
         env = Environment()
         floorplan = build_floorplan(DEFAULT_PLATFORM)
         fabric = PhotonicInterposerFabric(env, DEFAULT_PLATFORM, floorplan)
         with pytest.raises(ConfigurationError):
-            FaultInjector(
-                fabric,
-                FaultPlan(chiplet_gateways_failed={"gpu-0": (1, 0)}),
-            )
-
-    def test_uniform_plan_distribution(self):
-        env = Environment()
-        floorplan = build_floorplan(DEFAULT_PLATFORM)
-        fabric = PhotonicInterposerFabric(env, DEFAULT_PLATFORM, floorplan)
-        plan = uniform_fault_plan(fabric, 10)
-        assert plan.total_failed == 10
-        # Memory fails first (worst case), leaving one alive.
-        assert plan.memory_gateways_failed == 7
-
-    def test_uniform_plan_zero(self):
-        env = Environment()
-        floorplan = build_floorplan(DEFAULT_PLATFORM)
-        fabric = PhotonicInterposerFabric(env, DEFAULT_PLATFORM, floorplan)
-        assert uniform_fault_plan(fabric, 0).total_failed == 0
+            HazardEngine(fabric, static_failure(chiplets=(("gpu-0", 1, 0),)))
 
     def test_controller_cannot_resurrect_dead_gateways(self):
         _, fabric = run_with_faults(
-            "ResNet50", FaultPlan(memory_gateways_failed=5)
+            "ResNet50", static_failure(memory=5)
         )
         # Even under ResNet-scale demand, the cap held all run.
         assert fabric.active_memory_gateways.value <= 3

@@ -19,9 +19,8 @@ from repro.dnn import zoo
 from repro.dnn.workload import extract_workload
 from repro.errors import ConfigurationError, SpecError
 from repro.experiments.export import (
-    cluster_results_to_csv,
     serving_result_to_dict,
-    serving_results_to_csv,
+    study_results_to_csv,
 )
 from repro.experiments.fidelity import (
     FidelityPolicy,
@@ -448,14 +447,14 @@ class TestFluidPath:
             stats.requests_completed for stats in result.per_node
         )
         # Fleet CSV rows carry the error-budget columns too.
-        csv_text = cluster_results_to_csv([result])
+        csv_text = study_results_to_csv([result])
         lines = csv_text.strip().splitlines()
         assert "fidelity_mode" in lines[0]
         assert any("fluid" in line for line in lines[1:])
 
     def test_one_replica_fleet_calibrates_on_a_single_node(self):
         # Without its node faults the calibration twin is no fleet, so
-        # the checkpoint holds a ServingResult, not a ClusterResult.
+        # the checkpoint holds a single-node result no router served.
         cell = ServingCell(
             platform="CrossLight",
             models=(("LeNet5", 1.0, None, 0),),
@@ -472,7 +471,7 @@ class TestFluidPath:
         calibration = simulate_serving_cell(replace(
             cell, duration_s=0.2e-3, fidelity=None, node_faults=None,
         ))
-        assert not hasattr(calibration, "per_node")
+        assert calibration.router == "-"
         result = simulate_serving_cell(cell)
         assert result.fidelity.mode_used == "fluid"
         assert result.n_nodes == 1
@@ -617,7 +616,7 @@ class TestStudyIntegration:
         assert block["mode_used"] in ("fluid", "des-fallback")
         assert block["p99_rel_err"] <= 1.0
         assert isinstance(block["warm_forked"], bool)
-        csv_text = serving_results_to_csv([result])
+        csv_text = study_results_to_csv([result])
         header, row = csv_text.strip().splitlines()
         assert "fidelity_mode" in header
         assert "fidelity_p99_err" in header
@@ -626,7 +625,7 @@ class TestStudyIntegration:
         des = simulate_serving_cell(classic_cell())
         classic_record = serving_result_to_dict(des)
         assert classic_record["fidelity"] is None
-        classic_row = serving_results_to_csv([des]).strip().splitlines()[1]
+        classic_row = study_results_to_csv([des]).strip().splitlines()[1]
         assert classic_row.endswith(",,")
 
     def test_fidelity_json_round_trip_runs(self, tmp_path):

@@ -12,8 +12,6 @@ from repro.errors import ConfigurationError, SpecError, UnknownNameError
 from repro.interposer.photonic.controllers import ReSiPIController
 from repro.interposer.photonic.fabric import PhotonicInterposerFabric
 from repro.interposer.photonic.faults import (
-    FaultInjector,
-    FaultPlan,
     GatewayFail,
     GatewayRepair,
     HazardEngine,
@@ -132,15 +130,14 @@ class TestTimelineValidation:
             HazardEngine(fabric, timeline)
 
     def test_negative_counts_rejected(self):
-        """The legacy injector refused negative counts; so must the
-        engine (they would silently inflate surviving capacity)."""
-        for plan in (
-            FaultPlan(memory_gateways_failed=-1),
-            FaultPlan(chiplet_gateways_failed={"3x3 conv-0": (-1, 0)}),
+        """Negative counts would silently inflate surviving capacity."""
+        for event in (
+            GatewayFail(at_s=0.0, memory_gateways=-1),
+            GatewayFail(at_s=0.0, chiplet_gateways=(("3x3 conv-0", -1, 0),)),
         ):
             env, fabric = make_fabric()
             with pytest.raises(ConfigurationError, match=">= 0"):
-                FaultInjector(fabric, plan)
+                HazardEngine(fabric, HazardTimeline((event,)))
         env, fabric = make_fabric()
         with pytest.raises(ConfigurationError, match=">= 0"):
             HazardEngine(fabric, HazardTimeline((
@@ -204,21 +201,6 @@ class TestStaticEquivalence:
         )
         return InferenceEngine(env, config, fabric).run(mapping)
 
-    def test_plan_timeline_bit_identical_to_injector(self):
-        plan = FaultPlan(
-            memory_gateways_failed=5,
-            chiplet_gateways_failed={"3x3 conv-0": (2, 2)},
-        )
-        injected = self.run_one_shot(
-            lambda fabric: FaultInjector(fabric, plan)
-        )
-        engine = self.run_one_shot(
-            lambda fabric: HazardEngine(
-                fabric, HazardTimeline.from_plan(plan)
-            )
-        )
-        assert injected == engine  # bit-identical, not approx
-
     def test_empty_timeline_bit_identical_to_healthy(self):
         healthy = self.run_one_shot(lambda fabric: None)
         empty = self.run_one_shot(
@@ -229,10 +211,11 @@ class TestStaticEquivalence:
     def test_late_failure_bounded_by_static_failure(self):
         """A mid-run failure costs less than the same failure at t=0,
         and more than no failure at all."""
-        plan = FaultPlan(memory_gateways_failed=7)
         healthy = self.run_one_shot(lambda fabric: None)
         static = self.run_one_shot(
-            lambda fabric: FaultInjector(fabric, plan)
+            lambda fabric: HazardEngine(fabric, HazardTimeline((
+                GatewayFail(at_s=0.0, memory_gateways=7),
+            )))
         )
         mid = self.run_one_shot(
             lambda fabric: HazardEngine(fabric, HazardTimeline((
@@ -249,9 +232,9 @@ class TestCapacityDynamics:
             GatewayFail(at_s=1e-6, memory_gateways=6),
             GatewayRepair(at_s=3e-6, memory_gateways=6),
         )))
-        assert engine.surviving_memory_gateways() == 8
+        assert fabric.surviving_memory_gateways() == 8
         env.run(until=2e-6)
-        assert engine.surviving_memory_gateways() == 2
+        assert fabric.surviving_memory_gateways() == 2
         assert fabric.active_memory_gateways.value == 2
         # The cap binds mid-stream: a controller decision cannot
         # resurrect dead gateways...
@@ -259,7 +242,7 @@ class TestCapacityDynamics:
         assert fabric.active_memory_gateways.value == 2
         env.run(until=4e-6)
         # ...but after the repair, capacity (not activity) is restored:
-        assert engine.surviving_memory_gateways() == 8
+        assert fabric.surviving_memory_gateways() == 8
         assert fabric.active_memory_gateways.value == 2
         fabric.set_active_memory_gateways(8)
         assert fabric.active_memory_gateways.value == 8
@@ -463,17 +446,17 @@ class TestFaultServingEndToEnd:
         import json
 
         from repro.experiments.export import (
-            serving_results_to_csv,
-            serving_results_to_json,
+            study_results_to_csv,
+            study_results_to_json,
         )
 
         (record,) = json.loads(
-            serving_results_to_json(study.serving_results())
+            study_results_to_json(study.serving_results())
         )
         assert len(record["fault_windows"]) == 3
         assert record["hazard_events"][0]["kind"] == "gateway-fail"
         assert record["time_degraded_s"] == pytest.approx(350e-6)
-        assert "time_degraded_s" in serving_results_to_csv(
+        assert "time_degraded_s" in study_results_to_csv(
             study.serving_results()
         ).splitlines()[0]
 

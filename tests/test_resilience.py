@@ -15,8 +15,6 @@ from repro.dnn import zoo
 from repro.dnn.workload import extract_workload
 from repro.errors import ConfigurationError, SpecError
 from repro.experiments.export import (
-    cluster_result_to_dict,
-    cluster_results_to_csv,
     serving_result_to_dict,
     study_results_to_csv,
     study_results_to_json,
@@ -636,7 +634,7 @@ class TestExport:
         ))
 
     def test_cluster_json_carries_resilience_block(self):
-        data = cluster_result_to_dict(self.result())
+        data = serving_result_to_dict(self.result())
         assert data["availability"] == 1.0
         assert data["mttr_s"] == pytest.approx(400e-6)
         stats = data["resilience"]
@@ -651,7 +649,7 @@ class TestExport:
         json.dumps(data)  # must be serialisable as-is
 
     def test_cluster_csv_has_availability_columns(self):
-        text = cluster_results_to_csv([self.result()])
+        text = study_results_to_csv([self.result()])
         header, row = text.strip().splitlines()[:2]
         columns = header.split(",")
         for name in ("availability", "mttr_s", "retry_amplification",
@@ -663,12 +661,12 @@ class TestExport:
 
     def test_legacy_results_export_empty_resilience(self):
         legacy = run_one(ResilienceSpec(), events=())
-        data = cluster_result_to_dict(legacy)
+        data = serving_result_to_dict(legacy)
         assert data["resilience"] is None
         assert data["incidents"] == []
         assert data["availability"] == 1.0
         assert data["mttr_s"] == 0.0
-        text = cluster_results_to_csv([legacy])
+        text = study_results_to_csv([legacy])
         assert "availability" in text.splitlines()[0]
 
     def test_single_node_serving_result_exports(self):

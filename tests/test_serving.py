@@ -13,8 +13,8 @@ from repro.dnn.workload import extract_workload
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.export import (
     serving_result_to_dict,
-    serving_results_to_csv,
-    serving_results_to_json,
+    study_results_to_csv,
+    study_results_to_json,
 )
 from repro.cluster.router import HealthPolicy
 from repro.experiments.fidelity import FidelityPolicy
@@ -511,7 +511,7 @@ class TestServingStudy:
         assert p99_lo <= p99_hi
         assert good_hi > good_lo
 
-        parsed = json.loads(serving_results_to_json(results))
+        parsed = json.loads(study_results_to_json(results))
         assert parsed[0]["latency_s"]["p99"] == pytest.approx(p99_lo)
         assert "goodput_rps" in parsed[0]
 
@@ -538,7 +538,7 @@ class TestServingStudy:
         text = render_serving_study(results)
         assert "goodput/s" in text
         assert "CrossLight" in text
-        csv_text = serving_results_to_csv(results)
+        csv_text = study_results_to_csv(results)
         assert "p99_s" in csv_text.splitlines()[0]
         record = serving_result_to_dict(results[0])
         assert record["platform"] == "CrossLight"

@@ -31,8 +31,8 @@ from repro.errors import (
     SpecError,
 )
 from repro.experiments.export import (
-    serving_results_to_csv,
-    serving_results_to_json,
+    study_results_to_csv,
+    study_results_to_json,
 )
 from repro.experiments.serving_study import ServingCell
 from repro.mapping.residency import KVCacheResidency, WeightResidency
@@ -463,11 +463,11 @@ class TestRenderAndExport:
     def test_json_and_csv_carry_sequence_block(self):
         import json
         results = run_study(sequence_spec()).serving_results()
-        record = json.loads(serving_results_to_json(results))[0]
+        record = json.loads(study_results_to_json(results))[0]
         assert record["sequence"]["tokens_generated"] > 0
         assert record["sequence"]["ttft_s"]["p99"] > 0
         assert record["tokens_per_s"] > 0
-        header = serving_results_to_csv(results).splitlines()[0]
+        header = study_results_to_csv(results).splitlines()[0]
         for column in ("tokens_generated", "tokens_per_s",
                        "ttft_p99_s", "token_p99_s"):
             assert column in header
