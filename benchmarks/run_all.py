@@ -4,8 +4,9 @@
 Runs the pytest-benchmark suite when pytest-benchmark is installed
 (statistically robust medians), falling back to the inline
 :mod:`repro.bench` runner otherwise, and writes a machine-readable
-baseline of median ns/op, kernel insertions and processes started per
-microbenchmark::
+baseline of median ns/op and the exact counts of ``repro.bench.COUNTERS``
+(kernel insertions, processes started, fabric transfers and gateway
+calls) per microbenchmark::
 
     python benchmarks/run_all.py                 # writes ./BENCH_sim.json
     python benchmarks/run_all.py --output out.json --repeats 9

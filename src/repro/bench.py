@@ -11,12 +11,13 @@ against the committed ``BENCH_sim.json`` baseline and fails when a
 benchmark has regressed more than :data:`REGRESSION_FACTOR`, so the
 perf trajectory of the DES kernel is guarded across PRs.
 
-The baseline also holds two exact counts per body (:data:`COUNTERS`):
+The baseline also holds four exact counts per body (:data:`COUNTERS`):
 its kernel insertions — the sum of ``Environment._sequence`` over every
-environment one call of the body creates — and the
-:class:`~repro.sim.core.Process` objects that call starts.  Both are the
-same on every run, so ``--check`` fails on any body whose count rises
-above its committed value.
+environment one call of the body creates — the
+:class:`~repro.sim.core.Process` objects that call starts, its fabric
+transfers and its SiPh gateway calls.  All are the same on every run,
+so ``--check`` fails on any body whose count rises above its committed
+value.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ KERNEL_BENCHMARK = "test_bench_kernel_event_throughput"
 COUNTERS = {
     "insertions": "kernel insertions",
     "processes": "processes started",
+    "transfers": "fabric transfers",
+    "gateway_calls": "gateway calls",
 }
 """Exact per-body counts the baseline records beside each median
 (:func:`count_kernel_work`), with their report labels."""
@@ -733,36 +736,56 @@ def measure_ns(run: Callable[[], object], repeats: int = 5,
 
 
 def count_kernel_work(run: Callable[[], object]) -> dict[str, int]:
-    """The :data:`COUNTERS` of one ``run()`` call: kernel insertions
-    summed over every environment it creates, and the processes it
-    starts."""
+    """The :data:`COUNTERS` of one ``run()`` call.
+
+    Kernel insertions are summed over every environment it creates.
+    Transfers and gateway calls are counted as the benchmark harness
+    counts ``interposer.transfers`` and ``interposer.gateway_calls``:
+    every ``read``/``write`` call on a fabric, and every gateway or
+    wavelength-fraction request to the SiPh fabric.
+    """
+    from .core.crosslight import MonolithicFabric
+    from .interposer.electrical.mesh import ElectricalMeshFabric
+    from .interposer.photonic.awgr import AWGRInterposerFabric
+    from .interposer.photonic.fabric import PhotonicInterposerFabric
     from .sim.core import Environment, Process
 
     created = []
-    started = 0
-    env_init = Environment.__init__
-    process_init = Process.__init__
+    counts = dict.fromkeys(COUNTERS, 0)
+    saved = []
 
-    def tracking_env_init(env, *args, **kwargs):
-        env_init(env, *args, **kwargs)
-        created.append(env)
+    def wrap(owner, name: str, note: Callable[[object], object]) -> None:
+        original = owner.__dict__[name]
+        saved.append((owner, name, original))
 
-    def counting_process_init(process, *args, **kwargs):
-        nonlocal started
-        started += 1
-        process_init(process, *args, **kwargs)
+        def wrapper(self, *args, **kwargs):
+            note(self)
+            return original(self, *args, **kwargs)
 
-    Environment.__init__ = tracking_env_init
-    Process.__init__ = counting_process_init
+        setattr(owner, name, wrapper)
+
+    def tally(counter: str) -> Callable[[object], None]:
+        def note(_) -> None:
+            counts[counter] += 1
+        return note
+
+    wrap(Environment, "__init__", created.append)
+    wrap(Process, "__init__", tally("processes"))
+    for fabric in (PhotonicInterposerFabric, AWGRInterposerFabric,
+                   ElectricalMeshFabric, MonolithicFabric):
+        for name in ("read", "write"):
+            if name in fabric.__dict__:
+                wrap(fabric, name, tally("transfers"))
+    for name in ("set_active_memory_gateways", "set_active_chiplet_gateways",
+                 "set_wavelength_fraction"):
+        wrap(PhotonicInterposerFabric, name, tally("gateway_calls"))
     try:
         run()
     finally:
-        Environment.__init__ = env_init
-        Process.__init__ = process_init
-    return {
-        "insertions": sum(env._sequence for env in created),
-        "processes": started,
-    }
+        for owner, name, original in reversed(saved):
+            setattr(owner, name, original)
+    counts["insertions"] = sum(env._sequence for env in created)
+    return counts
 
 
 def select_benchmarks(substring: str) -> tuple[str, ...]:
@@ -903,8 +926,8 @@ def render_suite(medians: dict[str, float],
     lines = [
         f"{'benchmark':<42}{'median':>12}"
         + ("{:>12}".format("vs base") if baseline else "")
-        + "".join(f"{counter:>12}" for counter in counters),
-        "-" * (54 + (12 if baseline else 0) + 12 * len(counters)),
+        + "".join(f"{counter:>15}" for counter in counters),
+        "-" * (54 + (12 if baseline else 0) + 15 * len(counters)),
     ]
     for name, median in medians.items():
         row = f"{name:<42}{median / 1e6:>10.2f}ms"
@@ -913,7 +936,7 @@ def render_suite(medians: dict[str, float],
                     if baseline.get(name) else " " * 12)
         work = counts.get(name, {}) if counts else {}
         row += "".join(
-            f"{work[counter]:>12}" if counter in work else " " * 12
+            f"{work[counter]:>15}" if counter in work else " " * 15
             for counter in counters
         )
         lines.append(row)

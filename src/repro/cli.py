@@ -249,8 +249,9 @@ def _cmd_serve_study(args: argparse.Namespace) -> int:
     )
     study = run_study(spec, jobs=args.jobs, cache_dir=args.cache_dir)
     results = study.serving_results()
-    print(render_serving_study(results))
-    slo_table = render_slo_summary(results)
+    labels = study.point_labels()
+    print(render_serving_study(results, labels))
+    slo_table = render_slo_summary(results, labels)
     if slo_table:
         print(f"\nper-model SLO attainment:\n{slo_table}")
     if args.cache_dir:

@@ -103,21 +103,21 @@ class _PlatformBase:
     def run_workload(self, workload: InferenceWorkload,
                      batch_size: int = 1) -> InferenceResult:
         """One isolated inference on a cold fabric: the one-request case."""
-        env = Environment()
-        sim = self.build_simulation(env)
-        engine = InferenceEngine(
-            env, self.config, sim.fabric,
-            mac_rate_hz=sim.mac_rate_hz, batch_size=batch_size,
-        )
-        mapping = sim.map_workload(workload)
-        latency = engine.run(mapping, time_limit_s=sim.time_limit_s)
-        compute = self._compute_energy(engine.trace, latency)
-        return self._assemble_result(
-            workload, engine.trace, sim.fabric, latency, compute,
-            self._logic_static_w,
-            reconfigurations=sim.reconfigurations,
-            batch_size=batch_size,
-        )
+        with Environment() as env:
+            sim = self.build_simulation(env)
+            engine = InferenceEngine(
+                env, self.config, sim.fabric,
+                mac_rate_hz=sim.mac_rate_hz, batch_size=batch_size,
+            )
+            mapping = sim.map_workload(workload)
+            latency = engine.run(mapping, time_limit_s=sim.time_limit_s)
+            compute = self._compute_energy(engine.trace, latency)
+            return self._assemble_result(
+                workload, engine.trace, sim.fabric, latency, compute,
+                self._logic_static_w,
+                reconfigurations=sim.reconfigurations,
+                batch_size=batch_size,
+            )
 
     # -- energy assembly --------------------------------------------------------
 

@@ -74,7 +74,7 @@ from ..serving.metrics import (
 from ..sim.core import Environment
 from ..studies.faults import platform_timelines
 from ..studies.registry import MODELS
-from .runner import build_platform, config_digest
+from .runner import build_platform
 from .serving_study import (
     ServingCell,
     _compute_degraded_s,
@@ -373,14 +373,15 @@ def _service_inflation(cell, mac_fraction: float) -> float:
     if mac_fraction >= 1.0:
         return 1.0
     primary = cell.models[0][0]
-    memo_key = (cell.platform, cell.controller, config_digest(cell.config),
-                primary, round(mac_fraction, 12))
+    memo_key = (cell.platform, cell.controller, cell.config, primary,
+                round(mac_fraction, 12))
     cached = _INFLATION_MEMO.get(memo_key)
     if cached is not None:
         return cached
     platform = build_platform(cell.platform, cell.config, cell.controller)
-    sim = platform.build_simulation(Environment())
-    mapping = sim.map_workload(extract_workload(MODELS.get(primary)()))
+    with Environment() as env:
+        sim = platform.build_simulation(env)
+        mapping = sim.map_workload(extract_workload(MODELS.get(primary)()))
     nominal = analytic_estimate(mapping, cell.config).lower_bound_s
     degraded = analytic_estimate(
         mapping, cell.config, mac_fraction=mac_fraction

@@ -51,7 +51,7 @@ PLATFORM_ORDER = (
 )
 """The three simulated platforms, Table 3 order."""
 
-CACHE_SCHEMA_VERSION = 4
+CACHE_SCHEMA_VERSION = 5
 """Bump whenever simulation semantics or the cached result layout
 change so stale cached results are never served for new code.
 
@@ -65,7 +65,12 @@ one instant queue in a new order and mesh results move (by at most
 
 Version 4: fleets and single nodes share one ``ServingResult`` layout
 (fleet fields on every result), so every cached serving result
-re-simulates once."""
+re-simulates once.
+
+Version 5: telemetry ``Span`` and ``Instant`` records are slotted.  A
+version-4 pickle stores them as instance dicts, which a slotted class
+loads without error but with every field set to its own name, so each
+cached result carrying telemetry must re-simulate."""
 
 
 # ---------------------------------------------------------------------------

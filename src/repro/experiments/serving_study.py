@@ -491,84 +491,89 @@ def simulate_serving_cell(cell: ServingCell,
         for name, _, _, _ in cell.models
     }
     overrides = {entry[0]: entry for entry in cell.node_overrides}
-    env = Environment()
-    nodes = [
-        _build_node(cell, env, index, overrides.get(index), fabric_faults,
-                    workloads)
-        for index in range(cell.replicas)
-    ]
-    if compute_events:
-        start_compute_hazards(
-            env, [node.scheduler.compute for node in nodes],
-            compute_events,
-        )
-    router = None
-    if cell.is_fleet:
-        router = ClusterRouter(
-            nodes, ROUTERS.get(cell.router)(cell.replicas, cell.weights),
-            node_events=node_hazard_timeline(cell.node_faults),
-            reroute_on_fail=cell.reroute_on_fail,
-            health=cell.health or None,
-        )
-    front = router if router is not None else nodes[0].scheduler
-    if cell.sequences:
-        mix = _sequence_stream(cell.models, cell.sequences,
-                               cell.length_distribution, cell.seed)
-    else:
-        mix = _mix_stream(cell.models, cell.seed)
-    driver = None
-    if cell.resilience:
-        driver = LifecycleDriver(front, cell.resilience, seed=cell.seed)
-    session = start_telemetry(cell.telemetry, env, nodes, router, driver,
-                              cell.duration_s)
-    entry = front if driver is None else driver
-    entry.serve(cell.arrival_process(), cell.duration_s, models=mix)
-
-    elapsed = env.now
-    if driver is not None:
-        # Client-visible accounting: logical requests, with retries and
-        # hedges folded into each one's latency.
-        records = driver.records
-        injected = driver.requests_injected
-        completed = driver.requests_completed
-        shed = driver.requests_gave_up
-        resilience_stats = driver.stats()
-    else:
-        records = [
-            record for node in nodes for record in node.scheduler.records
+    with Environment() as env:
+        nodes = [
+            _build_node(cell, env, index, overrides.get(index), fabric_faults,
+                        workloads)
+            for index in range(cell.replicas)
         ]
-        injected = (
-            router.requests_routed if router is not None
-            else nodes[0].scheduler.requests_injected
+        if compute_events:
+            start_compute_hazards(
+                env, [node.scheduler.compute for node in nodes],
+                compute_events,
+            )
+        router = None
+        if cell.is_fleet:
+            router = ClusterRouter(
+                nodes, ROUTERS.get(cell.router)(cell.replicas, cell.weights),
+                node_events=node_hazard_timeline(cell.node_faults),
+                reroute_on_fail=cell.reroute_on_fail,
+                health=cell.health or None,
+            )
+        front = router if router is not None else nodes[0].scheduler
+        if cell.sequences:
+            mix = _sequence_stream(cell.models, cell.sequences,
+                                   cell.length_distribution, cell.seed)
+        else:
+            mix = _mix_stream(cell.models, cell.seed)
+        driver = None
+        if cell.resilience:
+            driver = LifecycleDriver(front, cell.resilience, seed=cell.seed)
+        session = start_telemetry(cell.telemetry, env, nodes, router, driver,
+                                  cell.duration_s)
+        entry = front if driver is None else driver
+        entry.serve(cell.arrival_process(), cell.duration_s, models=mix)
+
+        elapsed = env.now
+        if driver is not None:
+            # Client-visible accounting: logical requests, with retries and
+            # hedges folded into each one's latency.
+            records = driver.records
+            injected = driver.requests_injected
+            completed = driver.requests_completed
+            shed = driver.requests_gave_up
+            resilience_stats = driver.stats()
+        else:
+            records = [
+                record for node in nodes for record in node.scheduler.records
+            ]
+            injected = (
+                router.requests_routed if router is not None
+                else nodes[0].scheduler.requests_injected
+            )
+            completed = sum(
+                node.scheduler.requests_completed for node in nodes
+            )
+            shed = sum(node.scheduler.requests_shed for node in nodes)
+            resilience_stats = None
+        if record_sink is not None:
+            record_sink.extend(records)
+        quota_denied = sum(
+            (Counter(node.scheduler.quota_denied) for node in nodes), Counter()
         )
-        completed = sum(node.scheduler.requests_completed for node in nodes)
-        shed = sum(node.scheduler.requests_shed for node in nodes)
-        resilience_stats = None
-    if record_sink is not None:
-        record_sink.extend(records)
-    quota_denied = sum(
-        (Counter(node.scheduler.quota_denied) for node in nodes), Counter()
-    )
-    common = dict(
-        model=cell.mix_label,
-        controller=cell.controller,
-        policy=cell.policy.label,
-        arrival_kind=cell.arrival_kind,
-        offered_rps=cell.rate_rps,
-        duration_s=cell.duration_s,
-        elapsed_s=elapsed,
-        requests_injected=injected,
-        requests_completed=completed,
-        requests_shed=shed,
-        per_model=per_model_stats(records, elapsed,
-                                  nodes[0].scheduler.slos(),
-                                  quota_denied=quota_denied),
-        resilience=resilience_stats,
-        telemetry=finish_telemetry(session, nodes, router, injected,
-                                   completed, shed),
-    )
-    return _serving_result(cell, nodes, router, records, compute_events,
-                           common)
+        common = dict(
+            model=cell.mix_label,
+            controller=cell.controller,
+            policy=cell.policy.label,
+            arrival_kind=cell.arrival_kind,
+            offered_rps=cell.rate_rps,
+            duration_s=cell.duration_s,
+            elapsed_s=elapsed,
+            requests_injected=injected,
+            requests_completed=completed,
+            requests_shed=shed,
+            per_model=per_model_stats(records, elapsed,
+                                      nodes[0].scheduler.slos(),
+                                      quota_denied=quota_denied),
+            resilience=resilience_stats,
+            telemetry=finish_telemetry(session, nodes, router, injected,
+                                       completed, shed),
+        )
+        result = _serving_result(cell, nodes, router, records,
+                                 compute_events, common)
+        for node in nodes:
+            node.scheduler.detach()
+        return result
 
 
 def _serving_result(cell: ServingCell, nodes: Sequence[ClusterNode],
@@ -690,15 +695,17 @@ def _serving_result(cell: ServingCell, nodes: Sequence[ClusterNode],
 # ---------------------------------------------------------------------------
 
 
-def render_slo_summary(results: Sequence[ServingResult]) -> str:
-    """Per-tenant SLO table: one row per (point, model).
+def render_slo_summary(results: Sequence[ServingResult],
+                       labels: Sequence[str]) -> str:
+    """Per-tenant SLO table: one row per (point, model), each ending in
+    its point's label.
 
     Empty string when no result carries per-model stats (classic
     latency–throughput sweeps), so callers can append unconditionally.
     """
     rows = [
-        (result, stats)
-        for result in results
+        (result, label, stats)
+        for result, label in zip(results, labels)
         for stats in result.per_model
     ]
     if not rows:
@@ -706,36 +713,43 @@ def render_slo_summary(results: Sequence[ServingResult]) -> str:
     header = (
         f"{'policy':<16}{'offered/s':>12}  {'model':<18}{'slo(us)':>9}"
         f"{'done':>7}{'shed':>6}{'viol':>6}{'attain':>9}{'p99(us)':>10}"
+        "  point"
     )
     lines = [header, "-" * len(header)]
-    for result, stats in rows:
+    for result, label, stats in rows:
         slo = "-" if stats.slo_s is None else f"{stats.slo_s * 1e6:.0f}"
         lines.append(
             f"{result.policy:<16}{result.offered_rps:>12.0f}  "
             f"{stats.model:<18}{slo:>9}"
             f"{stats.completed:>7}{stats.shed:>6}{stats.slo_violations:>6}"
             f"{stats.slo_attainment:>9.2%}"
-            f"{stats.latency.p99_s * 1e6:>10.1f}"
+            f"{stats.latency.p99_s * 1e6:>10.1f}  {label}"
         )
     return "\n".join(lines)
 
 
-def render_sequence_summary(results: Sequence[ServingResult]) -> str:
-    """Autoregressive serving table: one row per sequence-serving point.
+def render_sequence_summary(results: Sequence[ServingResult],
+                            labels: Sequence[str]) -> str:
+    """Autoregressive serving table: one row per sequence-serving point,
+    each ending in its point's label.
 
     Empty string when no result carries token metrics (single-step
     runs), so callers can append unconditionally.
     """
-    rows = [r for r in results if r.is_sequence_run]
+    rows = [
+        (result, label)
+        for result, label in zip(results, labels)
+        if result.is_sequence_run
+    ]
     if not rows:
         return ""
     header = (
         f"{'policy':<16}{'offered/s':>12}  {'mix':<26}"
         f"{'ttft p50(us)':>13}{'ttft p99(us)':>13}{'tok p99(us)':>12}"
-        f"{'tokens':>9}{'tok/s':>11}{'kv-ref':>7}{'remaps':>7}"
+        f"{'tokens':>9}{'tok/s':>11}{'kv-ref':>7}{'remaps':>7}  point"
     )
     lines = [header, "-" * len(header)]
-    for result in rows:
+    for result, label in rows:
         ttft = result.ttft
         token = result.token_latency
         lines.append(
@@ -747,54 +761,58 @@ def render_sequence_summary(results: Sequence[ServingResult]) -> str:
             f"{result.tokens_generated:>9}"
             f"{result.tokens_per_s:>11.0f}"
             f"{result.kv_refusals:>7}"
-            f"{result.decode_remaps:>7}"
+            f"{result.decode_remaps:>7}  {label}"
         )
     return "\n".join(lines)
 
 
-def render_fault_windows(results: Sequence[ServingResult]) -> str:
-    """Windowed degradation table: one row per (point, window).
+def render_fault_windows(results: Sequence[ServingResult],
+                         labels: Sequence[str]) -> str:
+    """Windowed degradation table: one row per (point, window), each
+    ending in its point's label.
 
     Empty string when no result carries fault windows (fault-free
     runs), so callers can append unconditionally.
     """
-    rows = [
-        (result, window)
-        for result in results
-        for window in result.windows
+    labelled = [
+        (result, label)
+        for result, label in zip(results, labels)
+        if result.windows
     ]
-    if not rows:
+    if not labelled:
         return ""
     header = (
         f"{'policy':<16}{'offered/s':>12}  {'window':<8}{'span(us)':>16}"
         f"{'done':>7}{'shed':>6}{'goodput/s':>12}{'p99(us)':>10}"
-        f"{'attain':>9}"
+        f"{'attain':>9}  point"
     )
     lines = [header, "-" * len(header)]
-    for result, window in rows:
-        span = (
-            f"{window.start_s * 1e6:.0f}-{window.end_s * 1e6:.0f}"
-        )
-        lines.append(
-            f"{result.policy:<16}{result.offered_rps:>12.0f}  "
-            f"{window.label:<8}{span:>16}"
-            f"{window.completed:>7}{window.shed:>6}"
-            f"{window.goodput_rps:>12.0f}"
-            f"{window.latency.p99_s * 1e6:>10.1f}"
-            f"{window.slo_attainment:>9.2%}"
-        )
-    for result in results:
-        if result.windows:
+    for result, label in labelled:
+        for window in result.windows:
+            span = (
+                f"{window.start_s * 1e6:.0f}-{window.end_s * 1e6:.0f}"
+            )
             lines.append(
                 f"{result.policy:<16}{result.offered_rps:>12.0f}  "
-                f"time degraded: {result.time_degraded_s * 1e6:.0f} us "
-                f"({result.platform}, {result.controller})"
+                f"{window.label:<8}{span:>16}"
+                f"{window.completed:>7}{window.shed:>6}"
+                f"{window.goodput_rps:>12.0f}"
+                f"{window.latency.p99_s * 1e6:>10.1f}"
+                f"{window.slo_attainment:>9.2%}  {label}"
             )
+    for result, label in labelled:
+        lines.append(
+            f"{result.policy:<16}{result.offered_rps:>12.0f}  "
+            f"time degraded: {result.time_degraded_s * 1e6:.0f} us "
+            f"({result.platform}, {result.controller})  {label}"
+        )
     return "\n".join(lines)
 
 
-def render_serving_study(results: Sequence[ServingResult]) -> str:
-    """Text latency–throughput table, one row per simulated point.
+def render_serving_study(results: Sequence[ServingResult],
+                         labels: Sequence[str]) -> str:
+    """Text latency–throughput table, one row per simulated point, each
+    ending in its point's label.
 
     Points a router served add one row per node beneath their own:
     final state, completed and shed counts, goodput, latency, MAC
@@ -806,14 +824,19 @@ def render_serving_study(results: Sequence[ServingResult]) -> str:
         f"{'p50(us)':>11}{'p95(us)':>11}{'p99(us)':>11}{'util':>8}"
         f"{'mac':>7}{'imbal':>7}{'rerouted':>9}"
     )
+    # Five columns past the header hold the saturation flag.
+    row_width = len(header) + 5
+    header = f"{header:<{row_width}}  point"
     lines = [header, "-" * len(header)]
     ordered = sorted(
-        results,
-        key=lambda r: (r.platform, r.controller, r.policy, r.router,
-                       r.n_nodes, r.offered_rps),
+        zip(results, labels),
+        key=lambda pair: (
+            pair[0].platform, pair[0].controller, pair[0].policy,
+            pair[0].router, pair[0].n_nodes, pair[0].offered_rps,
+        ),
     )
-    for result in ordered:
-        lines.append(result.summary_row())
+    for result, point in ordered:
+        lines.append(f"{result.summary_row():<{row_width}}  {point}")
         if result.router == "-":
             continue
         for stats in result.per_node:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..config import MacGroupConfig, PlatformConfig
 from ..dnn.workload import InferenceWorkload, LayerWorkload
@@ -49,8 +50,10 @@ class LayerMapping:
     allocations: tuple[Allocation, ...]
     tiling: TilingResult
 
-    @property
+    @cached_property
     def chiplet_ids(self) -> tuple[str, ...]:
+        """The allocated chiplets, in allocation order (built once: the
+        engine reads it for every layer it executes)."""
         return tuple(alloc.chiplet_id for alloc in self.allocations)
 
     @property

@@ -29,7 +29,7 @@ _KNUTH = 2654435761
 sampling that is identical across worker processes."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     """One closed span: ``name`` ran on ``track`` over [begin, end]."""
 
@@ -41,7 +41,7 @@ class Span:
     args: tuple[tuple[str, Any], ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instant:
     """One point event on a track (a routing decision, a retry, ...)."""
 

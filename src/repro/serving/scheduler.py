@@ -1036,3 +1036,15 @@ class RequestScheduler(ServingWindow):
         """Node tally: a request closes once it completes or is shed."""
         return (self.requests_completed + self.requests_shed,
                 self.requests_injected)
+
+    # -- teardown --------------------------------------------------------------------
+
+    def detach(self) -> None:
+        """Cut the links that close a finished cell into reference
+        cycles outside the kernel: the router's close hook, the metrics
+        registry (whose gauges read this scheduler) and the weight
+        pool's back-link to its KV store.  Call it once the cell's
+        result is read; records, counters and ``kv`` stay readable."""
+        self.on_request_closed = None
+        self.obs_metrics = None
+        self.residency.kv = None

@@ -23,6 +23,18 @@ experiment matrix, so it is tuned):
   (time, insertion-order) contract;
 * a :class:`Process` never allocates bootstrap/resume ``Event`` objects:
   one reusable :class:`_Resume` per process carries the pending value.
+
+Lifecycle: whoever builds an :class:`Environment` closes it once the
+results are read (``with Environment() as env:``).  A process that
+returns drops its generator and its references to itself;
+:meth:`Environment.close` does the same for every process still
+suspended and empties both queues.  So a finished simulation is freed
+by reference counting alone, with no call into the cyclic garbage
+collector on any run path.  ``now`` and ``_sequence`` stay readable
+after the close.  Closing a generator raises ``GeneratorExit`` at its
+``yield``; so that closing runs no simulation code, no process
+generator may wrap a ``yield`` in a ``try`` or ``with`` block (a rule
+the kernel tests check on every module under ``src/``).
 """
 
 from __future__ import annotations
@@ -179,6 +191,12 @@ class Process(Event):
     The generator yields events; each yielded event resumes the generator
     with the event's value when it fires.  When the generator returns, the
     process event triggers with the return value.
+
+    The environment lists every live process until it returns, so that
+    :meth:`Environment.close` can reach the suspended ones.  A process
+    that returns leaves that list and drops its generator, its resume
+    token and its bound step, the two references back to itself; its
+    event half (value, flags, waiters) stays.
     """
 
     __slots__ = ("_generator", "_resume", "_step_callback")
@@ -189,6 +207,7 @@ class Process(Event):
         self._generator = generator
         self._resume = _Resume(self)
         self._step_callback = self._step  # bind once, reuse per yield
+        env._processes[self] = None
         # Bootstrap: resume the generator at time `now`.
         env._sequence += 1
         env._immediate.append((env._sequence, self._resume))
@@ -198,6 +217,8 @@ class Process(Event):
         try:
             target = self._generator.send(event._value)
         except StopIteration as stop:
+            del self.env._processes[self]
+            self._generator = self._resume = self._step_callback = None
             if not self._triggered:
                 self.succeed(stop.value)
             return
@@ -289,15 +310,21 @@ class Environment:
     a heap entry is only popped ahead of an immediate one when it fires
     at the same time with a smaller sequence number.  Interleaving by
     sequence keeps the merged order identical to a single heap.
+
+    ``_processes`` lists the live processes in start order (a dict used
+    as an ordered set) for :meth:`close`.
     """
 
-    __slots__ = ("_now", "_queue", "_immediate", "_sequence")
+    __slots__ = ("_now", "_queue", "_immediate", "_sequence", "_processes",
+                 "_closed")
 
     def __init__(self):
         self._now = 0.0
         self._queue: list[tuple[float, int, Any]] = []
         self._immediate: deque[tuple[int, Any]] = deque()
         self._sequence = 0
+        self._processes: dict[Process, None] = {}
+        self._closed = False
 
     @property
     def now(self) -> float:
@@ -353,6 +380,37 @@ class Environment:
         """Race event: fires with the first child to fire."""
         return AnyOf(self, events)
 
+    # -- lifecycle ---------------------------------------------------------------
+
+    def close(self) -> None:
+        """Tear the simulation down so that reference counting frees it.
+
+        Empties both queues, then closes every live process in start
+        order: its generator is closed (``GeneratorExit`` at the
+        ``yield``, which runs no simulation code; see the module notes)
+        and it drops its generator, resume token, bound step and
+        waiters (an unfired ``AllOf`` child points back at its
+        barrier).  ``now`` and ``_sequence`` stay readable; running a
+        closed environment raises :class:`SimulationError`.  Closing
+        twice does nothing.  Never call it from inside a run.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        self._queue.clear()
+        self._immediate.clear()
+        for process in self._processes:
+            process._generator.close()
+            process._generator = process._resume = None
+            process._step_callback = process.callbacks = None
+        self._processes.clear()
+
+    def __enter__(self) -> "Environment":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     # -- execution ---------------------------------------------------------------
 
     def run(self, until: Optional[float] = None) -> float:
@@ -370,6 +428,8 @@ class Environment:
           idle-advances to ``until`` so back-to-back ``run(until=...)``
           calls tile the timeline without gaps.
         """
+        if self._closed:
+            raise SimulationError("cannot run a closed environment")
         now = self._now
         if until is not None and until < now:
             raise SimulationError(
@@ -428,6 +488,8 @@ class Environment:
         backwards-time guard as :meth:`run` applies: a queue entry firing
         before the current time raises instead of rewinding the clock.
         """
+        if self._closed:
+            raise SimulationError("cannot run a closed environment")
         queue = self._queue
         immediate = self._immediate
         pop = _heappop

@@ -28,7 +28,7 @@ run needs, so ``run_study`` spends no time importing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -52,7 +52,7 @@ from .registry import (
     PLATFORMS,
     ROUTERS,
 )
-from .spec import ClusterSpec, SchedulerSpec, StudySpec
+from .spec import ClusterSpec, FaultSpec, SchedulerSpec, StudySpec
 
 if TYPE_CHECKING:
     from ..cluster.router import HealthPolicy
@@ -414,6 +414,12 @@ class StudyResult:
             return []
         return self.flat_results()
 
+    def point_labels(self) -> list[str]:
+        """Each point's swept fields (:func:`point_label`), point order:
+        parallel to :meth:`serving_results`, which has one result per
+        point."""
+        return [point_label(point.spec, self.spec) for point in self.points]
+
 
 def lower_study(
     spec: StudySpec, base_config: PlatformConfig | None = None
@@ -520,23 +526,39 @@ def render_study(study: StudyResult) -> str:
         )
 
         results = study.serving_results()
-        lines.append(render_serving_study(results))
-        sequence_table = render_sequence_summary(results)
+        labels = study.point_labels()
+        lines.append(render_serving_study(results, labels))
+        sequence_table = render_sequence_summary(results, labels)
         if sequence_table:
             lines += ["", "transformer serving (token metrics):",
                       sequence_table]
-        slo_table = render_slo_summary(results)
+        slo_table = render_slo_summary(results, labels)
         if slo_table:
             lines += ["", "per-model SLO attainment:", slo_table]
-        fault_table = render_fault_windows(results)
+        fault_table = render_fault_windows(results, labels)
         if fault_table:
             lines += ["", "fault windows (before/during/after):",
                       fault_table]
     return "\n".join(lines)
 
 
-def _swept_values(point: StudySpec, spec: StudySpec) -> str:
-    """Readable ``field=value`` summary of one grid point's axes."""
+def _event_label(event) -> str:
+    """``kind@at_s`` plus every knob the event sets off its default."""
+    knobs = ",".join(
+        f"{entry.name}={getattr(event, entry.name)}"
+        for entry in fields(event)
+        if entry.name not in ("kind", "at_s")
+        and getattr(event, entry.name) != entry.default
+    )
+    return f"{event.kind}@{event.at_s}s" + (f"({knobs})" if knobs else "")
+
+
+def point_label(point: StudySpec, spec: StudySpec) -> str:
+    """Readable ``field=value`` summary of one grid point's axes.
+
+    A swept fault section reads as its events, so two points differ in
+    their labels whenever they differ on an axis.
+    """
     parts = []
     for axis in spec.sweep.axes:
         section_name, _, field_name = axis.field.partition(".")
@@ -544,8 +566,8 @@ def _swept_values(point: StudySpec, spec: StudySpec) -> str:
             value = getattr(getattr(point, section_name), field_name)
         else:
             value = getattr(point, section_name)
-        if hasattr(value, "to_dict"):
-            value = f"<{len(value.to_dict().get('events', []))} event(s)>"
+        if isinstance(value, FaultSpec):
+            value = "+".join(map(_event_label, value.events)) or "none"
         parts.append(f"{axis.field}={value}")
     return ", ".join(parts) if parts else "-"
 
@@ -586,7 +608,7 @@ def render_dry_run(spec: StudySpec,
     lines.append("")
     for index, (point, group) in enumerate(zip(points, cells_per_point)):
         lines.append(
-            f"point {index}: {_swept_values(point, spec)} "
+            f"point {index}: {point_label(point, spec)} "
             f"[digest {point.digest[:12]}]"
         )
         resilience = build_resilience(point)

@@ -40,9 +40,10 @@ class TestMeasure:
         )
         assert set(counts) == set(medians) == {bench.KERNEL_BENCHMARK}
         # 10k timeouts, the ticker's bootstrap and its finish; one
-        # process, the ticker.
+        # process, the ticker; no fabric.
         assert counts[bench.KERNEL_BENCHMARK] == {
             "insertions": 10_002, "processes": 1,
+            "transfers": 0, "gateway_calls": 0,
         }
 
     def test_count_insertions_sums_every_environment_created(self):
@@ -72,12 +73,41 @@ class TestMeasure:
         # its finish.
         assert bench.count_kernel_work(run) == {
             "insertions": 3 + 2 * 3, "processes": 2,
+            "transfers": 0, "gateway_calls": 0,
         }
         assert Environment.__init__ is original_init
         assert Process.__init__ is original_process_init
         assert bench.count_kernel_work(lambda: None) == {
             "insertions": 0, "processes": 0,
+            "transfers": 0, "gateway_calls": 0,
         }
+
+    def test_count_fabric_transfers_and_gateway_calls(self):
+        from repro.config import DEFAULT_PLATFORM
+        from repro.interposer.photonic.fabric import PhotonicInterposerFabric
+        from repro.interposer.topology import build_floorplan
+        from repro.sim.core import Environment
+
+        floorplan = build_floorplan(DEFAULT_PLATFORM)
+        chiplet = floorplan.compute_sites[0].chiplet_id
+        read = PhotonicInterposerFabric.read
+
+        def run():
+            env = Environment()
+            fabric = PhotonicInterposerFabric(env, DEFAULT_PLATFORM,
+                                              floorplan)
+            fabric.read(chiplet, 1e3)
+            fabric.write(chiplet, 1e3)
+            fabric.read_weights(chiplet, 1e3)
+            fabric.set_wavelength_fraction(0.5)
+            fabric.set_active_memory_gateways(2)
+            env.run()
+
+        work = bench.count_kernel_work(run)
+        # read_weights is a read; the harness counts the same calls.
+        assert work["transfers"] == 3
+        assert work["gateway_calls"] == 2
+        assert PhotonicInterposerFabric.read is read
 
 
 class TestBaseline:
@@ -147,6 +177,12 @@ class TestBaseline:
     def test_process_count_one_above_baseline_fails(self):
         self.check_one_over("processes")
 
+    def test_transfer_count_one_above_baseline_fails(self):
+        self.check_one_over("transfers")
+
+    def test_gateway_call_count_one_above_baseline_fails(self):
+        self.check_one_over("gateway_calls")
+
     @staticmethod
     def check_one_over(counter):
         def check(count, reference):
@@ -194,6 +230,13 @@ class TestBenchCli:
 
     def test_bench_check_fails_one_process_over(self, capsys, tmp_path):
         self.check_fails_one_over(capsys, tmp_path, "processes")
+
+    def test_bench_check_fails_one_transfer_over(self, capsys, tmp_path):
+        self.check_fails_one_over(capsys, tmp_path, "transfers")
+
+    def test_bench_check_fails_one_gateway_call_over(self, capsys,
+                                                     tmp_path):
+        self.check_fails_one_over(capsys, tmp_path, "gateway_calls")
 
     @staticmethod
     def check_fails_one_over(capsys, tmp_path, counter):

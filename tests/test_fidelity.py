@@ -28,6 +28,8 @@ from repro.experiments.fidelity import (
     simulate_fidelity_cell,
     warm_store_size,
 )
+from repro.experiments import fidelity as fidelity_module
+from repro.experiments import runner as runner_module
 from repro.experiments.runner import CacheStats, ResultCache, run_cached
 from repro.experiments.serving_study import (
     ServingCell,
@@ -415,6 +417,29 @@ class TestFluidPath:
         assert faulted.latency.p99_s >= nominal.latency.p99_s
         labels = [window.label for window in faulted.windows]
         assert labels == ["before", "during", "after"]
+
+    def test_mac_degrade_needs_no_config_digest(self, monkeypatch):
+        """The service-inflation memo keys by the frozen config itself;
+        hashing its JSON took ~140 us on every degraded window."""
+
+        def refuse(config):
+            raise AssertionError("config_digest on the fluid path")
+
+        monkeypatch.setattr(runner_module, "config_digest", refuse)
+        monkeypatch.setattr(fidelity_module, "config_digest", refuse,
+                            raising=False)
+        monkeypatch.setattr(fidelity_module, "_INFLATION_MEMO", {})
+        cell = classic_cell(
+            fidelity=FidelityPolicy(mode="fluid", error_budget=0.25),
+            faults=FaultSpec(events=(FaultEventSpec(
+                kind="chiplet-mac-degrade", at_s=0.5e-3,
+                mac_fraction=0.5, duration_s=0.5e-3,
+            ),)),
+        )
+        result = simulate_fidelity_cell(cell)
+        assert result.fidelity.mode_used == "fluid"
+        assert result.time_degraded_s == pytest.approx(0.5e-3)
+        assert len(fidelity_module._INFLATION_MEMO) == 1
 
     def test_fluid_cluster_cell_with_node_outage(self):
         cell = ServingCell(

@@ -535,9 +535,10 @@ class TestServingStudy:
 
     def test_render_and_csv(self):
         results = serve_study((100e3,), 0.3e-3)
-        text = render_serving_study(results)
+        text = render_serving_study(results, ["rate=100000"])
         assert "goodput/s" in text
         assert "CrossLight" in text
+        assert text.splitlines()[2].endswith("  rate=100000")
         csv_text = study_results_to_csv(results)
         assert "p99_s" in csv_text.splitlines()[0]
         record = serving_result_to_dict(results[0])

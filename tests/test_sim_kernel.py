@@ -1,6 +1,9 @@
 """Discrete-event simulation kernel."""
 
+import ast
+import gc
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -210,6 +213,116 @@ class TestEnvironment:
         env.timeout(2.5)
         env.event().succeed()
         assert env.peek() == 0.0
+
+
+def collected_after(build) -> int:
+    """Objects the cyclic collector finds once ``build()`` returns and
+    drops its simulation (the collector is off meanwhile)."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        build()
+        return gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+class TestLifecycle:
+    """Finished processes and closed environments need no cyclic GC."""
+
+    def test_finished_process_leaves_no_cycle(self):
+        def build():
+            env = Environment()
+
+            def job():
+                yield env.timeout(1.0)
+                return "done"
+
+            process = env.process(job())
+            env.run()
+            assert process.processed and process.value == "done"
+            assert not env._processes
+
+        assert collected_after(build) == 0
+
+    def test_close_frees_blocked_perpetual_processes(self):
+        def build():
+            env = Environment()
+
+            def ticker():
+                while True:
+                    yield env.timeout(1.0)
+
+            def waiter(event):
+                yield event
+
+            ticking = env.process(ticker())
+            waiting = env.process(waiter(env.event()))
+            # A barrier over unfired processes: each points back at it.
+            env.all_of([ticking, waiting])
+            env.run(until=3.5)
+            sequence = env._sequence
+            env.close()
+            assert env.now == 3.5 and env._sequence == sequence
+            assert not env._processes
+
+        assert collected_after(build) == 0
+
+    def test_close_runs_no_simulation_code(self):
+        env = Environment()
+        steps = []
+
+        def job():
+            steps.append("start")
+            yield env.timeout(1.0)
+            steps.append("resumed")
+
+        env.process(job())
+        env.run(until=0.5)
+        env.close()
+        assert steps == ["start"]
+
+    def test_second_close_does_nothing(self):
+        env = Environment()
+        env.timeout(1.0)
+        env.run()
+        env.close()
+        env.close()
+        assert env.now == 1.0 and env._sequence == 1
+
+    def test_closed_environment_refuses_to_run(self):
+        env = Environment()
+        done = env.timeout(1.0)
+        env.close()
+        with pytest.raises(SimulationError, match="closed"):
+            env.run_until_event(done)
+        with pytest.raises(SimulationError, match="closed"):
+            env.run()
+
+    def test_with_block_closes_on_error(self):
+        with pytest.raises(ValueError):
+            with Environment() as env:
+                env.timeout(1.0)
+                raise ValueError
+        with pytest.raises(SimulationError, match="closed"):
+            env.run()
+
+    def test_no_process_generator_guards_a_yield(self):
+        """Closing a generator raises ``GeneratorExit`` at its ``yield``,
+        so no generator under ``src/`` may run code on the way out."""
+        root = Path(__file__).resolve().parent.parent / "src" / "repro"
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Try, ast.With)) and any(
+                    isinstance(inner, (ast.Yield, ast.YieldFrom))
+                    for inner in ast.walk(node)
+                ):
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
 
 
 class TestRunClampSemantics:

@@ -41,8 +41,10 @@ from repro.studies.builders import (
 )
 from repro.studies.compile import (
     expand_points,
+    load_spec,
     lower_serving_point,
     lower_study,
+    point_label,
     render_study,
     resolve_config,
     run_study,
@@ -348,7 +350,53 @@ class TestScenarios:
         text = render_study(study)
         assert "per-model SLO attainment" in text
         assert "LeNet5" in text and "MobileNetV2" in text
-        assert render_slo_summary(study.serving_results())
+        assert render_slo_summary(study.serving_results(),
+                                  study.point_labels())
+
+
+class TestPointLabels:
+    """Text-table rows name their point by its swept fields."""
+
+    @pytest.mark.parametrize("name", [
+        "fault_serving_spec.json", "cluster_spec.json",
+    ])
+    def test_no_two_points_share_a_label(self, name):
+        examples = Path(__file__).resolve().parent.parent / "examples"
+        study = run_study(load_spec(examples / name))
+        labels = study.point_labels()
+        assert len(labels) == len(study.points) > 1
+        assert len(set(labels)) == len(labels)
+        # Each table ends every row with its point's label: the latency
+        # table, the per-model SLO table and the fault-window table
+        # (which lists the points that saw a fault).
+        tables = [
+            block + "\n" for block in render_study(study).split("\n\n")
+            if any(line.endswith("point")
+                   for line in block.splitlines()[:2])
+        ]
+        faulted = [
+            label for label, result
+            in zip(labels, study.serving_results()) if result.windows
+        ]
+        assert len(tables) == 3 and faulted
+        for table, expected in zip(tables, (labels, labels, faulted)):
+            present = [label for label in labels
+                       if f"  {label}\n" in table]
+            assert present == expected, table
+
+    def test_fault_sections_label_by_their_events(self):
+        spec = load_spec(
+            Path(__file__).resolve().parent.parent
+            / "examples" / "fidelity_spec.json"
+        )
+        points = expand_points(spec)
+        labels = [point_label(point, spec) for point in points]
+        assert labels[0] == "platform.faults=none"
+        assert labels[1] == (
+            "platform.faults=chiplet-mac-degrade@0.0005s"
+            "(duration_s=0.0005,mac_fraction=0.5)"
+        )
+        assert len(set(labels)) == 3
 
 
 class TestSchedulerApi:

@@ -1,6 +1,7 @@
 """Telemetry: spec validation, cache identity, determinism, trace schema."""
 
 import json
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -250,6 +251,16 @@ class TestTraceSchema:
             spans=tuple(recorder.spans),
         )
         validate_chrome_trace(chrome_trace_events([("cell", summary)]))
+
+    def test_summary_survives_pickle_round_trip(self):
+        summary = self.run_armed(
+            serving_spec(telemetry=TelemetrySpec(trace=True))
+        )
+        assert summary.spans and summary.instants
+        # Slotted records: no per-record instance dict.
+        assert not hasattr(summary.spans[0], "__dict__")
+        assert not hasattr(summary.instants[0], "__dict__")
+        assert pickle.loads(pickle.dumps(summary)) == summary
 
     def test_metrics_csv_shape(self):
         summary = self.run_armed(
