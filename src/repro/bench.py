@@ -264,17 +264,13 @@ def make_serving_request_throughput() -> Callable[[], int]:
     return run
 
 
-@expects(lambda completed: completed > 0)
-def make_telemetry_null_recorder() -> Callable[[], int]:
-    """The serving benchmark under a metrics-only telemetry session.
+def _telemetry_window(trace: bool) -> Callable[[], tuple[Any, Any]]:
+    """The 1 ms LeNet5 window of ``serving_request_throughput`` under a
+    :class:`~repro.obs.session.TelemetrySession`.
 
-    The same 1 ms LeNet5 window as ``serving_request_throughput``, but
-    with a :class:`~repro.obs.session.TelemetrySession` attached whose
-    trace recorder is null (``trace: false``): every span site reduces
-    to one attribute comparison while the gauge sampler ticks in the
-    background.  The gap to ``serving_request_throughput`` is the cost
-    of the null-recorder guards — the acceptance budget keeps it under
-    a few percent.
+    ``run()`` serves the window and returns ``(scheduler, session)``.
+    ``trace`` arms the span recorder at sample rate 1 and wires it into
+    the scheduler and its residency store, as a traced study cell does.
     """
     from .core.accelerator import MonolithicCrossLight
     from .core.engine import ExecutionTrace
@@ -292,9 +288,9 @@ def make_telemetry_null_recorder() -> Callable[[], int]:
     policy = BatchPolicy.max_batch_with_timeout(
         max_batch=8, batch_timeout_s=20e-6
     )
-    telemetry = TelemetryPolicy(trace=False)
+    telemetry = TelemetryPolicy(trace=trace)
 
-    def run() -> int:
+    def run() -> tuple[Any, Any]:
         env = Environment()
         sim = platform.build_simulation(env)
         scheduler = RequestScheduler(
@@ -302,13 +298,61 @@ def make_telemetry_null_recorder() -> Callable[[], int]:
             residency=WeightResidency(env), trace=ExecutionTrace(),
         )
         session = TelemetrySession(env, telemetry)
+        if session.recorder is not None:
+            scheduler.obs_trace = session.recorder
+            scheduler.residency.obs_trace = session.recorder
         scheduler.obs_metrics = session.metrics
         session.metrics.gauge(
             "queue_depth", lambda: float(scheduler.queue_length)
         )
         session.start(1e-3)
         scheduler.serve(PoissonArrivals(rate_rps=100e3, seed=7), 1e-3)
+        return scheduler, session
+
+    return run
+
+
+@expects(lambda completed: completed > 0)
+def make_telemetry_null_recorder() -> Callable[[], int]:
+    """The serving benchmark under a metrics-only telemetry session.
+
+    The same 1 ms LeNet5 window as ``serving_request_throughput``, but
+    with a :class:`~repro.obs.session.TelemetrySession` attached whose
+    trace recorder is null (``trace: false``): every span site reduces
+    to one attribute comparison while the gauge sampler ticks in the
+    background.  The gap to ``serving_request_throughput`` is the cost
+    of the null-recorder guards — the acceptance budget keeps it under
+    a few percent.
+    """
+    window = _telemetry_window(trace=False)
+
+    def run() -> int:
+        scheduler, _ = window()
         return scheduler.requests_completed
+
+    return run
+
+
+@expects(lambda spans: spans > 0)
+def make_telemetry_armed_trace() -> Callable[[], int]:
+    """The serving benchmark with every request traced.
+
+    The same window as ``telemetry_null_recorder`` with the span
+    recorder armed at sample rate 1, so every request appends its
+    queue-wait, execute and per-layer spans to the recorder's columns.
+    The body then freezes the session into its summary and pickles it
+    round trip, as a cached traced cell does.  The gap to
+    ``telemetry_null_recorder`` is the cost of recording and freezing.
+    """
+    import pickle
+
+    window = _telemetry_window(trace=True)
+
+    def run() -> int:
+        scheduler, session = window()
+        summary = session.summary(scheduler.requests_completed)
+        frozen = pickle.dumps(summary, protocol=pickle.HIGHEST_PROTOCOL)
+        return pickle.loads(frozen).span_count
 
     return run
 
@@ -699,6 +743,7 @@ MICROBENCHMARKS: dict[str, Callable[[], Callable[[], object]]] = {
     "test_bench_functional_mac_matvec": make_functional_mac_matvec,
     "test_bench_serving_request_throughput": make_serving_request_throughput,
     "test_bench_telemetry_null_recorder": make_telemetry_null_recorder,
+    "test_bench_telemetry_armed_trace": make_telemetry_armed_trace,
     "test_bench_hazard_timeline_reads": make_hazard_timeline_reads,
     "test_bench_controller_epochs": make_controller_epochs,
     "test_bench_cluster_dispatch_throughput": make_cluster_dispatch_throughput,

@@ -266,20 +266,24 @@ def _cmd_serve_study(args: argparse.Namespace) -> int:
     return 0
 
 
-def _telemetry_cell_label(result) -> str:
-    """One-line trace-process label for a telemetered cell result."""
+def _telemetry_cell_label(result, swept: str) -> str:
+    """One-line trace-process label for a telemetered cell result,
+    ended by its point's swept fields (``"-"``: no sweep axes)."""
     parts = [result.model, result.platform, result.policy]
     if result.router != "-":
         parts.append(f"{result.router}x{result.n_nodes}")
     parts.append(f"{result.offered_rps:g}rps")
+    if swept != "-":
+        parts.append(swept)
     return "/".join(parts)
 
 
-def _telemetry_summaries(results) -> "list[tuple[str, object]]":
+def _telemetry_summaries(study) -> "list[tuple[str, object]]":
     """``(label, TelemetrySummary)`` pairs from telemetered results."""
     return [
-        (_telemetry_cell_label(result), result.telemetry)
-        for result in results
+        (_telemetry_cell_label(result, swept), result.telemetry)
+        for result, swept in zip(study.serving_results(),
+                                 study.point_labels())
         if result.telemetry is not None
     ]
 
@@ -316,7 +320,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
         if slowest:
             print(f"\n{slowest}")
     flat = study.flat_results()
-    telemetry = _telemetry_summaries(study.serving_results())
+    telemetry = _telemetry_summaries(study)
     for label, summary in telemetry:
         block = summary.render_sparklines()
         if block:

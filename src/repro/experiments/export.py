@@ -9,11 +9,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from ..core.metrics import InferenceResult
 from ..serving.metrics import ServingResult
-from .table3 import Table3
+
+if TYPE_CHECKING:
+    # Annotation only: importing table3 loads every paper driver.
+    from .table3 import Table3
 
 RESULT_FIELDS = (
     "platform",
@@ -191,6 +194,7 @@ def _telemetry_dict(result) -> "dict | None":
     summary = result.telemetry
     if summary is None:
         return None
+    ticks = summary.series.times()
     return {
         "policy": summary.policy_label,
         "sample_rate": summary.sample_rate,
@@ -208,8 +212,8 @@ def _telemetry_dict(result) -> "dict | None":
         },
         "series": {
             name: [{"t_s": at_s, "value": value}
-                   for at_s, value in samples]
-            for name, samples in summary.series
+                   for at_s, value in zip(ticks, values)]
+            for name, values in summary.series
         },
     }
 

@@ -51,7 +51,7 @@ PLATFORM_ORDER = (
 )
 """The three simulated platforms, Table 3 order."""
 
-CACHE_SCHEMA_VERSION = 5
+CACHE_SCHEMA_VERSION = 6
 """Bump whenever simulation semantics or the cached result layout
 change so stale cached results are never served for new code.
 
@@ -70,7 +70,12 @@ re-simulates once.
 Version 5: telemetry ``Span`` and ``Instant`` records are slotted.  A
 version-4 pickle stores them as instance dicts, which a slotted class
 loads without error but with every field set to its own name, so each
-cached result carrying telemetry must re-simulate."""
+cached result carrying telemetry must re-simulate.
+
+Version 6: a telemetry summary stores its spans, instants and gauge
+samples as typed columns (``SpanTable``, ``InstantTable``,
+``GaugeSeries``) instead of one record object per span or sample, so
+each cached result carrying telemetry must re-simulate."""
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +354,14 @@ class CacheStats:
         return line
 
 
-def cell_label(cell) -> str:
+def cell_label(cell, swept: str = "-") -> str:
     """Short human-readable identity of one simulation cell.
 
     Works across every cell kind without those types having to agree
-    on a field set — this only feeds observability output.
+    on a field set — this only feeds observability output.  ``swept``,
+    the cell's grid point as :func:`~repro.studies.compile.point_label`
+    renders it, ends the label, so two points of one sweep never share
+    one; ``"-"`` (no sweep axes) adds nothing.
     """
     parts = []
     for name in ("platform", "mix_label", "model", "controller"):
@@ -371,6 +379,8 @@ def cell_label(cell) -> str:
     rate = getattr(cell, "rate_rps", None)
     if rate:
         parts.append(f"{rate:g}rps")
+    if swept != "-":
+        parts.append(swept)
     return "/".join(parts) if parts else type(cell).__name__
 
 
@@ -387,7 +397,8 @@ def _timed_simulate(simulate_fn: Callable, cell) -> tuple[Any, float]:
 
 def run_cached(cells: Sequence, simulate_fn: Callable, jobs: int = 1,
                cache_dir: str | Path | None = None,
-               stats: CacheStats | None = None) -> list:
+               stats: CacheStats | None = None,
+               labels: Sequence[str] | None = None) -> list:
     """``[simulate_fn(cell) for cell in cells]``, cached and parallel.
 
     The one cache-then-fan-out driver every study shares: resolves the
@@ -395,8 +406,11 @@ def run_cached(cells: Sequence, simulate_fn: Callable, jobs: int = 1,
     over worker processes when ``jobs > 1`` — then back-fills the
     cache.  ``simulate_fn`` and the cells must be picklable
     module-level objects; results come back in input order.  ``stats``,
-    when given, accumulates the run's hit/miss/eviction counters.
+    when given, accumulates the run's hit/miss/eviction counters and
+    per-cell wall times under ``labels`` (default :func:`cell_label`).
     """
+    if labels is None:
+        labels = [cell_label(cell) for cell in cells]
     cache = ResultCache(cache_dir) if cache_dir else None
     results: list = [None] * len(cells)
     pending: list[int] = []
@@ -407,7 +421,7 @@ def run_cached(cells: Sequence, simulate_fn: Callable, jobs: int = 1,
             results[index] = hit
             if stats is not None:
                 stats.record_cell(
-                    cell_label(cell),
+                    labels[index],
                     time.perf_counter() - lookup_start, hit=True,
                 )
         else:
@@ -418,7 +432,7 @@ def run_cached(cells: Sequence, simulate_fn: Callable, jobs: int = 1,
     for index, (result, seconds) in zip(pending, fresh):
         results[index] = result
         if stats is not None:
-            stats.record_cell(cell_label(cells[index]), seconds, hit=False)
+            stats.record_cell(labels[index], seconds, hit=False)
         if cache is not None:
             cache.put(cells[index].key(), result)
     if stats is not None:

@@ -8,6 +8,14 @@ the serving layer's ``run_until_event`` drain, which exits when the
 drained barrier fires regardless of pending sampler timeouts, and
 side-effect-free, so armed metrics never perturb request records.
 
+Gauge samples are columnar: every tick appends ``now`` once to one
+shared ``array('d')`` tick column and one value to each gauge's own
+``array('d')`` column, so a sample costs 8 bytes per gauge plus 8 per
+tick.  The shared column needs the gauge set fixed before the first
+sample, so :meth:`MetricsRegistry.gauge` refuses a late registration.
+:meth:`MetricsRegistry.freeze_series` copies the columns into an
+immutable :class:`GaugeSeries`.
+
 Histograms use power-of-two buckets (each observation lands in the
 bucket whose upper bound is the next power of two), the classic
 log-bucketing that keeps tails visible at constant memory.
@@ -16,7 +24,9 @@ log-bucketing that keeps tails visible at constant memory.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Sequence
+from array import array
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..errors import SimulationError
 
@@ -24,13 +34,37 @@ _BLOCKS = " .:-=+*#%@"
 """ASCII intensity ramp for sparklines (space = zero/min)."""
 
 
+@dataclass(frozen=True)
+class GaugeSeries:
+    """Every gauge time series of one cell, frozen as columns.
+
+    ``ticks`` is the sim-time column all gauges share and ``values``
+    holds one value column per name, each ``len(ticks)`` long; both
+    are native-order ``float64`` bytes, so the series is immutable,
+    hashable and equal after a pickle round trip.  Iterating yields
+    ``(name, values)`` pairs whose values read as floats.
+    """
+
+    names: tuple[str, ...] = ()
+    ticks: bytes = b""
+    values: tuple[bytes, ...] = ()
+
+    def times(self) -> memoryview:
+        """The shared sample-time column, in seconds."""
+        return memoryview(self.ticks).cast("d")
+
+    def __iter__(self) -> Iterator[tuple[str, memoryview]]:
+        for name, column in zip(self.names, self.values):
+            yield name, memoryview(column).cast("d")
+
+
 class MetricsRegistry:
     """Counters + gauge time series + log-bucketed histograms."""
 
     def __init__(self) -> None:
         self.counters: dict[str, float] = {}
-        self._gauges: dict[str, Callable[[], float]] = {}
-        self.series: dict[str, list[tuple[float, float]]] = {}
+        self._gauges: dict[str, tuple[Callable[[], float], array]] = {}
+        self._ticks = array("d")
         self.histograms: dict[str, dict[float, int]] = {}
 
     # -- counters ------------------------------------------------------------------
@@ -52,16 +86,35 @@ class MetricsRegistry:
     # -- gauges --------------------------------------------------------------------
 
     def gauge(self, name: str, fn: Callable[[], float]) -> None:
-        """Register a gauge callback sampled on every tick."""
+        """Register a gauge callback sampled on every tick.
+
+        Every gauge shares one tick column, so all must register before
+        the first sample.
+        """
+        if self._ticks:
+            raise SimulationError(
+                f"gauge {name!r} registered after the first sample; "
+                f"register every gauge before start_sampler"
+            )
         if name in self._gauges:
             raise SimulationError(f"gauge {name!r} already registered")
-        self._gauges[name] = fn
-        self.series[name] = []
+        self._gauges[name] = (fn, array("d"))
 
     def sample(self, now: float) -> None:
         """Append one sample of every gauge at sim time ``now``."""
-        for name, fn in self._gauges.items():
-            self.series[name].append((now, float(fn())))
+        self._ticks.append(now)
+        for fn, column in self._gauges.values():
+            column.append(fn())
+
+    def freeze_series(self) -> GaugeSeries:
+        """The samples so far as an immutable :class:`GaugeSeries`."""
+        return GaugeSeries(
+            names=tuple(self._gauges),
+            ticks=self._ticks.tobytes(),
+            values=tuple(
+                column.tobytes() for _, column in self._gauges.values()
+            ),
+        )
 
     def start_sampler(self, env: Any, interval_s: float) -> None:
         """Launch the perpetual sampling process (one tick per interval).
@@ -110,13 +163,13 @@ def sparkline(values: Sequence[float], width: int = 48) -> str:
 
 
 def render_sparklines(
-    series: Sequence[tuple[str, Sequence[tuple[float, float]]]],
+    series: Iterable[tuple[str, Sequence[float]]],
     width: int = 48,
 ) -> str:
-    """One sparkline row per metric series (name, min/max annotated)."""
+    """One sparkline row per ``(name, values)`` series (min/max
+    annotated); a :class:`GaugeSeries` iterates as exactly that."""
     lines = []
-    for name, samples in series:
-        values = [value for _, value in samples]
+    for name, values in series:
         if not values:
             continue
         lines.append(

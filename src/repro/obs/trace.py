@@ -7,6 +7,18 @@ hold an optional recorder reference that is ``None`` on the untraced
 path, so the cost of an unarmed run is one attribute comparison per
 instrumentation point.
 
+Storage is columnar.  Each record is appended straight into typed
+columns: ``array('d')`` sim times, ``array('i')`` nesting depth, and
+``array('i')`` indexes into intern tables of the tracks, names and
+frozen ``args`` tuples its kind has seen, in first-seen order.  A run
+therefore keeps no per-record Python object, and the records of one
+cell cost a few dozen bytes each.  :meth:`TraceRecorder.freeze_spans`
+and :meth:`TraceRecorder.freeze_instants` copy the columns into an
+immutable :class:`SpanTable` / :class:`InstantTable` (``bytes``
+columns, tuple intern tables) that rides through the result cache;
+iterating a table yields one :class:`Span` / :class:`Instant` row per
+record, built on access.
+
 Tracks map onto Chrome trace-event *threads*: one track per sampled
 request (its queue wait, execution, prefill and decode nest on it), one
 per lifecycle attempt (hedged attempts overlap, so each physical
@@ -19,14 +31,26 @@ samples — the JSON loads directly in Perfetto or ``chrome://tracing``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from array import array
+from dataclasses import dataclass
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import SimulationError
 
 _KNUTH = 2654435761
 """Multiplicative hash constant: deterministic, seedless per-request
 sampling that is identical across worker processes."""
+
+_INDEX = "i"
+"""Typecode of the integer columns: intern-table indexes and depth."""
+
+_TIME = "d"
+"""Typecode of the sim-time columns."""
+
+
+def _column(data: bytes, typecode: str) -> memoryview:
+    """Read-only typed view of one frozen column (native byte order)."""
+    return memoryview(data).cast(typecode)
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,7 +81,123 @@ def _freeze_args(args: Mapping[str, Any] | None) -> tuple:
     return tuple(sorted(args.items()))
 
 
-@dataclass
+@dataclass(frozen=True)
+class _Table:
+    """The columns every record kind shares: interned track, name and
+    ``args``.
+
+    ``tracks``, ``names`` and ``args`` are the intern tables in
+    first-seen order; ``track_ids``, ``name_ids`` and ``args_ids`` hold
+    each record's index into them.  Numeric columns are ``bytes`` so a
+    table is immutable, hashable and equal after a pickle round trip.
+    """
+
+    NUMBERS = ()
+    """``(field, typecode)`` of the kind's numeric columns, in the
+    order :meth:`_Columns.append` takes them."""
+
+    tracks: tuple[str, ...] = ()
+    names: tuple[str, ...] = ()
+    args: tuple[tuple[tuple[str, Any], ...], ...] = ()
+    track_ids: bytes = b""
+    name_ids: bytes = b""
+    args_ids: bytes = b""
+
+    def __len__(self) -> int:
+        return len(_column(self.track_ids, _INDEX))
+
+    def _tags(self) -> Iterator[tuple[str, str, tuple]]:
+        """``(track, name, args)`` of every record, recording order."""
+        tracks, names, args = self.tracks, self.names, self.args
+        for track, name, arg in zip(_column(self.track_ids, _INDEX),
+                                    _column(self.name_ids, _INDEX),
+                                    _column(self.args_ids, _INDEX)):
+            yield tracks[track], names[name], args[arg]
+
+
+@dataclass(frozen=True)
+class SpanTable(_Table):
+    """Every closed span of one cell, one column per field."""
+
+    NUMBERS = (("begin_s", _TIME), ("end_s", _TIME), ("depth", _INDEX))
+
+    begin_s: bytes = b""
+    end_s: bytes = b""
+    depth: bytes = b""
+
+    def __iter__(self) -> Iterator[Span]:
+        for (track, name, args), begin_s, end_s, depth in zip(
+            self._tags(), _column(self.begin_s, _TIME),
+            _column(self.end_s, _TIME), _column(self.depth, _INDEX),
+        ):
+            yield Span(track, name, begin_s, end_s, depth, args)
+
+
+@dataclass(frozen=True)
+class InstantTable(_Table):
+    """Every instant event of one cell, one column per field."""
+
+    NUMBERS = (("at_s", _TIME),)
+
+    at_s: bytes = b""
+
+    def __iter__(self) -> Iterator[Instant]:
+        for (track, name, args), at_s in zip(self._tags(),
+                                              _column(self.at_s, _TIME)):
+            yield Instant(track, name, at_s, args)
+
+
+class _Columns:
+    """The growing twin of one frozen table: intern tables plus typed
+    columns that records append into.
+
+    An intern table is a dict from value to index; its insertion order
+    is first-seen order, so two runs of one cell freeze equal tables.
+    """
+
+    __slots__ = ("_table", "_tracks", "_names", "_args", "_tags",
+                 "_numbers")
+
+    def __init__(self, table: type[_Table]) -> None:
+        self._table = table
+        self._tracks: dict[str, int] = {}
+        self._names: dict[str, int] = {}
+        # Keyed by repr, because 1, 1.0 and True are one dict key but
+        # each exports differently: repr -> (index, args).
+        self._args: dict[str, tuple[int, tuple]] = {}
+        self._tags = (array(_INDEX), array(_INDEX), array(_INDEX))
+        self._numbers = tuple(array(code) for _, code in table.NUMBERS)
+
+    def append(self, track: str, name: str, args: tuple,
+               *numbers: float) -> None:
+        track_ids, name_ids, args_ids = self._tags
+        tracks, names, interned = self._tracks, self._names, self._args
+        track_ids.append(tracks.setdefault(track, len(tracks)))
+        name_ids.append(names.setdefault(name, len(names)))
+        args_ids.append(
+            interned.setdefault(repr(args), (len(interned), args))[0]
+        )
+        for column, value in zip(self._numbers, numbers):
+            column.append(value)
+
+    def freeze(self) -> _Table:
+        numbers = {
+            field_name: column.tobytes()
+            for (field_name, _), column in zip(self._table.NUMBERS,
+                                               self._numbers)
+        }
+        track_ids, name_ids, args_ids = self._tags
+        return self._table(
+            tracks=tuple(self._tracks),
+            names=tuple(self._names),
+            args=tuple(args for _, args in self._args.values()),
+            track_ids=track_ids.tobytes(),
+            name_ids=name_ids.tobytes(),
+            args_ids=args_ids.tobytes(),
+            **numbers,
+        )
+
+
 class TraceRecorder:
     """Collects spans/instants in sim time; owned by one simulation.
 
@@ -68,14 +208,13 @@ class TraceRecorder:
     order same-timestamp begin/end events consistently.
     """
 
-    env: Any
-    sample_rate: float = 1.0
-    spans: list[Span] = field(default_factory=list)
-    instants: list[Instant] = field(default_factory=list)
-    sampled_requests: int = 0
-    _open: dict[str, list[tuple[str, float, tuple]]] = field(
-        default_factory=dict
-    )
+    def __init__(self, env: Any, sample_rate: float = 1.0) -> None:
+        self.env = env
+        self.sample_rate = sample_rate
+        self.sampled_requests = 0
+        self._spans = _Columns(SpanTable)
+        self._instants = _Columns(InstantTable)
+        self._open: dict[str, list[tuple[str, float, tuple]]] = {}
 
     def sampled(self, request_id: int) -> bool:
         """Whether this request's lifecycle is traced (deterministic)."""
@@ -102,26 +241,20 @@ class TraceRecorder:
                 f"TraceRecorder.end on track {track!r} with no open span"
             )
         name, begin_s, args = stack.pop()
-        self.spans.append(Span(
-            track=track, name=name, begin_s=begin_s, end_s=self.env.now,
-            depth=len(stack), args=args,
-        ))
+        self._spans.append(track, name, args, begin_s, self.env.now,
+                           len(stack))
 
     def add(self, track: str, name: str, begin_s: float, end_s: float,
             depth: int = 0, args: Mapping[str, Any] | None = None) -> None:
         """Record an already-closed span with known bounds."""
-        self.spans.append(Span(
-            track=track, name=name, begin_s=begin_s, end_s=end_s,
-            depth=depth, args=_freeze_args(args),
-        ))
+        self._spans.append(track, name, _freeze_args(args), begin_s, end_s,
+                           depth)
 
     def instant(self, track: str, name: str,
                 args: Mapping[str, Any] | None = None) -> None:
         """Record a point event on ``track`` at the current sim time."""
-        self.instants.append(Instant(
-            track=track, name=name, at_s=self.env.now,
-            args=_freeze_args(args),
-        ))
+        self._instants.append(track, name, _freeze_args(args),
+                              self.env.now)
 
     def close_open_spans(self) -> None:
         """Close any span still open (a request alive at window end)."""
@@ -129,6 +262,14 @@ class TraceRecorder:
             while self._open[track]:
                 self.end(track)
         self._open.clear()
+
+    def freeze_spans(self) -> SpanTable:
+        """The closed spans so far as an immutable table."""
+        return self._spans.freeze()
+
+    def freeze_instants(self) -> InstantTable:
+        """The instants so far as an immutable table."""
+        return self._instants.freeze()
 
 
 # ---------------------------------------------------------------------------
@@ -171,54 +312,67 @@ def chrome_trace_events(
         # stack closing every span that ends at-or-before the next
         # span's begin (so an E at t precedes an unrelated B at t while
         # a span still covering t stays open around it).
-        by_track: dict[str, list] = {}
-        for span in summary.spans:
-            by_track.setdefault(span.track, []).append(span)
+        spans = summary.spans
+        names, args = spans.names, spans.args
+        name_ids = _column(spans.name_ids, _INDEX)
+        args_ids = _column(spans.args_ids, _INDEX)
+        begins = _column(spans.begin_s, _TIME)
+        ends = _column(spans.end_s, _TIME)
+        depths = _column(spans.depth, _INDEX)
+        # Record indexes grouped by track, tracks in first-seen order.
+        by_track: dict[int, list[int]] = {}
+        for index, track_id in enumerate(_column(spans.track_ids, _INDEX)):
+            by_track.setdefault(track_id, []).append(index)
         timed: list[tuple[tuple, dict[str, Any]]] = []
-        for track, spans in by_track.items():
-            tid = tid_of(track)
-            spans.sort(key=lambda s: (s.begin_s, -s.end_s, s.depth))
+        for track_id, indexes in by_track.items():
+            tid = tid_of(spans.tracks[track_id])
+            indexes.sort(key=lambda i: (begins[i], -ends[i], depths[i]))
             sequence = 0
-            stack: list = []
+            stack: list[int] = []
 
-            def close(span, tid=tid) -> dict[str, Any]:
-                return {"name": span.name, "ph": "E", "pid": pid,
-                        "tid": tid, "ts": span.end_s * 1e6}
+            def close(index: int, tid=tid) -> dict[str, Any]:
+                return {"name": names[name_ids[index]], "ph": "E",
+                        "pid": pid, "tid": tid, "ts": ends[index] * 1e6}
 
-            for span in spans:
-                while stack and stack[-1].end_s <= span.begin_s:
+            for index in indexes:
+                begin_s = begins[index]
+                while stack and ends[stack[-1]] <= begin_s:
                     top = stack.pop()
                     timed.append((
-                        (tid, top.end_s * 1e6, 0, sequence), close(top)
+                        (tid, ends[top] * 1e6, 0, sequence), close(top)
                     ))
                     sequence += 1
                 timed.append((
-                    (tid, span.begin_s * 1e6, 0, sequence),
-                    {"name": span.name, "ph": "B", "pid": pid,
-                     "tid": tid, "ts": span.begin_s * 1e6,
-                     "args": dict(span.args)},
+                    (tid, begin_s * 1e6, 0, sequence),
+                    {"name": names[name_ids[index]], "ph": "B", "pid": pid,
+                     "tid": tid, "ts": begin_s * 1e6,
+                     "args": dict(args[args_ids[index]])},
                 ))
                 sequence += 1
-                stack.append(span)
+                stack.append(index)
             while stack:
                 top = stack.pop()
                 timed.append((
-                    (tid, top.end_s * 1e6, 0, sequence), close(top)
+                    (tid, ends[top] * 1e6, 0, sequence), close(top)
                 ))
                 sequence += 1
-        for inst in summary.instants:
-            tid = tid_of(inst.track)
-            at_us = inst.at_s * 1e6
+        instants = summary.instants
+        for (track, name, inst_args), at_s in zip(
+            instants._tags(), _column(instants.at_s, _TIME)
+        ):
+            tid = tid_of(track)
+            at_us = at_s * 1e6
             timed.append((
                 (tid, at_us, 1, 0),
-                {"name": inst.name, "ph": "i", "s": "t", "pid": pid,
-                 "tid": tid, "ts": at_us, "args": dict(inst.args)},
+                {"name": name, "ph": "i", "s": "t", "pid": pid,
+                 "tid": tid, "ts": at_us, "args": dict(inst_args)},
             ))
         timed.sort(key=lambda item: item[0])
         events.extend(event for _, event in timed)
-        for name, samples in summary.series:
+        ticks = summary.series.times()
+        for name, values in summary.series:
             tid = tid_of(name)
-            for at_s, value in samples:
+            for at_s, value in zip(ticks, values):
                 events.append({
                     "name": name, "ph": "C", "pid": pid, "tid": tid,
                     "ts": at_s * 1e6, "args": {"value": value},

@@ -40,6 +40,7 @@ from ..experiments.runner import (
     CacheStats,
     InferenceCell,
     ResultCache,
+    cell_label,
     run_cached,
     simulate_inference_cell,
 )
@@ -486,8 +487,14 @@ def run_study(spec: StudySpec, jobs: int = 1,
         from ..experiments.serving_study import simulate_serving_cell
 
         simulate = simulate_serving_cell
+    labels = [
+        cell_label(cell, point_label(point, spec))
+        for point, group in zip(points, cells_per_point)
+        for cell in group
+    ]
     results = run_cached(
         cells, simulate, jobs=jobs, cache_dir=cache_dir, stats=stats,
+        labels=labels,
     )
 
     grouped = []

@@ -150,6 +150,16 @@ class TestImportFootprint:
         assert _under(loaded, "repro.sim", *SERVING_LAYERS,
                       "repro.experiments", "repro.studies") == []
 
+    def test_export_loads_no_paper_driver(self):
+        loaded = _probe(
+            "import repro.experiments.export\nprint(json.dumps(loaded()))"
+        )
+        assert "repro.experiments.export" in loaded
+        assert "numpy" not in loaded
+        assert _under(loaded, "repro.baselines", "repro.experiments.table3",
+                      "repro.dnn.zoo", "repro.interposer",
+                      "repro.core.crosslight") == []
+
     def test_inference_study_loads_no_serving_layer(self):
         report = _probe(LOWER_THEN_RUN,
                         stdin=inference_matrix_spec().to_json())

@@ -334,9 +334,13 @@ class TestCellTiming:
         assert CacheStats().render_slowest() == ""
 
     def test_cell_label_flavours(self):
-        assert cell_label(
-            InferenceCell("CrossLight", "LeNet5", "resipi", DEFAULT_PLATFORM)
-        ) == "CrossLight/LeNet5/resipi"
+        cell = InferenceCell("CrossLight", "LeNet5", "resipi",
+                             DEFAULT_PLATFORM)
+        assert cell_label(cell) == "CrossLight/LeNet5/resipi"
+        assert cell_label(cell, "-") == "CrossLight/LeNet5/resipi"
+        assert cell_label(cell, "workload.batch_size=4") == (
+            "CrossLight/LeNet5/resipi/workload.batch_size=4"
+        )
         assert cell_label(object()) == "object"
 
 

@@ -384,6 +384,21 @@ class TestPointLabels:
                        if f"  {label}\n" in table]
             assert present == expected, table
 
+    @pytest.mark.parametrize("name", [
+        "fault_serving_spec.json", "cluster_spec.json",
+    ])
+    def test_no_two_cells_share_a_slowest_cells_line(self, name):
+        examples = Path(__file__).resolve().parent.parent / "examples"
+        study = run_study(load_spec(examples / name))
+        lines = [
+            line.split(" ms  ", 1)[1]
+            for line in study.cache_stats.render_slowest().splitlines()[1:]
+        ]
+        assert len(lines) == len(study.points) > 1
+        assert len(set(lines)) == len(lines)
+        assert all(line.endswith(label) for line, label
+                   in zip(sorted(lines), sorted(study.point_labels())))
+
     def test_fault_sections_label_by_their_events(self):
         spec = load_spec(
             Path(__file__).resolve().parent.parent

@@ -1,13 +1,15 @@
 """Telemetry: spec validation, cache identity, determinism, trace schema."""
 
+import csv
 import json
 import pickle
+from array import array
 from dataclasses import replace
 
 import pytest
 
 from repro.cli import main
-from repro.errors import SpecError
+from repro.errors import SimulationError, SpecError
 from repro.obs import (
     MetricsRegistry,
     TelemetryPolicy,
@@ -27,6 +29,8 @@ from repro.studies import (
     PlatformSpec,
     SchedulerSpec,
     StudySpec,
+    SweepAxis,
+    SweepSpec,
     TelemetrySpec,
     WorkloadSpec,
 )
@@ -248,7 +252,7 @@ class TestTraceSchema:
         summary = TelemetrySummary(
             policy_label="telemetry(trace)", sample_rate=1.0,
             sampled_requests=1, total_requests=1,
-            spans=tuple(recorder.spans),
+            spans=recorder.freeze_spans(),
         )
         validate_chrome_trace(chrome_trace_events([("cell", summary)]))
 
@@ -257,10 +261,47 @@ class TestTraceSchema:
             serving_spec(telemetry=TelemetrySpec(trace=True))
         )
         assert summary.spans and summary.instants
-        # Slotted records: no per-record instance dict.
-        assert not hasattr(summary.spans[0], "__dict__")
-        assert not hasattr(summary.instants[0], "__dict__")
+        # Slotted rows: no per-record instance dict.
+        assert not hasattr(next(iter(summary.spans)), "__dict__")
+        assert not hasattr(next(iter(summary.instants)), "__dict__")
         assert pickle.loads(pickle.dumps(summary)) == summary
+
+    def test_traced_fleet_cell_keeps_columns_not_records(self):
+        summary = self.run_armed(serving_spec(
+            telemetry=TelemetrySpec(trace=True),
+            cluster=ClusterSpec(replicas=2, router="round-robin"),
+        ))
+        for table in (summary.spans, summary.instants):
+            numbers = [getattr(table, name) for name, _ in table.NUMBERS]
+            for column in (table.track_ids, table.name_ids,
+                           table.args_ids, *numbers):
+                assert isinstance(column, (bytes, array))
+            assert len(table) > 0
+            for interned in (table.tracks, table.names, table.args):
+                assert len(interned) < len(table)
+        series = summary.series
+        assert series.names
+        assert isinstance(series.ticks, (bytes, array))
+        assert all(isinstance(column, (bytes, array))
+                   for column in series.values)
+        assert all(len(values) == len(series.times())
+                   for _, values in series)
+        assert pickle.loads(pickle.dumps(summary)) == summary
+
+    def test_equal_args_of_other_types_export_apart(self):
+        env = Environment()
+        recorder = TraceRecorder(env)
+        for value in (1, 1.0, True):
+            recorder.instant("req", "mark", args={"value": value})
+        summary = TelemetrySummary(
+            policy_label="telemetry(trace)", sample_rate=1.0,
+            sampled_requests=1, total_requests=1,
+            instants=recorder.freeze_instants(),
+        )
+        marks = [event["args"]["value"]
+                 for event in chrome_trace_events([("cell", summary)])
+                 if event["ph"] == "i"]
+        assert [type(value) for value in marks] == [int, float, bool]
 
     def test_metrics_csv_shape(self):
         summary = self.run_armed(
@@ -278,9 +319,7 @@ class TestSparklines:
         assert len(sparkline([0.0, 1.0] * 64, width=16)) == 16
 
     def test_render_includes_min_max(self):
-        block = render_sparklines(
-            (("queue_depth", ((0.0, 0.0), (1.0, 4.0))),)
-        )
+        block = render_sparklines((("queue_depth", (0.0, 4.0)),))
         assert "queue_depth" in block
         assert "max 4" in block
 
@@ -296,9 +335,18 @@ class TestSparklines:
         done = env.process(window())
         env.run_until_event(done, limit=1.0)
         (name, samples), = (
-            (n, s) for n, s in registry.series.items() if n == "depth"
+            (n, s) for n, s in registry.freeze_series() if n == "depth"
         )
         assert len(samples) >= 3
+
+
+    def test_gauge_after_first_sample_is_refused(self):
+        env = Environment()
+        registry = MetricsRegistry()
+        registry.gauge("depth", lambda: 1.0)
+        registry.start_sampler(env, interval_s=0.1)
+        with pytest.raises(SimulationError, match="first sample"):
+            registry.gauge("late", lambda: 2.0)
 
 
 class TestCLI:
@@ -319,6 +367,36 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "telemetry [" in out
         assert "requests traced" in out
+
+    def test_swept_points_get_distinct_trace_and_csv_labels(self, tmp_path):
+        spec = serving_spec(
+            telemetry=TelemetrySpec(trace=True),
+            sweep=SweepSpec(axes=(
+                SweepAxis(field="workload.seed", values=(7, 8)),
+                SweepAxis(field="workload.rate_rps", values=(100e3,)),
+            )),
+        )
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec.to_dict()))
+        out_path = tmp_path / "trace.json"
+        csv_path = tmp_path / "metrics.csv"
+        assert main([
+            "study", str(spec_path),
+            "--trace", str(out_path), "--metrics-csv", str(csv_path),
+        ]) == 0
+        processes = [
+            event["args"]["name"]
+            for event in json.loads(out_path.read_text())["traceEvents"]
+            if event["name"] == "process_name"
+        ]
+        assert len(set(processes)) == len(processes) == 2
+        assert all(name.endswith("workload.rate_rps=100000.0")
+                   for name in processes)
+        with open(csv_path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        # The two-axis label carries a comma: the cell field is quoted.
+        assert all(len(row) == 4 for row in rows)
+        assert {row[0] for row in rows[1:]} == set(processes)
 
     def test_trace_without_telemetry_fails(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
