@@ -11,6 +11,11 @@ against the committed ``BENCH_sim.json`` baseline and fails when a
 benchmark has regressed more than :data:`REGRESSION_FACTOR`, so the
 perf trajectory of the DES kernel is guarded across PRs.
 
+``python -m repro bench --ab OTHER_ROOT`` is a paired, report-only
+comparison with another checkout: both trees' bodies run round by round
+in fresh interpreters (:func:`ab_compare`), and the report gives each
+body's ratio of CPU-time minima with its spread over rounds.
+
 The baseline also holds four exact counts per body (:data:`COUNTERS`):
 its kernel insertions — the sum of ``Environment._sequence`` over every
 environment one call of the body creates — the
@@ -23,7 +28,12 @@ value.
 from __future__ import annotations
 
 import json
+import math
+import os
+import subprocess
+import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -985,4 +995,156 @@ def render_suite(medians: dict[str, float],
             for counter in counters
         )
         lines.append(row)
+    return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# Paired A/B against another checkout (report-only).
+# ---------------------------------------------------------------------------
+
+AB_ROUNDS = 10
+"""Rounds of ``bench --ab``: each round times every body once per tree."""
+
+_AB_NAMES = """
+import json
+from repro.bench import MICROBENCHMARKS
+print(json.dumps(list(MICROBENCHMARKS)))
+"""
+"""Lists a tree's benchmark names (run with that tree on the path)."""
+
+_AB_BODY = """
+import json, sys, time
+from repro.bench import MICROBENCHMARKS
+run = MICROBENCHMARKS[sys.argv[1]]()
+run()
+best = float("inf")
+for _ in range(int(sys.argv[2])):
+    start = time.process_time()
+    run()
+    best = min(best, time.process_time() - start)
+print(json.dumps(best))
+"""
+"""Times one body in a fresh interpreter: a warm-up call, then the
+minimum CPU time of ``calls`` calls."""
+
+
+def _tree_python(root: Path, script: str, *args: str) -> Any:
+    """Run ``script`` with ``root/src`` alone on the path; its stdout
+    is one JSON document."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(root / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", script, *args], cwd=root, env=env,
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout)
+
+
+def this_root() -> Path:
+    """The checkout this package was imported from."""
+    return Path(__file__).resolve().parent.parent.parent
+
+
+def ab_compare(other_root: str | Path, substring: str | None = None,
+               rounds: int = AB_ROUNDS, calls: int = 5,
+               ) -> tuple[dict[str, tuple[list[float], list[float]]],
+                          list[str], list[str]]:
+    """Time the bodies both trees share, alternating the trees.
+
+    Round ``r`` times every shared body (whose name contains
+    ``substring``, when given) once per tree, this tree first on even
+    rounds and ``other_root`` first on odd ones; each timing is a fresh
+    interpreter running the body ``calls`` times.  Returns name ->
+    (this tree's per-round minima, the other's), plus the names only
+    this tree and only the other tree register.
+    """
+    trees = (this_root(), Path(other_root).resolve())
+    mine, theirs = (_tree_python(root, _AB_NAMES) for root in trees)
+    if substring:
+        mine = [name for name in mine if substring in name]
+        theirs = [name for name in theirs if substring in name]
+    shared = [name for name in mine if name in theirs]
+    timings = {name: ([], []) for name in shared}
+    for round_index in range(rounds):
+        order = (0, 1) if round_index % 2 == 0 else (1, 0)
+        for name in shared:
+            for side in order:
+                timings[name][side].append(_tree_python(
+                    trees[side], _AB_BODY, name, str(calls),
+                ))
+    return (timings, [name for name in mine if name not in theirs],
+            [name for name in theirs if name not in mine])
+
+
+AB_SIGNIFICANCE = 0.05
+"""A verdict needs a two-sided sign test over the rounds below this:
+at least 9 of 10 rounds one way."""
+
+
+@dataclass(frozen=True)
+class ABRow:
+    """One body's A/B summary; ratios are this tree over the other."""
+
+    name: str
+    this_s: float
+    other_s: float
+    ratio: float
+    low: float
+    high: float
+    won: int
+    lost: int
+    rounds: int
+
+    @property
+    def verdict(self) -> str:
+        """``slower``/``faster`` when a two-sided sign test over the
+        rounds (ties count for neither side) falls below
+        :data:`AB_SIGNIFICANCE`, else ``~``."""
+        decided = self.won + self.lost
+        tail = sum(math.comb(decided, k)
+                   for k in range(min(self.won, self.lost) + 1))
+        if 2 * tail / 2 ** decided >= AB_SIGNIFICANCE:
+            return "~"
+        return "faster" if self.won > self.lost else "slower"
+
+
+def summarize_ab(timings: dict[str, tuple[list[float], list[float]]]
+                 ) -> list[ABRow]:
+    """Per body: the ratio of the two sides' minima over all rounds,
+    the range of the per-round ratios, and the rounds this tree won
+    (ran faster) and lost."""
+    rows = []
+    for name, (mine, theirs) in timings.items():
+        ratios = [a / b for a, b in zip(mine, theirs)]
+        rows.append(ABRow(
+            name=name, this_s=min(mine), other_s=min(theirs),
+            ratio=min(mine) / min(theirs), low=min(ratios),
+            high=max(ratios), won=sum(a < b for a, b in zip(mine, theirs)),
+            lost=sum(a > b for a, b in zip(mine, theirs)),
+            rounds=len(ratios),
+        ))
+    return rows
+
+
+def render_ab(rows: list[ABRow], only_this: list[str],
+              only_other: list[str]) -> str:
+    """Text table of :func:`summarize_ab`, then the unshared bodies."""
+    lines = [
+        f"{'benchmark':<42}{'this':>10}{'other':>10}{'ratio':>8}"
+        f"{'range':>16}{'won':>6}  verdict",
+        "-" * 101,
+    ]
+    for row in rows:
+        lines.append(
+            f"{row.name:<42}{row.this_s * 1e3:>8.2f}ms"
+            f"{row.other_s * 1e3:>8.2f}ms{row.ratio:>8.3f}"
+            f"{f'[{row.low:.3f}, {row.high:.3f}]':>16}"
+            f"{f'{row.won}/{row.rounds}':>6}  {row.verdict}"
+        )
+    lines.append("ratio: this tree's CPU-time minimum over the other's "
+                 "(< 1 is faster); range: per-round ratios")
+    if only_this:
+        lines.append("only in this tree: " + ", ".join(only_this))
+    if only_other:
+        lines.append("only in the other tree: " + ", ".join(only_other))
     return "\n".join(lines)

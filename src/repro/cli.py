@@ -12,6 +12,7 @@ Exposes the experiment drivers without writing Python::
     python -m repro serve-study --model LeNet5 --rates 20e3,50e3,100e3
     python -m repro study examples/study_spec.json --jobs 4
     python -m repro bench --check        # perf-regression smoke check
+    python -m repro bench --ab ../parent # paired A/B against a checkout
 
 Experiment commands accept ``--jobs N`` (process fan-out over the
 simulation cells) and ``--cache-dir PATH`` (persistent result cache:
@@ -362,6 +363,8 @@ def _cmd_study(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from . import bench
 
+    if args.ab is not None:
+        return _bench_ab(bench, args)
     names = None
     if args.only:
         try:
@@ -398,6 +401,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"{bench.REGRESSION_FACTOR:.1f}x of baseline, no kernel "
         "insertion or process count above it"
     )
+    return 0
+
+
+def _bench_ab(bench, args: argparse.Namespace) -> int:
+    """``bench --ab OTHER_ROOT``: report only, so exit 0 whatever the
+    timings say (2 when OTHER_ROOT is not a checkout)."""
+    if not (Path(args.ab) / "src" / "repro" / "bench.py").is_file():
+        print(f"error: {args.ab} is not a checkout (no src/repro/bench.py)",
+              file=sys.stderr)
+        return 2
+    timings, only_this, only_other = bench.ab_compare(
+        args.ab, substring=args.only, rounds=bench.AB_ROUNDS,
+        calls=args.repeats,
+    )
+    print(bench.render_ab(bench.summarize_ab(timings), only_this,
+                          only_other))
     return 0
 
 
@@ -533,10 +552,19 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench", help="time the simulator microbenchmarks"
     )
-    bench.add_argument(
+    mode = bench.add_mutually_exclusive_group()
+    mode.add_argument(
         "--check", action="store_true",
         help="fail (exit 1) if any benchmark regressed >2x vs baseline "
              "or makes more kernel insertions than it records",
+    )
+    mode.add_argument(
+        "--ab", default=None, metavar="OTHER_ROOT",
+        help="report only: time this tree's and OTHER_ROOT's bodies in "
+             "alternating rounds, each in a fresh interpreter, and print "
+             "per body the ratio of CPU-time minima, its range over "
+             "rounds and the rounds won; --repeats sets the calls per "
+             "timing",
     )
     bench.add_argument(
         "--baseline", default="BENCH_sim.json", metavar="PATH",

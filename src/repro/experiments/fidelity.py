@@ -77,8 +77,9 @@ from ..studies.registry import MODELS
 from .runner import build_platform
 from .serving_study import (
     ServingCell,
-    _compute_degraded_s,
+    _degraded_s,
     _fault_span,
+    _fault_spans,
     _sequence_stream,
     compute_hazard_records,
     simulate_serving_cell,
@@ -950,7 +951,7 @@ def _fluid_result(cell: ServingCell, state: _CalibrationState,
         sum(uptime.values()) / (cell.replicas * cell.duration_s)
         if cell.duration_s > 0 else 1.0
     )
-    span = _fault_span(None, compute_events, incidents, elapsed)
+    spans = _fault_spans((), compute_events, incidents, elapsed)
     result_type = ClusterResult if cell.is_fleet else ServingResult
     return result_type(
         platform=calibration.platform,
@@ -988,9 +989,9 @@ def _fluid_result(cell: ServingCell, state: _CalibrationState,
         requests_rerouted=0,
         per_model=_per_model(cell, trace, elapsed),
         node_events=node_records,
-        windows=_window_stats(cell, trace, span, elapsed),
+        windows=_window_stats(cell, trace, _fault_span(spans), elapsed),
         hazard_events=compute_hazard_records(compute_events, elapsed),
-        time_degraded_s=_compute_degraded_s(compute_events, elapsed),
+        time_degraded_s=_degraded_s(spans),
         availability=availability,
         mttr_s=mean_time_to_repair(incidents),
         incidents=incidents,

@@ -26,7 +26,6 @@ import os
 import pickle
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -51,7 +50,7 @@ PLATFORM_ORDER = (
 )
 """The three simulated platforms, Table 3 order."""
 
-CACHE_SCHEMA_VERSION = 6
+CACHE_SCHEMA_VERSION = 7
 """Bump whenever simulation semantics or the cached result layout
 change so stale cached results are never served for new code.
 
@@ -75,7 +74,11 @@ cached result carrying telemetry must re-simulate.
 Version 6: a telemetry summary stores its spans, instants and gauge
 samples as typed columns (``SpanTable``, ``InstantTable``,
 ``GaugeSeries``) instead of one record object per span or sample, so
-each cached result carrying telemetry must re-simulate."""
+each cached result carrying telemetry must re-simulate.
+
+Version 7: ``time_degraded_s`` is the union of platform hazards, compute
+hazards and node incidents, so a fleet that lost a node no longer reads
+0 and overlapping hazards count once."""
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +218,7 @@ class ResultCache:
 
 
 # ---------------------------------------------------------------------------
-# Cell simulation — module-level so ProcessPoolExecutor can pickle it.
+# Cell simulation — module-level so the process pool can pickle it.
 # ---------------------------------------------------------------------------
 
 
@@ -286,6 +289,11 @@ def parallel_map(fn: Callable, argument_tuples: Sequence[tuple],
     """
     tasks = list(argument_tuples)
     if jobs > 1 and len(tasks) > 1:
+        # Imported here: the pool pulls in multiprocessing and logging,
+        # which a serial study never uses, and starting the workers
+        # costs far more than the import.
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(jobs, len(tasks))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(fn, *args) for args in tasks]

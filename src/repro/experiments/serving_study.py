@@ -215,37 +215,41 @@ def _compute_spans(events: tuple[ChipletMacDegrade, ...],
     ]
 
 
-def _compute_degraded_s(events: tuple[ChipletMacDegrade, ...],
-                        elapsed: float) -> float:
-    """Wall-clock with MAC throughput below nominal (interval union)."""
+def _fault_spans(intervals: Sequence[tuple[float, float]],
+                 compute_events: tuple[ChipletMacDegrade, ...],
+                 incidents: tuple, elapsed: float
+                 ) -> list[tuple[float, float]]:
+    """(start, end) of every stretch with capacity below nominal: the
+    platform hazard engine's degraded ``intervals``, the compute hazards
+    and the node ``incidents``, open ones lasting to ``elapsed``."""
+    return list(intervals) + _compute_spans(compute_events, elapsed) + [
+        (incident.start_s,
+         incident.end_s if incident.end_s is not None else elapsed)
+        for incident in incidents
+    ]
+
+
+def _fault_span(spans: Sequence[tuple[float, float]]
+                ) -> "tuple[float, float] | None":
+    """(first onset, last recovery) over :func:`_fault_spans`; ``None``
+    for a clean run."""
+    if not spans:
+        return None
+    return min(s for s, _ in spans), max(e for _, e in spans)
+
+
+def _degraded_s(spans: Sequence[tuple[float, float]]) -> float:
+    """``time_degraded_s``: wall-clock inside any of
+    :func:`_fault_spans` (their union, so overlaps count once)."""
     total = 0.0
     cursor = 0.0
-    for start, end in sorted(_compute_spans(events, elapsed)):
+    for start, end in sorted(spans):
         start = max(start, cursor)
         if end > start:
             total += end - start
             cursor = end
         cursor = max(cursor, end)
     return total
-
-
-def _fault_span(window: "tuple[float, float] | None",
-                compute_events: tuple[ChipletMacDegrade, ...],
-                incidents: tuple, elapsed: float
-                ) -> "tuple[float, float] | None":
-    """(first onset, last recovery) over the platform hazard engine's
-    fault ``window``, the compute hazards and the node ``incidents``
-    (open ones last to ``elapsed``); ``None`` for a clean run."""
-    spans = _compute_spans(compute_events, elapsed) + [
-        (incident.start_s,
-         incident.end_s if incident.end_s is not None else elapsed)
-        for incident in incidents
-    ]
-    if window is not None:
-        spans.append(window)
-    if not spans:
-        return None
-    return min(s for s, _ in spans), max(e for _, e in spans)
 
 
 # ---------------------------------------------------------------------------
@@ -585,9 +589,9 @@ def _serving_result(cell: ServingCell, nodes: Sequence[ClusterNode],
     sum over the nodes, ``mean_compute_utilization`` is the mean over
     them, and ``channel_stats`` lists every node's channels in node
     order.  Every node runs the same platform hazard timeline, so the
-    hazard records and ``time_degraded_s`` come from node 0's engine.
-    The fault window spans platform hazards, compute hazards and node
-    incidents together.
+    hazard records and degraded intervals come from node 0's engine.
+    The fault window and ``time_degraded_s`` span platform hazards,
+    compute hazards and node incidents together.
     """
     elapsed = common["elapsed_s"]
     latency, queue_delay, mean_batch = aggregate(records)
@@ -628,17 +632,15 @@ def _serving_result(cell: ServingCell, nodes: Sequence[ClusterNode],
         decode_remaps += scheduler.decode_remaps
     hazards = nodes[0].sim.hazards
     hazard_events: tuple = ()
-    time_degraded_s = 0.0
-    window = None
+    intervals: list = []
     if hazards is not None:
-        window = hazards.fault_window(elapsed)
         hazard_events = tuple(hazards.records)
-        time_degraded_s = hazards.time_degraded_s(elapsed)
+        intervals = hazards.degraded_intervals(elapsed)
     if compute_events:
         hazard_events += compute_hazard_records(compute_events, elapsed)
-        time_degraded_s += _compute_degraded_s(compute_events, elapsed)
     incidents = router.incidents() if router is not None else ()
-    window = _fault_span(window, compute_events, incidents, elapsed)
+    spans = _fault_spans(intervals, compute_events, incidents, elapsed)
+    window = _fault_span(spans)
     windows = ()
     if window is not None:
         windows = windowed_stats(records, window[0], window[1], elapsed)
@@ -675,7 +677,7 @@ def _serving_result(cell: ServingCell, nodes: Sequence[ClusterNode],
         channel_stats=tuple(channel_stats),
         windows=windows,
         hazard_events=hazard_events,
-        time_degraded_s=time_degraded_s,
+        time_degraded_s=_degraded_s(spans),
         ttft=seq_ttft,
         token_latency=seq_token,
         tokens_generated=tokens,

@@ -72,6 +72,11 @@ class ElectricalMeshFabric(InterposerFabric):
         )
         self.hop_bits = 0.0  # bits x hops, for wire/router energy
         self.mm_bits = 0.0   # bits x mm, for wire energy
+        # (src, dst, reading) -> (channels, router hops, wire mm, tail),
+        # built on first use: a route never changes.
+        self._routes: dict[tuple[str, str, bool],
+                           tuple[tuple[BandwidthChannel, ...], int, float,
+                                 float]] = {}
 
     # -- routing --------------------------------------------------------------------
 
@@ -107,22 +112,31 @@ class ElectricalMeshFabric(InterposerFabric):
         )
 
     def _route(self, src: str, dst: str, bits: float, reading: bool
-               ) -> tuple[list[BandwidthChannel], float]:
+               ) -> tuple[tuple[BandwidthChannel, ...], float]:
         """One destination's relay route and its per-hop latency tail.
 
         The HBM port is the first stage of a read and the last of a
         write.  Charges the payload's router hops and wire millimetres.
         """
-        route = self._xy_route(src, dst)
-        if reading:
-            route = [self.hbm_channel] + route
-        else:
-            route = route + [self.hbm_channel]
-        self.hop_bits += bits * max(1, len(route) - 2)
-        self.mm_bits += bits * self.floorplan.manhattan_distance_mm(src, dst)
-        tail_s = self._per_hop_latency_s() * max(
-            1, self.floorplan.manhattan_hops(src, dst)
-        )
+        key = (src, dst, reading)
+        entry = self._routes.get(key)
+        if entry is None:
+            route = self._xy_route(src, dst)
+            if reading:
+                route = [self.hbm_channel] + route
+            else:
+                route = route + [self.hbm_channel]
+            entry = self._routes[key] = (
+                tuple(route),
+                max(1, len(route) - 2),
+                self.floorplan.manhattan_distance_mm(src, dst),
+                self._per_hop_latency_s() * max(
+                    1, self.floorplan.manhattan_hops(src, dst)
+                ),
+            )
+        route, hops, mm, tail_s = entry
+        self.hop_bits += bits * hops
+        self.mm_bits += bits * mm
         return route, tail_s
 
     # -- fabric interface -------------------------------------------------------------

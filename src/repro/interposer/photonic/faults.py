@@ -685,18 +685,3 @@ class HazardEngine:
                 (self._degraded_since, max(end, self._degraded_since))
             )
         return intervals
-
-    def time_degraded_s(self, elapsed_s: float | None = None) -> float:
-        """Total simulated time spent with reduced capacity."""
-        return sum(
-            end - start for start, end in self.degraded_intervals(elapsed_s)
-        )
-
-    def fault_window(
-        self, elapsed_s: float | None = None
-    ) -> tuple[float, float] | None:
-        """(first degradation onset, last recovery) — or None if clean."""
-        intervals = self.degraded_intervals(elapsed_s)
-        if not intervals:
-            return None
-        return intervals[0][0], intervals[-1][1]

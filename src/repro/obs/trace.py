@@ -94,7 +94,7 @@ class _Table:
 
     NUMBERS = ()
     """``(field, typecode)`` of the kind's numeric columns, in the
-    order :meth:`_Columns.append` takes them."""
+    order of :attr:`_Columns.numbers`."""
 
     tracks: tuple[str, ...] = ()
     names: tuple[str, ...] = ()
@@ -153,47 +153,61 @@ class _Columns:
 
     An intern table is a dict from value to index; its insertion order
     is first-seen order, so two runs of one cell freeze equal tables.
+    :meth:`append` interns a record's track, name and ``args`` with one
+    dict lookup each when they were seen before; the recorder appends
+    the record's numbers to :attr:`numbers` itself, one column per
+    field of the table's ``NUMBERS``.
     """
 
-    __slots__ = ("_table", "_tracks", "_names", "_args", "_tags",
-                 "_numbers")
+    __slots__ = ("_table", "_tracks", "_names", "_args", "_arg_values",
+                 "_track_ids", "_name_ids", "_args_ids", "numbers")
 
     def __init__(self, table: type[_Table]) -> None:
         self._table = table
         self._tracks: dict[str, int] = {}
         self._names: dict[str, int] = {}
         # Keyed by repr, because 1, 1.0 and True are one dict key but
-        # each exports differently: repr -> (index, args).
-        self._args: dict[str, tuple[int, tuple]] = {}
-        self._tags = (array(_INDEX), array(_INDEX), array(_INDEX))
-        self._numbers = tuple(array(code) for _, code in table.NUMBERS)
+        # each exports differently; the empty ``args`` (most records)
+        # key as themselves, with no repr.
+        self._args: dict[Any, int] = {}
+        self._arg_values: list[tuple] = []
+        self._track_ids = array(_INDEX)
+        self._name_ids = array(_INDEX)
+        self._args_ids = array(_INDEX)
+        self.numbers = tuple(array(code) for _, code in table.NUMBERS)
 
-    def append(self, track: str, name: str, args: tuple,
-               *numbers: float) -> None:
-        track_ids, name_ids, args_ids = self._tags
-        tracks, names, interned = self._tracks, self._names, self._args
-        track_ids.append(tracks.setdefault(track, len(tracks)))
-        name_ids.append(names.setdefault(name, len(names)))
-        args_ids.append(
-            interned.setdefault(repr(args), (len(interned), args))[0]
-        )
-        for column, value in zip(self._numbers, numbers):
-            column.append(value)
+    def append(self, track: str, name: str, args: tuple) -> None:
+        tracks = self._tracks
+        index = tracks.get(track)
+        if index is None:
+            index = tracks[track] = len(tracks)
+        self._track_ids.append(index)
+        names = self._names
+        index = names.get(name)
+        if index is None:
+            index = names[name] = len(names)
+        self._name_ids.append(index)
+        key = repr(args) if args else ()
+        interned = self._args
+        index = interned.get(key)
+        if index is None:
+            index = interned[key] = len(interned)
+            self._arg_values.append(args)
+        self._args_ids.append(index)
 
     def freeze(self) -> _Table:
         numbers = {
             field_name: column.tobytes()
             for (field_name, _), column in zip(self._table.NUMBERS,
-                                               self._numbers)
+                                               self.numbers)
         }
-        track_ids, name_ids, args_ids = self._tags
         return self._table(
             tracks=tuple(self._tracks),
             names=tuple(self._names),
-            args=tuple(args for _, args in self._args.values()),
-            track_ids=track_ids.tobytes(),
-            name_ids=name_ids.tobytes(),
-            args_ids=args_ids.tobytes(),
+            args=tuple(self._arg_values),
+            track_ids=self._track_ids.tobytes(),
+            name_ids=self._name_ids.tobytes(),
+            args_ids=self._args_ids.tobytes(),
             **numbers,
         )
 
@@ -214,6 +228,8 @@ class TraceRecorder:
         self.sampled_requests = 0
         self._spans = _Columns(SpanTable)
         self._instants = _Columns(InstantTable)
+        self._begins, self._ends, self._depths = self._spans.numbers
+        (self._instant_times,) = self._instants.numbers
         self._open: dict[str, list[tuple[str, float, tuple]]] = {}
 
     def sampled(self, request_id: int) -> bool:
@@ -241,20 +257,24 @@ class TraceRecorder:
                 f"TraceRecorder.end on track {track!r} with no open span"
             )
         name, begin_s, args = stack.pop()
-        self._spans.append(track, name, args, begin_s, self.env.now,
-                           len(stack))
+        self._spans.append(track, name, args)
+        self._begins.append(begin_s)
+        self._ends.append(self.env.now)
+        self._depths.append(len(stack))
 
     def add(self, track: str, name: str, begin_s: float, end_s: float,
             depth: int = 0, args: Mapping[str, Any] | None = None) -> None:
         """Record an already-closed span with known bounds."""
-        self._spans.append(track, name, _freeze_args(args), begin_s, end_s,
-                           depth)
+        self._spans.append(track, name, _freeze_args(args))
+        self._begins.append(begin_s)
+        self._ends.append(end_s)
+        self._depths.append(depth)
 
     def instant(self, track: str, name: str,
                 args: Mapping[str, Any] | None = None) -> None:
         """Record a point event on ``track`` at the current sim time."""
-        self._instants.append(track, name, _freeze_args(args),
-                              self.env.now)
+        self._instants.append(track, name, _freeze_args(args))
+        self._instant_times.append(self.env.now)
 
     def close_open_spans(self) -> None:
         """Close any span still open (a request alive at window end)."""

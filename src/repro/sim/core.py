@@ -332,16 +332,18 @@ class Environment:
         return self._now
 
     # NOTE: there is deliberately no generic _schedule() helper — the
-    # five scheduling sites (succeed, succeed_after, Timeout, timeout()
-    # and the channel hold, BandwidthChannel._hold in sim/resources.py)
-    # inline the immediate-vs-heap dispatch because the call overhead
-    # is measurable at event rates.  New scheduling paths must follow
-    # the same pattern: bump _sequence, then append to _immediate for
-    # zero delay or heap-push (fire_time, seq, event) otherwise.  A
-    # queued entry needs only what the run loops touch: ``_fire()``
-    # for the immediate path, ``_processed`` and ``callbacks`` for the
-    # heap path (a channel is its own entry and re-arms ``callbacks``
-    # for every hold).
+    # six scheduling sites (succeed, succeed_after, Timeout, timeout()
+    # and the channel hold: BandwidthChannel._hold in sim/resources.py,
+    # plus its copy inlined in BandwidthChannel._complete for the
+    # channel's own next hold) inline the immediate-vs-heap dispatch
+    # because the call overhead is measurable at event rates.  A chunk
+    # hop is one entry's callback: _complete moves the chunk on itself.
+    # New scheduling paths must follow the same pattern: bump
+    # _sequence, then append to _immediate for zero delay or heap-push
+    # (fire_time, seq, event) otherwise.  A queued entry needs only
+    # what the run loops touch: ``_fire()`` for the immediate path,
+    # ``_processed`` and ``callbacks`` for the heap path (a channel is
+    # its own entry and re-arms ``callbacks`` for every hold).
 
     # -- factories ------------------------------------------------------------
 

@@ -16,6 +16,12 @@
   of channels.  Every interposer fabric moves its chunks this way: a
   chunk costs one kernel event per channel it crosses, and a hop
   allocates nothing.
+
+A chunk hop is one kernel callback, :meth:`BandwidthChannel._complete`.
+It keeps one per-chunk order: the channel's accounting, the grant to
+its next waiter, the stage's re-request of its next chunk, the epoch
+monitor's record, delivery downstream in destination order, then the
+leg's completion.  Chains and relays hold no hop logic of their own.
 """
 
 from __future__ import annotations
@@ -141,19 +147,21 @@ class BandwidthChannel:
     """A serial channel: transfers occupy it for ``bits / bandwidth``.
 
     The channel is callback-driven rather than process-driven.  A
-    transfer is a *waiter*: any object with a ``chunk`` attribute (its
-    bits) and a ``cleared()`` method.  :meth:`carry` queues it FIFO
-    behind every earlier waiter; once granted, the channel holds for the
+    transfer is a *waiter*: a :class:`ChunkChain`, a :class:`ChunkRelay`
+    or any object with a ``chunk`` attribute (its bits) and a
+    ``cleared()`` method.  :meth:`carry` queues it FIFO behind every
+    earlier waiter; once granted, the channel holds for the
     serialization time (computed at the grant, so queued transfers pick
-    up rate changes and in-flight ones do not), then calls
-    ``waiter.cleared()``.  :meth:`request_transfer` is the same for a
-    plain ``(bits, fn)`` pair.
+    up rate changes and in-flight ones do not), then moves a chain or
+    relay on to its next stage itself (:meth:`_complete`) and calls
+    ``cleared()`` on any other waiter.  :meth:`request_transfer` is the
+    same for a plain ``(bits, fn)`` pair.
 
     This is the hottest path of every fabric simulation.  A channel
     holds at most one transfer at a time, so it is its own kernel
     entry: a hold is one kernel insertion of the channel itself, with
     no :class:`~repro.sim.core.Timeout`, coroutine frame or per-chunk
-    resource event.
+    resource event, and a hop is that entry's one callback.
     """
 
     __slots__ = ("env", "name", "_bandwidth_bps", "_waiting", "_active",
@@ -214,8 +222,11 @@ class BandwidthChannel:
         self.carry(_Callback(bits, fn))
 
     def carry(self, waiter: Any) -> None:
-        """Queue ``waiter.chunk`` bits; ``waiter.cleared()`` runs once
-        they have crossed.  The caller vouches for the bit count."""
+        """Queue ``waiter.chunk`` bits.  The first request only: a
+        payload entering its route, a fan-out leg or
+        :meth:`request_transfer`; every later hop requests its channel
+        inside :meth:`_complete`.  The caller vouches for the bit
+        count."""
         if self._active is not None:
             self._waiting.append(waiter)
             return
@@ -223,9 +234,10 @@ class BandwidthChannel:
         self._hold(waiter)
 
     def _hold(self, waiter: Any) -> None:
-        # A scheduling site of its own (see the note in sim/core.py):
-        # bump the sequence, then queue the channel itself.  The hold
-        # time is locked in here, at the grant.
+        # A scheduling site of its own (see the note in sim/core.py;
+        # _complete inlines one copy): bump the sequence, then queue
+        # the channel itself.  The hold time is locked in here, at the
+        # grant.
         self._active = waiter
         self.callbacks = _complete_hold
         env = self.env
@@ -241,16 +253,117 @@ class BandwidthChannel:
         self._complete()
 
     def _complete(self) -> None:
+        """The end of a hold: one chunk hop, start to finish.
+
+        In order: the channel's accounting; the grant to its next
+        waiter, or, when none waits, to the relay that just crossed if
+        it has another chunk; then the finished waiter moves on inline.
+        A :class:`ChunkChain` records its chunk, then requests its next
+        channel, fans out or ends its leg; a :class:`ChunkRelay` (which
+        re-requested this channel first, behind any waiter already
+        queued) records and feeds each downstream stage in order,
+        holding an idle channel directly.  Any other waiter gets
+        ``waiter.cleared()``.
+        """
         waiter = self._active
-        self.bits_transferred += waiter.chunk
+        chunk = waiter.chunk
+        self.bits_transferred += chunk
         self.transfer_count += 1
-        if self._waiting:
-            self._hold(self._waiting.popleft())
+        env = self.env
+        now = env._now
+        waiting = self._waiting
+        if waiting:
+            granted = waiting.popleft()
         else:
+            granted = None
+            self._busy_time += now - self._busy_since
+        kind = type(waiter)
+        if kind is ChunkRelay:
+            # A relay crosses only its own channel, which is this one.
+            sent = waiter.sent = waiter.sent + 1
+            if sent < waiter.received:
+                waiter.chunk = (waiter.chunk_bits if sent < waiter.n - 1
+                                else waiter.last)
+                if granted is None:
+                    granted = waiter
+                    self._busy_since = now
+                else:
+                    waiting.append(waiter)
+        if granted is None:
             self._active = None
-            self._busy_time += self.env._now - self._busy_since
             self._busy_since = None
-        waiter.cleared()
+        else:
+            # ``_hold`` inlined: the one hold of this channel per hop.
+            self._active = granted
+            self.callbacks = _complete_hold
+            seq = env._sequence = env._sequence + 1
+            delay = granted.chunk / self._bandwidth_bps
+            if delay == 0.0:
+                env._immediate.append((seq, self))
+            else:
+                _heappush(env._queue, (now + delay, seq, self))
+        if kind is ChunkRelay:
+            key = waiter.key
+            if key is not None:
+                # ``check_payload`` vouched for the bits at the fabric's
+                # door, so this is ``monitor.record`` without its check.
+                current = waiter.monitor._current
+                current[key] = current.get(key, 0.0) + chunk
+            downstream = waiter.downstream
+            if downstream:
+                for stage in downstream:
+                    received = stage.received
+                    stage.received = received + 1
+                    if received == stage.sent:
+                        stage.chunk = (stage.chunk_bits
+                                       if received < stage.n - 1
+                                       else stage.last)
+                        channel = stage.channel
+                        if channel._active is None:
+                            channel._busy_since = now
+                            channel._hold(stage)
+                        else:
+                            channel._waiting.append(stage)
+            elif sent == waiter.n:
+                waiter.transfer.leg_done(waiter.tail_s)
+        elif kind is ChunkChain:
+            stage = waiter.stage
+            keys = waiter.keys
+            if keys is not None:
+                key = keys[stage]
+                if key is not None:
+                    current = waiter.monitor._current
+                    current[key] = current.get(key, 0.0) + chunk
+            stage += 1
+            route = waiter.route
+            if stage < len(route):
+                waiter.stage = stage
+                channel = route[stage]
+                if channel._active is None:
+                    channel._busy_since = now
+                    channel._hold(waiter)
+                else:
+                    channel._waiting.append(waiter)
+            elif waiter.branches is None:
+                waiter.transfer.leg_done(waiter.tail_s)
+            else:
+                # The fan-out: one leg per destination, in order, this
+                # chain going on as the first.
+                branches = waiter.branches
+                waiter.branches = None
+                for index, (route, keys) in enumerate(branches):
+                    if index:
+                        leg = ChunkChain(chunk, route, keys, waiter.monitor,
+                                         waiter.transfer, waiter.tail_s,
+                                         None)
+                    else:
+                        leg = waiter
+                        waiter.route = route
+                        waiter.keys = keys
+                        waiter.stage = 0
+                    route[0].carry(leg)
+        else:
+            waiter.cleared()
 
     def busy_time(self) -> float:
         """Total time the channel carried a transfer (s)."""
@@ -340,7 +453,8 @@ class ChunkChain:
     next channel.  After the last channel it either fans out over
     ``branches``, one ``(route, keys)`` leg per destination in order (this
     object goes on as the first leg), or reports to ``transfer`` with
-    ``tail_s``.
+    ``tail_s``.  The channel's completion does each of these steps; a
+    chain is state only.
     """
 
     __slots__ = ("chunk", "route", "keys", "monitor", "stage", "transfer",
@@ -358,35 +472,6 @@ class ChunkChain:
         self.tail_s = tail_s
         self.branches = branches
 
-    def cleared(self) -> None:
-        stage = self.stage
-        keys = self.keys
-        if keys is not None:
-            key = keys[stage]
-            if key is not None:
-                self.monitor.record(key, self.chunk)
-        stage += 1
-        route = self.route
-        if stage < len(route):
-            self.stage = stage
-            route[stage].carry(self)
-            return
-        branches = self.branches
-        if branches is None:
-            self.transfer.leg_done(self.tail_s)
-            return
-        self.branches = None
-        for index, (route, keys) in enumerate(branches):
-            if index:
-                leg = ChunkChain(self.chunk, route, keys, self.monitor,
-                                 self.transfer, self.tail_s, None)
-            else:
-                leg = self
-                self.route = route
-                self.keys = keys
-                self.stage = 0
-            route[0].carry(leg)
-
 
 class ChunkRelay:
     """One store-and-forward stage of a multi-chunk payload.
@@ -399,7 +484,8 @@ class ChunkRelay:
     ``downstream`` stage in order.  A stage with no downstream reports
     to ``transfer`` with ``tail_s`` after its last chunk.  With one
     chunk in flight per stage, concurrent messages interleave
-    chunk-by-chunk in strict channel FIFO.
+    chunk-by-chunk in strict channel FIFO.  The channel's completion
+    does each of these steps; :meth:`feed` is only the first request.
     """
 
     __slots__ = ("chunk", "channel", "key", "monitor", "downstream",
@@ -423,30 +509,11 @@ class ChunkRelay:
         self.received = 0
         self.sent = 0
 
-    def feed(self, count: int = 1) -> None:
-        """``count`` more chunks reach the stage."""
-        idle = self.received == self.sent
-        self.received += count
-        if idle:
-            self.chunk = (self.chunk_bits if self.sent < self.n - 1
-                          else self.last)
-            self.channel.carry(self)
-
-    def cleared(self) -> None:
-        chunk = self.chunk
-        sent = self.sent = self.sent + 1
-        # Re-request before delivering: the channel has already granted
-        # its next waiter, so this queues fairly behind other messages.
-        if sent < self.received:
-            self.chunk = self.chunk_bits if sent < self.n - 1 else self.last
-            self.channel.carry(self)
-        if self.key is not None:
-            self.monitor.record(self.key, chunk)
-        if self.downstream:
-            for stage in self.downstream:
-                stage.feed()
-        elif sent == self.n:
-            self.transfer.leg_done(self.tail_s)
+    def feed(self, count: int) -> None:
+        """The first request: ``count`` chunks reach the idle stage."""
+        self.received = count
+        self.chunk = self.chunk_bits if self.n > 1 else self.last
+        self.channel.carry(self)
 
 
 def check_payload(bits: float) -> None:
@@ -517,16 +584,18 @@ def relay_payload(
     fires when every route has finished — at once, with no tail, for an
     empty payload.  A lone route's tail fires the event itself.
     """
-    single = len(routes) == 1
-    if single:
-        tail_s = routes[0][1]
+    if len(routes) == 1:
+        (channels, tail_s), = routes
         done = Transfer(env, 1, 0.0 if tail_s is None else tail_s)
-    else:
-        done = Transfer(env, len(routes), 0.0)
+        if bits == 0:
+            done.succeed()
+        else:
+            send_payload(done, bits, chunk_bits, channels)
+        return done
+    done = Transfer(env, len(routes), 0.0)
     if bits == 0:
         done.succeed()
         return done
     for channels, tail_s in routes:
-        send_payload(done, bits, chunk_bits, channels,
-                     tail_s=None if single else tail_s)
+        send_payload(done, bits, chunk_bits, channels, tail_s=tail_s)
     return done

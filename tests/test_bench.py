@@ -268,3 +268,53 @@ class TestBenchCli:
             "--baseline", str(baseline),
         ]) == 0
         assert "perf check OK" in capsys.readouterr().out
+
+
+class TestAbReport:
+    def test_summary_of_synthetic_timings(self):
+        slow, mixed = bench.summarize_ab({
+            "slow": ([2.0, 2.2, 2.1], [1.0, 1.1, 1.0]),
+            "mixed": ([0.9, 1.2, 1.0], [1.0, 1.0, 1.0]),
+        })
+        assert (slow.name, slow.ratio, slow.low, slow.high) == (
+            "slow", 2.0, 2.0, 2.1)
+        assert (slow.won, slow.lost, slow.rounds) == (0, 3, 3)
+        assert (mixed.ratio, mixed.low, mixed.high) == (0.9, 0.9, 1.2)
+        assert (mixed.won, mixed.lost) == (1, 1)  # one tie
+
+    def test_verdict_is_a_sign_test_over_the_rounds(self):
+        def verdict(mine, theirs):
+            return bench.summarize_ab({"x": (mine, theirs)})[0].verdict
+
+        ten = [1.0] * 10
+        assert verdict([1.1] * 9 + [0.9], ten) == "slower"  # p = 0.021
+        assert verdict([0.9] * 10, ten) == "faster"
+        assert verdict([1.1] * 8 + [0.9] * 2, ten) == "~"  # p = 0.11
+        assert verdict(ten, ten) == "~"  # ties decide nothing
+        # Five unanimous rounds are not enough (p = 0.0625).
+        assert verdict([2.0] * 5, [1.0] * 5) == "~"
+
+    def test_render_lists_bodies_on_one_side_only(self):
+        rows = bench.summarize_ab({"a": ([1.0] * 10, [2.0] * 10)})
+        text = bench.render_ab(rows, ["new_body"], ["old_body"])
+        assert "0.500" in text and "10/10" in text and "faster" in text
+        assert "only in this tree: new_body" in text
+        assert "only in the other tree: old_body" in text
+
+    def test_smoke_against_this_tree(self, capsys, monkeypatch):
+        monkeypatch.setattr(bench, "AB_ROUNDS", 2)
+        assert main([
+            "bench", "--ab", str(bench.this_root()), "--only",
+            "channel_contention", "--repeats", "1",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "test_bench_channel_contention" in out and "/2" in out
+        assert "only in" not in out
+
+    def test_other_root_must_be_a_checkout(self, tmp_path):
+        assert main(["bench", "--ab", str(tmp_path)]) == 2
+
+    def test_ab_is_not_a_check(self):
+        with pytest.raises(SystemExit):
+            main(["bench", "--ab", ".", "--check"])
+

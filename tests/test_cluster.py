@@ -762,6 +762,28 @@ class TestOneResultShape:
             window.label for window in single.windows
         ] == ["before", "during", "after"]
 
+    def test_node_outage_counts_as_degraded_time(self):
+        """``cluster_spec`` takes node 1 down over [600, 1400] us."""
+        (result,) = run_study(example_point("cluster_spec.json")
+                              ).flat_results()
+        assert len(result.incidents) == 1
+        assert result.time_degraded_s == pytest.approx(800e-6)
+        assert [window.label for window in result.windows] == [
+            "before", "during", "after",
+        ]
+
+    def test_des_and_fluid_fleets_agree_on_a_node_outage(self):
+        point = example_point("cluster_spec.json")
+        (des,) = run_study(point).flat_results()
+        (fluid,) = run_study(
+            replace(point, fidelity=FidelitySpec(mode="fluid",
+                                                 error_budget=1.0))
+        ).flat_results()
+        assert fluid.fidelity.mode_used == "fluid"
+        assert fluid.time_degraded_s == pytest.approx(800e-6)
+        assert des.time_degraded_s == pytest.approx(fluid.time_degraded_s)
+        assert window_shape(des) == pytest.approx(window_shape(fluid))
+
     def test_des_and_fluid_fleets_share_mac_degrade_windows(self):
         point = replace(
             example_point("fidelity_spec.json", 1), cluster=TWO_NODES,

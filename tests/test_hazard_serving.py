@@ -246,8 +246,7 @@ class TestCapacityDynamics:
         assert fabric.active_memory_gateways.value == 2
         fabric.set_active_memory_gateways(8)
         assert fabric.active_memory_gateways.value == 8
-        assert engine.time_degraded_s() == pytest.approx(2e-6)
-        assert engine.fault_window() == pytest.approx((1e-6, 3e-6))
+        assert engine.degraded_intervals() == pytest.approx([(1e-6, 3e-6)])
 
     def test_ring_drift_burst_cuts_and_restores_bandwidth(self):
         env, fabric = make_fabric()
@@ -435,6 +434,22 @@ class TestFaultServingEndToEnd:
         kinds = [event.kind for event in result.hazard_events]
         assert kinds == ["gateway-fail", "ring-drift", "gateway-repair"]
         assert result.hazard_events[0].memory_gateways_delta == -7
+
+    def test_overlapping_hazards_count_once(self):
+        """A gateway outage over [300, 650] us and a MAC degrade over
+        [500, 800] us degrade the run for 500 us: their union."""
+        (result,) = run_study(fault_spec((
+            FaultEventSpec(kind="gateway-fail", at_s=300e-6,
+                           memory_gateways=7),
+            FaultEventSpec(kind="chiplet-mac-degrade", at_s=500e-6,
+                           mac_fraction=0.5, duration_s=300e-6),
+            FaultEventSpec(kind="gateway-repair", at_s=650e-6,
+                           memory_gateways=7),
+        ))).serving_results()
+        assert result.time_degraded_s == pytest.approx(500e-6)
+        assert [window.label for window in result.windows] == [
+            "before", "during", "after",
+        ]
 
     def test_fault_run_slower_than_clean_run(self, study):
         clean = run_study(fault_spec(())).serving_results()[0]

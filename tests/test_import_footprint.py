@@ -123,6 +123,23 @@ print(json.dumps({
 then run it: reports what lowering loaded and what the run added."""
 
 
+POOL_PROBE = """
+from repro.studies.compile import load_spec, lower_study
+from repro.studies.spec import StudySpec
+
+if len(sys.argv) > 1:
+    spec = load_spec(sys.argv[1])
+else:
+    spec = StudySpec.from_json(sys.stdin.read())
+lower_study(spec)
+print(json.dumps(sorted(
+    m for m in sys.modules
+    if m.split(".")[0] in ("concurrent", "multiprocessing")
+)))
+"""
+"""Lower a study; reports every process-pool module loaded."""
+
+
 class TestImportFootprint:
     def test_kernel_loads_only_itself(self):
         loaded = _probe("import repro.sim.core\nprint(json.dumps(loaded()))")
@@ -169,6 +186,19 @@ class TestImportFootprint:
         assert _under(loaded, *SERVING_LAYERS) == []
         assert "repro.experiments.serving_study" not in loaded
         assert "repro.experiments.fidelity" not in loaded
+
+    @pytest.mark.parametrize("kind", ("inference", "serving"))
+    def test_lowering_loads_no_process_pool(self, kind):
+        """A serial study never starts a process pool, so its setup
+        imports neither ``concurrent.futures`` nor ``multiprocessing``;
+        a ``jobs > 1`` run imports them when it starts its workers."""
+        if kind == "inference":
+            loaded = _probe(POOL_PROBE,
+                            stdin=inference_matrix_spec().to_json())
+        else:
+            loaded = _probe(POOL_PROBE,
+                            str(ROOT / "examples" / "cluster_spec.json"))
+        assert loaded == []
 
     def test_ring_drift_loads_numpy_at_lowering(self):
         report = _probe(LOWER_THEN_RUN,
