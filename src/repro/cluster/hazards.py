@@ -27,7 +27,7 @@ other layer's kinds instead of silently misapplying them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Union
+from typing import ClassVar, Sequence, Union
 
 from ..errors import ConfigurationError, UnknownNameError
 from ..interposer.photonic.faults import (
@@ -123,6 +123,44 @@ class NodeHazardRecord:
     node: int
     at_s: float
     rerouted: int = 0
+
+
+def node_outages(records: Sequence[NodeHazardRecord], n_nodes: int,
+                 elapsed_s: float
+                 ) -> tuple[tuple[tuple[int, float, float], ...], float]:
+    """(out-of-rotation spans, availability) of one fleet run.
+
+    ``records`` is the applied node-hazard stream, in time order (the
+    router's, or the fluid engine's replayed walk).  A node is out of
+    rotation from a fail or a drain to its next repair; a span still
+    open at ``elapsed_s`` ends there.  Spans are ``(node, start_s,
+    end_s)``, closed ones first.  Availability is the fraction of
+    ``[0, elapsed_s]`` with at least one node up.  Probe ejections
+    change neither: they only move the router's view of a node.
+    """
+    opened: dict[int, float] = {}
+    spans: list[tuple[int, float, float]] = []
+    downtime = 0.0
+    down_since: float | None = None
+    for record in records:
+        if record.kind in ("node-fail", "rack-fail", "node-drain"):
+            opened.setdefault(record.node, record.at_s)
+        elif record.kind in ("node-repair", "rack-repair"):
+            spans.append((record.node, opened.pop(record.node),
+                          record.at_s))
+        else:
+            continue
+        if len(opened) == n_nodes and down_since is None:
+            down_since = record.at_s
+        elif len(opened) < n_nodes and down_since is not None:
+            downtime += record.at_s - down_since
+            down_since = None
+    spans.extend((node, start, elapsed_s) for node, start in opened.items())
+    if down_since is not None:
+        downtime += max(0.0, elapsed_s - down_since)
+    if elapsed_s <= 0:
+        return tuple(spans), 1.0
+    return tuple(spans), max(0.0, 1.0 - downtime / elapsed_s)
 
 
 # ---------------------------------------------------------------------------

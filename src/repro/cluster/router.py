@@ -351,8 +351,6 @@ class ClusterRouter(ServingWindow):
         self._closed = 0
         self._open_incidents: dict[int, dict] = {}
         self._incidents: list[IncidentRecord] = []
-        self._down_since: float | None = None
-        self._downtime_s = 0.0
         for node in nodes:
             node.scheduler.on_request_closed = self._request_closed
         if health is not None and health.signal_staleness_s > 0.0:
@@ -537,7 +535,7 @@ class ClusterRouter(ServingWindow):
                 args={"node": node.index, "rerouted": rerouted},
             )
 
-    # -- incidents and availability -----------------------------------------------
+    # -- incidents ----------------------------------------------------------------
 
     def _open_incident(self, node: ClusterNode) -> None:
         if node.index in self._open_incidents:
@@ -575,25 +573,6 @@ class ClusterRouter(ServingWindow):
             + open_records
         )
 
-    def _update_availability(self) -> None:
-        """Track wall-clock spent with zero ``up`` nodes (total outage)."""
-        any_up = any(node.state == "up" for node in self.nodes)
-        now = self.env.now
-        if any_up and self._down_since is not None:
-            self._downtime_s += now - self._down_since
-            self._down_since = None
-        elif not any_up and self._down_since is None:
-            self._down_since = now
-
-    def availability(self, horizon_s: float) -> float:
-        """Fraction of ``[0, horizon_s]`` with at least one up node."""
-        if horizon_s <= 0:
-            return 1.0
-        downtime = self._downtime_s
-        if self._down_since is not None:
-            downtime += max(0.0, horizon_s - self._down_since)
-        return max(0.0, 1.0 - downtime / horizon_s)
-
     # -- node hazards -------------------------------------------------------------
 
     def _apply(self, event: NodeHazardEvent) -> None:
@@ -628,7 +607,6 @@ class ClusterRouter(ServingWindow):
                 self.obs_trace.instant(
                     "router", event.kind, args={"node": index}
                 )
-        self._update_availability()
 
     def _run_events(self, pending: list[NodeHazardEvent]):
         for event in pending:

@@ -24,6 +24,9 @@ module trades that time for a bounded, *measured* fidelity loss:
    vectorized token-service loop over the capacity windows — per-token
    services resampled from width-conditioned calibration quantiles
    (the observed decode-pool widths) through independent Weyl streams.
+   The cohort becomes a :class:`~repro.serving.metrics.RequestTable`,
+   reduced by the same :func:`~repro.serving.metrics.request_fields`
+   as a DES cell's records.
 3. **Validation** — the fluid model re-predicts the calibration window
    itself; the relative error on p50/p99 latency and goodput against
    the DES measurement is recorded in the result's ``fidelity`` block.
@@ -41,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import islice
+from operator import add
 
 import numpy as np
 # ``np.unique`` reaches ``numpy.ma``, which numpy loads on first use:
@@ -51,6 +55,7 @@ from ..cluster.hazards import (
     NodeHazardRecord,
     event_nodes,
     node_hazard_timeline,
+    node_outages,
 )
 from ..core.analytic import (
     FluidWindow,
@@ -64,12 +69,11 @@ from ..serving.metrics import (
     ClusterResult,
     FidelityReport,
     IncidentRecord,
-    LatencyProfile,
-    ModelServingStats,
     NodeStats,
+    RequestTable,
     ServingResult,
-    WindowStats,
     mean_time_to_repair,
+    request_fields,
 )
 from ..sim.core import Environment
 from ..studies.faults import platform_timelines
@@ -121,33 +125,6 @@ _SQRT11M3 = math.sqrt(11.0) - 3.0
 def _weyl(n: int, alpha: float) -> np.ndarray:
     """First ``n`` points of the Weyl sequence ``frac(i * alpha)``."""
     return np.modf(np.arange(1, n + 1, dtype=float) * alpha)[0]
-
-
-def _nearest_rank(ordered: np.ndarray, q: float) -> float:
-    """Nearest-rank percentile of a sorted array — exact mirror of
-    :func:`repro.serving.metrics.percentile` (which is list-only)."""
-    n = len(ordered)
-    if n == 0:
-        return 0.0
-    rank = max(1, math.ceil(q / 100.0 * n))
-    return float(ordered[rank - 1])
-
-
-def _profile(samples: np.ndarray) -> LatencyProfile:
-    """A :class:`LatencyProfile` over a numpy sample vector, matching
-    ``LatencyProfile.from_samples`` percentile-for-percentile."""
-    if samples.size == 0:
-        return LatencyProfile(count=0, mean_s=0.0, p50_s=0.0, p95_s=0.0,
-                              p99_s=0.0, max_s=0.0)
-    ordered = np.sort(samples)
-    return LatencyProfile(
-        count=int(samples.size),
-        mean_s=float(samples.mean()),
-        p50_s=_nearest_rank(ordered, 50.0),
-        p95_s=_nearest_rank(ordered, 95.0),
-        p99_s=_nearest_rank(ordered, 99.0),
-        max_s=float(ordered[-1]),
-    )
 
 
 def _rel_err(predicted: float, measured: float) -> float:
@@ -250,10 +227,6 @@ def _calibrate(cell: ServingCell, policy: FidelityPolicy
         name: np.sort(np.array(samples, dtype=float))
         for name, samples in model_service.items()
     }
-    mean_batch = (
-        sum(record.batch_size for record in served) / len(served)
-        if served else 1.0
-    )
     if service.size >= 2 and service.mean() > 0:
         service_scv = float(service.var() / service.mean() ** 2)
     else:
@@ -267,7 +240,7 @@ def _calibrate(cell: ServingCell, policy: FidelityPolicy
         served=len(served),
         service_sorted=service,
         model_service=model_service,
-        mean_batch=max(1.0, float(mean_batch)),
+        mean_batch=max(1.0, result.mean_batch_size),
         service_scv=service_scv,
         prefill_sorted=prefill_sorted,
         gap_sorted=gap_sorted,
@@ -433,10 +406,10 @@ def _replica_walk(cell: ServingCell):
 
     Returns ``(segments, final_states, uptime, incidents, records)``:
     (start, end, active) capacity spans, each node's final router state,
-    per-node up-time integrals over the window, synthesized
-    :class:`IncidentRecord` outages (failures only, omniscient
-    detection — matching the router's accounting) and the applied
-    :class:`NodeHazardRecord` stream.
+    per-node up-time integrals over the window (the stationary share of
+    completed requests), synthesized :class:`IncidentRecord` outages
+    (failures only, omniscient detection — matching the router's
+    accounting) and the applied :class:`NodeHazardRecord` stream.
     """
     events = node_hazard_timeline(cell.node_faults)
     duration = cell.duration_s
@@ -575,23 +548,6 @@ def _sample_services(cell, state: _CalibrationState,
     return services
 
 
-@dataclass
-class _FluidTrace:
-    """The vectorized per-request outcome of one fluid evaluation."""
-
-    arrival_s: np.ndarray
-    queue_delay_s: np.ndarray
-    latency_s: np.ndarray
-    finish_s: np.ndarray
-    model_indices: np.ndarray
-    ttft_s: np.ndarray | None = None
-    """Per-sequence time to first token (sequence cohorts only)."""
-    token_gap_s: np.ndarray | None = None
-    """Flat per-token decode latencies across every sequence."""
-    output_tokens: np.ndarray | None = None
-    """Tokens generated per arrival (zero for single-step tenants)."""
-
-
 def _sequence_lengths(cell, n: int,
                       model_indices: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
@@ -665,9 +621,9 @@ def _decode_cohort(cell, state: _CalibrationState, times: np.ndarray,
 
     Prefill rides the calibrated quantiles (window-stretched like any
     service); decode is the vectorized token-service loop of
-    :func:`~repro.core.analytic.decode_token_latencies`.  Returns
-    ``(ttft, token_gaps, outputs, latency)`` with single-step tenants'
-    latencies untouched.
+    :func:`~repro.core.analytic.decode_token_latencies`.  Returns the
+    sequences' ``(ttft, token_gaps, outputs)`` as lists, and every
+    arrival's latency, single-step tenants' untouched.
     """
     n = len(times)
     _, outputs = _sequence_lengths(cell, n, model_indices)
@@ -693,18 +649,21 @@ def _decode_cohort(cell, state: _CalibrationState, times: np.ndarray,
         times + ttft, gaps, token_counts, windows, stretch
     )
     latency = np.where(seq_mask, ttft + decode_s, latency)
-    return ttft[seq_mask], stretched_gaps, outputs, latency
+    return (ttft[seq_mask].tolist(), stretched_gaps.tolist(),
+            outputs[seq_mask].tolist(), latency)
 
 
 def _evaluate_fluid(cell, state: _CalibrationState, duration_s: float,
-                    windows) -> _FluidTrace:
-    """Run the fluid model over the cell's exact arrival cohort."""
+                    windows) -> RequestTable:
+    """Run the fluid model over the cell's exact arrival cohort.
+
+    Every arrival completes, so no row is shed; a row violates its SLO
+    when its latency exceeds its tenant's.
+    """
     times = cell.arrival_process().arrival_times(duration_s)
     n = len(times)
     if n == 0:
-        empty = np.empty(0, dtype=float)
-        return _FluidTrace(empty, empty, empty, empty,
-                           np.empty(0, dtype=np.intp))
+        return RequestTable(cell.tenants, [], [], [], [], [], [])
     model_indices = _model_assignment(cell, n)
     services = _sample_services(cell, state, model_indices)
     stretch = None
@@ -725,7 +684,7 @@ def _evaluate_fluid(cell, state: _CalibrationState, duration_s: float,
             services = services * stretch[window_of]
     waits = fluid_queue_delays(times, windows, _weyl(n, _SQRT2M1))
     latency = waits + services
-    ttft = token_gaps = outputs = None
+    ttft = token_gaps = outputs = ()
     if (cell.sequences
             and state.prefill_sorted is not None
             and state.prefill_sorted.size):
@@ -733,11 +692,26 @@ def _evaluate_fluid(cell, state: _CalibrationState, duration_s: float,
             cell, state, times, waits, latency, model_indices,
             windows, stretch,
         )
-    return _FluidTrace(
-        arrival_s=times, queue_delay_s=waits, latency_s=latency,
-        finish_s=times + latency, model_indices=model_indices,
-        ttft_s=ttft, token_gap_s=token_gaps, output_tokens=outputs,
+    slos = np.array([
+        math.inf if slo_s is None else slo_s for _, slo_s in cell.tenants
+    ])
+    return RequestTable(
+        tenants=cell.tenants,
+        arrival_s=times.tolist(),
+        queue_delay_s=waits.tolist(),
+        latency_s=latency.tolist(),
+        mix_index=model_indices.tolist(),
+        dropped=[False] * n,
+        slo_violated=(latency > slos[model_indices]).tolist(),
+        ttft_s=ttft,
+        output_tokens=outputs,
+        token_gaps=token_gaps,
     )
+
+
+def _elapsed(table: RequestTable, window_s: float) -> float:
+    """A fluid run's end: its window, or its last completion."""
+    return max([window_s, *map(add, table.arrival_s, table.latency_s)])
 
 
 # ---------------------------------------------------------------------------
@@ -770,99 +744,32 @@ def _validate(cell, state: _CalibrationState, warm: bool,
         mean_batch=state.mean_batch, service_scv=state.service_scv,
         arrival_scv=arrival_scv,
     )
-    trace = _evaluate_fluid(calib_cell, state, state.calibration_s,
+    table = _evaluate_fluid(calib_cell, state, state.calibration_s,
                             [window])
+    elapsed = _elapsed(table, state.calibration_s)
+    predicted = request_fields(table, elapsed)
+    latency = predicted["latency"]
     measured = state.result
-    if trace.latency_s.size:
-        elapsed = max(state.calibration_s, float(trace.finish_s.max()))
-        ordered = np.sort(trace.latency_s)
-        predicted_p50 = _nearest_rank(ordered, 50.0)
-        predicted_p99 = _nearest_rank(ordered, 99.0)
-        predicted_goodput = trace.latency_s.size / elapsed
-    else:
-        predicted_p50 = predicted_p99 = predicted_goodput = 0.0
     ttft_err = token_err = None
-    if trace.ttft_s is not None and trace.ttft_s.size:
-        if measured.ttft is not None:
-            ttft_err = _rel_err(
-                _nearest_rank(np.sort(trace.ttft_s), 99.0),
-                measured.ttft.p99_s,
-            )
-        if (measured.token_latency is not None
-                and trace.token_gap_s is not None
-                and trace.token_gap_s.size):
-            token_err = _rel_err(
-                _nearest_rank(np.sort(trace.token_gap_s), 99.0),
-                measured.token_latency.p99_s,
-            )
+    ttft, token = predicted["ttft"], predicted["token_latency"]
+    if ttft is not None and measured.ttft is not None:
+        ttft_err = _rel_err(ttft.p99_s, measured.ttft.p99_s)
+    if (token is not None and token.count
+            and measured.token_latency is not None):
+        token_err = _rel_err(token.p99_s, measured.token_latency.p99_s)
     return FidelityReport(
         mode_requested=policy.mode, mode_used="fluid",
         error_budget=policy.error_budget,
         calibration_s=state.calibration_s,
         calibration_requests=state.served,
-        p50_rel_err=_rel_err(predicted_p50, measured.latency.p50_s),
-        p99_rel_err=_rel_err(predicted_p99, measured.latency.p99_s),
-        goodput_rel_err=_rel_err(predicted_goodput, measured.goodput_rps),
+        p50_rel_err=_rel_err(latency.p50_s, measured.latency.p50_s),
+        p99_rel_err=_rel_err(latency.p99_s, measured.latency.p99_s),
+        goodput_rel_err=_rel_err(latency.count / elapsed,
+                                 measured.goodput_rps),
         warm_forked=warm,
         ttft_rel_err=ttft_err,
         token_p99_rel_err=token_err,
     )
-
-
-def _per_model(cell, trace: _FluidTrace, elapsed: float
-               ) -> tuple[ModelServingStats, ...]:
-    stats = []
-    for index, (name, _, slo_s, _) in enumerate(cell.models):
-        mask = trace.model_indices == index
-        latencies = trace.latency_s[mask]
-        violations = (
-            int((latencies > slo_s).sum()) if slo_s is not None else 0
-        )
-        stats.append(ModelServingStats(
-            model=name, slo_s=slo_s, completed=int(mask.sum()), shed=0,
-            slo_violations=violations, latency=_profile(latencies),
-            goodput_rps=(
-                float(mask.sum()) / elapsed if elapsed > 0 else 0.0
-            ),
-        ))
-    return tuple(stats)
-
-
-def _window_stats(cell, trace: _FluidTrace, span, elapsed: float
-                  ) -> tuple[WindowStats, ...]:
-    """before/during/after splits by arrival time, mirroring
-    :func:`repro.serving.metrics.windowed_stats` for the fluid trace."""
-    if span is None:
-        return ()
-    fault_start, fault_end = span
-    slos = {
-        index: slo_s
-        for index, (_, _, slo_s, _) in enumerate(cell.models)
-    }
-    phases = (
-        ("before", 0.0, fault_start),
-        ("during", fault_start, fault_end),
-        ("after", fault_end, elapsed),
-    )
-    stats = []
-    for label, start, end in phases:
-        if end <= start:
-            continue
-        mask = (trace.arrival_s >= start) & (trace.arrival_s < end)
-        latencies = trace.latency_s[mask]
-        violations = 0
-        for index, slo_s in slos.items():
-            if slo_s is None:
-                continue
-            model_mask = mask & (trace.model_indices == index)
-            violations += int((trace.latency_s[model_mask] > slo_s).sum())
-        stats.append(WindowStats(
-            label=label, start_s=start, end_s=end,
-            completed=int(mask.sum()), shed=0,
-            slo_violations=violations, latency=_profile(latencies),
-            goodput_rps=float(mask.sum()) / (end - start),
-        ))
-    return tuple(stats)
 
 
 def _scale(value: float, completed: int, reference: int) -> float:
@@ -874,11 +781,14 @@ def _scale(value: float, completed: int, reference: int) -> float:
 
 def _fluid_result(cell: ServingCell, state: _CalibrationState,
                   report: FidelityReport) -> ServingResult:
-    """The fluid twin of the DES assembler, one node or many.
+    """The fluid model's result, one node or many.
 
-    Each node's MAC utilization, the in-flight mean and the channel
-    stats stand in from the calibration window; energies,
-    reconfigurations and KV refusals scale with the completed count.
+    The request-derived fields come from :func:`request_fields` over
+    the fluid cohort's table, as the DES worker's do over its records.
+    Each node's MAC utilization, the in-flight mean, the mean batch,
+    the KV peak, the decode remaps and the channel stats stand in from
+    the calibration window; energies, reconfigurations and KV refusals
+    scale with the completed count.
     """
     arrival_scv = _arrival_scv(
         cell, cell.arrival_process().arrival_times(cell.duration_s)
@@ -887,33 +797,16 @@ def _fluid_result(cell: ServingCell, state: _CalibrationState,
         cell, state, _policy_slots(cell), arrival_scv
     )
     _, final_states, uptime, incidents, node_records = walk
-    trace = _evaluate_fluid(cell, state, cell.duration_s, windows)
-    completed = int(trace.latency_s.size)
-    elapsed = (
-        max(cell.duration_s, float(trace.finish_s.max()))
-        if completed else cell.duration_s
-    )
+    table = _evaluate_fluid(cell, state, cell.duration_s, windows)
+    completed = len(table.latency_s)
+    elapsed = _elapsed(table, cell.duration_s)
     calibration: ServingResult = state.result
     _, compute_events = platform_timelines(cell.faults)
-    ttft_profile = token_profile = None
-    tokens = 0
-    tokens_per_s = 0.0
-    kv_refusals = 0
-    kv_peak_bits = 0.0
-    decode_remaps = 0
-    if trace.ttft_s is not None:
-        ttft_profile = _profile(trace.ttft_s)
-        token_profile = _profile(trace.token_gap_s)
-        tokens = int(trace.output_tokens.sum())
-        tokens_per_s = tokens / elapsed if elapsed > 0 else 0.0
-        kv_refusals = int(round(_scale(
-            calibration.kv_refusals, completed,
-            calibration.requests_completed,
-        )))
-        # Intensive quantities: the calibration's peak reservation and
-        # pool-width census stand for the full window.
-        kv_peak_bits = calibration.kv_peak_bits
-        decode_remaps = calibration.decode_remaps
+    outages, availability = node_outages(
+        node_records, cell.replicas, elapsed
+    )
+    spans = _fault_spans((), compute_events, outages, elapsed)
+    fields = request_fields(table, elapsed, _fault_span(spans))
 
     # Completed requests distribute across replicas in proportion to
     # routable up-time x routing weight — the fluid model does not track
@@ -930,7 +823,6 @@ def _fluid_result(cell: ServingCell, state: _CalibrationState,
         shares / total_share * completed
     ).astype(int)
     node_completed[int(np.argmax(shares))] += completed - node_completed.sum()
-    overall_profile = _profile(trace.latency_s)
     per_node = tuple(
         NodeStats(
             node=measured.node,
@@ -938,7 +830,7 @@ def _fluid_result(cell: ServingCell, state: _CalibrationState,
             requests_completed=int(node_completed[index]),
             requests_shed=0,
             rerouted_away=0,
-            latency=overall_profile,
+            latency=fields["latency"],
             goodput_rps=(
                 int(node_completed[index]) / elapsed if elapsed > 0
                 else 0.0
@@ -947,11 +839,10 @@ def _fluid_result(cell: ServingCell, state: _CalibrationState,
         )
         for index, measured in enumerate(calibration.per_node)
     )
-    availability = (
-        sum(uptime.values()) / (cell.replicas * cell.duration_s)
-        if cell.duration_s > 0 else 1.0
-    )
-    spans = _fault_spans((), compute_events, incidents, elapsed)
+
+    def scaled(value: float) -> float:
+        return _scale(value, completed, calibration.requests_completed)
+
     result_type = ClusterResult if cell.is_fleet else ServingResult
     return result_type(
         platform=calibration.platform,
@@ -966,43 +857,27 @@ def _fluid_result(cell: ServingCell, state: _CalibrationState,
         elapsed_s=elapsed,
         requests_injected=completed,
         requests_completed=completed,
-        latency=overall_profile,
-        queue_delay=_profile(trace.queue_delay_s),
         per_node=per_node,
         mean_batch_size=state.mean_batch if completed else 0.0,
         mean_inflight=calibration.mean_inflight,
         mean_compute_utilization=calibration.mean_compute_utilization,
-        reconfigurations=int(round(_scale(
-            calibration.reconfigurations, completed,
-            calibration.requests_completed,
-        ))),
-        network_energy_j=_scale(
-            calibration.network_energy_j, completed,
-            calibration.requests_completed,
-        ),
-        compute_energy_j=_scale(
-            calibration.compute_energy_j, completed,
-            calibration.requests_completed,
-        ),
+        reconfigurations=int(round(scaled(calibration.reconfigurations))),
+        network_energy_j=scaled(calibration.network_energy_j),
+        compute_energy_j=scaled(calibration.compute_energy_j),
         channel_stats=calibration.channel_stats,
         requests_shed=0,
         requests_rerouted=0,
-        per_model=_per_model(cell, trace, elapsed),
         node_events=node_records,
-        windows=_window_stats(cell, trace, _fault_span(spans), elapsed),
         hazard_events=compute_hazard_records(compute_events, elapsed),
         time_degraded_s=_degraded_s(spans),
         availability=availability,
         mttr_s=mean_time_to_repair(incidents),
         incidents=incidents,
-        ttft=ttft_profile,
-        token_latency=token_profile,
-        tokens_generated=tokens,
-        tokens_per_s=tokens_per_s,
-        kv_refusals=kv_refusals,
-        kv_peak_bits=kv_peak_bits,
-        decode_remaps=decode_remaps,
+        kv_refusals=int(round(scaled(calibration.kv_refusals))),
+        kv_peak_bits=calibration.kv_peak_bits,
+        decode_remaps=calibration.decode_remaps,
         fidelity=report,
+        **fields,
     )
 
 

@@ -50,7 +50,7 @@ PLATFORM_ORDER = (
 )
 """The three simulated platforms, Table 3 order."""
 
-CACHE_SCHEMA_VERSION = 7
+CACHE_SCHEMA_VERSION = 8
 """Bump whenever simulation semantics or the cached result layout
 change so stale cached results are never served for new code.
 
@@ -78,7 +78,12 @@ each cached result carrying telemetry must re-simulate.
 
 Version 7: ``time_degraded_s`` is the union of platform hazards, compute
 hazards and node incidents, so a fleet that lost a node no longer reads
-0 and overlapping hazards count once."""
+0 and overlapping hazards count once.
+
+Version 8: DES and fluid cells reduce one request table: ``per_model``
+lists every tenant in mix order, fluid means sum in row order, drained
+nodes count as degraded, fluid availability follows the DES definition,
+and a fleet's channel stats carry their node's name."""
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,12 @@ collide with each other or with single-inference results.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..cluster.hazards import node_hazard_timeline
+from ..cluster.hazards import node_hazard_timeline, node_outages
 from ..cluster.router import ClusterNode, ClusterRouter, HealthPolicy
 from ..config import PlatformConfig
 from ..core.engine import ExecutionTrace
@@ -36,12 +36,10 @@ from ..serving.metrics import (
     ClusterResult,
     LatencyProfile,
     NodeStats,
+    RequestTable,
     ServingResult,
-    aggregate,
     mean_time_to_repair,
-    per_model_stats,
-    sequence_stats,
-    windowed_stats,
+    request_fields,
 )
 from ..serving.scheduler import BatchPolicy, RequestScheduler
 from ..sim.core import Environment
@@ -120,6 +118,12 @@ class ServingCell:
             f"{fraction * 100:.0f}%{name}"
             for name, fraction, _, _ in self.models
         )
+
+    @property
+    def tenants(self) -> tuple[tuple[str, "float | None"], ...]:
+        """Each tenant's model and SLO, in mix order (a
+        :class:`~repro.serving.metrics.RequestTable`'s ``tenants``)."""
+        return tuple((name, slo_s) for name, _, slo_s, _ in self.models)
 
     @property
     def is_fleet(self) -> bool:
@@ -217,15 +221,14 @@ def _compute_spans(events: tuple[ChipletMacDegrade, ...],
 
 def _fault_spans(intervals: Sequence[tuple[float, float]],
                  compute_events: tuple[ChipletMacDegrade, ...],
-                 incidents: tuple, elapsed: float
-                 ) -> list[tuple[float, float]]:
+                 outages: Sequence[tuple[int, float, float]],
+                 elapsed: float) -> list[tuple[float, float]]:
     """(start, end) of every stretch with capacity below nominal: the
     platform hazard engine's degraded ``intervals``, the compute hazards
-    and the node ``incidents``, open ones lasting to ``elapsed``."""
+    (open ones lasting to ``elapsed``) and the nodes' out-of-rotation
+    ``outages`` (:func:`~repro.cluster.hazards.node_outages`)."""
     return list(intervals) + _compute_spans(compute_events, elapsed) + [
-        (incident.start_s,
-         incident.end_s if incident.end_s is not None else elapsed)
-        for incident in incidents
+        (start, end) for _, start, end in outages
     ]
 
 
@@ -552,9 +555,6 @@ def simulate_serving_cell(cell: ServingCell,
             resilience_stats = None
         if record_sink is not None:
             record_sink.extend(records)
-        quota_denied = sum(
-            (Counter(node.scheduler.quota_denied) for node in nodes), Counter()
-        )
         common = dict(
             model=cell.mix_label,
             controller=cell.controller,
@@ -566,35 +566,37 @@ def simulate_serving_cell(cell: ServingCell,
             requests_injected=injected,
             requests_completed=completed,
             requests_shed=shed,
-            per_model=per_model_stats(records, elapsed,
-                                      nodes[0].scheduler.slos(),
-                                      quota_denied=quota_denied),
             resilience=resilience_stats,
             telemetry=finish_telemetry(session, nodes, router, injected,
                                        completed, shed),
         )
-        result = _serving_result(cell, nodes, router, records,
-                                 compute_events, common)
+        result = _serving_result(
+            cell, nodes, router, RequestTable.from_records(records,
+                                                           cell.tenants),
+            compute_events, common,
+        )
         for node in nodes:
             node.scheduler.detach()
         return result
 
 
 def _serving_result(cell: ServingCell, nodes: Sequence[ClusterNode],
-                    router: ClusterRouter | None, records,
+                    router: ClusterRouter | None, table: RequestTable,
                     compute_events, common: dict) -> ServingResult:
     """The result of one run, one node or many.
 
-    Energies, reconfigurations, in-flight means and KV/remap counters
-    sum over the nodes, ``mean_compute_utilization`` is the mean over
-    them, and ``channel_stats`` lists every node's channels in node
-    order.  Every node runs the same platform hazard timeline, so the
-    hazard records and degraded intervals come from node 0's engine.
-    The fault window and ``time_degraded_s`` span platform hazards,
-    compute hazards and node incidents together.
+    The request-derived fields come from :func:`request_fields` over
+    ``table``; this adds what only the simulation holds.  Energies,
+    reconfigurations, in-flight means and KV/remap counters sum over
+    the nodes, ``mean_compute_utilization`` is the mean over them, and
+    ``channel_stats`` lists every node's channels in node order (named
+    ``nodeK/<channel>`` behind a router).  Every node runs the same
+    platform hazard timeline, so the hazard records and degraded
+    intervals come from node 0's engine.  The fault window and
+    ``time_degraded_s`` span platform hazards, compute hazards and the
+    nodes' out-of-rotation spans together.
     """
     elapsed = common["elapsed_s"]
-    latency, queue_delay, mean_batch = aggregate(records)
     per_node = []
     channel_stats: list = []
     network_energy_j = compute_energy_j = mean_inflight = 0.0
@@ -623,7 +625,13 @@ def _serving_result(cell: ServingCell, nodes: Sequence[ClusterNode],
             scheduler.trace, elapsed
         )
         scheduler.trace.record_channel_stats(sim.fabric)
-        channel_stats += scheduler.trace.channel_stats
+        if router is None:
+            channel_stats += scheduler.trace.channel_stats
+        else:
+            channel_stats += [
+                replace(stat, name=f"{node.name}/{stat.name}")
+                for stat in scheduler.trace.channel_stats
+            ]
         mean_inflight += sim.fabric.mean_inflight_requests
         reconfigurations += sim.reconfigurations
         if scheduler.kv is not None:
@@ -638,35 +646,28 @@ def _serving_result(cell: ServingCell, nodes: Sequence[ClusterNode],
         intervals = hazards.degraded_intervals(elapsed)
     if compute_events:
         hazard_events += compute_hazard_records(compute_events, elapsed)
-    incidents = router.incidents() if router is not None else ()
-    spans = _fault_spans(intervals, compute_events, incidents, elapsed)
-    window = _fault_span(spans)
-    windows = ()
-    if window is not None:
-        windows = windowed_stats(records, window[0], window[1], elapsed)
-    seq_ttft = seq_token = None
-    tokens = 0
-    tokens_per_s = 0.0
-    if cell.sequences:
-        seq_ttft, seq_token, tokens, tokens_per_s = sequence_stats(
-            records, elapsed
-        )
+    outages: tuple = ()
     fleet = {}
     if router is not None:
+        outages, availability = node_outages(
+            router.records, cell.replicas, elapsed
+        )
+        incidents = router.incidents()
         fleet = dict(
             router=cell.router,
             requests_rerouted=router.requests_rerouted,
             node_events=tuple(router.records),
-            availability=router.availability(elapsed),
+            availability=availability,
             mttr_s=mean_time_to_repair(incidents),
             incidents=incidents,
         )
+    spans = _fault_spans(intervals, compute_events, outages, elapsed)
+    quota_denied = sum(
+        (Counter(node.scheduler.quota_denied) for node in nodes), Counter()
+    )
     result_type = ServingResult if router is None else ClusterResult
     return result_type(
         platform=nodes[0].platform.name,
-        latency=latency,
-        queue_delay=queue_delay,
-        mean_batch_size=mean_batch,
         mean_inflight=mean_inflight,
         mean_compute_utilization=sum(
             stats.mean_compute_utilization for stats in per_node
@@ -675,18 +676,14 @@ def _serving_result(cell: ServingCell, nodes: Sequence[ClusterNode],
         network_energy_j=network_energy_j,
         compute_energy_j=compute_energy_j,
         channel_stats=tuple(channel_stats),
-        windows=windows,
         hazard_events=hazard_events,
         time_degraded_s=_degraded_s(spans),
-        ttft=seq_ttft,
-        token_latency=seq_token,
-        tokens_generated=tokens,
-        tokens_per_s=tokens_per_s,
         kv_refusals=kv_refusals,
         kv_peak_bits=kv_peak_bits,
         decode_remaps=decode_remaps,
         n_nodes=cell.replicas,
         per_node=tuple(per_node),
+        **request_fields(table, elapsed, _fault_span(spans), quota_denied),
         **fleet,
         **common,
     )

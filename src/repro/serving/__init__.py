@@ -4,9 +4,9 @@ Turns the one-shot simulator into a request-serving model: arrival
 processes feed a :class:`~repro.serving.scheduler.RequestScheduler`
 that dispatches batched :class:`~repro.core.engine.RequestExecution`
 instances over one shared fabric, and
-:mod:`repro.serving.metrics` aggregates the per-request records into
-latency/goodput/utilization results — per tenant model when several
-share the fabric.
+:mod:`repro.serving.metrics` reduces the per-request records, as one
+request table, into latency/goodput/utilization results — per tenant
+model when several share the fabric.
 """
 
 from .. import _lazy_package
@@ -19,13 +19,14 @@ __getattr__, __dir__, __all__ = _lazy_package(__name__, {
         "ModelServingStats",
         "NodeStats",
         "RequestRecord",
+        "RequestTable",
         "ResilienceStats",
         "ServingResult",
         "WindowStats",
-        "aggregate",
         "mean_time_to_repair",
         "per_model_stats",
         "percentile",
+        "request_fields",
         "windowed_stats",
     ),
     ".scheduler": ("BatchPolicy", "RequestHandle", "RequestScheduler"),

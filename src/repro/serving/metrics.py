@@ -2,16 +2,21 @@
 
 The scheduler stamps a :class:`RequestRecord` for every completed
 request (these travel on the shared
-:class:`~repro.core.engine.ExecutionTrace`); a finished run aggregates
-them into a :class:`ServingResult` — tail-latency percentiles, goodput
-and fabric-utilization-under-load — which is what serving studies
-cache, export and plot as latency–throughput curves.
+:class:`~repro.core.engine.ExecutionTrace`).  Every serving backend
+hands its requests to one :class:`RequestTable`, and one reduction,
+:func:`request_fields`, turns that table into the request-derived
+fields of a :class:`ServingResult` — tail-latency percentiles, goodput,
+per-tenant and per-window SLO stats, token metrics — which is what
+serving studies cache, export and plot as latency–throughput curves.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import and_, not_
+from typing import Sequence
 
 from ..errors import SimulationError
 from ..sim.resources import ChannelStat
@@ -75,16 +80,19 @@ class RequestRecord:
         return self.deadline_s is not None and self.finish_s > self.deadline_s
 
 
-def percentile(samples: list[float], q: float) -> float:
+def _nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile of non-empty, sorted ``ordered``."""
+    return ordered[max(1, math.ceil(q / 100.0 * len(ordered))) - 1]
+
+
+def percentile(samples: Sequence[float], q: float) -> float:
     """Nearest-rank percentile of ``samples`` (deterministic, no
     interpolation); 0.0 for an empty sample set."""
     if not 0.0 <= q <= 100.0:
         raise SimulationError(f"percentile must be in [0, 100], got {q}")
     if not samples:
         return 0.0
-    ordered = sorted(samples)
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[rank - 1]
+    return _nearest_rank(sorted(samples), q)
 
 
 @dataclass(frozen=True)
@@ -99,17 +107,21 @@ class LatencyProfile:
     max_s: float
 
     @classmethod
-    def from_samples(cls, samples: list[float]) -> "LatencyProfile":
+    def from_samples(cls, samples: Sequence[float]) -> "LatencyProfile":
+        """Profile of ``samples``, sorted once.  The mean is the
+        built-in ``sum`` in sample order over the count: pass Python
+        floats, which 3.12+ sums compensated and numpy scalars not."""
         if not samples:
             return cls(count=0, mean_s=0.0, p50_s=0.0, p95_s=0.0,
                        p99_s=0.0, max_s=0.0)
+        ordered = sorted(samples)
         return cls(
-            count=len(samples),
-            mean_s=sum(samples) / len(samples),
-            p50_s=percentile(samples, 50.0),
-            p95_s=percentile(samples, 95.0),
-            p99_s=percentile(samples, 99.0),
-            max_s=max(samples),
+            count=len(ordered),
+            mean_s=sum(samples) / len(ordered),
+            p50_s=_nearest_rank(ordered, 50.0),
+            p95_s=_nearest_rank(ordered, 95.0),
+            p99_s=_nearest_rank(ordered, 99.0),
+            max_s=ordered[-1],
         )
 
 
@@ -138,82 +150,6 @@ class ModelServingStats:
         if self.submitted == 0:
             return 1.0
         return 1.0 - self.slo_violations / self.submitted
-
-
-def per_model_stats(
-    records: list[RequestRecord],
-    elapsed_s: float,
-    slos: dict[str, float | None] | None = None,
-    quota_denied: dict[str, int] | None = None,
-) -> tuple[ModelServingStats, ...]:
-    """Group request records by model into per-tenant SLO stats.
-
-    ``slos`` optionally names each model's SLO (from the scheduler);
-    otherwise it is inferred from the records' assigned deadlines.
-    ``quota_denied`` optionally carries per-model admission-quota
-    denial counts (those requests were shed at submit time, so their
-    records are in ``records`` too — the counter says *why*).
-    Models appear in first-record order, so output is deterministic.
-    """
-    order: list[str] = []
-    grouped: dict[str, list[RequestRecord]] = {}
-    for record in records:
-        if record.model not in grouped:
-            grouped[record.model] = []
-            order.append(record.model)
-        grouped[record.model].append(record)
-    stats = []
-    for model in order:
-        group = grouped[model]
-        served = [r for r in group if not r.dropped]
-        slo = (slos or {}).get(model)
-        if slo is None:
-            deadlines = [
-                r.deadline_s - r.arrival_s for r in group
-                if r.deadline_s is not None
-            ]
-            slo = deadlines[0] if deadlines else None
-        stats.append(ModelServingStats(
-            model=model,
-            slo_s=slo,
-            completed=len(served),
-            shed=len(group) - len(served),
-            slo_violations=sum(1 for r in group if r.slo_violated),
-            latency=LatencyProfile.from_samples(
-                [r.latency_s for r in served]
-            ),
-            goodput_rps=(
-                len(served) / elapsed_s if elapsed_s > 0 else 0.0
-            ),
-            quota_denied=(quota_denied or {}).get(model, 0),
-        ))
-    return tuple(stats)
-
-
-def sequence_stats(
-    records: list[RequestRecord],
-    elapsed_s: float,
-) -> tuple[LatencyProfile | None, LatencyProfile | None, int, float]:
-    """(TTFT profile, per-token-gap profile, tokens generated, tokens/s).
-
-    Aggregates the completed sequence requests of a run; all four
-    values are ``None``/zero when the run served no sequences, so
-    single-shot (CNN) results are untouched.
-    """
-    sequences = [
-        r for r in records
-        if r.is_sequence and not r.dropped and r.first_token_s is not None
-    ]
-    if not sequences:
-        return None, None, 0, 0.0
-    ttft = LatencyProfile.from_samples(
-        [r.first_token_s - r.arrival_s for r in sequences]
-    )
-    gaps = [gap for r in sequences for gap in r.token_gaps]
-    token_latency = LatencyProfile.from_samples(gaps)
-    tokens = sum(r.output_tokens for r in sequences)
-    tokens_per_s = tokens / elapsed_s if elapsed_s > 0 else 0.0
-    return ttft, token_latency, tokens, tokens_per_s
 
 
 @dataclass(frozen=True)
@@ -249,17 +185,126 @@ class WindowStats:
         return 1.0 - self.slo_violations / self.submitted
 
 
+@dataclass(frozen=True)
+class RequestTable:
+    """One serving cell's requests as columns, one row per request.
+
+    Both backends hand :func:`request_fields` this table: the DES
+    worker builds it once from its records (:meth:`from_records`, rows
+    in record order), the fluid engine from its cohort (rows in arrival
+    order).  Every mean sums in row order.
+
+    ``tenants`` is the mix: each ``mix_index``'s model and SLO, in mix
+    order.  ``batch_size`` is ``None`` when the backend resolves no
+    batches (the fluid model).  The sequence columns cover the
+    completed sequences only, in row order: one ``ttft_s`` and one
+    ``output_tokens`` entry per sequence, and every decode gap
+    flattened into ``token_gaps``.
+    """
+
+    tenants: tuple[tuple[str, "float | None"], ...]
+    arrival_s: Sequence[float]
+    queue_delay_s: Sequence[float]
+    latency_s: Sequence[float]
+    mix_index: Sequence[int]
+    dropped: Sequence[bool]
+    slo_violated: Sequence[bool]
+    batch_size: "Sequence[int] | None" = None
+    ttft_s: Sequence[float] = ()
+    output_tokens: Sequence[int] = ()
+    token_gaps: Sequence[float] = ()
+
+    @classmethod
+    def from_records(cls, records: Sequence[RequestRecord],
+                     tenants: tuple[tuple[str, "float | None"], ...]
+                     ) -> "RequestTable":
+        """The table of ``records`` under the mix ``tenants``."""
+        index = {name: position for position, (name, _) in enumerate(tenants)}
+        ttft: list[float] = []
+        outputs: list[int] = []
+        gaps: list[float] = []
+        for record in records:
+            if (record.is_sequence and not record.dropped
+                    and record.first_token_s is not None):
+                ttft.append(record.first_token_s - record.arrival_s)
+                outputs.append(record.output_tokens)
+                gaps.extend(record.token_gaps)
+        return cls(
+            tenants=tenants,
+            arrival_s=[record.arrival_s for record in records],
+            queue_delay_s=[record.queue_delay_s for record in records],
+            latency_s=[record.latency_s for record in records],
+            mix_index=[index[record.model] for record in records],
+            dropped=[record.dropped for record in records],
+            slo_violated=[record.slo_violated for record in records],
+            batch_size=[record.batch_size for record in records],
+            ttft_s=ttft,
+            output_tokens=outputs,
+            token_gaps=gaps,
+        )
+
+
+def _split(table: RequestTable, keys: Sequence["int | None"], groups: int
+           ) -> list[tuple[int, int, int, LatencyProfile]]:
+    """(completed, shed, SLO violations, latency profile) per group,
+    where row ``r`` belongs to group ``keys[r]`` (``None``: to none).
+    Shed rows have no latency sample; samples keep row order."""
+    kept = list(map(not_, table.dropped))
+    split = []
+    for group in range(groups):
+        member = [key == group for key in keys]
+        samples = list(compress(table.latency_s, map(and_, member, kept)))
+        split.append((
+            len(samples),
+            member.count(True) - len(samples),
+            sum(compress(table.slo_violated, member)),
+            LatencyProfile.from_samples(samples),
+        ))
+    return split
+
+
+def per_model_stats(
+    table: RequestTable,
+    elapsed_s: float,
+    quota_denied: dict[str, int] | None = None,
+) -> tuple[ModelServingStats, ...]:
+    """Per-tenant SLO stats, one per tenant in mix order.
+
+    ``quota_denied`` optionally carries per-model admission-quota
+    denial counts (those requests were shed at submit time, so they
+    are rows of ``table`` too — the counter says *why*).
+    """
+    return tuple(
+        ModelServingStats(
+            model=model,
+            slo_s=slo_s,
+            completed=completed,
+            shed=shed,
+            slo_violations=violations,
+            latency=latency,
+            goodput_rps=completed / elapsed_s if elapsed_s > 0 else 0.0,
+            quota_denied=(quota_denied or {}).get(model, 0),
+        )
+        for (model, slo_s), (completed, shed, violations, latency) in zip(
+            table.tenants,
+            _split(table, table.mix_index, len(table.tenants)),
+        )
+    )
+
+
 def windowed_stats(
-    records: list[RequestRecord],
+    table: RequestTable,
     fault_start_s: float,
     fault_end_s: float,
     elapsed_s: float,
 ) -> tuple[WindowStats, ...]:
-    """before/during/after-fault windows over one run's records.
+    """before/during/after-fault windows over one run's requests.
 
-    The during window is ``[fault_start_s, fault_end_s)`` clamped to
-    the run; zero-span windows (a fault starting at t=0, or one that
-    outlives the run) are omitted.
+    A request belongs to the window its arrival falls in.  The during
+    window is ``[fault_start_s, fault_end_s)`` clamped to the run, and
+    the after window also takes any arrival at or past the run's end.
+    Zero-span windows (a fault starting at t=0, or one that outlives
+    the run) are omitted.
     """
     if fault_end_s < fault_start_s:
         raise SimulationError(
@@ -268,34 +313,84 @@ def windowed_stats(
         )
     start = min(fault_start_s, elapsed_s)
     end = min(fault_end_s, elapsed_s)
-    spans = (
-        ("before", 0.0, start),
-        ("during", start, end),
-        ("after", end, elapsed_s),
+    spans = [
+        span for span in (
+            ("before", 0.0, start),
+            ("during", start, end),
+            ("after", end, elapsed_s),
+        )
+        if span[2] > span[1]
+    ]
+    group = {label: key for key, (label, _, _) in enumerate(spans)}
+    before, during, after = (
+        group.get(label) for label in ("before", "during", "after")
     )
-    windows = []
-    for label, span_start, span_end in spans:
-        if span_end <= span_start:
-            continue
-        group = [
-            r for r in records
-            if span_start <= r.arrival_s < span_end
-            or (label == "after" and r.arrival_s >= span_end)
-        ]
-        served = [r for r in group if not r.dropped]
-        windows.append(WindowStats(
+    keys = [
+        before if arrival < start else during if arrival < end else after
+        for arrival in table.arrival_s
+    ]
+    return tuple(
+        WindowStats(
             label=label,
             start_s=span_start,
             end_s=span_end,
-            completed=len(served),
-            shed=len(group) - len(served),
-            slo_violations=sum(1 for r in group if r.slo_violated),
-            latency=LatencyProfile.from_samples(
-                [r.latency_s for r in served]
-            ),
-            goodput_rps=len(served) / (span_end - span_start),
-        ))
-    return tuple(windows)
+            completed=completed,
+            shed=shed,
+            slo_violations=violations,
+            latency=latency,
+            goodput_rps=completed / (span_end - span_start),
+        )
+        for (label, span_start, span_end), (
+            completed, shed, violations, latency
+        ) in zip(spans, _split(table, keys, len(spans)))
+    )
+
+
+def request_fields(
+    table: RequestTable,
+    elapsed_s: float,
+    fault_span: "tuple[float, float] | None" = None,
+    quota_denied: dict[str, int] | None = None,
+) -> dict:
+    """Every request-derived :class:`ServingResult` field of ``table``.
+
+    The one reduction both serving backends run: the latency and
+    queue-delay profiles and the mean batch (completed rows; the batch
+    only when the table carries one), ``per_model``, the fault
+    ``windows`` around ``fault_span`` (none without one), and the token
+    metrics (``None``/zero when no sequence completed).
+    """
+    served = list(map(not_, table.dropped))
+    latencies = list(compress(table.latency_s, served))
+    fields = dict(
+        latency=LatencyProfile.from_samples(latencies),
+        queue_delay=LatencyProfile.from_samples(
+            list(compress(table.queue_delay_s, served))
+        ),
+        per_model=per_model_stats(table, elapsed_s, quota_denied),
+        windows=(
+            () if fault_span is None
+            else windowed_stats(table, *fault_span, elapsed_s)
+        ),
+        ttft=None,
+        token_latency=None,
+        tokens_generated=0,
+        tokens_per_s=0.0,
+    )
+    if table.batch_size is not None:
+        fields["mean_batch_size"] = (
+            sum(compress(table.batch_size, served)) / len(latencies)
+            if latencies else 0.0
+        )
+    if table.ttft_s:
+        tokens = sum(table.output_tokens)
+        fields.update(
+            ttft=LatencyProfile.from_samples(table.ttft_s),
+            token_latency=LatencyProfile.from_samples(table.token_gaps),
+            tokens_generated=tokens,
+            tokens_per_s=tokens / elapsed_s if elapsed_s > 0 else 0.0,
+        )
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -661,24 +756,3 @@ class ClusterResult(ServingResult):
     skip per-channel checks on fleets, keeps checking the same cells.
     Nothing in this package reads it.
     """
-
-
-def aggregate(records: list[RequestRecord]) -> tuple[LatencyProfile,
-                                                     LatencyProfile, float]:
-    """(latency profile, queue-delay profile, mean batch size).
-
-    Shed requests are excluded — they never executed, so they have no
-    meaningful latency sample or batch size.
-    """
-    served = [record for record in records if not record.dropped]
-    latencies = [record.latency_s for record in served]
-    delays = [record.queue_delay_s for record in served]
-    mean_batch = (
-        sum(record.batch_size for record in served) / len(served)
-        if served else 0.0
-    )
-    return (
-        LatencyProfile.from_samples(latencies),
-        LatencyProfile.from_samples(delays),
-        mean_batch,
-    )

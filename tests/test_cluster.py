@@ -802,6 +802,55 @@ class TestOneResultShape:
             "before", "during", "after",
         ]
 
+    def test_drained_node_counts_as_degraded_on_both_backends(self):
+        """``cluster_spec`` with node 1 drained over [600, 1400] us in
+        place of its failure: out of rotation just as long."""
+        point = example_point("cluster_spec.json")
+        drain = replace(point, cluster=replace(point.cluster, faults=(
+            FaultSpec(events=(
+                FaultEventSpec(kind="node-drain", at_s=600e-6, node=1),
+                FaultEventSpec(kind="node-repair", at_s=1400e-6, node=1),
+            ))
+        )))
+        (des,) = run_study(drain).flat_results()
+        (fluid,) = run_study(
+            replace(drain, fidelity=FidelitySpec(mode="fluid",
+                                                 error_budget=1.0))
+        ).flat_results()
+        assert fluid.fidelity.mode_used == "fluid"
+        for result in (des, fluid):
+            assert result.incidents == ()  # incidents stay failure-only
+            assert result.time_degraded_s == pytest.approx(800e-6)
+            during = [w for w in result.windows if w.label == "during"]
+            assert [(w.start_s, w.end_s) for w in during] == [
+                (600e-6, 1400e-6),
+            ]
+        assert fluid.availability == des.availability == 1.0
+
+    def test_des_and_fluid_fleets_agree_on_availability(self):
+        """Three of ``cluster_spec``'s four nodes stay up throughout."""
+        point = example_point("cluster_spec.json")
+        (des,) = run_study(point).flat_results()
+        (fluid,) = run_study(
+            replace(point, fidelity=FidelitySpec(mode="fluid",
+                                                 error_budget=1.0))
+        ).flat_results()
+        assert fluid.availability == des.availability == 1.0
+
+    def test_fleet_channel_stats_name_their_node(self):
+        point = example_point("cluster_spec.json")
+        (fleet,) = run_study(point).flat_results()
+        (single,) = run_study(replace(point, cluster=None)).flat_results()
+        bare = [stat.name for stat in single.channel_stats]
+        assert all("/" not in name for name in bare)
+        names = [stat.name for stat in fleet.channel_stats]
+        assert names == [
+            f"node{index}/{name}" for index in range(4) for name in bare
+        ]
+        record = json.loads(study_results_to_json([fleet]))[0]
+        assert len({entry["name"] for entry in
+                    record["channel_utilization"]}) == len(names)
+
     def test_one_node_and_fleet_export_one_schema(self):
         point = replace(
             example_point("study_spec.json"),

@@ -21,7 +21,11 @@ from repro.interposer.photonic.faults import (
 )
 from repro.interposer.topology import build_floorplan
 from repro.mapping.mapper import KernelMatchMapper
-from repro.serving.metrics import RequestRecord, windowed_stats
+from repro.serving.metrics import (
+    RequestRecord,
+    RequestTable,
+    windowed_stats,
+)
 from repro.sim.core import Environment
 from repro.studies import (
     HAZARDS,
@@ -305,6 +309,9 @@ class TestWindowedStats:
             deadline_s=deadline, dropped=dropped,
         )
 
+    def table(self, records):
+        return RequestTable.from_records(records, (("m", None),))
+
     def test_records_split_by_arrival(self):
         records = [
             self.record(0.1, 1.0),
@@ -312,14 +319,16 @@ class TestWindowedStats:
             self.record(2.5, 1.0),
             self.record(3.5, 1.0),  # past elapsed boundary -> "after"
         ]
-        windows = windowed_stats(records, 1.0, 2.0, 3.0)
+        windows = windowed_stats(self.table(records), 1.0, 2.0, 3.0)
         assert [w.label for w in windows] == ["before", "during", "after"]
         assert [w.completed for w in windows] == [1, 1, 2]
         assert windows[1].latency.p99_s == pytest.approx(5.0)
         assert windows[0].goodput_rps == pytest.approx(1.0)
 
     def test_degenerate_windows_dropped(self):
-        windows = windowed_stats([self.record(0.5, 1.0)], 0.0, 4.0, 2.0)
+        windows = windowed_stats(
+            self.table([self.record(0.5, 1.0)]), 0.0, 4.0, 2.0
+        )
         assert [w.label for w in windows] == ["during"]
 
     def test_shed_and_violations_counted(self):
@@ -327,7 +336,7 @@ class TestWindowedStats:
             self.record(1.1, 0.0, dropped=True, deadline=1.2),
             self.record(1.2, 2.0, deadline=1.4),
         ]
-        window = windowed_stats(records, 1.0, 2.0, 2.0)[-1]
+        window = windowed_stats(self.table(records), 1.0, 2.0, 2.0)[-1]
         assert window.label == "during"
         assert window.shed == 1
         assert window.completed == 1

@@ -7,7 +7,12 @@ from dataclasses import fields
 
 import pytest
 
-from repro.cluster.hazards import RackFail, RackRepair, event_nodes
+from repro.cluster.hazards import (
+    RackFail,
+    RackRepair,
+    event_nodes,
+    node_outages,
+)
 from repro.cluster.router import ClusterNode, ClusterRouter, HealthPolicy
 from repro.core.accelerator import MonolithicCrossLight
 from repro.core.engine import ExecutionTrace
@@ -443,7 +448,8 @@ class TestHealthRouting:
             health=HealthPolicy(probe_interval_s=20e-6, probe_misses=2),
         )
         router.serve(PoissonArrivals(rate_rps=40e3, seed=3), 0.4e-3)
-        assert router.availability(0.4e-3) < 1.0
+        _, availability = node_outages(router.records, 3, 0.4e-3)
+        assert availability == pytest.approx(0.75)
 
     def test_availability_and_mttr_in_results(self):
         result = run_one(ResilienceSpec(

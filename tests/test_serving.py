@@ -29,8 +29,11 @@ from repro.serving.lifecycle import ResiliencePolicy
 from repro.serving.metrics import (
     LatencyProfile,
     RequestRecord,
-    aggregate,
+    RequestTable,
+    per_model_stats,
     percentile,
+    request_fields,
+    windowed_stats,
 )
 from repro.serving.scheduler import BatchPolicy, RequestScheduler
 from repro.sim.core import Environment
@@ -44,6 +47,17 @@ from repro.studies.builders import serve_study_spec
 from repro.studies.compile import run_study
 
 WORKLOAD = extract_workload(zoo.build("LeNet5"))
+LENET5 = (("LeNet5", None),)
+
+
+def table_of(records):
+    """One LeNet5-only run's request table."""
+    return RequestTable.from_records(records, LENET5)
+
+
+def fields_of(records):
+    """The serving reduction over one LeNet5-only run's records."""
+    return request_fields(table_of(records), elapsed_s=1.0)
 
 
 def make_scheduler(platform=None, policy=None, **kwargs):
@@ -123,15 +137,15 @@ def _record(request_id, model="LeNet5", arrival_s=0.0, finish_s=1e-6,
 
 class TestMetricsEdgeCases:
     def test_windowed_stats_with_empty_window(self):
-        from repro.serving.metrics import windowed_stats
-
         # Both requests arrive before the fault window: the during and
         # after windows exist but hold zero completed requests.
         records = [
             _record(0, arrival_s=10e-6, finish_s=20e-6),
             _record(1, arrival_s=20e-6, finish_s=40e-6),
         ]
-        windows = windowed_stats(records, 100e-6, 200e-6, 300e-6)
+        windows = windowed_stats(
+            table_of(records), 100e-6, 200e-6, 300e-6
+        )
         assert [window.label for window in windows] == [
             "before", "during", "after",
         ]
@@ -146,17 +160,15 @@ class TestMetricsEdgeCases:
             assert empty.latency.p99_s == 0.0
 
     def test_windowed_stats_with_no_records_at_all(self):
-        from repro.serving.metrics import windowed_stats
-
-        windows = windowed_stats([], 1e-6, 2e-6, 3e-6)
+        windows = windowed_stats(table_of([]), 1e-6, 2e-6, 3e-6)
         assert len(windows) == 3
         assert all(window.completed == 0 for window in windows)
 
     def test_windowed_stats_single_request_window(self):
-        from repro.serving.metrics import windowed_stats
-
         records = [_record(0, arrival_s=150e-6, finish_s=160e-6)]
-        windows = windowed_stats(records, 100e-6, 200e-6, 300e-6)
+        windows = windowed_stats(
+            table_of(records), 100e-6, 200e-6, 300e-6
+        )
         during = next(w for w in windows if w.label == "during")
         assert during.completed == 1
         assert during.latency.p50_s == during.latency.p99_s == (
@@ -164,21 +176,17 @@ class TestMetricsEdgeCases:
         )
 
     def test_windowed_stats_rejects_disordered_window(self):
-        from repro.serving.metrics import windowed_stats
-
         with pytest.raises(SimulationError, match="ordered"):
-            windowed_stats([], 2e-6, 1e-6, 3e-6)
+            windowed_stats(table_of([]), 2e-6, 1e-6, 3e-6)
 
     def test_per_model_stats_with_only_shed_requests(self):
-        from repro.serving.metrics import per_model_stats
-
         records = [
             _record(0, arrival_s=0.0, finish_s=1e-6,
                     deadline_s=0.5e-6, dropped=True),
             _record(1, arrival_s=1e-6, finish_s=2e-6,
                     deadline_s=1.5e-6, dropped=True),
         ]
-        (stats,) = per_model_stats(records, elapsed_s=2e-6)
+        (stats,) = per_model_stats(table_of(records), elapsed_s=2e-6)
         assert stats.completed == 0
         assert stats.shed == 2
         assert stats.slo_violations == 2
@@ -187,11 +195,12 @@ class TestMetricsEdgeCases:
         assert stats.latency.count == 0
 
     def test_per_model_stats_single_request_and_empty(self):
-        from repro.serving.metrics import per_model_stats
-
-        assert per_model_stats([], elapsed_s=1e-3) == ()
+        (empty,) = per_model_stats(table_of([]), elapsed_s=1e-3)
+        assert empty.model == "LeNet5"
+        assert empty.submitted == 0 and empty.latency.count == 0
         (stats,) = per_model_stats(
-            [_record(0, arrival_s=0.0, finish_s=3e-6)], elapsed_s=1e-3
+            table_of([_record(0, arrival_s=0.0, finish_s=3e-6)]),
+            elapsed_s=1e-3,
         )
         assert stats.completed == 1
         assert stats.slo_attainment == 1.0
@@ -239,7 +248,7 @@ class TestSchedulerSemantics:
         )
         scheduler, _ = make_scheduler(policy=policy)
         scheduler.serve(PoissonArrivals(rate_rps=400e3, seed=7), 1e-3)
-        mean_batch = aggregate(scheduler.records)[2]
+        mean_batch = fields_of(scheduler.records)["mean_batch_size"]
         assert mean_batch > 1.5
         assert max(r.batch_size for r in scheduler.records) <= 8
         assert scheduler.batches_dispatched < scheduler.requests_completed
@@ -299,7 +308,7 @@ class TestComputeOccupancy:
         for rate in (100e3, 700e3):
             scheduler, _ = make_scheduler()
             scheduler.serve(PoissonArrivals(rate_rps=rate, seed=11), 2e-3)
-            p99s.append(aggregate(scheduler.records)[0].p99_s)
+            p99s.append(fields_of(scheduler.records)["latency"].p99_s)
         assert p99s[0] <= p99s[1]
         assert p99s[1] > 1.5 * p99s[0]  # visibly queueing, not noise
 
@@ -338,7 +347,7 @@ class TestWeightResidency:
         scheduler, _ = make_scheduler()
         scheduler.serve(PoissonArrivals(rate_rps=50e3, seed=11), 2e-3)
         cold = scheduler.records[0].latency_s
-        warm = aggregate(scheduler.records[1:])[0].p50_s
+        warm = fields_of(scheduler.records[1:])["latency"].p50_s
         assert warm < cold
 
     def test_capacity_evicts_lru_model(self):
