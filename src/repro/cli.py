@@ -304,15 +304,11 @@ def _cmd_study(args: argparse.Namespace) -> int:
         run_study,
     )
 
-    try:
-        spec = load_spec(args.spec)
-        if args.dry_run:
-            print(render_dry_run(spec, cache_dir=args.cache_dir))
-            return 0
-        study = run_study(spec, jobs=args.jobs, cache_dir=args.cache_dir)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    spec = load_spec(args.spec)
+    if args.dry_run:
+        print(render_dry_run(spec, cache_dir=args.cache_dir))
+        return 0
+    study = run_study(spec, jobs=args.jobs, cache_dir=args.cache_dir)
     print(render_study(study))
     if study.cache_stats is not None and args.cache_dir:
         print(f"\n{study.cache_stats.summary()}")
@@ -365,13 +361,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     if args.ab is not None:
         return _bench_ab(bench, args)
-    names = None
-    if args.only:
-        try:
-            names = bench.select_benchmarks(args.only)
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+    names = bench.select_benchmarks(args.only) if args.only else None
     counts: dict[str, dict[str, int]] = {}
     medians = bench.run_suite(names=names, repeats=args.repeats,
                               counts=counts)
@@ -580,10 +570,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    Every verb reports a :class:`~repro.errors.ReproError` (a bad spec
+    value, an unknown name) as one ``error: ...`` line on stderr and
+    exit code 2, before or instead of simulating.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

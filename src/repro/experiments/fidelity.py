@@ -653,14 +653,14 @@ def _decode_cohort(cell, state: _CalibrationState, times: np.ndarray,
             outputs[seq_mask].tolist(), latency)
 
 
-def _evaluate_fluid(cell, state: _CalibrationState, duration_s: float,
+def _evaluate_fluid(cell, state: _CalibrationState, times: np.ndarray,
                     windows) -> RequestTable:
-    """Run the fluid model over the cell's exact arrival cohort.
+    """Run the fluid model over the cell's exact arrival cohort,
+    ``times`` (drawn once by the caller, which also reads its SCV).
 
     Every arrival completes, so no row is shed; a row violates its SLO
     when its latency exceeds its tenant's.
     """
-    times = cell.arrival_process().arrival_times(duration_s)
     n = len(times)
     if n == 0:
         return RequestTable(cell.tenants, [], [], [], [], [], [])
@@ -744,8 +744,7 @@ def _validate(cell, state: _CalibrationState, warm: bool,
         mean_batch=state.mean_batch, service_scv=state.service_scv,
         arrival_scv=arrival_scv,
     )
-    table = _evaluate_fluid(calib_cell, state, state.calibration_s,
-                            [window])
+    table = _evaluate_fluid(calib_cell, state, times, [window])
     elapsed = _elapsed(table, state.calibration_s)
     predicted = request_fields(table, elapsed)
     latency = predicted["latency"]
@@ -790,14 +789,12 @@ def _fluid_result(cell: ServingCell, state: _CalibrationState,
     the calibration window; energies, reconfigurations and KV refusals
     scale with the completed count.
     """
-    arrival_scv = _arrival_scv(
-        cell, cell.arrival_process().arrival_times(cell.duration_s)
-    )
+    times = cell.arrival_process().arrival_times(cell.duration_s)
     windows, walk = _build_windows(
-        cell, state, _policy_slots(cell), arrival_scv
+        cell, state, _policy_slots(cell), _arrival_scv(cell, times)
     )
     _, final_states, uptime, incidents, node_records = walk
-    table = _evaluate_fluid(cell, state, cell.duration_s, windows)
+    table = _evaluate_fluid(cell, state, times, windows)
     completed = len(table.latency_s)
     elapsed = _elapsed(table, cell.duration_s)
     calibration: ServingResult = state.result

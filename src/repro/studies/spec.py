@@ -12,6 +12,22 @@ digest identifies a spec, not a simulation: cache keys hash the cells
 a spec lowers onto, so two specs that lower to equal cells share
 cached results.
 
+One schema serves every spec class.  A field's annotation is its type
+and its metadata holds its range (one of :data:`BOUNDS`) or its
+choices.  One checker enforces types, finiteness, ranges and choices
+whenever a spec is built — from JSON, by a sweep override or directly
+in Python — and every error names the field's dotted path.  Settings
+that cannot act, or layers that do not compose yet, are the rows of
+one rule table, :data:`RULES`.  One ``from_dict`` builds any spec class
+from its annotations, and one ``to_dict`` walks its fields back.
+
+To add a field: annotate it; give it the default that leaves every
+existing study as it was; declare its bound with :func:`_bounded` (or
+its choices with :func:`_choice`) when it is numeric (or an enum); and
+add a :data:`RULES` row when some other setting leaves it inert.
+Serialization picks it up from the annotation.  Every ``to_dict``
+carries the new key, so bump :data:`SPEC_SCHEMA_VERSION`.
+
 The spec layer deliberately knows nothing about simulators: lowering a
 spec onto the cell machinery lives in :mod:`repro.studies.compile`, and
 name resolution (platforms, models, controllers, arrivals) happens
@@ -22,9 +38,21 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields, replace
+import math
+import re
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cache
-from typing import Any, ClassVar, Mapping, get_args, get_type_hints
+from types import NoneType, UnionType
+from typing import (
+    Any,
+    Callable,
+    ClassVar,
+    Mapping,
+    NamedTuple,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 from ..errors import SpecError
 
@@ -74,110 +102,246 @@ distribution with that mean (``geometric``, minimum one token)."""
 STUDY_KINDS = ("inference", "serving")
 """Study kinds the compiler can lower."""
 
+SWEEP_SECTIONS = ("workload", "platform", "scheduler", "cluster",
+                  "resilience", "fidelity", "telemetry")
+"""Sections whose fields a sweep axis may address."""
+
 
 # ---------------------------------------------------------------------------
-# (De)serialisation helpers shared by every spec class.
+# The schema: field metadata, one checker, one (de)serializer.
 # ---------------------------------------------------------------------------
 
 
-def _check_fields(cls: type, data: Mapping[str, Any], where: str) -> None:
-    """Reject unknown JSON fields with a precise, typed error."""
-    if not isinstance(data, Mapping):
-        raise SpecError(
-            f"{where} must be a JSON object, got {type(data).__name__}"
-        )
-    known = {field.name for field in fields(cls)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise SpecError(
-            f"unknown field(s) {', '.join(map(repr, unknown))} in {where}; "
-            f"known fields: {', '.join(sorted(known))}"
-        )
+BOUNDS: dict[str, tuple[str, Callable[[Any], bool]]] = {
+    "> 0": ("positive", lambda value: value > 0),
+    ">= 0": (">= 0", lambda value: value >= 0),
+    ">= 1": (">= 1", lambda value: value >= 1),
+    "(0, 1]": ("in (0, 1]", lambda value: 0 < value <= 1),
+    "[0, 1]": ("in [0, 1]", lambda value: 0 <= value <= 1),
+}
+"""The ranges a numeric field may declare: ``bound -> (how an error
+words it, the test)``.  A tuple field applies its bound per element."""
 
 
-def _reject_constant(literal: str) -> None:
-    """``json.loads`` hook for the non-standard ``NaN``/``Infinity``
-    literals: every ``<= 0`` guard in the specs would let NaN through."""
-    raise SpecError(
-        f"spec JSON contains {literal}; every number must be finite"
-    )
+def _bounded(default: Any, bound: str, noun: str) -> Any:
+    """A numeric field within ``bound`` (a :data:`BOUNDS` key);
+    ``noun`` names the quantity in errors ("arrival rate").  Pass
+    ``MISSING`` as the default for a required field."""
+    return field(default=default, metadata={"bound": bound, "noun": noun})
+
+
+def _choice(default: str, choices: tuple[str, ...], noun: str) -> Any:
+    """A string field that takes one of ``choices``."""
+    return field(default=default,
+                 metadata={"choices": choices, "noun": noun})
 
 
 _TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number"}
 
 
+class _Field(NamedTuple):
+    """One spec field as the checker and the (de)serializer see it."""
+
+    name: str
+    path: str
+    hint: Any
+    """The resolved annotation, which :func:`_coerce` follows."""
+    scalar: type | None
+    """``bool``/``int``/``float`` of a scalar field, or of every element
+    of a tuple field (``many``); ``None`` for any other field."""
+    many: bool
+    optional: bool
+    required: bool
+    default: Any
+    bound: str | None
+    choices: tuple[str, ...] | None
+    noun: str
+
+
 @cache
-def _scalar_fields(cls: type) -> dict[str, tuple[type, bool]]:
-    """``field -> (type, optional)`` for every bool/int/float field of a
-    spec dataclass, read from its annotations (``int | None`` is an
-    optional int)."""
+def _schema(cls: type) -> dict[str, _Field]:
+    """``name -> _Field`` for every field of a spec class, read from its
+    annotations and metadata on first use (``int | None`` is an
+    optional int, ``tuple[float, ...]`` a tuple of floats)."""
     hints = get_type_hints(cls)
-    scalars = {}
-    for field in fields(cls):
-        options = set(get_args(hints[field.name])) or {hints[field.name]}
-        optional = type(None) in options
-        options.discard(type(None))
-        if len(options) == 1 and (kind := options.pop()) in _TYPE_NAMES:
-            scalars[field.name] = (kind, optional)
-    return scalars
+    schema = {}
+    for spec_field in fields(cls):
+        hint = hints[spec_field.name]
+        options = (set(get_args(hint)) if get_origin(hint) is UnionType
+                   else {hint})
+        (base,) = options - {NoneType}
+        args = get_args(base) if get_origin(base) is tuple else ()
+        many = args[1:] == (Ellipsis,) and args[0] in _TYPE_NAMES
+        metadata = spec_field.metadata
+        schema[spec_field.name] = _Field(
+            name=spec_field.name,
+            path=".".join(filter(None, (cls._path, spec_field.name))),
+            hint=hint,
+            scalar=args[0] if many else base if base in _TYPE_NAMES else None,
+            many=many,
+            optional=NoneType in options,
+            required=spec_field.default is MISSING
+            and spec_field.default_factory is MISSING,
+            default=spec_field.default,
+            bound=metadata.get("bound"),
+            choices=metadata.get("choices"),
+            noun=metadata.get("noun", spec_field.name),
+        )
+    return schema
 
 
-def _check_types(cls: type, values: Mapping[str, Any]) -> None:
-    """Reject a scalar of the wrong JSON type for its annotated field.
-
-    An int field rejects booleans and floats, a float field takes
-    integers but not booleans, a bool field takes only booleans, and an
-    optional field also takes ``None``.  String fields are not checked:
-    names resolve against the registries at compile time, which raise
-    :class:`~repro.errors.UnknownNameError` for any bad one.  Both JSON
-    loading (:func:`_build`) and sweep values
-    (:meth:`StudySpec.with_override`) pass through here.
-    """
-    scalars = _scalar_fields(cls)
-    for name, value in values.items():
-        if name not in scalars:
-            continue
-        kind, optional = scalars[name]
-        if value is None and optional:
-            continue
+def _check_value(spec_field: _Field, value: Any) -> None:
+    """One field's type (scalars only: names resolve at compile time),
+    finiteness, range and choice."""
+    if value is None and spec_field.optional:
+        return
+    if spec_field.choices is not None and value not in spec_field.choices:
+        raise SpecError(
+            f"{spec_field.noun} must be one of "
+            f"{', '.join(spec_field.choices)}, got {value!r} "
+            f"({spec_field.path})"
+        )
+    kind = spec_field.scalar
+    if kind is None:
+        return
+    for item in value if spec_field.many else (value,):
+        # An int field rejects floats, a float field takes integers, and
+        # neither takes a boolean.
         if kind is bool:
-            valid = isinstance(value, bool)
+            valid = isinstance(item, bool)
         else:
             number = (int, float) if kind is float else int
-            valid = (isinstance(value, number)
-                     and not isinstance(value, bool))
+            valid = isinstance(item, number) and not isinstance(item, bool)
         if not valid:
-            path = f"{cls._path}.{name}" if cls._path else name
             raise SpecError(
-                f"{path} must be {_TYPE_NAMES[kind]}"
-                f"{' or null' if optional else ''}, got {value!r}"
+                f"{spec_field.path}{'[]' if spec_field.many else ''} "
+                f"must be {_TYPE_NAMES[kind]}"
+                f"{' or null' if spec_field.optional else ''}, got {item!r}"
             )
+        if isinstance(item, float) and not math.isfinite(item):
+            expected = "finite"
+        elif spec_field.bound and not BOUNDS[spec_field.bound][1](item):
+            expected = BOUNDS[spec_field.bound][0]
+        else:
+            continue
+        raise SpecError(
+            f"{spec_field.noun} must be {expected}, got {item!r} "
+            f"({spec_field.path})"
+        )
 
 
-def _build(cls: type, kwargs: dict[str, Any], where: str):
-    """Construct a spec dataclass, translating failures to SpecError."""
-    _check_types(cls, kwargs)
-    try:
-        return cls(**kwargs)
-    except TypeError as error:  # missing required fields
-        raise SpecError(f"invalid {where}: {error}") from None
+def _coerce(hint: Any, value: Any, path: str) -> Any:
+    """A JSON (or sweep) value as its annotated type: sections through
+    their ``from_dict``, lists as tuples, element by element.  Scalars
+    pass unchanged, for the checker to judge."""
+    if isinstance(hint, type) and issubclass(hint, _Spec):
+        return value if isinstance(value, hint) else hint.from_dict(value)
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:
+        (inner,) = set(args) - {NoneType}
+        return None if value is None else _coerce(inner, value, path)
+    if origin is not tuple:
+        return value
+    if not isinstance(value, (list, tuple)):
+        raise SpecError(f"{path} must be a list, got {value!r}")
+    if args[1:] != (Ellipsis,):
+        return tuple(value)
+    return tuple(_coerce(args[0], item, f"{path}[]") for item in value)
 
 
 def _jsonify(value: Any) -> Any:
     """Spec values to JSON-native types (tuples become lists)."""
     if isinstance(value, (list, tuple)):
         return [_jsonify(item) for item in value]
-    if hasattr(value, "to_dict"):
+    if isinstance(value, _Spec):
         return value.to_dict()
     return value
 
 
-def _scalars_to_dict(spec: Any) -> dict[str, Any]:
-    """Field-by-field dict of a spec dataclass (recursing via to_dict)."""
-    return {
-        field.name: _jsonify(getattr(spec, field.name))
-        for field in fields(spec)
-    }
+def _changed(spec: Any, *names: str) -> bool:
+    """Whether any named field (every field when none is named) of a
+    spec departs from its declared default."""
+    schema = _schema(type(spec))
+    return any(
+        getattr(spec, name) != schema[name].default
+        for name in names or schema
+    )
+
+
+def _label(cls: type) -> str:
+    """A spec class as errors name it: ``ResilienceSpec`` ->
+    ``resilience spec``."""
+    return re.sub(r"(?<=[a-z])(?=[A-Z])", " ", cls.__name__).lower()
+
+
+def _reject_constant(literal: str) -> None:
+    """``json.loads`` hook for the non-standard ``NaN``/``Infinity``
+    literals, so the error names the literal."""
+    raise SpecError(
+        f"spec JSON contains {literal}; every number must be finite"
+    )
+
+
+class _Spec:
+    """What every spec class shares: one checker on construction, one
+    ``from_dict`` and one ``to_dict``, all driven by the annotations.
+
+    ``_path`` is the dotted path of the class's fields in a study
+    (``"workload.models[]"``; ``""`` for the study itself), which every
+    error names.
+    """
+
+    _path: ClassVar[str] = ""
+
+    def __post_init__(self) -> None:
+        for spec_field in _schema(type(self)).values():
+            _check_value(spec_field, getattr(self, spec_field.name))
+        self._check()
+        for rule in _rules(type(self)):
+            if rule.violated(self):
+                raise SpecError(
+                    f"{rule.message.format(s=self)} "
+                    f"({', '.join(rule.paths)})"
+                )
+
+    def _check(self) -> None:
+        """Structural checks no field metadata states (duplicates,
+        ordering, counts); run after the field checks, before the
+        class's :data:`RULES`."""
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            name: _jsonify(getattr(self, name)) for name in _schema(type(self))
+        }
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]):
+        """Build the class from a JSON object, rejecting unknown fields
+        (typos never silently no-op)."""
+        if not isinstance(data, Mapping):
+            raise SpecError(
+                f"{_label(cls)} must be a JSON object, got "
+                f"{type(data).__name__}"
+            )
+        schema = _schema(cls)
+        unknown = sorted(set(data) - set(schema))
+        if unknown:
+            raise SpecError(
+                f"unknown field(s) {', '.join(map(repr, unknown))} in "
+                f"{_label(cls)}; known fields: {', '.join(sorted(schema))}"
+            )
+        missing = [
+            spec_field.path for name, spec_field in schema.items()
+            if spec_field.required and name not in data
+        ]
+        if missing:
+            raise SpecError(
+                f"{_label(cls)} needs field(s) {', '.join(missing)}"
+            )
+        return cls(**{
+            name: _coerce(schema[name].hint, value, schema[name].path)
+            for name, value in data.items()
+        })
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +350,7 @@ def _scalars_to_dict(spec: Any) -> dict[str, Any]:
 
 
 @dataclass(frozen=True)
-class ModelTraffic:
+class ModelTraffic(_Spec):
     """One tenant of the traffic mix.
 
     ``fraction`` is this model's share of arrivals, ``slo_s`` its
@@ -203,50 +367,23 @@ class ModelTraffic:
     """
 
     model: str
-    fraction: float = 1.0
-    slo_s: float | None = None
+    fraction: float = _bounded(1.0, "(0, 1]", "traffic fraction")
+    slo_s: float | None = _bounded(None, "> 0", "SLO")
     priority: int = 0
-    prompt_tokens: int | None = None
-    output_tokens: int | None = None
-    quota: int | None = None
+    prompt_tokens: int | None = _bounded(None, ">= 0", "sequence length")
+    output_tokens: int | None = _bounded(None, ">= 0", "sequence length")
+    quota: int | None = _bounded(None, ">= 1", "admission quota")
 
     _path: ClassVar[str] = "workload.models[]"
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.model:
-            raise SpecError("model name must be non-empty")
-        if not 0.0 < self.fraction <= 1.0:
-            raise SpecError(
-                f"traffic fraction must be in (0, 1], got {self.fraction} "
-                f"for {self.model!r}"
-            )
-        if self.slo_s is not None and self.slo_s <= 0:
-            raise SpecError(
-                f"SLO must be positive, got {self.slo_s} for {self.model!r}"
-            )
-        for name in ("prompt_tokens", "output_tokens"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise SpecError(
-                    f"{name} must be >= 0, got {value} for {self.model!r}"
-                )
-        if self.quota is not None and self.quota < 1:
-            raise SpecError(
-                f"admission quota must be >= 1, got {self.quota} for "
-                f"{self.model!r}"
-            )
-
-    def to_dict(self) -> dict[str, Any]:
-        return _scalars_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ModelTraffic":
-        _check_fields(cls, data, "workload model entry")
-        return _build(cls, dict(data), "workload model entry")
+            raise SpecError("model name must be non-empty "
+                            "(workload.models[].model)")
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(_Spec):
     """What traffic the study offers: mix, rate, arrivals, window.
 
     ``burstiness``/``dwell_s`` parameterise the ``mmpp`` arrival
@@ -263,78 +400,35 @@ class WorkloadSpec:
 
     models: tuple[ModelTraffic, ...]
     arrival: str = "poisson"
-    rate_rps: float = 100e3
-    duration_s: float = 2e-3
+    rate_rps: float = _bounded(100e3, "> 0", "arrival rate")
+    duration_s: float = _bounded(2e-3, "> 0", "duration")
     seed: int = 7
-    burstiness: float = 4.0
-    dwell_s: float = 20e-6
-    think_time_s: float = 10e-6
-    batch_size: int = 1
-    prompt_tokens: int = 0
-    output_tokens: int = 0
-    length_distribution: str = "fixed"
+    burstiness: float = _bounded(4.0, ">= 1", "burstiness")
+    dwell_s: float = _bounded(20e-6, "> 0", "dwell time")
+    think_time_s: float = _bounded(10e-6, ">= 0", "think time")
+    batch_size: int = _bounded(1, ">= 1", "batch size")
+    prompt_tokens: int = _bounded(0, ">= 0", "sequence length")
+    output_tokens: int = _bounded(0, ">= 0", "sequence length")
+    length_distribution: str = _choice("fixed", LENGTH_DISTRIBUTIONS,
+                                       "length distribution")
 
     _path: ClassVar[str] = "workload"
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.models:
-            raise SpecError("workload needs at least one model")
+            raise SpecError("workload needs at least one model "
+                            "(workload.models)")
         names = [entry.model for entry in self.models]
         if len(set(names)) != len(names):
             raise SpecError(f"duplicate models in workload: {names}")
-        if self.rate_rps <= 0:
-            raise SpecError(
-                f"arrival rate must be positive, got {self.rate_rps}"
-            )
-        if self.duration_s <= 0:
-            raise SpecError(
-                f"duration must be positive, got {self.duration_s}"
-            )
-        if self.burstiness < 1.0:
-            raise SpecError(
-                f"burstiness must be >= 1, got {self.burstiness}"
-            )
-        if self.dwell_s <= 0:
-            raise SpecError(f"dwell time must be positive, got {self.dwell_s}")
-        if self.think_time_s < 0:
-            raise SpecError(
-                f"think time must be non-negative, got {self.think_time_s}"
-            )
-        if self.batch_size < 1:
-            raise SpecError(
-                f"batch size must be >= 1, got {self.batch_size}"
-            )
-        if self.prompt_tokens < 0 or self.output_tokens < 0:
-            raise SpecError(
-                f"sequence lengths must be >= 0, got prompt_tokens="
-                f"{self.prompt_tokens}, output_tokens={self.output_tokens}"
-            )
-        if self.length_distribution not in LENGTH_DISTRIBUTIONS:
-            raise SpecError(
-                f"unknown length distribution "
-                f"{self.length_distribution!r}; choose from "
-                f"{', '.join(LENGTH_DISTRIBUTIONS)}"
-            )
         for entry in self.models:
             prompt, output = self.resolved_lengths(entry)
-            if (prompt > 0) != (output > 0):
+            if bool(prompt) != bool(output):
                 raise SpecError(
                     f"{entry.model!r} resolves to prompt_tokens={prompt}, "
                     f"output_tokens={output}; a sequence tenant needs "
                     "both positive (a single-step tenant, both zero)"
                 )
-        # Inert-knob rejection: a sampler with no sequence tenant would
-        # sit in the digest without acting.
-        if (
-            self.length_distribution
-            != type(self).__dataclass_fields__["length_distribution"].default
-            and not self.has_sequences
-        ):
-            raise SpecError(
-                "length_distribution applies only to sequence "
-                "(autoregressive) workloads; set prompt_tokens/"
-                "output_tokens or drop it"
-            )
 
     def resolved_lengths(self, entry: ModelTraffic) -> tuple[int, int]:
         """One tenant's effective (prompt, output) token counts."""
@@ -364,21 +458,6 @@ class WorkloadSpec:
     def fraction_total(self) -> float:
         return sum(entry.fraction for entry in self.models)
 
-    def to_dict(self) -> dict[str, Any]:
-        return _scalars_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "WorkloadSpec":
-        _check_fields(cls, data, "workload spec")
-        kwargs = dict(data)
-        models = kwargs.pop("models", None)
-        if not isinstance(models, (list, tuple)) or not models:
-            raise SpecError("workload spec needs a non-empty 'models' list")
-        kwargs["models"] = tuple(
-            ModelTraffic.from_dict(entry) for entry in models
-        )
-        return _build(cls, kwargs, "workload spec")
-
 
 # ---------------------------------------------------------------------------
 # Faults: the hazard timeline a platform runs under.
@@ -386,7 +465,7 @@ class WorkloadSpec:
 
 
 @dataclass(frozen=True)
-class FaultEventSpec:
+class FaultEventSpec(_Spec):
     """One hazard event of the platform's fault timeline.
 
     ``kind`` resolves against the ``HAZARDS`` registry at compile time
@@ -404,58 +483,28 @@ class FaultEventSpec:
     """
 
     kind: str
-    at_s: float
-    duration_s: float | None = None
-    memory_gateways: int = 0
+    at_s: float = _bounded(MISSING, ">= 0", "fault event time")
+    duration_s: float | None = _bounded(None, "> 0",
+                                        "fault event duration")
+    memory_gateways: int = _bounded(0, ">= 0", "memory gateway count")
     chiplet_gateways: tuple[tuple[str, int, int], ...] = ()
-    temperature_rise_k: float = 0.0
-    power_fraction: float = 1.0
+    temperature_rise_k: float = _bounded(0.0, ">= 0", "temperature rise")
+    power_fraction: float = _bounded(1.0, "(0, 1]", "power fraction")
     seed: int = 0
-    node: int | None = None
-    nodes: tuple[int, ...] = ()
-    mac_fraction: float = 1.0
+    node: int | None = _bounded(None, ">= 0", "fault event node index")
+    nodes: tuple[int, ...] = _bounded((), ">= 0", "fault event node index")
+    mac_fraction: float = _bounded(1.0, "(0, 1]", "MAC fraction")
 
     _path: ClassVar[str] = "faults.events[]"
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.kind:
-            raise SpecError("fault event needs a kind")
-        if self.at_s < 0:
-            raise SpecError(
-                f"fault event time must be >= 0, got {self.at_s}"
-            )
-        if self.node is not None and self.node < 0:
-            raise SpecError(
-                f"fault event node index must be >= 0, got {self.node}"
-            )
-        if any(index < 0 for index in self.nodes):
-            raise SpecError(
-                f"fault event node indices must be >= 0, got "
-                f"{list(self.nodes)}"
-            )
+            raise SpecError("fault event needs a kind "
+                            "(faults.events[].kind)")
         if len(set(self.nodes)) != len(self.nodes):
             raise SpecError(
                 f"duplicate indices in fault event 'nodes': "
                 f"{list(self.nodes)}"
-            )
-        if self.node is not None and self.nodes:
-            raise SpecError(
-                "a fault event takes either 'node' (single-node kinds) "
-                "or 'nodes' (correlated rack kinds), not both"
-            )
-        if not 0.0 < self.mac_fraction <= 1.0:
-            raise SpecError(
-                f"MAC fraction must be in (0, 1], got {self.mac_fraction}"
-            )
-        if self.duration_s is not None and self.duration_s <= 0:
-            raise SpecError(
-                f"fault event duration must be positive, got "
-                f"{self.duration_s}"
-            )
-        if self.memory_gateways < 0:
-            raise SpecError(
-                f"memory gateway count must be >= 0, got "
-                f"{self.memory_gateways}"
             )
         for entry in self.chiplet_gateways:
             if len(entry) != 3:
@@ -464,40 +513,10 @@ class FaultEventSpec:
                     "[chiplet_id, write, read] triples, got "
                     f"{list(entry)!r}"
                 )
-        if not 0.0 < self.power_fraction <= 1.0:
-            raise SpecError(
-                f"power fraction must be in (0, 1], got "
-                f"{self.power_fraction}"
-            )
-        if self.temperature_rise_k < 0:
-            raise SpecError(
-                f"temperature rise must be >= 0, got "
-                f"{self.temperature_rise_k}"
-            )
-
-    def to_dict(self) -> dict[str, Any]:
-        return _scalars_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultEventSpec":
-        _check_fields(cls, data, "fault event")
-        kwargs = dict(data)
-        entries = kwargs.get("chiplet_gateways", ())
-        if not isinstance(entries, (list, tuple)):
-            raise SpecError("fault event 'chiplet_gateways' must be a list")
-        kwargs["chiplet_gateways"] = tuple(
-            tuple(entry) if isinstance(entry, (list, tuple)) else (entry,)
-            for entry in entries
-        )
-        nodes = kwargs.get("nodes", ())
-        if not isinstance(nodes, (list, tuple)):
-            raise SpecError("fault event 'nodes' must be a list")
-        kwargs["nodes"] = tuple(nodes)
-        return _build(cls, kwargs, "fault event")
 
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(_Spec):
     """The platform's hazard timeline: zero or more chronological events.
 
     The empty timeline (the default) is the fault-free platform; a
@@ -507,32 +526,19 @@ class FaultSpec:
 
     events: tuple[FaultEventSpec, ...] = ()
 
-    def __post_init__(self) -> None:
-        previous = 0.0
-        for event in self.events:
-            if event.at_s < previous:
+    _path: ClassVar[str] = "faults"
+
+    def _check(self) -> None:
+        for earlier, event in zip(self.events, self.events[1:]):
+            if event.at_s < earlier.at_s:
                 raise SpecError(
                     "fault events must be listed chronologically: "
                     f"{event.kind!r} at t={event.at_s}s follows "
-                    f"t={previous}s"
+                    f"t={earlier.at_s}s"
                 )
-            previous = event.at_s
 
     def __bool__(self) -> bool:
         return bool(self.events)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"events": [event.to_dict() for event in self.events]}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultSpec":
-        _check_fields(cls, data, "fault spec")
-        events = data.get("events", [])
-        if not isinstance(events, (list, tuple)):
-            raise SpecError("fault spec 'events' must be a list")
-        return cls(events=tuple(
-            FaultEventSpec.from_dict(event) for event in events
-        ))
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +547,7 @@ class FaultSpec:
 
 
 @dataclass(frozen=True)
-class PlatformSpec:
+class PlatformSpec(_Spec):
     """Which platform serves the workload, and its config knobs.
 
     ``name``/``controller`` resolve against the platform and controller
@@ -557,46 +563,18 @@ class PlatformSpec:
 
     name: str = "2.5D-CrossLight-SiPh"
     controller: str = "resipi"
-    n_wavelengths: int | None = None
-    gateways_per_chiplet: int | None = None
-    controller_epoch_s: float | None = None
-    faults: FaultSpec = FaultSpec()
+    n_wavelengths: int | None = _bounded(None, ">= 1", "wavelength count")
+    gateways_per_chiplet: int | None = _bounded(None, ">= 1",
+                                                "gateway count")
+    controller_epoch_s: float | None = _bounded(None, "> 0",
+                                                "controller epoch")
+    faults: FaultSpec = field(default_factory=FaultSpec)
 
     _path: ClassVar[str] = "platform"
 
-    def __post_init__(self) -> None:
-        if self.n_wavelengths is not None and self.n_wavelengths < 1:
-            raise SpecError(
-                f"wavelength count must be >= 1, got {self.n_wavelengths}"
-            )
-        if self.controller_epoch_s is not None and self.controller_epoch_s <= 0:
-            raise SpecError(
-                f"controller epoch must be positive, got "
-                f"{self.controller_epoch_s}"
-            )
-        if (
-            self.gateways_per_chiplet is not None
-            and self.gateways_per_chiplet < 1
-        ):
-            raise SpecError(
-                f"gateway count must be >= 1, got "
-                f"{self.gateways_per_chiplet}"
-            )
-
-    def to_dict(self) -> dict[str, Any]:
-        return _scalars_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PlatformSpec":
-        _check_fields(cls, data, "platform spec")
-        kwargs = dict(data)
-        if "faults" in kwargs:
-            kwargs["faults"] = FaultSpec.from_dict(kwargs["faults"])
-        return _build(cls, kwargs, "platform spec")
-
 
 @dataclass(frozen=True)
-class SchedulerSpec:
+class SchedulerSpec(_Spec):
     """How requests dispatch: policy, batching, admission, shedding.
 
     Mirrors :class:`~repro.serving.scheduler.BatchPolicy`
@@ -610,65 +588,13 @@ class SchedulerSpec:
     """
 
     policy: str = "fifo"
-    max_batch: int = 1
-    batch_timeout_s: float = 20e-6
-    max_inflight: int = 4
+    max_batch: int = _bounded(1, ">= 1", "max batch")
+    batch_timeout_s: float = _bounded(20e-6, ">= 0", "batch timeout")
+    max_inflight: int = _bounded(4, ">= 1", "max inflight")
     shed_expired: bool = False
-    starvation_age_s: float | None = None
+    starvation_age_s: float | None = _bounded(None, "> 0", "starvation age")
 
     _path: ClassVar[str] = "scheduler"
-
-    def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise SpecError(f"max batch must be >= 1, got {self.max_batch}")
-        if self.batch_timeout_s < 0:
-            raise SpecError(
-                f"batch timeout must be non-negative, got "
-                f"{self.batch_timeout_s}"
-            )
-        if self.max_inflight < 1:
-            raise SpecError(
-                f"max inflight must be >= 1, got {self.max_inflight}"
-            )
-        # Batching knobs on a single-dispatch policy would be inert at
-        # runtime but present in cache keys: reject instead of no-oping.
-        if self.policy not in ("max-batch", "continuous"):
-            if self.max_batch != 1:
-                raise SpecError(
-                    f"max_batch applies only to the max-batch and "
-                    f"continuous policies (got {self.max_batch} with "
-                    f"{self.policy!r})"
-                )
-        if self.policy != "max-batch":
-            default_timeout = type(self).__dataclass_fields__[
-                "batch_timeout_s"
-            ].default
-            if self.batch_timeout_s != default_timeout:
-                raise SpecError(
-                    f"batch_timeout_s applies only to the max-batch "
-                    f"policy (got {self.batch_timeout_s} with "
-                    f"{self.policy!r}; the continuous policy joins at "
-                    "decode-step boundaries, not timers)"
-                )
-        if self.starvation_age_s is not None:
-            if self.policy != "priority":
-                raise SpecError(
-                    f"starvation_age_s applies only to the priority "
-                    f"policy (got it with {self.policy!r})"
-                )
-            if self.starvation_age_s <= 0:
-                raise SpecError(
-                    f"starvation age must be positive, got "
-                    f"{self.starvation_age_s}"
-                )
-
-    def to_dict(self) -> dict[str, Any]:
-        return _scalars_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SchedulerSpec":
-        _check_fields(cls, data, "scheduler spec")
-        return _build(cls, dict(data), "scheduler spec")
 
 
 # ---------------------------------------------------------------------------
@@ -677,49 +603,24 @@ class SchedulerSpec:
 
 
 @dataclass(frozen=True)
-class NodeOverrideSpec:
+class NodeOverrideSpec(_Spec):
     """Heterogeneous fleet: config overrides for one node.
 
     ``node`` is the replica index; the remaining fields override the
     study-level platform knobs for that node only (``None`` = inherit).
     """
 
-    node: int
+    node: int = _bounded(MISSING, ">= 0", "node override index")
     controller: str | None = None
-    n_wavelengths: int | None = None
-    gateways_per_chiplet: int | None = None
+    n_wavelengths: int | None = _bounded(None, ">= 1", "wavelength count")
+    gateways_per_chiplet: int | None = _bounded(None, ">= 1",
+                                                "gateway count")
 
     _path: ClassVar[str] = "cluster.nodes[]"
 
-    def __post_init__(self) -> None:
-        if self.node < 0:
-            raise SpecError(
-                f"node override index must be >= 0, got {self.node}"
-            )
-        if self.n_wavelengths is not None and self.n_wavelengths < 1:
-            raise SpecError(
-                f"wavelength count must be >= 1, got {self.n_wavelengths}"
-            )
-        if (
-            self.gateways_per_chiplet is not None
-            and self.gateways_per_chiplet < 1
-        ):
-            raise SpecError(
-                f"gateway count must be >= 1, got "
-                f"{self.gateways_per_chiplet}"
-            )
-
-    def to_dict(self) -> dict[str, Any]:
-        return _scalars_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "NodeOverrideSpec":
-        _check_fields(cls, data, "node override")
-        return _build(cls, dict(data), "node override")
-
 
 @dataclass(frozen=True)
-class ClusterSpec:
+class ClusterSpec(_Spec):
     """How many platform replicas serve the workload, and behind what.
 
     ``router`` resolves against the ``ROUTERS`` registry at compile
@@ -732,31 +633,23 @@ class ClusterSpec:
     drain in place.
     """
 
-    replicas: int = 1
+    replicas: int = _bounded(1, ">= 1", "replica count")
     router: str = "round-robin"
-    weights: tuple[float, ...] = ()
+    weights: tuple[float, ...] = _bounded((), "> 0", "node weight")
     reroute_on_fail: bool = True
     nodes: tuple[NodeOverrideSpec, ...] = ()
-    faults: FaultSpec = FaultSpec()
+    faults: FaultSpec = field(default_factory=FaultSpec)
 
     _path: ClassVar[str] = "cluster"
 
-    def __post_init__(self) -> None:
-        if self.replicas < 1:
-            raise SpecError(
-                f"replica count must be >= 1, got {self.replicas}"
-            )
+    def _check(self) -> None:
         if not self.router:
-            raise SpecError("cluster needs a router name")
+            raise SpecError("cluster needs a router name (cluster.router)")
         if self.weights and len(self.weights) != self.replicas:
             raise SpecError(
                 f"cluster.weights needs one weight per replica: got "
                 f"{len(self.weights)} weight(s) for {self.replicas} "
                 f"replica(s)"
-            )
-        if any(weight <= 0 for weight in self.weights):
-            raise SpecError(
-                f"node weights must be positive, got {list(self.weights)}"
             )
         indices = [override.node for override in self.nodes]
         if len(set(indices)) != len(indices):
@@ -783,27 +676,6 @@ class ClusterSpec:
                         f"replica(s)"
                     )
 
-    def to_dict(self) -> dict[str, Any]:
-        return _scalars_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ClusterSpec":
-        _check_fields(cls, data, "cluster spec")
-        kwargs = dict(data)
-        weights = kwargs.get("weights", ())
-        if not isinstance(weights, (list, tuple)):
-            raise SpecError("cluster 'weights' must be a list")
-        kwargs["weights"] = tuple(weights)
-        nodes = kwargs.get("nodes", ())
-        if not isinstance(nodes, (list, tuple)):
-            raise SpecError("cluster 'nodes' must be a list")
-        kwargs["nodes"] = tuple(
-            NodeOverrideSpec.from_dict(entry) for entry in nodes
-        )
-        if "faults" in kwargs:
-            kwargs["faults"] = FaultSpec.from_dict(kwargs["faults"])
-        return _build(cls, kwargs, "cluster spec")
-
 
 # ---------------------------------------------------------------------------
 # Resilience: the request lifecycle and the router's signal path.
@@ -811,7 +683,7 @@ class ClusterSpec:
 
 
 @dataclass(frozen=True)
-class ResilienceSpec:
+class ResilienceSpec(_Spec):
     """How requests survive faults, and what the router actually sees.
 
     The default instance is the **degenerate** resilience spec: no
@@ -826,10 +698,11 @@ class ResilienceSpec:
     deterministic seeded jitter of up to ``retry_jitter`` of the
     backoff.  ``retry_budget`` caps total retries fleet-wide as a
     fraction of logical requests started (a classic retry budget, so
-    retry storms cannot amplify an outage).  ``hedge_delay_s`` arms a
-    hedge timer per request: when the primary attempt is still pending
-    after the delay, a duplicate is sent to a *different* node and the
-    first completion wins (the loser is cancelled).
+    retry storms cannot amplify an outage; omit it for unlimited
+    retries).  ``hedge_delay_s`` arms a hedge timer per request: when
+    the primary attempt is still pending after the delay, a duplicate
+    is sent to a *different* node and the first completion wins (the
+    loser is cancelled).
 
     ``signal_staleness_s`` makes the router's queue-depth signals
     sampled instead of instantaneous, and ``probe_interval_s`` /
@@ -839,102 +712,26 @@ class ResilienceSpec:
     repair reinstates it.
     """
 
-    timeout_s: float | None = None
-    max_retries: int = 0
-    retry_backoff_s: float = 50e-6
-    retry_jitter: float = 0.0
-    retry_budget: float | None = None
-    hedge_delay_s: float | None = None
-    signal_staleness_s: float = 0.0
-    probe_interval_s: float | None = None
-    probe_misses: int = 3
+    timeout_s: float | None = _bounded(None, "> 0", "request timeout")
+    max_retries: int = _bounded(0, ">= 0", "max retries")
+    retry_backoff_s: float = _bounded(50e-6, ">= 0", "retry backoff")
+    retry_jitter: float = _bounded(0.0, "[0, 1]", "retry jitter")
+    retry_budget: float | None = _bounded(None, "> 0", "retry budget")
+    hedge_delay_s: float | None = _bounded(None, "> 0", "hedge delay")
+    signal_staleness_s: float = _bounded(0.0, ">= 0", "signal staleness")
+    probe_interval_s: float | None = _bounded(None, "> 0", "probe interval")
+    probe_misses: int = _bounded(3, ">= 1", "probe miss threshold")
 
     _path: ClassVar[str] = "resilience"
 
-    def __post_init__(self) -> None:
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise SpecError(
-                f"request timeout must be positive, got {self.timeout_s}"
-            )
-        if self.max_retries < 0:
-            raise SpecError(
-                f"max retries must be >= 0, got {self.max_retries}"
-            )
-        if self.retry_backoff_s < 0:
-            raise SpecError(
-                f"retry backoff must be non-negative, got "
-                f"{self.retry_backoff_s}"
-            )
-        if not 0.0 <= self.retry_jitter <= 1.0:
-            raise SpecError(
-                f"retry jitter must be in [0, 1] (a fraction of the "
-                f"backoff), got {self.retry_jitter}"
-            )
-        if self.retry_budget is not None and self.retry_budget <= 0:
-            raise SpecError(
-                f"retry budget must be positive (a fraction of logical "
-                f"requests), got {self.retry_budget}; omit it for "
-                f"unlimited retries"
-            )
-        if self.hedge_delay_s is not None and self.hedge_delay_s <= 0:
-            raise SpecError(
-                f"hedge delay must be positive, got {self.hedge_delay_s}"
-            )
-        if self.signal_staleness_s < 0:
-            raise SpecError(
-                f"signal staleness must be non-negative, got "
-                f"{self.signal_staleness_s}"
-            )
-        if self.probe_interval_s is not None and self.probe_interval_s <= 0:
-            raise SpecError(
-                f"probe interval must be positive, got "
-                f"{self.probe_interval_s}"
-            )
-        if self.probe_misses < 1:
-            raise SpecError(
-                f"probe miss threshold must be >= 1, got "
-                f"{self.probe_misses}"
-            )
-        # Inert-knob rejection: a knob that cannot act would still move
-        # the digest (and the cache key), so refuse it outright.
-        defaults = type(self).__dataclass_fields__
-        if self.max_retries == 0:
-            if self.retry_backoff_s != defaults["retry_backoff_s"].default:
-                raise SpecError(
-                    "retry_backoff_s applies only with max_retries >= 1"
-                )
-            if self.retry_jitter != 0.0:
-                raise SpecError(
-                    "retry_jitter applies only with max_retries >= 1"
-                )
-            if self.retry_budget is not None:
-                raise SpecError(
-                    "retry_budget applies only with max_retries >= 1"
-                )
-        if (
-            self.probe_interval_s is None
-            and self.probe_misses != defaults["probe_misses"].default
-        ):
-            raise SpecError(
-                "probe_misses applies only with probe_interval_s set"
-            )
-
     def __bool__(self) -> bool:
         """True when any knob departs from the degenerate default."""
-        return self != type(self)()
+        return _changed(self)
 
     @property
     def health_checked(self) -> bool:
         """Whether the router's view is modeled (stale and/or probed)."""
         return self.signal_staleness_s > 0 or self.probe_interval_s is not None
-
-    def to_dict(self) -> dict[str, Any]:
-        return _scalars_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ResilienceSpec":
-        _check_fields(cls, data, "resilience spec")
-        return _build(cls, dict(data), "resilience spec")
 
 
 # ---------------------------------------------------------------------------
@@ -948,7 +745,7 @@ automatic fallback to DES when the calibration error exceeds budget."""
 
 
 @dataclass(frozen=True)
-class FidelitySpec:
+class FidelitySpec(_Spec):
     """How faithfully each serving cell is simulated.
 
     The default instance is the **degenerate** fidelity spec: every
@@ -970,56 +767,15 @@ class FidelitySpec:
     from the warm state instead of replaying it per cell.
     """
 
-    mode: str = "des"
-    error_budget: float = 0.15
-    calibration_s: float | None = None
+    mode: str = _choice("des", FIDELITY_MODES, "fidelity mode")
+    error_budget: float = _bounded(0.15, "(0, 1]", "fidelity error budget")
+    calibration_s: float | None = _bounded(None, "> 0", "calibration window")
 
     _path: ClassVar[str] = "fidelity"
 
-    def __post_init__(self) -> None:
-        if self.mode not in FIDELITY_MODES:
-            raise SpecError(
-                f"unknown fidelity mode {self.mode!r}; "
-                f"choose from {', '.join(FIDELITY_MODES)}"
-            )
-        if not 0.0 < self.error_budget <= 1.0:
-            raise SpecError(
-                f"fidelity error budget must be in (0, 1], got "
-                f"{self.error_budget}"
-            )
-        if self.calibration_s is not None and self.calibration_s <= 0:
-            raise SpecError(
-                f"calibration window must be positive, got "
-                f"{self.calibration_s}"
-            )
-        # Inert-knob rejection: calibration knobs on the DES mode would
-        # sit in the digest without acting, so refuse them outright.
-        if self.mode == "des":
-            default_budget = type(self).__dataclass_fields__[
-                "error_budget"
-            ].default
-            if self.error_budget != default_budget:
-                raise SpecError(
-                    "fidelity.error_budget applies only to the fluid/"
-                    "auto modes"
-                )
-            if self.calibration_s is not None:
-                raise SpecError(
-                    "fidelity.calibration_s applies only to the fluid/"
-                    "auto modes"
-                )
-
     def __bool__(self) -> bool:
         """True when any knob departs from the degenerate default."""
-        return self != type(self)()
-
-    def to_dict(self) -> dict[str, Any]:
-        return _scalars_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FidelitySpec":
-        _check_fields(cls, data, "fidelity spec")
-        return _build(cls, dict(data), "fidelity spec")
+        return _changed(self)
 
 
 # ---------------------------------------------------------------------------
@@ -1028,7 +784,7 @@ class FidelitySpec:
 
 
 @dataclass(frozen=True)
-class TelemetrySpec:
+class TelemetrySpec(_Spec):
     """What the simulation observes about itself while it runs.
 
     The default instance is the **degenerate** telemetry spec: nothing
@@ -1053,44 +809,16 @@ class TelemetrySpec:
     """
 
     trace: bool = False
-    sample_rate: float = 1.0
-    metrics_interval_s: float | None = None
+    sample_rate: float = _bounded(1.0, "(0, 1]", "telemetry sample rate")
+    metrics_interval_s: float | None = _bounded(
+        None, "> 0", "telemetry metrics interval"
+    )
 
     _path: ClassVar[str] = "telemetry"
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.sample_rate <= 1.0:
-            raise SpecError(
-                f"telemetry sample rate must be in (0, 1], got "
-                f"{self.sample_rate}"
-            )
-        if (
-            self.metrics_interval_s is not None
-            and self.metrics_interval_s <= 0
-        ):
-            raise SpecError(
-                f"telemetry metrics interval must be positive, got "
-                f"{self.metrics_interval_s}"
-            )
-        # Inert-knob rejection: a sample rate without tracing would sit
-        # in the digest without acting.
-        if self.sample_rate != 1.0 and not self.trace:
-            raise SpecError(
-                "telemetry.sample_rate applies only when telemetry.trace "
-                "is on"
-            )
-
     def __bool__(self) -> bool:
         """True when any knob departs from the degenerate default."""
-        return self != type(self)()
-
-    def to_dict(self) -> dict[str, Any]:
-        return _scalars_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TelemetrySpec":
-        _check_fields(cls, data, "telemetry spec")
-        return _build(cls, dict(data), "telemetry spec")
+        return _changed(self)
 
 
 # ---------------------------------------------------------------------------
@@ -1099,10 +827,10 @@ class TelemetrySpec:
 
 
 @dataclass(frozen=True)
-class SweepAxis:
+class SweepAxis(_Spec):
     """One grid axis: a dotted spec field path and its values.
 
-    ``field`` addresses a scalar field of the spec tree —
+    ``field`` addresses a field of the spec tree —
     ``"workload.rate_rps"``, ``"platform.controller"``,
     ``"scheduler.policy"``, ``"platform.n_wavelengths"``, ... — and the
     cross-product of all axes (first axis outermost) defines the grid.
@@ -1113,35 +841,26 @@ class SweepAxis:
 
     _path: ClassVar[str] = "sweep.axes[]"
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.field:
-            raise SpecError("sweep axis needs a field path")
+            raise SpecError("sweep axis needs a field path "
+                            "(sweep.axes[].field)")
         if not self.values:
             raise SpecError(
-                f"sweep axis {self.field!r} needs at least one value"
+                f"sweep axis {self.field!r} needs at least one value "
+                "(sweep.axes[].values)"
             )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"field": self.field, "values": _jsonify(self.values)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SweepAxis":
-        _check_fields(cls, data, "sweep axis")
-        kwargs = dict(data)
-        values = kwargs.pop("values", ())
-        if not isinstance(values, (list, tuple)):
-            raise SpecError("sweep axis 'values' must be a list")
-        kwargs["values"] = tuple(values)
-        return _build(cls, kwargs, "sweep axis")
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Spec):
     """The study's grid: zero or more axes, crossed in order."""
 
     axes: tuple[SweepAxis, ...] = ()
 
-    def __post_init__(self) -> None:
+    _path: ClassVar[str] = "sweep"
+
+    def _check(self) -> None:
         paths = [axis.field for axis in self.axes]
         if len(set(paths)) != len(paths):
             raise SpecError(f"duplicate sweep axes: {paths}")
@@ -1153,17 +872,6 @@ class SweepSpec:
             total *= len(axis.values)
         return total
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"axes": [axis.to_dict() for axis in self.axes]}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SweepSpec":
-        _check_fields(cls, data, "sweep spec")
-        axes = data.get("axes", [])
-        if not isinstance(axes, (list, tuple)):
-            raise SpecError("sweep spec 'axes' must be a list")
-        return cls(axes=tuple(SweepAxis.from_dict(axis) for axis in axes))
-
 
 # ---------------------------------------------------------------------------
 # The top-level study.
@@ -1171,7 +879,7 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class StudySpec:
+class StudySpec(_Spec):
     """A complete declarative study: the unit `run_study` executes.
 
     ``kind`` selects the lowering: ``"serving"`` simulates a full
@@ -1193,204 +901,44 @@ class StudySpec:
 
     name: str
     workload: WorkloadSpec
-    kind: str = "serving"
-    platform: PlatformSpec = PlatformSpec()
-    scheduler: SchedulerSpec = SchedulerSpec()
-    sweep: SweepSpec = SweepSpec()
-    residency_capacity_bits: float | None = None
+    kind: str = _choice("serving", STUDY_KINDS, "study kind")
+    platform: PlatformSpec = field(default_factory=PlatformSpec)
+    scheduler: SchedulerSpec = field(default_factory=SchedulerSpec)
+    sweep: SweepSpec = field(default_factory=SweepSpec)
+    residency_capacity_bits: float | None = _bounded(None, "> 0",
+                                                     "residency capacity")
     cluster: ClusterSpec | None = None
-    resilience: ResilienceSpec = ResilienceSpec()
-    fidelity: FidelitySpec = FidelitySpec()
-    telemetry: TelemetrySpec = TelemetrySpec()
+    resilience: ResilienceSpec = field(default_factory=ResilienceSpec)
+    fidelity: FidelitySpec = field(default_factory=FidelitySpec)
+    telemetry: TelemetrySpec = field(default_factory=TelemetrySpec)
 
-    _path: ClassVar[str] = ""
-
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.name:
-            raise SpecError("study needs a name")
-        if self.kind not in STUDY_KINDS:
-            raise SpecError(
-                f"unknown study kind {self.kind!r}; "
-                f"choose from {', '.join(STUDY_KINDS)}"
-            )
+            raise SpecError("study needs a name (name)")
         if self.kind == "serving":
             total = self.workload.fraction_total
             if abs(total - 1.0) > 1e-9:
                 raise SpecError(
-                    f"serving traffic fractions must sum to 1, got {total}"
-                )
-            if self.workload.batch_size != 1:
-                raise SpecError(
-                    "workload.batch_size applies to inference studies; "
-                    "serving batches via scheduler.max_batch"
-                )
-        else:
-            self._reject_serving_only_fields()
-            if self.cluster is not None:
-                raise SpecError(
-                    "the cluster section applies only to serving studies"
-                )
-            if self.resilience:
-                raise SpecError(
-                    "the resilience section applies only to serving studies"
-                )
-        replicas = 0 if self.cluster is None else self.cluster.replicas
-        if self.resilience.hedge_delay_s is not None and replicas < 2:
-            raise SpecError(
-                "resilience.hedge_delay_s duplicates a request to a "
-                "second node; it needs a cluster section with "
-                "replicas >= 2"
-            )
-        if self.resilience.health_checked and replicas < 2:
-            raise SpecError(
-                "resilience signal staleness / probing models the "
-                "router's view of the fleet; it needs a cluster "
-                "section with replicas >= 2"
-            )
-        if self.fidelity:
-            if self.kind != "serving":
-                raise SpecError(
-                    "the fidelity section applies only to serving studies"
-                )
-            if self.workload.arrival == "closed":
-                raise SpecError(
-                    "the fluid fidelity path models open-loop arrivals; "
-                    "closed-loop workloads run full DES (fidelity: des)"
-                )
-            if self.resilience:
-                raise SpecError(
-                    "the fluid fidelity path does not model the "
-                    "resilience lifecycle; drop the resilience section "
-                    "or run full DES (fidelity: des)"
-                )
-            if self.scheduler.shed_expired:
-                raise SpecError(
-                    "the fluid fidelity path does not model load "
-                    "shedding; disable scheduler.shed_expired or run "
-                    "full DES (fidelity: des)"
-                )
-        if self.telemetry:
-            if self.kind != "serving":
-                raise SpecError(
-                    "the telemetry section applies only to serving studies"
-                )
-            if self.fidelity:
-                raise SpecError(
-                    "the fluid fidelity path does not simulate the "
-                    "per-request lifecycle telemetry observes; drop the "
-                    "telemetry section or run full DES (fidelity: des)"
-                )
-        if self.kind == "serving" and self.workload.has_sequences:
-            if self.resilience:
-                raise SpecError(
-                    "the resilience lifecycle does not retry or hedge "
-                    "autoregressive sequences; drop the resilience "
-                    "section or the sequence lengths"
-                )
-            if self.cluster is not None:
-                raise SpecError(
-                    "the cluster layer does not route autoregressive "
-                    "sequences (KV-cache state pins a sequence to one "
-                    "node); drop the cluster section or the sequence "
-                    "lengths"
-                )
-        if (
-            self.kind == "serving"
-            and self.scheduler.policy == "continuous"
-            and not self.workload.has_sequences
-        ):
-            raise SpecError(
-                "the continuous policy batches decode steps; it needs "
-                "an autoregressive workload (set prompt_tokens/"
-                "output_tokens)"
-            )
-        if (
-            self.residency_capacity_bits is not None
-            and self.residency_capacity_bits <= 0
-        ):
-            raise SpecError(
-                f"residency capacity must be positive, got "
-                f"{self.residency_capacity_bits}"
-            )
-
-    def _reject_serving_only_fields(self) -> None:
-        """Inference studies: serving-only fields must stay at their
-        defaults — accepting them would silently no-op."""
-        if self.scheduler != SchedulerSpec():
-            raise SpecError(
-                "the scheduler section applies only to serving studies"
-            )
-        if self.residency_capacity_bits is not None:
-            raise SpecError(
-                "residency_capacity_bits applies only to serving studies"
-            )
-        defaults = WorkloadSpec.__dataclass_fields__
-        for name in ("arrival", "rate_rps", "duration_s", "burstiness",
-                     "dwell_s", "think_time_s", "prompt_tokens",
-                     "output_tokens", "length_distribution"):
-            if getattr(self.workload, name) != defaults[name].default:
-                raise SpecError(
-                    f"workload.{name} applies only to serving studies"
-                )
-        for entry in self.workload.models:
-            if entry.slo_s is not None or entry.priority != 0:
-                raise SpecError(
-                    f"SLO/priority on {entry.model!r} apply only to "
-                    "serving studies"
-                )
-            if (
-                entry.prompt_tokens is not None
-                or entry.output_tokens is not None
-                or entry.quota is not None
-            ):
-                raise SpecError(
-                    f"sequence lengths / quota on {entry.model!r} apply "
-                    "only to serving studies"
+                    f"serving traffic fractions must sum to 1, got {total} "
+                    "(workload.models[].fraction)"
                 )
 
     # -- serialisation -------------------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        record = {"schema": SPEC_SCHEMA_VERSION}
-        record.update(_scalars_to_dict(self))
-        return record
+        return {"schema": SPEC_SCHEMA_VERSION, **super().to_dict()}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "StudySpec":
-        if not isinstance(data, Mapping):
-            raise SpecError(
-                f"study spec must be a JSON object, got {type(data).__name__}"
-            )
-        kwargs = dict(data)
-        schema = kwargs.pop("schema", SPEC_SCHEMA_VERSION)
-        if schema != SPEC_SCHEMA_VERSION:
-            raise SpecError(
-                f"spec schema {schema!r} is not supported "
-                f"(this build reads schema {SPEC_SCHEMA_VERSION})"
-            )
-        _check_fields(cls, kwargs, "study spec")
-        if "workload" not in kwargs:
-            raise SpecError("study spec needs a 'workload' section")
-        kwargs["workload"] = WorkloadSpec.from_dict(kwargs["workload"])
-        if "platform" in kwargs:
-            kwargs["platform"] = PlatformSpec.from_dict(kwargs["platform"])
-        if "scheduler" in kwargs:
-            kwargs["scheduler"] = SchedulerSpec.from_dict(kwargs["scheduler"])
-        if "sweep" in kwargs:
-            kwargs["sweep"] = SweepSpec.from_dict(kwargs["sweep"])
-        if kwargs.get("cluster") is not None:
-            kwargs["cluster"] = ClusterSpec.from_dict(kwargs["cluster"])
-        if "resilience" in kwargs:
-            kwargs["resilience"] = ResilienceSpec.from_dict(
-                kwargs["resilience"]
-            )
-        if "fidelity" in kwargs:
-            kwargs["fidelity"] = FidelitySpec.from_dict(kwargs["fidelity"])
-        if "telemetry" in kwargs:
-            kwargs["telemetry"] = TelemetrySpec.from_dict(
-                kwargs["telemetry"]
-            )
-        return _build(cls, kwargs, "study spec")
+        if isinstance(data, Mapping):
+            data = dict(data)
+            schema = data.pop("schema", SPEC_SCHEMA_VERSION)
+            if schema != SPEC_SCHEMA_VERSION:
+                raise SpecError(
+                    f"spec schema {schema!r} is not supported "
+                    f"(this build reads schema {SPEC_SCHEMA_VERSION})"
+                )
+        return super().from_dict(data)
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -1405,31 +953,29 @@ class StudySpec:
 
     # -- overrides and expansion ---------------------------------------------------
 
-    _SECTIONS = {"workload", "platform", "scheduler", "cluster",
-                 "resilience", "fidelity", "telemetry"}
-
     def with_override(self, path: str, value: Any) -> "StudySpec":
-        """A copy with one scalar field replaced (sweep-axis setter).
+        """A copy with one field replaced (sweep-axis setter).
 
         ``path`` is ``"section.field"`` for the workload / platform /
-        scheduler / cluster / resilience sections or a bare top-level
-        scalar such as ``"residency_capacity_bits"``.  Validation
-        re-runs on the copy.
+        scheduler / cluster / resilience / fidelity / telemetry
+        sections, or the bare top-level scalar
+        ``"residency_capacity_bits"``.  The value is coerced as JSON
+        loading coerces it (a fault section may be an ``{"events":
+        [...]}`` object, node overrides a list of objects), and
+        validation re-runs on the copy.
         """
         section_name, dot, field_name = path.partition(".")
         if not dot:
-            if section_name not in ("residency_capacity_bits",):
+            if path != "residency_capacity_bits":
                 raise SpecError(
                     f"cannot sweep top-level field {path!r}; sweepable "
-                    "sections: workload, platform, scheduler, cluster, "
-                    "resilience, fidelity, telemetry"
+                    f"sections: {', '.join(SWEEP_SECTIONS)}"
                 )
-            _check_types(type(self), {section_name: value})
-            return replace(self, **{section_name: value})
-        if section_name not in self._SECTIONS:
+            return replace(self, residency_capacity_bits=value)
+        if section_name not in SWEEP_SECTIONS:
             raise SpecError(
                 f"unknown spec section {section_name!r} in sweep path "
-                f"{path!r}; choose from {', '.join(sorted(self._SECTIONS))}"
+                f"{path!r}; choose from {', '.join(sorted(SWEEP_SECTIONS))}"
             )
         section = getattr(self, section_name)
         if section is None:
@@ -1437,25 +983,19 @@ class StudySpec:
                 f"cannot sweep {path!r}: the spec has no "
                 f"{section_name} section (add one with its defaults)"
             )
-        known = {field.name for field in fields(section)}
-        if field_name not in known:
+        schema = _schema(type(section))
+        if field_name not in schema:
             raise SpecError(
                 f"unknown field {field_name!r} in sweep path {path!r}; "
-                f"{section_name} fields: {', '.join(sorted(known))}"
+                f"{section_name} fields: {', '.join(sorted(schema))}"
             )
         if field_name == "models":
             raise SpecError(
                 "the traffic mix cannot be a sweep axis; "
                 "write one study per mix"
             )
-        if field_name == "faults" and isinstance(value, Mapping):
-            # Sweepable fault scenarios: axis values are whole fault
-            # sections ({"events": [...]}; {} sweeps in the fault-free
-            # baseline).
-            value = FaultSpec.from_dict(value)
-        if field_name == "weights" and isinstance(value, (list, tuple)):
-            value = tuple(value)
-        _check_types(type(section), {field_name: value})
+        spec_field = schema[field_name]
+        value = _coerce(spec_field.hint, value, spec_field.path)
         return replace(
             self, **{section_name: replace(section, **{field_name: value})}
         )
@@ -1490,3 +1030,206 @@ def spec_digest(spec: StudySpec) -> str:
     """
     payload = json.dumps(spec.to_dict(), sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# The rule table: settings that cannot act, and layers that do not compose.
+# ---------------------------------------------------------------------------
+
+
+MEANINGLESS = "meaningless"
+"""A rule's reason: the setting cannot act in that combination (a hedge
+needs a second node), so accepting it would move the digest and the
+cache key while simulating nothing new."""
+
+UNSUPPORTED = "unsupported"
+"""A rule's reason: the layers exist but do not compose yet (fluid ×
+closed-loop)."""
+
+
+class Rule(NamedTuple):
+    """One row of :data:`RULES`: a combination the spec layer rejects."""
+
+    name: str
+    section: str
+    """The ``_path`` of the class whose construction runs the rule
+    (``""``: the study, once every section is built)."""
+    paths: tuple[str, ...]
+    """The dotted field paths the rule concerns; its error names them."""
+    reason: str
+    """:data:`MEANINGLESS` or :data:`UNSUPPORTED`."""
+    violated: Callable[[Any], bool]
+    """True for a spec (of class ``section``) the rule rejects."""
+    message: str
+    """The error, formatted with ``s``, the spec being built."""
+
+
+@cache
+def _rules(cls: type) -> tuple[Rule, ...]:
+    """The rules a spec class runs on construction, in table order."""
+    return tuple(rule for rule in RULES if rule.section == cls._path)
+
+
+RULES: tuple[Rule, ...] = (
+    Rule("length-distribution-needs-sequences", "workload",
+         ("workload.length_distribution",), MEANINGLESS,
+         lambda s: _changed(s, "length_distribution")
+         and not s.has_sequences,
+         "length_distribution applies only to sequence (autoregressive) "
+         "workloads; set prompt_tokens/output_tokens or drop it"),
+    Rule("fault-node-or-nodes", "faults.events[]",
+         ("faults.events[].node", "faults.events[].nodes"), MEANINGLESS,
+         lambda s: s.node is not None and bool(s.nodes),
+         "a fault event takes either 'node' (single-node kinds) or "
+         "'nodes' (correlated rack kinds), not both"),
+    Rule("max-batch-needs-batching-policy", "scheduler",
+         ("scheduler.max_batch",), MEANINGLESS,
+         lambda s: s.policy not in ("max-batch", "continuous")
+         and _changed(s, "max_batch"),
+         "max_batch applies only to the max-batch and continuous "
+         "policies (got {s.max_batch} with {s.policy!r})"),
+    Rule("batch-timeout-needs-max-batch", "scheduler",
+         ("scheduler.batch_timeout_s",), MEANINGLESS,
+         lambda s: s.policy != "max-batch" and _changed(s, "batch_timeout_s"),
+         "batch_timeout_s applies only to the max-batch policy (got "
+         "{s.batch_timeout_s} with {s.policy!r}; the continuous policy "
+         "joins at decode-step boundaries, not timers)"),
+    Rule("starvation-age-needs-priority", "scheduler",
+         ("scheduler.starvation_age_s",), MEANINGLESS,
+         lambda s: s.policy != "priority" and s.starvation_age_s is not None,
+         "starvation_age_s applies only to the priority policy (got it "
+         "with {s.policy!r})"),
+    *(
+        Rule(f"{name}-needs-retries", "resilience", (f"resilience.{name}",),
+             MEANINGLESS,
+             lambda s, name=name: _changed(s, name)
+             and not _changed(s, "max_retries"),
+             f"{name} applies only with max_retries >= 1")
+        for name in ("retry_backoff_s", "retry_jitter", "retry_budget")
+    ),
+    Rule("probe-misses-need-probing", "resilience",
+         ("resilience.probe_misses",), MEANINGLESS,
+         lambda s: s.probe_interval_s is None and _changed(s, "probe_misses"),
+         "probe_misses applies only with probe_interval_s set"),
+    *(
+        Rule(f"{name}-needs-fluid", "fidelity", (f"fidelity.{name}",),
+             MEANINGLESS,
+             lambda s, name=name: s.mode == "des" and _changed(s, name),
+             f"fidelity.{name} applies only to the fluid/auto modes")
+        for name in ("error_budget", "calibration_s")
+    ),
+    Rule("sample-rate-needs-trace", "telemetry", ("telemetry.sample_rate",),
+         MEANINGLESS,
+         lambda s: not s.trace and _changed(s, "sample_rate"),
+         "telemetry.sample_rate applies only when telemetry.trace is on"),
+    Rule("batch-size-inference-only", "", ("workload.batch_size",),
+         MEANINGLESS,
+         lambda s: s.kind == "serving" and _changed(s.workload, "batch_size"),
+         "workload.batch_size applies to inference studies; serving "
+         "batches via scheduler.max_batch"),
+    Rule("scheduler-serving-only", "", ("scheduler",), MEANINGLESS,
+         lambda s: s.kind != "serving" and _changed(s.scheduler),
+         "the scheduler section applies only to serving studies"),
+    Rule("residency-serving-only", "", ("residency_capacity_bits",),
+         MEANINGLESS,
+         lambda s: s.kind != "serving"
+         and _changed(s, "residency_capacity_bits"),
+         "residency_capacity_bits applies only to serving studies"),
+    *(
+        Rule(f"{name}-serving-only", "", (f"workload.{name}",), MEANINGLESS,
+             lambda s, name=name: s.kind != "serving"
+             and _changed(s.workload, name),
+             f"workload.{name} applies only to serving studies")
+        for name in ("arrival", "rate_rps", "duration_s", "burstiness",
+                     "dwell_s", "think_time_s", "prompt_tokens",
+                     "output_tokens", "length_distribution")
+    ),
+    Rule("slo-priority-serving-only", "",
+         ("workload.models[].slo_s", "workload.models[].priority"),
+         MEANINGLESS,
+         lambda s: s.kind != "serving" and any(
+             _changed(entry, "slo_s", "priority")
+             for entry in s.workload.models
+         ),
+         "SLO/priority apply only to serving studies"),
+    Rule("tenant-sequences-serving-only", "",
+         ("workload.models[].prompt_tokens",
+          "workload.models[].output_tokens", "workload.models[].quota"),
+         MEANINGLESS,
+         lambda s: s.kind != "serving" and any(
+             _changed(entry, "prompt_tokens", "output_tokens", "quota")
+             for entry in s.workload.models
+         ),
+         "sequence lengths / quota apply only to serving studies"),
+    Rule("cluster-serving-only", "", ("cluster",), MEANINGLESS,
+         lambda s: s.kind != "serving" and s.cluster is not None,
+         "the cluster section applies only to serving studies"),
+    Rule("resilience-serving-only", "", ("resilience",), MEANINGLESS,
+         lambda s: s.kind != "serving" and bool(s.resilience),
+         "the resilience section applies only to serving studies"),
+    Rule("hedge-needs-second-node", "",
+         ("resilience.hedge_delay_s", "cluster.replicas"), MEANINGLESS,
+         lambda s: s.resilience.hedge_delay_s is not None
+         and (s.cluster is None or s.cluster.replicas < 2),
+         "resilience.hedge_delay_s duplicates a request to a second node; "
+         "it needs a cluster section with replicas >= 2"),
+    Rule("health-check-needs-fleet", "",
+         ("resilience.signal_staleness_s", "resilience.probe_interval_s",
+          "cluster.replicas"), MEANINGLESS,
+         lambda s: s.resilience.health_checked
+         and (s.cluster is None or s.cluster.replicas < 2),
+         "resilience signal staleness / probing models the router's view "
+         "of the fleet; it needs a cluster section with replicas >= 2"),
+    Rule("fidelity-serving-only", "", ("fidelity",), MEANINGLESS,
+         lambda s: s.kind != "serving" and bool(s.fidelity),
+         "the fidelity section applies only to serving studies"),
+    Rule("fluid-closed-loop", "", ("fidelity.mode", "workload.arrival"),
+         UNSUPPORTED,
+         lambda s: bool(s.fidelity) and s.workload.arrival == "closed",
+         "the fluid fidelity path models open-loop arrivals; closed-loop "
+         "workloads run full DES (fidelity: des)"),
+    Rule("fluid-resilience", "", ("fidelity.mode", "resilience"),
+         UNSUPPORTED,
+         lambda s: bool(s.fidelity) and bool(s.resilience),
+         "the fluid fidelity path does not model the resilience "
+         "lifecycle; drop the resilience section or run full DES "
+         "(fidelity: des)"),
+    Rule("fluid-shedding", "", ("fidelity.mode", "scheduler.shed_expired"),
+         UNSUPPORTED,
+         lambda s: bool(s.fidelity) and s.scheduler.shed_expired,
+         "the fluid fidelity path does not model load shedding; disable "
+         "scheduler.shed_expired or run full DES (fidelity: des)"),
+    Rule("telemetry-serving-only", "", ("telemetry",), MEANINGLESS,
+         lambda s: s.kind != "serving" and bool(s.telemetry),
+         "the telemetry section applies only to serving studies"),
+    Rule("telemetry-fluid", "", ("telemetry", "fidelity.mode"),
+         UNSUPPORTED,
+         lambda s: bool(s.telemetry) and bool(s.fidelity),
+         "the fluid fidelity path does not simulate the per-request "
+         "lifecycle telemetry observes; drop the telemetry section or "
+         "run full DES (fidelity: des)"),
+    Rule("sequences-resilience", "", ("resilience", "workload.output_tokens"),
+         UNSUPPORTED,
+         lambda s: s.kind == "serving" and s.workload.has_sequences
+         and bool(s.resilience),
+         "the resilience lifecycle does not retry or hedge autoregressive "
+         "sequences; drop the resilience section or the sequence lengths"),
+    Rule("sequences-cluster", "", ("cluster", "workload.output_tokens"),
+         UNSUPPORTED,
+         lambda s: s.kind == "serving" and s.workload.has_sequences
+         and s.cluster is not None,
+         "the cluster layer does not route autoregressive sequences "
+         "(KV-cache state pins a sequence to one node); drop the cluster "
+         "section or the sequence lengths"),
+    Rule("continuous-needs-sequences", "",
+         ("scheduler.policy", "workload.output_tokens"), MEANINGLESS,
+         lambda s: s.kind == "serving" and s.scheduler.policy == "continuous"
+         and not s.workload.has_sequences,
+         "the continuous policy batches decode steps; it needs an "
+         "autoregressive workload (set prompt_tokens/output_tokens)"),
+)
+"""Every cross-field rule of the spec layer, in the order each class
+checks them.  Section rows run when their section is built; study rows
+(section ``""``) when the :class:`StudySpec` is.  Checks that need the
+registries (a controller that never acts on its epoch, sequence lengths
+on a CNN) run at lowering, in :mod:`repro.studies.compile`."""

@@ -250,3 +250,21 @@ class TestCommands:
         assert "unknown benchmark 'nonexistent'" in err
         # the typed error lists every registered benchmark name
         assert "test_bench_kernel_event_throughput" in err
+
+
+class TestErrors:
+    """Every verb turns a ``ReproError`` into one ``error:`` line and
+    exit code 2, before anything simulates."""
+
+    @pytest.mark.parametrize("argv, path", [
+        (["run", "--batch", "0", "--model", "LeNet5"],
+         "workload.batch_size"),
+        (["serve-study", "--rates", "nan", "--duration-us", "50",
+          "--platforms", "siph"], "workload.rate_rps"),
+    ])
+    def test_spec_errors_exit_2_naming_the_field(self, capsys, argv, path):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert path in captured.err
+        assert captured.out == ""

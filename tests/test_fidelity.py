@@ -743,3 +743,23 @@ class TestExampleSpec:
                 assert report.within_budget
             warm_forks += report.warm_forked
         assert warm_forks >= 1  # the sweep shares calibration state
+
+
+class TestCohortDraws:
+    def test_fluid_cell_draws_each_cohort_once(self, monkeypatch):
+        """One draw for the calibration window, one for the full
+        window; validation and evaluation share each."""
+        draws = []
+        original = PoissonArrivals.arrival_times
+
+        def counted(self, duration_s):
+            draws.append(duration_s)
+            return original(self, duration_s)
+
+        monkeypatch.setattr(PoissonArrivals, "arrival_times", counted)
+        _, cells = lower_study(fluid_spec(mode="fluid"))
+        (cell,), = cells
+        result = simulate_fidelity_cell(cell)
+        assert result.fidelity.mode_used == "fluid"
+        assert len(draws) == 2
+        assert draws[1] == cell.duration_s
