@@ -251,15 +251,15 @@ def make_serving_request_throughput() -> Callable[[], int]:
     from .dnn import zoo
     from .dnn.workload import extract_workload
     from .mapping.residency import WeightResidency
-    from .serving.scheduler import BatchPolicy, RequestScheduler
+    from .serving.scheduler import RequestScheduler
     from .sim.core import Environment
     from .sim.traffic import PoissonArrivals
+    from .studies.spec import SchedulerSpec
 
     platform = MonolithicCrossLight()
     workload = extract_workload(zoo.build("LeNet5"))
-    policy = BatchPolicy.max_batch_with_timeout(
-        max_batch=8, batch_timeout_s=20e-6
-    )
+    policy = SchedulerSpec(policy="max-batch", max_batch=8,
+                           batch_timeout_s=20e-6)
 
     def run() -> int:
         env = Environment()
@@ -287,18 +287,17 @@ def _telemetry_window(trace: bool) -> Callable[[], tuple[Any, Any]]:
     from .dnn import zoo
     from .dnn.workload import extract_workload
     from .mapping.residency import WeightResidency
-    from .obs.policy import TelemetryPolicy
     from .obs.session import TelemetrySession
-    from .serving.scheduler import BatchPolicy, RequestScheduler
+    from .serving.scheduler import RequestScheduler
     from .sim.core import Environment
     from .sim.traffic import PoissonArrivals
+    from .studies.spec import SchedulerSpec, TelemetrySpec
 
     platform = MonolithicCrossLight()
     workload = extract_workload(zoo.build("LeNet5"))
-    policy = BatchPolicy.max_batch_with_timeout(
-        max_batch=8, batch_timeout_s=20e-6
-    )
-    telemetry = TelemetryPolicy(trace=trace)
+    policy = SchedulerSpec(policy="max-batch", max_batch=8,
+                           batch_timeout_s=20e-6)
+    telemetry = TelemetrySpec(trace=trace)
 
     def run() -> tuple[Any, Any]:
         env = Environment()
@@ -493,14 +492,15 @@ def make_cluster_dispatch_throughput() -> Callable[[], int]:
     from .dnn import zoo
     from .dnn.workload import extract_workload
     from .mapping.residency import WeightResidency
-    from .serving.scheduler import BatchPolicy, RequestScheduler
+    from .serving.scheduler import RequestScheduler
     from .sim.core import Environment
     from .sim.traffic import PoissonArrivals
     from .studies.registry import ROUTERS
+    from .studies.spec import SchedulerSpec
 
     platform = MonolithicCrossLight()
     workload = extract_workload(zoo.build("LeNet5"))
-    policy = BatchPolicy.fifo(max_inflight=2)
+    policy = SchedulerSpec(max_inflight=2)
 
     def run() -> int:
         env = Environment()
@@ -542,16 +542,17 @@ def make_resilience_retry_hedge() -> Callable[[], int]:
     from .dnn import zoo
     from .dnn.workload import extract_workload
     from .mapping.residency import WeightResidency
-    from .serving.lifecycle import LifecycleDriver, ResiliencePolicy
-    from .serving.scheduler import BatchPolicy, RequestScheduler
+    from .serving.lifecycle import LifecycleDriver
+    from .serving.scheduler import RequestScheduler
     from .sim.core import Environment
     from .sim.traffic import PoissonArrivals
     from .studies.registry import ROUTERS
+    from .studies.spec import ResilienceSpec, SchedulerSpec
 
     platform = MonolithicCrossLight()
     workload = extract_workload(zoo.build("LeNet5"))
-    policy = BatchPolicy.fifo(max_inflight=2)
-    resilience = ResiliencePolicy(
+    policy = SchedulerSpec(max_inflight=2)
+    resilience = ResilienceSpec(
         timeout_s=40e-6, max_retries=2, hedge_delay_s=20e-6
     )
 
@@ -579,15 +580,16 @@ def make_resilience_retry_hedge() -> Callable[[], int]:
     return run
 
 
-def _fidelity_reference_cell(fidelity=None):
-    """The representative serving cell the fidelity benchmarks share."""
+def _fidelity_reference_cell(fidelity):
+    """The representative serving cell the fidelity benchmarks share,
+    under the ``fidelity`` section given."""
     from .config import DEFAULT_PLATFORM
     from .experiments.serving_study import ServingCell
-    from .serving.scheduler import BatchPolicy
+    from .studies.spec import SchedulerSpec
 
     return ServingCell(
         platform="2.5D-CrossLight-SiPh", models=(("LeNet5", 1.0, None, 0),),
-        controller="resipi", policy=BatchPolicy.fifo(),
+        controller="resipi", scheduler=SchedulerSpec(),
         arrival_kind="poisson", rate_rps=100e3, duration_s=2e-3,
         seed=7, config=DEFAULT_PLATFORM, fidelity=fidelity,
     )
@@ -602,8 +604,9 @@ def make_fidelity_des_reference() -> Callable[[], int]:
     benchmarks predict (~200 requests of LeNet5 at 100k req/s).
     """
     from .experiments.serving_study import simulate_serving_cell
+    from .studies.spec import FidelitySpec
 
-    cell = _fidelity_reference_cell()
+    cell = _fidelity_reference_cell(FidelitySpec())
 
     def run() -> int:
         return simulate_serving_cell(cell).requests_completed
@@ -621,10 +624,11 @@ def make_fidelity_fluid_path() -> Callable[[], int]:
     draws, piecewise M/G/k waits.  Compare against
     ``fidelity_des_reference`` for the headline speedup.
     """
-    from .experiments.fidelity import FidelityPolicy, simulate_fidelity_cell
+    from .experiments.fidelity import simulate_fidelity_cell
+    from .studies.spec import FidelitySpec
 
     cell = _fidelity_reference_cell(
-        FidelityPolicy(mode="fluid", error_budget=0.25)
+        FidelitySpec(mode="fluid", error_budget=0.25)
     )
     simulate_fidelity_cell(cell)  # warm the checkpoint store
 
@@ -646,15 +650,11 @@ def make_warm_fork_sweep() -> Callable[[], int]:
     """
     from dataclasses import replace
 
-    from .experiments.fidelity import (
-        FidelityPolicy,
-        clear_warm_store,
-        simulate_fidelity_cell,
-    )
-    from .studies.spec import FaultSpec
+    from .experiments.fidelity import clear_warm_store, simulate_fidelity_cell
+    from .studies.spec import FaultSpec, FidelitySpec
 
     base = _fidelity_reference_cell(
-        FidelityPolicy(mode="fluid", error_budget=0.25)
+        FidelitySpec(mode="fluid", error_budget=0.25)
     )
     variants = [
         replace(base, faults=FaultSpec.from_dict({"events": [{
@@ -689,13 +689,14 @@ def make_continuous_decode_throughput() -> Callable[[], int]:
     """
     from .config import DEFAULT_PLATFORM
     from .experiments.serving_study import ServingCell
-    from .serving.scheduler import BatchPolicy
+    from .studies.spec import SchedulerSpec
 
     cell = ServingCell(
         platform="2.5D-CrossLight-SiPh",
         models=(("TransformerTiny", 1.0, None, 0),),
         controller="resipi",
-        policy=BatchPolicy.continuous(max_batch=4),
+        scheduler=SchedulerSpec(policy="continuous", max_batch=4,
+                                max_inflight=4),
         arrival_kind="mmpp", rate_rps=60e3, duration_s=0.5e-3,
         seed=7, config=DEFAULT_PLATFORM,
         sequences=((16, 8),),
@@ -722,19 +723,20 @@ def make_sequence_fluid_path() -> Callable[[], int]:
     speedup.
     """
     from .config import DEFAULT_PLATFORM
-    from .experiments.fidelity import FidelityPolicy, simulate_fidelity_cell
+    from .experiments.fidelity import simulate_fidelity_cell
     from .experiments.serving_study import ServingCell
-    from .serving.scheduler import BatchPolicy
+    from .studies.spec import FidelitySpec, SchedulerSpec
 
     cell = ServingCell(
         platform="2.5D-CrossLight-SiPh",
         models=(("TransformerTiny", 1.0, None, 0),),
         controller="resipi",
-        policy=BatchPolicy.continuous(max_batch=4),
+        scheduler=SchedulerSpec(policy="continuous", max_batch=4,
+                                max_inflight=4),
         arrival_kind="mmpp", rate_rps=60e3, duration_s=0.5e-3,
         seed=7, config=DEFAULT_PLATFORM,
         sequences=((16, 8),),
-        fidelity=FidelityPolicy(mode="fluid", error_budget=0.25),
+        fidelity=FidelitySpec(mode="fluid", error_budget=0.25),
     )
     simulate_fidelity_cell(cell)  # warm the checkpoint store
 

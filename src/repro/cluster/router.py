@@ -26,8 +26,9 @@ repairs return nodes to rotation.  Everything runs inside one shared
 deterministic as single-node ones.
 
 By default the router is **omniscient**: policies read live queue
-depths and failures leave the routable set instantly.  A
-:class:`HealthPolicy` replaces that with a modeled signal path —
+depths and failures leave the routable set instantly.  A health-checked
+resilience section (:class:`~repro.studies.spec.ResilienceSpec`, when
+its ``health_checked`` holds) replaces that with a modeled signal path —
 queue-depth signals sampled on a staleness interval (policies route on
 the stale copy, so bursts misroute until the next sample) and
 probe-based failure detection (a failed node keeps *receiving* until
@@ -40,7 +41,7 @@ resilience layer (:mod:`repro.serving.lifecycle`) is there to absorb.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from ..core.accelerator import PlatformSimulation
 from ..errors import ConfigurationError, SimulationError
@@ -58,63 +59,8 @@ from .hazards import (
     validate_node_timeline,
 )
 
-
-@dataclass(frozen=True)
-class HealthPolicy:
-    """How the router *observes* its fleet (instead of omnisciently).
-
-    ``signal_staleness_s`` — queue-depth/outstanding signals are
-    sampled on this interval; routing policies read the sampled copy.
-    ``probe_interval_s`` — when set, node liveness is learned from
-    probes: ``probe_misses`` consecutive failures eject a node from
-    the routable set, a succeeding probe reinstates it.  Probe mode
-    also means a failure is *not* applied to routing instantly — the
-    node keeps receiving (its scheduler pauses, so accepted requests
-    strand in its queue) until ejection withdraws the queue.
-    """
-
-    signal_staleness_s: float = 0.0
-    probe_interval_s: float | None = None
-    probe_misses: int = 3
-
-    def __post_init__(self) -> None:
-        if self.signal_staleness_s < 0:
-            raise ConfigurationError(
-                f"signal staleness must be non-negative, got "
-                f"{self.signal_staleness_s}"
-            )
-        if self.probe_interval_s is not None and self.probe_interval_s <= 0:
-            raise ConfigurationError(
-                f"probe interval must be positive, got "
-                f"{self.probe_interval_s}"
-            )
-        if self.probe_misses < 1:
-            raise ConfigurationError(
-                f"probe misses must be >= 1, got {self.probe_misses}"
-            )
-
-    def __bool__(self) -> bool:
-        """True when any part of the signal path is modeled."""
-        return (
-            self.signal_staleness_s > 0.0
-            or self.probe_interval_s is not None
-        )
-
-    @property
-    def probe_based(self) -> bool:
-        return self.probe_interval_s is not None
-
-    @property
-    def label(self) -> str:
-        parts = []
-        if self.signal_staleness_s > 0.0:
-            parts.append(f"stale={self.signal_staleness_s * 1e6:.0f}us")
-        if self.probe_interval_s is not None:
-            parts.append(
-                f"probe={self.probe_interval_s * 1e6:.0f}us"
-                f"x{self.probe_misses}"
-            )
-        return "+".join(parts) if parts else "omniscient"
+if TYPE_CHECKING:
+    from ..studies.spec import ResilienceSpec
 
 
 @dataclass
@@ -318,12 +264,16 @@ class ClusterRouter(ServingWindow):
     drain barrier.  ``t=0`` node events apply synchronously at
     construction (mirroring the fabric hazard engine); later events run
     as an ordinary process in the shared environment.
+
+    ``health`` is the study's resilience section when it models the
+    signal path (``None``: omniscient); the router reads its
+    ``signal_staleness_s``, ``probe_interval_s`` and ``probe_misses``.
     """
 
     def __init__(self, nodes: list[ClusterNode], policy: RoutingPolicy,
                  node_events: tuple[NodeHazardEvent, ...] = (),
                  reroute_on_fail: bool = True,
-                 health: HealthPolicy | None = None):
+                 health: ResilienceSpec | None = None):
         if not nodes:
             raise ConfigurationError("a cluster needs at least one node")
         super().__init__(nodes[0].sim.env)
@@ -334,9 +284,11 @@ class ClusterRouter(ServingWindow):
                     "all cluster nodes must share one"
                 )
         self.health = health
-        probe_based = health is not None and health.probe_based
+        self._probe_based = (
+            health is not None and health.probe_interval_s is not None
+        )
         validate_node_timeline(node_events, len(nodes),
-                               allow_total_outage=probe_based)
+                               allow_total_outage=self._probe_based)
         self.nodes = nodes
         self.policy = policy
         self.node_events = node_events
@@ -358,7 +310,7 @@ class ClusterRouter(ServingWindow):
                 node.sampled_outstanding = 0
                 node.sampled_queue_length = 0
             self.env.process(self._sample_signals())
-        if probe_based:
+        if self._probe_based:
             for node in nodes:
                 self.env.process(self._probe_node(node))
         pending = []
@@ -369,10 +321,6 @@ class ClusterRouter(ServingWindow):
                 pending.append(event)
         if pending:
             self.env.process(self._run_events(pending))
-
-    @property
-    def _probe_based(self) -> bool:
-        return self.health is not None and self.health.probe_based
 
     # -- routing ------------------------------------------------------------------
 

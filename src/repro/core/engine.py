@@ -26,7 +26,6 @@ requests may share one trace (operation counters simply accumulate).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from ..config import PlatformConfig
 from ..errors import SimulationError
@@ -44,9 +43,8 @@ class ExecutionTrace:
 
     One trace may be shared by many concurrent request executions: the
     operation counters accumulate across requests (that is what the
-    compute-energy model integrates), ``layer_timings`` interleaves in
-    completion order, and ``request_records`` collects the per-request
-    latency records the serving layer aggregates.
+    compute-energy model integrates) and ``layer_timings`` interleaves
+    in completion order.
     """
 
     layer_timings: list[LayerTiming] = field(default_factory=list)
@@ -55,10 +53,6 @@ class ExecutionTrace:
     channel_stats: tuple[ChannelStat, ...] = ()
     """End-of-run utilization snapshot of every fabric channel (filled
     by the platform once the simulation completes)."""
-    request_records: list[Any] = field(default_factory=list)
-    """Per-request completion records (see
-    :class:`repro.serving.metrics.RequestRecord`); empty for classic
-    single-inference runs."""
 
     @property
     def total_lane_ops(self) -> int:
@@ -233,7 +227,7 @@ class RequestExecution:
         self.record_timings = record_timings
         # Telemetry: per-layer spans land on ``obs_track`` of the span
         # recorder when one is attached (sampled request under an armed
-        # telemetry policy); ``None`` costs one comparison per layer.
+        # telemetry section); ``None`` costs one comparison per layer.
         self.obs = obs
         self.obs_track = obs_track
         # Run state: the current layer, the weight barrier of the layer

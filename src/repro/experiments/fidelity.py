@@ -36,7 +36,8 @@ module trades that time for a bounded, *measured* fidelity loss:
 
 The entry point is :func:`simulate_fidelity_cell`, dispatched to by
 :func:`~repro.experiments.serving_study.simulate_serving_cell`
-whenever a cell carries an armed :class:`FidelityPolicy`.
+whenever a cell carries an armed fidelity section
+(:class:`~repro.studies.spec.FidelitySpec`).
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ from ..serving.metrics import (
 from ..sim.core import Environment
 from ..studies.faults import platform_timelines
 from ..studies.registry import MODELS
+from ..studies.spec import FidelitySpec
 from .runner import build_platform
 from .serving_study import (
     ServingCell,
@@ -90,26 +92,15 @@ from .serving_study import (
 )
 
 __all__ = [
-    "FidelityPolicy",
     "simulate_fidelity_cell",
     "warm_store_size",
     "clear_warm_store",
 ]
 
 
-@dataclass(frozen=True)
-class FidelityPolicy:
-    """Armed per-cell fidelity policy (compiled from the study spec).
-
-    Only the non-degenerate modes reach cells: ``"fluid"`` always takes
-    the fast path (errors recorded), ``"auto"`` falls back to full DES
-    when the validation error exceeds ``error_budget``.  Plain
-    picklable data — it rides in cell cache keys via ``asdict``.
-    """
-
-    mode: str = "fluid"
-    error_budget: float = 0.15
-    calibration_s: float | None = None
+_FULL_DES = FidelitySpec()
+"""The degenerate section a cell's full-DES twin carries (the
+calibration window and the ``auto`` fallback)."""
 
 
 # Low-discrepancy multipliers (Weyl sequences): deterministic,
@@ -182,7 +173,7 @@ def clear_warm_store() -> None:
     _WARM_STORE.clear()
 
 
-def _calibration_window(cell, policy: FidelityPolicy) -> float:
+def _calibration_window(cell, policy: FidelitySpec) -> float:
     """Resolve the calibration window length for one cell."""
     if policy.calibration_s is not None:
         return min(cell.duration_s, policy.calibration_s)
@@ -201,11 +192,11 @@ def _calibration_cell(cell: ServingCell,
     arrivals, seed, fleet shape — are exactly the (platform, workload)
     identity the checkpoint measures.
     """
-    return replace(cell, duration_s=calibration_s, fidelity=None,
+    return replace(cell, duration_s=calibration_s, fidelity=_FULL_DES,
                    faults=None, node_faults=None)
 
 
-def _calibrate(cell: ServingCell, policy: FidelityPolicy
+def _calibrate(cell: ServingCell, policy: FidelitySpec
                ) -> tuple[_CalibrationState, bool, float]:
     """(checkpoint, warm_forked, calibration_s) for one fluid cell."""
     calibration_s = _calibration_window(cell, policy)
@@ -720,11 +711,11 @@ def _elapsed(table: RequestTable, window_s: float) -> float:
 
 
 def _policy_slots(cell) -> int:
-    return cell.policy.max_inflight
+    return cell.scheduler.max_inflight
 
 
 def _validate(cell, state: _CalibrationState, warm: bool,
-              policy: FidelityPolicy) -> FidelityReport:
+              policy: FidelitySpec) -> FidelityReport:
     """Fluid re-prediction of the calibration window vs its DES truth."""
     if state.served == 0:
         return FidelityReport(
@@ -846,7 +837,7 @@ def _fluid_result(cell: ServingCell, state: _CalibrationState,
         model=cell.mix_label,
         controller=cell.controller,
         router=cell.router if cell.is_fleet else "-",
-        policy=cell.policy.label,
+        policy=cell.scheduler.label,
         arrival_kind=cell.arrival_kind,
         n_nodes=cell.replicas,
         offered_rps=cell.rate_rps,
@@ -879,13 +870,13 @@ def _fluid_result(cell: ServingCell, state: _CalibrationState,
 
 
 def simulate_fidelity_cell(cell):
-    """Worker body for any cell carrying an armed fidelity policy.
+    """Worker body for any cell carrying an armed fidelity section.
 
     Calibrate (or warm-fork), validate, then either evaluate the fluid
     fast path or fall back to full DES — attaching the
     :class:`FidelityReport` either way.
     """
-    policy: FidelityPolicy = cell.fidelity
+    policy: FidelitySpec = cell.fidelity
     state, warm, _ = _calibrate(cell, policy)
     report = _validate(cell, state, warm, policy)
     fallback = report.mode_used == "des-fallback" or (
@@ -893,6 +884,6 @@ def simulate_fidelity_cell(cell):
     )
     if fallback:
         report = replace(report, mode_used="des-fallback")
-        full = simulate_serving_cell(replace(cell, fidelity=None))
+        full = simulate_serving_cell(replace(cell, fidelity=_FULL_DES))
         return replace(full, fidelity=report)
     return _fluid_result(cell, state, report)

@@ -126,8 +126,14 @@ def cell_key(platform_name: str, model_name: str, controller: str,
 
 
 def _key_value(value):
-    """A cell field as JSON-able data (nested policies and specs too)."""
-    return asdict(value) if is_dataclass(value) else value
+    """A cell field as JSON-able data: spec sections as dicts, tuples
+    element by element (a tuple of sections too), so no key depends on
+    a ``repr``."""
+    if is_dataclass(value):
+        return asdict(value)
+    if isinstance(value, tuple):
+        return [_key_value(item) for item in value]
+    return value
 
 
 def fields_key(cell) -> str:
@@ -386,7 +392,7 @@ def cell_label(cell, swept: str = "-") -> str:
     controller = getattr(cell, "controller", "")
     if controller and controller not in parts:
         parts.append(controller)
-    policy = getattr(getattr(cell, "policy", None), "name", "")
+    policy = getattr(getattr(cell, "scheduler", None), "policy", "")
     if policy:
         parts.append(policy)
     rate = getattr(cell, "rate_rps", None)

@@ -25,13 +25,13 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ..cluster.hazards import node_hazard_timeline, node_outages
-from ..cluster.router import ClusterNode, ClusterRouter, HealthPolicy
+from ..cluster.router import ClusterNode, ClusterRouter
 from ..config import PlatformConfig
 from ..core.engine import ExecutionTrace
 from ..dnn.workload import extract_workload
 from ..interposer.photonic.faults import ChipletMacDegrade, HazardRecord
 from ..mapping.residency import WeightResidency
-from ..serving.lifecycle import LifecycleDriver, ResiliencePolicy
+from ..serving.lifecycle import LifecycleDriver
 from ..serving.metrics import (
     ClusterResult,
     LatencyProfile,
@@ -41,16 +41,19 @@ from ..serving.metrics import (
     mean_time_to_repair,
     request_fields,
 )
-from ..serving.scheduler import BatchPolicy, RequestScheduler
+from ..serving.scheduler import RequestScheduler
 from ..sim.core import Environment
 from ..studies.faults import platform_timelines
 from ..studies.registry import ARRIVALS, MODELS, ROUTERS
-from ..studies.spec import FaultSpec
+from ..studies.spec import (
+    FaultSpec,
+    FidelitySpec,
+    NodeOverrideSpec,
+    ResilienceSpec,
+    SchedulerSpec,
+    TelemetrySpec,
+)
 from .runner import build_platform, fields_key
-
-NodeOverride = tuple[int, "str | None", "int | None", "int | None"]
-"""Picklable per-node override: (node, controller, n_wavelengths,
-gateways_per_chiplet) with ``None`` meaning inherit."""
 
 
 @dataclass(frozen=True)
@@ -59,22 +62,22 @@ class ServingCell:
 
     ``models`` is the mix as ``(name, fraction, slo_s, priority)``
     tuples; the first entry is each scheduler's primary model.
-    ``faults`` is the platform hazard timeline applied to every node.
-    ``sequences`` marks an autoregressive scenario: one
+    ``scheduler`` is the point's scheduler section, which every node's
+    scheduler reads.  ``faults`` is the platform hazard timeline applied
+    to every node.  ``sequences`` marks an autoregressive scenario: one
     ``(prompt_tokens, output_tokens)`` pair per mix entry, ``(0, 0)``
     for single-step tenants, with ``length_distribution`` naming the
     per-request sampler.  ``quotas`` caps each tenant's outstanding
-    requests per node (``None`` per entry = uncapped) and
-    ``starvation_age_s`` arms the priority policy's aging guard.
+    requests per node (``None`` per entry = uncapped).
 
     The fleet fields default to one node: ``replicas`` platform copies
     behind the ``router`` policy (``weights`` parameterise the weighted
-    one), per-node ``node_overrides`` (:data:`NodeOverride` tuples),
-    the node-level ``node_faults`` timeline, ``reroute_on_fail`` and the
-    router's ``health`` signal path.  ``fidelity`` (a
-    :class:`~repro.experiments.fidelity.FidelityPolicy`) and
-    ``telemetry`` (a :class:`~repro.obs.policy.TelemetryPolicy`) arm the
-    fluid fast path and the recording session.
+    one), per-node ``node_overrides`` (the cluster section's entries),
+    the node-level ``node_faults`` timeline and ``reroute_on_fail``.
+    The ``resilience``, ``fidelity`` and ``telemetry`` sections are the
+    point's own, each defaulting to its degenerate (falsy) section;
+    armed, they run the request lifecycle or the router's signal path,
+    the fluid fast path and the recording session.
 
     The worker reads nothing but these fields, so they are the cell's
     complete identity: :meth:`key` hashes all of them.
@@ -83,7 +86,7 @@ class ServingCell:
     platform: str
     models: tuple[tuple[str, float, "float | None", int], ...]
     controller: str
-    policy: BatchPolicy
+    scheduler: SchedulerSpec
     arrival_kind: str
     rate_rps: float
     duration_s: float
@@ -94,20 +97,18 @@ class ServingCell:
     think_time_s: float = 10e-6
     residency_capacity_bits: float | None = None
     faults: FaultSpec | None = None
-    resilience: ResiliencePolicy | None = None
-    fidelity: "object | None" = None
+    resilience: ResilienceSpec = ResilienceSpec()
+    fidelity: FidelitySpec = FidelitySpec()
     sequences: tuple[tuple[int, int], ...] = ()
     length_distribution: str = "fixed"
     quotas: tuple[int | None, ...] = ()
-    starvation_age_s: float | None = None
-    telemetry: "object | None" = None
+    telemetry: TelemetrySpec = TelemetrySpec()
     replicas: int = 1
     router: str = "round-robin"
     weights: tuple[float, ...] = ()
     reroute_on_fail: bool = True
-    node_overrides: tuple[NodeOverride, ...] = ()
+    node_overrides: tuple[NodeOverrideSpec, ...] = ()
     node_faults: FaultSpec | None = None
-    health: HealthPolicy | None = None
 
     @property
     def mix_label(self) -> str:
@@ -358,7 +359,7 @@ def start_telemetry(telemetry, env, nodes: Sequence[ClusterNode],
                     duration_s: float):
     """Build, attach and start one cell's telemetry session.
 
-    Returns ``None`` when the cell carries no policy.  When armed, the
+    Returns ``None`` for the degenerate section.  When armed, the
     recorder (if tracing) hooks into every scheduler, residency store,
     the router and the lifecycle driver; every node registers the
     standard gauge set (``nodeK.``-prefixed behind a router, with
@@ -368,7 +369,7 @@ def start_telemetry(telemetry, env, nodes: Sequence[ClusterNode],
     existing same-time events, so armed runs produce bit-identical
     request records.
     """
-    if telemetry is None:
+    if not telemetry:
         return None
     # Deferred: the obs package is only needed on the armed path.
     from ..obs.session import TelemetrySession
@@ -429,19 +430,20 @@ def finish_telemetry(session, nodes: Sequence[ClusterNode],
 
 
 def _build_node(cell: ServingCell, env: Environment, index: int,
-                override: "NodeOverride | None", fabric_faults,
+                override: NodeOverrideSpec | None, fabric_faults,
                 workloads: dict) -> ClusterNode:
     """One platform replica: simulation, residency and a scheduler
     serving every tenant with its SLO, priority and quota."""
     config, controller = cell.config, cell.controller
     if override is not None:
-        _, node_controller, n_wavelengths, gateways = override
-        if node_controller is not None:
-            controller = node_controller
-        if n_wavelengths is not None:
-            config = config.with_wavelengths(n_wavelengths)
-        if gateways is not None:
-            config = config.with_gateways_per_chiplet(gateways)
+        if override.controller is not None:
+            controller = override.controller
+        if override.n_wavelengths is not None:
+            config = config.with_wavelengths(override.n_wavelengths)
+        if override.gateways_per_chiplet is not None:
+            config = config.with_gateways_per_chiplet(
+                override.gateways_per_chiplet
+            )
     platform = build_platform(
         cell.platform, config, controller, faults=fabric_faults
     )
@@ -453,9 +455,8 @@ def _build_node(cell: ServingCell, env: Environment, index: int,
     (primary, _, slo_s, priority), *tenants = cell.models
     scheduler = RequestScheduler(
         sim, sim.map_workload(workloads[primary]), primary,
-        policy=cell.policy, residency=residency, trace=ExecutionTrace(),
+        policy=cell.scheduler, residency=residency, trace=ExecutionTrace(),
         slo_s=slo_s, priority=priority, quota=quotas[0],
-        starvation_age_s=cell.starvation_age_s,
     )
     for tenant, (name, _, tenant_slo, tenant_priority) in enumerate(
         tenants, start=1
@@ -480,14 +481,14 @@ def simulate_serving_cell(cell: ServingCell,
     Every node stands up in one shared environment (their controllers,
     hazard engines and schedulers interleave on the same event queue).
     A fleet streams the arrivals through a router; a single node serves
-    them directly.  Cells with an armed fidelity policy run through the
-    fluid engine instead.
+    them directly.  Cells with an armed fidelity section run through
+    the fluid engine instead.
 
     ``record_sink``, when given, receives every per-request record —
     the hybrid-fidelity calibration uses this to extract service-time
     quantiles that the aggregated result does not carry.
     """
-    if cell.fidelity is not None:
+    if cell.fidelity:
         # Deferred: the fidelity engine calls back into this worker.
         from .fidelity import simulate_fidelity_cell
 
@@ -497,7 +498,7 @@ def simulate_serving_cell(cell: ServingCell,
         name: extract_workload(MODELS.get(name)())
         for name, _, _, _ in cell.models
     }
-    overrides = {entry[0]: entry for entry in cell.node_overrides}
+    overrides = {override.node: override for override in cell.node_overrides}
     with Environment() as env:
         nodes = [
             _build_node(cell, env, index, overrides.get(index), fabric_faults,
@@ -515,7 +516,10 @@ def simulate_serving_cell(cell: ServingCell,
                 nodes, ROUTERS.get(cell.router)(cell.replicas, cell.weights),
                 node_events=node_hazard_timeline(cell.node_faults),
                 reroute_on_fail=cell.reroute_on_fail,
-                health=cell.health or None,
+                health=(
+                    cell.resilience if cell.resilience.health_checked
+                    else None
+                ),
             )
         front = router if router is not None else nodes[0].scheduler
         if cell.sequences:
@@ -524,7 +528,7 @@ def simulate_serving_cell(cell: ServingCell,
         else:
             mix = _mix_stream(cell.models, cell.seed)
         driver = None
-        if cell.resilience:
+        if cell.resilience.lifecycle_armed:
             driver = LifecycleDriver(front, cell.resilience, seed=cell.seed)
         session = start_telemetry(cell.telemetry, env, nodes, router, driver,
                                   cell.duration_s)
@@ -558,7 +562,7 @@ def simulate_serving_cell(cell: ServingCell,
         common = dict(
             model=cell.mix_label,
             controller=cell.controller,
-            policy=cell.policy.label,
+            policy=cell.scheduler.label,
             arrival_kind=cell.arrival_kind,
             offered_rps=cell.rate_rps,
             duration_s=cell.duration_s,

@@ -19,9 +19,10 @@ The observability layer of the serving stack.  Two pillars:
   log-bucketed histograms, exported as JSON/CSV time series and
   rendered as ASCII sparklines after ``repro study``.
 
-Everything is armed from the spec layer (``StudySpec.telemetry`` →
-:class:`TelemetryPolicy` on the simulation cells); the null path — no
-policy — costs nothing beyond a handful of ``is not None`` guards,
+Everything is armed from the spec layer: a serving cell carries its
+point's ``StudySpec.telemetry`` section, and an armed one records
+through a :class:`TelemetrySession`.  The null path — the degenerate
+section — costs nothing beyond a handful of ``is not None`` guards,
 which the ``telemetry_null_recorder`` microbenchmark pins.
 """
 
@@ -30,7 +31,6 @@ from .. import _lazy_package
 __getattr__, __dir__, __all__ = _lazy_package(__name__, {
     ".metrics": ("GaugeSeries", "MetricsRegistry", "render_sparklines",
                  "sparkline"),
-    ".policy": ("TelemetryPolicy",),
     ".session": ("TelemetrySession", "TelemetrySummary",
                  "telemetry_series_to_csv"),
     ".trace": (

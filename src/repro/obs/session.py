@@ -1,8 +1,9 @@
 """One cell's telemetry session and its picklable summary.
 
 A :class:`TelemetrySession` is created inside the simulation worker
-when a cell carries an armed :class:`~repro.obs.policy.TelemetryPolicy`:
-it owns the (optional) :class:`~repro.obs.trace.TraceRecorder` and the
+when a cell carries an armed telemetry section
+(:class:`~repro.studies.spec.TelemetrySpec`): it owns the (optional)
+:class:`~repro.obs.trace.TraceRecorder` and the
 :class:`~repro.obs.metrics.MetricsRegistry`, and at the end of the run
 freezes both into a :class:`TelemetrySummary` — plain immutable data
 that rides on the ``ServingResult`` through the on-disk cache and the
@@ -20,11 +21,13 @@ against about 250 and 108 bytes as one frozen object per record.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .metrics import GaugeSeries, MetricsRegistry, render_sparklines
-from .policy import TelemetryPolicy
 from .trace import InstantTable, SpanTable, TraceRecorder
+
+if TYPE_CHECKING:
+    from ..studies.spec import TelemetrySpec
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,7 @@ class TelemetrySummary:
 class TelemetrySession:
     """Builds, attaches and finally freezes one cell's telemetry."""
 
-    def __init__(self, env: Any, policy: TelemetryPolicy):
+    def __init__(self, env: Any, policy: TelemetrySpec):
         self.env = env
         self.policy = policy
         self.recorder = (

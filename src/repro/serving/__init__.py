@@ -12,7 +12,7 @@ model when several share the fabric.
 from .. import _lazy_package
 
 __getattr__, __dir__, __all__ = _lazy_package(__name__, {
-    ".lifecycle": ("LifecycleDriver", "ResiliencePolicy"),
+    ".lifecycle": ("LifecycleDriver",),
     ".metrics": (
         "IncidentRecord",
         "LatencyProfile",
@@ -29,5 +29,5 @@ __getattr__, __dir__, __all__ = _lazy_package(__name__, {
         "request_fields",
         "windowed_stats",
     ),
-    ".scheduler": ("BatchPolicy", "RequestHandle", "RequestScheduler"),
+    ".scheduler": ("RequestHandle", "RequestScheduler"),
 })

@@ -29,84 +29,20 @@ retries, hedge wins and wasted work.
 
 from __future__ import annotations
 
-import numpy as np
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from ..errors import ConfigurationError
+import numpy as np
+
 from .metrics import RequestRecord, ResilienceStats
 from .scheduler import RequestHandle
 from .window import ServingWindow
 
+if TYPE_CHECKING:
+    from ..studies.spec import ResilienceSpec
+
 _JITTER_STREAM = 613
 """Seed-tuple tag for the retry-jitter RNG (decorrelates it from the
 arrival and traffic-mix streams)."""
-
-
-@dataclass(frozen=True)
-class ResiliencePolicy:
-    """Runtime twin of the spec-level resilience knobs.
-
-    Lives in the serving layer (the spec layer stays simulator-free,
-    mirroring :class:`~repro.serving.scheduler.BatchPolicy` /
-    ``SchedulerSpec``) and is plain picklable data, so cells can carry
-    it through the process pool and fold it into cache keys.
-    """
-
-    timeout_s: float | None = None
-    max_retries: int = 0
-    retry_backoff_s: float = 50e-6
-    retry_jitter: float = 0.0
-    retry_budget: float | None = None
-    hedge_delay_s: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ConfigurationError(
-                f"request timeout must be positive, got {self.timeout_s}"
-            )
-        if self.max_retries < 0:
-            raise ConfigurationError(
-                f"max retries must be >= 0, got {self.max_retries}"
-            )
-        if self.retry_backoff_s < 0:
-            raise ConfigurationError(
-                f"retry backoff must be non-negative, got "
-                f"{self.retry_backoff_s}"
-            )
-        if not 0.0 <= self.retry_jitter <= 1.0:
-            raise ConfigurationError(
-                f"retry jitter must be in [0, 1], got {self.retry_jitter}"
-            )
-        if self.retry_budget is not None and self.retry_budget <= 0:
-            raise ConfigurationError(
-                f"retry budget must be positive, got {self.retry_budget}"
-            )
-        if self.hedge_delay_s is not None and self.hedge_delay_s <= 0:
-            raise ConfigurationError(
-                f"hedge delay must be positive, got {self.hedge_delay_s}"
-            )
-
-    def __bool__(self) -> bool:
-        """True when any lifecycle mechanism is armed."""
-        return (
-            self.timeout_s is not None
-            or self.max_retries > 0
-            or self.hedge_delay_s is not None
-        )
-
-    @property
-    def label(self) -> str:
-        """Compact human-readable knob summary (tables, dry runs)."""
-        parts = []
-        if self.timeout_s is not None:
-            parts.append(f"timeout={self.timeout_s * 1e6:.0f}us")
-        if self.max_retries > 0:
-            parts.append(f"retries={self.max_retries}")
-            if self.retry_budget is not None:
-                parts.append(f"budget={self.retry_budget:g}")
-        if self.hedge_delay_s is not None:
-            parts.append(f"hedge={self.hedge_delay_s * 1e6:.0f}us")
-        return "+".join(parts) if parts else "passthrough"
 
 
 class LifecycleDriver(ServingWindow):
@@ -118,10 +54,12 @@ class LifecycleDriver(ServingWindow):
     scheduler and the cluster router both do.  The driver owns the
     injection processes and the drain barrier over *logical* requests
     (a request is open until it completes, is given up on, or exhausts
-    its retries), replacing the target's own ``serve``.
+    its retries), replacing the target's own ``serve``.  ``policy`` is
+    the study's resilience section; only its lifecycle knobs act here
+    (the signal knobs act in the router).
     """
 
-    def __init__(self, target, policy: ResiliencePolicy, seed: int = 0):
+    def __init__(self, target, policy: ResilienceSpec, seed: int = 0):
         super().__init__(target.env)
         self.target = target
         self.policy = policy

@@ -495,7 +495,7 @@ def mean_time_to_repair(incidents: tuple[IncidentRecord, ...]) -> float:
 class FidelityReport:
     """How a hybrid-fidelity cell was actually simulated, and how well.
 
-    Attached to results produced under an armed fidelity policy.
+    Attached to results produced under an armed fidelity section.
     ``mode_used`` is ``"fluid"`` when the fluid fast path produced the
     result and ``"des-fallback"`` when the calibration error exceeded
     the budget (or the calibration produced no usable profile) and the

@@ -3,9 +3,10 @@
 The scheduler closes the loop between an arrival process
 (:mod:`repro.sim.traffic`) and the re-entrant execution path
 (:class:`~repro.core.engine.RequestExecution`): requests queue as they
-arrive, a dispatcher groups them according to a :class:`BatchPolicy`,
-and each group executes as one batched inference over the platform's
-**shared** fabric — weights stay resident per model
+arrive, a dispatcher groups them according to the study's scheduler
+section (:class:`~repro.studies.spec.SchedulerSpec`), and each group
+executes as one batched inference over the platform's **shared**
+fabric — weights stay resident per model
 (:class:`~repro.mapping.residency.WeightResidency`), activations stream
 per request, and contention between overlapping requests emerges from
 the fabric's channels.
@@ -16,7 +17,7 @@ model name.  Batches never mix models (one batched inference is one
 model), and per-model latency SLOs assign every request a deadline at
 submission.
 
-Five policies:
+Five policies (:data:`~repro.studies.spec.SCHEDULER_POLICIES`):
 
 * ``fifo``      — every request dispatches alone, in arrival order;
   ``max_inflight`` caps concurrent executions (admission control).
@@ -66,97 +67,9 @@ from ..mapping.mapper import ModelMapping
 from ..mapping.residency import KVCacheResidency, WeightResidency
 from ..sim.core import Event
 from ..sim.resources import Resource
+from ..studies.spec import SchedulerSpec
 from .metrics import RequestRecord
 from .window import ServingWindow
-
-POLICY_NAMES = ("fifo", "max-batch", "edf", "priority", "continuous")
-"""Every dispatch policy the scheduler implements."""
-
-
-@dataclass(frozen=True)
-class BatchPolicy:
-    """Admission + dispatch-ordering + batching configuration."""
-
-    name: str = "fifo"
-    max_batch: int = 1
-    batch_timeout_s: float = 20e-6
-    max_inflight: int = 4
-    shed_expired: bool = False
-
-    def __post_init__(self) -> None:
-        if self.name not in POLICY_NAMES:
-            raise ConfigurationError(
-                f"unknown batch policy {self.name!r}; "
-                f"choose from {', '.join(POLICY_NAMES)}"
-            )
-        if self.max_batch < 1:
-            raise ConfigurationError(
-                f"max batch must be >= 1, got {self.max_batch}"
-            )
-        if self.name not in ("max-batch", "continuous") and self.max_batch != 1:
-            raise ConfigurationError(
-                f"{self.name} policy dispatches single requests"
-            )
-        if self.batch_timeout_s < 0:
-            raise ConfigurationError(
-                f"batch timeout must be non-negative, got "
-                f"{self.batch_timeout_s}"
-            )
-        if self.max_inflight < 1:
-            raise ConfigurationError(
-                f"max inflight must be >= 1, got {self.max_inflight}"
-            )
-
-    @classmethod
-    def fifo(cls, max_inflight: int = 4,
-             shed_expired: bool = False) -> "BatchPolicy":
-        """One request per dispatch, ``max_inflight`` concurrent."""
-        return cls(name="fifo", max_batch=1, max_inflight=max_inflight,
-                   shed_expired=shed_expired)
-
-    @classmethod
-    def max_batch_with_timeout(cls, max_batch: int = 8,
-                               batch_timeout_s: float = 20e-6,
-                               max_inflight: int = 4,
-                               shed_expired: bool = False) -> "BatchPolicy":
-        """Gather up to ``max_batch`` requests or until the timeout."""
-        return cls(name="max-batch", max_batch=max_batch,
-                   batch_timeout_s=batch_timeout_s,
-                   max_inflight=max_inflight, shed_expired=shed_expired)
-
-    @classmethod
-    def edf(cls, max_inflight: int = 4,
-            shed_expired: bool = False) -> "BatchPolicy":
-        """Earliest-deadline-first single-request dispatch."""
-        return cls(name="edf", max_batch=1, max_inflight=max_inflight,
-                   shed_expired=shed_expired)
-
-    @classmethod
-    def priority(cls, max_inflight: int = 4,
-                 shed_expired: bool = False) -> "BatchPolicy":
-        """Model-priority single-request dispatch (higher first)."""
-        return cls(name="priority", max_batch=1, max_inflight=max_inflight,
-                   shed_expired=shed_expired)
-
-    @classmethod
-    def continuous(cls, max_batch: int = 8,
-                   max_inflight: int | None = None,
-                   shed_expired: bool = False) -> "BatchPolicy":
-        """Continuous batching: ``max_batch`` caps the decode width."""
-        if max_inflight is None:
-            max_inflight = max(max_batch, 4)
-        return cls(name="continuous", max_batch=max_batch,
-                   max_inflight=max_inflight, shed_expired=shed_expired)
-
-    @property
-    def label(self) -> str:
-        base = (
-            f"{self.name}({self.max_batch})"
-            if self.name in ("max-batch", "continuous")
-            else self.name
-        )
-        return base + "+shed" if self.shed_expired else base
-
 
 @dataclass
 class RequestHandle:
@@ -226,9 +139,10 @@ class RequestScheduler(ServingWindow):
     """Streams requests from an arrival process through a platform.
 
     Build one per serving simulation: it owns the queue, the dispatcher
-    process, the admission semaphore and the shared
-    :class:`ExecutionTrace` that accumulates operation counts (for the
-    energy ledger) and per-request records (for latency aggregation).
+    process, the admission semaphore, the per-request records (for
+    latency aggregation) and the shared :class:`ExecutionTrace` that
+    accumulates operation counts (for the energy ledger).  ``policy``
+    is the validated scheduler section; the default is plain ``fifo``.
     """
 
     def __init__(
@@ -236,37 +150,24 @@ class RequestScheduler(ServingWindow):
         sim: PlatformSimulation,
         mapping: ModelMapping,
         model_name: str,
-        policy: BatchPolicy | None = None,
+        policy: SchedulerSpec = SchedulerSpec(),
         residency: WeightResidency | None = None,
         trace: ExecutionTrace | None = None,
         slo_s: float | None = None,
         priority: int = 0,
         quota: int | None = None,
-        starvation_age_s: float | None = None,
     ):
         super().__init__(sim.env)
         self.sim = sim
         self.mapping = mapping
         self.model_name = model_name
-        self.policy = policy or BatchPolicy.fifo()
+        self.policy = policy
         self.residency = (
             residency if residency is not None
             else WeightResidency(sim.env)
         )
         self.trace = trace or ExecutionTrace()
         self.compute = ComputeOccupancy(sim.env)
-        if starvation_age_s is not None:
-            if self.policy.name != "priority":
-                raise ConfigurationError(
-                    "starvation_age_s only applies to the priority "
-                    f"policy, not {self.policy.name!r}"
-                )
-            if starvation_age_s <= 0:
-                raise ConfigurationError(
-                    f"starvation age must be positive, got "
-                    f"{starvation_age_s}"
-                )
-        self.starvation_age_s = starvation_age_s
         self._models: dict[str, _ModelEntry] = {}
         self._register(model_name, mapping, slo_s, priority, quota)
 
@@ -523,7 +424,7 @@ class RequestScheduler(ServingWindow):
     def _select_index(self) -> int:
         """Queue index the policy dispatches next (queue non-empty)."""
         queue = self._queue
-        if self.policy.name == "edf":
+        if self.policy.policy == "edf":
             return min(
                 range(len(queue)),
                 key=lambda i: (
@@ -532,11 +433,11 @@ class RequestScheduler(ServingWindow):
                     i,
                 ),
             )
-        if self.policy.name == "priority":
+        if self.policy.policy == "priority":
             # Starvation guard: the queue is in arrival order, so index
             # 0 is the oldest waiter — once it has aged past the
             # threshold it dispatches ahead of higher-priority arrivals.
-            age = self.starvation_age_s
+            age = self.policy.starvation_age_s
             if age is not None and self.env.now - queue[0].submit_s > age:
                 self.starvation_promotions += 1
                 if self.obs_trace is not None:
@@ -610,40 +511,19 @@ class RequestScheduler(ServingWindow):
                 # Everything queued was shed; give the slot back.
                 self._admission.release()
                 continue
-            if head.is_sequence:
-                self.batches_dispatched += 1
-                if policy.name == "continuous":
-                    # Each sequence holds its admission slot for its
-                    # whole lifetime; prefilled sequences join the
-                    # model's running decode batch.
-                    self.env.process(self._serve_sequence(head))
-                    continue
-                batch = [head]
-                if policy.name == "max-batch" and policy.max_batch > 1:
-                    deadline = self.env.now + policy.batch_timeout_s
-                    while len(batch) < policy.max_batch:
-                        candidate = self._pop_match(head.model,
-                                                    want_sequence=True)
-                        if candidate is not None:
-                            if self._expired(candidate):
-                                self._shed(candidate)
-                            else:
-                                batch.append(candidate)
-                            continue
-                        remaining = deadline - self.env.now
-                        if remaining <= 0:
-                            break
-                        yield self.env.any_of([
-                            self._wait_arrival(),
-                            self.env.timeout(remaining),
-                        ])
-                self.env.process(self._execute_sequence_batch(batch))
+            self.batches_dispatched += 1
+            sequence = head.is_sequence
+            if sequence and policy.policy == "continuous":
+                # Each sequence holds its admission slot for its whole
+                # lifetime; prefilled sequences join the model's running
+                # decode batch.
+                self.env.process(self._serve_sequence(head))
                 continue
             batch = [head]
-            if policy.name == "max-batch" and policy.max_batch > 1:
+            if policy.policy == "max-batch" and policy.max_batch > 1:
                 deadline = self.env.now + policy.batch_timeout_s
                 while len(batch) < policy.max_batch:
-                    candidate = self._pop_match(head.model)
+                    candidate = self._pop_match(head.model, sequence)
                     if candidate is not None:
                         if self._expired(candidate):
                             self._shed(candidate)
@@ -657,8 +537,10 @@ class RequestScheduler(ServingWindow):
                         self._wait_arrival(),
                         self.env.timeout(remaining),
                     ])
-            self.batches_dispatched += 1
-            self.env.process(self._execute(batch))
+            self.env.process(
+                self._execute_sequence_batch(batch) if sequence
+                else self._execute(batch)
+            )
 
     def _shed(self, request: RequestHandle) -> None:
         """Drop an expired request without executing it."""
@@ -674,7 +556,6 @@ class RequestScheduler(ServingWindow):
             dropped=True,
         )
         self.records.append(record)
-        self.trace.request_records.append(record)
         track = self._obs_track(request)
         if track is not None:
             self.obs_trace.add(track, "queue-wait", request.submit_s, now)
@@ -748,7 +629,6 @@ class RequestScheduler(ServingWindow):
                 deadline_s=request.deadline_s,
             )
             self.records.append(record)
-            self.trace.request_records.append(record)
             request.record = record
             if request.done is not None:
                 request.done.succeed()
@@ -879,7 +759,6 @@ class RequestScheduler(ServingWindow):
             ),
         )
         self.records.append(record)
-        self.trace.request_records.append(record)
         request.record = record
         self.sim.fabric.request_finished()
         if release_slot:

@@ -28,7 +28,6 @@ from .. import _lazy_package
 __getattr__, __dir__, __all__ = _lazy_package(__name__, {
     ".registry": (
         "ARRIVALS",
-        "BATCH_POLICIES",
         "CONTROLLERS",
         "HAZARDS",
         "MODELS",
@@ -38,6 +37,7 @@ __getattr__, __dir__, __all__ = _lazy_package(__name__, {
     ),
     ".spec": (
         "FIDELITY_MODES",
+        "SCHEDULER_POLICIES",
         "SPEC_SCHEMA_VERSION",
         "ClusterSpec",
         "FaultEventSpec",
@@ -59,10 +59,7 @@ __getattr__, __dir__, __all__ = _lazy_package(__name__, {
         "InferenceCell",
         "StudyPoint",
         "StudyResult",
-        "build_policy",
         "expand_points",
-        "build_fidelity",
-        "build_telemetry",
         "load_spec",
         "lower_study",
         "render_dry_run",

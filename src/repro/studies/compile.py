@@ -45,149 +45,98 @@ from ..experiments.runner import (
     simulate_inference_cell,
 )
 from .faults import hazard_timeline, platform_timelines
-from .registry import (
-    ARRIVALS,
-    BATCH_POLICIES,
-    CONTROLLERS,
-    MODELS,
-    PLATFORMS,
-    ROUTERS,
+from .registry import ARRIVALS, CONTROLLERS, MODELS, PLATFORMS, ROUTERS
+from .spec import (
+    MEANINGLESS,
+    UNSUPPORTED,
+    ClusterSpec,
+    FaultSpec,
+    Rule,
+    StudySpec,
 )
-from .spec import ClusterSpec, FaultSpec, SchedulerSpec, StudySpec
 
 if TYPE_CHECKING:
-    from ..cluster.router import HealthPolicy
     from ..experiments.serving_study import ServingCell
-    from ..serving.lifecycle import ResiliencePolicy
     from ..serving.metrics import ServingResult
-    from ..serving.scheduler import BatchPolicy
 
 SIPH_PLATFORM = "2.5D-CrossLight-SiPh"
 """The one platform whose fabric takes a reconfiguration controller."""
 
 
 # ---------------------------------------------------------------------------
-# Spec resolution: names, configs, policies, the expanded grid.
+# Spec resolution: names, configs, lowering rules, the expanded grid.
 # ---------------------------------------------------------------------------
 
 
-def build_policy(scheduler: SchedulerSpec) -> BatchPolicy:
-    """Resolve a scheduler spec into a dispatch policy (typed errors)."""
-    return BATCH_POLICIES.get(scheduler.policy)(
-        scheduler.max_batch, scheduler.batch_timeout_s,
-        scheduler.max_inflight, scheduler.shed_expired,
-    )
+def _lengths(spec: StudySpec):
+    """``(model, output_tokens)`` of every tenant, after overrides."""
+    workload = spec.workload
+    return [
+        (entry.model, workload.resolved_lengths(entry)[1])
+        for entry in workload.models
+    ]
 
 
-def build_resilience(spec: StudySpec) -> ResiliencePolicy | None:
-    """The point's request-lifecycle policy; ``None`` when degenerate.
+_LENGTH_PATHS = ("workload.models[].model", "workload.output_tokens",
+                 "workload.models[].output_tokens")
 
-    A spec with no timeout, no retries and no hedging lowers to the
-    submit-once path: the cell carries no policy.
-    """
-    section = spec.resilience
-    if not section:
-        return None
-    from ..serving.lifecycle import ResiliencePolicy
-
-    policy = ResiliencePolicy(
-        timeout_s=section.timeout_s,
-        max_retries=section.max_retries,
-        retry_backoff_s=section.retry_backoff_s,
-        retry_jitter=section.retry_jitter,
-        retry_budget=section.retry_budget,
-        hedge_delay_s=section.hedge_delay_s,
-    )
-    return policy if policy else None
-
-
-def build_fidelity(spec: StudySpec):
-    """The point's hybrid-fidelity policy; ``None`` when degenerate.
-
-    A ``fidelity`` section in ``des`` mode (the default) lowers to
-    full DES: the cell carries no policy.  The armed modes compile to
-    a picklable
-    :class:`~repro.experiments.fidelity.FidelityPolicy` the cell
-    workers dispatch on.
-    """
-    section = spec.fidelity
-    if not section:
-        return None
-    # Deferred: the fidelity engine imports the cell modules this
-    # compiler lowers onto.
-    from ..experiments.fidelity import FidelityPolicy
-
-    return FidelityPolicy(
-        mode=section.mode,
-        error_budget=section.error_budget,
-        calibration_s=section.calibration_s,
-    )
-
-
-def build_telemetry(spec: StudySpec):
-    """The point's telemetry policy; ``None`` when degenerate.
-
-    The default (empty) telemetry section lowers to an untelemetered
-    run: the cell carries no policy.  An armed section compiles
-    to a picklable :class:`~repro.obs.policy.TelemetryPolicy` the cell
-    workers build a recording session from.
-    """
-    section = spec.telemetry
-    if not section:
-        return None
-    from ..obs.policy import TelemetryPolicy
-    # The armed run records through a session: load it here, at
-    # lowering, so the run imports nothing.
-    from ..obs.session import TelemetrySession  # noqa: F401
-
-    return TelemetryPolicy(
-        trace=section.trace,
-        sample_rate=section.sample_rate,
-        metrics_interval_s=section.metrics_interval_s,
-    )
-
-
-def _validate_fidelity(point: StudySpec) -> None:
-    """Reject spec features the fluid model cannot express.
-
-    The spec layer already rejects closed-loop arrivals, armed
-    resilience and deadline shedding; here the compiler checks the
-    parts that need lowering context — fabric-level hazards (the fluid
-    queue has no photonic-channel model; only compute-side
-    ``chiplet-mac-degrade`` windows map onto capacity segments) and
-    health-checked routing (probe dynamics are inherently event-driven).
-    """
-    if not point.fidelity:
-        return
-    _, compute = platform_timelines(point.platform.faults)
-    n_fabric = len(point.platform.faults.events) - len(compute)
-    if n_fabric:
-        raise SpecError(
-            "fidelity modes fluid/auto support only compute-side "
-            "platform faults (chiplet-mac-degrade); "
-            f"{n_fabric} fabric-level event(s) present — use "
-            "fidelity mode 'des' for photonic hazard studies"
-        )
-    if build_health(point) is not None:
-        raise SpecError(
-            "fidelity modes fluid/auto do not model probe-based health "
-            "checking; use fidelity mode 'des' (or omniscient signals)"
-        )
-
-
-def build_health(spec: StudySpec) -> HealthPolicy | None:
-    """The point's router signal path; ``None`` means omniscient —
-    zero staleness and no probes lower to the instant-view router."""
-    section = spec.resilience
-    if not section.health_checked:
-        return None
-    from ..cluster.router import HealthPolicy
-
-    return HealthPolicy(
-        signal_staleness_s=section.signal_staleness_s,
-        probe_interval_s=section.probe_interval_s,
-        probe_misses=section.probe_misses,
-    )
+LOWERING_RULES: tuple[Rule, ...] = (
+    Rule("epoch-needs-siph", "",
+         ("platform.controller_epoch_s", "platform.name"), MEANINGLESS,
+         lambda s: s.platform.controller_epoch_s is not None
+         and s.platform.name != SIPH_PLATFORM,
+         f"platform.controller_epoch_s applies only to {SIPH_PLATFORM!r} "
+         "(the platform with a reconfiguration controller), got platform "
+         "{s.platform.name!r}"),
+    Rule("epoch-needs-epoch-controller", "",
+         ("platform.controller_epoch_s", "platform.controller"), MEANINGLESS,
+         lambda s: s.platform.controller_epoch_s is not None
+         and s.platform.controller not in EPOCH_CONTROLLERS,
+         "platform.controller_epoch_s applies only to the epoch-driven "
+         f"controllers ({', '.join(EPOCH_CONTROLLERS)}); the "
+         "{s.platform.controller!r} controller never acts on the epoch"),
+    Rule("sequences-need-transformer", "", _LENGTH_PATHS, MEANINGLESS,
+         lambda s: any(
+             output > 0 and model not in TRANSFORMER_BUILDERS
+             for model, output in _lengths(s)
+         ),
+         "sequence lengths on a model with no attention layers; "
+         "autoregressive serving needs a transformer model "
+         f"({', '.join(sorted(TRANSFORMER_BUILDERS))}) — CNN tenants keep "
+         "prompt_tokens/output_tokens at 0"),
+    Rule("transformer-needs-sequences", "", _LENGTH_PATHS, UNSUPPORTED,
+         lambda s: s.kind == "serving" and any(
+             output == 0 and model in TRANSFORMER_BUILDERS
+             for model, output in _lengths(s)
+         ),
+         "a transformer model in a serving mix needs sequence lengths "
+         "(set output_tokens, plus prompt_tokens, at the workload or "
+         "tenant level): the serving layer runs transformers only as "
+         "sequences"),
+    Rule("platform-faults-need-siph", "", ("platform.faults", "platform.name"),
+         UNSUPPORTED,
+         lambda s: bool(s.platform.faults)
+         and s.platform.name != SIPH_PLATFORM,
+         f"platform.faults applies only to {SIPH_PLATFORM!r} (the hazard "
+         "engine mutates its photonic fabric), got platform "
+         "{s.platform.name!r}"),
+    Rule("fluid-fabric-faults", "", ("fidelity.mode", "platform.faults"),
+         UNSUPPORTED,
+         lambda s: bool(s.fidelity) and len(s.platform.faults.events) > len(
+             platform_timelines(s.platform.faults)[1]
+         ),
+         "fidelity modes fluid/auto support only compute-side platform "
+         "faults (chiplet-mac-degrade); the fluid queue has no model of "
+         "fabric-level events — use fidelity mode 'des' for photonic "
+         "hazard studies"),
+)
+"""The rules that need the registries or the fault lowering, run on
+every grid point at lowering, after its names resolve.  Rows read like
+:data:`~repro.studies.spec.RULES` rows: ``section`` is ``""`` (the
+point), and each error ends with the row's paths.  A platform fault
+section on another platform is ``unsupported`` rather than
+``meaningless``: its compute-side ``chiplet-mac-degrade`` kind could
+act on any platform's MAC arrays."""
 
 
 def resolve_config(spec: StudySpec,
@@ -207,52 +156,15 @@ def resolve_config(spec: StudySpec,
 
 
 def _validate_names(spec: StudySpec) -> None:
-    """Resolve every registry name once, before any simulation runs."""
+    """Resolve every registry name and run :data:`LOWERING_RULES`
+    once, before any simulation runs."""
     PLATFORMS.get(spec.platform.name)
     CONTROLLERS.get(spec.platform.controller)
     for entry in spec.workload.models:
         MODELS.get(entry.model)
-    if spec.platform.controller_epoch_s is not None:
-        # Inert-knob rejection: the epoch only drives the reconfiguring
-        # controllers, and only the SiPh fabric has one at all.
-        if spec.platform.name != SIPH_PLATFORM:
-            raise SpecError(
-                f"platform.controller_epoch_s applies only to "
-                f"{SIPH_PLATFORM!r} (the platform with a reconfiguration "
-                f"controller), got platform {spec.platform.name!r}"
-            )
-        if spec.platform.controller not in EPOCH_CONTROLLERS:
-            raise SpecError(
-                f"platform.controller_epoch_s applies only to the "
-                f"epoch-driven controllers "
-                f"({', '.join(EPOCH_CONTROLLERS)}); the "
-                f"{spec.platform.controller!r} controller never acts on "
-                "the epoch"
-            )
-    for entry in spec.workload.models:
-        prompt, output = spec.workload.resolved_lengths(entry)
-        is_transformer = entry.model in TRANSFORMER_BUILDERS
-        if output > 0 and not is_transformer:
-            raise SpecError(
-                f"sequence lengths on {entry.model!r}, which has no "
-                "attention layers; autoregressive serving needs a "
-                f"transformer model "
-                f"({', '.join(sorted(TRANSFORMER_BUILDERS))}) — CNN "
-                "tenants keep prompt_tokens/output_tokens at 0"
-            )
-        if spec.kind == "serving" and is_transformer and output == 0:
-            raise SpecError(
-                f"transformer model {entry.model!r} in a serving mix "
-                "needs sequence lengths (set output_tokens, plus "
-                "prompt_tokens, at the workload or tenant level)"
-            )
-    if spec.platform.faults.events:
-        if spec.platform.name != SIPH_PLATFORM:
-            raise SpecError(
-                f"platform.faults applies only to {SIPH_PLATFORM!r} "
-                f"(the hazard engine mutates its photonic fabric), got "
-                f"platform {spec.platform.name!r}"
-            )
+    for rule in LOWERING_RULES:
+        rule.check(spec)
+    if spec.platform.faults:
         if spec.kind == "serving":
             platform_timelines(spec.platform.faults)
         else:
@@ -260,8 +172,6 @@ def _validate_names(spec: StudySpec) -> None:
             hazard_timeline(spec.platform.faults)
     if spec.kind == "serving":
         ARRIVALS.get(spec.workload.arrival)
-        build_policy(spec.scheduler)
-        _validate_fidelity(spec)
     if spec.cluster is not None:
         _validate_cluster(spec)
 
@@ -320,10 +230,18 @@ def lower_serving_point(point: StudySpec,
                         config: PlatformConfig) -> ServingCell:
     """One resolved serving point to its serving cell.
 
-    A point without a ``cluster`` section is the one-node fleet.
+    The cell carries the point's scheduler, resilience, fidelity and
+    telemetry sections and its node overrides as they are.  A point
+    without a ``cluster`` section is the one-node fleet.
     """
     from ..experiments.serving_study import ServingCell
 
+    # The armed fluid path and the recording session load here, at
+    # lowering, so the run imports nothing.
+    if point.fidelity:
+        from ..experiments.fidelity import simulate_fidelity_cell  # noqa: F401
+    if point.telemetry:
+        from ..obs.session import TelemetrySession  # noqa: F401
     workload = point.workload
     cluster = point.cluster or ClusterSpec()
     return ServingCell(
@@ -333,7 +251,7 @@ def lower_serving_point(point: StudySpec,
             for entry in workload.models
         ),
         controller=point.platform.controller,
-        policy=build_policy(point.scheduler),
+        scheduler=point.scheduler,
         arrival_kind=workload.arrival,
         rate_rps=workload.rate_rps,
         duration_s=workload.duration_s,
@@ -344,8 +262,8 @@ def lower_serving_point(point: StudySpec,
         think_time_s=workload.think_time_s,
         residency_capacity_bits=point.residency_capacity_bits,
         faults=point.platform.faults or None,
-        resilience=build_resilience(point),
-        fidelity=build_fidelity(point),
+        resilience=point.resilience,
+        fidelity=point.fidelity,
         sequences=(
             tuple(
                 workload.resolved_lengths(entry)
@@ -358,19 +276,13 @@ def lower_serving_point(point: StudySpec,
             tuple(entry.quota for entry in workload.models)
             if workload.has_quotas else ()
         ),
-        starvation_age_s=point.scheduler.starvation_age_s,
-        telemetry=build_telemetry(point),
+        telemetry=point.telemetry,
         replicas=cluster.replicas,
         router=cluster.router,
         weights=cluster.weights,
         reroute_on_fail=cluster.reroute_on_fail,
-        node_overrides=tuple(
-            (override.node, override.controller, override.n_wavelengths,
-             override.gateways_per_chiplet)
-            for override in cluster.nodes
-        ),
+        node_overrides=cluster.nodes,
         node_faults=cluster.faults or None,
-        health=build_health(point),
     )
 
 
@@ -618,24 +530,15 @@ def render_dry_run(spec: StudySpec,
             f"point {index}: {point_label(point, spec)} "
             f"[digest {point.digest[:12]}]"
         )
-        resilience = build_resilience(point)
-        health = build_health(point)
-        if resilience is not None or health is not None:
-            parts = []
-            if resilience is not None:
-                parts.append(f"lifecycle {resilience.label}")
-            if health is not None:
-                parts.append(f"signals {health.label}")
-            lines.append(f"  resilience: {', '.join(parts)}")
-        fidelity = build_fidelity(point)
-        if fidelity is not None:
+        if point.resilience:
+            lines.append(f"  resilience: {point.resilience.label}")
+        if point.fidelity:
             lines.append(
-                f"  fidelity: {fidelity.mode} "
-                f"(budget {fidelity.error_budget:g})"
+                f"  fidelity: {point.fidelity.mode} "
+                f"(budget {point.fidelity.error_budget:g})"
             )
-        telemetry = build_telemetry(point)
-        if telemetry is not None:
-            lines.append(f"  telemetry: {telemetry.label}")
+        if point.telemetry:
+            lines.append(f"  telemetry: {point.telemetry.label}")
         for cell in group:
             label = type(cell).__name__
             line = f"  {label:<14}{cell.grid_label:<32} key {cell.key()}"

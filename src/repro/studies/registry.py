@@ -1,7 +1,7 @@
 """Plugin-style registries: every name the study layer can look up.
 
 One :class:`Registry` per extension point — platforms, models,
-interposer controllers, arrival processes and batch policies — replaces
+interposer controllers, hazards, arrival processes and routers — replaces
 the name→builder dictionaries that used to be scattered across
 ``experiments/runner.py``, ``experiments/serving_study.py`` and
 ``cli.py``.  A failed lookup raises
@@ -10,9 +10,10 @@ instead of a bare ``KeyError``, and downstream code (including external
 plugins) can ``register`` new entries without touching any other layer.
 
 Registries whose factories live in another layer bind on first use
-(``CONTROLLERS``, ``HAZARDS``, ``ARRIVALS``, ``BATCH_POLICIES``,
-``ROUTERS``): importing this module loads only the platform and model
-layers an inference study runs.
+(``CONTROLLERS``, ``HAZARDS``, ``ARRIVALS``, ``ROUTERS``): importing
+this module loads only the platform and model layers an inference study
+runs.  Dispatch policies are no registry: the scheduler implements a
+fixed set, which ``SchedulerSpec.policy`` names as its choices.
 """
 
 from __future__ import annotations
@@ -213,40 +214,6 @@ def _arrival_factories() -> dict[str, Callable]:
 ARRIVALS = Registry("arrival process", label="ARRIVALS",
                     bind=_arrival_factories)
 """Arrival-process factories ``(rate_rps, seed, **knobs) -> process``."""
-
-
-# ---------------------------------------------------------------------------
-# Batch/dispatch policies: factories from scheduler-spec knobs.
-# ---------------------------------------------------------------------------
-
-
-def _policy_factories() -> dict[str, Callable]:
-    """One factory per policy name, forwarding every spec field.
-
-    Forwarding (rather than cherry-picking) keeps
-    :class:`~repro.serving.scheduler.BatchPolicy`'s own validation in
-    force: e.g. ``max_batch > 1`` with a single-dispatch policy raises
-    instead of silently no-oping.
-    """
-    from ..serving.scheduler import POLICY_NAMES, BatchPolicy
-
-    def factory(name: str) -> Callable[..., BatchPolicy]:
-        def build(max_batch: int, batch_timeout_s: float,
-                  max_inflight: int, shed_expired: bool) -> BatchPolicy:
-            return BatchPolicy(
-                name=name, max_batch=max_batch,
-                batch_timeout_s=batch_timeout_s, max_inflight=max_inflight,
-                shed_expired=shed_expired,
-            )
-        return build
-
-    return {name: factory(name) for name in POLICY_NAMES}
-
-
-BATCH_POLICIES = Registry("batch policy", label="BATCH_POLICIES",
-                          bind=_policy_factories)
-"""Dispatch-policy factories
-``(max_batch, batch_timeout_s, max_inflight, shed_expired) -> policy``."""
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ outage groups) and ``mac_fraction`` (compute-side MAC degradation).
 Version 5: :class:`StudySpec` grew a ``fidelity`` section
 (:class:`FidelitySpec`: the hybrid-fidelity engine — fluid fast path,
 calibration error budget, automatic DES fallback).  The degenerate
-``des`` default lowers to a cell with no fidelity policy.
+``des`` default runs full DES.
 
 Version 6: autoregressive (transformer) serving.
 :class:`WorkloadSpec` grew sequence-length knobs (``prompt_tokens`` /
@@ -92,7 +92,11 @@ Single-step (CNN) specs lower to cells with no sequence lengths.
 Version 7: :class:`StudySpec` grew a ``telemetry`` section
 (:class:`TelemetrySpec`: request span tracing with a configurable
 sample rate, and sim-time-sampled gauge metrics).  The degenerate
-default lowers to a cell with no telemetry policy."""
+default records nothing."""
+
+SCHEDULER_POLICIES = ("fifo", "max-batch", "edf", "priority", "continuous")
+"""The dispatch policies the serving scheduler implements
+(:mod:`repro.serving.scheduler`)."""
 
 LENGTH_DISTRIBUTIONS = ("fixed", "geometric")
 """Sequence-length samplers: every request uses the configured token
@@ -233,9 +237,19 @@ def _check_value(spec_field: _Field, value: Any) -> None:
 def _coerce(hint: Any, value: Any, path: str) -> Any:
     """A JSON (or sweep) value as its annotated type: sections through
     their ``from_dict``, lists as tuples, element by element.  Scalars
-    pass unchanged, for the checker to judge."""
+    pass unchanged, for the checker to judge.
+
+    ``path`` is where the value sits (``cluster.faults``, or
+    ``workload.models[1]`` for a list entry).  A section's errors name
+    its class's static path (``faults.events[].at_s``), so they are
+    re-rooted here to name the section and index they came from."""
     if isinstance(hint, type) and issubclass(hint, _Spec):
-        return value if isinstance(value, hint) else hint.from_dict(value)
+        if isinstance(value, hint):
+            return value
+        try:
+            return hint.from_dict(value)
+        except SpecError as error:
+            raise _rerooted(error, hint._path, path) from None
     origin, args = get_origin(hint), get_args(hint)
     if origin is UnionType:
         (inner,) = set(args) - {NoneType}
@@ -246,7 +260,20 @@ def _coerce(hint: Any, value: Any, path: str) -> Any:
         raise SpecError(f"{path} must be a list, got {value!r}")
     if args[1:] != (Ellipsis,):
         return tuple(value)
-    return tuple(_coerce(args[0], item, f"{path}[]") for item in value)
+    return tuple(
+        _coerce(args[0], item, f"{path}[{index}]")
+        for index, item in enumerate(value)
+    )
+
+
+def _rerooted(error: SpecError, static: str, path: str) -> SpecError:
+    """``error`` with every path that starts at ``static`` (a class's
+    ``_path``) moved to start at ``path``: ``faults.events[].at_s``
+    becomes ``faults.events[1].at_s`` for the second event, and
+    ``faults.events[1].at_s`` becomes ``cluster.faults.events[1].at_s``
+    one level up."""
+    pattern = rf"(?<![\w.\[]){re.escape(static)}(?![\w\[])"
+    return SpecError(re.sub(pattern, lambda _: path, str(error)))
 
 
 def _jsonify(value: Any) -> Any:
@@ -288,7 +315,8 @@ class _Spec:
 
     ``_path`` is the dotted path of the class's fields in a study
     (``"workload.models[]"``; ``""`` for the study itself), which every
-    error names.
+    error names.  A section built by ``from_dict`` names where it sits
+    instead (``cluster.faults.events[1]``; see :func:`_coerce`).
     """
 
     _path: ClassVar[str] = ""
@@ -298,11 +326,7 @@ class _Spec:
             _check_value(spec_field, getattr(self, spec_field.name))
         self._check()
         for rule in _rules(type(self)):
-            if rule.violated(self):
-                raise SpecError(
-                    f"{rule.message.format(s=self)} "
-                    f"({', '.join(rule.paths)})"
-                )
+            rule.check(self)
 
     def _check(self) -> None:
         """Structural checks no field metadata states (duplicates,
@@ -577,9 +601,13 @@ class PlatformSpec(_Spec):
 class SchedulerSpec(_Spec):
     """How requests dispatch: policy, batching, admission, shedding.
 
-    Mirrors :class:`~repro.serving.scheduler.BatchPolicy`
-    field-for-field; the compiler builds the policy through the batch
-    policy registry so the name resolves with a typed error.
+    The serving scheduler (:class:`~repro.serving.scheduler.RequestScheduler`)
+    reads this section as it is.  ``policy`` is one of
+    :data:`SCHEDULER_POLICIES`; ``max_batch`` caps a batch (``max-batch``)
+    or the decode width (``continuous``), ``batch_timeout_s`` bounds how
+    long a ``max-batch`` batch gathers, ``max_inflight`` caps concurrent
+    executions and ``shed_expired`` drops requests whose deadline passed
+    before dispatch.
 
     ``starvation_age_s`` arms the priority policy's starvation guard:
     a queued request older than this is promoted ahead of higher
@@ -587,7 +615,7 @@ class SchedulerSpec(_Spec):
     elsewhere).
     """
 
-    policy: str = "fifo"
+    policy: str = _choice("fifo", SCHEDULER_POLICIES, "batch policy")
     max_batch: int = _bounded(1, ">= 1", "max batch")
     batch_timeout_s: float = _bounded(20e-6, ">= 0", "batch timeout")
     max_inflight: int = _bounded(4, ">= 1", "max inflight")
@@ -595,6 +623,16 @@ class SchedulerSpec(_Spec):
     starvation_age_s: float | None = _bounded(None, "> 0", "starvation age")
 
     _path: ClassVar[str] = "scheduler"
+
+    @property
+    def label(self) -> str:
+        """The exported ``policy`` column: ``fifo``, ``max-batch(8)+shed``."""
+        base = (
+            f"{self.policy}({self.max_batch})"
+            if self.policy in ("max-batch", "continuous")
+            else self.policy
+        )
+        return base + "+shed" if self.shed_expired else base
 
 
 # ---------------------------------------------------------------------------
@@ -688,9 +726,12 @@ class ResilienceSpec(_Spec):
 
     The default instance is the **degenerate** resilience spec: no
     timeouts, no retries, no hedging, and an omniscient zero-staleness
-    router — cells carry no lifecycle policy.  Any non-default knob
-    routes the study through the request-lifecycle layer
-    (:mod:`repro.serving.lifecycle`).
+    router — requests are submitted once.  Its lifecycle knobs
+    (:attr:`lifecycle_armed`) route the study through the
+    request-lifecycle layer (:mod:`repro.serving.lifecycle`), and its
+    signal knobs (:attr:`health_checked`) give the cluster router a
+    modeled view of its fleet; :data:`RULES` rejects every other knob
+    unless one of those two is armed.
 
     ``timeout_s`` bounds each *attempt*; a timed-out attempt is
     cancelled (if still queued) and retried up to ``max_retries`` times
@@ -729,9 +770,47 @@ class ResilienceSpec(_Spec):
         return _changed(self)
 
     @property
+    def lifecycle_armed(self) -> bool:
+        """Whether requests run a lifecycle (timeout, retries or hedge)."""
+        return (
+            self.timeout_s is not None
+            or self.max_retries > 0
+            or self.hedge_delay_s is not None
+        )
+
+    @property
     def health_checked(self) -> bool:
         """Whether the router's view is modeled (stale and/or probed)."""
         return self.signal_staleness_s > 0 or self.probe_interval_s is not None
+
+    @property
+    def label(self) -> str:
+        """The armed knobs, as the dry run prints them: ``lifecycle
+        timeout=150us+retries=2, signals probe=25usx3``
+        (``passthrough`` when neither part is armed)."""
+        parts = []
+        if self.lifecycle_armed:
+            knobs = []
+            if self.timeout_s is not None:
+                knobs.append(f"timeout={self.timeout_s * 1e6:.0f}us")
+            if self.max_retries > 0:
+                knobs.append(f"retries={self.max_retries}")
+                if self.retry_budget is not None:
+                    knobs.append(f"budget={self.retry_budget:g}")
+            if self.hedge_delay_s is not None:
+                knobs.append(f"hedge={self.hedge_delay_s * 1e6:.0f}us")
+            parts.append("lifecycle " + "+".join(knobs))
+        if self.health_checked:
+            knobs = []
+            if self.signal_staleness_s > 0:
+                knobs.append(f"stale={self.signal_staleness_s * 1e6:.0f}us")
+            if self.probe_interval_s is not None:
+                knobs.append(
+                    f"probe={self.probe_interval_s * 1e6:.0f}us"
+                    f"x{self.probe_misses}"
+                )
+            parts.append("signals " + "+".join(knobs))
+        return ", ".join(parts) or "passthrough"
 
 
 # ---------------------------------------------------------------------------
@@ -749,8 +828,9 @@ class FidelitySpec(_Spec):
     """How faithfully each serving cell is simulated.
 
     The default instance is the **degenerate** fidelity spec: every
-    cell runs the full discrete-event simulation and carries no
-    fidelity policy.
+    cell runs the full discrete-event simulation.  A cell carrying an
+    armed section runs through the fidelity engine
+    (:func:`repro.experiments.fidelity.simulate_fidelity_cell`).
 
     ``mode`` selects the engine per cell: ``"fluid"`` runs the M/G/k
     fluid approximation calibrated against a short DES window of the
@@ -788,7 +868,8 @@ class TelemetrySpec(_Spec):
     """What the simulation observes about itself while it runs.
 
     The default instance is the **degenerate** telemetry spec: nothing
-    is recorded, and cells carry no telemetry policy.
+    is recorded.  A cell carrying an armed section records through a
+    :class:`~repro.obs.session.TelemetrySession`.
 
     ``trace`` arms request span tracing: the lifecycle of each sampled
     request — queue wait, batch gather, KV/weight admission and fetch,
@@ -819,6 +900,27 @@ class TelemetrySpec(_Spec):
     def __bool__(self) -> bool:
         """True when any knob departs from the degenerate default."""
         return _changed(self)
+
+    def interval_for(self, duration_s: float) -> float:
+        """The gauge-sampling interval for a serving window."""
+        if self.metrics_interval_s is not None:
+            return self.metrics_interval_s
+        return max(duration_s / 50.0, 1e-9)
+
+    @property
+    def label(self) -> str:
+        """``telemetry(trace@0.5,metrics@1e-05s)``: what is recorded."""
+        parts = []
+        if self.trace:
+            parts.append(
+                "trace" if self.sample_rate >= 1.0
+                else f"trace@{self.sample_rate:g}"
+            )
+        if self.metrics_interval_s is not None:
+            parts.append(f"metrics@{self.metrics_interval_s:g}s")
+        elif not parts:
+            parts.append("metrics")
+        return "telemetry(" + ",".join(parts) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -1048,7 +1150,8 @@ closed-loop)."""
 
 
 class Rule(NamedTuple):
-    """One row of :data:`RULES`: a combination the spec layer rejects."""
+    """One row of :data:`RULES` (or of the compiler's lowering rules): a
+    combination the spec layer rejects."""
 
     name: str
     section: str
@@ -1062,6 +1165,14 @@ class Rule(NamedTuple):
     """True for a spec (of class ``section``) the rule rejects."""
     message: str
     """The error, formatted with ``s``, the spec being built."""
+
+    def check(self, spec: Any) -> None:
+        """Raise the rule's error, ending with its paths, when ``spec``
+        violates it."""
+        if self.violated(spec):
+            raise SpecError(
+                f"{self.message.format(s=spec)} ({', '.join(self.paths)})"
+            )
 
 
 @cache
@@ -1230,6 +1341,7 @@ RULES: tuple[Rule, ...] = (
 )
 """Every cross-field rule of the spec layer, in the order each class
 checks them.  Section rows run when their section is built; study rows
-(section ``""``) when the :class:`StudySpec` is.  Checks that need the
+(section ``""``) when the :class:`StudySpec` is.  Rules that need the
 registries (a controller that never acts on its epoch, sequence lengths
-on a CNN) run at lowering, in :mod:`repro.studies.compile`."""
+on a CNN) are the rows of
+:data:`repro.studies.compile.LOWERING_RULES`, run at lowering."""

@@ -60,7 +60,7 @@ def test_siph_node_under_fault_timeline(controller):
 
 def test_continuous_batching_sequences():
     cell = example_cells("transformer_spec.json")[0]
-    assert cell.sequences and cell.policy.name == "continuous"
+    assert cell.sequences and cell.scheduler.policy == "continuous"
     assert cyclic_garbage(lambda: simulate_serving_cell(cell)) == 0
 
 
@@ -70,13 +70,13 @@ def test_fleet_with_node_faults_resilience_and_telemetry():
     _, cells = lower_study(spec)
     cell = cells[-1][0]
     assert cell.is_fleet and cell.node_faults
-    assert cell.resilience and cell.telemetry is not None
+    assert cell.resilience and cell.telemetry
     assert cyclic_garbage(lambda: simulate_serving_cell(cell)) == 0
 
 
 def test_fluid_mac_degrade_from_an_empty_warm_store():
     cell = example_cells("fidelity_spec.json")[1]
-    assert cell.fidelity is not None and cell.faults.events
+    assert cell.fidelity and cell.faults.events
 
     def run():
         fidelity.clear_warm_store()

@@ -34,7 +34,7 @@ from repro.experiments.export import (
 from repro.experiments.serving_study import simulate_serving_cell
 from repro.mapping.residency import WeightResidency
 from repro.serving.metrics import LatencyProfile, NodeStats, ServingResult
-from repro.serving.scheduler import BatchPolicy, RequestScheduler
+from repro.serving.scheduler import RequestScheduler
 from repro.sim.core import Environment
 from repro.sim.traffic import PoissonArrivals
 from repro.studies import (
@@ -75,7 +75,7 @@ def make_fleet(n=3, router="round-robin", weights=(), node_events=(),
         sim = platform.build_simulation(env)
         scheduler = RequestScheduler(
             sim, sim.map_workload(WORKLOAD), "LeNet5",
-            policy=BatchPolicy.fifo(max_inflight=max_inflight),
+            policy=SchedulerSpec(max_inflight=max_inflight),
             residency=WeightResidency(env), trace=ExecutionTrace(),
         )
         nodes.append(ClusterNode(

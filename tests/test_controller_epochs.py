@@ -40,10 +40,9 @@ from repro.interposer.photonic.faults import (
 )
 from repro.interposer.topology import build_floorplan
 from repro.mapping.mapper import KernelMatchMapper
-from repro.serving.scheduler import BatchPolicy
 from repro.sim.core import Environment
 from repro.sim.stats import TimeWeightedValue, close_segments
-from repro.studies.spec import FaultSpec
+from repro.studies.spec import FaultSpec, SchedulerSpec
 
 CHIPLET = "3x3 conv-0"
 
@@ -192,7 +191,7 @@ class TestBitIdentical:
         cell = ServingCell(
             platform="2.5D-CrossLight-SiPh",
             models=(("LeNet5", 0.7, None, 0), ("MobileNetV2", 0.3, None, 0)),
-            controller=controller, policy=BatchPolicy.fifo(),
+            controller=controller, scheduler=SchedulerSpec(),
             arrival_kind="mmpp", rate_rps=150e3, duration_s=0.3e-3,
             seed=11, config=DEFAULT_PLATFORM,
             faults=FaultSpec.from_dict({"events": [

@@ -23,7 +23,6 @@ from repro.experiments.export import (
     study_results_to_csv,
 )
 from repro.experiments.fidelity import (
-    FidelityPolicy,
     clear_warm_store,
     simulate_fidelity_cell,
     warm_store_size,
@@ -35,7 +34,6 @@ from repro.experiments.serving_study import (
     ServingCell,
     simulate_serving_cell,
 )
-from repro.serving.scheduler import BatchPolicy
 from repro.sim.traffic import PoissonArrivals
 from repro.studies import (
     FaultEventSpec,
@@ -49,7 +47,6 @@ from repro.studies import (
     SweepAxis,
     SweepSpec,
     WorkloadSpec,
-    build_fidelity,
     lower_study,
     render_dry_run,
     run_study,
@@ -93,7 +90,7 @@ def fluid_spec(mode="auto", error_budget=0.25, calibration_s=None,
 def classic_cell(**overrides) -> ServingCell:
     kwargs = dict(
         platform="2.5D-CrossLight-SiPh", models=(("LeNet5", 1.0, None, 0),),
-        controller="resipi", policy=BatchPolicy.fifo(),
+        controller="resipi", scheduler=SchedulerSpec(),
         arrival_kind="poisson", rate_rps=60e3, duration_s=1.5e-3,
         seed=7, config=DEFAULT_PLATFORM,
     )
@@ -126,9 +123,9 @@ class TestFidelitySpec:
     def test_default_is_degenerate(self):
         assert not FidelitySpec()
         assert FidelitySpec(mode="fluid")
-        assert build_fidelity(fluid_spec(mode="des")) is None
-        policy = build_fidelity(fluid_spec(mode="auto", error_budget=0.2))
-        assert policy == FidelityPolicy(mode="auto", error_budget=0.2)
+        assert not lower_study(fluid_spec(mode="des"))[1][0][0].fidelity
+        cell = lower_study(fluid_spec(mode="auto", error_budget=0.2))[1][0][0]
+        assert cell.fidelity == FidelitySpec(mode="auto", error_budget=0.2)
 
     def test_round_trips_through_json(self):
         spec = fluid_spec(mode="fluid", error_budget=0.3,
@@ -178,7 +175,7 @@ class TestFidelitySpec:
         assert spec_digest(implicit) == spec_digest(explicit)
         explicit_cell = lower_study(explicit)[1][0][0]
         implicit_cell = lower_study(implicit)[1][0][0]
-        assert explicit_cell.fidelity is None
+        assert not explicit_cell.fidelity
         assert explicit_cell.key() == implicit_cell.key()
 
     def test_mode_sweep_forks_keys_only_when_armed(self):
@@ -188,10 +185,10 @@ class TestFidelitySpec:
         _, cells_per_point = lower_study(spec)
         des_cell = cells_per_point[0][0]
         fluid_cell = cells_per_point[1][0]
-        assert des_cell.fidelity is None
-        assert fluid_cell.fidelity is not None
+        assert not des_cell.fidelity
+        assert fluid_cell.fidelity
         assert des_cell.key() != fluid_cell.key()
-        legacy = replace(fluid_cell, fidelity=None)
+        legacy = replace(fluid_cell, fidelity=FidelitySpec())
         assert legacy.key() == des_cell.key()
 
 
@@ -334,7 +331,7 @@ class TestFluidPath:
     def test_fluid_agrees_with_des_within_budget(self):
         des = simulate_serving_cell(classic_cell())
         fluid = simulate_fidelity_cell(classic_cell(
-            fidelity=FidelityPolicy(mode="auto", error_budget=0.25),
+            fidelity=FidelitySpec(mode="auto", error_budget=0.25),
         ))
         report = fluid.fidelity
         assert report is not None
@@ -357,7 +354,7 @@ class TestFluidPath:
     def test_error_budget_holds_across_rates(self, rate_rps):
         fluid = simulate_fidelity_cell(classic_cell(
             rate_rps=rate_rps,
-            fidelity=FidelityPolicy(mode="fluid", error_budget=0.25),
+            fidelity=FidelitySpec(mode="fluid", error_budget=0.25),
         ))
         assert fluid.fidelity.mode_used == "fluid"
         assert fluid.fidelity.within_budget
@@ -365,7 +362,7 @@ class TestFluidPath:
     def test_auto_mode_falls_back_beyond_budget(self):
         des = simulate_serving_cell(classic_cell())
         fluid = simulate_fidelity_cell(classic_cell(
-            fidelity=FidelityPolicy(mode="auto", error_budget=1e-9),
+            fidelity=FidelitySpec(mode="auto", error_budget=1e-9),
         ))
         report = fluid.fidelity
         assert report.mode_used == "des-fallback"
@@ -374,13 +371,13 @@ class TestFluidPath:
 
     def test_fluid_mode_never_falls_back(self):
         fluid = simulate_fidelity_cell(classic_cell(
-            fidelity=FidelityPolicy(mode="fluid", error_budget=1e-9),
+            fidelity=FidelitySpec(mode="fluid", error_budget=1e-9),
         ))
         assert fluid.fidelity.mode_used == "fluid"
         assert not fluid.fidelity.within_budget
 
     def test_warm_state_fork_shares_calibration(self):
-        policy = FidelityPolicy(mode="fluid", error_budget=0.25)
+        policy = FidelitySpec(mode="fluid", error_budget=0.25)
         first = simulate_fidelity_cell(classic_cell(fidelity=policy))
         assert not first.fidelity.warm_forked
         assert warm_store_size() == 1
@@ -393,11 +390,11 @@ class TestFluidPath:
         assert second.requests_injected > first.requests_injected
 
     def test_scenario_variants_fork_from_one_checkpoint(self):
-        policy = FidelityPolicy(mode="fluid", error_budget=0.25)
+        policy = FidelitySpec(mode="fluid", error_budget=0.25)
         base = ServingCell(
             platform="2.5D-CrossLight-SiPh",
             models=(("LeNet5", 1.0, 200e-6, 0),),
-            controller="resipi", policy=BatchPolicy.fifo(),
+            controller="resipi", scheduler=SchedulerSpec(),
             arrival_kind="poisson", rate_rps=60e3, duration_s=1.5e-3,
             seed=7, config=DEFAULT_PLATFORM, fidelity=policy,
         )
@@ -430,7 +427,7 @@ class TestFluidPath:
                             raising=False)
         monkeypatch.setattr(fidelity_module, "_INFLATION_MEMO", {})
         cell = classic_cell(
-            fidelity=FidelityPolicy(mode="fluid", error_budget=0.25),
+            fidelity=FidelitySpec(mode="fluid", error_budget=0.25),
             faults=FaultSpec(events=(FaultEventSpec(
                 kind="chiplet-mac-degrade", at_s=0.5e-3,
                 mac_fraction=0.5, duration_s=0.5e-3,
@@ -445,7 +442,7 @@ class TestFluidPath:
         cell = ServingCell(
             platform="CrossLight",
             models=(("LeNet5", 1.0, None, 0),),
-            controller="resipi", policy=BatchPolicy.fifo(),
+            controller="resipi", scheduler=SchedulerSpec(),
             arrival_kind="poisson", rate_rps=60e3, duration_s=1.5e-3,
             seed=7, config=DEFAULT_PLATFORM, replicas=3,
             router="least-outstanding",
@@ -453,7 +450,7 @@ class TestFluidPath:
                 FaultEventSpec(kind="node-fail", at_s=0.4e-3, node=1),
                 FaultEventSpec(kind="node-repair", at_s=1.0e-3, node=1),
             )),
-            fidelity=FidelityPolicy(mode="fluid", error_budget=0.3),
+            fidelity=FidelitySpec(mode="fluid", error_budget=0.3),
         )
         result = simulate_fidelity_cell(cell)
         assert result.fidelity.mode_used == "fluid"
@@ -462,7 +459,7 @@ class TestFluidPath:
         assert result.per_node[1].state == "up"  # repaired by the end
         # Availability is the share of the run with a node up, on both
         # backends: two nodes stay up throughout.
-        des = simulate_serving_cell(replace(cell, fidelity=None))
+        des = simulate_serving_cell(replace(cell, fidelity=FidelitySpec()))
         assert result.availability == des.availability == 1.0
         assert len(result.incidents) == 1
         incident = result.incidents[0]
@@ -486,18 +483,18 @@ class TestFluidPath:
         cell = ServingCell(
             platform="CrossLight",
             models=(("LeNet5", 1.0, None, 0),),
-            controller="resipi", policy=BatchPolicy.fifo(max_inflight=4),
+            controller="resipi", scheduler=SchedulerSpec(max_inflight=4),
             arrival_kind="poisson", rate_rps=150e3, duration_s=0.4e-3,
             seed=7, config=DEFAULT_PLATFORM, replicas=1,
             node_faults=FaultSpec(events=(
                 FaultEventSpec(kind="node-drain", at_s=0.1e-3, node=0),
                 FaultEventSpec(kind="node-repair", at_s=0.2e-3, node=0),
             )),
-            fidelity=FidelityPolicy(mode="fluid", calibration_s=0.2e-3),
+            fidelity=FidelitySpec(mode="fluid", calibration_s=0.2e-3),
         )
         assert cell.is_fleet
         calibration = simulate_serving_cell(replace(
-            cell, duration_s=0.2e-3, fidelity=None, node_faults=None,
+            cell, duration_s=0.2e-3, fidelity=FidelitySpec(), node_faults=None,
         ))
         assert calibration.router == "-"
         result = simulate_serving_cell(cell)
@@ -513,12 +510,12 @@ class TestFluidPath:
         ]
 
     def test_multi_tenant_mix_assignment_matches_stream(self):
-        policy = FidelityPolicy(mode="fluid", error_budget=0.3)
+        policy = FidelitySpec(mode="fluid", error_budget=0.3)
         cell = ServingCell(
             platform="CrossLight",
             models=(("LeNet5", 0.7, None, 0),
                     ("MobileNetV2", 0.3, None, 1)),
-            controller="resipi", policy=BatchPolicy.fifo(),
+            controller="resipi", scheduler=SchedulerSpec(),
             arrival_kind="poisson", rate_rps=40e3, duration_s=1.5e-3,
             seed=7, config=DEFAULT_PLATFORM, fidelity=policy,
         )
@@ -559,7 +556,7 @@ def sequence_cell(mode="fluid", error_budget=0.25, rate_rps=60e3,
 class TestSequenceFluidPath:
     def test_sequence_cell_agrees_with_des_within_budget(self):
         cell = sequence_cell()
-        des = simulate_serving_cell(replace(cell, fidelity=None))
+        des = simulate_serving_cell(replace(cell, fidelity=FidelitySpec()))
         fluid = simulate_fidelity_cell(cell)
         report = fluid.fidelity
         assert report.mode_used == "fluid"
@@ -586,14 +583,14 @@ class TestSequenceFluidPath:
 
     def test_single_step_cells_skip_sequence_errors(self):
         fluid = simulate_fidelity_cell(classic_cell(
-            fidelity=FidelityPolicy(mode="fluid", error_budget=0.25),
+            fidelity=FidelitySpec(mode="fluid", error_budget=0.25),
         ))
         assert fluid.fidelity.ttft_rel_err is None
         assert fluid.fidelity.token_p99_rel_err is None
 
     def test_sequence_auto_fallback_is_exact_des(self):
         cell = sequence_cell(mode="auto", error_budget=1e-9)
-        des = simulate_serving_cell(replace(cell, fidelity=None))
+        des = simulate_serving_cell(replace(cell, fidelity=FidelitySpec()))
         fluid = simulate_fidelity_cell(cell)
         assert fluid.fidelity.mode_used == "des-fallback"
         assert replace(fluid, fidelity=None) == des

@@ -13,7 +13,7 @@ from repro.cluster.hazards import (
     event_nodes,
     node_outages,
 )
-from repro.cluster.router import ClusterNode, ClusterRouter, HealthPolicy
+from repro.cluster.router import ClusterNode, ClusterRouter
 from repro.core.accelerator import MonolithicCrossLight
 from repro.core.engine import ExecutionTrace
 from repro.dnn import zoo
@@ -25,9 +25,9 @@ from repro.experiments.export import (
     study_results_to_json,
 )
 from repro.mapping.residency import WeightResidency
-from repro.serving.lifecycle import LifecycleDriver, ResiliencePolicy
+from repro.serving.lifecycle import LifecycleDriver
 from repro.serving.metrics import IncidentRecord, mean_time_to_repair
-from repro.serving.scheduler import BatchPolicy, RequestScheduler
+from repro.serving.scheduler import RequestScheduler
 from repro.sim.core import Environment
 from repro.sim.traffic import PoissonArrivals
 from repro.studies import (
@@ -46,8 +46,6 @@ from repro.studies import (
 )
 from repro.studies import spec_digest
 from repro.studies.compile import (
-    build_health,
-    build_resilience,
     expand_points,
     lower_serving_point,
     resolve_config,
@@ -75,7 +73,7 @@ def make_fleet(n=3, node_events=(), health=None, reroute_on_fail=True):
         sim = platform.build_simulation(env)
         scheduler = RequestScheduler(
             sim, sim.map_workload(WORKLOAD), "LeNet5",
-            policy=BatchPolicy.fifo(max_inflight=2),
+            policy=SchedulerSpec(max_inflight=2),
             residency=WeightResidency(env), trace=ExecutionTrace(),
         )
         nodes.append(ClusterNode(
@@ -114,11 +112,11 @@ def resilient_spec(resilience, events=RACK_OUTAGE, replicas=3,
 
 
 # ---------------------------------------------------------------------------
-# Runtime policy (serving layer).
+# The resilience section as the lifecycle driver and the router read it.
 # ---------------------------------------------------------------------------
 
 
-class TestResiliencePolicy:
+class TestResilienceSection:
     def test_validation_is_typed_and_picklable(self):
         bad = [
             dict(timeout_s=-1e-6),
@@ -131,39 +129,45 @@ class TestResiliencePolicy:
         ]
         for kwargs in bad:
             with pytest.raises(ConfigurationError) as err:
-                ResiliencePolicy(**kwargs)
+                ResilienceSpec(**kwargs)
             clone = pickle.loads(pickle.dumps(err.value))
             assert str(clone) == str(err.value)
 
-    def test_passthrough_policy_is_falsy(self):
-        assert not ResiliencePolicy()
-        assert ResiliencePolicy().label == "passthrough"
-        assert ResiliencePolicy(timeout_s=100e-6)
-        assert ResiliencePolicy(max_retries=2)
-        assert ResiliencePolicy(hedge_delay_s=50e-6)
+    def test_passthrough_section_arms_no_lifecycle(self):
+        assert not ResilienceSpec()
+        assert not ResilienceSpec().lifecycle_armed
+        assert ResilienceSpec().label == "passthrough"
+        assert ResilienceSpec(timeout_s=100e-6).lifecycle_armed
+        assert ResilienceSpec(max_retries=2).lifecycle_armed
+        assert ResilienceSpec(hedge_delay_s=50e-6).lifecycle_armed
 
     def test_label_names_armed_knobs(self):
-        policy = ResiliencePolicy(
+        section = ResilienceSpec(
             timeout_s=150e-6, max_retries=3, retry_budget=0.2,
             hedge_delay_s=60e-6,
         )
-        assert policy.label == "timeout=150us+retries=3+budget=0.2+hedge=60us"
+        assert section.label == (
+            "lifecycle timeout=150us+retries=3+budget=0.2+hedge=60us"
+        )
 
 
-class TestHealthPolicy:
+class TestHealthSignals:
     def test_validation_is_typed(self):
         with pytest.raises(ConfigurationError):
-            HealthPolicy(signal_staleness_s=-1e-6)
+            ResilienceSpec(signal_staleness_s=-1e-6)
         with pytest.raises(ConfigurationError):
-            HealthPolicy(probe_interval_s=0.0)
+            ResilienceSpec(probe_interval_s=0.0)
         with pytest.raises(ConfigurationError):
-            HealthPolicy(probe_interval_s=10e-6, probe_misses=0)
+            ResilienceSpec(probe_interval_s=10e-6, probe_misses=0)
 
-    def test_omniscient_default_is_falsy(self):
-        assert not HealthPolicy()
-        assert not HealthPolicy().probe_based
-        assert HealthPolicy(signal_staleness_s=10e-6)
-        assert HealthPolicy(probe_interval_s=10e-6).probe_based
+    def test_omniscient_default_is_not_health_checked(self):
+        assert not ResilienceSpec().health_checked
+        stale = ResilienceSpec(signal_staleness_s=10e-6)
+        assert stale.health_checked and not stale.lifecycle_armed
+        assert ResilienceSpec(probe_interval_s=10e-6).health_checked
+        assert ResilienceSpec(
+            signal_staleness_s=20e-6, probe_interval_s=25e-6, probe_misses=4,
+        ).label == "signals stale=20us+probe=25usx4"
 
 
 # ---------------------------------------------------------------------------
@@ -268,16 +272,14 @@ class TestDegenerateLowering:
         )
         # resilience defaults to ResilienceSpec(): the submit-once path.
         lowered = lower_serving_point(base, resolve_config(base))
-        assert lowered.resilience is None
-        assert lowered.health is None
+        assert not lowered.resilience
         assert not lowered.is_fleet
 
     def test_degenerate_cluster_keeps_legacy_cache_key(self):
         base = resilient_spec(ResilienceSpec(), events=())
         cell = lower_serving_point(base, resolve_config(base))
         assert cell.is_fleet
-        assert cell.resilience is None
-        assert cell.health is None
+        assert not cell.resilience
 
     def test_active_resilience_moves_the_cache_key(self):
         off_spec = resilient_spec(ResilienceSpec())
@@ -297,15 +299,18 @@ class TestDegenerateLowering:
             implicit, resolve_config(implicit)
         ).key() == off.key()
 
-    def test_builders_return_none_for_degenerate_sections(self):
+    def test_cells_carry_the_point_section(self):
         spec = resilient_spec(ResilienceSpec())
-        assert build_resilience(spec) is None
-        assert build_health(spec) is None
+        cell = lower_serving_point(spec, resolve_config(spec))
+        assert not cell.resilience.lifecycle_armed
+        assert not cell.resilience.health_checked
         active = resilient_spec(ResilienceSpec(
             timeout_s=150e-6, probe_interval_s=25e-6,
         ))
-        assert build_resilience(active) == ResiliencePolicy(timeout_s=150e-6)
-        assert build_health(active) == HealthPolicy(probe_interval_s=25e-6)
+        cell = lower_serving_point(active, resolve_config(active))
+        assert cell.resilience is active.resilience
+        assert cell.resilience.lifecycle_armed
+        assert cell.resilience.health_checked
 
     def test_degenerate_results_bit_identical_to_legacy(self):
         legacy = run_study(resilient_spec(ResilienceSpec(), events=()))
@@ -396,7 +401,7 @@ class TestLifecycle:
 
     def test_driver_serve_is_single_shot(self):
         env, _, router = make_fleet()
-        driver = LifecycleDriver(router, ResiliencePolicy(timeout_s=1e-3))
+        driver = LifecycleDriver(router, ResilienceSpec(timeout_s=1e-3))
         driver.serve(PoissonArrivals(rate_rps=50e3, seed=1), 0.1e-3)
         with pytest.raises(Exception):
             driver.serve(PoissonArrivals(rate_rps=50e3, seed=1), 0.1e-3)
@@ -409,7 +414,7 @@ class TestLifecycle:
 
 class TestHealthRouting:
     def test_probe_detection_lags_the_failure(self):
-        health = HealthPolicy(probe_interval_s=25e-6, probe_misses=3)
+        health = ResilienceSpec(probe_interval_s=25e-6, probe_misses=3)
         env, _, router = make_fleet(
             node_events=(RackFail(at_s=200e-6, nodes=(0, 1)),
                          RackRepair(at_s=500e-6, nodes=(0, 1))),
@@ -433,7 +438,7 @@ class TestHealthRouting:
             assert incident.detection_lag_s == 0.0
 
     def test_stale_signals_are_sampled_not_live(self):
-        health = HealthPolicy(signal_staleness_s=20e-6)
+        health = ResilienceSpec(signal_staleness_s=20e-6)
         env, nodes, router = make_fleet(health=health)
         router.serve(PoissonArrivals(rate_rps=60e3, seed=7), 0.3e-3)
         assert all(n.sampled_outstanding is not None for n in nodes)
@@ -445,7 +450,7 @@ class TestHealthRouting:
             make_fleet(node_events=events)
         env, _, router = make_fleet(
             node_events=events,
-            health=HealthPolicy(probe_interval_s=20e-6, probe_misses=2),
+            health=ResilienceSpec(probe_interval_s=20e-6, probe_misses=2),
         )
         router.serve(PoissonArrivals(rate_rps=40e3, seed=3), 0.4e-3)
         _, availability = node_outages(router.records, 3, 0.4e-3)
@@ -557,7 +562,7 @@ class TestBackdatedArrivals:
         sim = platform.build_simulation(env)
         scheduler = RequestScheduler(
             sim, sim.map_workload(WORKLOAD), "LeNet5",
-            policy=BatchPolicy.fifo(), slo_s=100e-6,
+            policy=SchedulerSpec(), slo_s=100e-6,
             residency=WeightResidency(env), trace=ExecutionTrace(),
         )
         return env, scheduler

@@ -16,16 +16,12 @@ from repro.experiments.export import (
     study_results_to_csv,
     study_results_to_json,
 )
-from repro.cluster.router import HealthPolicy
-from repro.experiments.fidelity import FidelityPolicy
 from repro.experiments.serving_study import (
     ServingCell,
     render_serving_study,
     simulate_serving_cell,
 )
 from repro.mapping.residency import WeightResidency
-from repro.obs.policy import TelemetryPolicy
-from repro.serving.lifecycle import ResiliencePolicy
 from repro.serving.metrics import (
     LatencyProfile,
     RequestRecord,
@@ -35,14 +31,21 @@ from repro.serving.metrics import (
     request_fields,
     windowed_stats,
 )
-from repro.serving.scheduler import BatchPolicy, RequestScheduler
+from repro.serving.scheduler import RequestScheduler
 from repro.sim.core import Environment
 from repro.sim.traffic import (
     ClosedLoopClients,
     MMPPArrivals,
     PoissonArrivals,
 )
-from repro.studies import FaultSpec, SchedulerSpec
+from repro.studies import (
+    FaultSpec,
+    FidelitySpec,
+    NodeOverrideSpec,
+    ResilienceSpec,
+    SchedulerSpec,
+    TelemetrySpec,
+)
 from repro.studies.builders import serve_study_spec
 from repro.studies.compile import run_study
 
@@ -66,32 +69,33 @@ def make_scheduler(platform=None, policy=None, **kwargs):
     sim = platform.build_simulation(env)
     scheduler = RequestScheduler(
         sim, sim.map_workload(WORKLOAD), "LeNet5",
-        policy=policy or BatchPolicy.fifo(), **kwargs
+        policy=policy or SchedulerSpec(), **kwargs
     )
     return scheduler, sim
 
 
-class TestBatchPolicy:
+class TestSchedulerSection:
     def test_fifo_label_and_defaults(self):
-        policy = BatchPolicy.fifo()
+        policy = SchedulerSpec()
         assert policy.label == "fifo"
         assert policy.max_batch == 1
 
     def test_max_batch_label(self):
-        policy = BatchPolicy.max_batch_with_timeout(max_batch=8)
+        policy = SchedulerSpec(policy="max-batch", max_batch=8)
         assert policy.label == "max-batch(8)"
 
     def test_invalid_policies_rejected(self):
         with pytest.raises(ConfigurationError):
-            BatchPolicy(name="lifo")
+            SchedulerSpec(policy="lifo")
         with pytest.raises(ConfigurationError):
-            BatchPolicy(name="max-batch", max_batch=0)
+            SchedulerSpec(policy="max-batch", max_batch=0)
         with pytest.raises(ConfigurationError):
-            BatchPolicy(name="fifo", max_batch=2)
+            SchedulerSpec(policy="fifo", max_batch=2)
         with pytest.raises(ConfigurationError):
-            BatchPolicy(name="max-batch", max_batch=4, batch_timeout_s=-1.0)
+            SchedulerSpec(policy="max-batch", max_batch=4,
+                          batch_timeout_s=-1.0)
         with pytest.raises(ConfigurationError):
-            BatchPolicy(name="fifo", max_inflight=0)
+            SchedulerSpec(policy="fifo", max_inflight=0)
 
 
 class TestPercentiles:
@@ -243,9 +247,8 @@ class TestSchedulerSemantics:
         assert record.latency_s == pytest.approx(one_shot, rel=1e-9)
 
     def test_max_batch_policy_batches_under_load(self):
-        policy = BatchPolicy.max_batch_with_timeout(
-            max_batch=8, batch_timeout_s=20e-6
-        )
+        policy = SchedulerSpec(policy="max-batch", max_batch=8,
+                               batch_timeout_s=20e-6)
         scheduler, _ = make_scheduler(policy=policy)
         scheduler.serve(PoissonArrivals(rate_rps=400e3, seed=7), 1e-3)
         mean_batch = fields_of(scheduler.records)["mean_batch_size"]
@@ -256,9 +259,8 @@ class TestSchedulerSemantics:
     def test_batch_timeout_bounds_queue_delay(self):
         """A lone request must not wait beyond the gather timeout."""
         timeout_s = 10e-6
-        policy = BatchPolicy.max_batch_with_timeout(
-            max_batch=64, batch_timeout_s=timeout_s
-        )
+        policy = SchedulerSpec(policy="max-batch", max_batch=64,
+                               batch_timeout_s=timeout_s)
         scheduler, _ = make_scheduler(policy=policy)
         scheduler.serve(PoissonArrivals(rate_rps=20e3, seed=1), 0.2e-3)
         assert scheduler.records
@@ -269,7 +271,7 @@ class TestSchedulerSemantics:
 
     def test_admission_caps_inflight(self):
         scheduler, sim = make_scheduler(
-            policy=BatchPolicy.fifo(max_inflight=1)
+            policy=SchedulerSpec(max_inflight=1)
         )
         scheduler.serve(PoissonArrivals(rate_rps=600e3, seed=9), 0.5e-3)
         # With a single execution slot the time-averaged concurrency
@@ -397,7 +399,7 @@ class TestControllersUnderLoad:
         sim = platform.build_simulation(env)
         scheduler = RequestScheduler(
             sim, sim.map_workload(WORKLOAD), "LeNet5",
-            policy=BatchPolicy.fifo(max_inflight=8),
+            policy=SchedulerSpec(max_inflight=8),
         )
         scheduler.serve(
             PoissonArrivals(rate_rps=rate_rps, seed=13), duration_s
@@ -440,7 +442,7 @@ def serve_study(rates_rps, duration_s, cache_dir=None):
 def base_cell(**overrides) -> ServingCell:
     kwargs = dict(
         platform="CrossLight", models=(("LeNet5", 1.0, None, 0),),
-        controller="resipi", policy=BatchPolicy.fifo(),
+        controller="resipi", scheduler=SchedulerSpec(),
         arrival_kind="poisson", rate_rps=1e5, duration_s=1e-3, seed=7,
         config=DEFAULT_PLATFORM,
     )
@@ -452,7 +454,7 @@ KEY_VARIANTS = {
     "platform": "2.5D-CrossLight-SiPh",
     "models": (("LeNet5", 0.5, None, 0), ("ResNet50", 0.5, None, 0)),
     "controller": "prowaves",
-    "policy": BatchPolicy.max_batch_with_timeout(),
+    "scheduler": SchedulerSpec(policy="max-batch", max_batch=8),
     "arrival_kind": "mmpp",
     "rate_rps": 2e5,
     "duration_s": 2e-3,
@@ -465,22 +467,20 @@ KEY_VARIANTS = {
     "faults": FaultSpec.from_dict({"events": [{
         "kind": "chiplet-mac-degrade", "at_s": 1e-4, "mac_fraction": 0.5,
     }]}),
-    "resilience": ResiliencePolicy(timeout_s=1e-4),
-    "fidelity": FidelityPolicy(mode="fluid"),
+    "resilience": ResilienceSpec(timeout_s=1e-4),
+    "fidelity": FidelitySpec(mode="fluid"),
     "sequences": ((16, 8),),
     "length_distribution": "geometric",
     "quotas": (4,),
-    "starvation_age_s": 1e-4,
-    "telemetry": TelemetryPolicy(),
+    "telemetry": TelemetrySpec(trace=True),
     "replicas": 2,
     "router": "least-outstanding",
     "weights": (1.0,),
     "reroute_on_fail": False,
-    "node_overrides": ((0, "static", None, None),),
+    "node_overrides": (NodeOverrideSpec(node=0, controller="static"),),
     "node_faults": FaultSpec.from_dict({"events": [{
         "kind": "node-drain", "at_s": 1e-4, "node": 0,
     }]}),
-    "health": HealthPolicy(signal_staleness_s=1e-5),
 }
 
 
@@ -500,7 +500,8 @@ class TestServingStudy:
             base_cell(rate_rps=2e5),
             base_cell(arrival_kind="mmpp"),
             base_cell(seed=8),
-            base_cell(policy=BatchPolicy.max_batch_with_timeout()),
+            base_cell(scheduler=SchedulerSpec(policy="max-batch",
+                                              max_batch=8)),
         ]
         keys = {base.key()} | {cell.key() for cell in variants}
         assert len(keys) == 5
@@ -534,7 +535,7 @@ class TestServingStudy:
 
     def test_mmpp_study_runs(self):
         cell = base_cell(
-            policy=BatchPolicy.max_batch_with_timeout(max_batch=4),
+            scheduler=SchedulerSpec(policy="max-batch", max_batch=4),
             arrival_kind="mmpp", rate_rps=2e5, duration_s=0.5e-3, seed=3,
         )
         result = simulate_serving_cell(cell)

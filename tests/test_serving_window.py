@@ -16,11 +16,12 @@ from repro.dnn import zoo
 from repro.dnn.workload import extract_workload
 from repro.errors import ConfigurationError, SimulationError
 from repro.mapping.residency import WeightResidency
-from repro.serving.lifecycle import LifecycleDriver, ResiliencePolicy
-from repro.serving.scheduler import BatchPolicy, RequestScheduler
+from repro.serving.lifecycle import LifecycleDriver
+from repro.serving.scheduler import RequestScheduler
 from repro.sim.core import Environment
 from repro.sim.traffic import ClosedLoopClients
 from repro.studies.registry import ROUTERS
+from repro.studies.spec import ResilienceSpec, SchedulerSpec
 
 WORKLOAD = extract_workload(zoo.build("LeNet5"))
 DURATION_S = 0.2e-3
@@ -34,7 +35,7 @@ def make_nodes(n):
         sim = platform.build_simulation(env)
         scheduler = RequestScheduler(
             sim, sim.map_workload(WORKLOAD), "LeNet5",
-            policy=BatchPolicy.fifo(max_inflight=2),
+            policy=SchedulerSpec(max_inflight=2),
             residency=WeightResidency(env), trace=ExecutionTrace(),
         )
         nodes.append(ClusterNode(
@@ -57,8 +58,8 @@ def router_front():
 def lifecycle_front():
     router, nodes = router_front()
     # Tight enough that requests hedge, time out, retry and give up.
-    policy = ResiliencePolicy(timeout_s=2e-6, max_retries=1,
-                              hedge_delay_s=0.5e-6)
+    policy = ResilienceSpec(timeout_s=2e-6, max_retries=1,
+                            hedge_delay_s=0.5e-6)
     return LifecycleDriver(router, policy, seed=2), nodes
 
 

@@ -17,7 +17,7 @@ import pytest
 
 from repro.errors import SpecError
 from repro.studies import spec as spec_module
-from repro.studies.compile import load_spec
+from repro.studies.compile import LOWERING_RULES, load_spec, lower_study
 from repro.studies.spec import (
     MEANINGLESS,
     RULES,
@@ -231,6 +231,14 @@ COUNTEREXAMPLES = {
 }
 """rule name -> the patch onto :data:`BASE` that breaks that rule only."""
 
+LOCATED = {
+    "fault-node-or-nodes":
+        "platform.faults.events[0].node, platform.faults.events[0].nodes",
+}
+"""rule name -> the paths its counterexample's error names, where the
+rule checks a list entry: an entry built from JSON names its section
+and index instead of the rule's static paths."""
+
 
 def _merged(base: dict, patch: dict) -> dict:
     """``base`` with ``patch`` merged in (objects recursively)."""
@@ -260,6 +268,55 @@ class TestRuleTable:
     def test_counterexample_trips_its_rule(self, rule):
         with pytest.raises(SpecError) as excinfo:
             StudySpec.from_dict(_merged(BASE, COUNTEREXAMPLES[rule.name]))
+        paths = LOCATED.get(rule.name, ", ".join(rule.paths))
+        assert str(excinfo.value).endswith(f"({paths})")
+
+
+# ---------------------------------------------------------------------------
+# The lowering rules: one counterexample per row, rejected at lowering.
+# ---------------------------------------------------------------------------
+
+
+FABRIC_FAULT = {"kind": "gateway-fail", "at_s": 1e-4, "memory_gateways": 1}
+
+LOWERING_COUNTEREXAMPLES = {
+    "epoch-needs-siph": {"platform": {
+        "name": "CrossLight", "controller_epoch_s": 2e-6}},
+    "epoch-needs-epoch-controller": {"platform": {
+        "controller": "static", "controller_epoch_s": 2e-6}},
+    "sequences-need-transformer": {"workload": {
+        "prompt_tokens": 4, "output_tokens": 4}},
+    "transformer-needs-sequences": {"workload": {
+        "models": [{"model": "TransformerTiny"}]}},
+    "platform-faults-need-siph": {"platform": {
+        "name": "CrossLight", "faults": {"events": [FABRIC_FAULT]}}},
+    "fluid-fabric-faults": {
+        "fidelity": {"mode": "fluid"},
+        "platform": {"faults": {"events": [FABRIC_FAULT]}}},
+}
+"""rule name -> the patch onto :data:`BASE` that builds a valid spec
+whose lowering breaks that rule only."""
+
+
+class TestLoweringRules:
+    def test_rows_are_named_and_tagged(self):
+        names = [rule.name for rule in LOWERING_RULES]
+        assert len(set(names)) == len(names)
+        assert set(names) == set(LOWERING_COUNTEREXAMPLES)
+        assert not set(names) & {rule.name for rule in RULES}
+        for rule in LOWERING_RULES:
+            assert rule.reason in (MEANINGLESS, UNSUPPORTED)
+            assert rule.section == ""
+            assert rule.paths
+
+    @pytest.mark.parametrize("rule", LOWERING_RULES,
+                             ids=lambda rule: rule.name)
+    def test_counterexample_trips_its_rule_at_lowering(self, rule):
+        spec = StudySpec.from_dict(
+            _merged(BASE, LOWERING_COUNTEREXAMPLES[rule.name])
+        )
+        with pytest.raises(SpecError) as excinfo:
+            lower_study(spec)
         assert str(excinfo.value).endswith(f"({', '.join(rule.paths)})")
 
 
@@ -347,3 +404,55 @@ class TestCoercion:
     def test_sections_must_be_objects(self):
         with pytest.raises(SpecError, match="cluster spec must be a JSON"):
             StudySpec.from_dict(_merged(BASE, {"cluster": [2]}))
+
+
+# ---------------------------------------------------------------------------
+# List entries: errors name the section and the index.
+# ---------------------------------------------------------------------------
+
+
+class TestEntryPaths:
+    def test_events_and_tenants_name_section_and_index(self):
+        cluster = _merged(BASE, {"cluster": {"replicas": 2, "faults": {
+            "events": [{"kind": "node-fail", "at_s": 0.0, "node": 0},
+                       {"kind": "node-repair", "at_s": -1, "node": 0}],
+        }}})
+        with pytest.raises(SpecError, match=re.escape(
+            "got -1 (cluster.faults.events[1].at_s)"
+        )):
+            StudySpec.from_dict(cluster)
+        tenants = _merged(BASE, {"workload": {"models": [
+            {"model": "LeNet5", "fraction": 0.5},
+            {"model": "ResNet50", "fraction": -0.5},
+        ]}})
+        with pytest.raises(SpecError, match=re.escape(
+            "got -0.5 (workload.models[1].fraction)"
+        )):
+            StudySpec.from_dict(tenants)
+
+    def test_every_message_kind_is_located(self):
+        platform = _merged(BASE, {"platform": {"faults": {"events": [
+            {"kind": "gateway-fail"}]}}})
+        with pytest.raises(SpecError, match=re.escape(
+            "needs field(s) platform.faults.events[0].at_s"
+        )):
+            StudySpec.from_dict(platform)
+        seed = _merged(BASE, {"platform": {"faults": {"events": [
+            {"kind": "gateway-fail", "at_s": 0.0, "seed": 1.5}]}}})
+        with pytest.raises(SpecError, match=re.escape(
+            "platform.faults.events[0].seed must be an integer"
+        )):
+            StudySpec.from_dict(seed)
+        with pytest.raises(SpecError, match=re.escape(
+            "cluster.faults.events must be a list"
+        )):
+            StudySpec.from_dict(_merged(BASE, {"cluster": {
+                "faults": {"events": 3}}}))
+
+    def test_sweep_values_name_their_index(self):
+        with pytest.raises(SpecError, match=re.escape(
+            "(cluster.nodes[1].node)"
+        )):
+            fleet_spec().with_override(
+                "cluster.nodes", [{"node": 0}, {"node": -1}]
+            )

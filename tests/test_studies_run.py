@@ -18,11 +18,7 @@ from repro.experiments.serving_study import (
     render_slo_summary,
     simulate_serving_cell,
 )
-from repro.serving.scheduler import (
-    BatchPolicy,
-    RequestHandle,
-    RequestScheduler,
-)
+from repro.serving.scheduler import RequestHandle, RequestScheduler
 from repro.sim.core import Environment
 from repro.sim.traffic import PoissonArrivals
 from repro.studies import (
@@ -51,6 +47,16 @@ from repro.studies.compile import (
 )
 
 WORKLOAD = extract_workload(zoo.build("LeNet5"))
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SERVING_SPECS = [
+    path
+    for path in sorted((ROOT / "examples").glob("*.json"))
+    + sorted((ROOT / "perfbench" / "specs").glob("*.json"))
+    if load_spec(path).kind == "serving"
+]
+"""Every shipped serving spec: the examples and the benchmark's."""
 
 
 def classic_spec(**overrides) -> StudySpec:
@@ -89,6 +95,20 @@ def mix_spec(policy="edf", rate_rps=60e3, shed=False,
 
 
 class TestLowering:
+    @pytest.mark.parametrize("path", SERVING_SPECS,
+                             ids=lambda path: path.stem)
+    def test_cells_carry_the_point_sections(self, path):
+        """A serving cell holds its point's sections themselves, not
+        copies: one type per section from spec to runtime."""
+        points, cells_per_point = lower_study(load_spec(path))
+        for point, (cell,) in zip(points, cells_per_point):
+            assert cell.scheduler is point.scheduler
+            assert cell.resilience is point.resilience
+            assert cell.fidelity is point.fidelity
+            assert cell.telemetry is point.telemetry
+            nodes = point.cluster.nodes if point.cluster is not None else ()
+            assert cell.node_overrides == nodes
+
     def test_classic_point_lowers_to_serving_cell(self):
         point = classic_spec()
         cell = lower_serving_point(point, resolve_config(point))
@@ -96,7 +116,7 @@ class TestLowering:
         # scenario and fleet field at its default.
         direct = ServingCell(
             platform="CrossLight", models=(("LeNet5", 1.0, None, 0),),
-            controller="resipi", policy=BatchPolicy.fifo(),
+            controller="resipi", scheduler=SchedulerSpec(),
             arrival_kind="poisson", rate_rps=150e3, duration_s=0.5e-3,
             seed=7, config=DEFAULT_PLATFORM,
         )
@@ -140,7 +160,7 @@ class TestLowering:
         base = dict(
             platform="CrossLight",
             models=(("LeNet5", 1.0, None, 0),),
-            controller="resipi", policy=BatchPolicy.edf(),
+            controller="resipi", scheduler=SchedulerSpec(policy="edf"),
             arrival_kind="poisson", rate_rps=1e5, duration_s=1e-3,
             seed=1, config=DEFAULT_PLATFORM,
         )
@@ -149,7 +169,7 @@ class TestLowering:
             ServingCell(**{**base, "rate_rps": 2e5}),
             ServingCell(**{**base, "seed": 9}),
             ServingCell(**{**base, "arrival_kind": "mmpp"}),
-            ServingCell(**{**base, "policy": BatchPolicy.fifo()}),
+            ServingCell(**{**base, "scheduler": SchedulerSpec()}),
             ServingCell(**{**base, "burstiness": 2.0}),
             ServingCell(**{**base, "residency_capacity_bits": 1e9}),
             ServingCell(**{**base,
@@ -160,14 +180,10 @@ class TestLowering:
     def test_policy_spec_knobs_never_silently_noop(self):
         """max_batch > 1 on a single-dispatch policy is an error, not a
         silent no-op (digest would move without behavior moving)."""
-        from repro.studies.compile import build_policy
-
         for policy in ("fifo", "edf", "priority"):
             with pytest.raises(ConfigurationError):
-                build_policy(SchedulerSpec(policy=policy, max_batch=8))
-        built = build_policy(SchedulerSpec(policy="max-batch",
-                                           max_batch=8))
-        assert built.max_batch == 8
+                SchedulerSpec(policy=policy, max_batch=8)
+        assert SchedulerSpec(policy="max-batch", max_batch=8).max_batch == 8
 
     def test_registered_controller_is_buildable(self):
         """A plugin controller registered through CONTROLLERS reaches
@@ -234,7 +250,6 @@ class TestLowering:
         ("platform.name", 5),
         ("platform.controller", 5),
         ("platform.controller", None),
-        ("scheduler.policy", None),
         ("workload.arrival", 3),
     ])
     def test_non_string_names_raise_the_typed_error(self, path, value):
@@ -267,7 +282,7 @@ class TestClassicEquivalence:
         cells = [
             ServingCell(
                 platform="CrossLight", models=(("LeNet5", 1.0, None, 0),),
-                controller="resipi", policy=BatchPolicy.fifo(),
+                controller="resipi", scheduler=SchedulerSpec(),
                 arrival_kind="poisson", rate_rps=rate, duration_s=0.5e-3,
                 seed=7, config=DEFAULT_PLATFORM,
             )
@@ -452,8 +467,8 @@ class TestSchedulerApi:
     def test_edf_dispatches_earliest_deadline_first(self):
         """Under a backlog, tight-deadline requests jump loose ones."""
         delays = {}
-        for policy in (BatchPolicy.fifo(max_inflight=1),
-                       BatchPolicy.edf(max_inflight=1)):
+        for policy in (SchedulerSpec(max_inflight=1),
+                       SchedulerSpec(policy="edf", max_inflight=1)):
             scheduler, env = self.make_scheduler(
                 policy=policy, slo_s=1e-3,
             )
@@ -465,7 +480,7 @@ class TestSchedulerApi:
                 ),
             )
             mean = lambda xs: sum(xs) / len(xs)  # noqa: E731
-            delays[policy.name] = {
+            delays[policy.policy] = {
                 model: mean([r.queue_delay_s for r in scheduler.records
                              if r.model == model])
                 for model in ("LeNet5", "tight")
@@ -477,7 +492,8 @@ class TestSchedulerApi:
 
     def test_priority_policy_prefers_high_priority_model(self):
         scheduler, env = self.make_scheduler(
-            policy=BatchPolicy.priority(max_inflight=1), priority=0,
+            policy=SchedulerSpec(policy="priority", max_inflight=1),
+            priority=0,
         )
         scheduler.add_model("vip", scheduler.mapping, priority=5)
         order = iter(["LeNet5", "LeNet5", "vip", "LeNet5", "vip"] * 100)
@@ -495,9 +511,9 @@ class TestSchedulerApi:
     def test_max_batch_sheds_expired_gathered_requests(self):
         """Shedding applies to batch members, not just the head."""
         scheduler, env = self.make_scheduler(
-            policy=BatchPolicy.max_batch_with_timeout(
-                max_batch=8, batch_timeout_s=20e-6, max_inflight=1,
-                shed_expired=True,
+            policy=SchedulerSpec(
+                policy="max-batch", max_batch=8, batch_timeout_s=20e-6,
+                max_inflight=1, shed_expired=True,
             ),
             slo_s=5e-6,
         )
@@ -514,15 +530,15 @@ class TestSchedulerApi:
                    if not r.dropped)
 
     def test_new_policy_labels_and_validation(self):
-        assert BatchPolicy.edf().label == "edf"
-        assert BatchPolicy.priority(shed_expired=True).label == (
+        assert SchedulerSpec(policy="edf").label == "edf"
+        assert SchedulerSpec(policy="priority", shed_expired=True).label == (
             "priority+shed"
         )
-        assert BatchPolicy.fifo(shed_expired=True).label == "fifo+shed"
+        assert SchedulerSpec(shed_expired=True).label == "fifo+shed"
         with pytest.raises(ConfigurationError):
-            BatchPolicy(name="edf", max_batch=2)
+            SchedulerSpec(policy="edf", max_batch=2)
         with pytest.raises(ConfigurationError):
-            BatchPolicy(name="lifo")
+            SchedulerSpec(policy="lifo")
 
 
 class TestStudyCli:

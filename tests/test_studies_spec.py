@@ -12,12 +12,12 @@ import pytest
 from repro.errors import ConfigurationError, SpecError, UnknownNameError
 from repro.studies import (
     ARRIVALS,
-    BATCH_POLICIES,
     CONTROLLERS,
     MODELS,
     PLATFORMS,
     ModelTraffic,
     PlatformSpec,
+    SCHEDULER_POLICIES,
     Registry,
     SchedulerSpec,
     StudySpec,
@@ -263,16 +263,22 @@ class TestScalarTypes:
     def test_nested_entry_names_its_path(self):
         data = self.example()
         data["workload"]["models"][0]["priority"] = 0.5
-        path = re.escape("workload.models[].priority must be")
+        path = re.escape("workload.models[0].priority must be")
         with pytest.raises(SpecError, match=path):
             StudySpec.from_dict(data)
 
     def test_name_fields_keep_typed_lookup_errors(self):
         data = self.example()
-        data["scheduler"]["policy"] = 5
+        data["platform"]["controller"] = 5
         spec = StudySpec.from_dict(data)
         with pytest.raises(UnknownNameError):
             lower_study(spec)
+
+    def test_policy_is_a_checked_choice(self):
+        data = self.example()
+        data["scheduler"]["policy"] = 5
+        with pytest.raises(SpecError, match=re.escape("(scheduler.policy)")):
+            StudySpec.from_dict(data)
 
 
 class TestOverridesAndExpansion:
@@ -370,7 +376,7 @@ class TestRegistries:
         assert "LeNet5" in MODELS and "ResNet50" in MODELS
         assert set(CONTROLLERS.names()) == {"resipi", "prowaves", "static"}
         assert set(ARRIVALS.names()) == {"poisson", "mmpp", "closed"}
-        assert set(BATCH_POLICIES.names()) == {
+        assert set(SCHEDULER_POLICIES) == {
             "fifo", "max-batch", "edf", "priority", "continuous"
         }
         assert "TransformerTiny" in MODELS and "TransformerBase" in MODELS

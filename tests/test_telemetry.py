@@ -12,7 +12,6 @@ from repro.cli import main
 from repro.errors import SimulationError, SpecError
 from repro.obs import (
     MetricsRegistry,
-    TelemetryPolicy,
     TraceRecorder,
     chrome_trace_events,
     chrome_trace_json,
@@ -128,7 +127,7 @@ class TestCacheKeys:
         (degenerate,) = lower_study(
             serving_spec(telemetry=TelemetrySpec())
         )[1][0]
-        assert degenerate.telemetry is None
+        assert not degenerate.telemetry
         assert degenerate.key() == plain.key()
 
     def test_armed_telemetry_moves_serving_key(self):
@@ -136,7 +135,7 @@ class TestCacheKeys:
         (armed,) = lower_study(
             serving_spec(telemetry=TelemetrySpec(trace=True))
         )[1][0]
-        assert armed.telemetry is not None
+        assert armed.telemetry
         assert armed.key() != plain.key()
 
     def test_sample_rate_moves_scenario_key(self):

@@ -36,7 +36,6 @@ from repro.experiments.export import (
 )
 from repro.experiments.serving_study import ServingCell
 from repro.mapping.residency import KVCacheResidency, WeightResidency
-from repro.serving.scheduler import BatchPolicy
 from repro.sim.core import Environment
 from repro.studies.compile import (
     lower_study,
@@ -246,7 +245,7 @@ class TestLegacyKeys:
             platform="2.5D-CrossLight-SiPh",
             models=(("LeNet5", 1.0, None, 0),),
             controller="resipi",
-            policy=BatchPolicy.max_batch_with_timeout(max_batch=4),
+            scheduler=SchedulerSpec(policy="max-batch", max_batch=4),
             arrival_kind="poisson", rate_rps=50e3, duration_s=2e-3,
             seed=7, config=DEFAULT_PLATFORM,
         )
@@ -261,14 +260,14 @@ class TestLegacyKeys:
         (degenerate,) = lower_study(
             sequence_spec(fidelity=FidelitySpec())
         )[1][0]
-        assert degenerate.fidelity is None
+        assert not degenerate.fidelity
         assert degenerate.key() == plain.key()
 
     def test_sequence_fields_fork_scenario_keys(self):
         base = ServingCell(
             platform="2.5D-CrossLight-SiPh",
             models=(("TransformerTiny", 1.0, None, 0),),
-            controller="resipi", policy=BatchPolicy.fifo(),
+            controller="resipi", scheduler=SchedulerSpec(),
             arrival_kind="poisson", rate_rps=40e3, duration_s=1e-3,
             seed=7, config=DEFAULT_PLATFORM,
         )
@@ -293,7 +292,7 @@ class TestSpecRejections:
         (cell,) = lower_study(spec)[1][0]
         assert not cell.is_fleet
         assert cell.sequences
-        assert cell.fidelity is not None
+        assert cell.fidelity
 
     def test_resilience_rejected_on_sequences(self):
         from repro.studies.spec import ResilienceSpec
