@@ -5,8 +5,9 @@ Runs the pytest-benchmark suite when pytest-benchmark is installed
 (statistically robust medians), falling back to the inline
 :mod:`repro.bench` runner otherwise, and writes a machine-readable
 baseline of median ns/op and the exact counts of ``repro.bench.COUNTERS``
-(kernel insertions, processes started, fabric transfers and gateway
-calls) per microbenchmark::
+(kernel insertions, processes started, fabric transfers, gateway calls,
+and this Python version's bytecode instructions and calls) per
+microbenchmark::
 
     python benchmarks/run_all.py                 # writes ./BENCH_sim.json
     python benchmarks/run_all.py --output out.json --repeats 9
@@ -32,7 +33,7 @@ from repro.bench import (  # noqa: E402
     BASELINE_FILENAME,
     MICROBENCHMARKS,
     benchmark_id,
-    count_kernel_work,
+    count_work,
     render_suite,
     run_suite,
     write_baseline,
@@ -99,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
         source = "repro.bench"
     else:
         for name in medians:
-            counts[name] = count_kernel_work(MICROBENCHMARKS[name]())
+            counts[name] = count_work(MICROBENCHMARKS[name]())
 
     write_baseline(medians, args.output, source=source, counts=counts)
     print(render_suite(medians, counts=counts))

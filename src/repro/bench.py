@@ -16,17 +16,22 @@ comparison with another checkout: both trees' bodies run round by round
 in fresh interpreters (:func:`ab_compare`), and the report gives each
 body's ratio of CPU-time minima with its spread over rounds.
 
-The baseline also holds four exact counts per body (:data:`COUNTERS`):
+The baseline also holds six exact counts per body (:data:`COUNTERS`):
 its kernel insertions — the sum of ``Environment._sequence`` over every
 environment one call of the body creates — the
 :class:`~repro.sim.core.Process` objects that call starts, its fabric
-transfers and its SiPh gateway calls.  All are the same on every run,
-so ``--check`` fails on any body whose count rises above its committed
-value.
+transfers and its SiPh gateway calls, and the bytecode instructions
+and Python calls of one call after two warm-ups.  All are the same on
+every run, so ``--check`` fails on any body whose count rises above its
+committed value.  Bytecode differs between Python versions, so the
+baseline keeps the last two per minor version
+(:data:`VERSIONED_COUNTERS`) and ``--check`` only reports them under a
+version it has no record for.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -53,9 +58,19 @@ COUNTERS = {
     "processes": "processes started",
     "transfers": "fabric transfers",
     "gateway_calls": "gateway calls",
+    "instructions": "bytecode instructions",
+    "calls": "Python calls",
 }
 """Exact per-body counts the baseline records beside each median
-(:func:`count_kernel_work`), with their report labels."""
+(:func:`count_work`), with their report labels."""
+
+VERSIONED_COUNTERS = ("instructions", "calls")
+"""Counters of the interpreter's own work (:func:`count_bytecode`): the
+baseline records them per Python minor version, as
+``{"3.11": count}``."""
+
+PYTHON_VERSION = f"{sys.version_info.major}.{sys.version_info.minor}"
+"""The key this interpreter's :data:`VERSIONED_COUNTERS` records use."""
 
 
 # ---------------------------------------------------------------------------
@@ -793,7 +808,8 @@ def measure_ns(run: Callable[[], object], repeats: int = 5,
 
 
 def count_kernel_work(run: Callable[[], object]) -> dict[str, int]:
-    """The :data:`COUNTERS` of one ``run()`` call.
+    """The simulator's :data:`COUNTERS` of one ``run()`` call: all but
+    the :data:`VERSIONED_COUNTERS`.
 
     Kernel insertions are summed over every environment it creates.
     Transfers and gateway calls are counted as the benchmark harness
@@ -808,7 +824,10 @@ def count_kernel_work(run: Callable[[], object]) -> dict[str, int]:
     from .sim.core import Environment, Process
 
     created = []
-    counts = dict.fromkeys(COUNTERS, 0)
+    counts = {
+        counter: 0 for counter in COUNTERS
+        if counter not in VERSIONED_COUNTERS
+    }
     saved = []
 
     def wrap(owner, name: str, note: Callable[[object], object]) -> None:
@@ -845,6 +864,58 @@ def count_kernel_work(run: Callable[[], object]) -> dict[str, int]:
     return counts
 
 
+def count_bytecode(run: Callable[[], object]) -> dict[str, int]:
+    """The :data:`VERSIONED_COUNTERS` of one ``run()`` call.
+
+    Traced with :func:`sys.settrace` and ``f_trace_opcodes``: ``calls``
+    counts every Python frame entered (a call or a generator resuming)
+    and ``instructions`` every bytecode instruction those frames run.
+    Code outside Python frames (builtins, C extensions) is not counted.
+    The cyclic collector is off for the call, after one collection, so
+    that no generator it would finalize is counted: when it runs
+    depends on what the process did before.  The tracer and the
+    collector are restored afterwards.
+    """
+    tally = [0, 0]
+
+    def local(frame, event, arg):
+        if event == "opcode":
+            tally[0] += 1
+        return local
+
+    def entered(frame, event, arg):
+        tally[1] += 1
+        frame.f_trace_opcodes = True
+        return local
+
+    previous = sys.gettrace()
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    sys.settrace(entered)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+        if collecting:
+            gc.enable()
+    return {"instructions": tally[0], "calls": tally[1]}
+
+
+def count_work(run: Callable[[], object]) -> dict[str, int]:
+    """Every :data:`COUNTERS` entry of a fresh body.
+
+    The first call counts the kernel work (:func:`count_kernel_work`)
+    and a second warms up, so the call whose bytecode is counted
+    (:func:`count_bytecode`) finds every cache and lazy import as later
+    calls do.
+    """
+    work = count_kernel_work(run)
+    run()
+    work.update(count_bytecode(run))
+    return work
+
+
 def select_benchmarks(substring: str) -> tuple[str, ...]:
     """Benchmark names containing ``substring`` (the ``--only`` filter).
 
@@ -871,15 +942,14 @@ def run_suite(names: tuple[str, ...] | None = None, repeats: int = 5,
               ) -> dict[str, float]:
     """Time the microbenchmarks inline; returns name -> median ns/op.
 
-    Each body's warm-up call counts its kernel work
-    (:func:`count_kernel_work`), stored into ``counts`` under the body's
-    name when one is given.
+    Each body's warm-up calls count its work (:func:`count_work`),
+    stored into ``counts`` under the body's name when one is given.
     """
     selected = names or tuple(MICROBENCHMARKS)
     medians = {}
     for name in selected:
         run = MICROBENCHMARKS[name]()
-        work = count_kernel_work(run)
+        work = count_work(run)
         if counts is not None:
             counts[name] = work
         medians[name] = measure_ns(run, repeats=repeats, warmup=0)
@@ -894,10 +964,19 @@ def run_suite(names: tuple[str, ...] | None = None, repeats: int = 5,
 def write_baseline(medians: dict[str, float], path: str | Path,
                    source: str = "repro.bench",
                    counts: dict[str, dict[str, int]] | None = None) -> None:
-    """Write a BENCH_sim.json baseline (counts beside the medians)."""
+    """Write a BENCH_sim.json baseline (counts beside the medians).
+
+    The :data:`VERSIONED_COUNTERS` are recorded under this interpreter's
+    :data:`PYTHON_VERSION`; records of other versions are not carried
+    over, so merge them back by hand when re-recording.
+    """
     counts = counts or {}
     benchmarks = {
-        name: {"median_ns": median, **counts.get(name, {})}
+        name: {"median_ns": median, **{
+            counter: ({PYTHON_VERSION: count}
+                      if counter in VERSIONED_COUNTERS else count)
+            for counter, count in counts.get(name, {}).items()
+        }}
         for name, median in sorted(medians.items())
     }
     payload = {
@@ -924,14 +1003,23 @@ def load_baseline(path: str | Path) -> dict[str, float]:
 
 
 def load_counts(path: str | Path) -> dict[str, dict[str, int]]:
-    """Read a baseline's exact counts; returns name -> counter -> count."""
-    return {
-        name: {
-            counter: int(entry[counter])
-            for counter in COUNTERS if counter in entry
-        }
-        for name, entry in _baseline_entries(path).items()
-    }
+    """Read a baseline's exact counts; returns name -> counter -> count.
+
+    A :data:`VERSIONED_COUNTERS` entry is this interpreter's record; a
+    counter without one is left out, so :func:`check_counts` does not
+    gate it.
+    """
+    loaded = {}
+    for name, entry in _baseline_entries(path).items():
+        work = {}
+        for counter in COUNTERS:
+            count = entry.get(counter)
+            if counter in VERSIONED_COUNTERS and count is not None:
+                count = count.get(PYTHON_VERSION)
+            if count is not None:
+                work[counter] = int(count)
+        loaded[name] = work
+    return loaded
 
 
 def check_against_baseline(

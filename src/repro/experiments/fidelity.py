@@ -79,7 +79,7 @@ from ..serving.metrics import (
 from ..sim.core import Environment
 from ..studies.faults import platform_timelines
 from ..studies.registry import MODELS
-from ..studies.spec import FidelitySpec
+from ..studies.spec import FaultSpec, FidelitySpec
 from .runner import build_platform
 from .serving_study import (
     ServingCell,
@@ -101,6 +101,9 @@ __all__ = [
 _FULL_DES = FidelitySpec()
 """The degenerate section a cell's full-DES twin carries (the
 calibration window and the ``auto`` fallback)."""
+
+_NO_FAULTS = FaultSpec()
+"""The degenerate fault section a calibration cell carries."""
 
 
 # Low-discrepancy multipliers (Weyl sequences): deterministic,
@@ -193,7 +196,7 @@ def _calibration_cell(cell: ServingCell,
     identity the checkpoint measures.
     """
     return replace(cell, duration_s=calibration_s, fidelity=_FULL_DES,
-                   faults=None, node_faults=None)
+                   faults=_NO_FAULTS, node_faults=_NO_FAULTS)
 
 
 def _calibrate(cell: ServingCell, policy: FidelitySpec

@@ -50,7 +50,7 @@ PLATFORM_ORDER = (
 )
 """The three simulated platforms, Table 3 order."""
 
-CACHE_SCHEMA_VERSION = 8
+CACHE_SCHEMA_VERSION = 9
 """Bump whenever simulation semantics or the cached result layout
 change so stale cached results are never served for new code.
 
@@ -83,7 +83,12 @@ hazards and node incidents, so a fleet that lost a node no longer reads
 Version 8: DES and fluid cells reduce one request table: ``per_model``
 lists every tenant in mix order, fluid means sum in row order, drained
 nodes count as degraded, fluid availability follows the DES definition,
-and a fleet's channel stats carry their node's name."""
+and a fleet's channel stats carry their node's name.
+
+Version 9: SiPh power signals integrate only on change, so photonic
+energies move in their last bits (at most 3.6e-14 relative over the
+model zoo); a fault-free cell carries the falsy ``FaultSpec()`` in
+place of ``None``, so every cell key moves."""
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +260,11 @@ def build_platform(platform_name: str, config: PlatformConfig,
 class InferenceCell:
     """One isolated (batched) inference of one model on one platform.
 
-    ``faults`` is a fabric fault section (SiPh only) and
-    ``quantization`` the model's precision (the default 8-bit scheme
-    when ``None``).  The worker reads nothing but these fields, so they
-    are the cell's complete identity: :meth:`key` hashes all of them.
+    ``faults`` is a fabric fault section (SiPh only; the falsy
+    default section when fault-free) and ``quantization`` the model's
+    precision (the default 8-bit scheme when ``None``).  The worker
+    reads nothing but these fields, so they are the cell's complete
+    identity: :meth:`key` hashes all of them.
     """
 
     platform: str
@@ -266,7 +272,7 @@ class InferenceCell:
     controller: str
     config: PlatformConfig
     batch_size: int = 1
-    faults: FaultSpec | None = None
+    faults: FaultSpec = FaultSpec()
     quantization: QuantizationConfig | None = None
 
     @property

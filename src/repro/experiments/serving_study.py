@@ -63,7 +63,7 @@ class ServingCell:
     ``models`` is the mix as ``(name, fraction, slo_s, priority)``
     tuples; the first entry is each scheduler's primary model.
     ``scheduler`` is the point's scheduler section, which every node's
-    scheduler reads.  ``faults`` is the platform hazard timeline applied
+    scheduler reads.  ``faults`` is the platform fault section applied
     to every node.  ``sequences`` marks an autoregressive scenario: one
     ``(prompt_tokens, output_tokens)`` pair per mix entry, ``(0, 0)``
     for single-step tenants, with ``length_distribution`` naming the
@@ -74,8 +74,9 @@ class ServingCell:
     behind the ``router`` policy (``weights`` parameterise the weighted
     one), per-node ``node_overrides`` (the cluster section's entries),
     the node-level ``node_faults`` timeline and ``reroute_on_fail``.
-    The ``resilience``, ``fidelity`` and ``telemetry`` sections are the
-    point's own, each defaulting to its degenerate (falsy) section;
+    The ``faults``, ``node_faults``, ``resilience``, ``fidelity`` and
+    ``telemetry`` sections are the point's own, each defaulting to its
+    degenerate (falsy) section;
     armed, they run the request lifecycle or the router's signal path,
     the fluid fast path and the recording session.
 
@@ -96,7 +97,7 @@ class ServingCell:
     dwell_s: float = 20e-6
     think_time_s: float = 10e-6
     residency_capacity_bits: float | None = None
-    faults: FaultSpec | None = None
+    faults: FaultSpec = FaultSpec()
     resilience: ResilienceSpec = ResilienceSpec()
     fidelity: FidelitySpec = FidelitySpec()
     sequences: tuple[tuple[int, int], ...] = ()
@@ -108,7 +109,7 @@ class ServingCell:
     weights: tuple[float, ...] = ()
     reroute_on_fail: bool = True
     node_overrides: tuple[NodeOverrideSpec, ...] = ()
-    node_faults: FaultSpec | None = None
+    node_faults: FaultSpec = FaultSpec()
 
     @property
     def mix_label(self) -> str:

@@ -20,6 +20,7 @@ decision to them.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -29,18 +30,14 @@ from ...photonics import constants as ph
 from ...photonics.laser import LaserSource
 from ...photonics.photodetector import Photodetector
 from ...power import params as ep
-from ...sim.core import Environment, Event
+from ...sim.core import Entry, Environment, Event
 from ...sim.resources import (
     BandwidthChannel,
     Transfer,
     check_payload,
     send_payload,
 )
-from ...sim.stats import (
-    EpochTrafficMonitor,
-    TimeWeightedValue,
-    close_segments,
-)
+from ...sim.stats import EpochTrafficMonitor, TimeWeightedValue
 from ..base import DEFAULT_CHUNK_BITS, InterposerFabric, NetworkEnergyReport
 from ..topology import Floorplan
 from .links import swmr_read_budget, worst_case_write_budget
@@ -52,6 +49,8 @@ PHOTONIC_DYNAMIC_J_PER_BIT = (
 )
 """Per-bit dynamic energy of one interposer traversal: serialize +
 modulate + receive + deserialize + two microbump crossings."""
+
+_heappush = heapq.heappush
 
 
 @dataclass(frozen=True)
@@ -94,6 +93,48 @@ class _ChipletGateways:
         self.write_signal = TimeWeightedValue(env, float(self.n_write))
         self.read_signal = TimeWeightedValue(env, float(self.n_read))
         self.settled_scale: float | None = None
+
+
+class _PcmcSwitch(Entry):
+    """One capacity increase still switching in the PCM cells.
+
+    A kernel entry of its own, no process.  It is queued in the
+    immediate queue when the increase is decided; when that entry fires
+    it queues itself ``PCMC_SWITCHING_TIME_S`` later.  The switch time
+    equals the default 1 us epoch, so queuing the timer only then keeps
+    the switch behind the next epoch's decision, as a process's
+    bootstrap did.  It then applies its rate unless a newer decision
+    superseded it.
+    """
+
+    __slots__ = ("fabric", "channel", "target_bps")
+
+    def __init__(self, fabric: "PhotonicInterposerFabric",
+                 channel: BandwidthChannel, target_bps: float):
+        self.fabric = fabric
+        self.channel = channel
+        self.target_bps = target_bps
+        self._processed = False
+        self.callbacks = _PcmcSwitch._start
+        env = fabric.env
+        seq = env._sequence = env._sequence + 1
+        env._immediate.append((seq, self))
+
+    def _start(self) -> None:
+        self.callbacks = _PcmcSwitch._land
+        env = self.fabric.env
+        seq = env._sequence = env._sequence + 1
+        _heappush(env._queue,
+                  (env._now + ph.PCMC_SWITCHING_TIME_S, seq, self))
+
+    def _land(self) -> None:
+        fabric = self.fabric
+        channel = self.channel
+        target = self.target_bps
+        if (fabric._desired_bandwidth.get(channel.name) == target
+                and channel._bandwidth_bps != target):
+            channel.set_bandwidth(target)
+            fabric._unsettle()
 
 
 class PhotonicInterposerFabric(InterposerFabric):
@@ -167,16 +208,18 @@ class PhotonicInterposerFabric(InterposerFabric):
             chiplet_id: bank.read_signal
             for chiplet_id, bank in self._chiplets.items()
         }
-        self._chiplet_signals = [
-            signal for bank in self._chiplets.values()
-            for signal in (bank.write_signal, bank.read_signal)
-        ]
         # Memory writer gateways still alive (hazards lower it).
         self._memory_cap = config.n_memory_write_gateways
         self.monitor = EpochTrafficMonitor(env, config.resipi_epoch_s)
         self.pcmc_energy_j = 0.0
         self.reconfiguration_count = 0
         self._desired_bandwidth: dict[str, float] = {}
+        # The decision and the comb share known to leave the fabric as
+        # it is when applied again (see :meth:`configure_gateways` and
+        # :meth:`set_wavelength_fraction`); ``None`` until one is.
+        self._settled_memory: int | None = None
+        self._settled_chiplets: list[tuple[int, int]] | None = None
+        self._settled_share: float | None = None
 
         # -- power-model ingredients ---------------------------------------------
         detector = Photodetector()
@@ -244,14 +287,13 @@ class PhotonicInterposerFabric(InterposerFabric):
         if not increase:
             channel.set_bandwidth(target_bps)
             return
+        _PcmcSwitch(self, channel, target_bps)
 
-        def deferred():
-            yield self.env.timeout(ph.PCMC_SWITCHING_TIME_S)
-            # A newer decision may have superseded this one.
-            if self._desired_bandwidth.get(channel.name) == target_bps:
-                channel.set_bandwidth(target_bps)
-
-        self.env.process(deferred())
+    def _unsettle(self) -> None:
+        """End both shortcuts: the next decision and the next comb share
+        take the full path."""
+        self._settled_memory = self._settled_chiplets = None
+        self._settled_share = None
 
     def set_active_memory_gateways(self, count: int) -> None:
         """Rescale the memory-side SWMR write capacity.
@@ -266,12 +308,13 @@ class PhotonicInterposerFabric(InterposerFabric):
             )
         count = min(count, self._memory_cap)
         previous = int(self.active_memory_gateways.value)
+        self._unsettle()
         if count != previous:
             self.reconfiguration_count += 1
             self.pcmc_energy_j += ph.PCMC_SWITCHING_ENERGY_J * abs(
                 count - previous
             )
-        self.active_memory_gateways.set(float(count))
+            self.active_memory_gateways.set(float(count))
         self._apply_bandwidth(
             self.memory_write_channel,
             count * self._gateway_bw * self._wavelength_fraction,
@@ -301,14 +344,15 @@ class PhotonicInterposerFabric(InterposerFabric):
         n_read = min(n_read, bank.cap_read)
         previous_write = bank.n_write
         previous_read = bank.n_read
+        self._unsettle()
         delta = abs(n_write - previous_write) + abs(n_read - previous_read)
         if delta:
             self.reconfiguration_count += 1
             self.pcmc_energy_j += ph.PCMC_SWITCHING_ENERGY_J * delta
-        bank.n_write = n_write
-        bank.n_read = n_read
-        bank.write_signal.set(float(n_write))
-        bank.read_signal.set(float(n_read))
+            bank.n_write = n_write
+            bank.n_read = n_read
+            bank.write_signal.set(float(n_write))
+            bank.read_signal.set(float(n_read))
         bank.settled_scale = None
         scale = self._gateway_bw * self._wavelength_fraction
         self._apply_bandwidth(
@@ -328,36 +372,56 @@ class PhotonicInterposerFabric(InterposerFabric):
         chiplet, in :attr:`inventories` order.  The effect is exactly
         ``set_active_memory_gateways(n_memory)`` followed by
         ``set_active_chiplet_gateways`` for every chiplet, but only
-        chiplet banks whose count changes take that path.  The rest — most banks, most
-        epochs — close their power-signal segment and, if the comb share
-        moved, retune their channels.
+        chiplet banks whose count changes take that path; the rest
+        retune their channels if the comb share moved.
+
+        Most epochs repeat the last decision.  One that asks for the
+        active counts, with every bank settled at the current comb share
+        and the memory channel at its target with no PCMC switch
+        pending, returns after one comparison: applying it would change
+        nothing.  A full pass that changes no count leaves the fabric in
+        that state; any other hook call, hazard or landing switch that
+        moves a rate ends it.
         """
+        if (chiplets == self._settled_chiplets
+                and n_memory == self._settled_memory):
+            return
         if len(chiplets) != len(self._chiplets):
             raise ConfigurationError(
                 f"configuration names {len(chiplets)} chiplet(s); the "
                 f"fabric has {len(self._chiplets)}"
             )
+        settled = n_memory == self.active_memory_gateways.value
         self.set_active_memory_gateways(n_memory)
-        close_segments(self._chiplet_signals, self.env.now)
         scale = self._gateway_bw * self._wavelength_fraction
         for bank, (n_write, n_read) in zip(self._chiplets.values(), chiplets):
             if n_write != bank.n_write or n_read != bank.n_read:
                 self.set_active_chiplet_gateways(
                     bank.chiplet_id, n_write, n_read
                 )
+                settled = False
             elif bank.settled_scale != scale:
                 self._settle(bank, scale)
+        if settled:
+            self._settled_memory = n_memory
+            self._settled_chiplets = list(chiplets)
 
     def _settle(self, bank: _ChipletGateways, scale: float) -> None:
         """Run both channels of ``bank`` at its active counts × ``scale``.
 
         With the counts unchanged nothing waits on a PCMC switch: a new
-        comb share, or an increase still switching, applies at once.
+        comb share, or an increase still switching, applies at once (a
+        switch still in flight then lands on the rate it finds, or finds
+        itself superseded).  Exactly ``_apply_bandwidth(channel, count *
+        scale, increase=False)`` for each channel, inline; the rates are
+        written directly, as counts of at least one gateway and a
+        positive comb share keep them positive.
         """
-        self._apply_bandwidth(bank.write_channel, bank.n_write * scale,
-                              increase=False)
-        self._apply_bandwidth(bank.read_channel, bank.n_read * scale,
-                              increase=False)
+        desired = self._desired_bandwidth
+        channel = bank.write_channel
+        desired[channel.name] = channel._bandwidth_bps = bank.n_write * scale
+        channel = bank.read_channel
+        desired[channel.name] = channel._bandwidth_bps = bank.n_read * scale
         bank.settled_scale = scale
 
     def set_wavelength_fraction(self, fraction: float) -> None:
@@ -365,12 +429,16 @@ class PhotonicInterposerFabric(InterposerFabric):
 
         While a hazard holds part of the comb out of lock (see
         :meth:`set_usable_wavelength_fraction`), the channels run at this
-        request times the usable share, never below one comb line.
+        request times the usable share, never below one comb line.  A
+        share already in force, with every bank settled on it, returns
+        at once.
         """
         if not 0.0 < fraction <= 1.0:
             raise ConfigurationError(
                 f"wavelength fraction must be in (0, 1], got {fraction}"
             )
+        if fraction == self._settled_share:
+            return
         self._controller_fraction = fraction
         self._apply_wavelength_fraction()
 
@@ -414,6 +482,7 @@ class PhotonicInterposerFabric(InterposerFabric):
 
     def _shift_caps(self, sign: int, memory: int,
                     chiplets: Iterable[tuple[str, int, int]]) -> None:
+        self._unsettle()
         self._memory_cap += sign * memory
         for chiplet_id, n_write, n_read in chiplets:
             bank = self._chiplets[chiplet_id]
@@ -426,6 +495,8 @@ class PhotonicInterposerFabric(InterposerFabric):
         self._apply_wavelength_fraction()
 
     def _apply_wavelength_fraction(self) -> None:
+        """Retune every channel to the comb share now in force, each
+        channel once."""
         fraction = self._controller_fraction
         if self._usable_fraction < 1.0:
             fraction = max(1.0 / self.config.n_wavelengths,
@@ -434,11 +505,12 @@ class PhotonicInterposerFabric(InterposerFabric):
         self.memory_write_channel.set_bandwidth(
             self.active_memory_gateways.value * self._gateway_bw * fraction
         )
-        close_segments(self._chiplet_signals, self.env.now)
         scale = self._gateway_bw * fraction
         for bank in self._chiplets.values():
             if bank.settled_scale != scale:
                 self._settle(bank, scale)
+        self._unsettle()
+        self._settled_share = self._controller_fraction
 
     def iter_channels(self):
         """HBM port, SWMR writer stage, then per-chiplet reader/writers."""

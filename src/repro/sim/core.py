@@ -22,7 +22,11 @@ experiment matrix, so it is tuned):
   same-time heap entries, so ordering is exactly the seed kernel's
   (time, insertion-order) contract;
 * a :class:`Process` never allocates bootstrap/resume ``Event`` objects:
-  one reusable :class:`_Resume` per process carries the pending value.
+  one reusable :class:`_Resume` per process carries the pending value;
+* perpetual or one-shot machinery that only waits on time queues
+  *itself* (:class:`Entry`): a bandwidth channel per hold, a photonic
+  controller per epoch, a PCMC switch per capacity increase — no
+  process, generator or timeout.
 
 Lifecycle: whoever builds an :class:`Environment` closes it once the
 results are read (``with Environment() as env:``).  A process that
@@ -163,6 +167,27 @@ class Timeout(Event):
 
 
 _timeout_new = Timeout.__new__
+
+
+class Entry:
+    """An object that queues *itself* as a kernel entry.
+
+    The run loops touch a queued entry in two ways: they call
+    ``_fire()`` on one popped from the immediate queue, or from the heap
+    while the immediate queue is not empty; otherwise they set
+    ``_processed``, clear ``callbacks`` and call ``callbacks(entry)``.
+    An entry stores its next action, a plain function of the entry,
+    in ``callbacks`` before it queues itself, and ``_fire`` runs that
+    action, so both paths do the same.  A plain function rather than a
+    bound method keeps the entry free of a reference cycle to itself.
+    """
+
+    __slots__ = ("callbacks", "_processed")
+
+    def _fire(self) -> None:
+        callbacks = self.callbacks
+        self.callbacks = None
+        callbacks(self)
 
 
 class _Resume:
@@ -332,17 +357,24 @@ class Environment:
         return self._now
 
     # NOTE: there is deliberately no generic _schedule() helper — the
-    # six scheduling sites (succeed, succeed_after, Timeout, timeout()
-    # and the channel hold: BandwidthChannel._hold in sim/resources.py,
-    # plus its copy inlined in BandwidthChannel._complete for the
-    # channel's own next hold) inline the immediate-vs-heap dispatch
-    # because the call overhead is measurable at event rates.  A chunk
-    # hop is one entry's callback: _complete moves the chunk on itself.
-    # New scheduling paths must follow the same pattern: bump
-    # _sequence, then append to _immediate for zero delay or heap-push
-    # (fire_time, seq, event) otherwise.  A queued entry needs only
-    # what the run loops touch: ``_fire()`` for the immediate path,
-    # ``_processed`` and ``callbacks`` for the heap path (a channel is
+    # scheduling sites inline the immediate-vs-heap dispatch because the
+    # call overhead is measurable at event rates.  They are: succeed,
+    # succeed_after, Timeout and timeout() here; the channel hold
+    # (BandwidthChannel._hold in sim/resources.py, plus its copy inlined
+    # in BandwidthChannel._complete for the channel's own next hold);
+    # and the self-queuing entries of the photonic control plane: a
+    # controller's bootstrap and once-per-epoch push
+    # (interposer/photonic/controllers.py, _EpochController) and a PCMC
+    # switch's immediate entry and its landing one switching time later
+    # (interposer/photonic/fabric.py, _PcmcSwitch).  A chunk hop is one
+    # entry's callback: _complete moves the chunk on itself.  New
+    # scheduling paths must follow the same pattern: bump _sequence,
+    # then append to _immediate for zero delay or heap-push
+    # (fire_time, seq, event) otherwise.  A queued entry needs only what
+    # the run loops touch: ``_fire()`` for the immediate path and for a
+    # heap entry popped while the immediate queue is not empty, and
+    # ``_processed`` and ``callbacks`` for the heap path.  So ``_fire``
+    # must do what ``callbacks`` does (see :class:`Entry`; a channel is
     # its own entry and re-arms ``callbacks`` for every hold).
 
     # -- factories ------------------------------------------------------------

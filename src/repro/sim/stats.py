@@ -10,7 +10,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from ..errors import SimulationError
 from .core import Environment
@@ -19,8 +18,9 @@ from .core import Environment
 class TimeWeightedValue:
     """Time-integral of a piecewise-constant signal.
 
-    The integral adds one term per :meth:`set` call, so its last bits
-    depend on *when* the signal was re-asserted, not only on its values.
+    The integral adds one term per change of value: a :meth:`set` of the
+    current value adds nothing, so re-asserting a signal every epoch
+    costs one comparison and leaves the integral as it is.
     """
 
     __slots__ = ("env", "_value", "_last_change", "_integral")
@@ -38,7 +38,9 @@ class TimeWeightedValue:
 
     def set(self, value: float) -> None:
         """Change the signal value at the current simulation time."""
-        now = self.env.now
+        if value == self._value:
+            return
+        now = self.env._now
         self._integral += self._value * (now - self._last_change)
         self._value = value
         self._last_change = now
@@ -56,18 +58,6 @@ class TimeWeightedValue:
         if self.env.now == 0.0:
             return self._value
         return self.integral() / self.env.now
-
-
-def close_segments(signals: Iterable[TimeWeightedValue], now: float) -> None:
-    """Close every signal's integration segment at ``now``, values kept.
-
-    Exactly ``signal.set(signal.value)`` for each signal — the same terms
-    added in the same order, so integrals stay bit-identical — without a
-    method call per signal.
-    """
-    for signal in signals:
-        signal._integral += signal._value * (now - signal._last_change)
-        signal._last_change = now
 
 
 class EpochTrafficMonitor:

@@ -62,6 +62,9 @@ if TYPE_CHECKING:
 SIPH_PLATFORM = "2.5D-CrossLight-SiPh"
 """The one platform whose fabric takes a reconfiguration controller."""
 
+MONOLITHIC_PLATFORM = "CrossLight"
+"""The single-chip platform: no chiplets, so no per-chiplet gateways."""
+
 
 # ---------------------------------------------------------------------------
 # Spec resolution: names, configs, lowering rules, the expanded grid.
@@ -115,11 +118,12 @@ LOWERING_RULES: tuple[Rule, ...] = (
          "sequences"),
     Rule("platform-faults-need-siph", "", ("platform.faults", "platform.name"),
          UNSUPPORTED,
-         lambda s: bool(s.platform.faults)
-         and s.platform.name != SIPH_PLATFORM,
-         f"platform.faults applies only to {SIPH_PLATFORM!r} (the hazard "
-         "engine mutates its photonic fabric), got platform "
-         "{s.platform.name!r}"),
+         lambda s: s.platform.name != SIPH_PLATFORM
+         and platform_timelines(s.platform.faults)[0] is not None,
+         "fabric fault kinds in platform.faults (gateway, ring-drift, "
+         f"laser) apply only to {SIPH_PLATFORM!r} (the hazard engine "
+         "mutates its photonic fabric), got platform {s.platform.name!r}; "
+         "compute kinds (chiplet-mac-degrade) run on every platform"),
     Rule("fluid-fabric-faults", "", ("fidelity.mode", "platform.faults"),
          UNSUPPORTED,
          lambda s: bool(s.fidelity) and len(s.platform.faults.events) > len(
@@ -129,6 +133,15 @@ LOWERING_RULES: tuple[Rule, ...] = (
          "faults (chiplet-mac-degrade); the fluid queue has no model of "
          "fabric-level events — use fidelity mode 'des' for photonic "
          "hazard studies"),
+    Rule("fluid-compute-faults-need-chiplets", "",
+         ("fidelity.mode", "platform.faults", "platform.name"), UNSUPPORTED,
+         lambda s: bool(s.fidelity)
+         and s.platform.name == MONOLITHIC_PLATFORM
+         and bool(platform_timelines(s.platform.faults)[1]),
+         "fidelity modes fluid/auto price a chiplet-mac-degrade through "
+         "the 2.5D analytic model, which needs the per-chiplet gateway "
+         "groups that platform {s.platform.name!r} has none of — use "
+         "fidelity mode 'des'"),
 )
 """The rules that need the registries or the fault lowering, run on
 every grid point at lowering, after its names resolve.  Rows read like
@@ -261,7 +274,7 @@ def lower_serving_point(point: StudySpec,
         dwell_s=workload.dwell_s,
         think_time_s=workload.think_time_s,
         residency_capacity_bits=point.residency_capacity_bits,
-        faults=point.platform.faults or None,
+        faults=point.platform.faults,
         resilience=point.resilience,
         fidelity=point.fidelity,
         sequences=(
@@ -282,7 +295,7 @@ def lower_serving_point(point: StudySpec,
         weights=cluster.weights,
         reroute_on_fail=cluster.reroute_on_fail,
         node_overrides=cluster.nodes,
-        node_faults=cluster.faults or None,
+        node_faults=cluster.faults,
     )
 
 
@@ -358,10 +371,7 @@ def lower_study(
                     controller=point.platform.controller,
                     config=config,
                     batch_size=point.workload.batch_size,
-                    faults=(
-                        point.platform.faults
-                        if point.platform.faults.events else None
-                    ),
+                    faults=point.platform.faults,
                 )
                 for entry in point.workload.models
             ])

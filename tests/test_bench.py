@@ -1,6 +1,10 @@
 """The inline microbenchmark runner and perf-regression smoke check."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,12 +43,19 @@ class TestMeasure:
             names=(bench.KERNEL_BENCHMARK,), repeats=1, counts=counts
         )
         assert set(counts) == set(medians) == {bench.KERNEL_BENCHMARK}
+        work = counts[bench.KERNEL_BENCHMARK]
+        assert set(work) == set(bench.COUNTERS)
         # 10k timeouts, the ticker's bootstrap and its finish; one
         # process, the ticker; no fabric.
-        assert counts[bench.KERNEL_BENCHMARK] == {
+        assert {counter: work[counter] for counter in (
+            "insertions", "processes", "transfers", "gateway_calls",
+        )} == {
             "insertions": 10_002, "processes": 1,
             "transfers": 0, "gateway_calls": 0,
         }
+        # Every timeout resumes the ticker: one Python frame each.
+        assert work["calls"] > 10_000
+        assert work["instructions"] > work["calls"]
 
     def test_count_insertions_sums_every_environment_created(self):
         from repro.sim.core import Environment, Process
@@ -109,6 +120,40 @@ class TestMeasure:
         assert work["gateway_calls"] == 2
         assert PhotonicInterposerFabric.read is read
 
+    def test_count_bytecode_counts_python_frames(self):
+        def leaf():
+            return 1
+
+        def run():
+            return leaf() + leaf() + len("c code is not traced")
+
+        tracer = sys.gettrace()
+        work = bench.count_bytecode(run)
+        assert work["calls"] == 3  # run and two leaves
+        assert work["instructions"] > 3 * work["calls"]
+        assert sys.gettrace() is tracer
+        assert bench.count_bytecode(run) == work
+
+    def test_counts_are_equal_in_fresh_processes(self):
+        """Three interpreters, three hash seeds: the same counts."""
+        script = (
+            "import json; from repro import bench; "
+            "print(json.dumps(bench.count_work(bench.MICROBENCHMARKS["
+            "'test_bench_photonic_fabric_reads']())))"
+        )
+        root = Path(__file__).resolve().parent.parent
+        outputs = set()
+        for seed in ("0", "1", "random"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": str(root / "src")}
+            outputs.add(subprocess.run(
+                [sys.executable, "-c", script], env=env, cwd=root,
+                capture_output=True, text=True, check=True,
+            ).stdout)
+        assert len(outputs) == 1
+        work = json.loads(outputs.pop())
+        assert set(work) == set(bench.COUNTERS)
+
 
 class TestBaseline:
     def test_write_load_roundtrip(self, tmp_path):
@@ -146,11 +191,16 @@ class TestBaseline:
         # benchmark without an entry would never be gated.
         for name in bench.MICROBENCHMARKS:
             assert baseline.get(name, 0.0) > 0, name
-        # The same holds for check_counts, for every counter.
+        # The same holds for check_counts, for every counter: the
+        # bytecode counters need a record for some Python version.
         counts = bench.load_counts(baseline_path)
         assert set(counts) == set(bench.MICROBENCHMARKS)
+        kernel = set(bench.COUNTERS) - set(bench.VERSIONED_COUNTERS)
+        entries = json.loads(baseline_path.read_text())["benchmarks"]
         for name, work in counts.items():
-            assert set(work) == set(bench.COUNTERS), name
+            assert kernel <= set(work), name
+            for counter in bench.VERSIONED_COUNTERS:
+                assert entries[name][counter], (name, counter)
 
     def test_render_suite_with_baseline(self):
         text = bench.render_suite({"a": 2e6}, {"a": 1e6})
@@ -171,6 +221,29 @@ class TestBaseline:
         }
         assert bench.load_baseline(path) == {"a": 1.0, "b": 2.0}
 
+    def test_bytecode_counts_are_recorded_per_python_version(self,
+                                                            tmp_path):
+        path = tmp_path / "BENCH_sim.json"
+        bench.write_baseline({"a": 1.0}, path, counts={
+            "a": {"insertions": 7, "instructions": 900, "calls": 30},
+        })
+        entry = json.loads(path.read_text())["benchmarks"]["a"]
+        assert entry["instructions"] == {bench.PYTHON_VERSION: 900}
+        assert entry["calls"] == {bench.PYTHON_VERSION: 30}
+        assert bench.load_counts(path) == {
+            "a": {"insertions": 7, "instructions": 900, "calls": 30},
+        }
+        # Another version's record is not this interpreter's: reported,
+        # not gated.
+        entry["instructions"] = {"2.7": 900}
+        entry["calls"] = {"2.7": 30}
+        path.write_text(json.dumps({"benchmarks": {"a": entry}}))
+        assert bench.load_counts(path) == {"a": {"insertions": 7}}
+        assert bench.check_counts(
+            {"a": {"insertions": 7, "instructions": 10**9}},
+            bench.load_counts(path),
+        ) == []
+
     def test_insertion_count_one_above_baseline_fails(self):
         self.check_one_over("insertions")
 
@@ -182,6 +255,12 @@ class TestBaseline:
 
     def test_gateway_call_count_one_above_baseline_fails(self):
         self.check_one_over("gateway_calls")
+
+    def test_instruction_count_one_above_baseline_fails(self):
+        self.check_one_over("instructions")
+
+    def test_python_call_count_one_above_baseline_fails(self):
+        self.check_one_over("calls")
 
     @staticmethod
     def check_one_over(counter):
@@ -237,6 +316,30 @@ class TestBenchCli:
     def test_bench_check_fails_one_gateway_call_over(self, capsys,
                                                      tmp_path):
         self.check_fails_one_over(capsys, tmp_path, "gateway_calls")
+
+    def test_bench_check_fails_one_instruction_over(self, capsys, tmp_path):
+        self.check_fails_one_over(capsys, tmp_path, "instructions")
+
+    def test_bench_check_fails_one_python_call_over(self, capsys, tmp_path):
+        self.check_fails_one_over(capsys, tmp_path, "calls")
+
+    def test_bench_check_reports_unrecorded_python_versions(self, capsys,
+                                                           tmp_path):
+        counts = {}
+        bench.run_suite(names=(bench.KERNEL_BENCHMARK,), repeats=1,
+                        counts=counts)
+        baseline = tmp_path / "BENCH_sim.json"
+        bench.write_baseline({bench.KERNEL_BENCHMARK: 1e15}, baseline,
+                             counts=counts)
+        payload = json.loads(baseline.read_text())
+        entry = payload["benchmarks"][bench.KERNEL_BENCHMARK]
+        for counter in bench.VERSIONED_COUNTERS:  # far below, elsewhere
+            entry[counter] = {"2.7": 1}
+        baseline.write_text(json.dumps(payload))
+        assert main(["bench", "--check", "--repeats", "1", "--only",
+                     "kernel_event", "--baseline", str(baseline)]) == 0
+        out = capsys.readouterr().out
+        assert "reported, not checked" in out and "perf check OK" in out
 
     @staticmethod
     def check_fails_one_over(capsys, tmp_path, counter):

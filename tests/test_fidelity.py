@@ -494,7 +494,8 @@ class TestFluidPath:
         )
         assert cell.is_fleet
         calibration = simulate_serving_cell(replace(
-            cell, duration_s=0.2e-3, fidelity=FidelitySpec(), node_faults=None,
+            cell, duration_s=0.2e-3, fidelity=FidelitySpec(),
+            node_faults=FaultSpec(),
         ))
         assert calibration.router == "-"
         result = simulate_serving_cell(cell)

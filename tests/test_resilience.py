@@ -35,6 +35,7 @@ from repro.studies import (
     ClusterSpec,
     FaultEventSpec,
     FaultSpec,
+    FidelitySpec,
     ModelTraffic,
     PlatformSpec,
     ResilienceSpec,
@@ -48,6 +49,7 @@ from repro.studies import spec_digest
 from repro.studies.compile import (
     expand_points,
     lower_serving_point,
+    lower_study,
     resolve_config,
     render_dry_run,
     run_study,
@@ -548,6 +550,57 @@ class TestMacDegradeHazard:
         ),))
         assert degraded.latency.mean_s > healthy.latency.mean_s
         assert degraded.time_degraded_s == pytest.approx(200e-6)
+
+    @staticmethod
+    def mac_spec(platform, kind="serving", fidelity=None, events=None):
+        """LeNet5 at 100k req/s, losing 0.25 of its MACs from 100 to
+        300 us (or fault-free with ``events=()``)."""
+        if events is None:
+            events = (FaultEventSpec(
+                kind="chiplet-mac-degrade", at_s=100e-6, mac_fraction=0.25,
+                duration_s=200e-6,
+            ),)
+        return StudySpec(
+            name="mac", kind=kind,
+            workload=WorkloadSpec(
+                models=(ModelTraffic(model="LeNet5"),),
+                rate_rps=100e3, duration_s=0.4e-3, seed=3,
+            ),
+            platform=PlatformSpec(name=platform,
+                                  faults=FaultSpec(events=events)),
+            fidelity=fidelity or FidelitySpec(),
+        )
+
+    @pytest.mark.parametrize("platform", [
+        "CrossLight", "2.5D-CrossLight-Elec", "2.5D-CrossLight-AWGR",
+    ])
+    def test_degrade_runs_off_siph(self, platform):
+        """A compute-only fault section needs no photonic fabric: the
+        serving layer drives it on every platform."""
+        (degraded,) = run_study(self.mac_spec(platform)).serving_results()
+        assert degraded.time_degraded_s == pytest.approx(200e-6)
+        assert [window.label for window in degraded.windows] == [
+            "before", "during", "after",
+        ]
+        (healthy,) = run_study(
+            self.mac_spec(platform, events=())
+        ).serving_results()
+        assert degraded.latency.p99_s >= healthy.latency.p99_s
+        if platform == "CrossLight":  # one chip: every request slows
+            assert degraded.latency.p99_s > 3 * healthy.latency.p99_s
+
+    def test_degrade_off_siph_stays_rejected_where_it_cannot_run(self):
+        # Inference has no serving layer to drive the MAC occupancy.
+        with pytest.raises(ConfigurationError, match="serving"):
+            lower_study(self.mac_spec("CrossLight", kind="inference"))
+        # The fluid engine prices the cut per chiplet.
+        with pytest.raises(SpecError, match="per-chiplet"):
+            lower_study(self.mac_spec(
+                "CrossLight", fidelity=FidelitySpec(mode="fluid")))
+        (fluid,) = run_study(self.mac_spec(
+            "2.5D-CrossLight-Elec", fidelity=FidelitySpec(mode="fluid"),
+        )).serving_results()
+        assert fluid.time_degraded_s == pytest.approx(200e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,8 @@ class TestRuleTable:
 
 
 FABRIC_FAULT = {"kind": "gateway-fail", "at_s": 1e-4, "memory_gateways": 1}
+COMPUTE_FAULT = {"kind": "chiplet-mac-degrade", "at_s": 1e-4,
+                 "mac_fraction": 0.5}
 
 LOWERING_COUNTEREXAMPLES = {
     "epoch-needs-siph": {"platform": {
@@ -293,6 +295,10 @@ LOWERING_COUNTEREXAMPLES = {
     "fluid-fabric-faults": {
         "fidelity": {"mode": "fluid"},
         "platform": {"faults": {"events": [FABRIC_FAULT]}}},
+    "fluid-compute-faults-need-chiplets": {
+        "fidelity": {"mode": "fluid"},
+        "platform": {"name": "CrossLight", "faults": {"events": [
+            COMPUTE_FAULT]}}},
 }
 """rule name -> the patch onto :data:`BASE` that builds a valid spec
 whose lowering breaks that rule only."""
