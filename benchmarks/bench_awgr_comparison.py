@@ -7,7 +7,8 @@ reads that the ReSiPI fabric serves with up to the full memory-gateway
 bandwidth — the quantitative argument for the paper's tree topology.
 """
 
-from repro.core.accelerator import CrossLight25DAWGR, CrossLight25DSiPh
+from repro.core.awgr import CrossLight25DAWGR
+from repro.core.siph import CrossLight25DSiPh
 from repro.dnn import zoo
 from repro.dnn.workload import extract_workload
 

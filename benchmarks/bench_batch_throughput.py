@@ -5,7 +5,7 @@ batch streams, amortising weight traffic; per-image latency improves
 with batch size and saturates at the compute roofline.
 """
 
-from repro.core.accelerator import CrossLight25DSiPh
+from repro.core.siph import CrossLight25DSiPh
 from repro.dnn import zoo
 from repro.dnn.workload import extract_workload
 

@@ -70,11 +70,9 @@ __version__ = "1.0.0"
 
 __getattr__, __dir__, __all__ = _lazy_package(__name__, {
     ".config": ("DEFAULT_PLATFORM", "PlatformConfig"),
-    ".core.accelerator": (
-        "CrossLight25DElec",
-        "CrossLight25DSiPh",
-        "MonolithicCrossLight",
-    ),
+    ".core.crosslight": ("MonolithicCrossLight",),
+    ".core.elec": ("CrossLight25DElec",),
+    ".core.siph": ("CrossLight25DSiPh",),
     ".core.metrics": ("InferenceResult",),
 })
 

@@ -261,7 +261,7 @@ def make_serving_request_throughput() -> Callable[[], int]:
     dispatcher over one shared fabric.  Tracks the serving layer's
     requests/sec of wall time.
     """
-    from .core.accelerator import MonolithicCrossLight
+    from .core.crosslight import MonolithicCrossLight
     from .core.engine import ExecutionTrace
     from .dnn import zoo
     from .dnn.workload import extract_workload
@@ -297,7 +297,7 @@ def _telemetry_window(trace: bool) -> Callable[[], tuple[Any, Any]]:
     ``trace`` arms the span recorder at sample rate 1 and wires it into
     the scheduler and its residency store, as a traced study cell does.
     """
-    from .core.accelerator import MonolithicCrossLight
+    from .core.crosslight import MonolithicCrossLight
     from .core.engine import ExecutionTrace
     from .dnn import zoo
     from .dnn.workload import extract_workload
@@ -502,7 +502,7 @@ def make_cluster_dispatch_throughput() -> Callable[[], int]:
     overhead on top of the per-node schedulers.
     """
     from .cluster.router import ClusterNode, ClusterRouter
-    from .core.accelerator import MonolithicCrossLight
+    from .core.crosslight import MonolithicCrossLight
     from .core.engine import ExecutionTrace
     from .dnn import zoo
     from .dnn.workload import extract_workload
@@ -552,7 +552,7 @@ def make_resilience_retry_hedge() -> Callable[[], int]:
     overhead the resilience layer adds on top of routed dispatch.
     """
     from .cluster.router import ClusterNode, ClusterRouter
-    from .core.accelerator import MonolithicCrossLight
+    from .core.crosslight import MonolithicCrossLight
     from .core.engine import ExecutionTrace
     from .dnn import zoo
     from .dnn.workload import extract_workload
@@ -599,7 +599,7 @@ def _fidelity_reference_cell(fidelity):
     """The representative serving cell the fidelity benchmarks share,
     under the ``fidelity`` section given."""
     from .config import DEFAULT_PLATFORM
-    from .experiments.serving_study import ServingCell
+    from .experiments.serving_cell import ServingCell
     from .studies.spec import SchedulerSpec
 
     return ServingCell(
@@ -703,7 +703,7 @@ def make_continuous_decode_throughput() -> Callable[[], int]:
     management, width-aware remap lookups, and token bookkeeping.
     """
     from .config import DEFAULT_PLATFORM
-    from .experiments.serving_study import ServingCell
+    from .experiments.serving_cell import ServingCell
     from .studies.spec import SchedulerSpec
 
     cell = ServingCell(
@@ -739,7 +739,7 @@ def make_sequence_fluid_path() -> Callable[[], int]:
     """
     from .config import DEFAULT_PLATFORM
     from .experiments.fidelity import simulate_fidelity_cell
-    from .experiments.serving_study import ServingCell
+    from .experiments.serving_cell import ServingCell
     from .studies.spec import FidelitySpec, SchedulerSpec
 
     cell = ServingCell(

@@ -211,10 +211,7 @@ def _parse_rates(text: str) -> tuple[float, ...]:
 
 def _cmd_serve_study(args: argparse.Namespace) -> int:
     from .experiments.export import study_results_to_json, write_text
-    from .experiments.serving_study import (
-        render_serving_study,
-        render_slo_summary,
-    )
+    from .experiments.reports import render_serving_study, render_slo_summary
     from .studies.builders import serve_study_spec
     from .studies.compile import run_study
     from .studies.spec import SchedulerSpec
@@ -464,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", parents=[perf],
                          help="simulate one model on one platform")
-    run.add_argument("--model", choices=tuple(zoo.MODEL_BUILDERS),
+    run.add_argument("--model", choices=zoo.TABLE2_MODELS,
                      default="ResNet50")
     run.add_argument("--platform", choices=tuple(PLATFORM_ALIASES),
                      default="siph")
@@ -483,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=("wavelengths", "gateways", "controllers",
                               "mapping", "quantization"),
                      default="wavelengths")
-    dse.add_argument("--model", choices=tuple(zoo.MODEL_BUILDERS),
+    dse.add_argument("--model", choices=zoo.TABLE2_MODELS,
                      default="ResNet50")
     dse.set_defaults(func=_cmd_dse)
 
@@ -491,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve-study", parents=[perf],
         help="latency-under-load curves: rate x policy x platform",
     )
-    serve.add_argument("--model", choices=tuple(zoo.MODEL_BUILDERS),
+    serve.add_argument("--model", choices=zoo.TABLE2_MODELS,
                        default="LeNet5")
     serve.add_argument("--platforms", nargs="+",
                        choices=SERVE_PLATFORM_CHOICES,

@@ -7,7 +7,7 @@ all inside **one** shared :class:`~repro.sim.core.Environment` — behind
 a :class:`~repro.cluster.router.ClusterRouter` that dispatches the
 traffic-mix arrival stream via pluggable routing policies and survives
 node-level hazards (:mod:`repro.cluster.hazards`).  The serving cell
-(:class:`~repro.experiments.serving_study.ServingCell`) builds the
+(:class:`~repro.experiments.serving_cell.ServingCell`) builds the
 fleet whenever its ``replicas``/node fields call for one.
 """
 
@@ -15,12 +15,10 @@ from .. import _lazy_package
 
 __getattr__, __dir__, __all__ = _lazy_package(__name__, {
     ".hazards": (
-        "NODE_HAZARD_KINDS",
         "NodeDrain",
         "NodeFail",
         "NodeHazardRecord",
         "NodeRepair",
-        "node_hazard_timeline",
         "validate_node_timeline",
     ),
     ".router": (

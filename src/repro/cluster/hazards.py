@@ -17,11 +17,12 @@ module models those as typed events on the **cluster** timeline:
   drains in place.
 * :class:`NodeRepair` — a failed or draining node returns to rotation.
 
-The factories register under ``node-fail`` / ``node-drain`` /
-``node-repair`` in the same ``HAZARD_FACTORIES`` dict the ``HAZARDS``
-registry shares with the fabric-level kinds, so cluster fault sections
-resolve through the one hazard namespace — and each layer rejects the
-other layer's kinds instead of silently misapplying them.
+The factories are the ``HAZARDS`` registry's entries for the node
+kinds (``node-fail``, ``node-drain``, ``node-repair``, ``rack-fail``,
+``rack-repair``), so cluster fault sections resolve through the one
+hazard namespace; :func:`~repro.studies.faults.node_hazard_timeline`
+lowers a cluster fault section and rejects the other layers' kinds
+instead of silently misapplying them.
 """
 
 from __future__ import annotations
@@ -29,12 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar, Sequence, Union
 
-from ..errors import ConfigurationError, UnknownNameError
-from ..interposer.photonic.faults import (
-    COMPUTE_HAZARD_KINDS,
-    HAZARD_FACTORIES,
-    _reject_inert,
-)
+from ..errors import ConfigurationError, reject_inert
+from ..records import NodeHazardRecord
 
 
 @dataclass(frozen=True)
@@ -97,32 +94,11 @@ NodeHazardEvent = Union[NodeFail, NodeDrain, NodeRepair, RackFail,
                         RackRepair]
 """Any event a cluster hazard timeline can carry."""
 
-NODE_HAZARD_KINDS = ("node-fail", "node-drain", "node-repair",
-                     "rack-fail", "rack-repair")
-"""Hazard kinds that apply to cluster nodes, not the photonic fabric."""
-
-
 def event_nodes(event: NodeHazardEvent) -> tuple[int, ...]:
     """The node indices a cluster event addresses (group or single)."""
     if isinstance(event, (RackFail, RackRepair)):
         return event.nodes
     return (event.node,)
-
-
-@dataclass(frozen=True)
-class NodeHazardRecord:
-    """One applied node event and what the router did about it.
-
-    Plain picklable data: cluster results carry these through the
-    cache and the JSON/CSV export path.  ``rerouted`` counts the
-    queued requests withdrawn from the node and re-enqueued elsewhere
-    (failures only; 0 for drains and repairs).
-    """
-
-    kind: str
-    node: int
-    at_s: float
-    rerouted: int = 0
 
 
 def node_outages(records: Sequence[NodeHazardRecord], n_nodes: int,
@@ -180,7 +156,7 @@ def _make_node_event(cls, kind: str, at_s: float,
                      mac_fraction: float = 1.0):
     # Fabric-only spec knobs would silently no-op on a node event (yet
     # still move cache digests): reject instead.
-    _reject_inert(
+    reject_inert(
         kind,
         duration_s=duration_s is not None,
         memory_gateways=memory_gateways != 0,
@@ -212,7 +188,7 @@ def _make_rack_event(cls, kind: str, at_s: float,
                      node: int | None = None,
                      nodes=(),
                      mac_fraction: float = 1.0):
-    _reject_inert(
+    reject_inert(
         kind,
         duration_s=duration_s is not None,
         memory_gateways=memory_gateways != 0,
@@ -272,49 +248,13 @@ NODE_HAZARD_FACTORIES = {
     "rack-fail": make_rack_fail,
     "rack-repair": make_rack_repair,
 }
-
-for _kind, _factory in NODE_HAZARD_FACTORIES.items():
-    # Shared namespace with the fabric kinds: the HAZARDS registry is
-    # backed by this dict, so node kinds resolve everywhere specs do.
-    HAZARD_FACTORIES.setdefault(_kind, _factory)
+"""Node-event factories keyed by spec kind, the node kinds of the
+``HAZARDS`` registry (:mod:`repro.studies.registry`)."""
 
 
 # ---------------------------------------------------------------------------
-# Timeline lowering and validation.
+# Timeline validation.
 # ---------------------------------------------------------------------------
-
-
-def node_hazard_timeline(faults) -> tuple[NodeHazardEvent, ...]:
-    """Lower a cluster-level fault section onto typed node events.
-
-    ``faults`` is a :class:`~repro.studies.spec.FaultSpec` (or None).
-    Every kind must be a node-level hazard; fabric kinds belong in
-    ``platform.faults`` and are rejected with a pointer there.
-    """
-    if faults is None or not faults.events:
-        return ()
-    events = []
-    for entry in faults.events:
-        fields = entry.to_dict()
-        kind = fields.pop("kind")
-        factory = HAZARD_FACTORIES.get(kind)
-        if factory is None:
-            raise UnknownNameError(
-                "hazard", kind, tuple(HAZARD_FACTORIES),
-                registry="HAZARDS",
-            )
-        if kind not in NODE_HAZARD_KINDS:
-            layer = (
-                "the compute path" if kind in COMPUTE_HAZARD_KINDS
-                else "the photonic fabric"
-            )
-            raise ConfigurationError(
-                f"hazard kind {kind!r} applies to {layer}; "
-                "put it in platform.faults (cluster.faults takes "
-                f"{', '.join(NODE_HAZARD_KINDS)})"
-            )
-        events.append(factory(**fields))
-    return tuple(events)
 
 
 def validate_node_timeline(events: tuple[NodeHazardEvent, ...],

@@ -4,14 +4,15 @@ accelerator platforms and the monolithic baseline."""
 from .. import _lazy_package
 
 __getattr__, __dir__, __all__ = _lazy_package(__name__, {
-    ".accelerator": (
-        "ALL_PLATFORMS",
-        "CrossLight25DAWGR",
-        "CrossLight25DElec",
-        "CrossLight25DSiPh",
+    ".accelerator": ("PlatformSimulation",),
+    ".awgr": ("CrossLight25DAWGR",),
+    ".crosslight": (
         "MonolithicCrossLight",
+        "MonolithicFabric",
+        "monolithic_mapping",
     ),
-    ".crosslight": ("MonolithicFabric", "monolithic_mapping"),
+    ".elec": ("CrossLight25DElec",),
+    ".siph": ("CrossLight25DSiPh",),
     ".analytic": (
         "AnalyticEstimate",
         "analytic_estimate",

@@ -1,10 +1,17 @@
-"""Platform models: the three accelerators the paper evaluates.
+"""Platform models: the machinery every accelerator the paper evaluates
+shares.
 
-* :class:`CrossLight25DSiPh` — 2.5D CrossLight with the ReSiPI-style
-  silicon-photonic interposer (the paper's proposal),
-* :class:`CrossLight25DElec` — the same chiplets on an electrical mesh
-  interposer,
-* :class:`MonolithicCrossLight` — the original single-chip CrossLight.
+Each platform lives next to the fabric it runs on, so naming a
+platform loads that fabric only:
+
+* :class:`~repro.core.siph.CrossLight25DSiPh` — 2.5D CrossLight with
+  the ReSiPI-style silicon-photonic interposer (the paper's proposal),
+* :class:`~repro.core.elec.CrossLight25DElec` — the same chiplets on an
+  electrical mesh interposer,
+* :class:`~repro.core.awgr.CrossLight25DAWGR` — the same chiplets on a
+  passive AWGR interposer (topology ablation),
+* :class:`~repro.core.crosslight.MonolithicCrossLight` — the original
+  single-chip CrossLight.
 
 Each platform can stand up a **live simulation context**
 (:meth:`build_simulation`): a fabric plus its reconfiguration
@@ -18,30 +25,26 @@ and streams many concurrent requests through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from ..config import DEFAULT_PLATFORM, PlatformConfig
 from ..dnn.model import Model
 from ..dnn.quantization import QuantizationConfig
 from ..dnn.workload import InferenceWorkload, extract_workload
-from ..errors import UnknownNameError
+from ..errors import ConfigurationError
 from ..interposer.base import InterposerFabric
-from ..interposer.electrical.mesh import ElectricalMeshFabric
-from ..interposer.photonic.awgr import AWGRInterposerFabric
-from ..interposer.photonic.controllers import CONTROLLER_FACTORIES
-from ..interposer.photonic.fabric import PhotonicInterposerFabric
-from ..interposer.photonic.faults import HazardEngine, HazardTimeline
 from ..interposer.topology import build_floorplan
 from ..mapping.mapper import KernelMatchMapper, ModelMapping
-from ..photonics import constants as ph
-from ..photonics.microring import MicroringResonator, TuningMechanism
+from ..photonics.microring import TuningMechanism
 from ..power import params as ep
 from ..power.compute_power import mac_fabric_power
 from ..sim.core import Environment
-from .crosslight import MonolithicFabric, monolithic_mapping
 from .engine import ExecutionTrace, InferenceEngine
 from .mac_unit import MacUnitSpec, PhotonicMacUnit
 from .metrics import EnergyBreakdown, InferenceResult
+
+if TYPE_CHECKING:
+    from ..interposer.photonic.faults import HazardEngine
 
 TUNING_HOLD_ENERGY_J_PER_LANE_OP = 1e-12
 """EO weight-tuning hold energy per lane per vector pass (~2 mW over a
@@ -221,124 +224,12 @@ class _CrossLight25DBase(_PlatformBase):
         )
 
 
-class CrossLight25DSiPh(_CrossLight25DBase):
-    """2.5D CrossLight with the silicon-photonic ReSiPI interposer."""
-
-    def __init__(self, config: PlatformConfig | None = None,
-                 controller: str = "resipi",
-                 mapper: KernelMatchMapper | None = None,
-                 faults: HazardTimeline | None = None):
-        super().__init__(config, mapper)
-        if controller not in CONTROLLER_FACTORIES:
-            raise UnknownNameError(
-                "controller", controller, sorted(CONTROLLER_FACTORIES)
-            )
-        self.controller_name = controller
-        self.faults = faults
-        self.name = "2.5D-CrossLight-SiPh"
-        if controller != "resipi":
-            self.name += f"[{controller}]"
-
-    def build_simulation(self, env: Environment) -> PlatformSimulation:
-        fabric = PhotonicInterposerFabric(env, self.config, self.floorplan)
-        # Hazards attach before the controller boots: the ``t=0`` events
-        # of a static fault set constrain the controller's very first
-        # decision.
-        hazards = (
-            HazardEngine(fabric, self.faults) if self.faults else None
+def reject_faults(name: str, faults) -> None:
+    """Refuse a hazard timeline on a platform without a fault model
+    (every platform's ``PLATFORMS`` factory but the SiPh one)."""
+    if faults is not None:
+        raise ConfigurationError(
+            f"platform {name!r} has no fault model; hazard timelines "
+            "apply to the photonic interposer platform "
+            "('2.5D-CrossLight-SiPh')"
         )
-        controller = CONTROLLER_FACTORIES[self.controller_name](
-            env, fabric, self.config
-        )
-        return PlatformSimulation(
-            platform=self, env=env, fabric=fabric, controller=controller,
-            mac_rate_hz=self.config.mac_rate_hz, map_workload=self.map,
-            hazards=hazards,
-        )
-
-
-class CrossLight25DElec(_CrossLight25DBase):
-    """2.5D CrossLight on the electrical mesh interposer baseline."""
-
-    def __init__(self, config: PlatformConfig | None = None,
-                 mapper: KernelMatchMapper | None = None):
-        super().__init__(config, mapper)
-        self.name = "2.5D-CrossLight-Elec"
-
-    def build_simulation(self, env: Environment) -> PlatformSimulation:
-        fabric = ElectricalMeshFabric(env, self.config, self.floorplan)
-        return PlatformSimulation(
-            platform=self, env=env, fabric=fabric, controller=None,
-            mac_rate_hz=self.config.mac_rate_hz, map_workload=self.map,
-            time_limit_s=1000.0,
-        )
-
-
-class CrossLight25DAWGR(_CrossLight25DBase):
-    """2.5D CrossLight on an AWGR all-to-all interposer ([10]-style).
-
-    Topology ablation baseline: passive cyclic wavelength routing gives
-    every chiplet pair a fixed comb slice, with no reconfiguration and
-    no broadcast — see :mod:`repro.interposer.photonic.awgr`.
-    """
-
-    def __init__(self, config: PlatformConfig | None = None,
-                 mapper: KernelMatchMapper | None = None):
-        super().__init__(config, mapper)
-        self.name = "2.5D-CrossLight-AWGR"
-
-    def build_simulation(self, env: Environment) -> PlatformSimulation:
-        fabric = AWGRInterposerFabric(env, self.config, self.floorplan)
-        return PlatformSimulation(
-            platform=self, env=env, fabric=fabric, controller=None,
-            mac_rate_hz=self.config.mac_rate_hz, map_workload=self.map,
-        )
-
-
-class MonolithicCrossLight(_PlatformBase):
-    """The original single-chip CrossLight [21]."""
-
-    def __init__(self, config: PlatformConfig | None = None):
-        super().__init__(config)
-        self.name = "CrossLight"
-
-    def build_simulation(self, env: Environment) -> PlatformSimulation:
-        fabric = MonolithicFabric(env, self.config)
-
-        def map_workload(workload: InferenceWorkload) -> ModelMapping:
-            return monolithic_mapping(workload, self.config)
-
-        return PlatformSimulation(
-            platform=self, env=env, fabric=fabric, controller=None,
-            mac_rate_hz=self.config.mono_mac_rate_hz,
-            map_workload=map_workload,
-        )
-
-    def _compute_energy(self, trace: ExecutionTrace,
-                        elapsed_s: float) -> _ComputeEnergy:
-        breakdown = mac_fabric_power(
-            n_units=self.config.mono_n_vdp_units,
-            vector_length=self.config.mono_vector_length,
-            mac_rate_hz=self.config.mono_mac_rate_hz,
-            activity=0.0,
-            waveguide_length_m=self.config.mono_die_edge_mm * 1e-3,
-            trimming=TuningMechanism.THERMO_OPTIC,
-        )
-        dynamic_j = trace.total_vector_ops * self._vector_op_energy_j(
-            self.config.mono_vector_length
-        )
-        return _ComputeEnergy(
-            static_w=breakdown.total_w, dynamic_j=dynamic_j
-        )
-
-    @property
-    def _logic_static_w(self) -> float:
-        return ep.MONO_LOGIC_STATIC_POWER_W
-
-
-ALL_PLATFORMS = {
-    "CrossLight": MonolithicCrossLight,
-    "2.5D-CrossLight-Elec": CrossLight25DElec,
-    "2.5D-CrossLight-SiPh": CrossLight25DSiPh,
-}
-"""Platform constructors keyed by the names Table 3 uses."""

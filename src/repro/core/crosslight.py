@@ -11,7 +11,8 @@ one large die:
   the "relatively low energy efficiency" the paper attributes to it.
 
 The fabric below plugs into the same :class:`InferenceEngine`; a
-single-pseudo-chiplet mapping puts every layer on the whole VDP array.
+single-pseudo-chiplet mapping puts every layer on the whole VDP array,
+and :class:`MonolithicCrossLight` is the platform built on both.
 """
 
 from __future__ import annotations
@@ -27,9 +28,18 @@ from ..interposer.base import (
 )
 from ..mapping.mapper import Allocation, LayerMapping, ModelMapping
 from ..mapping.tiling import tile_layer
+from ..photonics.microring import TuningMechanism
 from ..power import params as ep
+from ..power.compute_power import mac_fabric_power
 from ..sim.core import Environment, Event
 from ..sim.resources import BandwidthChannel, check_payload, relay_payload
+from .accelerator import (
+    PlatformSimulation,
+    _ComputeEnergy,
+    _PlatformBase,
+    reject_faults,
+)
+from .engine import ExecutionTrace
 
 MONO_CHIPLET_ID = "mono-0"
 ONCHIP_AVG_WIRE_MM = 10.0
@@ -125,3 +135,50 @@ def monolithic_mapping(workload: InferenceWorkload,
                          tiling=tiling)
         )
     return ModelMapping(workload=workload, layers=tuple(layer_mappings))
+
+
+class MonolithicCrossLight(_PlatformBase):
+    """The original single-chip CrossLight [21]."""
+
+    def __init__(self, config: PlatformConfig | None = None):
+        super().__init__(config)
+        self.name = "CrossLight"
+
+    def build_simulation(self, env: Environment) -> PlatformSimulation:
+        fabric = MonolithicFabric(env, self.config)
+
+        def map_workload(workload: InferenceWorkload) -> ModelMapping:
+            return monolithic_mapping(workload, self.config)
+
+        return PlatformSimulation(
+            platform=self, env=env, fabric=fabric, controller=None,
+            mac_rate_hz=self.config.mono_mac_rate_hz,
+            map_workload=map_workload,
+        )
+
+    def _compute_energy(self, trace: ExecutionTrace,
+                        elapsed_s: float) -> _ComputeEnergy:
+        breakdown = mac_fabric_power(
+            n_units=self.config.mono_n_vdp_units,
+            vector_length=self.config.mono_vector_length,
+            mac_rate_hz=self.config.mono_mac_rate_hz,
+            activity=0.0,
+            waveguide_length_m=self.config.mono_die_edge_mm * 1e-3,
+            trimming=TuningMechanism.THERMO_OPTIC,
+        )
+        dynamic_j = trace.total_vector_ops * self._vector_op_energy_j(
+            self.config.mono_vector_length
+        )
+        return _ComputeEnergy(
+            static_w=breakdown.total_w, dynamic_j=dynamic_j
+        )
+
+    @property
+    def _logic_static_w(self) -> float:
+        return ep.MONO_LOGIC_STATIC_POWER_W
+
+
+def build_crosslight(config: PlatformConfig, controller: str, faults=None):
+    """``PLATFORMS`` factory (the controller name is ignored)."""
+    reject_faults("CrossLight", faults)
+    return MonolithicCrossLight(config)

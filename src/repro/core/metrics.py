@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..sim.resources import ChannelStat
+from ..records import ChannelStat
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,17 @@ def did_you_mean(name: object, known: Iterable[str]) -> tuple[str, ...]:
     )
 
 
+def reject_inert(kind: str, **inert: bool) -> None:
+    """Spec knobs that would silently no-op on a ``kind`` event raise
+    instead (they would still move cache digests without moving
+    behavior); ``inert`` maps each knob to whether the spec set it."""
+    set_fields = [name for name, is_set in inert.items() if is_set]
+    if set_fields:
+        raise ConfigurationError(
+            f"{', '.join(set_fields)} do(es) not apply to {kind!r} events"
+        )
+
+
 class UnknownNameError(ConfigurationError, KeyError):
     """A registry lookup failed: no entry under the requested name.
 

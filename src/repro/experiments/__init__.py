@@ -38,10 +38,17 @@ __getattr__, __dir__, __all__ = _lazy_package(__name__, {
         "render_roofline",
         "roofline_analysis",
     ),
+    ".reports": (
+        "render_fault_windows",
+        "render_sequence_summary",
+        "render_serving_study",
+        "render_slo_summary",
+    ),
     ".runner": (
         "MODEL_NAMES",
         "PLATFORM_ORDER",
         "ExperimentRunner",
+        "InferenceCell",
         "ResultCache",
         "build_platform",
         "cell_key",
@@ -54,12 +61,8 @@ __getattr__, __dir__, __all__ = _lazy_package(__name__, {
         "render_sensitivity",
         "sensitivity_study",
     ),
-    ".serving_study": (
-        "ServingCell",
-        "render_serving_study",
-        "render_slo_summary",
-        "simulate_serving_cell",
-    ),
+    ".serving_cell": ("ServingCell",),
+    ".serving_study": ("simulate_serving_cell",),
     ".table3": ("PAPER_TABLE3", "Table3", "build_table3", "render_table3"),
     ".tables": ("render_table1", "render_table2"),
 })

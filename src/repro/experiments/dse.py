@@ -118,7 +118,7 @@ def mapping_ablation(
     the paper's averages imply spillover).  Custom mappers are not part
     of the cache key scheme, so this study always simulates.
     """
-    from ..core.accelerator import CrossLight25DSiPh
+    from ..core.siph import CrossLight25DSiPh
     from ..interposer.topology import build_floorplan
     from ..mapping.mapper import KernelMatchMapper
 

@@ -52,12 +52,7 @@ import numpy as np
 # load it here, at lowering, so the fluid run imports nothing.
 import numpy.ma  # noqa: F401
 
-from ..cluster.hazards import (
-    NodeHazardRecord,
-    event_nodes,
-    node_hazard_timeline,
-    node_outages,
-)
+from ..cluster.hazards import NodeHazardRecord, event_nodes, node_outages
 from ..core.analytic import (
     FluidWindow,
     analytic_estimate,
@@ -77,12 +72,12 @@ from ..serving.metrics import (
     request_fields,
 )
 from ..sim.core import Environment
-from ..studies.faults import platform_timelines
+from ..studies.faults import node_hazard_timeline, platform_timelines
 from ..studies.registry import MODELS
 from ..studies.spec import FaultSpec, FidelitySpec
 from .runner import build_platform
+from .serving_cell import ServingCell
 from .serving_study import (
-    ServingCell,
     _degraded_s,
     _fault_span,
     _fault_spans,

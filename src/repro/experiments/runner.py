@@ -1,7 +1,7 @@
 """Experiment orchestration: every simulation is a cell run by one driver.
 
 An :class:`InferenceCell` (one isolated inference) or a
-:class:`~repro.experiments.serving_study.ServingCell` (one serving
+:class:`~repro.experiments.serving_cell.ServingCell` (one serving
 window) is a frozen description of a whole simulation, and
 :func:`run_cached` is the one driver every study runs its cells
 through:
@@ -28,19 +28,21 @@ import tempfile
 import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..config import DEFAULT_PLATFORM, PlatformConfig
-from ..core.metrics import InferenceResult
 from ..dnn import zoo
-from ..dnn.quantization import QuantizationConfig
-from ..dnn.workload import InferenceWorkload, extract_workload
 from ..errors import UnknownNameError
 from ..studies.faults import hazard_timeline
 from ..studies.registry import MODELS, PLATFORMS
 from ..studies.spec import FaultSpec
 
-MODEL_NAMES = tuple(zoo.MODEL_BUILDERS)
+if TYPE_CHECKING:
+    from ..core.metrics import InferenceResult
+    from ..dnn.quantization import QuantizationConfig
+    from ..dnn.workload import InferenceWorkload
+
+MODEL_NAMES = zoo.TABLE2_MODELS
 """Table 2 model names in paper order."""
 
 PLATFORM_ORDER = (
@@ -50,7 +52,7 @@ PLATFORM_ORDER = (
 )
 """The three simulated platforms, Table 3 order."""
 
-CACHE_SCHEMA_VERSION = 9
+CACHE_SCHEMA_VERSION = 10
 """Bump whenever simulation semantics or the cached result layout
 change so stale cached results are never served for new code.
 
@@ -88,7 +90,12 @@ and a fleet's channel stats carry their node's name.
 Version 9: SiPh power signals integrate only on change, so photonic
 energies move in their last bits (at most 3.6e-14 relative over the
 model zoo); a fault-free cell carries the falsy ``FaultSpec()`` in
-place of ``None``, so every cell key moves."""
+place of ``None``, so every cell key moves.
+
+Version 10: a comb share applied while a memory-channel PCMC increase
+is still switching supersedes the increase, so a result whose
+controller hit that case moves; channel and hazard records live in
+:mod:`repro.records`, so every cached pickle names a new module."""
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +294,9 @@ class InferenceCell:
 
 def simulate_inference_cell(cell: InferenceCell) -> InferenceResult:
     """Worker body: one full simulation of one inference cell."""
+    # Loaded with the platform's module when the study was lowered.
+    from ..dnn.workload import extract_workload
+
     platform = build_platform(
         cell.platform, cell.config, cell.controller,
         faults=hazard_timeline(cell.faults),
@@ -420,6 +430,68 @@ def _timed_simulate(simulate_fn: Callable, cell) -> tuple[Any, float]:
     return result, time.perf_counter() - start
 
 
+class CacheLookup:
+    """One pass over the disk cache: which cells hit and which must run.
+
+    Construction looks every cell up (by its ``key()``) and records the
+    hits' wall times in ``stats`` under ``labels``; it needs nothing but
+    the cells, so a caller can decide what to load for the misses
+    (``pending``, indices in input order) before :meth:`fill` runs them.
+    Without ``cache_dir`` every cell is pending.
+    """
+
+    def __init__(self, cells: Sequence, cache_dir: str | Path | None = None,
+                 stats: CacheStats | None = None,
+                 labels: Sequence[str] | None = None):
+        self.cells = cells
+        self.stats = stats
+        self.labels = (
+            [cell_label(cell) for cell in cells] if labels is None
+            else labels
+        )
+        self.cache = ResultCache(cache_dir) if cache_dir else None
+        self.results: list = [None] * len(cells)
+        self.pending: list[int] = []
+        for index, cell in enumerate(cells):
+            lookup_start = time.perf_counter()
+            hit = (
+                self.cache.get(cell.key()) if self.cache is not None
+                else None
+            )
+            if hit is not None:
+                self.results[index] = hit
+                if stats is not None:
+                    stats.record_cell(
+                        self.labels[index],
+                        time.perf_counter() - lookup_start, hit=True,
+                    )
+            else:
+                self.pending.append(index)
+
+    def fill(self, simulate_fn: Callable | None, jobs: int = 1) -> list:
+        """Simulate the pending cells — over worker processes when
+        ``jobs > 1`` — back-fill the cache, fold the counters into
+        ``stats`` and return every result in input order.
+        ``simulate_fn`` is only called when some cell is pending."""
+        cells, pending, stats = self.cells, self.pending, self.stats
+        fresh = parallel_map(
+            _timed_simulate, [(simulate_fn, cells[i]) for i in pending],
+            jobs,
+        )
+        for index, (result, seconds) in zip(pending, fresh):
+            self.results[index] = result
+            if stats is not None:
+                stats.record_cell(self.labels[index], seconds, hit=False)
+            if self.cache is not None:
+                self.cache.put(cells[index].key(), result)
+        if stats is not None:
+            if self.cache is not None:
+                stats.merge(self.cache, simulated=len(pending))
+            else:
+                stats.simulated += len(pending)
+        return self.results
+
+
 def run_cached(cells: Sequence, simulate_fn: Callable, jobs: int = 1,
                cache_dir: str | Path | None = None,
                stats: CacheStats | None = None,
@@ -434,38 +506,9 @@ def run_cached(cells: Sequence, simulate_fn: Callable, jobs: int = 1,
     when given, accumulates the run's hit/miss/eviction counters and
     per-cell wall times under ``labels`` (default :func:`cell_label`).
     """
-    if labels is None:
-        labels = [cell_label(cell) for cell in cells]
-    cache = ResultCache(cache_dir) if cache_dir else None
-    results: list = [None] * len(cells)
-    pending: list[int] = []
-    for index, cell in enumerate(cells):
-        lookup_start = time.perf_counter()
-        hit = cache.get(cell.key()) if cache is not None else None
-        if hit is not None:
-            results[index] = hit
-            if stats is not None:
-                stats.record_cell(
-                    labels[index],
-                    time.perf_counter() - lookup_start, hit=True,
-                )
-        else:
-            pending.append(index)
-    fresh = parallel_map(
-        _timed_simulate, [(simulate_fn, cells[i]) for i in pending], jobs
+    return CacheLookup(cells, cache_dir, stats, labels).fill(
+        simulate_fn, jobs
     )
-    for index, (result, seconds) in zip(pending, fresh):
-        results[index] = result
-        if stats is not None:
-            stats.record_cell(labels[index], seconds, hit=False)
-        if cache is not None:
-            cache.put(cells[index].key(), result)
-    if stats is not None:
-        if cache is not None:
-            stats.merge(cache, simulated=len(pending))
-        else:
-            stats.simulated += len(pending)
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +544,8 @@ class ExperimentRunner:
 
     def workload(self, model_name: str) -> InferenceWorkload:
         """Extract (and cache) the inference workload of a zoo model."""
+        from ..dnn.workload import extract_workload
+
         if model_name not in self._workloads:
             self._workloads[model_name] = extract_workload(
                 MODELS.get(model_name)()

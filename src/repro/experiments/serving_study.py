@@ -1,7 +1,7 @@
-"""Latency-under-load studies: serving simulations as cacheable cells.
+"""Latency-under-load studies: the serving cell's worker.
 
-One cell shape covers every serving scenario: a :class:`ServingCell`
-is a traffic mix (per-model SLOs, priorities, quotas, optional
+One cell shape covers every serving scenario: a
+:class:`~repro.experiments.serving_cell.ServingCell` is a traffic mix (per-model SLOs, priorities, quotas, optional
 autoregressive lengths) under one batch policy, served by a fleet of
 ``replicas`` platform nodes — one by default.  A real fleet (several
 replicas, node hazards or per-node overrides) gets a
@@ -13,24 +13,26 @@ serves the arrival stream directly.  The declarative study layer
 Cells reuse the parallel fan-out and the persistent on-disk result
 cache of the experiment runner, keyed like every other cell by
 :func:`~repro.experiments.runner.fields_key`, so serving points never
-collide with each other or with single-inference results.
+collide with each other or with single-inference results.  The cell
+itself and the text reports of its results
+(:mod:`repro.experiments.reports`) live apart from this worker, so a
+study served from the cache loads none of the layers below.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from dataclasses import replace
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from ..cluster.hazards import node_hazard_timeline, node_outages
+from ..cluster.hazards import node_outages
 from ..cluster.router import ClusterNode, ClusterRouter
-from ..config import PlatformConfig
 from ..core.engine import ExecutionTrace
 from ..dnn.workload import extract_workload
-from ..interposer.photonic.faults import ChipletMacDegrade, HazardRecord
 from ..mapping.residency import WeightResidency
+from ..records import HazardRecord
 from ..serving.lifecycle import LifecycleDriver
 from ..serving.metrics import (
     ClusterResult,
@@ -43,121 +45,14 @@ from ..serving.metrics import (
 )
 from ..serving.scheduler import RequestScheduler
 from ..sim.core import Environment
-from ..studies.faults import platform_timelines
-from ..studies.registry import ARRIVALS, MODELS, ROUTERS
-from ..studies.spec import (
-    FaultSpec,
-    FidelitySpec,
-    NodeOverrideSpec,
-    ResilienceSpec,
-    SchedulerSpec,
-    TelemetrySpec,
-)
-from .runner import build_platform, fields_key
+from ..studies.faults import node_hazard_timeline, platform_timelines
+from ..studies.registry import MODELS, ROUTERS
+from ..studies.spec import NodeOverrideSpec
+from .runner import build_platform
+from .serving_cell import ServingCell
 
-
-@dataclass(frozen=True)
-class ServingCell:
-    """One serving simulation point: a traffic mix on a fleet of nodes.
-
-    ``models`` is the mix as ``(name, fraction, slo_s, priority)``
-    tuples; the first entry is each scheduler's primary model.
-    ``scheduler`` is the point's scheduler section, which every node's
-    scheduler reads.  ``faults`` is the platform fault section applied
-    to every node.  ``sequences`` marks an autoregressive scenario: one
-    ``(prompt_tokens, output_tokens)`` pair per mix entry, ``(0, 0)``
-    for single-step tenants, with ``length_distribution`` naming the
-    per-request sampler.  ``quotas`` caps each tenant's outstanding
-    requests per node (``None`` per entry = uncapped).
-
-    The fleet fields default to one node: ``replicas`` platform copies
-    behind the ``router`` policy (``weights`` parameterise the weighted
-    one), per-node ``node_overrides`` (the cluster section's entries),
-    the node-level ``node_faults`` timeline and ``reroute_on_fail``.
-    The ``faults``, ``node_faults``, ``resilience``, ``fidelity`` and
-    ``telemetry`` sections are the point's own, each defaulting to its
-    degenerate (falsy) section;
-    armed, they run the request lifecycle or the router's signal path,
-    the fluid fast path and the recording session.
-
-    The worker reads nothing but these fields, so they are the cell's
-    complete identity: :meth:`key` hashes all of them.
-    """
-
-    platform: str
-    models: tuple[tuple[str, float, "float | None", int], ...]
-    controller: str
-    scheduler: SchedulerSpec
-    arrival_kind: str
-    rate_rps: float
-    duration_s: float
-    seed: int
-    config: PlatformConfig
-    burstiness: float = 4.0
-    dwell_s: float = 20e-6
-    think_time_s: float = 10e-6
-    residency_capacity_bits: float | None = None
-    faults: FaultSpec = FaultSpec()
-    resilience: ResilienceSpec = ResilienceSpec()
-    fidelity: FidelitySpec = FidelitySpec()
-    sequences: tuple[tuple[int, int], ...] = ()
-    length_distribution: str = "fixed"
-    quotas: tuple[int | None, ...] = ()
-    telemetry: TelemetrySpec = TelemetrySpec()
-    replicas: int = 1
-    router: str = "round-robin"
-    weights: tuple[float, ...] = ()
-    reroute_on_fail: bool = True
-    node_overrides: tuple[NodeOverrideSpec, ...] = ()
-    node_faults: FaultSpec = FaultSpec()
-
-    @property
-    def mix_label(self) -> str:
-        """Readable mix name: ``70%LeNet5+30%ResNet50`` (or the model)."""
-        if len(self.models) == 1:
-            return self.models[0][0]
-        return "+".join(
-            f"{fraction * 100:.0f}%{name}"
-            for name, fraction, _, _ in self.models
-        )
-
-    @property
-    def tenants(self) -> tuple[tuple[str, "float | None"], ...]:
-        """Each tenant's model and SLO, in mix order (a
-        :class:`~repro.serving.metrics.RequestTable`'s ``tenants``)."""
-        return tuple((name, slo_s) for name, _, slo_s, _ in self.models)
-
-    @property
-    def is_fleet(self) -> bool:
-        """Whether a router fronts the nodes.
-
-        Only several replicas, node hazards or per-node overrides need
-        one.  Otherwise the single node serves the arrival stream
-        directly — the 1-replica identity, which adds no kernel events.
-        """
-        return (
-            self.replicas > 1
-            or bool(self.node_faults)
-            or bool(self.node_overrides)
-        )
-
-    @property
-    def grid_label(self) -> str:
-        """Dry-run label: the mix, plus the fleet shape for fleets."""
-        if self.is_fleet:
-            return f"{self.replicas}x[{self.router}] {self.mix_label}"
-        return self.mix_label
-
-    def arrival_process(self):
-        """Instantiate the cell's arrival process (via the registry)."""
-        return ARRIVALS.get(self.arrival_kind)(
-            self.rate_rps, self.seed, burstiness=self.burstiness,
-            dwell_s=self.dwell_s, think_time_s=self.think_time_s,
-        )
-
-    def key(self) -> str:
-        """Disk-cache key: :func:`~repro.experiments.runner.fields_key`."""
-        return fields_key(self)
+if TYPE_CHECKING:
+    from ..interposer.photonic.faults import ChipletMacDegrade
 
 
 # ---------------------------------------------------------------------------
@@ -692,168 +587,3 @@ def _serving_result(cell: ServingCell, nodes: Sequence[ClusterNode],
         **fleet,
         **common,
     )
-
-
-# ---------------------------------------------------------------------------
-# Text reports.
-# ---------------------------------------------------------------------------
-
-
-def render_slo_summary(results: Sequence[ServingResult],
-                       labels: Sequence[str]) -> str:
-    """Per-tenant SLO table: one row per (point, model), each ending in
-    its point's label.
-
-    Empty string when no result carries per-model stats (classic
-    latency–throughput sweeps), so callers can append unconditionally.
-    """
-    rows = [
-        (result, label, stats)
-        for result, label in zip(results, labels)
-        for stats in result.per_model
-    ]
-    if not rows:
-        return ""
-    header = (
-        f"{'policy':<16}{'offered/s':>12}  {'model':<18}{'slo(us)':>9}"
-        f"{'done':>7}{'shed':>6}{'viol':>6}{'attain':>9}{'p99(us)':>10}"
-        "  point"
-    )
-    lines = [header, "-" * len(header)]
-    for result, label, stats in rows:
-        slo = "-" if stats.slo_s is None else f"{stats.slo_s * 1e6:.0f}"
-        lines.append(
-            f"{result.policy:<16}{result.offered_rps:>12.0f}  "
-            f"{stats.model:<18}{slo:>9}"
-            f"{stats.completed:>7}{stats.shed:>6}{stats.slo_violations:>6}"
-            f"{stats.slo_attainment:>9.2%}"
-            f"{stats.latency.p99_s * 1e6:>10.1f}  {label}"
-        )
-    return "\n".join(lines)
-
-
-def render_sequence_summary(results: Sequence[ServingResult],
-                            labels: Sequence[str]) -> str:
-    """Autoregressive serving table: one row per sequence-serving point,
-    each ending in its point's label.
-
-    Empty string when no result carries token metrics (single-step
-    runs), so callers can append unconditionally.
-    """
-    rows = [
-        (result, label)
-        for result, label in zip(results, labels)
-        if result.is_sequence_run
-    ]
-    if not rows:
-        return ""
-    header = (
-        f"{'policy':<16}{'offered/s':>12}  {'mix':<26}"
-        f"{'ttft p50(us)':>13}{'ttft p99(us)':>13}{'tok p99(us)':>12}"
-        f"{'tokens':>9}{'tok/s':>11}{'kv-ref':>7}{'remaps':>7}  point"
-    )
-    lines = [header, "-" * len(header)]
-    for result, label in rows:
-        ttft = result.ttft
-        token = result.token_latency
-        lines.append(
-            f"{result.policy:<16}{result.offered_rps:>12.0f}  "
-            f"{result.model:<26}"
-            f"{(ttft.p50_s * 1e6 if ttft else 0):>13.1f}"
-            f"{(ttft.p99_s * 1e6 if ttft else 0):>13.1f}"
-            f"{(token.p99_s * 1e6 if token else 0):>12.1f}"
-            f"{result.tokens_generated:>9}"
-            f"{result.tokens_per_s:>11.0f}"
-            f"{result.kv_refusals:>7}"
-            f"{result.decode_remaps:>7}  {label}"
-        )
-    return "\n".join(lines)
-
-
-def render_fault_windows(results: Sequence[ServingResult],
-                         labels: Sequence[str]) -> str:
-    """Windowed degradation table: one row per (point, window), each
-    ending in its point's label.
-
-    Empty string when no result carries fault windows (fault-free
-    runs), so callers can append unconditionally.
-    """
-    labelled = [
-        (result, label)
-        for result, label in zip(results, labels)
-        if result.windows
-    ]
-    if not labelled:
-        return ""
-    header = (
-        f"{'policy':<16}{'offered/s':>12}  {'window':<8}{'span(us)':>16}"
-        f"{'done':>7}{'shed':>6}{'goodput/s':>12}{'p99(us)':>10}"
-        f"{'attain':>9}  point"
-    )
-    lines = [header, "-" * len(header)]
-    for result, label in labelled:
-        for window in result.windows:
-            span = (
-                f"{window.start_s * 1e6:.0f}-{window.end_s * 1e6:.0f}"
-            )
-            lines.append(
-                f"{result.policy:<16}{result.offered_rps:>12.0f}  "
-                f"{window.label:<8}{span:>16}"
-                f"{window.completed:>7}{window.shed:>6}"
-                f"{window.goodput_rps:>12.0f}"
-                f"{window.latency.p99_s * 1e6:>10.1f}"
-                f"{window.slo_attainment:>9.2%}  {label}"
-            )
-    for result, label in labelled:
-        lines.append(
-            f"{result.policy:<16}{result.offered_rps:>12.0f}  "
-            f"time degraded: {result.time_degraded_s * 1e6:.0f} us "
-            f"({result.platform}, {result.controller})  {label}"
-        )
-    return "\n".join(lines)
-
-
-def render_serving_study(results: Sequence[ServingResult],
-                         labels: Sequence[str]) -> str:
-    """Text latency–throughput table, one row per simulated point, each
-    ending in its point's label.
-
-    Points a router served add one row per node beneath their own:
-    final state, completed and shed counts, goodput, latency, MAC
-    utilization and the requests rerouted away from it.
-    """
-    header = (
-        f"{'platform':<28}{'policy':<12}{'router':<18}{'nodes':>6}"
-        f"{'offered/s':>12}{'goodput/s':>12}"
-        f"{'p50(us)':>11}{'p95(us)':>11}{'p99(us)':>11}{'util':>8}"
-        f"{'mac':>7}{'imbal':>7}{'rerouted':>9}"
-    )
-    # Five columns past the header hold the saturation flag.
-    row_width = len(header) + 5
-    header = f"{header:<{row_width}}  point"
-    lines = [header, "-" * len(header)]
-    ordered = sorted(
-        zip(results, labels),
-        key=lambda pair: (
-            pair[0].platform, pair[0].controller, pair[0].policy,
-            pair[0].router, pair[0].n_nodes, pair[0].offered_rps,
-        ),
-    )
-    for result, point in ordered:
-        lines.append(f"{result.summary_row():<{row_width}}  {point}")
-        if result.router == "-":
-            continue
-        for stats in result.per_node:
-            label = (f"  {stats.node} {stats.state}: "
-                     f"{stats.requests_completed} done, "
-                     f"{stats.requests_shed} shed")
-            # The label spans the platform..offered/s columns (76).
-            lines.append(
-                f"{label:<76}{stats.goodput_rps:>12.0f}"
-                f"{stats.latency.p50_s * 1e6:>11.1f}"
-                f"{stats.latency.p95_s * 1e6:>11.1f}"
-                f"{stats.latency.p99_s * 1e6:>11.1f}{'':>8}"
-                f"{stats.mean_compute_utilization:>7.2f}{'':>7}"
-                f"{stats.rerouted_away:>9}"
-            )
-    return "\n".join(lines)

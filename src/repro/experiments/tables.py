@@ -51,7 +51,7 @@ def render_table2() -> str:
         f"{'paper params':>14}{'match':>7}",
         "-" * 60,
     ]
-    for name in zoo.MODEL_BUILDERS:
+    for name in zoo.TABLE2_MODELS:
         model = zoo.build(name)
         conv, fc = zoo.TABLE2_LAYERS[name]
         target = zoo.TABLE2_PARAMS[name]

@@ -209,8 +209,3 @@ CONTROLLER_FACTORIES = {
 }
 """Controller constructors keyed by policy name."""
 
-EPOCH_CONTROLLERS = ("resipi", "prowaves")
-"""Controllers whose decisions fire on the config's epoch length
-(``resipi_epoch_s``): the spec-level ``platform.controller_epoch_s``
-knob applies only to these — the static controller drains monitors on
-the same period but never acts on it, so the knob would be inert."""

@@ -502,9 +502,13 @@ class PhotonicInterposerFabric(InterposerFabric):
             fraction = max(1.0 / self.config.n_wavelengths,
                            fraction * self._usable_fraction)
         self._wavelength_fraction = fraction
-        self.memory_write_channel.set_bandwidth(
-            self.active_memory_gateways.value * self._gateway_bw * fraction
-        )
+        # The desired rate moves with the share, as ``_settle`` moves a
+        # bank's: a memory increase still switching then finds itself
+        # superseded instead of restoring the old share's rate.
+        channel = self.memory_write_channel
+        rate = self.active_memory_gateways.value * self._gateway_bw * fraction
+        self._desired_bandwidth[channel.name] = rate
+        channel.set_bandwidth(rate)
         scale = self._gateway_bw * fraction
         for bank in self._chiplets.values():
             if bank.settled_scale != scale:

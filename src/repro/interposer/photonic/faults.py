@@ -36,13 +36,16 @@ construction, before the controllers make their first decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Union
+from typing import TYPE_CHECKING, Callable, ClassVar, Union
 
-from ...errors import ConfigurationError, UnknownNameError
+from ...errors import ConfigurationError, UnknownNameError, reject_inert
 from ...photonics.laser import LaserSource
 from ...photonics.thermal import RING_DRIFT_NM_PER_K
 from ...photonics.variations import VariationModel
-from .fabric import PhotonicInterposerFabric
+from ...records import HazardRecord
+
+if TYPE_CHECKING:
+    from .fabric import PhotonicInterposerFabric
 
 RING_LOCK_RANGE_NM = 1.0
 """Resonance excursion beyond which a ring cannot be trimmed back onto
@@ -182,24 +185,9 @@ HazardEvent = Union[GatewayFail, GatewayRepair, RingDriftBurst,
                     LaserDegradation]
 """Any event a :class:`HazardTimeline` can carry."""
 
-COMPUTE_HAZARD_KINDS = ("chiplet-mac-degrade",)
-"""Hazard kinds that act on the compute path (serving layer) rather
-than the photonic fabric."""
-
-
 # ---------------------------------------------------------------------------
 # Event factories (the HAZARDS registry entries).
 # ---------------------------------------------------------------------------
-
-
-def _reject_inert(kind: str, **inert: bool) -> None:
-    """Spec knobs that would silently no-op raise instead (they would
-    still move cache digests without moving behavior)."""
-    set_fields = [name for name, is_set in inert.items() if is_set]
-    if set_fields:
-        raise ConfigurationError(
-            f"{', '.join(set_fields)} do(es) not apply to {kind!r} events"
-        )
 
 
 def _gateway_tuples(
@@ -227,7 +215,7 @@ def _make_gateway_event(cls, kind: str, at_s: float,
                         node: int | None = None,
                         nodes=(),
                         mac_fraction: float = 1.0):
-    _reject_inert(
+    reject_inert(
         kind,
         duration_s=duration_s is not None,
         temperature_rise_k=temperature_rise_k != 0.0,
@@ -275,7 +263,7 @@ def make_ring_drift(at_s: float, duration_s: float | None = None,
                     nodes=(),
                     mac_fraction: float = 1.0) -> RingDriftBurst:
     """``ring-drift`` factory."""
-    _reject_inert(
+    reject_inert(
         "ring-drift",
         memory_gateways=memory_gateways != 0,
         chiplet_gateways=bool(chiplet_gateways),
@@ -312,7 +300,7 @@ def make_laser_degradation(at_s: float, duration_s: float | None = None,
                            nodes=(),
                            mac_fraction: float = 1.0) -> LaserDegradation:
     """``laser-degradation`` factory."""
-    _reject_inert(
+    reject_inert(
         "laser-degradation",
         memory_gateways=memory_gateways != 0,
         chiplet_gateways=bool(chiplet_gateways),
@@ -347,7 +335,7 @@ def make_mac_degrade(at_s: float, duration_s: float | None = None,
                      nodes=(),
                      mac_fraction: float = 1.0) -> ChipletMacDegrade:
     """``chiplet-mac-degrade`` factory."""
-    _reject_inert(
+    reject_inert(
         "chiplet-mac-degrade",
         memory_gateways=memory_gateways != 0,
         chiplet_gateways=bool(chiplet_gateways),
@@ -379,9 +367,9 @@ HAZARD_FACTORIES: dict[str, Callable[..., HazardEvent]] = {
     "laser-degradation": make_laser_degradation,
     "chiplet-mac-degrade": make_mac_degrade,
 }
-"""Hazard-event factories keyed by spec kind.  The ``HAZARDS`` registry
-(:mod:`repro.studies.registry`) shares this dict, so externally
-registered hazard kinds are buildable from specs."""
+"""Hazard-event factories keyed by spec kind, the fabric and compute
+kinds of the ``HAZARDS`` registry (:mod:`repro.studies.registry`),
+which names each of them statically."""
 
 
 # ---------------------------------------------------------------------------
@@ -412,30 +400,6 @@ class HazardTimeline:
 
     def __bool__(self) -> bool:
         return bool(self.events)
-
-
-# ---------------------------------------------------------------------------
-# Degradation accounting.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HazardRecord:
-    """One applied hazard event and its capacity delta.
-
-    Plain picklable data: serving results carry these through the
-    cache and the JSON/CSV export path.  Gateway deltas are negative
-    for failures and positive for repairs; ``wavelength_fraction`` is
-    the hazard multiplier on every channel's comb after this event
-    (1.0 = full comb).  ``end_s`` is set for transient events.
-    """
-
-    kind: str
-    start_s: float
-    end_s: float | None = None
-    memory_gateways_delta: int = 0
-    chiplet_gateways_delta: int = 0
-    wavelength_fraction: float = 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from operator import and_, not_
 from typing import Sequence
 
 from ..errors import SimulationError
-from ..sim.resources import ChannelStat
+from ..records import ChannelStat
 
 
 @dataclass(frozen=True)

@@ -267,7 +267,10 @@ class Process(Event):
 class AllOf(Event):
     """Fires when every child event has fired (a barrier).
 
-    The value is the list of child values in the original order.
+    The value is the list of child values in the original order.  An
+    unfired child's callback refers to the barrier and the barrier to
+    its children, so a barrier still waiting is listed in its
+    environment, whose :meth:`~Environment.close` cuts it from them.
     """
 
     __slots__ = ("_events", "_pending")
@@ -279,6 +282,7 @@ class AllOf(Event):
         if self._pending == 0:
             self.succeed([])
             return
+        env._barriers[self] = None
         for event in self._events:
             if event._processed:
                 self._on_child(event)
@@ -288,6 +292,7 @@ class AllOf(Event):
     def _on_child(self, _: Event) -> None:
         self._pending -= 1
         if self._pending == 0 and not self._triggered:
+            del self.env._barriers[self]
             self.succeed([event._value for event in self._events])
 
 
@@ -337,11 +342,12 @@ class Environment:
     sequence keeps the merged order identical to a single heap.
 
     ``_processes`` lists the live processes in start order (a dict used
-    as an ordered set) for :meth:`close`.
+    as an ordered set) for :meth:`close`, and ``_barriers`` the
+    :class:`AllOf` barriers still waiting on a child.
     """
 
     __slots__ = ("_now", "_queue", "_immediate", "_sequence", "_processes",
-                 "_closed")
+                 "_barriers", "_closed")
 
     def __init__(self):
         self._now = 0.0
@@ -349,6 +355,7 @@ class Environment:
         self._immediate: deque[tuple[int, Any]] = deque()
         self._sequence = 0
         self._processes: dict[Process, None] = {}
+        self._barriers: dict[AllOf, None] = {}
         self._closed = False
 
     @property
@@ -423,10 +430,11 @@ class Environment:
         order: its generator is closed (``GeneratorExit`` at the
         ``yield``, which runs no simulation code; see the module notes)
         and it drops its generator, resume token, bound step and
-        waiters (an unfired ``AllOf`` child points back at its
-        barrier).  ``now`` and ``_sequence`` stay readable; running a
-        closed environment raises :class:`SimulationError`.  Closing
-        twice does nothing.  Never call it from inside a run.
+        waiters.  Every barrier still waiting then drops its children,
+        which point back at it.  ``now`` and ``_sequence`` stay
+        readable; running a closed environment raises
+        :class:`SimulationError`.  Closing twice does nothing.  Never
+        call it from inside a run.
         """
         if self._closed:
             return
@@ -438,6 +446,9 @@ class Environment:
             process._generator = process._resume = None
             process._step_callback = process.callbacks = None
         self._processes.clear()
+        for barrier in self._barriers:
+            barrier._events = None
+        self._barriers.clear()
 
     def __enter__(self) -> "Environment":
         return self

@@ -28,33 +28,14 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Callable, Deque, Sequence
 
 from ..errors import SimulationError
+from ..records import ChannelStat
 from .core import Environment, Event
 
 _INFINITY = float("inf")
 _heappush = heapq.heappush
-
-
-@dataclass(frozen=True)
-class ChannelStat:
-    """Utilization snapshot of one :class:`Resource` or
-    :class:`BandwidthChannel`, taken at the end of a run.
-
-    Attached to the execution trace (and exported with results) so that
-    runs farmed out to worker processes remain debuggable: the snapshot
-    travels with the pickled :class:`~repro.core.metrics.InferenceResult`
-    even though the simulation objects themselves do not.
-    """
-
-    name: str
-    utilization: float
-    busy_time_s: float
-    bits_transferred: float = 0.0
-    transfer_count: int = 0
-    queue_length: int = 0
 
 
 class Resource:

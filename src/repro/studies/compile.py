@@ -14,16 +14,23 @@ machinery:
   runs too, so both paths share warm caches;
 * every ``serving`` point — one node or a fleet, with any traffic mix,
   policy, hazard, lifecycle, fidelity or telemetry section — lowers to
-  one :class:`~repro.experiments.serving_study.ServingCell`.
+  one :class:`~repro.experiments.serving_cell.ServingCell`.
 
 Both cell kinds key by every one of their fields
-(:func:`~repro.experiments.runner.fields_key`).
+(:func:`~repro.experiments.runner.fields_key`), so every cell and its
+key follow from spec data alone.
 
-The serving layers (the scheduler, the cluster router, the lifecycle
-driver, numpy-backed arrivals) load inside the serving lowering, the
-way fidelity and telemetry always have: an inference study never
-imports them, and a serving study's lowering imports everything its
-run needs, so ``run_study`` spends no time importing.
+Lowering runs in two steps.  Checking a point reads the registries'
+static name tables and runs :data:`LOWERING_RULES`; it loads no layer.
+Binding a point resolves every factory its run calls, which loads the
+layers the point names and nothing else: its platform's fabric, its
+models' zoo modules, the hazard layers of a non-empty fault section,
+and the serving layers (the scheduler, the router, the lifecycle
+driver, numpy-backed arrivals, fidelity, telemetry) for serving points
+only.  :func:`lower_study` does both, so ``run_study`` after it spends
+no time importing.  :func:`run_study` checks, keys every cell, probes
+the result cache, and binds only when some cell misses: a study served
+from the cache loads no simulation layer.
 """
 
 from __future__ import annotations
@@ -33,18 +40,23 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from ..config import DEFAULT_PLATFORM, PlatformConfig
-from ..dnn.zoo import TRANSFORMER_BUILDERS
+from ..dnn.zoo import TRANSFORMER_MODELS
 from ..errors import SpecError
-from ..interposer.photonic.controllers import EPOCH_CONTROLLERS
 from ..experiments.runner import (
+    CacheLookup,
     CacheStats,
     InferenceCell,
     ResultCache,
     cell_label,
-    run_cached,
     simulate_inference_cell,
 )
-from .faults import hazard_timeline, platform_timelines
+from ..names import COMPUTE_HAZARD_KINDS, EPOCH_CONTROLLERS
+from .faults import (
+    check_fault_kinds,
+    hazard_timeline,
+    node_hazard_timeline,
+    platform_timelines,
+)
 from .registry import ARRIVALS, CONTROLLERS, MODELS, PLATFORMS, ROUTERS
 from .spec import (
     MEANINGLESS,
@@ -56,7 +68,7 @@ from .spec import (
 )
 
 if TYPE_CHECKING:
-    from ..experiments.serving_study import ServingCell
+    from ..experiments.serving_cell import ServingCell
     from ..serving.metrics import ServingResult
 
 SIPH_PLATFORM = "2.5D-CrossLight-SiPh"
@@ -83,6 +95,19 @@ def _lengths(spec: StudySpec):
 _LENGTH_PATHS = ("workload.models[].model", "workload.output_tokens",
                  "workload.models[].output_tokens")
 
+
+def _fabric_faults(faults: FaultSpec) -> bool:
+    """Whether a platform fault section names a fabric kind: any kind
+    but the compute ones (node kinds were refused with the names)."""
+    return any(
+        event.kind not in COMPUTE_HAZARD_KINDS for event in faults.events
+    )
+
+
+def _compute_faults(faults: FaultSpec) -> bool:
+    """Whether a platform fault section names a compute kind."""
+    return any(event.kind in COMPUTE_HAZARD_KINDS for event in faults.events)
+
 LOWERING_RULES: tuple[Rule, ...] = (
     Rule("epoch-needs-siph", "",
          ("platform.controller_epoch_s", "platform.name"), MEANINGLESS,
@@ -100,16 +125,16 @@ LOWERING_RULES: tuple[Rule, ...] = (
          "{s.platform.controller!r} controller never acts on the epoch"),
     Rule("sequences-need-transformer", "", _LENGTH_PATHS, MEANINGLESS,
          lambda s: any(
-             output > 0 and model not in TRANSFORMER_BUILDERS
+             output > 0 and model not in TRANSFORMER_MODELS
              for model, output in _lengths(s)
          ),
          "sequence lengths on a model with no attention layers; "
          "autoregressive serving needs a transformer model "
-         f"({', '.join(sorted(TRANSFORMER_BUILDERS))}) — CNN tenants keep "
+         f"({', '.join(sorted(TRANSFORMER_MODELS))}) — CNN tenants keep "
          "prompt_tokens/output_tokens at 0"),
     Rule("transformer-needs-sequences", "", _LENGTH_PATHS, UNSUPPORTED,
          lambda s: s.kind == "serving" and any(
-             output == 0 and model in TRANSFORMER_BUILDERS
+             output == 0 and model in TRANSFORMER_MODELS
              for model, output in _lengths(s)
          ),
          "a transformer model in a serving mix needs sequence lengths "
@@ -119,16 +144,14 @@ LOWERING_RULES: tuple[Rule, ...] = (
     Rule("platform-faults-need-siph", "", ("platform.faults", "platform.name"),
          UNSUPPORTED,
          lambda s: s.platform.name != SIPH_PLATFORM
-         and platform_timelines(s.platform.faults)[0] is not None,
+         and _fabric_faults(s.platform.faults),
          "fabric fault kinds in platform.faults (gateway, ring-drift, "
          f"laser) apply only to {SIPH_PLATFORM!r} (the hazard engine "
          "mutates its photonic fabric), got platform {s.platform.name!r}; "
          "compute kinds (chiplet-mac-degrade) run on every platform"),
     Rule("fluid-fabric-faults", "", ("fidelity.mode", "platform.faults"),
          UNSUPPORTED,
-         lambda s: bool(s.fidelity) and len(s.platform.faults.events) > len(
-             platform_timelines(s.platform.faults)[1]
-         ),
+         lambda s: bool(s.fidelity) and _fabric_faults(s.platform.faults),
          "fidelity modes fluid/auto support only compute-side platform "
          "faults (chiplet-mac-degrade); the fluid queue has no model of "
          "fabric-level events — use fidelity mode 'des' for photonic "
@@ -137,14 +160,15 @@ LOWERING_RULES: tuple[Rule, ...] = (
          ("fidelity.mode", "platform.faults", "platform.name"), UNSUPPORTED,
          lambda s: bool(s.fidelity)
          and s.platform.name == MONOLITHIC_PLATFORM
-         and bool(platform_timelines(s.platform.faults)[1]),
+         and _compute_faults(s.platform.faults),
          "fidelity modes fluid/auto price a chiplet-mac-degrade through "
          "the 2.5D analytic model, which needs the per-chiplet gateway "
          "groups that platform {s.platform.name!r} has none of — use "
          "fidelity mode 'des'"),
 )
-"""The rules that need the registries or the fault lowering, run on
-every grid point at lowering, after its names resolve.  Rows read like
+"""The rules that need the registries' name tables, run on every grid
+point when it is checked, after its names resolve; they read static
+tables only, so they load no layer.  Rows read like
 :data:`~repro.studies.spec.RULES` rows: ``section`` is ``""`` (the
 point), and each error ends with the row's paths.  A platform fault
 section on another platform is ``unsupported`` rather than
@@ -168,38 +192,61 @@ def resolve_config(spec: StudySpec,
     return config
 
 
-def _validate_names(spec: StudySpec) -> None:
-    """Resolve every registry name and run :data:`LOWERING_RULES`
-    once, before any simulation runs."""
-    PLATFORMS.get(spec.platform.name)
-    CONTROLLERS.get(spec.platform.controller)
+def _check_point(spec: StudySpec) -> None:
+    """Check every name one point gives against the registries' static
+    tables and run :data:`LOWERING_RULES`, loading no layer."""
+    PLATFORMS.check(spec.platform.name)
+    CONTROLLERS.check(spec.platform.controller)
     for entry in spec.workload.models:
-        MODELS.get(entry.model)
+        MODELS.check(entry.model)
+    check_fault_kinds(spec.platform.faults, spec.cluster)
     for rule in LOWERING_RULES:
         rule.check(spec)
-    if spec.platform.faults:
-        if spec.kind == "serving":
-            platform_timelines(spec.platform.faults)
-        else:
-            # No serving layer: compute-side kinds rejected too.
-            hazard_timeline(spec.platform.faults)
     if spec.kind == "serving":
-        ARRIVALS.get(spec.workload.arrival)
+        ARRIVALS.check(spec.workload.arrival)
     if spec.cluster is not None:
-        _validate_cluster(spec)
+        ROUTERS.check(spec.cluster.router)
+        for override in spec.cluster.nodes:
+            if override.controller is not None:
+                CONTROLLERS.check(override.controller)
 
 
-def _validate_cluster(spec: StudySpec) -> None:
-    """Resolve and sanity-check one point's cluster section."""
-    from ..cluster.hazards import node_hazard_timeline, validate_node_timeline
+def _bind_point(spec: StudySpec) -> None:
+    """Resolve every factory one checked point's run calls.
+
+    This loads the layers the point names, so its run imports nothing,
+    and runs the validation only a factory can do: fault-event knobs,
+    router weights and the node timeline.
+    """
+    PLATFORMS.get(spec.platform.name)
+    for entry in spec.workload.models:
+        MODELS.get(entry.model)
+    if spec.kind == "inference":
+        # No serving layer: compute-side kinds rejected too.
+        hazard_timeline(spec.platform.faults)
+        return
+    platform_timelines(spec.platform.faults)
+    ARRIVALS.get(spec.workload.arrival)
+    if spec.cluster is not None:
+        _bind_cluster(spec)
+    # The serving worker, and the armed fluid path and recording
+    # session, load here so the run imports nothing.
+    from ..experiments import serving_study  # noqa: F401
+
+    if spec.fidelity:
+        from ..experiments import fidelity  # noqa: F401
+    if spec.telemetry:
+        from ..obs import session  # noqa: F401
+
+
+def _bind_cluster(spec: StudySpec) -> None:
+    """Build one point's routing policy and validate its node timeline."""
+    from ..cluster.hazards import validate_node_timeline
 
     cluster = spec.cluster
     # Building the policy also validates the weights against the
     # replica count (the weighted router demands one per node).
     ROUTERS.get(cluster.router)(cluster.replicas, cluster.weights)
-    for override in cluster.nodes:
-        if override.controller is not None:
-            CONTROLLERS.get(override.controller)
     events = node_hazard_timeline(cluster.faults)
     # Probe-based health checking routes on a stale view instead of
     # raising, so (only then) a correlated outage may take down the
@@ -245,16 +292,11 @@ def lower_serving_point(point: StudySpec,
 
     The cell carries the point's scheduler, resilience, fidelity and
     telemetry sections and its node overrides as they are.  A point
-    without a ``cluster`` section is the one-node fleet.
+    without a ``cluster`` section is the one-node fleet.  Spec data
+    only: nothing is resolved, and no serving layer loads.
     """
-    from ..experiments.serving_study import ServingCell
+    from ..experiments.serving_cell import ServingCell
 
-    # The armed fluid path and the recording session load here, at
-    # lowering, so the run imports nothing.
-    if point.fidelity:
-        from ..experiments.fidelity import simulate_fidelity_cell  # noqa: F401
-    if point.telemetry:
-        from ..obs.session import TelemetrySession  # noqa: F401
     workload = point.workload
     cluster = point.cluster or ClusterSpec()
     return ServingCell(
@@ -347,6 +389,26 @@ class StudyResult:
         return [point_label(point.spec, self.spec) for point in self.points]
 
 
+def _lower_point(point: StudySpec, kind: str,
+                 base_config: PlatformConfig | None) -> list:
+    """One checked point's cells: one serving cell, or one inference
+    cell per model of its workload.  Spec data only."""
+    config = resolve_config(point, base_config)
+    if kind == "serving":
+        return [lower_serving_point(point, config)]
+    return [
+        InferenceCell(
+            platform=point.platform.name,
+            model=entry.model,
+            controller=point.platform.controller,
+            config=config,
+            batch_size=point.workload.batch_size,
+            faults=point.platform.faults,
+        )
+        for entry in point.workload.models
+    ]
+
+
 def lower_study(
     spec: StudySpec, base_config: PlatformConfig | None = None
 ) -> tuple[list[StudySpec], list[list]]:
@@ -354,32 +416,18 @@ def lower_study(
 
     Returns the resolved grid points and, per point, the list of cells
     it lowers onto (one serving cell, or one inference cell per model
-    of the workload).  Shared by :func:`run_study` (which simulates
-    them) and :func:`render_dry_run` (which only prints them).
+    of the workload).  Every point is checked and bound, so everything
+    the study's run needs is loaded.  Shared by
+    :func:`render_dry_run` (which only prints the cells) and callers
+    that time the run apart from its setup.
     """
     points = expand_points(spec)
     for point in points:
-        _validate_names(point)
-    cells_per_point: list[list] = []
-    for point in points:
-        config = resolve_config(point, base_config)
-        if spec.kind == "inference":
-            cells_per_point.append([
-                InferenceCell(
-                    platform=point.platform.name,
-                    model=entry.model,
-                    controller=point.platform.controller,
-                    config=config,
-                    batch_size=point.workload.batch_size,
-                    faults=point.platform.faults,
-                )
-                for entry in point.workload.models
-            ])
-        else:
-            cells_per_point.append(
-                [lower_serving_point(point, config)]
-            )
-    return points, cells_per_point
+        _check_point(point)
+        _bind_point(point)
+    return points, [
+        _lower_point(point, spec.kind, base_config) for point in points
+    ]
 
 
 def run_study(spec: StudySpec, jobs: int = 1,
@@ -388,36 +436,45 @@ def run_study(spec: StudySpec, jobs: int = 1,
               stats: CacheStats | None = None) -> StudyResult:
     """Execute a declarative study spec end to end.
 
-    Expands the sweep grid, lowers every point onto simulation cells
-    and runs them through the shared parallel (``jobs``) and
-    disk-cached (``cache_dir``) cell machinery.  ``base_config`` is a
-    Python-API escape hatch for sweeps over a non-default
-    :class:`PlatformConfig`; spec-level platform knobs apply on top of
-    it (JSON specs always start from the Table 1 defaults).  Callers
-    running several studies in one invocation (e.g. ``repro dse``) can
-    pass a shared ``stats`` accumulator to aggregate hit/miss counts.
+    Expands the sweep grid, checks every point, lowers it onto
+    simulation cells and runs them through the shared parallel
+    (``jobs``) and disk-cached (``cache_dir``) cell machinery.  The
+    cells and their keys follow from spec data, so the cache is probed
+    first and the points are bound (their layers loaded) only when some
+    cell misses.  ``base_config`` is a Python-API escape hatch for
+    sweeps over a non-default :class:`PlatformConfig`; spec-level
+    platform knobs apply on top of it (JSON specs always start from
+    the Table 1 defaults).  Callers running several studies in one
+    invocation (e.g. ``repro dse``) can pass a shared ``stats``
+    accumulator to aggregate hit/miss counts.
     """
-    points, cells_per_point = lower_study(spec, base_config)
+    points = expand_points(spec)
+    for point in points:
+        _check_point(point)
+    cells_per_point = [
+        _lower_point(point, spec.kind, base_config) for point in points
+    ]
     cells = [cell for group in cells_per_point for cell in group]
     if stats is None:
         stats = CacheStats()
-
-    if spec.kind == "inference":
-        simulate = simulate_inference_cell
-    else:
-        # Loaded by the serving lowering above: no import cost here.
-        from ..experiments.serving_study import simulate_serving_cell
-
-        simulate = simulate_serving_cell
     labels = [
         cell_label(cell, point_label(point, spec))
         for point, group in zip(points, cells_per_point)
         for cell in group
     ]
-    results = run_cached(
-        cells, simulate, jobs=jobs, cache_dir=cache_dir, stats=stats,
-        labels=labels,
-    )
+    lookup = CacheLookup(cells, cache_dir, stats, labels)
+    simulate = None
+    if lookup.pending:
+        for point in points:
+            _bind_point(point)
+        if spec.kind == "inference":
+            simulate = simulate_inference_cell
+        else:
+            # Loaded by the binding above: no import cost here.
+            from ..experiments.serving_study import simulate_serving_cell
+
+            simulate = simulate_serving_cell
+    results = lookup.fill(simulate, jobs)
 
     grouped = []
     cursor = 0
@@ -447,7 +504,7 @@ def render_study(study: StudyResult) -> str:
         lines += [header, "-" * len(header)]
         lines += [result.summary_row() for result in study.flat_results()]
     else:
-        from ..experiments.serving_study import (
+        from ..experiments.reports import (
             render_fault_windows,
             render_sequence_summary,
             render_serving_study,

@@ -9,48 +9,50 @@ the name→builder dictionaries that used to be scattered across
 instead of a bare ``KeyError``, and downstream code (including external
 plugins) can ``register`` new entries without touching any other layer.
 
-Registries whose factories live in another layer bind on first use
-(``CONTROLLERS``, ``HAZARDS``, ``ARRIVALS``, ``ROUTERS``): importing
-this module loads only the platform and model layers an inference study
-runs.  Dispatch policies are no registry: the scheduler implements a
-fixed set, which ``SchedulerSpec.policy`` names as its choices.
+Every registry knows its names without loading a layer: the platform,
+model and hazard tables name each factory as ``"module:attribute"``,
+imported by the first :meth:`Registry.get` of that name, and the
+registries shared with another layer's dict (``CONTROLLERS``,
+``ARRIVALS``, ``ROUTERS``) answer from the static tables of
+:mod:`repro.names` until their first ``get`` or ``register`` binds
+them.  So importing this module loads no simulation layer, checking a
+spec's names loads none either, and resolving a name loads exactly the
+layer behind it.  Dispatch policies are no registry: the scheduler
+implements a fixed set, which ``SchedulerSpec.policy`` names as its
+choices.
 """
 
 from __future__ import annotations
 
+from importlib import import_module
 from typing import Any, Callable, Iterator, Mapping
 
-from ..config import PlatformConfig
-from ..core.accelerator import (
-    CrossLight25DAWGR,
-    CrossLight25DElec,
-    CrossLight25DSiPh,
-    MonolithicCrossLight,
-)
-from ..dnn.zoo import (
-    EXTENDED_BUILDERS,
-    MODEL_BUILDERS,
-    TRANSFORMER_BUILDERS,
-)
+from ..dnn.zoo import MODEL_HOMES
 from ..errors import ConfigurationError, UnknownNameError
+from ..names import ARRIVAL_NAMES, CONTROLLER_NAMES, ROUTER_NAMES
 
 
 class Registry:
     """Ordered name→factory map with typed lookup errors.
 
-    ``entries`` are copied.  ``bind`` instead returns a mutable dict
-    the registry shares, so registrations through the registry become
-    visible to code reading that dict directly (and vice versa); it is
-    called on the registry's first use, so the module defining a
-    registry need not import the layer that owns the dict.  ``label``
-    is the registry's own name (``"ROUTERS"``): lookup errors carry it
-    so multi-registry specs say *which* table rejected a name.
+    ``entries`` are copied; a value may be a factory or its
+    ``"module:attribute"`` home, which the first :meth:`get` of that
+    name imports.  ``bind`` instead returns a mutable dict the registry
+    shares, so registrations through the registry become visible to
+    code reading that dict directly (and vice versa); it is called on
+    the registry's first :meth:`get` or :meth:`register`, so the module
+    defining a registry need not import the layer that owns the dict.
+    Until then ``names`` (the dict's keys, listed statically) answer
+    :meth:`names`, membership and :meth:`check`.  ``label`` is the
+    registry's own name (``"ROUTERS"``): lookup errors carry it so
+    multi-registry specs say *which* table rejected a name.
     """
 
     def __init__(self, kind: str,
-                 entries: Mapping[str, Callable] | None = None,
+                 entries: Mapping[str, Callable | str] | None = None,
                  label: str | None = None,
-                 bind: Callable[[], dict[str, Callable]] | None = None):
+                 bind: Callable[[], dict[str, Callable]] | None = None,
+                 names: tuple[str, ...] = ()):
         self.kind = kind
         self.label = label
         if entries is not None and bind is not None:
@@ -59,9 +61,10 @@ class Registry:
                 "on first use)"
             )
         self._bind = bind
+        self._static = names
         self._entries = None if bind is not None else dict(entries or {})
 
-    def _table(self) -> dict[str, Callable]:
+    def _table(self) -> dict[str, Callable | str]:
         """The name→factory dict, bound on first use."""
         if self._entries is None:
             self._entries = self._bind()
@@ -80,26 +83,43 @@ class Registry:
         return factory
 
     def get(self, name: str) -> Callable:
-        """The factory under ``name``; typed error with suggestions."""
+        """The factory under ``name``, importing its home on first use;
+        typed error with suggestions."""
+        table = self._table()
         try:
-            return self._table()[name]
+            factory = table[name]
         except KeyError:
             raise UnknownNameError(
                 self.kind, name, self.names(), registry=self.label
             ) from None
+        if isinstance(factory, str):
+            module, _, attribute = factory.partition(":")
+            factory = table[name] = getattr(import_module(module), attribute)
+        return factory
+
+    def check(self, name: str) -> None:
+        """Raise :meth:`get`'s typed error unless ``name`` is
+        registered, without binding the registry or importing a
+        factory."""
+        if name not in self.names():
+            raise UnknownNameError(
+                self.kind, name, self.names(), registry=self.label
+            )
 
     def names(self) -> tuple[str, ...]:
         """Registered names, in registration order."""
-        return tuple(self._table())
+        if self._entries is None:
+            return self._static
+        return tuple(self._entries)
 
     def __contains__(self, name: object) -> bool:
-        return name in self._table()
+        return name in self.names()
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._table())
+        return iter(self.names())
 
     def __len__(self) -> int:
-        return len(self._table())
+        return len(self.names())
 
 
 # ---------------------------------------------------------------------------
@@ -107,49 +127,22 @@ class Registry:
 # ---------------------------------------------------------------------------
 
 
-def _reject_faults(name: str, faults) -> None:
-    if faults is not None:
-        raise ConfigurationError(
-            f"platform {name!r} has no fault model; hazard timelines "
-            "apply to the photonic interposer platform "
-            "('2.5D-CrossLight-SiPh')"
-        )
-
-
-def _build_crosslight(config: PlatformConfig, controller: str, faults=None):
-    _reject_faults("CrossLight", faults)
-    return MonolithicCrossLight(config)
-
-
-def _build_25d_elec(config: PlatformConfig, controller: str, faults=None):
-    _reject_faults("2.5D-CrossLight-Elec", faults)
-    return CrossLight25DElec(config)
-
-
-def _build_25d_siph(config: PlatformConfig, controller: str, faults=None):
-    return CrossLight25DSiPh(config, controller=controller, faults=faults)
-
-
-def _build_25d_awgr(config: PlatformConfig, controller: str, faults=None):
-    _reject_faults("2.5D-CrossLight-AWGR", faults)
-    return CrossLight25DAWGR(config)
-
-
 PLATFORMS = Registry("platform", label="PLATFORMS", entries={
-    "CrossLight": _build_crosslight,
-    "2.5D-CrossLight-Elec": _build_25d_elec,
-    "2.5D-CrossLight-SiPh": _build_25d_siph,
-    "2.5D-CrossLight-AWGR": _build_25d_awgr,
+    "CrossLight": "repro.core.crosslight:build_crosslight",
+    "2.5D-CrossLight-Elec": "repro.core.elec:build_25d_elec",
+    "2.5D-CrossLight-SiPh": "repro.core.siph:build_25d_siph",
+    "2.5D-CrossLight-AWGR": "repro.core.awgr:build_25d_awgr",
 })
-"""Platform factories ``(config, controller) -> platform``; only the
-SiPh interposer actually consumes the controller name."""
+"""Platform factories ``(config, controller, faults=None) -> platform``;
+only the SiPh interposer consumes the controller name and a fault
+timeline.  Each lives in its platform's module, which imports that
+platform's fabric (and controllers) only."""
 
 
-MODELS = Registry("model", label="MODELS",
-                  entries={**MODEL_BUILDERS, **EXTENDED_BUILDERS,
-                           **TRANSFORMER_BUILDERS})
+MODELS = Registry("model", label="MODELS", entries=MODEL_HOMES)
 """DNN builders by zoo name (Table 2, the extended zoo, and the
-transformer zoo for autoregressive serving)."""
+transformer zoo for autoregressive serving); each loads its own zoo
+module."""
 
 
 def _controller_factories() -> dict[str, Callable]:
@@ -159,29 +152,36 @@ def _controller_factories() -> dict[str, Callable]:
 
 
 CONTROLLERS = Registry("controller", label="CONTROLLERS",
-                       bind=_controller_factories)
+                       bind=_controller_factories, names=CONTROLLER_NAMES)
 """Interposer reconfiguration controllers (SiPh platform).
 
 Shares the factory dict the SiPh platform constructs from, so a
 controller registered here is buildable — not just spec-valid."""
 
 
-def _hazard_factories() -> dict[str, Callable]:
-    from ..cluster import hazards  # noqa: F401  (registers the node-* kinds)
-    from ..interposer.photonic.faults import HAZARD_FACTORIES
+_FABRIC_HAZARDS = "repro.interposer.photonic.faults"
+_NODE_HAZARDS = "repro.cluster.hazards"
 
-    return HAZARD_FACTORIES
-
-
-HAZARDS = Registry("hazard", label="HAZARDS", bind=_hazard_factories)
-"""Hazard-event factories for the platform fault timeline.
+HAZARDS = Registry("hazard", label="HAZARDS", entries={
+    "gateway-fail": f"{_FABRIC_HAZARDS}:make_gateway_fail",
+    "gateway-repair": f"{_FABRIC_HAZARDS}:make_gateway_repair",
+    "ring-drift": f"{_FABRIC_HAZARDS}:make_ring_drift",
+    "laser-degradation": f"{_FABRIC_HAZARDS}:make_laser_degradation",
+    "chiplet-mac-degrade": f"{_FABRIC_HAZARDS}:make_mac_degrade",
+    "node-fail": f"{_NODE_HAZARDS}:make_node_fail",
+    "node-drain": f"{_NODE_HAZARDS}:make_node_drain",
+    "node-repair": f"{_NODE_HAZARDS}:make_node_repair",
+    "rack-fail": f"{_NODE_HAZARDS}:make_rack_fail",
+    "rack-repair": f"{_NODE_HAZARDS}:make_rack_repair",
+})
+"""Hazard-event factories for the platform and cluster fault timelines.
 
 Each factory takes the full :class:`~repro.studies.spec.FaultEventSpec`
 field set (minus ``kind``) and returns a typed hazard event, rejecting
-knobs that do not apply to its kind.  Shares the factory dict the
-hazard engine's spec lowering reads, so externally registered hazard
-kinds are buildable from JSON specs; binding it also registers the
-cluster layer's node-level kinds in that dict."""
+knobs that do not apply to its kind.  The fabric and compute kinds load
+the photonic hazard module, the node kinds the cluster's; the fault
+lowering (:mod:`repro.studies.faults`) resolves every kind here, so
+externally registered hazard kinds are buildable from JSON specs."""
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +212,7 @@ def _arrival_factories() -> dict[str, Callable]:
 
 
 ARRIVALS = Registry("arrival process", label="ARRIVALS",
-                    bind=_arrival_factories)
+                    bind=_arrival_factories, names=ARRIVAL_NAMES)
 """Arrival-process factories ``(rate_rps, seed, **knobs) -> process``."""
 
 
@@ -227,7 +227,8 @@ def _router_factories() -> dict[str, Callable]:
     return ROUTER_FACTORIES
 
 
-ROUTERS = Registry("router", label="ROUTERS", bind=_router_factories)
+ROUTERS = Registry("router", label="ROUTERS", bind=_router_factories,
+                   names=ROUTER_NAMES)
 """Cluster routing-policy factories ``(n_nodes, weights) -> policy``.
 
 Shares the factory dict the cluster router builds from, so a router

@@ -3,17 +3,15 @@
 import pytest
 
 from repro.config import DEFAULT_PLATFORM, PlatformConfig
-from repro.core.accelerator import (
-    ALL_PLATFORMS,
-    CrossLight25DElec,
-    CrossLight25DSiPh,
-    MonolithicCrossLight,
-)
-from repro.core.crosslight import monolithic_mapping
+from repro.core.crosslight import MonolithicCrossLight, monolithic_mapping
+from repro.core.elec import CrossLight25DElec
+from repro.core.siph import CrossLight25DSiPh
 from repro.dnn import zoo
 from repro.dnn.quantization import QuantizationConfig
 from repro.dnn.workload import extract_workload
 from repro.errors import ConfigurationError
+from repro.experiments.runner import PLATFORM_ORDER
+from repro.studies.registry import PLATFORMS
 
 
 class TestResultSanity:
@@ -68,11 +66,11 @@ class TestResultSanity:
         assert result.reconfigurations > 0
 
     def test_all_platforms_registry(self):
-        assert set(ALL_PLATFORMS) == {
+        assert set(PLATFORM_ORDER) == {
             "CrossLight", "2.5D-CrossLight-Elec", "2.5D-CrossLight-SiPh",
         }
-        for name, cls in ALL_PLATFORMS.items():
-            assert cls().name == name
+        for name in PLATFORM_ORDER:
+            assert PLATFORMS.get(name)(DEFAULT_PLATFORM, "resipi").name == name
 
 
 class TestPaperShapes:

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.config import DEFAULT_PLATFORM
-from repro.core.accelerator import CrossLight25DAWGR, CrossLight25DSiPh
+from repro.core.awgr import CrossLight25DAWGR
+from repro.core.siph import CrossLight25DSiPh
 from repro.dnn import zoo
 from repro.dnn.workload import extract_workload
 from repro.interposer.photonic.awgr import (

@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.core.accelerator import (
-    CrossLight25DSiPh,
-    MonolithicCrossLight,
-)
+from repro.core.crosslight import MonolithicCrossLight
+from repro.core.siph import CrossLight25DSiPh
 from repro.dnn import zoo
 from repro.dnn.workload import extract_workload
 from repro.experiments.quantization_study import (

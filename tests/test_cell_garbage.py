@@ -17,6 +17,7 @@ from repro.config import DEFAULT_PLATFORM
 from repro.experiments import fidelity
 from repro.experiments.runner import InferenceCell, simulate_inference_cell
 from repro.experiments.serving_study import simulate_serving_cell
+from repro.sim.core import Environment
 from repro.studies import TelemetrySpec, load_spec, lower_study
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -96,3 +97,22 @@ def test_fluid_mac_degrade_from_an_empty_warm_store():
 def test_inference_cell(platform):
     cell = InferenceCell(platform, "LeNet5", "resipi", DEFAULT_PLATFORM)
     assert cyclic_garbage(lambda: simulate_inference_cell(cell)) == 0
+
+
+@pytest.mark.parametrize("barrier", ["all_of", "any_of"])
+def test_closed_barrier_over_an_unfired_event(barrier):
+    """A process still waiting on a barrier over a plain event that
+    never fires leaves no cycle once its environment closes."""
+
+    def run():
+        with Environment() as env:
+            wait = getattr(env, barrier)([env.event(), env.timeout(1.0)])
+
+            def waiter():
+                yield wait
+
+            env.process(waiter())
+            env.run(until=0.5)
+
+    assert cyclic_garbage(run) == 0
+

@@ -13,11 +13,10 @@ from repro.cluster.hazards import (
     NodeDrain,
     NodeFail,
     NodeRepair,
-    node_hazard_timeline,
     validate_node_timeline,
 )
 from repro.cluster.router import ClusterNode, ClusterRouter
-from repro.core.accelerator import MonolithicCrossLight
+from repro.core.crosslight import MonolithicCrossLight
 from repro.core.engine import ExecutionTrace
 from repro.dnn import zoo
 from repro.dnn.workload import extract_workload
@@ -60,7 +59,7 @@ from repro.studies.compile import (
     resolve_config,
     run_study,
 )
-from repro.studies.faults import hazard_timeline
+from repro.studies.faults import hazard_timeline, node_hazard_timeline
 
 WORKLOAD = extract_workload(zoo.build("LeNet5"))
 

@@ -19,15 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import DEFAULT_PLATFORM
-from repro.core import accelerator
+from repro.core import siph
 from repro.core.engine import InferenceEngine
 from repro.dnn import zoo
 from repro.dnn.workload import extract_workload
 from repro.errors import ConfigurationError
-from repro.experiments.serving_study import (
-    ServingCell,
-    simulate_serving_cell,
-)
+from repro.experiments.serving_cell import ServingCell
+from repro.experiments.serving_study import simulate_serving_cell
 from repro.interposer.photonic.controllers import (
     CONTROLLER_FACTORIES,
     ProwavesController,
@@ -76,9 +74,10 @@ class EveryBankFabric(PhotonicInterposerFabric):
             fraction = max(1.0 / self.config.n_wavelengths,
                            fraction * self._usable_fraction)
         self._wavelength_fraction = fraction
-        self.memory_write_channel.set_bandwidth(
-            self.active_memory_gateways.value * self._gateway_bw * fraction
-        )
+        channel = self.memory_write_channel
+        rate = self.active_memory_gateways.value * self._gateway_bw * fraction
+        self._desired_bandwidth[channel.name] = rate
+        channel.set_bandwidth(rate)
         for chiplet_id in self.inventories:
             self.set_active_chiplet_gateways(
                 chiplet_id,
@@ -245,7 +244,7 @@ class TestBitIdentical:
         )
         shipped_records: list = []
         shipped = simulate_serving_cell(cell, record_sink=shipped_records)
-        monkeypatch.setattr(accelerator, "PhotonicInterposerFabric",
+        monkeypatch.setattr(siph, "PhotonicInterposerFabric",
                             EveryBankFabric)
         monkeypatch.setitem(CONTROLLER_FACTORIES, controller,
                             REFERENCE[controller])
@@ -455,9 +454,10 @@ class TestFabricHooks:
     @pytest.mark.parametrize("fabric_cls",
                              [PhotonicInterposerFabric, EveryBankFabric])
     def test_landing_switch_ends_the_share_shortcut(self, fabric_cls):
-        """A memory increase still switching lands on the rate of the
-        share it was decided under; the same share applied again then
-        retunes the memory channel, as the every-bank path does."""
+        """A memory increase still switching when a new comb share
+        applies finds itself superseded: the channel keeps the rate of
+        the share in force, and the same share applied again leaves it
+        there, as the every-bank path does."""
         env, fabric = self.make(fabric_cls)
         channel = fabric.memory_write_channel
         one = DEFAULT_PLATFORM.gateway_bandwidth_bps
@@ -467,7 +467,7 @@ class TestFabricHooks:
         fabric.set_wavelength_fraction(0.25)
         assert channel.bandwidth_bps == 4 * one * 0.25
         env.run()
-        assert channel.bandwidth_bps == 4 * one * 0.5  # landed as decided
+        assert channel.bandwidth_bps == 4 * one * 0.25  # superseded
         fabric.set_wavelength_fraction(0.25)
         assert channel.bandwidth_bps == 4 * one * 0.25
 

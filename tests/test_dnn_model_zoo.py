@@ -89,41 +89,41 @@ class TestTable2:
 
 class TestZooInternals:
     def test_lenet5_output_shape(self):
-        model = zoo.lenet5()
+        model = zoo.build("LeNet5")
         assert model.output_shape == (10,)
 
     def test_lenet5_c5_reduces_to_1x1(self):
-        model = zoo.lenet5()
+        model = zoo.build("LeNet5")
         shapes = {n.name: n.output_shape for n in model.nodes}
         assert shapes["c5"] == (1, 1, 120)
 
     def test_resnet50_final_feature_map(self):
-        model = zoo.resnet50()
+        model = zoo.build("ResNet50")
         shapes = {n.name: n.output_shape for n in model.nodes}
         assert shapes["avg_pool"] == (2048,)
         assert shapes["stage5_block3_out"] == (7, 7, 2048)
 
     def test_resnet50_macs_around_3_86g(self):
-        model = zoo.resnet50()
+        model = zoo.build("ResNet50")
         assert model.total_macs == pytest.approx(3.86e9, rel=0.01)
 
     def test_vgg16_macs_around_15_5g(self):
-        model = zoo.vgg16()
+        model = zoo.build("VGG16")
         assert model.total_macs == pytest.approx(15.47e9, rel=0.01)
 
     def test_mobilenetv2_macs_around_300m(self):
-        model = zoo.mobilenetv2()
+        model = zoo.build("MobileNetV2")
         assert model.total_macs == pytest.approx(300e6, rel=0.05)
 
     def test_densenet121_growth_structure(self):
-        model = zoo.densenet121()
+        model = zoo.build("DenseNet121")
         shapes = {n.name: n.output_shape for n in model.nodes}
         # After block 1 (6 layers x growth 32 on 64 stem channels).
         assert shapes["block1_layer6_concat"][2] == 64 + 6 * 32
         assert shapes["avg_pool"] == (1024,)
 
     def test_mobilenetv2_feature_head(self):
-        model = zoo.mobilenetv2()
+        model = zoo.build("MobileNetV2")
         shapes = {n.name: n.output_shape for n in model.nodes}
         assert shapes["conv_last"] == (7, 7, 1280)
 

@@ -11,7 +11,7 @@ import dataclasses
 import pytest
 
 from repro.config import DEFAULT_PLATFORM
-from repro.core.accelerator import MonolithicCrossLight
+from repro.core.crosslight import MonolithicCrossLight
 from repro.core.engine import (
     ComputeOccupancy,
     ExecutionTrace,

@@ -30,10 +30,8 @@ from repro.experiments.fidelity import (
 from repro.experiments import fidelity as fidelity_module
 from repro.experiments import runner as runner_module
 from repro.experiments.runner import CacheStats, ResultCache, run_cached
-from repro.experiments.serving_study import (
-    ServingCell,
-    simulate_serving_cell,
-)
+from repro.experiments.serving_cell import ServingCell
+from repro.experiments.serving_study import simulate_serving_cell
 from repro.sim.traffic import PoissonArrivals
 from repro.studies import (
     FaultEventSpec,

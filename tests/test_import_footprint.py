@@ -5,8 +5,12 @@ since imported every layer.  They pin two rules:
 
 * an entry point imports only the layers it uses — numpy, the serving
   stack and the paper drivers stay out of inference studies and the CLI;
-* lowering a study imports everything its run needs, so ``run_study``
-  spends no time importing.
+* lowering a study imports everything its run needs, and only what
+  the study names (its platforms' fabrics, its models' zoo modules, the
+  hazard layers of a non-empty fault section), so ``run_study`` spends
+  no time importing;
+* a warm study, every cell in the cache, simulates nothing and loads no
+  simulation layer.
 
 The package namespaces re-export their names lazily (PEP 562); the
 second half of the file checks that every exported name still resolves.
@@ -38,8 +42,24 @@ from repro.studies import (
 
 ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = sorted((ROOT / "examples").glob("*.json"))
+PERFBENCH_SPECS = sorted((ROOT / "perfbench" / "specs").glob("*.json"))
 
 SERVING_LAYERS = ("repro.serving", "repro.cluster", "repro.obs")
+
+HAZARD_MODULES = ("repro.interposer.photonic.faults", "repro.cluster.hazards",
+                  "repro.photonics.thermal", "repro.photonics.variations")
+"""The hazard stack: a fault-free study loads none of it."""
+
+SIMULATION_LAYERS = (
+    "repro.sim", "repro.interposer", "repro.core.engine",
+    "repro.core.accelerator", "repro.core.siph", "repro.core.elec",
+    "repro.core.awgr", "repro.core.crosslight", "repro.mapping",
+    "repro.serving.scheduler", "repro.serving.lifecycle",
+    "repro.cluster.router", "repro.experiments.serving_study",
+    "repro.experiments.fidelity",
+)
+"""Kernel, fabrics, platforms, engine, mapping, scheduler, lifecycle,
+router and the serving workers: a warm study loads none of them."""
 
 PRELUDE = """
 import json, sys
@@ -113,14 +133,30 @@ else:
 lower_study(spec)
 lowered = loaded()
 before = set(sys.modules)
-run_study(spec)
+run_study(spec, cache_dir=sys.argv[2] if len(sys.argv) > 2 else None)
 print(json.dumps({
     "lowered": lowered,
     "run_imports": sorted(set(sys.modules) - before),
 }))
 """
 """Lower a study (a spec file path in argv, else spec JSON on stdin),
-then run it: reports what lowering loaded and what the run added."""
+then run it (into the cache directory in ``argv[2]``, if given):
+reports what lowering loaded and what the run added."""
+
+
+WARM_RUN = """
+from repro.studies.compile import load_spec, run_study
+
+study = run_study(load_spec(sys.argv[1]), cache_dir=sys.argv[2])
+stats = study.cache_stats
+print(json.dumps({
+    "loaded": loaded(),
+    "hits": stats.hits,
+    "simulated": stats.simulated,
+}))
+"""
+"""Run a study from a cache directory: reports every module loaded and
+the cache counters."""
 
 
 POOL_PROBE = """
@@ -177,6 +213,37 @@ class TestImportFootprint:
                       "repro.dnn.zoo", "repro.interposer",
                       "repro.core.crosslight") == []
 
+    def test_fault_free_inference_loads_no_hazard_module(self):
+        report = _probe(LOWER_THEN_RUN,
+                        stdin=inference_matrix_spec().to_json())
+        assert report["run_imports"] == []
+        assert _under(report["lowered"], *HAZARD_MODULES) == []
+
+    def test_lowering_loads_only_the_named_zoo_modules(self):
+        loaded = _probe(
+            "from repro.studies.compile import load_spec, lower_study\n"
+            "lower_study(load_spec(sys.argv[1]))\n"
+            "print(json.dumps(loaded()))",
+            str(ROOT / "perfbench" / "specs" / "paper_matrix.json"),
+        )
+        assert _under(loaded, "repro.dnn.zoo") == [
+            "repro.dnn.zoo", "repro.dnn.zoo.lenet5",
+            "repro.dnn.zoo.mobilenetv2", "repro.dnn.zoo.resnet50",
+            "repro.dnn.zoo.vgg16",
+        ]
+
+    def test_crosslight_fleet_loads_no_photonic_or_mesh_fabric(self):
+        report = _probe(
+            LOWER_THEN_RUN,
+            str(ROOT / "perfbench" / "specs" / "fleet_failover.json"),
+        )
+        assert report["run_imports"] == []
+        loaded = report["lowered"]
+        assert "repro.cluster.hazards" in loaded
+        assert _under(loaded, "repro.interposer.photonic",
+                      "repro.interposer.electrical", "repro.core.siph",
+                      "repro.core.elec", "repro.core.awgr") == []
+
     def test_inference_study_loads_no_serving_layer(self):
         report = _probe(LOWER_THEN_RUN,
                         stdin=inference_matrix_spec().to_json())
@@ -207,9 +274,47 @@ class TestImportFootprint:
         assert "numpy" in report["lowered"]
 
     @pytest.mark.parametrize("path", EXAMPLES, ids=lambda path: path.stem)
-    def test_example_run_imports_nothing(self, path):
+    def test_example_run_imports_nothing(self, path, cold_cache):
+        assert cold_cache(path)["run_imports"] == []
+
+    @pytest.mark.parametrize("path", PERFBENCH_SPECS,
+                             ids=lambda path: path.stem)
+    def test_benchmark_spec_run_imports_nothing(self, path):
         report = _probe(LOWER_THEN_RUN, str(path))
         assert report["run_imports"] == []
+
+    @pytest.mark.parametrize("path", EXAMPLES, ids=lambda path: path.stem)
+    def test_warm_example_reads_only_the_cache(self, path, cold_cache):
+        cold_cache(path)
+        report = _probe(WARM_RUN, str(path), cold_cache.directory(path))
+        assert report["simulated"] == 0 and report["hits"] > 0
+        loaded = report["loaded"]
+        assert "numpy" not in loaded
+        assert _under(loaded, *SIMULATION_LAYERS, *HAZARD_MODULES) == []
+
+
+class _ColdCaches:
+    """Each example run cold once (lowered first), into its own cache
+    directory; the report of that run is kept for every test."""
+
+    def __init__(self, root: Path):
+        self.root = root
+        self.reports: dict[Path, dict] = {}
+
+    def directory(self, path: Path) -> str:
+        return str(self.root / path.stem)
+
+    def __call__(self, path: Path) -> dict:
+        if path not in self.reports:
+            self.reports[path] = _probe(
+                LOWER_THEN_RUN, str(path), self.directory(path)
+            )
+        return self.reports[path]
+
+
+@pytest.fixture(scope="module")
+def cold_cache(tmp_path_factory) -> _ColdCaches:
+    return _ColdCaches(tmp_path_factory.mktemp("cold-cache"))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from repro.cluster.hazards import (
     node_outages,
 )
 from repro.cluster.router import ClusterNode, ClusterRouter
-from repro.core.accelerator import MonolithicCrossLight
+from repro.core.crosslight import MonolithicCrossLight
 from repro.core.engine import ExecutionTrace
 from repro.dnn import zoo
 from repro.dnn.workload import extract_workload

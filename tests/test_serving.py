@@ -6,7 +6,8 @@ import json
 import pytest
 
 from repro.config import DEFAULT_PLATFORM
-from repro.core.accelerator import CrossLight25DSiPh, MonolithicCrossLight
+from repro.core.crosslight import MonolithicCrossLight
+from repro.core.siph import CrossLight25DSiPh
 from repro.core.engine import ComputeOccupancy, ExecutionTrace
 from repro.dnn import zoo
 from repro.dnn.workload import extract_workload
@@ -16,11 +17,9 @@ from repro.experiments.export import (
     study_results_to_csv,
     study_results_to_json,
 )
-from repro.experiments.serving_study import (
-    ServingCell,
-    render_serving_study,
-    simulate_serving_cell,
-)
+from repro.experiments.reports import render_serving_study
+from repro.experiments.serving_cell import ServingCell
+from repro.experiments.serving_study import simulate_serving_cell
 from repro.mapping.residency import WeightResidency
 from repro.serving.metrics import (
     LatencyProfile,

@@ -10,7 +10,7 @@ import itertools
 import pytest
 
 from repro.cluster.router import ClusterNode, ClusterRouter
-from repro.core.accelerator import MonolithicCrossLight
+from repro.core.crosslight import MonolithicCrossLight
 from repro.core.engine import ExecutionTrace
 from repro.dnn import zoo
 from repro.dnn.workload import extract_workload

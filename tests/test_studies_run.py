@@ -8,16 +8,14 @@ from pathlib import Path
 import pytest
 
 from repro.config import DEFAULT_PLATFORM
-from repro.core.accelerator import MonolithicCrossLight
+from repro.core.crosslight import MonolithicCrossLight
 from repro.dnn import zoo
 from repro.dnn.workload import extract_workload
 from repro.errors import ConfigurationError, UnknownNameError
+from repro.experiments.reports import render_slo_summary
 from repro.experiments.runner import run_cached
-from repro.experiments.serving_study import (
-    ServingCell,
-    render_slo_summary,
-    simulate_serving_cell,
-)
+from repro.experiments.serving_cell import ServingCell
+from repro.experiments.serving_study import simulate_serving_cell
 from repro.serving.scheduler import RequestHandle, RequestScheduler
 from repro.sim.core import Environment
 from repro.sim.traffic import PoissonArrivals
@@ -188,7 +186,7 @@ class TestLowering:
     def test_registered_controller_is_buildable(self):
         """A plugin controller registered through CONTROLLERS reaches
         platform construction, not just spec validation."""
-        from repro.core.accelerator import CrossLight25DSiPh
+        from repro.core.siph import CrossLight25DSiPh
         from repro.studies import CONTROLLERS
 
         def dummy(env, fabric, config):  # pragma: no cover - not built

@@ -430,3 +430,48 @@ class TestRegistries:
 
         assert {"gateway-fail", "chiplet-mac-degrade", "node-fail",
                 "rack-repair"} <= set(HAZARDS.names())
+
+    def test_static_names_match_their_layers(self):
+        """Every static name table lists what its layer builds, in its
+        layer's order, and each home resolves to the layer's factory."""
+        from repro import names
+        from repro.cluster.hazards import NODE_HAZARD_FACTORIES
+        from repro.cluster.router import ROUTER_FACTORIES
+        from repro.dnn import zoo
+        from repro.interposer.photonic.controllers import (
+            CONTROLLER_FACTORIES,
+        )
+        from repro.interposer.photonic.faults import HAZARD_FACTORIES
+        from repro.studies import HAZARDS, ROUTERS
+
+        assert names.CONTROLLER_NAMES == tuple(CONTROLLER_FACTORIES)
+        assert set(names.EPOCH_CONTROLLERS) < set(names.CONTROLLER_NAMES)
+        assert names.ROUTER_NAMES == tuple(ROUTER_FACTORIES)
+        assert ROUTERS.names() == names.ROUTER_NAMES
+        assert ARRIVALS.names() == names.ARRIVAL_NAMES
+        assert set(names.COMPUTE_HAZARD_KINDS) < set(HAZARD_FACTORIES)
+        assert names.NODE_HAZARD_KINDS == tuple(NODE_HAZARD_FACTORIES)
+        factories = {**HAZARD_FACTORIES, **NODE_HAZARD_FACTORIES}
+        assert HAZARDS.names() == tuple(factories)
+        for kind, factory in factories.items():
+            assert HAZARDS.get(kind) is factory
+        builders = {**zoo.MODEL_BUILDERS, **zoo.EXTENDED_BUILDERS,
+                    **zoo.TRANSFORMER_BUILDERS}
+        assert MODELS.names() == tuple(builders) == (
+            zoo.TABLE2_MODELS + zoo.EXTENDED_MODELS + zoo.TRANSFORMER_MODELS
+        )
+        for name, builder in builders.items():
+            assert MODELS.get(name) is builder
+
+    def test_check_reads_static_names_without_binding(self):
+        calls = []
+        registry = Registry("demo", bind=lambda: calls.append(1) or {},
+                            names=("a", "b"))
+        registry.check("a")
+        assert "b" in registry and registry.names() == ("a", "b")
+        with pytest.raises(UnknownNameError, match="did you mean 'a'"):
+            registry.check("aa")
+        assert calls == []
+        lazy = Registry("demo", {"dump": "json:dumps"})
+        assert lazy.names() == ("dump",)
+        assert lazy.get("dump") is json.dumps

@@ -34,7 +34,7 @@ from repro.experiments.export import (
     study_results_to_csv,
     study_results_to_json,
 )
-from repro.experiments.serving_study import ServingCell
+from repro.experiments.serving_cell import ServingCell
 from repro.mapping.residency import KVCacheResidency, WeightResidency
 from repro.sim.core import Environment
 from repro.studies.compile import (

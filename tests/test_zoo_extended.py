@@ -46,7 +46,7 @@ class TestExtendedZoo:
 
     def test_extended_model_simulates(self, runner):
         """An extended model runs end-to-end on the SiPh platform."""
-        from repro.core.accelerator import CrossLight25DSiPh
+        from repro.core.siph import CrossLight25DSiPh
 
         workload = extract_workload(zoo.build("DenseNet169"))
         result = CrossLight25DSiPh().run_workload(workload)
